@@ -410,6 +410,10 @@ impl StoreFaultPolicy for ChaosStoreFaults {
     fn read_unavailable(&self, _key: &str, now: SimTime) -> bool {
         self.outages.iter().any(|(s, e)| now >= *s && now < *e)
     }
+
+    fn reads_vary_with_time(&self) -> bool {
+        !self.outages.is_empty()
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,11 @@
 //! Durable checkpoint bookkeeping on top of [`flint_store`].
 
-use std::collections::HashMap;
-
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use flint_simtime::SimTime;
 use flint_store::{DurableStore, StorageConfig};
 
-use crate::block::BlockData;
+use crate::block::{BlockData, BlockKey};
 use crate::rdd::{PartitionData, RddId};
 use crate::shuffle::ShuffleId;
 use crate::Lineage;
@@ -50,6 +48,15 @@ pub trait StoreFaultPolicy: Send + Sync + std::fmt::Debug {
 
     /// Returns `true` while a read of `key` at `now` transiently fails.
     fn read_unavailable(&self, key: &str, now: SimTime) -> bool;
+
+    /// Returns `true` if [`StoreFaultPolicy::read_unavailable`] can
+    /// change its answer for a key merely because `now` advanced. The
+    /// readiness planner carries its plan across scheduler steps only
+    /// while this is `false`; the conservative default makes it replan
+    /// from scratch whenever virtual time has moved.
+    fn reads_vary_with_time(&self) -> bool {
+        true
+    }
 }
 
 /// The default, never-failing store policy (chaos off). Every path
@@ -66,6 +73,22 @@ impl StoreFaultPolicy for HealthyStore {
     fn read_unavailable(&self, _key: &str, _now: SimTime) -> bool {
         false
     }
+
+    fn reads_vary_with_time(&self) -> bool {
+        false
+    }
+}
+
+/// What changed in a [`CheckpointStore`] since the readiness planner
+/// last drained it.
+#[derive(Debug, Default)]
+pub(crate) struct StoreChanges {
+    /// Blocks whose durable copy was written, rewritten or deleted.
+    pub keys: BTreeSet<BlockKey>,
+    /// Something changed that cannot be pinned on individual blocks
+    /// (the fault policy was replaced): every readability answer is
+    /// suspect.
+    pub all: bool,
 }
 
 /// Returns the store key for `(rdd, part)`.
@@ -99,6 +122,8 @@ pub struct CheckpointStore {
     /// the driver thread; detected (as [`ReadFault::Corrupt`]) when a
     /// restore attempts the integrity check.
     corrupt: HashSet<String>,
+    /// Readability changes not yet seen by the planner.
+    changes: StoreChanges,
 }
 
 /// Returns the store key for a shuffle map output.
@@ -127,12 +152,25 @@ impl CheckpointStore {
             shuffle_parts: HashSet::new(),
             faults: Box::new(HealthyStore),
             corrupt: HashSet::new(),
+            changes: StoreChanges::default(),
         }
     }
 
     /// Installs a store degradation model (replacing [`HealthyStore`]).
     pub fn set_fault_policy(&mut self, policy: Box<dyn StoreFaultPolicy>) {
         self.faults = policy;
+        self.changes.all = true;
+    }
+
+    /// Drains the record of what changed since the previous call.
+    pub(crate) fn take_changes(&mut self) -> StoreChanges {
+        std::mem::take(&mut self.changes)
+    }
+
+    /// Whether readability can change with the passage of virtual time
+    /// alone (see [`StoreFaultPolicy::reads_vary_with_time`]).
+    pub(crate) fn reads_vary_with_time(&self) -> bool {
+        self.faults.reads_vary_with_time()
     }
 
     /// Durably stores one shuffle map output (flat or bucketed — a
@@ -153,6 +191,10 @@ impl CheckpointStore {
         }
         self.store.put(&key, data.into(), vbytes, now);
         self.shuffle_parts.insert((s, map_part));
+        self.changes.keys.insert(BlockKey::ShuffleMap {
+            shuffle: s,
+            map_part,
+        });
         if fault == WriteFault::Torn {
             self.corrupt.insert(key);
         } else {
@@ -262,6 +304,7 @@ impl CheckpointStore {
         if let Some(b) = bits.get_mut(part as usize) {
             *b = true;
         }
+        self.changes.keys.insert(BlockKey::RddPart { rdd, part });
         fault
     }
 
@@ -355,7 +398,10 @@ impl CheckpointStore {
 
     /// Drops every checkpoint of `rdd`.
     pub fn drop_rdd(&mut self, rdd: RddId, now: SimTime) -> usize {
-        self.parts.remove(&rdd);
+        let parts = self.parts.remove(&rdd).map_or(0, |bits| bits.len() as u32);
+        for part in 0..parts {
+            self.changes.keys.insert(BlockKey::RddPart { rdd, part });
+        }
         let prefix = format!("rdd-{:06}/", rdd.0);
         self.corrupt.retain(|k| !k.starts_with(&prefix));
         self.store.delete_prefix(&prefix, now)

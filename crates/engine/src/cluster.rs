@@ -1,10 +1,13 @@
 //! The engine's view of the worker cluster.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 
-use flint_simtime::SimTime;
+use flint_simtime::{SimDuration, SimTime};
 
-use crate::block::{BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot};
+use crate::block::{
+    BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot, InsertOutcome,
+};
 
 /// Identifier of a worker slot within the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,17 +59,30 @@ pub struct Worker {
     pub ext_id: u64,
     /// Hardware shape.
     pub spec: WorkerSpec,
-    /// Whether the worker is currently alive.
-    pub alive: bool,
+    /// Whether the worker is currently alive. Private: the cluster's
+    /// alive set and block directory are keyed on it.
+    alive: bool,
     /// Per-core busy-until instants.
     pub cores_busy_until: Vec<SimTime>,
-    /// The worker's block store.
-    pub blocks: BlockManager,
+    /// The worker's block store. Private: every mutation goes through
+    /// [`Cluster`] so the block directory cannot drift.
+    blocks: BlockManager,
     /// When the worker joined the cluster.
     pub joined_at: SimTime,
 }
 
 impl Worker {
+    /// Whether the worker is currently alive (not revoked).
+    pub fn is_alive(&self) -> bool {
+        self.alive
+    }
+
+    /// The worker's block store, read-only. Blocks are inserted through
+    /// [`Cluster::insert_block`].
+    pub fn blocks(&self) -> &BlockManager {
+        &self.blocks
+    }
+
     /// Returns the earliest instant any core is free, no earlier than
     /// `now`.
     pub fn earliest_free(&self, now: SimTime) -> SimTime {
@@ -89,11 +105,27 @@ impl Worker {
     }
 }
 
-/// The set of workers known to the driver.
+/// The set of workers known to the driver, plus a cluster-wide block
+/// directory.
+///
+/// The directory maps every block resident on an *alive* worker (memory
+/// or disk tier) to the ascending list of alive workers holding it, so
+/// "where is this block?" is one lookup instead of a scan over all
+/// workers. Every block mutation goes through `Cluster`
+/// ([`Cluster::insert_block`], [`Cluster::remove_everywhere`],
+/// [`Cluster::remove_by_ext`]), which is what keeps it exact.
 #[derive(Debug, Default)]
 pub struct Cluster {
     workers: Vec<Worker>,
     ext_map: HashMap<u64, WorkerId>,
+    /// Alive worker ids, ascending (ids are handed out in join order).
+    alive: Vec<WorkerId>,
+    /// Block key -> ascending alive holders; no entry for an unheld key.
+    directory: HashMap<BlockKey, Vec<WorkerId>>,
+    /// Keys that gained their first or lost their last alive holder
+    /// since [`Cluster::take_changes`]: what the readiness planner must
+    /// re-examine. Bounded by the number of distinct keys.
+    changed: BTreeSet<BlockKey>,
 }
 
 impl Cluster {
@@ -115,6 +147,7 @@ impl Cluster {
             joined_at: now,
         });
         self.ext_map.insert(ext_id, id);
+        self.alive.push(id);
         id
     }
 
@@ -127,7 +160,13 @@ impl Cluster {
             return None;
         }
         w.alive = false;
+        for key in w.blocks.keys() {
+            unlist(&mut self.directory, &mut self.changed, key, id);
+        }
         w.blocks.clear();
+        if let Ok(i) = self.alive.binary_search(&id) {
+            self.alive.remove(i);
+        }
         Some(id)
     }
 
@@ -154,31 +193,95 @@ impl Cluster {
         &mut self.workers[id.0 as usize]
     }
 
-    /// Returns the ids of alive workers.
-    pub fn alive(&self) -> Vec<WorkerId> {
-        self.workers
-            .iter()
-            .filter(|w| w.alive)
-            .map(|w| w.id)
-            .collect()
+    /// Returns the ids of alive workers, ascending.
+    pub fn alive(&self) -> &[WorkerId] {
+        &self.alive
     }
 
     /// Returns the number of alive workers.
     pub fn alive_count(&self) -> usize {
-        self.workers.iter().filter(|w| w.alive).count()
+        self.alive.len()
     }
 
-    /// Finds a block anywhere in the alive cluster.
-    pub fn locate(&self, key: &BlockKey) -> Option<(WorkerId, BlockLocation, u64)> {
-        for w in &self.workers {
-            if !w.alive {
-                continue;
-            }
-            if let Some((loc, bytes)) = w.blocks.peek(key) {
-                return Some((w.id, loc, bytes));
+    /// Picks the worker for a task admitted at `now`: the least-loaded
+    /// alive worker (ties to the lowest id), unless the data-local
+    /// `prefer` is alive and not backed up well past it. `None` when no
+    /// worker is alive.
+    pub fn pick_worker(&self, now: SimTime, prefer: Option<WorkerId>) -> Option<WorkerId> {
+        let least_loaded = self
+            .alive
+            .iter()
+            .copied()
+            .min_by_key(|w| (self.worker(*w).earliest_free(now), w.0))?;
+        if let Some(p) = prefer {
+            let pw = self.worker(p);
+            if pw.alive {
+                // Delay scheduling (Spark-style bounded locality wait):
+                // prefer the data-local worker unless it is backed up well
+                // past the least-loaded one — then eat the network fetch
+                // rather than pile tasks onto one node's cores.
+                let locality_wait = SimDuration::from_secs(3);
+                if pw.earliest_free(now)
+                    <= self.worker(least_loaded).earliest_free(now) + locality_wait
+                {
+                    return Some(p);
+                }
             }
         }
-        None
+        Some(least_loaded)
+    }
+
+    /// Inserts a block into worker `wid`'s store and brings the
+    /// directory up to date for the inserted key and for every victim
+    /// the insert dropped (spilled victims stay held). A dead worker
+    /// stores nothing and reports an empty outcome.
+    pub fn insert_block(
+        &mut self,
+        wid: WorkerId,
+        key: BlockKey,
+        data: impl Into<BlockData>,
+        vbytes: u64,
+    ) -> InsertOutcome {
+        let w = &mut self.workers[wid.0 as usize];
+        if !w.alive {
+            return InsertOutcome::default();
+        }
+        let outcome = w.blocks.insert_traced(key, data, vbytes);
+        self.sync_holder(wid, key);
+        for (victim, _) in &outcome.dropped {
+            self.sync_holder(wid, *victim);
+        }
+        outcome
+    }
+
+    /// Makes `wid`'s membership in `key`'s holder list match what its
+    /// block store actually holds.
+    fn sync_holder(&mut self, wid: WorkerId, key: BlockKey) {
+        if self.workers[wid.0 as usize].blocks.peek(&key).is_none() {
+            unlist(&mut self.directory, &mut self.changed, key, wid);
+            return;
+        }
+        let holders = self.directory.entry(key).or_default();
+        if holders.is_empty() {
+            self.changed.insert(key);
+        }
+        if let Err(i) = holders.binary_search(&wid) {
+            holders.insert(i, wid);
+        }
+    }
+
+    /// Drains the keys whose cluster-wide availability flipped (first
+    /// holder gained, last holder lost) since the previous call.
+    pub(crate) fn take_changes(&mut self) -> BTreeSet<BlockKey> {
+        std::mem::take(&mut self.changed)
+    }
+
+    /// Finds a block anywhere in the alive cluster: the lowest alive
+    /// `WorkerId` holding it, with that worker's location and size.
+    pub fn locate(&self, key: &BlockKey) -> Option<(WorkerId, BlockLocation, u64)> {
+        let wid = *self.directory.get(key)?.first()?;
+        let (loc, bytes) = self.workers[wid.0 as usize].blocks.peek(key)?;
+        Some((wid, loc, bytes))
     }
 
     /// Fetches a block's data from anywhere in the alive cluster.
@@ -220,18 +323,20 @@ impl Cluster {
         key: &BlockKey,
         f: impl Fn(&BlockData) -> Option<BlockData>,
     ) {
-        for w in &mut self.workers {
-            if w.alive {
-                w.blocks.replace_payload(key, &f);
-            }
+        for wid in self.directory.get(key).into_iter().flatten() {
+            self.workers[wid.0 as usize].blocks.replace_payload(key, &f);
         }
     }
 
     /// Removes a block from every worker (e.g. when superseded).
     pub fn remove_everywhere(&mut self, key: &BlockKey) {
-        for w in &mut self.workers {
-            w.blocks.remove(key);
+        let Some(holders) = self.directory.remove(key) else {
+            return;
+        };
+        for wid in holders {
+            self.workers[wid.0 as usize].blocks.remove(key);
         }
+        self.changed.insert(*key);
     }
 
     /// Builds a summary of all cached blocks on alive workers.
@@ -241,10 +346,8 @@ impl Cluster {
             disk_bytes: 0,
             blocks: Vec::new(),
         };
-        for w in &self.workers {
-            if !w.alive {
-                continue;
-            }
+        for wid in &self.alive {
+            let w = &self.workers[wid.0 as usize];
             snap.mem_bytes += w.blocks.mem_used();
             snap.disk_bytes += w.blocks.disk_used();
             for k in w.blocks.keys() {
@@ -259,16 +362,33 @@ impl Cluster {
 
     /// Total cache memory across alive workers, in virtual bytes.
     pub fn total_cache_capacity(&self) -> u64 {
-        self.workers
+        self.alive
             .iter()
-            .filter(|w| w.alive)
-            .map(|w| w.blocks.mem_capacity())
+            .map(|w| self.workers[w.0 as usize].blocks.mem_capacity())
             .sum()
     }
 
     /// Returns all workers (alive and dead), for accounting.
     pub fn workers(&self) -> &[Worker] {
         &self.workers
+    }
+}
+
+/// Drops `wid` from `key`'s holder list; a key that thereby loses its
+/// last holder leaves the directory and is recorded as changed.
+fn unlist(
+    directory: &mut HashMap<BlockKey, Vec<WorkerId>>,
+    changed: &mut BTreeSet<BlockKey>,
+    key: BlockKey,
+    wid: WorkerId,
+) {
+    let Entry::Occupied(mut holders) = directory.entry(key) else {
+        return;
+    };
+    holders.get_mut().retain(|h| *h != wid);
+    if holders.get().is_empty() {
+        holders.remove();
+        changed.insert(key);
     }
 }
 
@@ -304,16 +424,14 @@ mod tests {
         assert_eq!(c.remove_by_ext(100), Some(a));
         assert_eq!(c.remove_by_ext(100), None);
         assert_eq!(c.alive(), vec![b]);
-        assert!(!c.worker(a).alive);
+        assert!(!c.worker(a).is_alive());
     }
 
     #[test]
     fn revocation_drops_blocks() {
         let mut c = Cluster::new();
         let a = c.add_worker(1, spec(), SimTime::ZERO);
-        c.worker_mut(a)
-            .blocks
-            .insert(key(0), Arc::new(vec![Value::Int(1)]), 10);
+        c.insert_block(a, key(0), Arc::new(vec![Value::Int(1)]), 10);
         assert!(c.locate(&key(0)).is_some());
         c.remove_by_ext(1);
         assert!(c.locate(&key(0)).is_none());
@@ -324,10 +442,48 @@ mod tests {
         let mut c = Cluster::new();
         let _a = c.add_worker(1, spec(), SimTime::ZERO);
         let b = c.add_worker(2, spec(), SimTime::ZERO);
-        c.worker_mut(b).blocks.insert(key(7), Arc::new(vec![]), 5);
+        c.insert_block(b, key(7), Arc::new(vec![]), 5);
         let (wid, _, bytes) = c.locate(&key(7)).unwrap();
         assert_eq!(wid, b);
         assert_eq!(bytes, 5);
+    }
+
+    #[test]
+    fn locate_prefers_lowest_alive_holder_and_reports_flips_only() {
+        let mut c = Cluster::new();
+        let a = c.add_worker(1, spec(), SimTime::ZERO);
+        let b = c.add_worker(2, spec(), SimTime::ZERO);
+        c.insert_block(b, key(0), Arc::new(vec![]), 5);
+        assert_eq!(c.take_changes().into_iter().collect::<Vec<_>>(), [key(0)]);
+        // A second copy and an LRU bump change no availability.
+        c.insert_block(a, key(0), Arc::new(vec![]), 7);
+        c.touch(a, &key(0));
+        assert!(c.take_changes().is_empty());
+        assert_eq!(c.locate(&key(0)).map(|(w, _, vb)| (w, vb)), Some((a, 7)));
+        // Losing one of two holders is not a flip; losing the last is.
+        c.remove_by_ext(1);
+        assert!(c.take_changes().is_empty());
+        assert_eq!(c.locate(&key(0)).map(|(w, _, vb)| (w, vb)), Some((b, 5)));
+        c.remove_everywhere(&key(0));
+        assert_eq!(c.take_changes().into_iter().collect::<Vec<_>>(), [key(0)]);
+        assert!(c.locate(&key(0)).is_none());
+    }
+
+    #[test]
+    fn pick_worker_breaks_ties_by_id_and_bounds_the_locality_wait() {
+        let mut c = Cluster::new();
+        assert_eq!(c.pick_worker(SimTime::ZERO, None), None);
+        let a = c.add_worker(1, spec(), SimTime::ZERO);
+        let b = c.add_worker(2, spec(), SimTime::ZERO);
+        assert_eq!(c.pick_worker(SimTime::ZERO, None), Some(a));
+        // A busy preferred worker still wins inside the locality wait...
+        c.worker_mut(b).cores_busy_until = vec![SimTime::from_millis(2_000); 2];
+        assert_eq!(c.pick_worker(SimTime::ZERO, Some(b)), Some(b));
+        // ...but not once it is backed up past it, nor when it is dead.
+        c.worker_mut(b).cores_busy_until = vec![SimTime::from_millis(4_000); 2];
+        assert_eq!(c.pick_worker(SimTime::ZERO, Some(b)), Some(a));
+        c.remove_by_ext(2);
+        assert_eq!(c.pick_worker(SimTime::ZERO, Some(b)), Some(a));
     }
 
     #[test]
@@ -349,9 +505,7 @@ mod tests {
     fn peek_fetch_matches_fetch_without_lru_bump() {
         let mut c = Cluster::new();
         let a = c.add_worker(1, spec(), SimTime::ZERO);
-        c.worker_mut(a)
-            .blocks
-            .insert(key(3), Arc::new(vec![Value::Int(7)]), 12);
+        c.insert_block(a, key(3), Arc::new(vec![Value::Int(7)]), 12);
         let (wid, data, loc, vb) = c.peek_fetch(&key(3)).unwrap();
         assert_eq!((wid, loc, vb), (a, crate::BlockLocation::Memory, 12));
         assert_eq!(data.len(), 1);
@@ -367,8 +521,8 @@ mod tests {
         let mut c = Cluster::new();
         let a = c.add_worker(1, spec(), SimTime::ZERO);
         let b = c.add_worker(2, spec(), SimTime::ZERO);
-        c.worker_mut(a).blocks.insert(key(0), Arc::new(vec![]), 10);
-        c.worker_mut(b).blocks.insert(key(1), Arc::new(vec![]), 20);
+        c.insert_block(a, key(0), Arc::new(vec![]), 10);
+        c.insert_block(b, key(1), Arc::new(vec![]), 20);
         c.remove_by_ext(1);
         let snap = c.snapshot();
         assert_eq!(snap.mem_bytes, 20);

@@ -19,7 +19,8 @@ use crate::executor::{self, CacheEffect, TaskOutput, WaveCtx};
 use crate::hooks::{CheckpointDirective, CheckpointHooks, LineageView, NoCheckpoint};
 use crate::injector::{FailureInjector, NoFailures, WorkerEvent};
 use crate::manifest::RunManifest;
-use crate::rdd::{PartitionData, RddId, RddOp, RddRef};
+use crate::plan::{self, PlanStats, Planner};
+use crate::rdd::{PartitionData, RddId, RddRef};
 use crate::shuffle::{BucketedBlock, RangePartitioner, ShuffleId};
 use crate::stats::{ActionRecord, RunStats};
 use crate::value::Value;
@@ -387,6 +388,7 @@ pub struct Driver {
     ctx: EngineContext,
     cluster: Cluster,
     ckpt: CheckpointStore,
+    planner: Planner,
     backend: Box<dyn Backend>,
     hooks: Box<dyn CheckpointHooks>,
     injector: Box<dyn FailureInjector>,
@@ -408,7 +410,7 @@ pub struct Driver {
     /// Blocks whose corrupt/unavailable checkpoint the driver has
     /// already paired with a `RestoreFallback` event (dedup across
     /// planning iterations).
-    corrupt_reported: HashSet<String>,
+    corrupt_reported: HashSet<BlockKey>,
     /// Recent revocation instants per external id (flap detection).
     remove_times: HashMap<u64, VecDeque<SimTime>>,
     /// External ids quarantined for flapping: their joins are ignored.
@@ -443,6 +445,7 @@ impl Driver {
             ctx: EngineContext::new(),
             cluster: Cluster::new(),
             ckpt: CheckpointStore::new(storage),
+            planner: Planner::default(),
             backend: Box::new(TransientVmBackend),
             hooks,
             injector,
@@ -538,6 +541,12 @@ impl Driver {
     /// Resets execution statistics (e.g. after warm-up).
     pub fn reset_stats(&mut self) {
         self.stats = RunStats::default();
+    }
+
+    /// Work counters of the readiness planner: how much the host did to
+    /// decide what to run. Not part of [`RunStats`] or the event stream.
+    pub fn plan_stats(&self) -> PlanStats {
+        self.planner.stats()
     }
 
     /// Sets the session tag naming this run's manifest key in the
@@ -934,7 +943,13 @@ impl Driver {
 
             self.poll_hooks();
 
-            let (ready, done) = self.plan_ready(target);
+            let (ready, done) = self.planner.plan(
+                self.ctx.lineage(),
+                &mut self.cluster,
+                &mut self.ckpt,
+                self.clock.now(),
+                target,
+            );
             if done {
                 return Ok(());
             }
@@ -942,7 +957,7 @@ impl Driver {
 
             // Materialize every ready task in parallel against the
             // wave-start snapshot, then admit the results sequentially in
-            // fixed task-key order (`plan_ready` yields sorted keys), so
+            // fixed task-key order (the planner yields sorted keys), so
             // scheduling and accounting are bit-identical for any
             // `host_threads` setting. Checkpoint writes follow.
             let pending: Vec<TaskKey> = ready
@@ -1002,16 +1017,16 @@ impl Driver {
     fn advance_and_commit(&mut self, t: SimTime) {
         self.clock.advance_to(t);
         self.pump_injector();
-        let mut finished: Vec<Running> = Vec::new();
-        let mut rest: Vec<Running> = Vec::new();
-        for r in self.running.drain(..) {
-            if r.finish <= t {
-                finished.push(r);
-            } else {
-                rest.push(r);
+        // Partition in place: unfinished tasks keep their admission order
+        // at the front; the finished tail is re-sorted into commit order.
+        let mut kept = 0;
+        for i in 0..self.running.len() {
+            if self.running[i].finish > t {
+                self.running.swap(kept, i);
+                kept += 1;
             }
         }
-        self.running = rest;
+        let mut finished = self.running.split_off(kept);
         finished.sort_by_key(|r| (r.finish, r.seq));
         let committed_any = !finished.is_empty();
         for r in finished {
@@ -1113,43 +1128,20 @@ impl Driver {
     /// Discards in-flight tasks on a dead worker; checkpoint jobs are
     /// requeued, compute tasks are replanned naturally.
     fn invalidate_worker(&mut self, wid: WorkerId) {
-        let mut keep: Vec<Running> = Vec::new();
-        for r in self.running.drain(..) {
-            if r.worker == wid {
-                self.in_flight.remove(&r.key);
-                if let TaskKey::Ckpt(job) = r.key {
-                    if self.ckpt_queued.insert(job) {
-                        self.ckpt_queue.push_back(job);
-                    }
+        for r in self.running.iter().filter(|r| r.worker == wid) {
+            self.in_flight.remove(&r.key);
+            if let TaskKey::Ckpt(job) = r.key {
+                if self.ckpt_queued.insert(job) {
+                    self.ckpt_queue.push_back(job);
                 }
-            } else {
-                keep.push(r);
             }
         }
-        self.running = keep;
+        self.running.retain(|r| r.worker != wid);
     }
 
     // ------------------------------------------------------------------
     // Planning
     // ------------------------------------------------------------------
-
-    fn rdd_part_available(&self, rdd: RddId, part: u32) -> bool {
-        self.ckpt.readable(rdd, part, self.clock.now())
-            || self
-                .cluster
-                .locate(&BlockKey::RddPart { rdd, part })
-                .is_some()
-    }
-
-    fn shuffle_block_available(&self, s: ShuffleId, mp: u32) -> bool {
-        self.cluster
-            .locate(&BlockKey::ShuffleMap {
-                shuffle: s,
-                map_part: mp,
-            })
-            .is_some()
-            || self.ckpt.shuffle_readable(s, mp, self.clock.now())
-    }
 
     /// Emits the detection/fallback event pair for shuffle checkpoints
     /// the planner just declared unreadable (corrupt or mid-outage):
@@ -1170,10 +1162,11 @@ impl Driver {
             let Some(fault) = self.ckpt.shuffle_read_fault(shuffle, map_part, now) else {
                 continue;
             };
-            let block = BlockKey::ShuffleMap { shuffle, map_part }.to_string();
-            if !self.corrupt_reported.insert(block.clone()) {
+            let block = BlockKey::ShuffleMap { shuffle, map_part };
+            if !self.corrupt_reported.insert(block) {
                 continue;
             }
+            let block = block.to_string();
             self.fallback_recomputes += 1;
             if fault == ReadFault::Corrupt {
                 self.trace
@@ -1192,151 +1185,16 @@ impl Driver {
         }
     }
 
-    /// Collects missing shuffle inputs for computing `(rdd, part)`
-    /// through its narrow cone.
-    fn missing_deps(&self, rdd: RddId, part: u32, acc: &mut BTreeSet<(ShuffleId, u32)>) {
-        if self.rdd_part_available(rdd, part) {
-            return;
-        }
-        let meta = self.ctx.lineage().meta(rdd);
-        match &meta.op {
-            RddOp::Parallelize { .. } => {}
-            RddOp::Union => {
-                let (p, pp) = self.ctx.lineage().union_source(rdd, part);
-                self.missing_deps(p, pp, acc);
-            }
-            RddOp::Coalesce { group } => {
-                let parent = meta.parents[0];
-                let n = self.ctx.lineage().meta(parent).num_partitions;
-                let lo = part * group;
-                let hi = (lo + group).min(n);
-                for pp in lo..hi {
-                    self.missing_deps(parent, pp, acc);
-                }
-            }
-            op if op.is_shuffle() => {
-                for s in op.input_shuffles() {
-                    let parent = self.ctx.lineage().shuffle(s).parent;
-                    let m = self.ctx.lineage().meta(parent).num_partitions;
-                    for mp in 0..m {
-                        if !self.shuffle_block_available(s, mp) {
-                            acc.insert((s, mp));
-                        }
-                    }
-                }
-            }
-            _ => {
-                // Narrow single-parent ops are partition-aligned.
-                let parent = meta.parents[0];
-                self.missing_deps(parent, part, acc);
-            }
-        }
-    }
-
-    /// Returns the currently runnable tasks for `target`, and whether the
-    /// target is fully available.
-    fn plan_ready(&self, target: RddId) -> (Vec<TaskKey>, bool) {
-        let n = self.ctx.lineage().meta(target).num_partitions;
-        let missing: Vec<u32> = (0..n)
-            .filter(|p| !self.rdd_part_available(target, *p))
-            .collect();
-        if missing.is_empty() {
-            return (Vec::new(), true);
-        }
-        let mut ready: BTreeSet<TaskKey> = BTreeSet::new();
-        let mut seen: BTreeSet<TaskKey> = BTreeSet::new();
-        let mut queue: VecDeque<TaskKey> = missing
-            .into_iter()
-            .map(|part| TaskKey::Output { rdd: target, part })
-            .collect();
-        while let Some(task) = queue.pop_front() {
-            if !seen.insert(task) {
-                continue;
-            }
-            let (rdd, part) = match task {
-                TaskKey::Output { rdd, part } => (rdd, part),
-                TaskKey::ShuffleMap { shuffle, map_part } => {
-                    (self.ctx.lineage().shuffle(shuffle).parent, map_part)
-                }
-                TaskKey::Ckpt(_) => continue,
-            };
-            let mut deps = BTreeSet::new();
-            self.missing_deps(rdd, part, &mut deps);
-            // A shuffle-map task for an *available* parent partition still
-            // needs to run (to produce the map output block); its deps are
-            // then empty by construction.
-            if deps.is_empty() {
-                ready.insert(task);
-            } else {
-                for (s, mp) in deps {
-                    queue.push_back(TaskKey::ShuffleMap {
-                        shuffle: s,
-                        map_part: mp,
-                    });
-                }
-            }
-        }
-        (ready.into_iter().collect(), false)
-    }
-
     // ------------------------------------------------------------------
     // Assignment & commit
     // ------------------------------------------------------------------
 
-    /// Prefers the worker already caching the narrow-chain input of
-    /// `(rdd, part)`.
-    fn preferred_worker(&self, rdd: RddId, part: u32) -> Option<WorkerId> {
-        let mut cur = (rdd, part);
-        loop {
-            if let Some((wid, _, _)) = self.cluster.locate(&BlockKey::RddPart {
-                rdd: cur.0,
-                part: cur.1,
-            }) {
-                return Some(wid);
-            }
-            let meta = self.ctx.lineage().meta(cur.0);
-            match &meta.op {
-                RddOp::Union => {
-                    cur = self.ctx.lineage().union_source(cur.0, cur.1);
-                }
-                RddOp::Coalesce { group } => {
-                    cur = (meta.parents[0], cur.1 * group);
-                }
-                op if op.is_shuffle() || matches!(op, RddOp::Parallelize { .. }) => {
-                    return None;
-                }
-                _ => {
-                    cur = (meta.parents[0], cur.1);
-                }
-            }
-        }
-    }
-
-    fn pick_worker(&self, prefer: Option<WorkerId>) -> Option<WorkerId> {
-        let alive = self.cluster.alive();
-        if alive.is_empty() {
-            return None;
-        }
-        let now = self.clock.now();
-        let least_loaded = alive
-            .into_iter()
-            .min_by_key(|w| (self.cluster.worker(*w).earliest_free(now), w.0))?;
-        if let Some(p) = prefer {
-            let pw = self.cluster.worker(p);
-            if pw.alive {
-                // Delay scheduling (Spark-style bounded locality wait):
-                // prefer the data-local worker unless it is backed up well
-                // past the least-loaded one — then eat the network fetch
-                // rather than pile tasks onto one node's cores.
-                let locality_wait = SimDuration::from_secs(3);
-                if pw.earliest_free(now)
-                    <= self.cluster.worker(least_loaded).earliest_free(now) + locality_wait
-                {
-                    return Some(p);
-                }
-            }
-        }
-        Some(least_loaded)
+    /// Chooses the worker for a task over `(rdd, part)`: the one caching
+    /// its narrow-chain input when that is not backed up, else the least
+    /// loaded.
+    fn place(&self, rdd: RddId, part: u32) -> Option<WorkerId> {
+        let prefer = plan::preferred_worker(self.ctx.lineage(), &self.cluster, rdd, part);
+        self.cluster.pick_worker(self.clock.now(), prefer)
     }
 
     /// Attaches the shared trace handle; the driver emits all engine
@@ -1475,12 +1333,9 @@ impl Driver {
                 CacheEffect::Touch(wid, bk) => self.cluster.touch(*wid, bk),
                 CacheEffect::TouchLocal(bk) => self.cluster.touch(worker, bk),
                 CacheEffect::Insert(bk, data, vb) => {
-                    let w = self.cluster.worker_mut(worker);
-                    if w.alive {
-                        let ext = w.ext_id;
-                        let outcome = w.blocks.insert_traced(*bk, data.clone(), *vb);
-                        self.emit_cache(now, ext, *bk, *vb, &outcome);
-                    }
+                    let ext = self.cluster.worker(worker).ext_id;
+                    let outcome = self.cluster.insert_block(worker, *bk, data.clone(), *vb);
+                    self.emit_cache(now, ext, *bk, *vb, &outcome);
                 }
             }
         }
@@ -1545,7 +1400,7 @@ impl Driver {
             }
             TaskKey::Ckpt(_) => return false,
         };
-        let Some(worker) = self.pick_worker(self.preferred_worker(rdd, part)) else {
+        let Some(worker) = self.place(rdd, part) else {
             return false;
         };
         let net = self.apply_output_effects(&out, worker);
@@ -1646,16 +1501,14 @@ impl Driver {
     /// can host the write.
     fn admit_ckpt(&mut self, job: CkptJob, out: TaskOutput) -> bool {
         let worker = match job {
-            CkptJob::RddPart(rdd, part) => {
-                match self.pick_worker(self.preferred_worker(rdd, part)) {
-                    Some(w) => w,
-                    None => return false,
-                }
-            }
+            CkptJob::RddPart(rdd, part) => match self.place(rdd, part) {
+                Some(w) => w,
+                None => return false,
+            },
             // A shuffle snapshot is written by the worker holding the
             // map output block.
             CkptJob::Shuffle(..) => match out.source {
-                Some(w) if self.cluster.worker(w).alive => w,
+                Some(w) if self.cluster.worker(w).is_alive() => w,
                 _ => return false,
             },
         };
@@ -1816,11 +1669,8 @@ impl Driver {
                             });
                     }
                 } else {
-                    let w = self.cluster.worker_mut(r.worker);
-                    if w.alive {
-                        let outcome = w.blocks.insert_traced(key, r.data, r.vbytes);
-                        self.emit_cache(now, ext, key, r.vbytes, &outcome);
-                    }
+                    let outcome = self.cluster.insert_block(r.worker, key, r.data, r.vbytes);
+                    self.emit_cache(now, ext, key, r.vbytes, &outcome);
                 }
                 if let BlockKey::RddPart { rdd, part } = key {
                     self.computed_once.insert((rdd, part));
@@ -2031,8 +1881,9 @@ impl Driver {
                 None => return Ok(true),
                 Some(ReadFault::Corrupt) => {
                     let now = self.clock.now();
-                    let block = BlockKey::RddPart { rdd, part }.to_string();
-                    if self.corrupt_reported.insert(block.clone()) {
+                    let block = BlockKey::RddPart { rdd, part };
+                    if self.corrupt_reported.insert(block) {
+                        let block = block.to_string();
                         self.trace
                             .emit_with(now, || EventKind::CheckpointCorruptDetected {
                                 block: block.clone(),

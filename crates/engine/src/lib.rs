@@ -57,6 +57,7 @@ mod hooks;
 mod injector;
 mod lineage;
 mod manifest;
+mod plan;
 mod rdd;
 mod shuffle;
 mod stats;
@@ -66,7 +67,9 @@ pub use backend::{
     Backend, BackendKind, InvocationBill, InvocationStart, ServerlessBackend, ServerlessConfig,
     ShuffleTransport, TransientVmBackend,
 };
-pub use block::{BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot};
+pub use block::{
+    BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot, InsertOutcome,
+};
 pub use chaos::{ChaosConfig, ChaosInjector, ChaosSchedule, ChaosStoreFaults};
 pub use checkpoint::{
     checkpoint_key, wire_size, CheckpointStore, HealthyStore, ReadFault, StoreFaultPolicy,
@@ -86,6 +89,7 @@ pub use hooks::{CheckpointDirective, CheckpointHooks, LineageView, NoCheckpoint}
 pub use injector::{FailureInjector, NoFailures, ScriptedInjector, WorkerEvent};
 pub use lineage::Lineage;
 pub use manifest::{ManifestError, RunManifest};
+pub use plan::PlanStats;
 pub use rdd::{Dependency, PartitionData, RddId, RddMeta, RddOp, RddRef};
 pub use shuffle::{
     scan_flat_bucket, Bucket, BucketedBlock, HashPartitioner, Partitioner, RangePartitioner,
