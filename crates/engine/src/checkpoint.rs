@@ -308,13 +308,12 @@ impl CheckpointStore {
         fault
     }
 
-    /// Returns the checkpointed data for `(rdd, part)`, if present.
-    /// Only shuffle map outputs are ever bucketed, so RDD partition
-    /// checkpoints are always served flat.
-    pub fn get(&self, rdd: RddId, part: u32) -> Option<&PartitionData> {
-        self.store
-            .get(&checkpoint_key(rdd, part))
-            .map(|d| d.flat().expect("RDD partition checkpoints are flat"))
+    /// Returns the checkpointed data for `(rdd, part)`, if present, in
+    /// the form it was stored ([`BlockData::Flat`] or
+    /// [`BlockData::Columnar`]; only shuffle map outputs are ever
+    /// bucketed). Size and wire accounting cannot tell the two apart.
+    pub fn get(&self, rdd: RddId, part: u32) -> Option<&BlockData> {
+        self.store.get(&checkpoint_key(rdd, part))
     }
 
     /// Returns the stored virtual size of `(rdd, part)`, if present.

@@ -22,6 +22,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -29,6 +30,73 @@ use serde::{Deserialize, Serialize};
 use crate::value::{
     stable_hash_float, stable_hash_int, stable_hash_str, stable_hash_str_pair, Value,
 };
+
+/// Work counters of the columnar path.
+///
+/// Plain counters kept outside [`crate::RunStats`] and outside the event
+/// stream, like [`crate::PlanStats`]: they say which form the host
+/// computed in, which no simulated observable can tell. A
+/// `columnar = false` driver never touches them.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnStats {
+    /// Kernel-declared op materializations (one partition of a `*_kernel`
+    /// map, filter, map-partitions, or either side of a keyed
+    /// aggregation) that ran their batch arm.
+    pub kernel_batches: u64,
+    /// Kernel-declared op materializations that ran their row closure
+    /// instead: the input arrived as rows or its shape defeated the
+    /// typed evaluator.
+    pub row_fallbacks: u64,
+    /// Records encoded from rows into a batch.
+    pub encodes: u64,
+    /// Records decoded from a batch back into rows.
+    pub decodes: u64,
+}
+
+/// The live form of [`ColumnStats`], bumped from wave threads. The sums
+/// are the same for every `host_threads` setting because the set of tasks
+/// a wave computes is.
+#[derive(Debug, Default)]
+pub(crate) struct ColumnCounters {
+    kernel_batches: AtomicU64,
+    row_fallbacks: AtomicU64,
+    encodes: AtomicU64,
+    decodes: AtomicU64,
+}
+
+impl ColumnCounters {
+    pub(crate) fn snapshot(&self) -> ColumnStats {
+        ColumnStats {
+            kernel_batches: self.kernel_batches.load(Relaxed),
+            row_fallbacks: self.row_fallbacks.load(Relaxed),
+            encodes: self.encodes.load(Relaxed),
+            decodes: self.decodes.load(Relaxed),
+        }
+    }
+
+    /// Records one kernel-declared op materialization and which arm it
+    /// took.
+    pub(crate) fn kernel_ran(&self, batch_arm: bool) {
+        if batch_arm {
+            self.kernel_batches.fetch_add(1, Relaxed);
+        } else {
+            self.row_fallbacks.fetch_add(1, Relaxed);
+        }
+    }
+
+    /// [`ColumnBatch::from_rows`], counted.
+    pub(crate) fn encode(&self, rows: &[Value]) -> Option<ColumnBatch> {
+        let batch = ColumnBatch::from_rows(rows)?;
+        self.encodes.fetch_add(rows.len() as u64, Relaxed);
+        Some(batch)
+    }
+
+    /// [`ColumnBatch::to_rows`], counted.
+    pub(crate) fn decode(&self, batch: &ColumnBatch) -> Vec<Value> {
+        self.decodes.fetch_add(batch.len() as u64, Relaxed);
+        batch.to_rows()
+    }
+}
 
 /// One typed column vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -797,31 +865,34 @@ impl MapKernel {
         }
     }
 
-    /// Batch evaluation; `None` falls back to the record path.
-    pub(crate) fn eval_batch(&self, batch: &ColumnBatch) -> Option<ColumnBatch> {
-        match self {
-            MapKernel::Scalar(e) => Some(ColumnBatch::Scalar(e.eval_batch(batch)?)),
-            MapKernel::Pair { key, val } => Some(ColumnBatch::Pair {
+    /// Batch evaluation; `None` falls back to the record path. The
+    /// identity kernel hands the input handle onward whatever its layout,
+    /// so a declared pass-through costs a refcount bump.
+    pub(crate) fn eval_batch(&self, batch: &Arc<ColumnBatch>) -> Option<Arc<ColumnBatch>> {
+        Some(Arc::new(match self {
+            MapKernel::Scalar(ScalarExpr::Input) => return Some(Arc::clone(batch)),
+            MapKernel::Scalar(e) => ColumnBatch::Scalar(e.eval_batch(batch)?),
+            MapKernel::Pair { key, val } => ColumnBatch::Pair {
                 key: key.eval_batch(batch)?,
                 val: Box::new(val.eval_batch(batch)?),
-            }),
-            MapKernel::NearestCenter { centers } => match batch {
+            },
+            MapKernel::NearestCenter { centers } => match batch.as_ref() {
                 ColumnBatch::Scalar(Column::Vector(points)) => {
                     let mut keys = Vec::with_capacity(points.len());
                     for p in points {
                         keys.push(nearest_center(centers, p) as i64);
                     }
-                    Some(ColumnBatch::Pair {
+                    ColumnBatch::Pair {
                         key: Column::Int(keys),
                         val: Box::new(ColumnBatch::Rows(vec![
                             Column::Vector(points.clone()),
                             Column::Int(vec![1; points.len()]),
                         ])),
-                    })
+                    }
                 }
-                _ => None,
+                _ => return None,
             },
-        }
+        }))
     }
 }
 
@@ -1410,7 +1481,7 @@ mod tests {
     #[test]
     fn map_kernel_matches_row_path() {
         let rows: Vec<Value> = (0..100).map(lineitem).collect();
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
+        let batch = Arc::new(ColumnBatch::from_rows(&rows).unwrap());
         let kernel = MapKernel::Pair {
             key: KeyExpr::PairOfFields(4, 5),
             val: PayloadExpr::List(vec![
@@ -1428,6 +1499,19 @@ mod tests {
         let got = kernel.eval_batch(&batch).expect("typed fields present");
         let want: Vec<Value> = rows.iter().map(|v| kernel.eval_value(v).unwrap()).collect();
         assert_eq!(got.to_rows(), want);
+    }
+
+    #[test]
+    fn identity_kernel_hands_the_batch_on_in_any_layout() {
+        // List rows encode to the `Rows` layout, which `ScalarExpr::Input`
+        // cannot express as a single column; the pass-through needs none.
+        let rows: Vec<Value> = (0..10).map(lineitem).collect();
+        let batch = Arc::new(ColumnBatch::from_rows(&rows).unwrap());
+        let kernel = MapKernel::Scalar(ScalarExpr::Input);
+        let out = kernel.eval_batch(&batch).expect("identity never declines");
+        assert!(Arc::ptr_eq(&out, &batch));
+        let want: Vec<Value> = rows.iter().map(|v| kernel.eval_value(v).unwrap()).collect();
+        assert_eq!(out.to_rows(), want);
     }
 
     #[test]
@@ -1468,7 +1552,7 @@ mod tests {
         let rows: Vec<Value> = (0..60)
             .map(|i| Value::vector(vec![(i % 12) as f64, (i % 7) as f64]))
             .collect();
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
+        let batch = Arc::new(ColumnBatch::from_rows(&rows).unwrap());
         let kernel = MapKernel::NearestCenter { centers };
         let got = kernel.eval_batch(&batch).expect("vector column");
         let want: Vec<Value> = rows.iter().filter_map(|v| kernel.eval_value(v)).collect();

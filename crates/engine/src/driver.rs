@@ -12,10 +12,11 @@ use crate::backend::{Backend, ShuffleTransport, TransientVmBackend};
 use crate::block::{BlockData, BlockKey, InsertOutcome};
 use crate::checkpoint::{CheckpointStore, ReadFault, WriteFault};
 use crate::cluster::{Cluster, WorkerId, WorkerSpec};
+use crate::column::{ColumnCounters, ColumnStats};
 use crate::context::EngineContext;
 use crate::cost::CostModel;
 use crate::error::{EngineError, Result};
-use crate::executor::{self, CacheEffect, TaskOutput, WaveCtx};
+use crate::executor::{self, CacheEffect, PartData, TaskOutput, WaveCtx};
 use crate::hooks::{CheckpointDirective, CheckpointHooks, LineageView, NoCheckpoint};
 use crate::injector::{FailureInjector, NoFailures, WorkerEvent};
 use crate::manifest::RunManifest;
@@ -389,6 +390,7 @@ pub struct Driver {
     cluster: Cluster,
     ckpt: CheckpointStore,
     planner: Planner,
+    column: ColumnCounters,
     backend: Box<dyn Backend>,
     hooks: Box<dyn CheckpointHooks>,
     injector: Box<dyn FailureInjector>,
@@ -446,6 +448,7 @@ impl Driver {
             cluster: Cluster::new(),
             ckpt: CheckpointStore::new(storage),
             planner: Planner::default(),
+            column: ColumnCounters::default(),
             backend: Box::new(TransientVmBackend),
             hooks,
             injector,
@@ -547,6 +550,13 @@ impl Driver {
     /// decide what to run. Not part of [`RunStats`] or the event stream.
     pub fn plan_stats(&self) -> PlanStats {
         self.planner.stats()
+    }
+
+    /// Work counters of the columnar path: which arm kernel-declared ops
+    /// took and how many records changed form. Not part of [`RunStats`]
+    /// or the event stream; all zero on a `columnar = false` driver.
+    pub fn column_stats(&self) -> ColumnStats {
+        self.column.snapshot()
     }
 
     /// Sets the session tag naming this run's manifest key in the
@@ -758,15 +768,16 @@ impl Driver {
     /// Materializes `r` and returns all its elements in partition order.
     pub fn collect(&mut self, r: RddRef) -> Result<Vec<Value>> {
         let parts = self.run_action(r.id, "collect")?;
-        let total = parts.iter().map(|p| p.len()).sum();
+        let total = parts.iter().map(BlockData::len).sum();
         let mut out = Vec::with_capacity(total);
-        for p in parts {
-            out.extend_from_slice(&p);
+        for p in &parts {
+            out.extend_from_slice(&self.gathered_rows(p));
         }
         Ok(out)
     }
 
-    /// Materializes `r` and returns its element count.
+    /// Materializes `r` and returns its element count (read off the
+    /// gathered blocks; nothing is decoded).
     pub fn count(&mut self, r: RddRef) -> Result<u64> {
         let parts = self.run_action(r.id, "count")?;
         Ok(parts.iter().map(|p| p.len() as u64).sum())
@@ -778,8 +789,8 @@ impl Driver {
     pub fn reduce(&mut self, r: RddRef, f: impl Fn(&Value, &Value) -> Value) -> Result<Value> {
         let parts = self.run_action(r.id, "reduce")?;
         let mut acc: Option<Value> = None;
-        for p in parts {
-            for v in p.iter() {
+        for p in &parts {
+            for v in self.gathered_rows(p).iter() {
                 acc = Some(match acc {
                     None => v.clone(),
                     Some(a) => f(&a, v),
@@ -793,8 +804,8 @@ impl Driver {
     pub fn take(&mut self, r: RddRef, n: usize) -> Result<Vec<Value>> {
         let parts = self.run_action(r.id, "take")?;
         let mut out = Vec::with_capacity(n);
-        for p in parts {
-            for v in p.iter() {
+        for p in &parts {
+            for v in self.gathered_rows(p).iter() {
                 if out.len() >= n {
                     return Ok(out);
                 }
@@ -822,8 +833,8 @@ impl Driver {
     pub fn count_by_key(&mut self, r: RddRef) -> Result<std::collections::BTreeMap<Value, u64>> {
         let parts = self.run_action(r.id, "count_by_key")?;
         let mut counts = std::collections::BTreeMap::new();
-        for p in parts {
-            for v in p.iter() {
+        for p in &parts {
+            for v in self.gathered_rows(p).iter() {
                 let key = v.key().cloned().unwrap_or(Value::Null);
                 *counts.entry(key).or_insert(0u64) += 1;
             }
@@ -900,8 +911,9 @@ impl Driver {
     // ------------------------------------------------------------------
 
     /// Runs a job materializing every partition of `target`, then gathers
-    /// the partitions to the driver. Records an [`ActionRecord`].
-    fn run_action(&mut self, target: RddId, label: &str) -> Result<Vec<PartitionData>> {
+    /// the partitions to the driver, each in the form it was held.
+    /// Records an [`ActionRecord`].
+    fn run_action(&mut self, target: RddId, label: &str) -> Result<Vec<BlockData>> {
         if !self.ctx.lineage().contains(target) {
             return Err(EngineError::UnknownRdd(target));
         }
@@ -1274,6 +1286,7 @@ impl Driver {
             now: self.clock.now(),
             trace_enabled: self.trace.is_enabled(),
             columnar: self.config.columnar,
+            column: &self.column,
         }
     }
 
@@ -1914,11 +1927,19 @@ impl Driver {
         }
     }
 
+    /// A gathered partition as an action hands it to its caller: rows,
+    /// decoded here — at the driver boundary — if it was kept columnar.
+    /// Actions that need no records (`count`, `checkpoint_now`) never
+    /// call this.
+    fn gathered_rows(&self, d: &BlockData) -> PartitionData {
+        PartData::from_block(d).rows(&self.column)
+    }
+
     /// Fetches every partition of `target` to the driver, charging
     /// parallel transfer time. A vanished block (same-instant
     /// revocation) re-runs the job under
     /// [`DriverConfig::gather_retry`].
-    fn gather(&mut self, target: RddId) -> Result<Vec<PartitionData>> {
+    fn gather(&mut self, target: RddId) -> Result<Vec<BlockData>> {
         let retry = self.config.gather_retry;
         let mut attempt = 0u64;
         loop {
@@ -1948,7 +1969,7 @@ impl Driver {
                     part: p,
                 }) {
                     total_vb += vb;
-                    parts.push(d.rows().expect("RDD partition blocks decode to rows"));
+                    parts.push(d);
                 } else {
                     ok = false;
                     break;

@@ -38,9 +38,11 @@ use flint_simtime::{SimDuration, SimTime};
 use flint_trace::EventKind;
 
 use crate::block::{BlockData, BlockKey, BlockLocation};
-use crate::checkpoint::{wire_size, CheckpointStore, ReadFault};
+use crate::checkpoint::{CheckpointStore, ReadFault};
 use crate::cluster::{Cluster, WorkerId};
-use crate::column::{typed_agg, typed_group, typed_sort_by_key, Column, ColumnBatch, OpKernel};
+use crate::column::{
+    typed_agg, typed_group, typed_sort_by_key, Column, ColumnBatch, ColumnCounters, OpKernel,
+};
 use crate::cost::CostModel;
 use crate::driver::{CkptJob, MissingShuffle, TaskKey};
 use crate::lineage::Lineage;
@@ -75,6 +77,9 @@ pub(crate) struct WaveCtx<'a> {
     /// produce byte-identical observables and either one can replay a
     /// pinned trace.
     pub columnar: bool,
+    /// Which arm kernel-declared ops took and how many records changed
+    /// form; host-side counters outside the deterministic stream.
+    pub column: &'a ColumnCounters,
 }
 
 // The wave executor shares the snapshot and task closures across scoped
@@ -124,11 +129,21 @@ pub(crate) enum PartData {
 }
 
 impl PartData {
+    /// The in-flight form of a cached or checkpointed RDD partition: the
+    /// stored handle, unconverted.
+    pub(crate) fn from_block(data: &BlockData) -> PartData {
+        match data {
+            BlockData::Flat(d) => PartData::Rows(Arc::clone(d)),
+            BlockData::Columnar(b) => PartData::Col(Arc::clone(b)),
+            BlockData::Bucketed(_) => unreachable!("RDD partition blocks are never bucketed"),
+        }
+    }
+
     /// The records in row form (decodes columnar batches).
-    fn rows(&self) -> PartitionData {
+    pub(crate) fn rows(&self, column: &ColumnCounters) -> PartitionData {
         match self {
             PartData::Rows(d) => Arc::clone(d),
-            PartData::Col(b) => Arc::new(b.to_rows()),
+            PartData::Col(b) => Arc::new(column.decode(b)),
         }
     }
 
@@ -272,7 +287,7 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
                 vbytes = ctx.cost.vbytes(bb.payload_bytes() + 16);
                 Arc::new(bb).into()
             } else {
-                let mut rows = data.rows();
+                let mut rows = data.rows(ctx.column);
                 // Map-side combine (Spark `reduceByKey` pre-aggregation).
                 let mut combined_dirty = false;
                 if let Some(combine) = combine {
@@ -335,24 +350,26 @@ fn columnar_map_output(
     if !ctx.columnar || !ctx.lineage.is_batch_shuffle(shuffle) {
         return None;
     }
-    let PartData::Col(batch) = data else {
-        return None;
-    };
     let ShuffleKind::Hash { parts } = ctx.lineage.shuffle(shuffle).kind else {
         return None;
     };
-    if has_combine {
-        let kernel = ctx.lineage.agg_kernel(shuffle)?;
-        // Typed combine needs the key/payload pair layout; scalar pair
-        // encodings (whole-record keys) take the row path instead.
-        let ColumnBatch::Pair { key, val } = batch.as_ref() else {
-            return None;
-        };
-        let combined = typed_agg(kernel, &[(key, val.as_ref())])?;
-        BucketedBlock::partition_columnar(&combined, parts)
-    } else {
-        BucketedBlock::partition_columnar(batch, parts)
+    let batch = match data {
+        PartData::Col(b) => Some(b.as_ref()),
+        PartData::Rows(_) => None,
+    };
+    if !has_combine {
+        return BucketedBlock::partition_columnar(batch?, parts);
     }
+    let kernel = ctx.lineage.agg_kernel(shuffle)?;
+    // Typed combine needs the key/payload pair layout; scalar pair
+    // encodings (whole-record keys) take the row path instead.
+    let out = match batch {
+        Some(ColumnBatch::Pair { key, val }) => typed_agg(kernel, &[(key, val.as_ref())])
+            .and_then(|combined| BucketedBlock::partition_columnar(&combined, parts)),
+        _ => None,
+    };
+    ctx.column.kernel_ran(out.is_some());
+    out
 }
 
 /// The partitioner a shuffle's map outputs should be bucketed with, if
@@ -383,12 +400,12 @@ pub(crate) fn compute_ckpt(ctx: &WaveCtx<'_>, job: CkptJob) -> Option<TaskOutput
                 Ok(x) => x,
                 Err(MissingShuffle) => return None,
             };
-            // RDD checkpoints are stored and restored as rows; forcing
-            // the decode here keeps the durable format and its wire
-            // accounting identical whichever path produced the payload.
-            let rows = data.rows();
-            let wire = wire_size(&rows);
-            Some(b.finish(rows.into(), vbytes, wire, SimDuration::ZERO, None))
+            // The store keeps the handle the producer made: wire and
+            // virtual bytes are functions of the records, not of their
+            // layout ([`BlockData::wire_size`]).
+            let block = data.to_block();
+            let wire = block.wire_size();
+            Some(b.finish(block, vbytes, wire, SimDuration::ZERO, None))
         }
         CkptJob::Shuffle(s, mp) => {
             let bk = BlockKey::ShuffleMap {
@@ -541,11 +558,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
 
         // 1. Cluster cache (memory or local disk beats a durable read).
         if let Some((wid, data, loc, vb)) = self.ctx.cluster.peek_fetch(&bk) {
-            let data = match &data {
-                BlockData::Flat(d) => PartData::Rows(Arc::clone(d)),
-                BlockData::Columnar(b) => PartData::Col(Arc::clone(b)),
-                BlockData::Bucketed(_) => unreachable!("RDD partition blocks are never bucketed"),
-            };
+            let data = PartData::from_block(&data);
             self.effects.push(CacheEffect::Touch(wid, bk));
             let mut dur = SimDuration::ZERO;
             if loc == BlockLocation::Disk {
@@ -565,17 +578,17 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         if self.ctx.ckpt.has(rdd, part) {
             match self.ctx.ckpt.read_fault(rdd, part, self.ctx.now) {
                 None => {
-                    let data = self
-                        .ctx
-                        .ckpt
-                        .get(rdd, part)
-                        .expect("checkpoint bitmap and store agree")
-                        .clone();
+                    let data = PartData::from_block(
+                        self.ctx
+                            .ckpt
+                            .get(rdd, part)
+                            .expect("checkpoint bitmap and store agree"),
+                    );
                     let vb = self
                         .ctx
                         .ckpt
                         .size_of(rdd, part)
-                        .unwrap_or_else(|| self.ctx.cost.vbytes(real_bytes(&data)));
+                        .unwrap_or_else(|| self.ctx.cost.vbytes(data.real_bytes()));
                     let dur = self.ctx.ckpt.config().read_time(vb, 1);
                     self.restore_time += dur;
                     self.restores += 1;
@@ -586,10 +599,9 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                         });
                     }
                     // Re-cache the restored partition if the RDD is persisted so
-                    // subsequent reads stay in memory. Restores are rows by
-                    // construction (checkpoints store rows), so downstream
-                    // consumers take the row path — same records, same bytes.
-                    let data = PartData::Rows(data);
+                    // subsequent reads stay in memory — the stored handle, in
+                    // the stored form, so a restored table stays on the path
+                    // it was on before the loss.
                     if self.ctx.lineage.is_persisted(rdd) {
                         self.effects
                             .push(CacheEffect::Insert(bk, data.to_block(), vb));
@@ -637,7 +649,8 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 // the Arc instead of deep-cloning the row vector.
                 let rows = &data[part as usize];
                 let out = if self.ctx.columnar {
-                    match self.ctx.lineage.source_batch(rdd, part, rows) {
+                    let encode = || self.ctx.column.encode(rows);
+                    match self.ctx.lineage.source_batch(rdd, part, encode) {
                         Some(b) => PartData::Col(b),
                         None => PartData::Rows(Arc::new(rows.clone())),
                     }
@@ -662,7 +675,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 for pp in lo..hi {
                     let (pd, _, pdur) = self.materialize(parent, pp)?;
                     cdur += pdur;
-                    inputs.push(pd.rows());
+                    inputs.push(pd.rows(self.ctx.column));
                 }
                 let mut out = Vec::with_capacity(inputs.iter().map(|d| d.len()).sum());
                 for pd in &inputs {
@@ -677,10 +690,10 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 // the short-circuit cannot move the clock.
                 let out = if crate::rdd::is_identity(&f) {
                     pd
-                } else if let Some(b) = self.map_batch(rdd, &pd) {
+                } else if let Some(b) = self.kernel_batch(rdd, &pd) {
                     b
                 } else {
-                    let rows = pd.rows();
+                    let rows = pd.rows(self.ctx.column);
                     let mut out = Vec::with_capacity(rows.len());
                     out.extend(rows.iter().map(|v| f(v)));
                     PartData::Rows(Arc::new(out))
@@ -689,10 +702,10 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             }
             RddOp::Filter { p } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
-                let out = if let Some(b) = self.filter_batch(rdd, &pd) {
+                let out = if let Some(b) = self.kernel_batch(rdd, &pd) {
                     b
                 } else {
-                    let rows = pd.rows();
+                    let rows = pd.rows(self.ctx.column);
                     let mut out = Vec::with_capacity(rows.len());
                     out.extend(rows.iter().filter(|v| p(v)).cloned());
                     PartData::Rows(Arc::new(out))
@@ -701,7 +714,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             }
             RddOp::FlatMap { f } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
-                let rows = pd.rows();
+                let rows = pd.rows(self.ctx.column);
                 let mut out: Vec<Value> = Vec::with_capacity(rows.len());
                 out.extend(rows.iter().flat_map(|v| f(v)));
                 (
@@ -712,16 +725,17 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             }
             RddOp::MapPartitions { f, .. } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
-                let out = if let Some(b) = self.parts_batch(rdd, &pd) {
+                let out = if let Some(b) = self.kernel_batch(rdd, &pd) {
                     b
                 } else {
-                    PartData::Rows(Arc::new(f(part, &pd.rows())))
+                    PartData::Rows(Arc::new(f(part, &pd.rows(self.ctx.column))))
                 };
                 (out, self.ctx.cost.compute_time(vb, factor), pdur)
             }
             RddOp::Sample { fraction, seed } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
-                let out = deterministic_sample(&pd.rows(), fraction, seed, rdd, part);
+                let rows = pd.rows(self.ctx.column);
+                let out = deterministic_sample(&rows, fraction, seed, rdd, part);
                 (
                     PartData::Rows(Arc::new(out)),
                     self.ctx.cost.compute_time(vb, factor),
@@ -748,7 +762,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     let (chunks, bytes, d) = self.fetch_shuffle_bucket(*s, part)?;
                     fdur += d;
                     total += bytes + 16;
-                    per_parent.push(chunks.iter().map(Bucket::rows).collect());
+                    per_parent.push(self.chunk_rows(&chunks));
                 }
                 let vb = self.ctx.cost.vbytes(total);
                 let mut groups: BTreeMap<Value, Vec<Vec<Value>>> = BTreeMap::new();
@@ -781,7 +795,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 // before. The typed sort extracts a homogeneous key
                 // column and sorts index vectors; mixed keys fall back to
                 // the general comparator with identical ordering.
-                let inputs: Vec<PartitionData> = chunks.iter().map(Bucket::rows).collect();
+                let inputs = self.chunk_rows(&chunks);
                 let mut out: Vec<Value> = Vec::with_capacity(inputs.iter().map(|c| c.len()).sum());
                 for c in &inputs {
                     out.extend(c.iter().cloned());
@@ -830,45 +844,36 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         Ok((data, vb, own_dur + child_dur))
     }
 
-    /// Vectorized `Map`: runs when columnar execution is on, the RDD
-    /// registered a map kernel at plan time, and the parent arrived as a
-    /// batch. `None` → row fallback.
-    fn map_batch(&self, rdd: RddId, pd: &PartData) -> Option<PartData> {
+    /// The batch arm of a kernel-declared `Map`, `Filter` or
+    /// `MapPartitions`: runs when columnar execution is on, the RDD
+    /// registered a kernel at plan time (always the kind its op takes),
+    /// and the parent arrived as a batch the kernel's typed evaluator
+    /// accepts. `None` → the op's own row closure.
+    fn kernel_batch(&self, rdd: RddId, pd: &PartData) -> Option<PartData> {
         if !self.ctx.columnar {
             return None;
         }
-        let (Some(OpKernel::Map(k)), PartData::Col(b)) = (self.ctx.lineage.kernel(rdd), pd) else {
-            return None;
+        let kernel = self.ctx.lineage.kernel(rdd)?;
+        let out = match pd {
+            PartData::Col(b) => match kernel {
+                OpKernel::Map(k) | OpKernel::PartsFilterMap(k) => k.eval_batch(b),
+                OpKernel::Filter(k) => k.filter_batch(b).map(Arc::new),
+            },
+            PartData::Rows(_) => None,
         };
-        k.eval_batch(b).map(|nb| PartData::Col(Arc::new(nb)))
+        self.ctx.column.kernel_ran(out.is_some());
+        out.map(PartData::Col)
     }
 
-    /// Vectorized `Filter`: mask evaluation over typed columns plus a
-    /// single gather. `None` → row fallback.
-    fn filter_batch(&self, rdd: RddId, pd: &PartData) -> Option<PartData> {
-        if !self.ctx.columnar {
-            return None;
-        }
-        let (Some(OpKernel::Filter(k)), PartData::Col(b)) = (self.ctx.lineage.kernel(rdd), pd)
-        else {
-            return None;
-        };
-        k.filter_batch(b).map(|nb| PartData::Col(Arc::new(nb)))
-    }
-
-    /// Vectorized `MapPartitions` for kernels registered as per-record
-    /// filter-maps (e.g. k-means nearest-center assignment). `None` →
-    /// row fallback through the op's own closure.
-    fn parts_batch(&self, rdd: RddId, pd: &PartData) -> Option<PartData> {
-        if !self.ctx.columnar {
-            return None;
-        }
-        let (Some(OpKernel::PartsFilterMap(k)), PartData::Col(b)) =
-            (self.ctx.lineage.kernel(rdd), pd)
-        else {
-            return None;
-        };
-        k.eval_batch(b).map(|nb| PartData::Col(Arc::new(nb)))
+    /// Fetched buckets in row form (decodes columnar ones).
+    fn chunk_rows(&self, chunks: &[Bucket]) -> Vec<PartitionData> {
+        chunks
+            .iter()
+            .map(|c| match c {
+                Bucket::Rows(d) => Arc::clone(d),
+                Bucket::Col(b) => Arc::new(self.ctx.column.decode(b)),
+            })
+            .collect()
     }
 
     /// Reduce side of `ShuffleAgg`: typed columnar aggregation when the
@@ -884,14 +889,14 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
     ) -> PartData {
         if self.ctx.columnar {
             if let Some(kernel) = self.ctx.lineage.agg_kernel(shuffle) {
-                if let Some(typed) = pair_chunks(chunks) {
-                    if let Some(batch) = typed_agg(kernel, &typed) {
-                        return PartData::Col(Arc::new(batch));
-                    }
+                let typed = pair_chunks(chunks).and_then(|typed| typed_agg(kernel, &typed));
+                self.ctx.column.kernel_ran(typed.is_some());
+                if let Some(batch) = typed {
+                    return PartData::Col(Arc::new(batch));
                 }
             }
         }
-        let rows: Vec<PartitionData> = chunks.iter().map(Bucket::rows).collect();
+        let rows = self.chunk_rows(chunks);
         let mut agg: BTreeMap<Value, Value> = BTreeMap::new();
         for v in rows.iter().flat_map(|c| c.iter()) {
             if let Value::Pair(p) = v {
@@ -919,7 +924,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 }
             }
         }
-        let rows: Vec<PartitionData> = chunks.iter().map(Bucket::rows).collect();
+        let rows = self.chunk_rows(chunks);
         let mut groups: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
         for v in rows.iter().flat_map(|c| c.iter()) {
             if let Value::Pair(p) = v {
@@ -1011,7 +1016,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     // Shuffle map outputs are bucketed or flat by
                     // construction; decode defensively if a columnar
                     // block ever lands here.
-                    let rows = cb.to_rows();
+                    let rows = self.ctx.column.decode(cb);
                     let (sel, bytes) = scan_flat_bucket(&rows, partitioner.as_ref(), part);
                     out.push(Bucket::Rows(Arc::new(sel)));
                     bytes

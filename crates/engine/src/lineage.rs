@@ -172,7 +172,7 @@ impl Lineage {
     }
 
     /// The lazily-encoded columnar form of a `Parallelize` partition:
-    /// encodes `data` on the first call (per partition) and returns the
+    /// runs `encode` on the first call (per partition) and returns the
     /// shared batch afterwards; `None` when the partition has no
     /// columnar layout. Thread-safe — wave tasks race benignly on the
     /// `OnceLock`.
@@ -180,12 +180,12 @@ impl Lineage {
         &self,
         rdd: RddId,
         part: u32,
-        data: &[crate::Value],
+        encode: impl FnOnce() -> Option<ColumnBatch>,
     ) -> Option<Arc<ColumnBatch>> {
         self.source_batches
             .get(&rdd)?
             .get(part as usize)?
-            .get_or_init(|| ColumnBatch::from_rows(data).map(Arc::new))
+            .get_or_init(|| encode().map(Arc::new))
             .clone()
     }
 

@@ -171,15 +171,6 @@ impl Bucket {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The bucket's records in row form: an O(1) refcount bump for row
-    /// buckets, a decode for columnar ones.
-    pub fn rows(&self) -> PartitionData {
-        match self {
-            Bucket::Rows(d) => Arc::clone(d),
-            Bucket::Col(b) => Arc::new(b.to_rows()),
-        }
-    }
 }
 
 impl BucketedBlock {

@@ -13,11 +13,19 @@
 //!   vectorized kernels and the row-at-a-time fallback are the same
 //!   function, and every simulated duration (derived from vbytes) is
 //!   bit-equal between the two paths.
+//! * **Form-blind checkpoint store** — putting a partition as a batch
+//!   and as rows gives the same sizes, the same fate under write and
+//!   read faults, and the same records back.
+
+use std::sync::Arc;
 
 use flint_engine::{
-    AggKernel, ColumnBatch, Driver, DriverConfig, KeyExpr, MapKernel, NoCheckpoint, NoFailures,
-    NumExpr, PayloadExpr, PredKernel, RunStats, ScalarExpr, Value, WorkerSpec,
+    AggKernel, BlockData, CheckpointStore, ColumnBatch, Driver, DriverConfig, KeyExpr, MapKernel,
+    NoCheckpoint, NoFailures, NumExpr, PayloadExpr, PredKernel, RddId, RunStats, ScalarExpr,
+    StoreFaultPolicy, Value, WorkerSpec, WriteFault,
 };
+use flint_simtime::SimTime;
+use flint_store::StorageConfig;
 use proptest::prelude::*;
 
 /// Records that have a columnar layout (scalars, fixed-schema lists,
@@ -127,8 +135,93 @@ fn group_sort(rows: &[Value], columnar: bool) -> (Vec<Value>, RunStats) {
     (out, d.stats().clone())
 }
 
+/// Writes meet the scripted faults in order (then succeed); reads fail
+/// inside `[1 s, 2 s)`.
+#[derive(Debug)]
+struct ScriptedStore {
+    writes: Vec<WriteFault>,
+    next: usize,
+}
+
+impl StoreFaultPolicy for ScriptedStore {
+    fn on_write(&mut self, _key: &str, _now: SimTime) -> WriteFault {
+        self.next += 1;
+        *self.writes.get(self.next - 1).unwrap_or(&WriteFault::None)
+    }
+
+    fn read_unavailable(&self, _key: &str, now: SimTime) -> bool {
+        now >= SimTime::from_millis(1_000) && now < SimTime::from_millis(2_000)
+    }
+}
+
+fn arb_write_fault() -> impl Strategy<Value = WriteFault> {
+    prop_oneof![
+        Just(WriteFault::None),
+        Just(WriteFault::Torn),
+        Just(WriteFault::Fail),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The checkpoint store cannot tell a `Columnar` partition from its
+    /// `Flat` twin: same recorded vbytes, same wire size, same outcome
+    /// of torn / failed writes and outage windows, same rows on `get`.
+    #[test]
+    fn checkpoint_store_is_form_blind(
+        parts in proptest::collection::vec(arb_table(), 1..5),
+        faults in proptest::collection::vec(arb_write_fault(), 0..8),
+    ) {
+        let n = parts.len() as u32;
+        let store = || {
+            let mut cs = CheckpointStore::new(StorageConfig::default());
+            cs.set_fault_policy(Box::new(ScriptedStore { writes: faults.clone(), next: 0 }));
+            cs
+        };
+        let (mut flat, mut col) = (store(), store());
+        let rdd = RddId(0);
+        // Two rounds, so a clean rewrite of a torn or lost object is
+        // covered too.
+        for round in 0..2u64 {
+            for (p, rows) in parts.iter().enumerate() {
+                let p = p as u32;
+                let now = SimTime::from_millis(round * 10);
+                let vbytes = 1_000 + u64::from(p);
+                let as_rows = BlockData::Flat(Arc::new(rows.clone()));
+                let as_batch = BlockData::Columnar(Arc::new(
+                    ColumnBatch::from_rows(rows).expect("table rows must encode"),
+                ));
+                prop_assert_eq!(as_batch.wire_size(), as_rows.wire_size());
+                prop_assert_eq!(
+                    col.put(rdd, p, n, as_batch, vbytes, now),
+                    flat.put(rdd, p, n, as_rows, vbytes, now)
+                );
+            }
+        }
+        prop_assert_eq!(col.is_fully_checkpointed(rdd), flat.is_fully_checkpointed(rdd));
+        prop_assert_eq!(col.store().bytes_written(), flat.store().bytes_written());
+        for (p, rows) in parts.iter().enumerate() {
+            let p = p as u32;
+            prop_assert_eq!(col.has(rdd, p), flat.has(rdd, p));
+            prop_assert_eq!(col.size_of(rdd, p), flat.size_of(rdd, p));
+            for ms in [0, 1_500, 2_000] {
+                let now = SimTime::from_millis(ms);
+                prop_assert_eq!(col.read_fault(rdd, p, now), flat.read_fault(rdd, p, now));
+                prop_assert_eq!(col.readable(rdd, p, now), flat.readable(rdd, p, now));
+            }
+            match (col.get(rdd, p), flat.get(rdd, p)) {
+                (Some(c), Some(f)) => {
+                    prop_assert!(c.columnar().is_some() && f.flat().is_some());
+                    prop_assert_eq!(c.wire_size(), f.wire_size());
+                    prop_assert_eq!(c.rows(), f.rows());
+                    prop_assert_eq!(c.rows().as_deref(), Some(rows));
+                }
+                (None, None) => {}
+                _ => prop_assert!(false, "one form landed, the other did not"),
+            }
+        }
+    }
 
     /// Encoding a record sequence to columns and decoding it back is the
     /// identity, and every size observable matches `Value::size_bytes`.

@@ -460,7 +460,10 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
         for _ in 0..workers {
             d.add_worker(WorkerSpec::r3_large());
         }
-        wl.run(&mut d).expect("baseline run");
+        if let Err(e) = wl.run(&mut d) {
+            eprintln!("run failed: {e}");
+            return ExitCode::from(EXIT_TYPED);
+        }
         d.now().since_epoch()
     };
 
@@ -485,7 +488,13 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
     for ext in 1..=workers {
         d.add_worker_with_ext(ext, WorkerSpec::r3_large());
     }
-    let summary = wl.run(&mut d).expect("workload run");
+    let summary = match wl.run(&mut d) {
+        Ok(summary) => summary,
+        Err(e) => {
+            eprintln!("run failed: {e}");
+            return ExitCode::from(EXIT_TYPED);
+        }
+    };
     let runtime = d.now().since_epoch();
     println!("workload     : {}", summary.name);
     println!("records      : {}", summary.records);
