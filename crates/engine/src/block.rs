@@ -3,10 +3,10 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use crate::column::ColumnBatch;
+use crate::column::{ColumnBatch, ColumnCounters};
 use crate::rdd::{PartitionData, RddId};
 use crate::shuffle::{BucketedBlock, ShuffleId};
-use crate::WorkerId;
+use crate::{Value, WorkerId};
 
 /// Key of a cached block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,72 +39,121 @@ impl std::fmt::Display for BlockKey {
     }
 }
 
+/// One record sequence — the payload of an RDD partition in flight, in a
+/// cache, in the checkpoint store, or in one reduce bucket of a shuffle
+/// map output — as row records or as the same records in typed columns.
+///
+/// Both forms decode to the same sequence and
+/// [`ColumnBatch::size_at`] mirrors [`Value::size_bytes`] constant for
+/// constant, so every size below — and with it eviction order, τ
+/// estimation and checkpoint accounting — is a function of the records,
+/// not of their layout. The form only selects the access path: kernels
+/// and typed reducers take [`Records::batch`], everything else takes
+/// `rows`, the engine's one decode, counted in
+/// [`ColumnStats`](crate::ColumnStats).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Records {
+    /// `Arc`-shared row records.
+    Rows(PartitionData),
+    /// An `Arc`-shared columnar batch.
+    Col(Arc<ColumnBatch>),
+}
+
+impl Records {
+    /// Record count.
+    pub fn len(&self) -> usize {
+        match self {
+            Records::Rows(d) => d.len(),
+            Records::Col(b) => b.len(),
+        }
+    }
+
+    /// `true` when there are no records.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Payload bytes: the sum of every record's [`Value::size_bytes`].
+    pub fn payload_bytes(&self) -> u64 {
+        match self {
+            Records::Rows(d) => d.iter().map(Value::size_bytes).sum(),
+            Records::Col(b) => b.payload_bytes(),
+        }
+    }
+
+    /// Real size of a partition holding these records: the payload plus
+    /// 16 bytes of fixed per-partition overhead.
+    pub fn real_bytes(&self) -> u64 {
+        self.payload_bytes() + 16
+    }
+
+    /// Byte-exact serialized checkpoint size, the framing of
+    /// [`crate::checkpoint::wire_size`].
+    pub fn wire_size(&self) -> u64 {
+        framed_size(self.payload_bytes(), self.len())
+    }
+
+    /// The columnar batch, or `None` for row records.
+    pub fn batch(&self) -> Option<&Arc<ColumnBatch>> {
+        match self {
+            Records::Col(b) => Some(b),
+            Records::Rows(_) => None,
+        }
+    }
+
+    /// The records in row form: a refcount bump for rows, a counted
+    /// decode for a batch.
+    pub(crate) fn rows(&self, column: &ColumnCounters) -> PartitionData {
+        match self {
+            Records::Rows(d) => Arc::clone(d),
+            Records::Col(b) => Arc::new(column.decode(b)),
+        }
+    }
+
+    /// The records in row form outside a run, where there is no
+    /// [`ColumnStats`](crate::ColumnStats) to count a decode in (tests,
+    /// tools).
+    pub fn to_rows(&self) -> PartitionData {
+        self.rows(&ColumnCounters::default())
+    }
+}
+
+/// An 8-byte record count plus a 4-byte frame per record around the
+/// payload: order- and form-independent.
+fn framed_size(payload_bytes: u64, records: usize) -> u64 {
+    8 + payload_bytes + 4 * records as u64
+}
+
 /// The payload of a cached or checkpointed block.
 ///
-/// RDD partitions are `Flat` or — when the columnar path encoded them —
-/// `Columnar`, the same record sequence as typed column vectors.
-/// Shuffle map outputs start `Flat` and become `Bucketed` once their
-/// partitioner is known — eagerly for hash shuffles, lazily (at the
-/// barrier, when the [`RangePartitioner`] resolves) for range shuffles.
-/// All forms hold the same record multiset, so payload-byte and
-/// wire-size accounting are identical; only the access path differs.
-///
-/// [`RangePartitioner`]: crate::shuffle::RangePartitioner
+/// RDD partitions and range-shuffle map outputs are a `Part`: one record
+/// sequence in production order. Hash-shuffle map outputs are `Bucketed`
+/// by their map task, the only place that buckets. Both hold the record
+/// multiset the task produced, so payload-byte and wire-size accounting
+/// are identical; only the access path differs.
 #[derive(Debug, Clone)]
 pub enum BlockData {
-    /// Records in production order (RDD partitions, unresolved-range
-    /// shuffle map outputs).
-    Flat(PartitionData),
-    /// A shuffle map output pre-partitioned into reduce buckets.
+    /// Records in production order.
+    Part(Records),
+    /// A hash-shuffle map output pre-partitioned into reduce buckets.
     Bucketed(Arc<BucketedBlock>),
-    /// An RDD partition in columnar form: the identical record sequence
-    /// stored as typed column vectors (see [`ColumnBatch`]).
-    Columnar(Arc<ColumnBatch>),
 }
 
 impl BlockData {
-    /// The flat partition payload, or `None` for other forms.
-    pub fn flat(&self) -> Option<&PartitionData> {
+    /// The record sequence, or `None` for a bucketed block (buckets
+    /// reorder records, so there is no single production-order view).
+    pub fn part(&self) -> Option<&Records> {
         match self {
-            BlockData::Flat(d) => Some(d),
-            BlockData::Bucketed(_) | BlockData::Columnar(_) => None,
-        }
-    }
-
-    /// The bucketed payload, or `None` for other forms.
-    pub fn bucketed(&self) -> Option<&Arc<BucketedBlock>> {
-        match self {
-            BlockData::Bucketed(b) => Some(b),
-            BlockData::Flat(_) | BlockData::Columnar(_) => None,
-        }
-    }
-
-    /// The columnar payload, or `None` for other forms.
-    pub fn columnar(&self) -> Option<&Arc<ColumnBatch>> {
-        match self {
-            BlockData::Columnar(b) => Some(b),
-            BlockData::Flat(_) | BlockData::Bucketed(_) => None,
-        }
-    }
-
-    /// The record sequence regardless of form: `Flat` hands out its
-    /// payload for a refcount bump, `Columnar` decodes (allocating),
-    /// and `Bucketed` returns `None` (buckets reorder records, so there
-    /// is no single production-order view).
-    pub fn rows(&self) -> Option<PartitionData> {
-        match self {
-            BlockData::Flat(d) => Some(Arc::clone(d)),
-            BlockData::Columnar(b) => Some(Arc::new(b.to_rows())),
+            BlockData::Part(r) => Some(r),
             BlockData::Bucketed(_) => None,
         }
     }
 
-    /// Record count (identical across forms).
+    /// Record count.
     pub fn len(&self) -> usize {
         match self {
-            BlockData::Flat(d) => d.len(),
+            BlockData::Part(r) => r.len(),
             BlockData::Bucketed(b) => b.len(),
-            BlockData::Columnar(b) => b.len(),
         }
     }
 
@@ -113,45 +162,38 @@ impl BlockData {
         self.len() == 0
     }
 
-    /// Payload bytes: the sum of every record's
-    /// [`size_bytes`](crate::Value::size_bytes), identical across forms
-    /// (bucketing reorders records and columnar re-lays them out;
-    /// neither changes the multiset or the size formula).
+    /// Payload bytes: the sum of every record's [`Value::size_bytes`]
+    /// (bucketing reorders records; it changes neither the multiset nor
+    /// the size formula).
     pub fn payload_bytes(&self) -> u64 {
         match self {
-            BlockData::Flat(d) => d.iter().map(crate::Value::size_bytes).sum(),
+            BlockData::Part(r) => r.payload_bytes(),
             BlockData::Bucketed(b) => b.payload_bytes(),
-            BlockData::Columnar(b) => b.payload_bytes(),
         }
     }
 
-    /// Byte-exact serialized checkpoint size: the same framing walk as
-    /// [`crate::checkpoint::wire_size`] (8-byte count plus a 4-byte
-    /// frame per record), order- and form-independent.
+    /// Byte-exact serialized checkpoint size, the framing of
+    /// [`crate::checkpoint::wire_size`].
     pub fn wire_size(&self) -> u64 {
-        match self {
-            BlockData::Flat(d) => crate::checkpoint::wire_size(d),
-            BlockData::Bucketed(b) => 8 + b.payload_bytes() + 4 * b.len() as u64,
-            BlockData::Columnar(b) => 8 + b.payload_bytes() + 4 * b.len() as u64,
-        }
+        framed_size(self.payload_bytes(), self.len())
+    }
+}
+
+impl From<Records> for BlockData {
+    fn from(r: Records) -> Self {
+        BlockData::Part(r)
     }
 }
 
 impl From<PartitionData> for BlockData {
     fn from(d: PartitionData) -> Self {
-        BlockData::Flat(d)
+        Records::Rows(d).into()
     }
 }
 
 impl From<Arc<BucketedBlock>> for BlockData {
     fn from(b: Arc<BucketedBlock>) -> Self {
         BlockData::Bucketed(b)
-    }
-}
-
-impl From<Arc<ColumnBatch>> for BlockData {
-    fn from(b: Arc<ColumnBatch>) -> Self {
-        BlockData::Columnar(b)
     }
 }
 
@@ -416,33 +458,6 @@ impl BlockManager {
         self.mem.touch(key, lu) || self.disk.touch(key, lu)
     }
 
-    /// Replaces a block's payload in place, without touching its LRU
-    /// stamp, virtual size, or the eviction clock. `f` returns `None` to
-    /// leave the payload untouched (already in the target form), which
-    /// skips the write entirely instead of re-cloning the block.
-    ///
-    /// This is the lazy-bucketing hook: when a range shuffle's
-    /// partitioner resolves at the barrier, the driver converts that
-    /// shuffle's resident map blocks from [`BlockData::Flat`] to
-    /// [`BlockData::Bucketed`]. The conversion preserves the record
-    /// multiset and all accounting, so cache behavior (LRU order,
-    /// spills, drops) is bit-identical to a run that never converted.
-    pub fn replace_payload(
-        &mut self,
-        key: &BlockKey,
-        f: impl FnOnce(&BlockData) -> Option<BlockData>,
-    ) {
-        if let Some(b) = self.mem.map.get_mut(key) {
-            if let Some(new) = f(&b.data) {
-                b.data = new;
-            }
-        } else if let Some(b) = self.disk.map.get_mut(key) {
-            if let Some(new) = f(&b.data) {
-                b.data = new;
-            }
-        }
-    }
-
     /// Returns the location of a block without touching LRU state.
     pub fn peek(&self, key: &BlockKey) -> Option<(BlockLocation, u64)> {
         if let Some(b) = self.mem.map.get(key) {
@@ -509,8 +524,6 @@ pub struct BlockStoreSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
-    use std::sync::Arc;
 
     fn data(n: usize) -> PartitionData {
         Arc::new(vec![Value::Int(0); n])

@@ -5,7 +5,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use flint_simtime::SimTime;
 use flint_store::{DurableStore, StorageConfig};
 
-use crate::block::{BlockData, BlockKey};
+use crate::block::{BlockData, BlockKey, Records};
 use crate::rdd::{PartitionData, RddId};
 use crate::shuffle::ShuffleId;
 use crate::Lineage;
@@ -173,7 +173,7 @@ impl CheckpointStore {
         self.faults.reads_vary_with_time()
     }
 
-    /// Durably stores one shuffle map output (flat or bucketed — a
+    /// Durably stores one shuffle map output (rows or bucketed — a
     /// restore serves back whichever form was captured). Returns what
     /// the (possibly degraded) store did with the write.
     pub fn put_shuffle(
@@ -206,24 +206,6 @@ impl CheckpointStore {
     /// Returns the checkpointed shuffle map output, if present.
     pub fn get_shuffle(&self, s: ShuffleId, map_part: u32) -> Option<&BlockData> {
         self.store.get(&shuffle_key(s, map_part))
-    }
-
-    /// Replaces a stored shuffle map output's payload in place, without
-    /// simulating a write or changing its recorded size — the durable
-    /// half of the lazy range-bucketing conversion (see
-    /// [`crate::BlockManager::replace_payload`]). `f` returns `None` to
-    /// leave the stored payload untouched (no re-clone).
-    pub fn replace_shuffle_payload(
-        &mut self,
-        s: ShuffleId,
-        map_part: u32,
-        f: impl FnOnce(&BlockData) -> Option<BlockData>,
-    ) {
-        if let Some(data) = self.store.get_mut(&shuffle_key(s, map_part)) {
-            if let Some(new) = f(data) {
-                *data = new;
-            }
-        }
     }
 
     /// Returns `true` if the shuffle map output is durably stored.
@@ -265,11 +247,10 @@ impl CheckpointStore {
 
     /// Returns the encoded run manifest stored under `key`, if present.
     pub fn get_manifest(&self, key: &str) -> Option<&str> {
-        self.store
-            .get(key)
-            .and_then(|d| d.flat())
-            .and_then(|p| p.first())
-            .and_then(|v| v.as_str())
+        match self.store.get(key)?.part()? {
+            Records::Rows(p) => p.first()?.as_str(),
+            Records::Col(_) => None,
+        }
     }
 
     /// Durably stores one partition (virtual `vbytes` for accounting).
@@ -308,12 +289,11 @@ impl CheckpointStore {
         fault
     }
 
-    /// Returns the checkpointed data for `(rdd, part)`, if present, in
-    /// the form it was stored ([`BlockData::Flat`] or
-    /// [`BlockData::Columnar`]; only shuffle map outputs are ever
-    /// bucketed). Size and wire accounting cannot tell the two apart.
-    pub fn get(&self, rdd: RddId, part: u32) -> Option<&BlockData> {
-        self.store.get(&checkpoint_key(rdd, part))
+    /// Returns the checkpointed records of `(rdd, part)`, if present, in
+    /// the form they were stored (only shuffle map outputs are ever
+    /// bucketed). Size and wire accounting cannot tell rows from a batch.
+    pub fn get(&self, rdd: RddId, part: u32) -> Option<&Records> {
+        self.store.get(&checkpoint_key(rdd, part))?.part()
     }
 
     /// Returns the stored virtual size of `(rdd, part)`, if present.

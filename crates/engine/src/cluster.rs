@@ -314,20 +314,6 @@ impl Cluster {
         }
     }
 
-    /// Applies an in-place payload conversion to `key` on every alive
-    /// worker holding it (see [`BlockManager::replace_payload`]); LRU
-    /// state and accounting are untouched. `f` returns `None` to leave
-    /// that worker's copy as is.
-    pub fn replace_payload_everywhere(
-        &mut self,
-        key: &BlockKey,
-        f: impl Fn(&BlockData) -> Option<BlockData>,
-    ) {
-        for wid in self.directory.get(key).into_iter().flatten() {
-            self.workers[wid.0 as usize].blocks.replace_payload(key, &f);
-        }
-    }
-
     /// Removes a block from every worker (e.g. when superseded).
     pub fn remove_everywhere(&mut self, key: &BlockKey) {
         let Some(holders) = self.directory.remove(key) else {

@@ -2,27 +2,26 @@
 //! handling, and checkpoint orchestration.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 use flint_simtime::{Clock, SimDuration, SimTime};
 use flint_store::StorageConfig;
 use flint_trace::{EventKind, TraceHandle};
 
 use crate::backend::{Backend, ShuffleTransport, TransientVmBackend};
-use crate::block::{BlockData, BlockKey, InsertOutcome};
+use crate::block::{BlockData, BlockKey, InsertOutcome, Records};
 use crate::checkpoint::{CheckpointStore, ReadFault, WriteFault};
 use crate::cluster::{Cluster, WorkerId, WorkerSpec};
 use crate::column::{ColumnCounters, ColumnStats};
 use crate::context::EngineContext;
 use crate::cost::CostModel;
 use crate::error::{EngineError, Result};
-use crate::executor::{self, CacheEffect, PartData, TaskOutput, WaveCtx};
+use crate::executor::{self, CacheEffect, TaskOutput, WaveCtx};
 use crate::hooks::{CheckpointDirective, CheckpointHooks, LineageView, NoCheckpoint};
 use crate::injector::{FailureInjector, NoFailures, WorkerEvent};
 use crate::manifest::RunManifest;
 use crate::plan::{self, PlanStats, Planner};
-use crate::rdd::{PartitionData, RddId, RddRef};
-use crate::shuffle::{BucketedBlock, RangePartitioner, ShuffleId};
+use crate::rdd::{RddId, RddRef};
+use crate::shuffle::{RangePartitioner, ShuffleId};
 use crate::stats::{ActionRecord, RunStats};
 use crate::value::Value;
 
@@ -263,26 +262,6 @@ impl DriverConfigBuilder {
     /// Retry policy for the gather re-run loop.
     pub fn gather_retry(mut self, policy: RetryPolicy) -> Self {
         self.cfg.gather_retry = policy;
-        self
-    }
-
-    /// Transient-store read retries before an action fails with
-    /// [`EngineError::StoreUnavailable`] (shorthand for adjusting
-    /// `store_retry.budget`).
-    pub fn store_retry_limit(mut self, retries: u64) -> Self {
-        self.cfg.store_retry.budget = retries;
-        self
-    }
-
-    /// First store-retry backoff (doubles per attempt).
-    pub fn store_backoff_base(mut self, base: SimDuration) -> Self {
-        self.cfg.store_retry.backoff_base = base;
-        self
-    }
-
-    /// Ceiling on the store-retry backoff.
-    pub fn store_backoff_cap(mut self, cap: SimDuration) -> Self {
-        self.cfg.store_retry.backoff_cap = cap;
         self
     }
 
@@ -768,10 +747,10 @@ impl Driver {
     /// Materializes `r` and returns all its elements in partition order.
     pub fn collect(&mut self, r: RddRef) -> Result<Vec<Value>> {
         let parts = self.run_action(r.id, "collect")?;
-        let total = parts.iter().map(BlockData::len).sum();
+        let total = parts.iter().map(Records::len).sum();
         let mut out = Vec::with_capacity(total);
         for p in &parts {
-            out.extend_from_slice(&self.gathered_rows(p));
+            out.extend_from_slice(&p.rows(&self.column));
         }
         Ok(out)
     }
@@ -790,7 +769,7 @@ impl Driver {
         let parts = self.run_action(r.id, "reduce")?;
         let mut acc: Option<Value> = None;
         for p in &parts {
-            for v in self.gathered_rows(p).iter() {
+            for v in p.rows(&self.column).iter() {
                 acc = Some(match acc {
                     None => v.clone(),
                     Some(a) => f(&a, v),
@@ -805,7 +784,7 @@ impl Driver {
         let parts = self.run_action(r.id, "take")?;
         let mut out = Vec::with_capacity(n);
         for p in &parts {
-            for v in self.gathered_rows(p).iter() {
+            for v in p.rows(&self.column).iter() {
                 if out.len() >= n {
                     return Ok(out);
                 }
@@ -834,7 +813,7 @@ impl Driver {
         let parts = self.run_action(r.id, "count_by_key")?;
         let mut counts = std::collections::BTreeMap::new();
         for p in &parts {
-            for v in self.gathered_rows(p).iter() {
+            for v in p.rows(&self.column).iter() {
                 let key = v.key().cloned().unwrap_or(Value::Null);
                 *counts.entry(key).or_insert(0u64) += 1;
             }
@@ -913,7 +892,7 @@ impl Driver {
     /// Runs a job materializing every partition of `target`, then gathers
     /// the partitions to the driver, each in the form it was held.
     /// Records an [`ActionRecord`].
-    fn run_action(&mut self, target: RddId, label: &str) -> Result<Vec<BlockData>> {
+    fn run_action(&mut self, target: RddId, label: &str) -> Result<Vec<Records>> {
         if !self.ctx.lineage().contains(target) {
             return Err(EngineError::UnknownRdd(target));
         }
@@ -1330,13 +1309,8 @@ impl Driver {
         }
         for (s, rp) in &out.resolved {
             // First admitted resolution wins; later tasks resolved the
-            // same bounds from the same snapshot. The winning insert also
-            // converts the shuffle's resident map blocks to bucketed
-            // form, so subsequent waves take the O(1) fetch path.
-            if !self.range_cache.contains_key(s) {
-                self.range_cache.insert(*s, rp.clone());
-                self.bucketize_resolved_shuffle(*s, rp);
-            }
+            // same bounds from the same snapshot.
+            self.range_cache.entry(*s).or_insert_with(|| rp.clone());
         }
         for cp in &out.computed {
             self.computed_once.insert(*cp);
@@ -1359,40 +1333,6 @@ impl Driver {
             }
         }
         net
-    }
-
-    /// Converts a freshly-resolved range shuffle's resident map blocks —
-    /// cluster caches and durable snapshots — from flat to bucketed
-    /// form, in place.
-    ///
-    /// Runs exactly once per shuffle, at the deterministic admission
-    /// point where the partitioner enters `range_cache`, so every wave
-    /// snapshot sees either all-flat (pre-resolution) or bucketed state.
-    /// The conversion preserves record multisets, virtual sizes, LRU
-    /// stamps, and the eviction clock, so cache behavior and all
-    /// accounting are bit-identical to a run that never converted; map
-    /// blocks recomputed after this point bucket eagerly in
-    /// `compute_task` instead.
-    fn bucketize_resolved_shuffle(&mut self, s: ShuffleId, rp: &RangePartitioner) {
-        let parent = self.ctx.lineage().shuffle(s).parent;
-        let m = self.ctx.lineage().meta(parent).num_partitions;
-        for mp in 0..m {
-            let bk = BlockKey::ShuffleMap {
-                shuffle: s,
-                map_part: mp,
-            };
-            let convert = |bd: &BlockData| match bd {
-                BlockData::Flat(d) => Some(BlockData::Bucketed(Arc::new(
-                    BucketedBlock::partition(d, rp),
-                ))),
-                // Already bucketed: nothing to do, skip the write.
-                // Columnar cannot occur: range shuffle map outputs are
-                // forced to row form until resolution.
-                BlockData::Bucketed(_) | BlockData::Columnar(_) => None,
-            };
-            self.cluster.replace_payload_everywhere(&bk, convert);
-            self.ckpt.replace_shuffle_payload(s, mp, convert);
-        }
     }
 
     /// Admits one computed task: picks the worker, applies the recorded
@@ -1927,19 +1867,11 @@ impl Driver {
         }
     }
 
-    /// A gathered partition as an action hands it to its caller: rows,
-    /// decoded here — at the driver boundary — if it was kept columnar.
-    /// Actions that need no records (`count`, `checkpoint_now`) never
-    /// call this.
-    fn gathered_rows(&self, d: &BlockData) -> PartitionData {
-        PartData::from_block(d).rows(&self.column)
-    }
-
     /// Fetches every partition of `target` to the driver, charging
     /// parallel transfer time. A vanished block (same-instant
     /// revocation) re-runs the job under
     /// [`DriverConfig::gather_retry`].
-    fn gather(&mut self, target: RddId) -> Result<Vec<BlockData>> {
+    fn gather(&mut self, target: RddId) -> Result<Vec<Records>> {
         let retry = self.config.gather_retry;
         let mut attempt = 0u64;
         loop {
@@ -1969,7 +1901,8 @@ impl Driver {
                     part: p,
                 }) {
                     total_vb += vb;
-                    parts.push(d);
+                    let records = d.part().expect("RDD partition blocks are never bucketed");
+                    parts.push(records.clone());
                 } else {
                     ok = false;
                     break;

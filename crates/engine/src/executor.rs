@@ -37,7 +37,7 @@ use std::sync::Arc;
 use flint_simtime::{SimDuration, SimTime};
 use flint_trace::EventKind;
 
-use crate::block::{BlockData, BlockKey, BlockLocation};
+use crate::block::{BlockData, BlockKey, BlockLocation, Records};
 use crate::checkpoint::{CheckpointStore, ReadFault};
 use crate::cluster::{Cluster, WorkerId};
 use crate::column::{
@@ -48,8 +48,8 @@ use crate::driver::{CkptJob, MissingShuffle, TaskKey};
 use crate::lineage::Lineage;
 use crate::rdd::{PartitionData, RddId, RddOp};
 use crate::shuffle::{
-    scan_flat_bucket, Bucket, BucketedBlock, HashPartitioner, Partitioner, RangePartitioner,
-    ShuffleId, ShuffleKind,
+    scan_flat_bucket, BucketedBlock, HashPartitioner, Partitioner, RangePartitioner, ShuffleId,
+    ShuffleKind,
 };
 use crate::value::Value;
 
@@ -110,69 +110,17 @@ pub(crate) enum CacheEffect {
     /// Bump a block inserted earlier by this same task (it lives on the
     /// executing worker, unknown during compute).
     TouchLocal(BlockKey),
-    /// Insert a block into the executing worker's store. Carries the
-    /// final block form (flat rows or a columnar batch) so re-reads see
-    /// exactly what the producing task materialized.
-    Insert(BlockKey, BlockData, u64),
-}
-
-/// A partition's in-flight payload during task compute: plain row
-/// records or a typed columnar batch. Both forms decode to the same
-/// record sequence and account identical real/virtual bytes, so every
-/// duration and cache decision downstream is form-independent.
-#[derive(Debug, Clone)]
-pub(crate) enum PartData {
-    /// Row records (the classic path).
-    Rows(PartitionData),
-    /// A typed columnar batch produced by a vectorized kernel.
-    Col(Arc<ColumnBatch>),
-}
-
-impl PartData {
-    /// The in-flight form of a cached or checkpointed RDD partition: the
-    /// stored handle, unconverted.
-    pub(crate) fn from_block(data: &BlockData) -> PartData {
-        match data {
-            BlockData::Flat(d) => PartData::Rows(Arc::clone(d)),
-            BlockData::Columnar(b) => PartData::Col(Arc::clone(b)),
-            BlockData::Bucketed(_) => unreachable!("RDD partition blocks are never bucketed"),
-        }
-    }
-
-    /// The records in row form (decodes columnar batches).
-    pub(crate) fn rows(&self, column: &ColumnCounters) -> PartitionData {
-        match self {
-            PartData::Rows(d) => Arc::clone(d),
-            PartData::Col(b) => Arc::new(column.decode(b)),
-        }
-    }
-
-    /// Real payload size: `Σ size_bytes + 16` in either form —
-    /// [`ColumnBatch::size_at`] mirrors `Value::size_bytes` exactly, so
-    /// eviction order, τ estimation, and checkpoint accounting cannot
-    /// tell the forms apart.
-    fn real_bytes(&self) -> u64 {
-        match self {
-            PartData::Rows(d) => real_bytes(d),
-            PartData::Col(b) => b.payload_bytes() + 16,
-        }
-    }
-
-    /// The cache/block representation of this payload.
-    fn to_block(&self) -> BlockData {
-        match self {
-            PartData::Rows(d) => BlockData::Flat(Arc::clone(d)),
-            PartData::Col(b) => BlockData::Columnar(Arc::clone(b)),
-        }
-    }
+    /// Insert an RDD partition into the executing worker's store, in
+    /// the form the producing task materialized it.
+    Insert(BlockKey, Records, u64),
 }
 
 /// Everything a task's parallel compute phase produced: the data, the
 /// worker-independent duration, and a ledger of deferred mutations for
 /// the driver to apply in task-key order.
 pub(crate) struct TaskOutput {
-    /// Final block payload (map-side combine applied; shuffle map
-    /// outputs bucketed when their partitioner is known).
+    /// Final block payload (map-side combine applied; hash-shuffle map
+    /// outputs bucketed).
     pub data: BlockData,
     /// Virtual size of `data` under the cost model.
     pub vbytes: u64,
@@ -267,17 +215,16 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
         Ok(x) => x,
         Err(MissingShuffle) => return None,
     };
-    // Bucket shuffle map outputs once, at materialization: one pass over
-    // the records replaces the per-reduce-task O(N) scans. Hash shuffles
-    // always know their partitioner; range shuffles stay flat until the
-    // barrier resolves (and caches) the bounds, after which the driver
-    // converts resident blocks in place and recomputed blocks take this
-    // eager path. Batch-marked shuffles with a columnar payload combine
-    // and bucket without ever decoding to rows; anything else falls back
-    // to the row path with identical observables.
+    // Hash-shuffle map outputs bucket once, here: one pass over the
+    // records replaces the per-reduce-task O(N) scans. Batch-marked
+    // shuffles with a columnar payload combine and bucket without ever
+    // decoding to rows; anything else takes the row path with identical
+    // observables. Range-shuffle map outputs stay rows — their
+    // partitioner is sampled from them by the reduce side, which scans.
     let out: BlockData = match key {
         TaskKey::ShuffleMap { shuffle, .. } => {
-            let combine = ctx.lineage.shuffle(shuffle).combine.clone();
+            let info = ctx.lineage.shuffle(shuffle);
+            let combine = info.combine.clone();
             if let Some(bb) = columnar_map_output(ctx, shuffle, &data, combine.is_some()) {
                 if combine.is_some() {
                     // Same pre-aggregation charge as the row path: input
@@ -311,25 +258,26 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
                     rows = Arc::new(combined);
                     combined_dirty = true;
                 }
-                match shuffle_map_partitioner(ctx, shuffle) {
-                    Some(p) => {
-                        let bb = BucketedBlock::partition(&rows, p.as_ref());
+                match info.kind {
+                    ShuffleKind::Hash { parts } => {
+                        let bb = BucketedBlock::partition(&rows, parts);
                         // Bucketing preserves the record multiset, so the
                         // virtual size is unchanged; the bucket walk
                         // already summed the payload bytes.
                         vbytes = ctx.cost.vbytes(bb.payload_bytes() + 16);
                         Arc::new(bb).into()
                     }
-                    None => {
+                    ShuffleKind::Range { .. } => {
+                        let rows = Records::Rows(rows);
                         if combined_dirty {
-                            vbytes = ctx.cost.vbytes(real_bytes(&rows));
+                            vbytes = ctx.cost.vbytes(rows.real_bytes());
                         }
                         rows.into()
                     }
                 }
             }
         }
-        _ => data.to_block(),
+        _ => data.into(),
     };
     Some(b.finish(out, vbytes, 0, dur, None))
 }
@@ -339,12 +287,11 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
 /// hash bucketing, with zero row materialization. Returns `None` — row
 /// fallback — when columnar execution is off, the shuffle is not batch
 /// capable, the payload is already rows, or the batch shape defeats the
-/// typed kernels. Range shuffles are never batch-marked, so their map
-/// outputs stay flat exactly as before.
+/// typed kernels. Range shuffles are never batch-marked.
 fn columnar_map_output(
     ctx: &WaveCtx<'_>,
     shuffle: ShuffleId,
-    data: &PartData,
+    data: &Records,
     has_combine: bool,
 ) -> Option<BucketedBlock> {
     if !ctx.columnar || !ctx.lineage.is_batch_shuffle(shuffle) {
@@ -353,10 +300,7 @@ fn columnar_map_output(
     let ShuffleKind::Hash { parts } = ctx.lineage.shuffle(shuffle).kind else {
         return None;
     };
-    let batch = match data {
-        PartData::Col(b) => Some(b.as_ref()),
-        PartData::Rows(_) => None,
-    };
+    let batch = data.batch().map(Arc::as_ref);
     if !has_combine {
         return BucketedBlock::partition_columnar(batch?, parts);
     }
@@ -370,19 +314,6 @@ fn columnar_map_output(
     };
     ctx.column.kernel_ran(out.is_some());
     out
-}
-
-/// The partitioner a shuffle's map outputs should be bucketed with, if
-/// it is already known: always for hash shuffles, only after barrier
-/// resolution for range shuffles.
-fn shuffle_map_partitioner(ctx: &WaveCtx<'_>, shuffle: ShuffleId) -> Option<Box<dyn Partitioner>> {
-    match ctx.lineage.shuffle(shuffle).kind {
-        ShuffleKind::Hash { parts } => Some(Box::new(HashPartitioner::new(parts))),
-        ShuffleKind::Range { .. } => ctx
-            .range_cache
-            .get(&shuffle)
-            .map(|rp| Box::new(rp.clone()) as Box<dyn Partitioner>),
-    }
 }
 
 /// Computes one checkpoint job: materializes (or peeks) the payload and
@@ -402,10 +333,9 @@ pub(crate) fn compute_ckpt(ctx: &WaveCtx<'_>, job: CkptJob) -> Option<TaskOutput
             };
             // The store keeps the handle the producer made: wire and
             // virtual bytes are functions of the records, not of their
-            // layout ([`BlockData::wire_size`]).
-            let block = data.to_block();
-            let wire = block.wire_size();
-            Some(b.finish(block, vbytes, wire, SimDuration::ZERO, None))
+            // layout ([`Records::wire_size`]).
+            let wire = data.wire_size();
+            Some(b.finish(data.into(), vbytes, wire, SimDuration::ZERO, None))
         }
         CkptJob::Shuffle(s, mp) => {
             let bk = BlockKey::ShuffleMap {
@@ -419,12 +349,6 @@ pub(crate) fn compute_ckpt(ctx: &WaveCtx<'_>, job: CkptJob) -> Option<TaskOutput
             Some(b.finish(data, vbytes, wire, SimDuration::ZERO, Some(wid)))
         }
     }
-}
-
-/// Real payload size of one partition, matching the sequential driver's
-/// accounting (16 bytes of fixed per-partition overhead).
-pub(crate) fn real_bytes(data: &[Value]) -> u64 {
-    data.iter().map(Value::size_bytes).sum::<u64>() + 16
 }
 
 /// Deterministic Bernoulli sampling for [`RddOp::Sample`]: keyed by seed,
@@ -467,7 +391,7 @@ struct TaskBuilder<'c, 'a> {
     /// sizes, visible to its own later reads (mirrors the sequential
     /// materializer, where a persisted ancestor cached mid-task is a
     /// free local hit for the rest of the task).
-    local: HashMap<BlockKey, (PartData, u64)>,
+    local: HashMap<BlockKey, (Records, u64)>,
 }
 
 impl<'c, 'a> TaskBuilder<'c, 'a> {
@@ -526,7 +450,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
     /// cluster cache, the durable checkpoint store, recursive
     /// recomputation through the lineage.
     ///
-    /// The returned virtual size equals `cost.vbytes(real_bytes(&data))`
+    /// The returned virtual size equals `cost.vbytes(data.real_bytes())`
     /// on every path (caches and the checkpoint store record it at
     /// insert time), so callers reuse it instead of re-walking the
     /// payload.
@@ -534,7 +458,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         &mut self,
         rdd: RddId,
         part: u32,
-    ) -> std::result::Result<(PartData, u64, SimDuration), MissingShuffle> {
+    ) -> std::result::Result<(Records, u64, SimDuration), MissingShuffle> {
         self.depth += 1;
         let r = self.materialize_inner(rdd, part);
         self.depth -= 1;
@@ -545,7 +469,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         &mut self,
         rdd: RddId,
         part: u32,
-    ) -> std::result::Result<(PartData, u64, SimDuration), MissingShuffle> {
+    ) -> std::result::Result<(Records, u64, SimDuration), MissingShuffle> {
         let bk = BlockKey::RddPart { rdd, part };
 
         // 0. A block this task already queued for insertion: a free
@@ -558,7 +482,10 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
 
         // 1. Cluster cache (memory or local disk beats a durable read).
         if let Some((wid, data, loc, vb)) = self.ctx.cluster.peek_fetch(&bk) {
-            let data = PartData::from_block(&data);
+            let data = data
+                .part()
+                .expect("RDD partition blocks are never bucketed")
+                .clone();
             self.effects.push(CacheEffect::Touch(wid, bk));
             let mut dur = SimDuration::ZERO;
             if loc == BlockLocation::Disk {
@@ -578,12 +505,12 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         if self.ctx.ckpt.has(rdd, part) {
             match self.ctx.ckpt.read_fault(rdd, part, self.ctx.now) {
                 None => {
-                    let data = PartData::from_block(
-                        self.ctx
-                            .ckpt
-                            .get(rdd, part)
-                            .expect("checkpoint bitmap and store agree"),
-                    );
+                    let data = self
+                        .ctx
+                        .ckpt
+                        .get(rdd, part)
+                        .expect("checkpoint bitmap and store agree")
+                        .clone();
                     let vb = self
                         .ctx
                         .ckpt
@@ -603,8 +530,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     // the stored form, so a restored table stays on the path
                     // it was on before the loss.
                     if self.ctx.lineage.is_persisted(rdd) {
-                        self.effects
-                            .push(CacheEffect::Insert(bk, data.to_block(), vb));
+                        self.effects.push(CacheEffect::Insert(bk, data.clone(), vb));
                         self.local.insert(bk, (data.clone(), vb));
                     }
                     return Ok((data, vb, dur));
@@ -638,11 +564,11 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         let was_before = self.was_computed_before(rdd, part);
         let factor = op.cost_factor();
 
-        // Arms yield `PartData` so pass-through operators (`Union`, the
+        // Arms yield `Records` so pass-through operators (`Union`, the
         // shared identity `Map`) hand the parent's payload onward in
         // whichever form it arrived, and vectorized kernels keep batches
         // columnar end to end.
-        let (data, own_dur, child_dur): (PartData, SimDuration, SimDuration) = match op {
+        let (data, own_dur, child_dur): (Records, SimDuration, SimDuration) = match op {
             RddOp::Parallelize { data } => {
                 // Source partitions encode once into a per-partition
                 // columnar batch cached in the lineage; later reads share
@@ -651,11 +577,11 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 let out = if self.ctx.columnar {
                     let encode = || self.ctx.column.encode(rows);
                     match self.ctx.lineage.source_batch(rdd, part, encode) {
-                        Some(b) => PartData::Col(b),
-                        None => PartData::Rows(Arc::new(rows.clone())),
+                        Some(b) => Records::Col(b),
+                        None => Records::Rows(Arc::new(rows.clone())),
                     }
                 } else {
-                    PartData::Rows(Arc::new(rows.clone()))
+                    Records::Rows(Arc::new(rows.clone()))
                 };
                 let vb = self.ctx.cost.vbytes(out.real_bytes());
                 (out, self.ctx.cost.source_time(vb), SimDuration::ZERO)
@@ -681,7 +607,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 for pd in &inputs {
                     out.extend(pd.iter().cloned());
                 }
-                (PartData::Rows(Arc::new(out)), SimDuration::ZERO, cdur)
+                (Records::Rows(Arc::new(out)), SimDuration::ZERO, cdur)
             }
             RddOp::Map { f } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
@@ -696,7 +622,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     let rows = pd.rows(self.ctx.column);
                     let mut out = Vec::with_capacity(rows.len());
                     out.extend(rows.iter().map(|v| f(v)));
-                    PartData::Rows(Arc::new(out))
+                    Records::Rows(Arc::new(out))
                 };
                 (out, self.ctx.cost.compute_time(vb, factor), pdur)
             }
@@ -708,7 +634,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     let rows = pd.rows(self.ctx.column);
                     let mut out = Vec::with_capacity(rows.len());
                     out.extend(rows.iter().filter(|v| p(v)).cloned());
-                    PartData::Rows(Arc::new(out))
+                    Records::Rows(Arc::new(out))
                 };
                 (out, self.ctx.cost.compute_time(vb, factor), pdur)
             }
@@ -718,7 +644,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 let mut out: Vec<Value> = Vec::with_capacity(rows.len());
                 out.extend(rows.iter().flat_map(|v| f(v)));
                 (
-                    PartData::Rows(Arc::new(out)),
+                    Records::Rows(Arc::new(out)),
                     self.ctx.cost.compute_time(vb, factor),
                     pdur,
                 )
@@ -728,7 +654,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 let out = if let Some(b) = self.kernel_batch(rdd, &pd) {
                     b
                 } else {
-                    PartData::Rows(Arc::new(f(part, &pd.rows(self.ctx.column))))
+                    Records::Rows(Arc::new(f(part, &pd.rows(self.ctx.column))))
                 };
                 (out, self.ctx.cost.compute_time(vb, factor), pdur)
             }
@@ -737,7 +663,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 let rows = pd.rows(self.ctx.column);
                 let out = deterministic_sample(&rows, fraction, seed, rdd, part);
                 (
-                    PartData::Rows(Arc::new(out)),
+                    Records::Rows(Arc::new(out)),
                     self.ctx.cost.compute_time(vb, factor),
                     pdur,
                 )
@@ -762,7 +688,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     let (chunks, bytes, d) = self.fetch_shuffle_bucket(*s, part)?;
                     fdur += d;
                     total += bytes + 16;
-                    per_parent.push(self.chunk_rows(&chunks));
+                    per_parent.push(chunks.iter().map(|c| c.rows(self.ctx.column)).collect());
                 }
                 let vb = self.ctx.cost.vbytes(total);
                 let mut groups: BTreeMap<Value, Vec<Vec<Value>>> = BTreeMap::new();
@@ -781,7 +707,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     Value::pair(k, Value::list(gs.into_iter().map(Value::list).collect()))
                 }));
                 (
-                    PartData::Rows(Arc::new(out)),
+                    Records::Rows(Arc::new(out)),
                     self.ctx.cost.compute_time(vb, factor),
                     fdur,
                 )
@@ -795,7 +721,8 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 // before. The typed sort extracts a homogeneous key
                 // column and sorts index vectors; mixed keys fall back to
                 // the general comparator with identical ordering.
-                let inputs = self.chunk_rows(&chunks);
+                let inputs: Vec<PartitionData> =
+                    chunks.iter().map(|c| c.rows(self.ctx.column)).collect();
                 let mut out: Vec<Value> = Vec::with_capacity(inputs.iter().map(|c| c.len()).sum());
                 for c in &inputs {
                     out.extend(c.iter().cloned());
@@ -812,7 +739,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     });
                 }
                 (
-                    PartData::Rows(Arc::new(out)),
+                    Records::Rows(Arc::new(out)),
                     self.ctx.cost.compute_time(vb, factor),
                     fdur,
                 )
@@ -837,8 +764,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         self.touched.push((rdd, part, real));
         self.computed.push((rdd, part));
         if self.ctx.lineage.is_persisted(rdd) {
-            self.effects
-                .push(CacheEffect::Insert(bk, data.to_block(), vb));
+            self.effects.push(CacheEffect::Insert(bk, data.clone(), vb));
             self.local.insert(bk, (data.clone(), vb));
         }
         Ok((data, vb, own_dur + child_dur))
@@ -849,31 +775,17 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
     /// registered a kernel at plan time (always the kind its op takes),
     /// and the parent arrived as a batch the kernel's typed evaluator
     /// accepts. `None` → the op's own row closure.
-    fn kernel_batch(&self, rdd: RddId, pd: &PartData) -> Option<PartData> {
+    fn kernel_batch(&self, rdd: RddId, pd: &Records) -> Option<Records> {
         if !self.ctx.columnar {
             return None;
         }
         let kernel = self.ctx.lineage.kernel(rdd)?;
-        let out = match pd {
-            PartData::Col(b) => match kernel {
-                OpKernel::Map(k) | OpKernel::PartsFilterMap(k) => k.eval_batch(b),
-                OpKernel::Filter(k) => k.filter_batch(b).map(Arc::new),
-            },
-            PartData::Rows(_) => None,
-        };
+        let out = pd.batch().and_then(|b| match kernel {
+            OpKernel::Map(k) | OpKernel::PartsFilterMap(k) => k.eval_batch(b),
+            OpKernel::Filter(k) => k.filter_batch(b).map(Arc::new),
+        });
         self.ctx.column.kernel_ran(out.is_some());
-        out.map(PartData::Col)
-    }
-
-    /// Fetched buckets in row form (decodes columnar ones).
-    fn chunk_rows(&self, chunks: &[Bucket]) -> Vec<PartitionData> {
-        chunks
-            .iter()
-            .map(|c| match c {
-                Bucket::Rows(d) => Arc::clone(d),
-                Bucket::Col(b) => Arc::new(self.ctx.column.decode(b)),
-            })
-            .collect()
+        out.map(Records::Col)
     }
 
     /// Reduce side of `ShuffleAgg`: typed columnar aggregation when the
@@ -884,19 +796,19 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
     fn reduce_agg(
         &self,
         shuffle: ShuffleId,
-        chunks: &[Bucket],
+        chunks: &[Records],
         combine: &crate::rdd::AggFn,
-    ) -> PartData {
+    ) -> Records {
         if self.ctx.columnar {
             if let Some(kernel) = self.ctx.lineage.agg_kernel(shuffle) {
                 let typed = pair_chunks(chunks).and_then(|typed| typed_agg(kernel, &typed));
                 self.ctx.column.kernel_ran(typed.is_some());
                 if let Some(batch) = typed {
-                    return PartData::Col(Arc::new(batch));
+                    return Records::Col(Arc::new(batch));
                 }
             }
         }
-        let rows = self.chunk_rows(chunks);
+        let rows: Vec<PartitionData> = chunks.iter().map(|c| c.rows(self.ctx.column)).collect();
         let mut agg: BTreeMap<Value, Value> = BTreeMap::new();
         for v in rows.iter().flat_map(|c| c.iter()) {
             if let Value::Pair(p) = v {
@@ -910,21 +822,21 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         }
         let mut out: Vec<Value> = Vec::with_capacity(agg.len());
         out.extend(agg.into_iter().map(|(k, v)| Value::pair(k, v)));
-        PartData::Rows(Arc::new(out))
+        Records::Rows(Arc::new(out))
     }
 
     /// Reduce side of `ShuffleGroup`: typed grouping over homogeneous
     /// key columns when every bucket arrived as a key/payload batch,
     /// else the classic `BTreeMap` path over decoded rows.
-    fn reduce_group(&self, chunks: &[Bucket]) -> PartData {
+    fn reduce_group(&self, chunks: &[Records]) -> Records {
         if self.ctx.columnar {
             if let Some(typed) = pair_chunks(chunks) {
                 if let Some(rows) = typed_group(&typed) {
-                    return PartData::Rows(Arc::new(rows));
+                    return Records::Rows(Arc::new(rows));
                 }
             }
         }
-        let rows = self.chunk_rows(chunks);
+        let rows: Vec<PartitionData> = chunks.iter().map(|c| c.rows(self.ctx.column)).collect();
         let mut groups: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
         for v in rows.iter().flat_map(|c| c.iter()) {
             if let Value::Pair(p) = v {
@@ -940,7 +852,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 .into_iter()
                 .map(|(k, vs)| Value::pair(k, Value::list(vs))),
         );
-        PartData::Rows(Arc::new(out))
+        Records::Rows(Arc::new(out))
     }
 
     /// Fetches the reduce-side bucket `part` of `shuffle` from every map
@@ -950,23 +862,22 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
     /// payload bytes (without the 16-byte partition overhead), and the
     /// worker-independent duration.
     ///
-    /// Bucketed map blocks serve the request as an O(1) shared handle —
-    /// zero record copies — in whichever form the map side produced
-    /// (row bucket or contiguous columnar slice); flat blocks (range
-    /// shuffles before barrier resolution) fall back to the full
-    /// partition-assignment scan. All paths yield the same records in
-    /// the same order — buckets preserve production order, and
-    /// flattening the chunks in order reproduces the old concatenated
-    /// fetch exactly.
+    /// Bucketed map blocks (hash shuffles) serve the request as an O(1)
+    /// shared handle — zero record copies — in whichever form the map
+    /// side produced (row bucket or contiguous columnar slice);
+    /// un-bucketed ones (range shuffles) take the partition-assignment
+    /// scan. Both yield the same records in the same order — buckets
+    /// preserve production order, and flattening the chunks in order
+    /// reproduces a concatenated fetch exactly.
     fn fetch_shuffle_bucket(
         &mut self,
         shuffle: ShuffleId,
         part: u32,
-    ) -> std::result::Result<(Vec<Bucket>, u64, SimDuration), MissingShuffle> {
+    ) -> std::result::Result<(Vec<Records>, u64, SimDuration), MissingShuffle> {
         let info = self.ctx.lineage.shuffle(shuffle).clone();
         let m = self.ctx.lineage.meta(info.parent).num_partitions;
 
-        // Resolve the partitioner (range bounds are sampled lazily at the
+        // Resolve the partitioner (range bounds are sampled at the
         // barrier and cached for deterministic recomputation).
         let partitioner: Box<dyn Partitioner> = match info.kind {
             ShuffleKind::Hash { parts } => Box::new(HashPartitioner::new(parts)),
@@ -994,31 +905,20 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             }
         };
 
-        let mut out: Vec<Bucket> = Vec::with_capacity(m as usize);
+        let mut out: Vec<Records> = Vec::with_capacity(m as usize);
         let mut payload = 0u64;
         let mut dur = SimDuration::ZERO;
         for mp in 0..m {
             let (block, source, from_disk, from_store) = self.read_shuffle_block(shuffle, mp)?;
             let bucket_bytes = match &block {
                 BlockData::Bucketed(bb) => {
-                    match bb.bucket_batch(part) {
-                        Some(cb) => out.push(Bucket::Col(Arc::clone(cb))),
-                        None => out.push(Bucket::Rows(bb.bucket_shared(part))),
-                    }
+                    out.extend(bb.bucket(part).cloned());
                     bb.bucket_bytes(part)
                 }
-                BlockData::Flat(d) => {
-                    let (sel, bytes) = scan_flat_bucket(d, partitioner.as_ref(), part);
-                    out.push(Bucket::Rows(Arc::new(sel)));
-                    bytes
-                }
-                BlockData::Columnar(cb) => {
-                    // Shuffle map outputs are bucketed or flat by
-                    // construction; decode defensively if a columnar
-                    // block ever lands here.
-                    let rows = self.ctx.column.decode(cb);
+                BlockData::Part(records) => {
+                    let rows = records.rows(self.ctx.column);
                     let (sel, bytes) = scan_flat_bucket(&rows, partitioner.as_ref(), part);
-                    out.push(Bucket::Rows(Arc::new(sel)));
+                    out.push(Records::Rows(Arc::new(sel)));
                     bytes
                 }
             };
@@ -1078,16 +978,12 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         let mut sample = Vec::new();
         for mp in 0..map_parts {
             let (block, _, _, _) = self.read_shuffle_block(shuffle, mp)?;
-            // Blocks of an unresolved range shuffle are flat by
-            // construction: bucketing only happens once the partitioner
-            // this function is about to produce has been cached, and the
-            // cache is monotone, so resolution never runs again after
-            // that point. Sampling raw production order keeps the
-            // resolved bounds byte-identical to the pre-bucketing
-            // engine.
+            // Sampling raw production order keeps the resolved bounds
+            // byte-identical to the pre-bucketing engine.
             let block = block
-                .flat()
-                .expect("range shuffle map blocks stay flat until resolution");
+                .part()
+                .expect("range shuffle map blocks are never bucketed")
+                .rows(self.ctx.column);
             // Cap the per-block sample to keep planning cheap.
             let stride = (block.len() / 256).max(1);
             for v in block.iter().step_by(stride) {
@@ -1103,15 +999,12 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
 /// pair batch disqualifies the set: the typed reduce kernels key on the
 /// dedicated key column, which only the pair layout guarantees matches
 /// the row path's `v.key()` routing.
-fn pair_chunks(chunks: &[Bucket]) -> Option<Vec<(&Column, &ColumnBatch)>> {
+fn pair_chunks(chunks: &[Records]) -> Option<Vec<(&Column, &ColumnBatch)>> {
     chunks
         .iter()
-        .map(|c| match c {
-            Bucket::Col(b) => match b.as_ref() {
-                ColumnBatch::Pair { key, val } => Some((key, val.as_ref())),
-                ColumnBatch::Scalar(_) | ColumnBatch::Rows(_) => None,
-            },
-            Bucket::Rows(_) => None,
+        .map(|c| match c.batch()?.as_ref() {
+            ColumnBatch::Pair { key, val } => Some((key, val.as_ref())),
+            ColumnBatch::Scalar(_) | ColumnBatch::Rows(_) => None,
         })
         .collect()
 }

@@ -68,7 +68,7 @@ pub use backend::{
     ShuffleTransport, TransientVmBackend,
 };
 pub use block::{
-    BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot, InsertOutcome,
+    BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot, InsertOutcome, Records,
 };
 pub use chaos::{ChaosConfig, ChaosInjector, ChaosSchedule, ChaosStoreFaults};
 pub use checkpoint::{
@@ -92,8 +92,8 @@ pub use manifest::{ManifestError, RunManifest};
 pub use plan::PlanStats;
 pub use rdd::{Dependency, PartitionData, RddId, RddMeta, RddOp, RddRef};
 pub use shuffle::{
-    scan_flat_bucket, Bucket, BucketedBlock, HashPartitioner, Partitioner, RangePartitioner,
-    ShuffleId, ShuffleInfo, ShuffleKind,
+    scan_flat_bucket, BucketedBlock, HashPartitioner, Partitioner, RangePartitioner, ShuffleId,
+    ShuffleInfo, ShuffleKind,
 };
 pub use stats::{ActionRecord, RunStats};
 pub use value::{ListVal, PairVal, Value};

@@ -2,8 +2,8 @@
 
 use std::sync::Arc;
 
+use crate::block::Records;
 use crate::column::ColumnBatch;
-use crate::rdd::PartitionData;
 use crate::value::stable_hash;
 use crate::Value;
 
@@ -119,87 +119,55 @@ impl Partitioner for RangePartitioner {
     }
 }
 
-/// A shuffle map output pre-partitioned into its reduce buckets.
+/// A hash-shuffle map output pre-partitioned into its reduce buckets.
 ///
-/// Built once when the map block materializes (or lazily, for range
-/// shuffles, once the [`RangePartitioner`] is resolved at the barrier):
-/// records are routed to `num_partitions()` buckets in original block
-/// order, and each bucket's payload bytes are summed as a side effect.
-/// Reduce tasks then read their bucket in O(1) instead of rescanning and
-/// rehashing the whole block, and the per-fetch byte accounting is a
-/// lookup instead of a walk.
+/// Built once, by the map task, when the block materializes: records are
+/// routed to `parts` buckets in original block order, and each bucket's
+/// payload bytes are summed as a side effect. Reduce tasks then read
+/// their bucket in O(1) instead of rescanning and rehashing the whole
+/// block, and the per-fetch byte accounting is a lookup instead of a
+/// walk. (Range-shuffle map outputs are never bucketed — their
+/// partitioner does not exist until the reduce side samples them — and
+/// are served by [`scan_flat_bucket`].)
 ///
-/// Buckets are `Arc`-shared: a reduce-side fetch takes a
-/// refcount-bumped handle via [`BucketedBlock::bucket_shared`] (or
-/// [`BucketedBlock::bucket_batch`] for columnar row groups) rather than
-/// copying the records.
+/// Buckets are `Arc`-shared [`Records`]: a reduce-side fetch takes a
+/// refcount-bumped handle via [`BucketedBlock::bucket`] — row records,
+/// or a contiguous columnar row group when the map output was
+/// batch-partitioned — rather than copying the records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BucketedBlock {
     /// Per-reduce-partition records, original order preserved within
     /// each bucket, shared with every fetcher.
-    buckets: Vec<Bucket>,
+    buckets: Vec<Records>,
     /// Per-bucket payload bytes (sum of [`Value::size_bytes`], no
     /// per-partition framing overhead) — exactly what a reduce-side scan
     /// of the flat block would have accumulated for that bucket.
     bucket_bytes: Vec<u64>,
 }
 
-/// One reduce bucket of a [`BucketedBlock`]: row records (the default)
-/// or a columnar row group when the map output was batch-encoded.
-///
-/// Both forms decode to the same record sequence and account the same
-/// payload bytes; the columnar form lets batch-capable reducers consume
-/// contiguous typed slices without rebuilding per-record `Value`s.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Bucket {
-    /// `Arc`-shared row records.
-    Rows(PartitionData),
-    /// `Arc`-shared columnar row group.
-    Col(Arc<ColumnBatch>),
-}
-
-impl Bucket {
-    /// Records in this bucket.
-    pub fn len(&self) -> usize {
-        match self {
-            Bucket::Rows(d) => d.len(),
-            Bucket::Col(b) => b.len(),
-        }
-    }
-
-    /// `true` when the bucket holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 impl BucketedBlock {
-    /// Partitions `records` into `p.num_partitions()` reduce buckets.
+    /// Partitions `records` into `parts` hash buckets.
     ///
-    /// Routing matches the reduce-side scan it replaces: pairs are
-    /// bucketed by key, non-pair records by the value itself.
-    pub fn partition(records: &[Value], p: &dyn Partitioner) -> Self {
-        let n = p.num_partitions().max(1) as usize;
+    /// Routing matches a reduce-side [`scan_flat_bucket`] under a
+    /// [`HashPartitioner`]: pairs are bucketed by key, non-pair records
+    /// by the value itself.
+    pub fn partition(records: &[Value], parts: u32) -> Self {
+        let p = HashPartitioner::new(parts);
+        let n = p.num_partitions() as usize;
         // Pre-size each bucket for the uniform-routing expectation so the
         // hot push loop rarely reallocates.
         let per = records.len() / n + 1;
         let mut buckets: Vec<Vec<Value>> = (0..n).map(|_| Vec::with_capacity(per)).collect();
         let mut bucket_bytes = vec![0u64; n];
         for v in records {
-            let key = v.key().unwrap_or(v);
-            let idx = p.partition_for(key) as usize;
-            // A record routed outside `0..n` would never match any reduce
-            // task's `partition_for(key) == part` scan, so drop it here
-            // too (cannot happen for the engine's partitioners).
-            if let Some(b) = buckets.get_mut(idx) {
-                bucket_bytes[idx] += v.size_bytes();
-                b.push(v.clone());
-            }
+            let idx = p.partition_for(v.key().unwrap_or(v)) as usize;
+            bucket_bytes[idx] += v.size_bytes();
+            buckets[idx].push(v.clone());
         }
         BucketedBlock {
             buckets: buckets
                 .into_iter()
-                .map(|b| Bucket::Rows(Arc::new(b)))
+                .map(|b| Records::Rows(Arc::new(b)))
                 .collect(),
             bucket_bytes,
         }
@@ -208,13 +176,13 @@ impl BucketedBlock {
     /// Partitions a columnar batch into `parts` hash buckets without
     /// decoding to rows, using the typed per-row key hashes.
     ///
-    /// Routing is byte-identical to [`BucketedBlock::partition`] under a
-    /// [`HashPartitioner`]: the key of a pair batch is its key column,
-    /// any other batch hashes the record itself, and the bucket index is
-    /// `stable_hash(key) % parts`. Returns `None` when the batch has no
-    /// hashable key column (e.g. vector keys or row-layout batches) —
-    /// the caller then falls back to the row path. Bucket byte sums use
-    /// the same per-record size constants as the row path.
+    /// Routing is byte-identical to [`BucketedBlock::partition`]: the
+    /// key of a pair batch is its key column, any other batch hashes the
+    /// record itself, and the bucket index is `stable_hash(key) % parts`.
+    /// Returns `None` when the batch has no hashable key column (e.g.
+    /// vector keys or row-layout batches) — the caller then falls back
+    /// to the row path. Bucket byte sums use the same per-record size
+    /// constants as the row path.
     pub fn partition_columnar(batch: &ColumnBatch, parts: u32) -> Option<Self> {
         let parts = parts.max(1);
         let n = parts as usize;
@@ -228,7 +196,7 @@ impl BucketedBlock {
         }
         let buckets = idx
             .iter()
-            .map(|ix| Bucket::Col(Arc::new(batch.gather(ix))))
+            .map(|ix| Records::Col(Arc::new(batch.gather(ix))))
             .collect();
         Some(BucketedBlock {
             buckets,
@@ -241,25 +209,10 @@ impl BucketedBlock {
         self.buckets.len() as u32
     }
 
-    /// A shared handle to reduce partition `part`'s records in row form:
-    /// an O(1) refcount bump for row buckets, a decode for columnar ones
-    /// (empty for an out-of-range partition).
-    pub fn bucket_shared(&self, part: u32) -> PartitionData {
-        match self.buckets.get(part as usize) {
-            Some(Bucket::Rows(d)) => Arc::clone(d),
-            Some(Bucket::Col(b)) => Arc::new(b.to_rows()),
-            None => PartitionData::default(),
-        }
-    }
-
-    /// The columnar row group of reduce partition `part`, when this map
-    /// output was batch-partitioned (`None` for row buckets or an
-    /// out-of-range partition).
-    pub fn bucket_batch(&self, part: u32) -> Option<&Arc<ColumnBatch>> {
-        match self.buckets.get(part as usize) {
-            Some(Bucket::Col(b)) => Some(b),
-            _ => None,
-        }
+    /// Reduce partition `part`'s records, in the form the map side
+    /// produced (`None` for an out-of-range partition).
+    pub fn bucket(&self, part: u32) -> Option<&Records> {
+        self.buckets.get(part as usize)
     }
 
     /// Payload bytes of bucket `part` (sum of record sizes).
@@ -269,12 +222,12 @@ impl BucketedBlock {
 
     /// Total records across all buckets.
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(Bucket::len).sum()
+        self.buckets.iter().map(Records::len).sum()
     }
 
     /// `true` when no bucket holds any record.
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(Bucket::is_empty)
+        self.buckets.iter().all(Records::is_empty)
     }
 
     /// Total payload bytes across all buckets (no framing overhead).
@@ -283,9 +236,9 @@ impl BucketedBlock {
     }
 }
 
-/// Reduce-side fallback scan over a flat (un-bucketed) map block:
-/// collects the records routed to reduce partition `part` along with
-/// their payload-byte sum.
+/// Reduce-side scan over an un-bucketed map block (every range-shuffle
+/// map output): collects the records routed to reduce partition `part`
+/// along with their payload-byte sum.
 ///
 /// Iterates by reference and clones only the matching records, so the
 /// non-matching majority costs no refcount traffic at 64×64 fan-out.
@@ -423,38 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_partition_matches_row_partition() {
-        let rows: Vec<Value> = (0..200)
-            .map(|i| {
-                Value::pair(
-                    Value::from_str_(&format!("key-{}", i % 17)),
-                    Value::Float(f64::from(i) * 0.5),
-                )
-            })
-            .collect();
-        let batch = ColumnBatch::from_rows(&rows).expect("str-keyed pairs encode");
-        let p = HashPartitioner::new(8);
-        let by_rows = BucketedBlock::partition(&rows, &p);
-        let by_cols = BucketedBlock::partition_columnar(&batch, 8).expect("hashable key column");
-        assert_eq!(by_rows.num_buckets(), by_cols.num_buckets());
-        for part in 0..8 {
-            assert_eq!(
-                by_rows.bucket_shared(part),
-                by_cols.bucket_shared(part),
-                "bucket {part} records"
-            );
-            assert_eq!(
-                by_rows.bucket_bytes(part),
-                by_cols.bucket_bytes(part),
-                "bucket {part} bytes"
-            );
-            assert!(by_cols.bucket_batch(part).is_some());
-        }
-        assert_eq!(by_rows.len(), by_cols.len());
-        assert_eq!(by_rows.payload_bytes(), by_cols.payload_bytes());
-    }
-
-    #[test]
     fn columnar_partition_refuses_unhashable_keys() {
         let rows: Vec<Value> = (0..4)
             .map(|i| Value::vector(vec![f64::from(i), 1.0]))
@@ -469,10 +390,10 @@ mod tests {
             .map(|i| Value::pair(Value::Int(i), Value::Int(i * 2)))
             .collect();
         let p = HashPartitioner::new(4);
-        let bb = BucketedBlock::partition(&rows, &p);
+        let bb = BucketedBlock::partition(&rows, 4);
         for part in 0..4 {
             let (scanned, bytes) = scan_flat_bucket(&rows, &p, part);
-            assert_eq!(scanned.as_slice(), &bb.bucket_shared(part)[..]);
+            assert_eq!(scanned, *bb.bucket(part).unwrap().to_rows());
             assert_eq!(bytes, bb.bucket_bytes(part));
         }
     }

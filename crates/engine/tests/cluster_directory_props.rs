@@ -3,15 +3,15 @@
 //!
 //! Random sequences of worker joins, revocations (including re-joins of
 //! a revoked external id), block inserts under capacities small enough
-//! to force spills, disk drops and self-drops, cluster-wide removals and
-//! in-place payload replacement. After every operation `locate`,
-//! `peek_fetch`, `snapshot` and the alive set must equal a linear scan
-//! over the alive workers — the definition the directory replaced.
+//! to force spills, disk drops and self-drops, and cluster-wide
+//! removals. After every operation `locate`, `peek_fetch`, `snapshot`
+//! and the alive set must equal a linear scan over the alive workers —
+//! the definition the directory replaced.
 
 use std::sync::Arc;
 
 use flint_engine::{
-    BlockData, BlockKey, BlockLocation, Cluster, RddId, ShuffleId, Value, WorkerId, WorkerSpec,
+    BlockKey, BlockLocation, Cluster, RddId, ShuffleId, Value, WorkerId, WorkerSpec,
 };
 use flint_simtime::SimTime;
 use proptest::prelude::*;
@@ -37,9 +37,6 @@ enum Op {
     Revoke {
         ext: u64,
     },
-    Replace {
-        k: usize,
-    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -50,7 +47,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..8, 0usize..10, 1u64..300).prop_map(|(w, k, vbytes)| Op::Insert { w, k, vbytes }),
         (0usize..10).prop_map(|k| Op::RemoveEverywhere { k }),
         (0u64..5).prop_map(|ext| Op::Revoke { ext }),
-        (0usize..10).prop_map(|k| Op::Replace { k }),
     ]
 }
 
@@ -150,19 +146,6 @@ proptest! {
                 }
                 Op::Revoke { ext } => {
                     c.remove_by_ext(ext);
-                }
-                Op::Replace { k } => {
-                    // Same length, recognisable content: accounting must
-                    // not move, every alive holder must see it.
-                    c.replace_payload_everywhere(&key(k), |d| {
-                        Some(BlockData::Flat(Arc::new(vec![Value::Int(-1); d.len()])))
-                    });
-                    for w in c.workers().iter().filter(|w| w.is_alive()) {
-                        if let Some((d, _, _)) = w.blocks().peek_data(&key(k)) {
-                            let rows = d.rows().expect("flat");
-                            prop_assert!(rows.iter().all(|v| *v == Value::Int(-1)));
-                        }
-                    }
                 }
             }
             check(&c);

@@ -16,13 +16,16 @@
 //! * **Form-blind checkpoint store** — putting a partition as a batch
 //!   and as rows gives the same sizes, the same fate under write and
 //!   read faults, and the same records back.
+//! * **Form-blind `Records`** — `Records::Rows` and `Records::Col` of
+//!   the same rows report the same sizes, decode to the same rows, and
+//!   hash-partition into the same buckets with the same byte sums.
 
 use std::sync::Arc;
 
 use flint_engine::{
-    AggKernel, BlockData, CheckpointStore, ColumnBatch, Driver, DriverConfig, KeyExpr, MapKernel,
-    NoCheckpoint, NoFailures, NumExpr, PayloadExpr, PredKernel, RddId, RunStats, ScalarExpr,
-    StoreFaultPolicy, Value, WorkerSpec, WriteFault,
+    AggKernel, BucketedBlock, CheckpointStore, ColumnBatch, Driver, DriverConfig, KeyExpr,
+    MapKernel, NoCheckpoint, NoFailures, NumExpr, PayloadExpr, PredKernel, RddId, Records,
+    RunStats, ScalarExpr, StoreFaultPolicy, Value, WorkerSpec, WriteFault,
 };
 use flint_simtime::SimTime;
 use flint_store::StorageConfig;
@@ -81,6 +84,21 @@ fn arb_pairs() -> impl Strategy<Value = Vec<Value>> {
             .prop_map(|(k, v)| Value::pair(Value::Int(k), Value::Float(v as f64 / 4.0))),
         1..96,
     )
+}
+
+/// Partitions that have a columnar encoding: lineitem rows, `(Int,
+/// Float)` and `(Str, Float)` pairs, bare ints.
+fn arb_encodable() -> impl Strategy<Value = Vec<Value>> {
+    prop_oneof![
+        arb_table(),
+        arb_pairs(),
+        proptest::collection::vec(
+            ("[a-z]{0,3}", -100..100i64)
+                .prop_map(|(k, v)| Value::pair(Value::from_str_(&k), Value::Float(v as f64 * 0.5))),
+            1..96,
+        ),
+        proptest::collection::vec((-50..50i64).prop_map(Value::Int), 1..96),
+    ]
 }
 
 fn driver(columnar: bool) -> Driver {
@@ -165,8 +183,8 @@ fn arb_write_fault() -> impl Strategy<Value = WriteFault> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The checkpoint store cannot tell a `Columnar` partition from its
-    /// `Flat` twin: same recorded vbytes, same wire size, same outcome
+    /// The checkpoint store cannot tell a batch partition from its row
+    /// twin: same recorded vbytes, same wire size, same outcome
     /// of torn / failed writes and outage windows, same rows on `get`.
     #[test]
     fn checkpoint_store_is_form_blind(
@@ -188,8 +206,8 @@ proptest! {
                 let p = p as u32;
                 let now = SimTime::from_millis(round * 10);
                 let vbytes = 1_000 + u64::from(p);
-                let as_rows = BlockData::Flat(Arc::new(rows.clone()));
-                let as_batch = BlockData::Columnar(Arc::new(
+                let as_rows = Records::Rows(Arc::new(rows.clone()));
+                let as_batch = Records::Col(Arc::new(
                     ColumnBatch::from_rows(rows).expect("table rows must encode"),
                 ));
                 prop_assert_eq!(as_batch.wire_size(), as_rows.wire_size());
@@ -212,13 +230,52 @@ proptest! {
             }
             match (col.get(rdd, p), flat.get(rdd, p)) {
                 (Some(c), Some(f)) => {
-                    prop_assert!(c.columnar().is_some() && f.flat().is_some());
+                    prop_assert!(c.batch().is_some() && f.batch().is_none());
                     prop_assert_eq!(c.wire_size(), f.wire_size());
-                    prop_assert_eq!(c.rows(), f.rows());
-                    prop_assert_eq!(c.rows().as_deref(), Some(rows));
+                    prop_assert_eq!(c.to_rows(), f.to_rows());
+                    prop_assert_eq!(&*c.to_rows(), rows);
                 }
                 (None, None) => {}
                 _ => prop_assert!(false, "one form landed, the other did not"),
+            }
+        }
+    }
+
+    /// Nothing that reads a `Records` through its own methods can tell
+    /// the row form from the batch form of the same rows, and the hash
+    /// map side buckets both identically.
+    #[test]
+    fn records_are_form_blind(rows in arb_encodable(), parts in 1u32..9) {
+        let batch = ColumnBatch::from_rows(&rows).expect("encodable by construction");
+        let as_rows = Records::Rows(Arc::new(rows.clone()));
+        let as_col = Records::Col(Arc::new(batch.clone()));
+        prop_assert_eq!(as_col.len(), as_rows.len());
+        prop_assert_eq!(as_col.is_empty(), as_rows.is_empty());
+        prop_assert_eq!(as_col.payload_bytes(), as_rows.payload_bytes());
+        prop_assert_eq!(as_col.real_bytes(), as_rows.real_bytes());
+        prop_assert_eq!(as_col.wire_size(), as_rows.wire_size());
+        prop_assert_eq!(as_rows.wire_size(), flint_engine::wire_size(&rows));
+        prop_assert_eq!(as_col.to_rows(), as_rows.to_rows());
+        prop_assert_eq!(&*as_rows.to_rows(), &rows);
+
+        let by_rows = BucketedBlock::partition(&rows, parts);
+        let by_cols = BucketedBlock::partition_columnar(&batch, parts);
+        // List rows have no typed routing key; everything else here does.
+        let keyed = !matches!(rows.first(), Some(Value::List(_)));
+        prop_assert_eq!(by_cols.is_some(), keyed);
+        if let Some(by_cols) = by_cols {
+            prop_assert_eq!(by_cols.num_buckets(), by_rows.num_buckets());
+            prop_assert_eq!(by_cols.len(), by_rows.len());
+            prop_assert_eq!(by_cols.payload_bytes(), by_rows.payload_bytes());
+            for part in 0..parts {
+                let (c, r) = (by_cols.bucket(part).unwrap(), by_rows.bucket(part).unwrap());
+                prop_assert!(c.batch().is_some() && r.batch().is_none());
+                prop_assert_eq!(c.to_rows(), r.to_rows(), "bucket {} records", part);
+                prop_assert_eq!(
+                    by_cols.bucket_bytes(part),
+                    by_rows.bucket_bytes(part),
+                    "bucket {} bytes", part
+                );
             }
         }
     }

@@ -5,8 +5,8 @@
 //! statistics, same virtual finish time.
 
 use flint_engine::{
-    BucketedBlock, Driver, DriverConfig, HashPartitioner, NoCheckpoint, NoFailures, Partitioner,
-    RangePartitioner, RddRef, Value, WorkerSpec,
+    scan_flat_bucket, BucketedBlock, Driver, DriverConfig, HashPartitioner, NoCheckpoint,
+    NoFailures, Partitioner, RangePartitioner, RddRef, Value, WorkerSpec,
 };
 use proptest::prelude::*;
 
@@ -89,7 +89,8 @@ fn run_dag(host_threads: usize, seed: i64, ops: &[OpCode]) -> (Vec<Value>, Strin
 
 /// The pre-bucketing reduce-side fetch: scan every record, keep those
 /// the partitioner assigns to `part`, in production order, summing
-/// their payload bytes. `BucketedBlock` must reproduce this exactly.
+/// their payload bytes. `BucketedBlock` (hash shuffles) and
+/// `scan_flat_bucket` (range shuffles) must reproduce this exactly.
 fn reference_scan(records: &[Value], p: &dyn Partitioner, part: u32) -> (Vec<Value>, u64) {
     let mut out = Vec::new();
     let mut bytes = 0u64;
@@ -105,15 +106,16 @@ fn reference_scan(records: &[Value], p: &dyn Partitioner, part: u32) -> (Vec<Val
 
 /// Asserts that a bucketed block serves every reduce partition with the
 /// same records, same order, and same byte accounting as the scan.
-fn assert_buckets_match_scan(records: &[Value], p: &dyn Partitioner) {
-    let bb = BucketedBlock::partition(records, p);
+fn assert_buckets_match_scan(records: &[Value], parts: u32) {
+    let p = &HashPartitioner::new(parts);
+    let bb = BucketedBlock::partition(records, parts);
     assert_eq!(bb.num_buckets(), p.num_partitions());
     let mut total_records = 0usize;
     let mut total_bytes = 0u64;
     for part in 0..p.num_partitions() {
         let (want, want_bytes) = reference_scan(records, p, part);
         assert_eq!(
-            &bb.bucket_shared(part)[..],
+            &bb.bucket(part).expect("in range").to_rows()[..],
             want.as_slice(),
             "bucket {part} records"
         );
@@ -141,10 +143,11 @@ proptest! {
         prop_assert_eq!(par_fp, seq_fp);
     }
 
-    /// Bucketing a shuffle map block is observably identical to the old
-    /// scan-per-reduce-partition path, for hash partitioners and for
-    /// range partitioners (ascending and descending), including byte
-    /// accounting, on arbitrary mixes of pair and non-pair records.
+    /// Both reduce-side fetch paths — the bucket of a hash-bucketed map
+    /// block, and `scan_flat_bucket` over a range shuffle's row block
+    /// (ascending and descending) — are observably identical to the old
+    /// scan-per-reduce-partition path, including byte accounting, on
+    /// arbitrary mixes of pair and non-pair records.
     #[test]
     fn bucketed_block_equals_reference_scan(
         keys in proptest::collection::vec(-50i64..50, 0..120),
@@ -163,8 +166,7 @@ proptest! {
                 }
             })
             .collect();
-        let hash = HashPartitioner::new(parts);
-        assert_buckets_match_scan(&records, &hash);
+        assert_buckets_match_scan(&records, parts);
         let sample: Vec<Value> = records
             .iter()
             .step_by(sample_stride)
@@ -172,7 +174,13 @@ proptest! {
             .collect();
         for ascending in [true, false] {
             let range = RangePartitioner::from_sample(sample.clone(), parts, ascending);
-            assert_buckets_match_scan(&records, &range);
+            for part in 0..range.num_partitions() {
+                prop_assert_eq!(
+                    scan_flat_bucket(&records, &range, part),
+                    reference_scan(&records, &range, part),
+                    "range partition {}", part
+                );
+            }
         }
     }
 }

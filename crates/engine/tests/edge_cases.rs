@@ -2,9 +2,12 @@
 //! partitioning, recovery interleavings, and cross-job reuse.
 
 use flint_engine::{
-    Driver, DriverConfig, NoCheckpoint, ScriptedInjector, Value, WorkerEvent, WorkerSpec,
+    CheckpointDirective, CheckpointHooks, Driver, DriverConfig, Event, EventKind, EventSink,
+    LineageView, NoCheckpoint, RunStats, ScriptedInjector, TraceHandle, Value, WorkerEvent,
+    WorkerSpec,
 };
 use flint_simtime::{SimDuration, SimTime};
+use flint_trace::MemoryReader;
 
 #[test]
 fn empty_source_through_every_operator() {
@@ -176,4 +179,122 @@ fn lineage_dot_reflects_job_structure() {
     assert!(dot.contains("parallelize"));
     assert!(dot.contains("reduce_by_key"));
     assert!(dot.contains("color=red"), "shuffle edge must be marked");
+}
+
+/// Checkpoints every cached block — shuffle map outputs included — as
+/// soon as the scheduler sees it.
+struct CheckpointAllCached;
+
+impl CheckpointHooks for CheckpointAllCached {
+    fn poll(
+        &mut self,
+        _view: &LineageView<'_>,
+        _events: &mut dyn EventSink,
+        _now: SimTime,
+    ) -> Vec<CheckpointDirective> {
+        vec![CheckpointDirective::CheckpointAllCached]
+    }
+}
+
+/// One traced run of a 12-way `sort_by_key` over four map partitions on
+/// two one-core workers, every cached block checkpointed. `revoke_at`
+/// removes worker 1 (holder of half the map outputs) at that instant and
+/// replaces it ten seconds later.
+fn wave_spanning_sort(
+    revoke_at: Option<SimTime>,
+    host_threads: usize,
+    columnar: bool,
+) -> (Vec<Value>, RunStats, MemoryReader) {
+    let cfg = DriverConfig::builder()
+        .host_threads(host_threads)
+        .columnar(columnar)
+        .size_scale(5e5)
+        .build();
+    let spec = WorkerSpec {
+        cores: 1,
+        ..WorkerSpec::r3_large()
+    };
+    let script = revoke_at.map_or_else(Vec::new, |t| {
+        vec![
+            (t, WorkerEvent::Remove { ext_id: 1 }),
+            (
+                t + SimDuration::from_secs(10),
+                WorkerEvent::Add { ext_id: 9, spec },
+            ),
+        ]
+    });
+    let mut d = Driver::new(
+        cfg,
+        Box::new(CheckpointAllCached),
+        Box::new(ScriptedInjector::new(script)),
+    );
+    let trace = TraceHandle::disabled();
+    let reader = trace.attach_memory(0);
+    d.set_trace(trace);
+    for ext in 1..=2u64 {
+        d.add_worker_with_ext(ext, spec);
+    }
+    let src = d.ctx().parallelize(
+        (0..600).map(|i| Value::pair(Value::Int(i * 53 % 307), Value::Int(i))),
+        4,
+    );
+    let sorted = d.ctx().sort_by_key(src, 12, true);
+    let rows = d.collect(sorted).unwrap();
+    (rows, d.stats().clone(), reader)
+}
+
+/// Instants at which tasks of `kind` (`"shuffle"` / `"output"`)
+/// committed on `worker` (any worker when `None`).
+fn task_commits(events: &[Event], kind: &str, worker: Option<u64>) -> Vec<SimTime> {
+    events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::TaskFinished {
+                kind: k, worker: w, ..
+            } if k == kind && worker.is_none_or(|x| x == *w) => Some(e.t),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A range shuffle whose reduce side is read again long after its
+/// partitioner resolved: the twelve reduce tasks drain through two task
+/// slots, worker 1 is lost while the third pair is running, and the
+/// reduce tasks that had not been admitted yet are re-planned in a later
+/// wave. That wave scans map outputs of all three provenances — still
+/// cached on worker 2, checkpointed before the loss, and re-run after
+/// it — and must put every record where the first wave would have.
+#[test]
+fn range_shuffle_read_again_after_losing_a_map_holder() {
+    let (golden, _, clean) = wave_spanning_sort(None, 1, true);
+    assert_eq!(golden.len(), 600);
+    assert!(golden.windows(2).all(|w| w[0].key() <= w[1].key()));
+    let reduces = task_commits(&clean.events(), "output", None);
+    assert_eq!(reduces.len(), 12);
+    let mut rounds = reduces.clone();
+    rounds.dedup();
+    assert!(rounds.len() >= 6, "12 reduce tasks on 2 slots: {rounds:?}");
+
+    let revoke_at = reduces[3] + SimDuration::from_millis(1);
+    let (rows, stats, trace) = wave_spanning_sort(Some(revoke_at), 1, true);
+    assert_eq!(rows, golden);
+    assert_eq!(stats.revocations, 1);
+    let events = trace.events();
+    let after = |ts: Vec<SimTime>| ts.into_iter().filter(|t| *t > revoke_at).count();
+    let held_by_lost = task_commits(&events, "shuffle", Some(1)).len();
+    let rerun = after(task_commits(&events, "shuffle", None));
+    assert!(
+        0 < rerun && rerun < held_by_lost,
+        "{rerun} of {held_by_lost} lost map outputs re-ran; the store serves the rest"
+    );
+    assert!(after(task_commits(&events, "output", None)) >= 6);
+
+    for (host_threads, columnar) in [(8, true), (1, false), (8, false)] {
+        let other = wave_spanning_sort(Some(revoke_at), host_threads, columnar);
+        assert_eq!(
+            (&other.0, &other.1, other.2.to_jsonl()),
+            (&rows, &stats, trace.to_jsonl()),
+            "host_threads={host_threads} columnar={columnar}"
+        );
+    }
 }

@@ -117,13 +117,13 @@ fn golden_trace_is_identical_across_host_thread_counts() {
     }
 }
 
-/// A shuffle-dominated DAG exercising every bucketed-block code path:
-/// a wide hash shuffle (16 maps × 12 reduces), a range sort in each
-/// direction (flat until the barrier resolves the partitioner, then
-/// converted in place), a join (cogrouped hash shuffles), and a
-/// mid-job revocation that forces shuffle recomputation — recomputed
-/// hash map outputs bucket eagerly, and resolved range shuffles bucket
-/// through the cached partitioner.
+/// A shuffle-dominated DAG exercising every shuffle fetch path: a wide
+/// hash shuffle (16 maps × 12 reduces, bucketed by its map tasks), a
+/// range sort in each direction (map outputs stay rows and are scanned
+/// with the partitioner the barrier resolved), a join (cogrouped hash
+/// shuffles), and a mid-job revocation that forces shuffle
+/// recomputation — recomputed hash map outputs bucket again, recomputed
+/// range map outputs are scanned with the cached partitioner.
 fn run_shuffle_heavy(host_threads: usize) -> (String, RunStats) {
     let cfg = DriverConfig::builder()
         .host_threads(host_threads)

@@ -182,16 +182,6 @@ impl<T> DurableStore<T> {
         self.objects.get(key).map(|o| &o.payload)
     }
 
-    /// Returns the payload stored under `key` mutably, if present.
-    ///
-    /// In-place payload mutation changes neither the object's recorded
-    /// size nor any cost accounting (no write is simulated) — it is for
-    /// representation changes that preserve the logical object, such as
-    /// re-bucketing a shuffle block.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut T> {
-        self.objects.get_mut(key).map(|o| &mut o.payload)
-    }
-
     /// Returns the instant the object under `key` was written, if
     /// present (e.g. for checkpoint-age policies).
     pub fn written_at(&self, key: &str) -> Option<SimTime> {

@@ -149,18 +149,42 @@ fn parse_flags(rest: &[String]) -> HashMap<String, String> {
     flags
 }
 
-fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> f64 {
+/// Numeric flag `--name`, `None` when absent. A value that is present
+/// but does not parse is a usage error, never silently the default.
+fn flag_num<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    name: &str,
+) -> Result<Option<T>, String> {
     flags
         .get(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid value for --{name}: {v}"))
+        })
+        .transpose()
 }
 
-fn flag_u(flags: &HashMap<String, String>, name: &str, default: u64) -> u64 {
-    flags
-        .get(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
+    Ok(flag_num(flags, name)?.unwrap_or(default))
+}
+
+fn flag_u(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
+    Ok(flag_num(flags, name)?.unwrap_or(default))
+}
+
+/// Unwraps a flag-parsing `Result` inside a subcommand; a usage error is
+/// printed and ends the command with `ExitCode::FAILURE`. Commands call
+/// it before they start anything, so a bad flag runs nothing.
+macro_rules! or_usage {
+    ($parsed:expr) => {
+        match $parsed {
+            Ok(v) => v,
+            Err(msg) => {
+                eprintln!("{msg}");
+                return ExitCode::FAILURE;
+            }
+        }
+    };
 }
 
 /// Why the `--backend` selection could not be honored.
@@ -211,19 +235,22 @@ fn resolve_backend(flags: &HashMap<String, String>) -> Result<BackendSpec, Backe
     }
 }
 
-fn parse_workload(name: &str, flags: &HashMap<String, String>) -> Option<Box<dyn Workload>> {
+fn parse_workload(
+    name: &str,
+    flags: &HashMap<String, String>,
+) -> Result<Box<dyn Workload>, String> {
     let cfg = WorkloadConfig {
-        dataset_gb: flag_f64(flags, "gb", 2.0),
-        partitions: flag_u(flags, "partitions", 20) as u32,
-        iterations: flag_u(flags, "iterations", 5) as u32,
-        seed: flag_u(flags, "seed", 42),
+        dataset_gb: flag_f64(flags, "gb", 2.0)?,
+        partitions: flag_u(flags, "partitions", 20)? as u32,
+        iterations: flag_u(flags, "iterations", 5)? as u32,
+        seed: flag_u(flags, "seed", 42)?,
     };
     match name {
-        "pagerank" => Some(Box::new(PageRank::new(cfg))),
-        "kmeans" => Some(Box::new(KMeans::new(cfg))),
-        "als" => Some(Box::new(Als::new(cfg))),
-        "tpch" => Some(Box::new(Tpch::new(cfg))),
-        _ => None,
+        "pagerank" => Ok(Box::new(PageRank::new(cfg))),
+        "kmeans" => Ok(Box::new(KMeans::new(cfg))),
+        "als" => Ok(Box::new(Als::new(cfg))),
+        "tpch" => Ok(Box::new(Tpch::new(cfg))),
+        _ => Err(format!("unknown workload: {name}")),
     }
 }
 
@@ -232,10 +259,11 @@ fn cmd_run(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
         eprintln!("run: missing workload name");
         return ExitCode::FAILURE;
     };
-    let Some(wl) = parse_workload(name, flags) else {
-        eprintln!("unknown workload: {name}");
-        return ExitCode::FAILURE;
-    };
+    let wl = or_usage!(parse_workload(name, flags));
+    let seed = or_usage!(flag_u(flags, "seed", 42));
+    let workers = or_usage!(flag_u(flags, "workers", 10)) as u32;
+    let risk = or_usage!(flag_f64(flags, "risk", 1.0));
+    let suspend_after = or_usage!(flag_num::<u64>(flags, "suspend-after"));
     let backend = match resolve_backend(flags) {
         Ok(spec) => spec,
         Err(e) => {
@@ -270,24 +298,13 @@ fn cmd_run(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
             }
         }
     }
-    let suspend_after = match flags.get("suspend-after") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(w) => Some(w),
-            Err(_) => {
-                eprintln!("run: --suspend-after expects a wave number, got {v}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
     let resume_path = flags.get("resume");
-    let catalog =
-        MarketCatalog::synthetic_ec2(flag_u(flags, "seed", 42), SimDuration::from_days(30));
+    let catalog = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(30));
     let mut config = FlintConfig::builder()
-        .n_workers(flag_u(flags, "workers", 10) as u32)
+        .n_workers(workers)
         .mode(mode)
-        .risk_aversion(flag_f64(flags, "risk", 1.0))
-        .seed(flag_u(flags, "seed", 42))
+        .risk_aversion(risk)
+        .seed(seed)
         .trace(trace)
         .backend(backend)
         .build();
@@ -439,14 +456,11 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
         eprintln!("workload: missing name");
         return ExitCode::FAILURE;
     };
-    let Some(wl) = parse_workload(name, flags) else {
-        eprintln!("unknown workload: {name}");
-        return ExitCode::FAILURE;
-    };
-    let workers = flag_u(flags, "workers", 10);
-    let failures = flag_u(flags, "failures", 0) as u32;
+    let wl = or_usage!(parse_workload(name, flags));
+    let workers = or_usage!(flag_u(flags, "workers", 10));
+    let failures = or_usage!(flag_u(flags, "failures", 0)) as u32;
     let checkpoint = flags.contains_key("checkpoint");
-    let mttf = SimDuration::from_hours_f64(flag_f64(flags, "mttf", 20.0));
+    let mttf = SimDuration::from_hours_f64(or_usage!(flag_f64(flags, "mttf", 20.0)));
 
     // Time the failure-free run first so failures can strike mid-job.
     let mut driver_cfg = DriverConfig::default();
@@ -525,8 +539,8 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
 }
 
 fn cmd_markets(flags: &HashMap<String, String>) -> ExitCode {
-    let seed = flag_u(flags, "seed", 42);
-    let days = flag_u(flags, "days", 60);
+    let seed = or_usage!(flag_u(flags, "seed", 42));
+    let days = or_usage!(flag_u(flags, "days", 60));
     let cat = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(days));
     let now = SimTime::ZERO + SimDuration::from_days(days.saturating_sub(1));
     let window = SimDuration::from_days(7);
@@ -552,7 +566,7 @@ fn cmd_mc(flags: &HashMap<String, String>) -> ExitCode {
         "batch" => PolicyKind::FlintBatch,
         "interactive" => PolicyKind::FlintInteractive,
         "portfolio" => {
-            let risk = flag_f64(flags, "risk", 1.0).max(0.0);
+            let risk = or_usage!(flag_f64(flags, "risk", 1.0)).max(0.0);
             PolicyKind::Portfolio((risk * 1000.0) as u32)
         }
         "fleet" => PolicyKind::SpotFleetCheapest,
@@ -562,11 +576,11 @@ fn cmd_mc(flags: &HashMap<String, String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let hours = flag_u(flags, "hours", 24);
-    let seed = flag_u(flags, "seed", 0);
-    let workers = flag_u(flags, "workers", 10).max(1) as u32;
-    let runs = flag_u(flags, "runs", 1).max(1);
-    let jobs = flag_u(flags, "jobs", 1).max(1) as usize;
+    let hours = or_usage!(flag_u(flags, "hours", 24));
+    let seed = or_usage!(flag_u(flags, "seed", 0));
+    let workers = or_usage!(flag_u(flags, "workers", 10)).max(1) as u32;
+    let runs = or_usage!(flag_u(flags, "runs", 1)).max(1);
+    let jobs = or_usage!(flag_u(flags, "jobs", 1)).max(1) as usize;
     let cat = MarketCatalog::synthetic_ec2(40, SimDuration::from_days(90));
     let ckpt = if flags.contains_key("no-checkpoint") {
         CkptMode::None
@@ -794,24 +808,28 @@ impl flint::engine::CheckpointHooks for CkptEveryRdd {
 }
 
 fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
-    let seed = flag_u(flags, "seed", 42);
-    let runs = flag_u(flags, "runs", 3).max(1);
-    let jobs = flag_u(flags, "jobs", 1).max(1) as usize;
-    let workers = flag_u(flags, "workers", 4).max(1) as u32;
+    let seed = or_usage!(flag_u(flags, "seed", 42));
+    let runs = or_usage!(flag_u(flags, "runs", 3)).max(1);
+    let jobs = or_usage!(flag_u(flags, "jobs", 1)).max(1) as usize;
+    let workers = or_usage!(flag_u(flags, "workers", 4)).max(1) as u32;
+    let revocations = or_usage!(flag_num::<u64>(flags, "revocations"));
+    let crash_prob = or_usage!(flag_f64(flags, "crash-prob", 0.5));
+    let crash_wave_max = or_usage!(flag_u(flags, "crash-wave-max", 8)).max(1);
+    let collapse_prob = or_usage!(flag_f64(flags, "collapse-prob", 0.5));
     let faults = flags.get("faults").map(String::as_str).unwrap_or("all");
     let enabled: Vec<&str> = faults.split(',').map(str::trim).collect();
     let has = |k: &str| faults == "all" || enabled.contains(&k);
-    let mttf = SimDuration::from_hours_f64(flag_f64(flags, "mttf", 1.0));
+    let mttf = SimDuration::from_hours_f64(or_usage!(flag_f64(flags, "mttf", 1.0)));
 
     let name = flags
         .get("workload")
         .map(String::as_str)
         .unwrap_or("pagerank");
     let wl_cfg = WorkloadConfig {
-        dataset_gb: flag_f64(flags, "gb", 0.3),
-        partitions: flag_u(flags, "partitions", 6) as u32,
-        iterations: flag_u(flags, "iterations", 3) as u32,
-        seed: flag_u(flags, "wl-seed", 1),
+        dataset_gb: or_usage!(flag_f64(flags, "gb", 0.3)),
+        partitions: or_usage!(flag_u(flags, "partitions", 6)) as u32,
+        iterations: or_usage!(flag_u(flags, "iterations", 3)) as u32,
+        seed: or_usage!(flag_u(flags, "wl-seed", 1)),
     };
     // Workloads are not shareable across threads; each parallel run
     // rebuilds its own instance from the (copyable) name + config.
@@ -906,17 +924,19 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
             ccfg.failed_write_prob = 0.0;
             ccfg.outages = 0;
         }
-        ccfg.revocations = flag_u(flags, "revocations", u64::from(ccfg.revocations)) as u32;
+        if let Some(n) = revocations {
+            ccfg.revocations = n as u32;
+        }
         // The crash/collapse kinds arm only when named explicitly: they
         // change the campaign's shape (runs suspend and replay through
         // `Driver::resume` mid-flight), so `all` keeps its historical
         // meaning of every in-run fault kind.
         if enabled.contains(&"driver-crash") {
-            ccfg.driver_crash_prob = flag_f64(flags, "crash-prob", 0.5);
-            ccfg.driver_crash_wave_max = flag_u(flags, "crash-wave-max", 8).max(1);
+            ccfg.driver_crash_prob = crash_prob;
+            ccfg.driver_crash_wave_max = crash_wave_max;
         }
         if enabled.contains(&"market-collapse") {
-            ccfg.market_collapse_prob = flag_f64(flags, "collapse-prob", 0.5);
+            ccfg.market_collapse_prob = collapse_prob;
         }
 
         let schedule = ChaosSchedule::generate(&ccfg);
@@ -1110,9 +1130,9 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
 }
 
 fn cmd_trace_prices(flags: &HashMap<String, String>) -> ExitCode {
-    let seed = flag_u(flags, "seed", 42);
-    let days = flag_u(flags, "days", 60);
-    let market = flag_u(flags, "market", 0) as u32;
+    let seed = or_usage!(flag_u(flags, "seed", 42));
+    let days = or_usage!(flag_u(flags, "days", 60));
+    let market = or_usage!(flag_u(flags, "market", 0)) as u32;
     let cat = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(days));
     if market as usize >= cat.len() {
         eprintln!("market index out of range (catalog has {})", cat.len());

@@ -18,3 +18,37 @@ fn zero_workers_is_a_typed_error_on_run_and_workload() {
         assert!(stderr.contains("run failed"), "flint {sub}: {stderr}");
     }
 }
+
+/// A numeric flag whose value does not parse is a usage error (exit 1)
+/// naming the flag and the value — not a silent run with the default —
+/// in every subcommand that reads one, and nothing runs.
+#[test]
+fn unparsable_numeric_flag_is_a_usage_error_everywhere() {
+    let cases: [(&[&str], &str); 8] = [
+        (&["run", "pagerank", "--workers", "abc"], "--workers: abc"),
+        (&["run", "pagerank", "--gb", "lots"], "--gb: lots"),
+        (
+            &["workload", "pagerank", "--failures", "-1"],
+            "--failures: -1",
+        ),
+        (&["markets", "--days", "3.5"], "--days: 3.5"),
+        (&["mc", "--hours", "day"], "--hours: day"),
+        (&["chaos", "--revocations", "many"], "--revocations: many"),
+        (&["trace", "prices", "--market", "x"], "--market: x"),
+        // A numeric flag given no value at all reads as the switch value.
+        (&["workload", "pagerank", "--workers"], "--workers: true"),
+    ];
+    for (args, named) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+            .args(args)
+            .output()
+            .expect("spawn flint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "flint {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("invalid value for {named}")),
+            "flint {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "flint {args:?} ran something");
+    }
+}
