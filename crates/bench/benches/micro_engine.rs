@@ -3,6 +3,7 @@
 //! lookups. These guard against performance regressions in the simulator
 //! itself (wall-clock, not virtual time).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -511,6 +512,115 @@ fn bench_columnar_kernels(c: &mut Criterion) {
     }
 }
 
+/// Per-key `f64` sums by probing a map once per record: the row path's
+/// `BTreeMap<Value, Value>` and the typed `BTreeMap<K, _>` are both this.
+fn tree_fold<K: Ord>(keys: impl Iterator<Item = K>, vals: &[f64]) -> Vec<f64> {
+    let mut acc: BTreeMap<K, f64> = BTreeMap::new();
+    for (k, v) in keys.zip(vals) {
+        *acc.entry(k).or_insert(0.0) += v;
+    }
+    acc.into_values().collect()
+}
+
+/// The same sums by a stable sort of `(key, row)` and one fold per run of
+/// equal keys.
+fn sort_fold<K: Ord + Copy>(keys: impl Iterator<Item = K>, vals: &[f64]) -> Vec<f64> {
+    let mut recs: Vec<(K, u32)> = keys.zip(0u32..).collect();
+    recs.sort_by_key(|r| r.0);
+    let mut sums: Vec<f64> = Vec::new();
+    let mut open: Option<K> = None;
+    for (k, i) in recs {
+        if open != Some(k) {
+            open = Some(k);
+            sums.push(0.0);
+        }
+        *sums.last_mut().expect("a run is open") += vals[i as usize];
+    }
+    sums
+}
+
+/// The evidence for the one rule in `typed_agg` (DESIGN.md §16: sort-fold
+/// for fixed-width keys, a tree for string keys): ns per record of a
+/// keyed `f64` sum over 8 192 records, three ways — the row path's
+/// `BTreeMap<Value, Value>` with the kernel's combine closure, a typed
+/// tree, a typed stable sort + fold — at 4, 64 and 4 096 distinct keys,
+/// for `Int` keys and for `(Str, Str)` keys. One line per cell; the table
+/// is in EXPERIMENTS.md.
+fn bench_keyed_agg(_c: &mut Criterion) {
+    const N: usize = 8_192;
+    fn ns_per_record(mut f: impl FnMut() -> Vec<f64>) -> (f64, Vec<f64>) {
+        let out = f();
+        let mut times: Vec<f64> = (0..41)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                criterion::black_box(f());
+                t0.elapsed().as_nanos() as f64 / N as f64
+            })
+            .collect();
+        times.sort_by(f64::total_cmp);
+        (times[times.len() / 2], out)
+    }
+    let row_tree = |rows: &[Value]| {
+        let kernel = AggKernel::SumFloat;
+        let mut acc: BTreeMap<Value, Value> = BTreeMap::new();
+        for r in rows {
+            let (k, v) = (r.key().expect("pair"), r.val().expect("pair"));
+            match acc.get_mut(k) {
+                Some(a) => *a = kernel.combine_values(a, v),
+                None => {
+                    acc.insert(k.clone(), v.clone());
+                }
+            }
+        }
+        acc.values().map(|v| v.as_f64().expect("float")).collect()
+    };
+    let vals: Vec<f64> = (0..N).map(|i| ((i * 13) % 64) as f64 / 64.0).collect();
+    for distinct in [4usize, 64, 4_096] {
+        // Multiplicative scatter, so equal keys are not adjacent.
+        let ids: Vec<usize> = (0..N).map(|i| (i * 2_654_435_761) % distinct).collect();
+
+        let ints: Vec<i64> = ids.iter().map(|&k| k as i64).collect();
+        let rows: Vec<Value> = ints
+            .iter()
+            .zip(&vals)
+            .map(|(k, v)| Value::pair(Value::Int(*k), Value::Float(*v)))
+            .collect();
+        let (row, want) = ns_per_record(|| row_tree(&rows));
+        let (tree, got_tree) = ns_per_record(|| tree_fold(ints.iter().copied(), &vals));
+        let (sort, got_sort) = ns_per_record(|| sort_fold(ints.iter().copied(), &vals));
+        assert!(got_tree == want && got_sort == want, "folds disagree");
+        println!(
+            "keyed_agg Int     distinct {distinct:>5}: row_tree {row:6.1}  typed_tree {tree:6.1}  sort_fold {sort:6.1}  ns/record"
+        );
+
+        let strs: Vec<(Arc<str>, Arc<str>)> = ids
+            .iter()
+            .map(|&k| {
+                (
+                    format!("k{:03}", k / 8).into(),
+                    format!("s{}", k % 8).into(),
+                )
+            })
+            .collect();
+        let rows: Vec<Value> = strs
+            .iter()
+            .zip(&vals)
+            .map(|((a, b), v)| {
+                let key = Value::pair(Value::Str(Arc::clone(a)), Value::Str(Arc::clone(b)));
+                Value::pair(key, Value::Float(*v))
+            })
+            .collect();
+        let (row, want) = ns_per_record(|| row_tree(&rows));
+        let (tree, got_tree) = ns_per_record(|| tree_fold(strs.iter().cloned(), &vals));
+        let (sort, got_sort) =
+            ns_per_record(|| sort_fold(strs.iter().map(|(a, b)| (&**a, &**b)), &vals));
+        assert!(got_tree == want && got_sort == want, "folds disagree");
+        println!(
+            "keyed_agg StrPair distinct {distinct:>5}: row_tree {row:6.1}  typed_tree {tree:6.1}  sort_fold {sort:6.1}  ns/record"
+        );
+    }
+}
+
 fn bench_wordcount_job(c: &mut Criterion) {
     c.bench_function("engine_wordcount_2k_records", |b| {
         b.iter(|| {
@@ -559,6 +669,6 @@ fn bench_catalog_generation(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(10);
-    targets = bench_wave_executor, bench_record_path, bench_shuffle_scaling, bench_eviction_churn, bench_columnar_kernels, bench_wordcount_job, bench_hash_partitioner, bench_trace_lookup, bench_catalog_generation
+    targets = bench_keyed_agg, bench_wave_executor, bench_record_path, bench_shuffle_scaling, bench_eviction_churn, bench_columnar_kernels, bench_wordcount_job, bench_hash_partitioner, bench_trace_lookup, bench_catalog_generation
 );
 criterion_main!(micro);

@@ -217,9 +217,9 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
     };
     // Hash-shuffle map outputs bucket once, here: one pass over the
     // records replaces the per-reduce-task O(N) scans. Batch-marked
-    // shuffles with a columnar payload combine and bucket without ever
-    // decoding to rows; anything else takes the row path with identical
-    // observables. Range-shuffle map outputs stay rows — their
+    // shuffles combine and bucket typed (a kernel-declared combine encodes
+    // a row payload first); anything else takes the row path with
+    // identical observables. Range-shuffle map outputs stay rows — their
     // partitioner is sampled from them by the reduce side, which scans.
     let out: BlockData = match key {
         TaskKey::ShuffleMap { shuffle, .. } => {
@@ -284,10 +284,13 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
 
 /// The fully-columnar map side of a batch-marked hash shuffle: typed
 /// map-side combine (when the shuffle declares one) followed by columnar
-/// hash bucketing, with zero row materialization. Returns `None` — row
+/// hash bucketing. A kernel-declared combine whose input arrived as rows
+/// (an opaque closure upstream) encodes them once, here, so everything
+/// downstream of the shuffle stays a batch. Returns `None` — row
 /// fallback — when columnar execution is off, the shuffle is not batch
-/// capable, the payload is already rows, or the batch shape defeats the
-/// typed kernels. Range shuffles are never batch-marked.
+/// capable, a grouping shuffle's payload is rows, the rows do not encode,
+/// or the batch shape defeats the typed kernels; each is a pure function
+/// of the data. Range shuffles are never batch-marked.
 fn columnar_map_output(
     ctx: &WaveCtx<'_>,
     shuffle: ShuffleId,
@@ -300,11 +303,18 @@ fn columnar_map_output(
     let ShuffleKind::Hash { parts } = ctx.lineage.shuffle(shuffle).kind else {
         return None;
     };
-    let batch = data.batch().map(Arc::as_ref);
     if !has_combine {
-        return BucketedBlock::partition_columnar(batch?, parts);
+        return BucketedBlock::partition_columnar(data.batch()?, parts);
     }
     let kernel = ctx.lineage.agg_kernel(shuffle)?;
+    let encoded;
+    let batch = match data {
+        Records::Col(b) => Some(b.as_ref()),
+        Records::Rows(rows) => {
+            encoded = ctx.column.encode(rows);
+            encoded.as_ref()
+        }
+    };
     // Typed combine needs the key/payload pair layout; scalar pair
     // encodings (whole-record keys) take the row path instead.
     let out = match batch {
@@ -995,13 +1005,16 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
 }
 
 /// The typed key/payload views of a fetched bucket set, if every chunk
-/// is a columnar batch in pair layout. Any row chunk or scalar-encoded
-/// pair batch disqualifies the set: the typed reduce kernels key on the
-/// dedicated key column, which only the pair layout guarantees matches
-/// the row path's `v.key()` routing.
+/// is a columnar batch in pair layout. Any row chunk that holds a record
+/// or scalar-encoded pair batch disqualifies the set: the typed reduce
+/// kernels key on the dedicated key column, which only the pair layout
+/// guarantees matches the row path's `v.key()` routing. Empty row chunks
+/// (a map task that emitted nothing had no batch to bucket) contribute no
+/// record to either path and are skipped.
 fn pair_chunks(chunks: &[Records]) -> Option<Vec<(&Column, &ColumnBatch)>> {
     chunks
         .iter()
+        .filter(|c| !matches!(c, Records::Rows(rows) if rows.is_empty()))
         .map(|c| match c.batch()?.as_ref() {
             ColumnBatch::Pair { key, val } => Some((key, val.as_ref())),
             ColumnBatch::Scalar(_) | ColumnBatch::Rows(_) => None,

@@ -12,7 +12,9 @@
 //!   byte-identical results *and* byte-identical `RunStats`: the
 //!   vectorized kernels and the row-at-a-time fallback are the same
 //!   function, and every simulated duration (derived from vbytes) is
-//!   bit-equal between the two paths.
+//!   bit-equal between the two paths. That holds when an opaque closure
+//!   feeds the kernel-declared shuffle rows, which encode at its map side
+//!   — or refuse to, and fall back.
 //! * **Form-blind checkpoint store** — putting a partition as a batch
 //!   and as rows gives the same sizes, the same fate under write and
 //!   read faults, and the same records back.
@@ -25,7 +27,7 @@ use std::sync::Arc;
 use flint_engine::{
     AggKernel, BucketedBlock, CheckpointStore, ColumnBatch, Driver, DriverConfig, KeyExpr,
     MapKernel, NoCheckpoint, NoFailures, NumExpr, PayloadExpr, PredKernel, RddId, Records,
-    RunStats, ScalarExpr, StoreFaultPolicy, Value, WorkerSpec, WriteFault,
+    RunStats, ScalarExpr, StoreFaultPolicy, TraceHandle, Value, WorkerSpec, WriteFault,
 };
 use flint_simtime::SimTime;
 use flint_store::StorageConfig;
@@ -102,8 +104,12 @@ fn arb_encodable() -> impl Strategy<Value = Vec<Value>> {
 }
 
 fn driver(columnar: bool) -> Driver {
+    driver_with(4, columnar)
+}
+
+fn driver_with(host_threads: usize, columnar: bool) -> Driver {
     let cfg = DriverConfig::builder()
-        .host_threads(4)
+        .host_threads(host_threads)
         .size_scale(5e5)
         .columnar(columnar)
         .build();
@@ -141,6 +147,94 @@ fn scan_agg(rows: &[Value], max_date: i64, columnar: bool) -> (Vec<Value>, RunSt
     let sorted = d.ctx().sort_by_key(agg, 2, true);
     let out = d.collect(sorted).unwrap();
     (out, d.stats().clone())
+}
+
+/// What an opaque closure may hand a kernel-declared shuffle besides
+/// clean `(Int, Float)` pairs.
+#[derive(Debug, Clone)]
+enum Poison {
+    /// Nothing: every map partition encodes.
+    Clean,
+    /// One record's payload is an `Int`: its partition has no columnar
+    /// layout (mixed payload column) and must stay rows.
+    IntPayload(usize),
+    /// One record is a bare `Float`, not a pair.
+    Stray(usize),
+    /// Every payload is an `Int`: the rows encode, the kernel declines
+    /// the batch.
+    AllInt,
+}
+
+fn arb_poison() -> impl Strategy<Value = Poison> {
+    prop_oneof![
+        Just(Poison::Clean),
+        Just(Poison::Clean),
+        any::<usize>().prop_map(Poison::IntPayload),
+        any::<usize>().prop_map(Poison::Stray),
+        Just(Poison::AllInt),
+    ]
+}
+
+fn poisoned(mut rows: Vec<Value>, poison: &Poison) -> Vec<Value> {
+    let int_payload = |v: &Value| {
+        let (k, x) = (v.key().unwrap().clone(), v.val().unwrap().as_f64().unwrap());
+        Value::pair(k, Value::Int(x as i64))
+    };
+    match poison {
+        Poison::Clean => {}
+        Poison::IntPayload(at) => {
+            let i = at % rows.len();
+            rows[i] = int_payload(&rows[i]);
+        }
+        Poison::Stray(at) => {
+            let i = at % rows.len();
+            rows[i] = Value::Float(i as f64);
+        }
+        Poison::AllInt => rows = rows.iter().map(int_payload).collect(),
+    }
+    rows
+}
+
+/// PageRank's shape: an opaque `flat_map` (rows out, whatever came in)
+/// ahead of a kernel-declared sum and a kernel-declared update of it.
+/// The closure drops key 11 — a partition can come out empty — and
+/// passes anything that is not a pair through.
+fn closure_agg(
+    rows: &[Value],
+    host_threads: usize,
+    columnar: bool,
+) -> (Vec<Value>, RunStats, String) {
+    let mut d = driver_with(host_threads, columnar);
+    let trace = TraceHandle::disabled();
+    let reader = trace.attach_memory(0);
+    d.set_trace(trace);
+    let src = d.ctx().parallelize(rows.to_vec(), 4);
+    let contribs = d.ctx().flat_map(src, |v| match v.key() {
+        Some(Value::Int(11)) => vec![],
+        Some(Value::Int(k)) => vec![
+            v.clone(),
+            Value::pair(Value::Int((k + 1) % 5), v.val().unwrap().clone()),
+        ],
+        _ => vec![v.clone()],
+    });
+    let summed = d
+        .ctx()
+        .reduce_by_key_kernel(contribs, 3, AggKernel::SumFloat);
+    let updated = d.ctx().map_kernel(
+        summed,
+        MapKernel::Pair {
+            key: KeyExpr::PairKey,
+            val: PayloadExpr::Scalar(ScalarExpr::Num(NumExpr::Add(
+                Box::new(NumExpr::Lit(0.15)),
+                Box::new(NumExpr::Mul(
+                    Box::new(NumExpr::Lit(0.85)),
+                    Box::new(NumExpr::Input),
+                )),
+            ))),
+        },
+    );
+    let out = d.collect(updated).unwrap();
+    (out, d.stats().clone(), reader.to_jsonl())
 }
 
 /// group_by_key (no combiner) + descending sort over pair records.
@@ -347,6 +441,20 @@ proptest! {
         let (col_out, col_stats) = scan_agg(&rows, max, true);
         prop_assert_eq!(col_out, row_out);
         prop_assert_eq!(col_stats, row_stats);
+    }
+
+    /// Same contract across the rows→batch boundary at the map side of a
+    /// kernel-declared shuffle, and across its fallback when the rows do
+    /// not encode or the kernel declines them — down to the trace bytes,
+    /// for any `host_threads`.
+    #[test]
+    fn closure_agg_columnar_equals_row_path(rows in arb_pairs(), poison in arb_poison()) {
+        let rows = poisoned(rows, &poison);
+        let want = closure_agg(&rows, 1, false);
+        for (host_threads, columnar) in [(1, true), (8, true), (8, false)] {
+            let got = closure_agg(&rows, host_threads, columnar);
+            prop_assert_eq!(&got, &want, "host_threads={} columnar={}", host_threads, columnar);
+        }
     }
 
     /// Same contract for the no-combiner group path and the typed sort.

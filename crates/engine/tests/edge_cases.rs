@@ -2,9 +2,9 @@
 //! partitioning, recovery interleavings, and cross-job reuse.
 
 use flint_engine::{
-    CheckpointDirective, CheckpointHooks, Driver, DriverConfig, Event, EventKind, EventSink,
-    LineageView, NoCheckpoint, RunStats, ScriptedInjector, TraceHandle, Value, WorkerEvent,
-    WorkerSpec,
+    AggKernel, CheckpointDirective, CheckpointHooks, ColumnStats, Driver, DriverConfig, Event,
+    EventKind, EventSink, LineageView, NoCheckpoint, NoFailures, RunStats, ScriptedInjector,
+    TraceHandle, Value, WorkerEvent, WorkerSpec,
 };
 use flint_simtime::{SimDuration, SimTime};
 use flint_trace::MemoryReader;
@@ -296,5 +296,74 @@ fn range_shuffle_read_again_after_losing_a_map_holder() {
             (&rows, &stats, trace.to_jsonl()),
             "host_threads={host_threads} columnar={columnar}"
         );
+    }
+}
+
+/// One traced run of an opaque `flat_map` feeding a kernel-declared sum
+/// over four map partitions, where the closure emits nothing for any
+/// record of partition 0: `(rows, stats, trace, column counters)`.
+fn sum_with_an_emptied_partition(
+    host_threads: usize,
+    columnar: bool,
+) -> (Vec<Value>, RunStats, String, ColumnStats) {
+    let cfg = DriverConfig::builder()
+        .host_threads(host_threads)
+        .columnar(columnar)
+        .size_scale(5e5)
+        .build();
+    let mut d = Driver::new(cfg, Box::new(NoCheckpoint), Box::new(NoFailures));
+    let trace = TraceHandle::disabled();
+    let reader = trace.attach_memory(0);
+    d.set_trace(trace);
+    for _ in 0..2 {
+        d.add_worker(WorkerSpec::r3_large());
+    }
+    let parts = (0..4i64)
+        .map(|p| {
+            let record = |i| Value::Int(if p == 0 { -1 - i } else { 40 * p + i });
+            (0..40).map(record).collect()
+        })
+        .collect();
+    let src = d.ctx().parallelize_parts(parts);
+    let contribs = d.ctx().flat_map(src, |v| match v.as_i64() {
+        Some(i) if i >= 0 => vec![
+            Value::pair(Value::Int(i % 7), Value::Float(i as f64 * 0.25)),
+            Value::pair(Value::Int(i % 5), Value::Float(1.0)),
+        ],
+        _ => vec![],
+    });
+    let summed = d
+        .ctx()
+        .reduce_by_key_kernel(contribs, 3, AggKernel::SumFloat);
+    let rows = d.collect(summed).unwrap();
+    (rows, d.stats().clone(), reader.to_jsonl(), d.column_stats())
+}
+
+/// A map task with nothing to emit has no batch to bucket and writes
+/// empty row buckets. That is one row fallback — its own — and must not
+/// switch the typed reduce off for the three map tasks that did encode.
+#[test]
+fn one_empty_map_partition_does_not_switch_the_typed_reduce_off() {
+    let (rows, stats, trace, used) = sum_with_an_emptied_partition(1, true);
+    assert_eq!(rows.len(), 7);
+    // Three encoding map tasks and three reduce tasks ran typed.
+    assert_eq!(
+        (used.row_fallbacks, used.kernel_batches),
+        (1, 6),
+        "{used:?}"
+    );
+    for (host_threads, columnar) in [(8, true), (1, false), (8, false)] {
+        let other = sum_with_an_emptied_partition(host_threads, columnar);
+        assert_eq!(
+            (&other.0, &other.1, &other.2),
+            (&rows, &stats, &trace),
+            "host_threads={host_threads} columnar={columnar}"
+        );
+        let want = if columnar {
+            used
+        } else {
+            ColumnStats::default()
+        };
+        assert_eq!(other.3, want, "host_threads={host_threads}");
     }
 }

@@ -42,6 +42,15 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let flags = parse_flags(&args[1..]);
+    if let Some(name) = flags
+        .keys()
+        .filter(|f| !KNOWN_FLAGS.contains(&f.as_str()))
+        .min()
+    {
+        eprintln!("unknown flag: --{name}");
+        usage();
+        return ExitCode::FAILURE;
+    }
     // A panic anywhere below is an invariant violation, reported with its
     // own exit code so scripts can tell it from a typed fail-stop error.
     let code = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cmd.as_str() {
@@ -128,6 +137,43 @@ EXIT CODES:
   violation"
     );
 }
+
+/// Every flag some subcommand reads. Anything else is a typo
+/// (`--wokers 50` used to run with the default ten workers).
+const KNOWN_FLAGS: &[&str] = &[
+    "backend",
+    "bid",
+    "checkpoint",
+    "ckpt",
+    "collapse-prob",
+    "crash-prob",
+    "crash-wave-max",
+    "days",
+    "dot",
+    "failures",
+    "faults",
+    "gb",
+    "hours",
+    "iterations",
+    "jobs",
+    "manifest",
+    "market",
+    "mode",
+    "mttf",
+    "no-checkpoint",
+    "partitions",
+    "policy",
+    "resume",
+    "revocations",
+    "risk",
+    "runs",
+    "seed",
+    "suspend-after",
+    "trace",
+    "wl-seed",
+    "workers",
+    "workload",
+];
 
 fn parse_flags(rest: &[String]) -> HashMap<String, String> {
     let mut flags = HashMap::new();

@@ -52,3 +52,31 @@ fn unparsable_numeric_flag_is_a_usage_error_everywhere() {
         assert!(out.stdout.is_empty(), "flint {args:?} ran something");
     }
 }
+
+/// A flag no subcommand reads is a usage error (exit 1) naming it — not a
+/// run with the default in place of what the typo meant — and nothing
+/// runs.
+#[test]
+fn unknown_flag_is_a_usage_error() {
+    let cases: [(&[&str], &str); 3] = [
+        (&["run", "pagerank", "--wokers", "50"], "--wokers"),
+        (
+            &["workload", "pagerank", "--gb", "0.3", "--chekpoint"],
+            "--chekpoint",
+        ),
+        (&["mc", "--hour", "24"], "--hour"),
+    ];
+    for (args, named) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+            .args(args)
+            .output()
+            .expect("spawn flint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "flint {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag: {named}\n")),
+            "flint {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "flint {args:?} ran something");
+    }
+}

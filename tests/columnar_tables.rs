@@ -5,11 +5,12 @@
 //! running in TPC-H without any other test noticing.
 
 use flint::engine::{
-    BlockKey, ColumnStats, Driver, DriverConfig, FailureInjector, NoCheckpoint, NoFailures,
-    RunStats, ScriptedInjector, TraceHandle, Value, WorkerEvent, WorkerSpec,
+    BlockKey, CheckpointDirective, CheckpointHooks, ColumnStats, Driver, DriverConfig, EventSink,
+    FailureInjector, LineageView, NoCheckpoint, NoFailures, RddId, RunStats, ScriptedInjector,
+    TraceHandle, Value, WorkerEvent, WorkerSpec,
 };
 use flint::simtime::{SimDuration, SimTime};
-use flint::workloads::{Als, PageRank, Tpch, TpchQuery, Workload, WorkloadConfig};
+use flint::workloads::{Als, PageRank, Tpch, TpchQuery, Workload, WorkloadConfig, WorkloadSummary};
 
 const WORKERS: u64 = 4;
 
@@ -24,16 +25,40 @@ fn tpch() -> Tpch {
 
 /// A driver sized for `wl` with workers on external ids `1..=WORKERS`.
 fn driver(wl: &dyn Workload, columnar: bool, injector: Box<dyn FailureInjector>) -> Driver {
+    driver_with(wl, columnar, Box::new(NoCheckpoint), injector)
+}
+
+fn driver_with(
+    wl: &dyn Workload,
+    columnar: bool,
+    hooks: Box<dyn CheckpointHooks>,
+    injector: Box<dyn FailureInjector>,
+) -> Driver {
     let cfg = DriverConfig::builder()
         .host_threads(2)
         .size_scale(wl.recommended_size_scale())
         .columnar(columnar)
         .build();
-    let mut d = Driver::new(cfg, Box::new(NoCheckpoint), injector);
+    let mut d = Driver::new(cfg, hooks, injector);
     for ext in 1..=WORKERS {
         d.add_worker_with_ext(ext, WorkerSpec::r3_large());
     }
     d
+}
+
+/// The worker on external id 1 is revoked at `at` and replaced two
+/// minutes later.
+fn lose_worker_one(at: SimTime) -> Vec<(SimTime, WorkerEvent)> {
+    vec![
+        (at, WorkerEvent::Remove { ext_id: 1 }),
+        (
+            at + SimDuration::from_secs(120),
+            WorkerEvent::Add {
+                ext_id: 100,
+                spec: WorkerSpec::r3_large(),
+            },
+        ),
+    ]
 }
 
 fn since(now: ColumnStats, before: ColumnStats) -> ColumnStats {
@@ -111,16 +136,7 @@ fn q1_after_revocation(columnar: bool) -> (Vec<Value>, RunStats, String, ColumnS
     let mut d = driver(
         &wl,
         columnar,
-        Box::new(ScriptedInjector::new(vec![
-            (revoke_at, WorkerEvent::Remove { ext_id: 1 }),
-            (
-                revoke_at + SimDuration::from_secs(120),
-                WorkerEvent::Add {
-                    ext_id: 100,
-                    spec: WorkerSpec::r3_large(),
-                },
-            ),
-        ])),
+        Box::new(ScriptedInjector::new(lose_worker_one(revoke_at))),
     );
     let trace = TraceHandle::disabled();
     let reader = trace.attach_memory(0);
@@ -184,21 +200,164 @@ fn a_restored_table_stays_on_the_batch_path() {
     assert_eq!(trace, twin_trace);
 }
 
-/// PageRank and ALS are not kernel-clean yet; their counters are the
-/// next change's work list, printed here (`--nocapture`), not asserted.
+const PAGERANK: WorkloadConfig = WorkloadConfig {
+    dataset_gb: 1.0,
+    partitions: 8,
+    iterations: 3,
+    seed: 5,
+};
+
+/// Checkpoints every persisted RDD — `links` and each `ranks` — the
+/// moment it is fully materialized.
+struct CheckpointEveryTable;
+
+impl CheckpointHooks for CheckpointEveryTable {
+    fn on_rdd_materialized(
+        &mut self,
+        view: &LineageView<'_>,
+        _events: &mut dyn EventSink,
+        rdd: RddId,
+        _now: SimTime,
+    ) -> Vec<CheckpointDirective> {
+        if view.lineage.is_persisted(rdd) {
+            vec![CheckpointDirective::Checkpoint(rdd)]
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+struct PagerankRun {
+    summary: WorkloadSummary,
+    stats: RunStats,
+    trace: String,
+    used: ColumnStats,
+    finished: SimTime,
+    /// `Restored` events that name a partition of a per-iteration `ranks`
+    /// RDD.
+    ranks_restored: usize,
+    /// Of the copies of those RDDs' partitions in the checkpoint store
+    /// and in worker caches at the end, how many are batches, and how
+    /// many there are.
+    rank_copies: (usize, usize),
+}
+
+/// One traced PageRank job with every persisted RDD checkpointed; with
+/// `revoke_at`, under [`lose_worker_one`].
+fn checkpointed_pagerank(columnar: bool, revoke_at: Option<SimTime>) -> PagerankRun {
+    let wl = PageRank::new(PAGERANK);
+    let script = revoke_at.map_or_else(Vec::new, lose_worker_one);
+    let mut d = driver_with(
+        &wl,
+        columnar,
+        Box::new(CheckpointEveryTable),
+        Box::new(ScriptedInjector::new(script)),
+    );
+    let trace = TraceHandle::disabled();
+    let reader = trace.attach_memory(0);
+    d.set_trace(trace);
+    let summary = wl.run(&mut d).unwrap();
+    let trace = reader.to_jsonl();
+
+    // Persisted RDDs in creation order: `links`, the initial `ranks`
+    // (rows: it is mapped off nested adjacency lists), then one updated
+    // `ranks` per iteration.
+    let persisted: Vec<RddId> = d
+        .lineage()
+        .ids()
+        .filter(|id| d.lineage().is_persisted(*id))
+        .collect();
+    assert_eq!(persisted.len(), 2 + PAGERANK.iterations as usize);
+    let rank_parts = persisted[2..]
+        .iter()
+        .flat_map(|rdd| (0..PAGERANK.partitions).map(move |part| (*rdd, part)));
+    let (mut ranks_restored, mut copies) = (0, Vec::new());
+    for (rdd, part) in rank_parts {
+        let key = BlockKey::RddPart { rdd, part };
+        let restored = format!("\"ev\":\"Restored\",\"block\":\"{key}\"");
+        ranks_restored += trace.matches(&restored).count();
+        copies.extend(d.checkpoints().get(rdd, part).map(|r| r.batch().is_some()));
+        let cached = d.cluster().peek_fetch(&key);
+        copies.extend(cached.and_then(|(_, b, _, _)| b.part().map(|r| r.batch().is_some())));
+    }
+    PagerankRun {
+        summary,
+        stats: d.stats().clone(),
+        trace,
+        used: d.column_stats(),
+        finished: d.now(),
+        ranks_restored,
+        rank_copies: (copies.iter().filter(|b| **b).count(), copies.len()),
+    }
+}
+
+/// The PageRank twin of `a_restored_table_stays_on_the_batch_path`: a
+/// `ranks` partition is cached, checkpointed, lost and restored as the
+/// batch the rank-update kernel made. Only the first `map_kernel` over
+/// `links` ever falls back, so checkpoint jobs and a revocation can add
+/// only its re-materializations to `row_fallbacks`, while the kernels
+/// they re-run keep `kernel_batches` growing; a shuffle block or `ranks`
+/// partition that came back as rows would add a fallback per reduce task
+/// downstream of it.
+#[test]
+fn restored_ranks_stay_on_the_batch_path() {
+    let parts = u64::from(PAGERANK.partitions);
+    let clean = checkpointed_pagerank(true, None);
+    // Late enough that the map outputs worker 1 takes with it were derived
+    // from an updated `ranks`, not from the initial one.
+    let late = SimTime::from_millis(clean.finished.as_millis() * 9 / 10);
+
+    let col = checkpointed_pagerank(true, Some(late));
+    let row = checkpointed_pagerank(false, Some(late));
+    eprintln!(
+        "pagerank, worker 1 lost at {late}: {} restores ({} of ranks), {:?} ({:?} without the \
+         loss), rank copies {:?}",
+        col.stats.restores, col.ranks_restored, col.used, clean.used, col.rank_copies
+    );
+    assert_eq!(col.stats.revocations, 1);
+    assert!(col.ranks_restored > 0, "no `ranks` partition was restored");
+    assert!(col.used.row_fallbacks <= 2 * parts, "{:?}", col.used);
+    assert!(
+        col.used.kernel_batches > clean.used.kernel_batches,
+        "{:?} after a loss, {:?} without",
+        col.used,
+        clean.used
+    );
+    let (as_batch, held) = col.rank_copies;
+    assert!(
+        held > 0 && as_batch == held,
+        "{as_batch} of {held} as a batch"
+    );
+    assert_eq!(row.rank_copies, (0, held));
+    assert_eq!(row.used, ColumnStats::default());
+
+    assert_eq!(col.summary, clean.summary);
+    assert_eq!(col.summary, row.summary);
+    assert_eq!(col.stats, row.stats);
+    assert_eq!(col.trace, row.trace);
+}
+
+/// PageRank declares three kernels per iteration and runs all of them:
+/// `contribs` leaves its opaque `flat_map` as rows, encodes once at the
+/// map side of the kernel-declared shuffle, and stays a batch through the
+/// reduce and the rank update. Only the first `map_kernel` over `links`
+/// falls back (nested adjacency lists have no columnar layout), once per
+/// partition. ALS declares no kernel; its counters are printed
+/// (`--nocapture`), not asserted.
 #[test]
 fn pagerank_and_als_counters_are_recorded() {
-    let cfg = WorkloadConfig {
-        dataset_gb: 1.0,
-        partitions: 8,
-        iterations: 3,
-        seed: 5,
-    };
+    let cfg = PAGERANK;
     let workloads: [&dyn Workload; 2] = [&PageRank::new(cfg), &Als::new(cfg)];
     for wl in workloads {
         let mut col = driver(wl, true, Box::new(NoFailures));
         let mut row = driver(wl, false, Box::new(NoFailures));
         assert_eq!(wl.run(&mut col).unwrap(), wl.run(&mut row).unwrap());
-        eprintln!("{}: {:?}", wl.name(), col.column_stats());
+        let used = col.column_stats();
+        eprintln!("{}: {used:?}", wl.name());
+        if wl.name() == "pagerank" {
+            let (parts, iters) = (u64::from(cfg.partitions), u64::from(cfg.iterations));
+            assert_eq!(used.row_fallbacks, parts, "{used:?}");
+            assert_eq!(used.kernel_batches, 3 * parts * iters, "{used:?}");
+        }
     }
 }
