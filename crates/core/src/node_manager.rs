@@ -1,7 +1,7 @@
 //! The node manager: provisioning, monitoring, warning handling, and
 //! replacement of transient servers (paper §4, Fig. 5).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use flint_engine::{FailureInjector, WorkerEvent, WorkerSpec};
@@ -46,9 +46,8 @@ struct NmInner {
     storage: StorageConfig,
     n: u32,
     ft: FtSharedHandle,
-    market_of: HashMap<InstanceId, MarketId>,
     /// Instances whose replacement was already requested (on warning).
-    replaced: HashMap<InstanceId, bool>,
+    replaced: HashSet<InstanceId>,
     /// Count of replacement rounds, for reporting.
     replacements: u64,
     /// Markets excluded from selection until the stored time
@@ -254,8 +253,7 @@ impl NmInner {
             });
         self.backstop_workers += u64::from(deficit);
         for _ in 0..deficit {
-            let id = self.cloud.request(od, price, t);
-            self.market_of.insert(id, od);
+            self.cloud.request(od, price, t);
         }
         self.refresh_cluster_mttf(t);
     }
@@ -303,8 +301,7 @@ impl NmInner {
             let m = self.cloud.catalog().market(*market);
             let bid = self.place_bid(m);
             for _ in 0..*count {
-                let id = self.cloud.request(*market, bid, now);
-                self.market_of.insert(id, *market);
+                self.cloud.request(*market, bid, now);
             }
         }
         self.refresh_cluster_mttf(now);
@@ -429,24 +426,22 @@ impl NmInner {
             for (t, ev) in evs {
                 let id = ev.instance();
                 let ext_id = id.0;
+                let market = self.cloud.instance(id).market;
                 match ev {
                     InstanceEvent::Ready { .. } => {
-                        let market = self.market_of[&id];
                         let spec = worker_spec(self.cloud.catalog().market(market));
                         out.push((t, WorkerEvent::Add { ext_id, spec }));
                     }
                     InstanceEvent::Warning { .. } => {
                         out.push((t, WorkerEvent::Warn { ext_id }));
-                        if self.replaced.insert(id, true).is_none() {
-                            let market = self.market_of[&id];
+                        if self.replaced.insert(id) {
                             merge_replace(&mut to_replace, t, market);
                         }
                     }
                     InstanceEvent::Revoked { .. } => {
                         out.push((t, WorkerEvent::Remove { ext_id }));
-                        let market = self.market_of[&id];
                         self.note_revocation(market, t);
-                        if self.replaced.insert(id, true).is_none() {
+                        if self.replaced.insert(id) {
                             merge_replace(&mut to_replace, t, market);
                         }
                     }
@@ -568,8 +563,7 @@ impl NodeManager {
             storage,
             n,
             ft,
-            market_of: HashMap::new(),
-            replaced: HashMap::new(),
+            replaced: HashSet::new(),
             replacements: 0,
             cooldown_until: HashMap::new(),
             breakers: HashMap::new(),

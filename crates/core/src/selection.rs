@@ -268,7 +268,11 @@ impl MarketView<'_> {
 
     /// Expected running-time inflation factor on a single market.
     pub fn factor(&self, market: MarketId) -> f64 {
-        let s = self.stats(market);
+        self.factor_of(&self.stats(market))
+    }
+
+    /// [`MarketView::factor`] from already-computed statistics.
+    pub(crate) fn factor_of(&self, s: &MarketStats) -> f64 {
         let delta = self.delta();
         let tau = optimal_tau(delta, s.mttf);
         expected_runtime_factor(delta, tau, s.mttf, self.cfg.rd, 1.0)
@@ -276,7 +280,12 @@ impl MarketView<'_> {
 
     /// Expected cost rate ($/server-hour) on a single market.
     pub fn cost_rate(&self, market: MarketId) -> f64 {
-        expected_cost(self.factor(market), self.stats(market).mean_price)
+        self.cost_rate_of(&self.stats(market))
+    }
+
+    /// [`MarketView::cost_rate`] from already-computed statistics.
+    pub(crate) fn cost_rate_of(&self, s: &MarketStats) -> f64 {
+        expected_cost(self.factor_of(s), s.mean_price)
     }
 
     /// The on-demand cost rate (the fallback ceiling).
@@ -289,22 +298,30 @@ impl MarketView<'_> {
     /// Revocable markets whose prices currently pass the stability
     /// filter, sorted by expected cost rate (cheapest first).
     pub fn candidates(&self) -> Vec<MarketId> {
+        self.ranked_candidates()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// [`MarketView::candidates`] paired with their cost rates. Each
+    /// market's statistics are computed once per call.
+    pub(crate) fn ranked_candidates(&self) -> Vec<(MarketId, f64)> {
         let reference = self.catalog.market(self.catalog.on_demand_id()).spec;
-        let mut c: Vec<MarketId> = self
+        let mut c: Vec<(MarketId, f64)> = self
             .catalog
             .spot_markets()
             .iter()
             .filter(|m| !self.cfg.match_reference_spec || m.spec == reference)
-            .map(|m| m.id)
-            .filter(|id| !self.cooled.contains(id))
-            .filter(|id| {
-                self.stats(*id)
-                    .price_is_stable(self.cfg.stability_threshold)
+            .filter(|m| !self.cooled.contains(&m.id))
+            .filter_map(|m| {
+                let s = self.stats(m.id);
+                s.price_is_stable(self.cfg.stability_threshold)
+                    .then(|| (m.id, self.cost_rate_of(&s)))
             })
             .collect();
-        c.sort_by(|a, b| {
-            self.cost_rate(*a)
-                .partial_cmp(&self.cost_rate(*b))
+        c.sort_by(|(a, ra), (b, rb)| {
+            ra.partial_cmp(rb)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(b))
         });
@@ -383,11 +400,10 @@ impl BatchSelection {
         let od_rate = view.on_demand_rate();
         let mut best = od;
         let mut best_rate = od_rate;
-        for id in view.candidates() {
+        for (id, rate) in view.ranked_candidates() {
             if Some(id) == exclude {
                 continue;
             }
-            let rate = view.cost_rate(id);
             if rate < best_rate {
                 best = id;
                 best_rate = rate;
@@ -594,15 +610,14 @@ impl PortfolioPolicy {
         self.risk_aversion
     }
 
-    /// Candidate universe: stable spot markets strictly cheaper than
-    /// on-demand (matching the batch policy's fallback ceiling),
-    /// minus `exclude`.
-    fn universe(&self, view: &MarketView<'_>, exclude: Option<MarketId>) -> Vec<MarketId> {
+    /// Candidate universe with cost rates: stable spot markets strictly
+    /// cheaper than on-demand (matching the batch policy's fallback
+    /// ceiling), minus `exclude`.
+    fn universe(&self, view: &MarketView<'_>, exclude: Option<MarketId>) -> Vec<(MarketId, f64)> {
         let od_rate = view.on_demand_rate();
-        view.candidates()
+        view.ranked_candidates()
             .into_iter()
-            .filter(|id| Some(*id) != exclude)
-            .filter(|id| view.cost_rate(*id) < od_rate)
+            .filter(|(id, rate)| Some(*id) != exclude && *rate < od_rate)
             .collect()
     }
 
@@ -628,17 +643,15 @@ impl PortfolioPolicy {
             }
             return split_evenly(&chosen, n);
         }
-        let universe = self.universe(view, exclude);
+        let (universe, rates): (Vec<MarketId>, Vec<f64>) =
+            self.universe(view, exclude).into_iter().unzip();
         if universe.is_empty() {
             return vec![(view.catalog.on_demand_id(), n)];
         }
         let k = universe.len();
         let nf = f64::from(n);
         let od_rate = view.on_demand_rate().max(f64::MIN_POSITIVE);
-        let cost: Vec<f64> = universe
-            .iter()
-            .map(|id| view.cost_rate(*id) / od_rate)
-            .collect();
+        let cost: Vec<f64> = rates.iter().map(|rate| rate / od_rate).collect();
         // Single-market running-time variances, normalized so λ is
         // dimensionless (independent of job length and δ).
         let var: Vec<f64> = universe
@@ -1057,6 +1070,156 @@ mod tests {
             spread(100.0) > 1,
             "risk-averse allocation must diversify across markets"
         );
+    }
+
+    /// The pre-change `candidates`: stability filter on a fresh
+    /// `stats` per market, then a sort whose comparator recomputes both
+    /// cost rates.
+    fn candidates_per_comparison(view: &MarketView<'_>) -> Vec<MarketId> {
+        let reference = view.catalog.market(view.catalog.on_demand_id()).spec;
+        let mut c: Vec<MarketId> = view
+            .catalog
+            .spot_markets()
+            .iter()
+            .filter(|m| !view.cfg.match_reference_spec || m.spec == reference)
+            .map(|m| m.id)
+            .filter(|id| !view.cooled.contains(id))
+            .filter(|id| {
+                view.stats(*id)
+                    .price_is_stable(view.cfg.stability_threshold)
+            })
+            .collect();
+        c.sort_by(|a, b| {
+            view.cost_rate(*a)
+                .partial_cmp(&view.cost_rate(*b))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(b))
+        });
+        c
+    }
+
+    /// The pre-change `BatchSelection::best_market` loop.
+    fn best_market_per_comparison(view: &MarketView<'_>, exclude: Option<MarketId>) -> MarketId {
+        let mut best = view.catalog.on_demand_id();
+        let mut best_rate = view.on_demand_rate();
+        for id in candidates_per_comparison(view) {
+            if Some(id) == exclude {
+                continue;
+            }
+            let rate = view.cost_rate(id);
+            if rate < best_rate {
+                best = id;
+                best_rate = rate;
+            }
+        }
+        best
+    }
+
+    /// Five spot markets and the on-demand pool. Markets 0 and 1 share
+    /// one trace (equal cost rates, so the id tie-break decides), market
+    /// 2 is the cheapest but spikes at 100 h (unstable after it), market
+    /// 3 is calm and dearer, market 4 crosses the on-demand bid for an
+    /// hour in every ten.
+    fn tie_catalog() -> MarketCatalog {
+        use flint_market::{InstanceSpec, Market, MarketKind, PriceTrace};
+        let h = SimTime::from_hours_f64;
+        let calm = || PriceTrace::from_points(vec![(h(0.0), 0.03), (h(50.0), 0.032)]);
+        let traces = [
+            calm(),
+            calm(),
+            PriceTrace::from_points(vec![(h(0.0), 0.01), (h(100.0), 0.9)]),
+            PriceTrace::flat(0.05),
+            PriceTrace::from_points(
+                (0..20)
+                    .map(|i| 10.0 * f64::from(i))
+                    .flat_map(|t| [(h(t), 0.02), (h(t + 5.0), 0.5), (h(t + 6.0), 0.02)])
+                    .collect(),
+            ),
+            PriceTrace::flat(0.175),
+        ];
+        let markets = traces
+            .into_iter()
+            .enumerate()
+            .map(|(i, trace)| Market {
+                id: MarketId(i as u32),
+                name: format!("m{i}"),
+                zone: "z".into(),
+                spec: InstanceSpec::R3_LARGE,
+                on_demand_price: 0.175,
+                kind: if i == 5 {
+                    MarketKind::OnDemand
+                } else {
+                    MarketKind::Spot
+                },
+                trace,
+            })
+            .collect();
+        MarketCatalog::new(markets, MarketId(5))
+    }
+
+    #[test]
+    fn one_stats_per_market_ranks_like_the_per_comparison_sort() {
+        let cfg = SelectionConfig::default();
+        let job = JobProfile::default();
+        let tie = tie_catalog();
+        let ec2 = MarketCatalog::synthetic_ec2(11, SimDuration::from_days(30));
+        let m = MarketId;
+        let cases: [(&MarketCatalog, f64, Vec<MarketId>); 9] = [
+            (&tie, 99.0, vec![]),
+            (&tie, 100.5, vec![]),
+            (&tie, 100.5, vec![m(0)]),
+            (&tie, 100.5, vec![m(1), m(3)]),
+            (&tie, 130.0, vec![m(0), m(1), m(3), m(4)]),
+            (&ec2, 14.0 * 24.0, vec![]),
+            (&ec2, 14.0 * 24.0, vec![m(0), m(4)]),
+            (&ec2, 20.0 * 24.0, vec![]),
+            (&ec2, 27.5 * 24.0, vec![m(2)]),
+        ];
+        let mut saw_tie = false;
+        for (cat, hours, cooled) in &cases {
+            let view = MarketView {
+                cooled,
+                ..make_view(cat, &cfg, &job, *hours, 10)
+            };
+            let expect = candidates_per_comparison(&view);
+            let ranked = view.ranked_candidates();
+            assert_eq!(view.candidates(), expect, "{hours} h cooled {cooled:?}");
+            assert_eq!(ranked.iter().map(|(id, _)| *id).collect::<Vec<_>>(), expect);
+            for (id, rate) in &ranked {
+                assert_eq!(rate.to_bits(), view.cost_rate(*id).to_bits());
+            }
+            saw_tie |= ranked.windows(2).any(|w| w[0].1 == w[1].1);
+            let mut exclusions = vec![None];
+            exclusions.extend(expect.iter().copied().map(Some));
+            for exclude in exclusions {
+                assert_eq!(
+                    BatchSelection.best_market(&view, exclude),
+                    best_market_per_comparison(&view, exclude),
+                    "{hours} h cooled {cooled:?} exclude {exclude:?}"
+                );
+                let od_rate = view.on_demand_rate();
+                let universe: Vec<MarketId> = expect
+                    .iter()
+                    .copied()
+                    .filter(|id| Some(*id) != exclude && view.cost_rate(*id) < od_rate)
+                    .collect();
+                assert_eq!(
+                    PortfolioPolicy::new(1.0)
+                        .universe(&view, exclude)
+                        .into_iter()
+                        .map(|(id, _)| id)
+                        .collect::<Vec<_>>(),
+                    universe
+                );
+            }
+        }
+        assert!(saw_tie, "the equal-rate markets must meet in one ranking");
+        // The spike at 100 h makes market 2 unstable: ranked first before
+        // it, absent after it.
+        let before = make_view(&tie, &cfg, &job, 99.0, 10).candidates();
+        let after = make_view(&tie, &cfg, &job, 100.5, 10).candidates();
+        assert_eq!(before[0], m(2));
+        assert!(!after.contains(&m(2)));
     }
 
     #[test]

@@ -131,6 +131,11 @@ pub struct CloudSim {
     active_by_market: BTreeMap<MarketId, u32>,
     /// Provider revocations delivered so far.
     revoked: u64,
+    /// The last spot revocation instant computed, keyed by `(market,
+    /// bid bits, ready_at)`. A replacement batch requests many instances
+    /// of one market at one bid at one instant; price traces are
+    /// immutable, so reusing the answer is exact.
+    last_spot_revocation: Option<((MarketId, u64, SimTime), Option<SimTime>)>,
 }
 
 impl CloudSim {
@@ -161,6 +166,7 @@ impl CloudSim {
             running: BTreeSet::new(),
             active_by_market: BTreeMap::new(),
             revoked: 0,
+            last_spot_revocation: None,
         }
     }
 
@@ -222,13 +228,22 @@ impl CloudSim {
 
         let (revocation_at, warning_lead) = match m.kind {
             MarketKind::Spot => {
-                let rev = if m.trace.price_at(ready_at) > bid {
-                    // Requested into a spike: revoked as soon as it is
-                    // ready (in practice EC2 would not fill the bid; the
-                    // effect is the same for the caller).
-                    Some(ready_at)
-                } else {
-                    m.trace.next_up_crossing(ready_at, bid)
+                let key = (market, bid.to_bits(), ready_at);
+                let rev = match self.last_spot_revocation {
+                    Some((k, rev)) if k == key => rev,
+                    _ => {
+                        let rev = if m.trace.price_at(ready_at) > bid {
+                            // Requested into a spike: revoked as soon as
+                            // it is ready (in practice EC2 would not fill
+                            // the bid; the effect is the same for the
+                            // caller).
+                            Some(ready_at)
+                        } else {
+                            m.trace.next_up_crossing(ready_at, bid)
+                        };
+                        self.last_spot_revocation = Some((key, rev));
+                        rev
+                    }
                 };
                 (rev, Self::EC2_WARNING)
             }

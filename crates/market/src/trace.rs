@@ -166,7 +166,7 @@ impl PriceTrace {
     /// First point index `>= lo` whose price is above (`above == true`)
     /// or at-or-below (`above == false`) `threshold`, found by descending
     /// the max/min segment tree. Comparison-only, so results match the
-    /// linear scan bit for bit.
+    /// linear scan bit for bit. Allocates nothing.
     fn first_from(&self, lo: usize, threshold: f64, above: bool) -> Option<usize> {
         let n = self.points.len();
         if lo >= n {
@@ -182,8 +182,15 @@ impl PriceTrace {
                 self.seg_min[node] <= threshold
             }
         };
-        let mut stack = vec![(1usize, 0usize, size)];
-        while let Some((node, l, r)) = stack.pop() {
+        // The stack holds at most one pending right sibling per tree
+        // level plus the node being expanded, and the tree has at most
+        // `usize::BITS - 1` levels below the root.
+        let mut stack = [(0usize, 0usize, 0usize); usize::BITS as usize];
+        stack[0] = (1, 0, size);
+        let mut top = 1;
+        while top > 0 {
+            top -= 1;
+            let (node, l, r) = stack[top];
             if r <= lo || l >= n || !hit(node) {
                 continue;
             }
@@ -192,8 +199,9 @@ impl PriceTrace {
             }
             let m = (l + r) / 2;
             // Push right first so the left half is examined first.
-            stack.push((2 * node + 1, m, r));
-            stack.push((2 * node, l, m));
+            stack[top] = (2 * node + 1, m, r);
+            stack[top + 1] = (2 * node, l, m);
+            top += 2;
         }
         None
     }
@@ -219,16 +227,22 @@ impl PriceTrace {
 
     /// Returns every up-crossing of `threshold` in `[from, to)`.
     pub fn up_crossings(&self, from: SimTime, to: SimTime, threshold: f64) -> Vec<SimTime> {
-        let mut out = Vec::new();
+        self.crossings(from, to, threshold).collect()
+    }
+
+    /// The up-crossings of `threshold` in `[from, to)`, lazily, each
+    /// found from the previous one; the first at or past `to` ends it.
+    fn crossings(
+        &self,
+        from: SimTime,
+        to: SimTime,
+        threshold: f64,
+    ) -> impl Iterator<Item = SimTime> + '_ {
         let mut cur = from;
-        while let Some(t) = self.next_up_crossing(cur, threshold) {
-            if t >= to {
-                break;
-            }
-            out.push(t);
-            cur = t;
-        }
-        out
+        std::iter::from_fn(move || {
+            cur = self.next_up_crossing(cur, threshold).filter(|&t| t < to)?;
+            Some(cur)
+        })
     }
 
     /// Estimates the mean time between up-crossings of `threshold` over
@@ -244,7 +258,7 @@ impl PriceTrace {
         if window.is_zero() {
             return SimDuration::MAX;
         }
-        let n = self.up_crossings(from, to, threshold).len() as u64;
+        let n = self.crossings(from, to, threshold).count() as u64;
         if n == 0 {
             window * 10
         } else {

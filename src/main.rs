@@ -41,7 +41,14 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
+    let flags = match parse_flags(&args[1..]) {
+        Ok(flags) => flags,
+        Err(msg) => {
+            eprintln!("{msg}");
+            usage();
+            return ExitCode::FAILURE;
+        }
+    };
     if let Some(name) = flags
         .keys()
         .filter(|f| !KNOWN_FLAGS.contains(&f.as_str()))
@@ -175,24 +182,30 @@ const KNOWN_FLAGS: &[&str] = &[
     "workload",
 ];
 
-fn parse_flags(rest: &[String]) -> HashMap<String, String> {
+/// Flags whose value names a file. Given no value they are a usage
+/// error, not a switch: the switch value would become the file name.
+const PATH_FLAGS: &[&str] = &["dot", "manifest", "resume", "trace"];
+
+fn parse_flags(rest: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < rest.len() {
         if let Some(name) = rest[i].strip_prefix("--") {
-            let value = rest
-                .get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .cloned()
-                .unwrap_or_else(|| "true".to_string());
-            if value != "true" {
-                i += 1;
-            }
+            let value = match rest.get(i + 1).filter(|v| !v.starts_with("--")) {
+                Some(v) => {
+                    i += 1;
+                    v.clone()
+                }
+                None if PATH_FLAGS.contains(&name) => {
+                    return Err(format!("missing value for --{name}"));
+                }
+                None => "true".to_string(),
+            };
             flags.insert(name.to_string(), value);
         }
         i += 1;
     }
-    flags
+    Ok(flags)
 }
 
 /// Numeric flag `--name`, `None` when absent. A value that is present

@@ -80,3 +80,46 @@ fn unknown_flag_is_a_usage_error() {
         assert!(out.stdout.is_empty(), "flint {args:?} ran something");
     }
 }
+
+/// A flag that names a file, given no value, is a usage error (exit 1)
+/// naming the flag — not a run that writes a file called `true` — and
+/// nothing is created.
+#[test]
+fn path_flag_without_value_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("flint-cli-path-flag-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let run: &[&str] = &["run", "pagerank", "--gb", "0.1", "--partitions", "2"];
+    let cases: [(Vec<&str>, &str); 4] = [
+        (
+            [run, &["--iterations", "1", "--workers", "2", "--trace"]].concat(),
+            "--trace",
+        ),
+        (
+            [run, &["--manifest", "--suspend-after", "1"]].concat(),
+            "--manifest",
+        ),
+        ([run, &["--resume"]].concat(), "--resume"),
+        (
+            vec!["workload", "pagerank", "--gb", "0.1", "--dot"],
+            "--dot",
+        ),
+    ];
+    for (args, named) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn flint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "flint {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("missing value for {named}\n")),
+            "flint {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "flint {args:?} ran something");
+        assert!(!dir.join("true").exists(), "flint {args:?} wrote ./true");
+    }
+    let created: Vec<_> = std::fs::read_dir(&dir).expect("read temp dir").collect();
+    assert!(created.is_empty(), "nothing may be created: {created:?}");
+    std::fs::remove_dir(&dir).expect("remove temp dir");
+}

@@ -10,12 +10,14 @@ use flint::core::{
 };
 use flint::engine::FailureInjector;
 use flint::market::{
-    CloudSim, HazardSpec, InstanceId, InstanceState, MarketCatalog, MarketId, PriceTrace,
-    TraceGenerator, TraceProfile,
+    CloudSim, HazardSpec, InstanceEvent, InstanceId, InstanceSpec, InstanceState, Market,
+    MarketCatalog, MarketId, MarketKind, PriceTrace, TraceGenerator, TraceProfile,
 };
-use flint::simtime::{SimDuration, SimTime};
+use flint::simtime::rng::stream;
+use flint::simtime::{EventQueue, SimDuration, SimTime};
 use flint::store::StorageConfig;
 use proptest::prelude::*;
+use rand::Rng;
 
 fn arb_trace() -> impl Strategy<Value = PriceTrace> {
     (0u64..100, 0.05f64..0.5).prop_map(|(seed, od)| {
@@ -72,6 +74,137 @@ fn up_crossings_linear(
         cur = t;
     }
     out
+}
+
+/// The pre-change `mttf_at`: the window over the length of the
+/// collected crossing list, `window * 10` when it is empty.
+fn mttf_at_collected(crossings: &[SimTime], from: SimTime, to: SimTime) -> SimDuration {
+    let window = to - from;
+    if window.is_zero() {
+        return SimDuration::MAX;
+    }
+    let n = crossings.len() as u64;
+    if n == 0 {
+        window * 10
+    } else {
+        window / n
+    }
+}
+
+/// Two spot markets with hand-placed spikes plus the on-demand pool.
+/// Market 0 spikes to 2.0 over [10 h, 11 h) and [30 h, 31 h); market 1
+/// to 1.0 over [20 h, 21 h) and to 2.0 over [40 h, 41 h). A 0.4 bid is
+/// revoked by every spike, a 1.5 bid only by the 2.0 ones.
+fn spiky_catalog() -> MarketCatalog {
+    let h = SimTime::from_hours_f64;
+    let spot = |id: u32, spikes: [(f64, f64, f64); 2]| Market {
+        id: MarketId(id),
+        name: format!("spot-{id}"),
+        zone: "z".into(),
+        spec: InstanceSpec::R3_LARGE,
+        on_demand_price: 0.4,
+        kind: MarketKind::Spot,
+        trace: PriceTrace::from_points(
+            std::iter::once((SimTime::ZERO, 0.1))
+                .chain(
+                    spikes
+                        .iter()
+                        .flat_map(|&(on, off, peak)| [(h(on), peak), (h(off), 0.1)]),
+                )
+                .collect(),
+        ),
+    };
+    let od = Market {
+        id: MarketId(2),
+        name: "od".into(),
+        zone: "z".into(),
+        spec: InstanceSpec::R3_LARGE,
+        on_demand_price: 0.4,
+        kind: MarketKind::OnDemand,
+        trace: PriceTrace::flat(0.4),
+    };
+    MarketCatalog::new(
+        vec![
+            spot(0, [(10.0, 11.0, 2.0), (30.0, 31.0, 2.0)]),
+            spot(1, [(20.0, 21.0, 1.0), (40.0, 41.0, 2.0)]),
+            od,
+        ],
+        MarketId(2),
+    )
+}
+
+const SPIKY_BIDS: [f64; 2] = [0.4, 1.5];
+/// Request instants in hours; 10 h lands the instance in market 0's
+/// first spike (ready 2 min later, still inside it).
+const SPIKY_HOURS: [f64; 4] = [0.0, 10.0, 19.5, 25.0];
+
+/// Requests `(market, bid, now)` in order on a fresh simulator and
+/// returns every lifecycle event up to the horizon.
+fn delivered(requests: &[(MarketId, f64, SimTime)]) -> Vec<(SimTime, InstanceEvent)> {
+    let mut cloud = CloudSim::new(spiky_catalog());
+    for &(m, bid, now) in requests {
+        cloud.request(m, bid, now);
+    }
+    cloud.events_until(SimTime::from_hours_f64(100.0))
+}
+
+/// The lifecycle stream with every revocation instant computed afresh
+/// per request: `request`'s scheduling, transcribed, with no memo.
+fn delivered_fresh(requests: &[(MarketId, f64, SimTime)]) -> Vec<(SimTime, InstanceEvent)> {
+    let catalog = spiky_catalog();
+    let mut queue = EventQueue::new();
+    for (i, &(m, bid, now)) in requests.iter().enumerate() {
+        let id = InstanceId(i as u64);
+        let ready_at = now + CloudSim::DEFAULT_ACQUISITION_DELAY;
+        let trace = &catalog.market(m).trace;
+        let rev = if trace.price_at(ready_at) > bid {
+            Some(ready_at)
+        } else {
+            trace.next_up_crossing(ready_at, bid)
+        };
+        queue.schedule(ready_at, InstanceEvent::Ready { id });
+        if let Some(rev) = rev {
+            let warn_at = rev.saturating_sub(CloudSim::EC2_WARNING).max(ready_at);
+            queue.schedule(warn_at, InstanceEvent::Warning { id });
+            queue.schedule(rev, InstanceEvent::Revoked { id });
+        }
+    }
+    let mut out = Vec::new();
+    while let Some(ev) = queue.pop_before(SimTime::from_hours_f64(100.0)) {
+        out.push(ev);
+    }
+    out
+}
+
+/// `CloudSim::request` reuses the last spot revocation instant when the
+/// next request has the same market, bid and instant. Each pair below
+/// shares two of the three and differs in the third, and the two answers
+/// differ: this test fails if the memo key drops any one of market, bid
+/// or instant.
+#[test]
+fn request_memo_key_needs_market_bid_and_instant() {
+    let h = SimTime::from_hours_f64;
+    let pairs = [
+        // Market only: 0.4 at 0 h is revoked at 10 h on market 0, at
+        // 20 h on market 1.
+        [(MarketId(0), 0.4, h(0.0)), (MarketId(1), 0.4, h(0.0))],
+        // Bid only: 1.5 clears market 1's 1.0 spike at 20 h, 0.4 does
+        // not.
+        [(MarketId(1), 0.4, h(0.0)), (MarketId(1), 1.5, h(0.0))],
+        // Instant only: at 25 h the next market-1 spike is at 40 h.
+        [(MarketId(1), 0.4, h(0.0)), (MarketId(1), 0.4, h(25.0))],
+    ];
+    for pair in pairs {
+        let got = delivered(&pair);
+        assert_eq!(got, delivered_fresh(&pair), "requests {pair:?}");
+        let revoked: Vec<SimTime> = got
+            .iter()
+            .filter(|(_, e)| matches!(e, InstanceEvent::Revoked { .. }))
+            .map(|(t, _)| *t)
+            .collect();
+        assert_eq!(revoked.len(), 2, "both revoked: {pair:?}");
+        assert_ne!(revoked[0], revoked[1], "the pair must tell the keys apart");
+    }
 }
 
 proptest! {
@@ -254,5 +387,72 @@ proptest! {
             prop_assert_eq!(handle.active_markets(), scan_markets);
             prop_assert_eq!(handle.revocations(), scan_revoked);
         }
+    }
+
+    /// `mttf_at` counts crossings without collecting them; it must equal
+    /// the window over the collected list. Trace lengths sit at 2^k − 1,
+    /// 2^k and 2^k + 1 (1-point traces included) so the segment-tree
+    /// descent runs at every stack depth up to 11; prices come from a
+    /// five-value palette and every palette price is tried as the
+    /// threshold, so thresholds equal to a point's price and `from`
+    /// already above the threshold both occur; window ends fall on
+    /// change points half the time.
+    #[test]
+    fn mttf_at_matches_collected_crossings(
+        seed in 0u64..u64::MAX,
+        k in 0u32..11,
+        delta in 0usize..3,
+    ) {
+        const PALETTE: [f64; 5] = [0.1, 0.2, 0.3, 0.5, 0.8];
+        const STEP_MS: u64 = 100;
+        let mut rng = stream(seed, "mttf-trace");
+        let len = ((1usize << k) + delta).saturating_sub(1).max(1);
+        let trace = PriceTrace::from_points(
+            (0..len as u64)
+                .map(|i| (SimTime::from_millis(i * STEP_MS), PALETTE[rng.gen_range(0..5usize)]))
+                .collect(),
+        );
+        prop_assert_eq!(trace.points().len(), len);
+        let horizon_ms = len as u64 * STEP_MS;
+        let instant = |rng: &mut rand::StdRng| {
+            SimTime::from_millis(if rng.gen::<bool>() {
+                rng.gen_range(0..=len as u64) * STEP_MS
+            } else {
+                rng.gen_range(0..horizon_ms + 2 * STEP_MS)
+            })
+        };
+        for _ in 0..4 {
+            let (a, b) = (instant(&mut rng), instant(&mut rng));
+            let (from, to) = (a.min(b), a.max(b));
+            for threshold in PALETTE.into_iter().chain([0.0, 0.25, 1.0]) {
+                let collected = up_crossings_linear(&trace, from, to, threshold);
+                prop_assert_eq!(&trace.up_crossings(from, to, threshold), &collected);
+                prop_assert_eq!(
+                    trace.mttf_at(from, to, threshold),
+                    mttf_at_collected(&collected, from, to),
+                    "len {} window [{:?}, {:?}) threshold {}", len, from, to, threshold
+                );
+            }
+        }
+    }
+
+    /// Random interleavings of requests over markets, bids and instants
+    /// — runs of identical requests, as a replacement batch makes, and
+    /// neighbours that differ in one key, requests into a spike among
+    /// them — deliver the same lifecycle stream (so the same revocation
+    /// instants) as a fresh `next_up_crossing` per request.
+    #[test]
+    fn request_memo_matches_fresh_crossings(seed in 0u64..u64::MAX, batches in 1usize..24) {
+        let mut rng = stream(seed, "memo-requests");
+        let mut requests = Vec::new();
+        for _ in 0..batches {
+            let m = MarketId(rng.gen_range(0..2u32));
+            let bid = SPIKY_BIDS[rng.gen_range(0..SPIKY_BIDS.len())];
+            let now = SimTime::from_hours_f64(SPIKY_HOURS[rng.gen_range(0..SPIKY_HOURS.len())]);
+            for _ in 0..rng.gen_range(1..4) {
+                requests.push((m, bid, now));
+            }
+        }
+        prop_assert_eq!(delivered(&requests), delivered_fresh(&requests));
     }
 }
