@@ -1,6 +1,7 @@
 //! Per-worker block management: memory cache, disk spill, hard loss.
 
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::column::{ColumnBatch, ColumnCounters};
@@ -36,6 +37,52 @@ impl std::fmt::Display for BlockKey {
                 write!(f, "shuffle({}:{})", shuffle.0, map_part)
             }
         }
+    }
+}
+
+/// A hash map over the engine's own small fixed-width keys (block keys,
+/// task keys, `(rdd, part)` pairs), hashed by [`KeyHasher`] instead of
+/// SipHash.
+///
+/// For maps whose keys never come from outside the program and that are
+/// never iterated, so neither hash flooding nor an order that depends on
+/// the hasher can reach an output.
+pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// A multiply-rotate hasher for integer words: each word is added and
+/// the state multiplied by an odd constant; `finish` rotates the
+/// well-mixed high bits down to where `HashMap` takes its bucket index.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    // The engine's keys are `u32` ids behind enum discriminants.
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 

@@ -407,12 +407,8 @@ impl StoreFaultPolicy for ChaosStoreFaults {
         }
     }
 
-    fn read_unavailable(&self, _key: &str, now: SimTime) -> bool {
+    fn read_unavailable(&self, now: SimTime) -> bool {
         self.outages.iter().any(|(s, e)| now >= *s && now < *e)
-    }
-
-    fn reads_vary_with_time(&self) -> bool {
-        !self.outages.is_empty()
     }
 }
 
@@ -565,8 +561,8 @@ mod tests {
             "defaults should fault sometimes"
         );
         if let Some((start, end)) = s.outages.first().copied() {
-            assert!(a.read_unavailable("k", start));
-            assert!(!a.read_unavailable("k", end));
+            assert!(a.read_unavailable(start));
+            assert!(!a.read_unavailable(end));
         }
     }
 }

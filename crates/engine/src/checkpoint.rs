@@ -40,23 +40,19 @@ pub enum ReadFault {
 /// driver thread, so `on_write` may mutate internal RNG state. Read
 /// outages are consulted from inside the parallel wave (through a
 /// shared `&CheckpointStore`), so `read_unavailable` must be a *pure*
-/// function of `(key, now)` — the wave snapshot time — or runs stop
-/// being byte-identical across `host_threads`.
+/// function of `now` — the wave snapshot time — or runs stop being
+/// byte-identical across `host_threads`.
+///
+/// An outage covers the whole store, not single keys. That is what lets
+/// the readiness planner carry its plan across scheduler steps: between
+/// two instants on the same side of every window edge, readability
+/// changes only through writes and deletions the store reports.
 pub trait StoreFaultPolicy: Send + Sync + std::fmt::Debug {
     /// Decides the fate of the write of `key` landing at `now`.
     fn on_write(&mut self, key: &str, now: SimTime) -> WriteFault;
 
-    /// Returns `true` while a read of `key` at `now` transiently fails.
-    fn read_unavailable(&self, key: &str, now: SimTime) -> bool;
-
-    /// Returns `true` if [`StoreFaultPolicy::read_unavailable`] can
-    /// change its answer for a key merely because `now` advanced. The
-    /// readiness planner carries its plan across scheduler steps only
-    /// while this is `false`; the conservative default makes it replan
-    /// from scratch whenever virtual time has moved.
-    fn reads_vary_with_time(&self) -> bool {
-        true
-    }
+    /// Returns `true` while reads at `now` transiently fail.
+    fn read_unavailable(&self, now: SimTime) -> bool;
 }
 
 /// The default, never-failing store policy (chaos off). Every path
@@ -70,11 +66,7 @@ impl StoreFaultPolicy for HealthyStore {
         WriteFault::None
     }
 
-    fn read_unavailable(&self, _key: &str, _now: SimTime) -> bool {
-        false
-    }
-
-    fn reads_vary_with_time(&self) -> bool {
+    fn read_unavailable(&self, _now: SimTime) -> bool {
         false
     }
 }
@@ -118,10 +110,10 @@ pub struct CheckpointStore {
     /// Degradation model for writes and reads ([`HealthyStore`] unless
     /// a chaos campaign installs one).
     faults: Box<dyn StoreFaultPolicy>,
-    /// Keys whose stored payload is torn. Recorded at write time on
+    /// Blocks whose stored payload is torn. Recorded at write time on
     /// the driver thread; detected (as [`ReadFault::Corrupt`]) when a
     /// restore attempts the integrity check.
-    corrupt: HashSet<String>,
+    corrupt: HashSet<BlockKey>,
     /// Readability changes not yet seen by the planner.
     changes: StoreChanges,
 }
@@ -167,10 +159,9 @@ impl CheckpointStore {
         std::mem::take(&mut self.changes)
     }
 
-    /// Whether readability can change with the passage of virtual time
-    /// alone (see [`StoreFaultPolicy::reads_vary_with_time`]).
-    pub(crate) fn reads_vary_with_time(&self) -> bool {
-        self.faults.reads_vary_with_time()
+    /// Whether the store is inside a read outage at `now`.
+    pub(crate) fn read_unavailable(&self, now: SimTime) -> bool {
+        self.faults.read_unavailable(now)
     }
 
     /// Durably stores one shuffle map output (rows or bucketed — a
@@ -191,15 +182,13 @@ impl CheckpointStore {
         }
         self.store.put(&key, data.into(), vbytes, now);
         self.shuffle_parts.insert((s, map_part));
-        self.changes.keys.insert(BlockKey::ShuffleMap {
-            shuffle: s,
-            map_part,
-        });
-        if fault == WriteFault::Torn {
-            self.corrupt.insert(key);
-        } else {
-            self.corrupt.remove(&key);
-        }
+        self.landed(
+            BlockKey::ShuffleMap {
+                shuffle: s,
+                map_part,
+            },
+            fault,
+        );
         fault
     }
 
@@ -273,11 +262,6 @@ impl CheckpointStore {
             return fault;
         }
         self.store.put(&key, data.into(), vbytes, now);
-        if fault == WriteFault::Torn {
-            self.corrupt.insert(key);
-        } else {
-            self.corrupt.remove(&key);
-        }
         let bits = self
             .parts
             .entry(rdd)
@@ -285,8 +269,19 @@ impl CheckpointStore {
         if let Some(b) = bits.get_mut(part as usize) {
             *b = true;
         }
-        self.changes.keys.insert(BlockKey::RddPart { rdd, part });
+        self.landed(BlockKey::RddPart { rdd, part }, fault);
         fault
+    }
+
+    /// Records a write that landed: a torn one poisons `key`, a clean
+    /// one heals it, and either is a readability change.
+    fn landed(&mut self, key: BlockKey, fault: WriteFault) {
+        if fault == WriteFault::Torn {
+            self.corrupt.insert(key);
+        } else {
+            self.corrupt.remove(&key);
+        }
+        self.changes.keys.insert(key);
     }
 
     /// Returns the checkpointed records of `(rdd, part)`, if present, in
@@ -314,14 +309,7 @@ impl CheckpointStore {
     /// when [`CheckpointStore::has`] is false. Pure — safe to call
     /// from wave threads with the wave-snapshot `now`.
     pub fn read_fault(&self, rdd: RddId, part: u32, now: SimTime) -> Option<ReadFault> {
-        let key = checkpoint_key(rdd, part);
-        if self.corrupt.contains(&key) {
-            Some(ReadFault::Corrupt)
-        } else if self.faults.read_unavailable(&key, now) {
-            Some(ReadFault::Unavailable)
-        } else {
-            None
-        }
+        self.block_read_fault(&BlockKey::RddPart { rdd, part }, now)
     }
 
     /// Why a *present* shuffle checkpoint can not be restored at `now`,
@@ -332,10 +320,17 @@ impl CheckpointStore {
         map_part: u32,
         now: SimTime,
     ) -> Option<ReadFault> {
-        let key = shuffle_key(s, map_part);
-        if self.corrupt.contains(&key) {
+        let key = BlockKey::ShuffleMap {
+            shuffle: s,
+            map_part,
+        };
+        self.block_read_fault(&key, now)
+    }
+
+    fn block_read_fault(&self, key: &BlockKey, now: SimTime) -> Option<ReadFault> {
+        if self.corrupt.contains(key) {
             Some(ReadFault::Corrupt)
-        } else if self.faults.read_unavailable(&key, now) {
+        } else if self.faults.read_unavailable(now) {
             Some(ReadFault::Unavailable)
         } else {
             None
@@ -381,9 +376,9 @@ impl CheckpointStore {
         for part in 0..parts {
             self.changes.keys.insert(BlockKey::RddPart { rdd, part });
         }
-        let prefix = format!("rdd-{:06}/", rdd.0);
-        self.corrupt.retain(|k| !k.starts_with(&prefix));
-        self.store.delete_prefix(&prefix, now)
+        self.corrupt
+            .retain(|k| !matches!(k, BlockKey::RddPart { rdd: r, .. } if *r == rdd));
+        self.store.delete_prefix(&format!("rdd-{:06}/", rdd.0), now)
     }
 
     /// Garbage-collects redundant checkpoints (§4): checkpointing an RDD
@@ -544,7 +539,7 @@ mod tests {
                     _ => WriteFault::None,
                 }
             }
-            fn read_unavailable(&self, _key: &str, now: SimTime) -> bool {
+            fn read_unavailable(&self, now: SimTime) -> bool {
                 now >= SimTime::from_millis(1_000) && now < SimTime::from_millis(2_000)
             }
         }
@@ -605,6 +600,141 @@ mod tests {
         );
         cs.drop_rdd(RddId(3), SimTime::ZERO);
         assert!(!cs.has(RddId(3), 0));
+    }
+
+    /// Every write lands with `fault`; reads fail inside `[1 s, 2 s)`.
+    #[derive(Debug)]
+    struct Fixed {
+        fault: WriteFault,
+    }
+
+    impl StoreFaultPolicy for Fixed {
+        fn on_write(&mut self, _key: &str, _now: SimTime) -> WriteFault {
+            self.fault
+        }
+        fn read_unavailable(&self, now: SimTime) -> bool {
+            now >= SimTime::from_millis(1_000) && now < SimTime::from_millis(2_000)
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Put { rdd: u32, part: u32, fault: u8 },
+        PutShuffle { shuffle: u32, part: u32, fault: u8 },
+        Drop { rdd: u32 },
+    }
+
+    /// RDD and shuffle ids whose decimal forms share digits: dropping
+    /// rdd 7 must forget neither rdd 70 nor shuffle 7.
+    const IDS: [u32; 4] = [0, 7, 70, 1];
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..4, 0u32..3, 0u8..3).prop_map(|(i, part, fault)| Op::Put {
+                rdd: IDS[i],
+                part,
+                fault
+            }),
+            (0usize..4, 0u32..3, 0u8..3).prop_map(|(i, part, fault)| Op::PutShuffle {
+                shuffle: IDS[i],
+                part,
+                fault
+            }),
+            (0usize..4).prop_map(|i| Op::Drop { rdd: IDS[i] }),
+        ]
+    }
+
+    /// The string-keyed corruption bookkeeping the typed set replaced,
+    /// transcribed: keys as stored, GC by key prefix.
+    #[derive(Default)]
+    struct StringModel {
+        corrupt: HashSet<String>,
+    }
+
+    impl StringModel {
+        fn landed(&mut self, key: String, fault: WriteFault) {
+            match fault {
+                WriteFault::Fail => {}
+                WriteFault::Torn => {
+                    self.corrupt.insert(key);
+                }
+                WriteFault::None => {
+                    self.corrupt.remove(&key);
+                }
+            }
+        }
+
+        fn drop_rdd(&mut self, rdd: RddId) {
+            let prefix = format!("rdd-{:06}/", rdd.0);
+            self.corrupt.retain(|k| !k.starts_with(&prefix));
+        }
+
+        fn fault(&self, key: &str, now: SimTime) -> Option<ReadFault> {
+            if self.corrupt.contains(key) {
+                Some(ReadFault::Corrupt)
+            } else if (Fixed {
+                fault: WriteFault::None,
+            })
+            .read_unavailable(now)
+            {
+                Some(ReadFault::Unavailable)
+            } else {
+                None
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Typed corrupt keys answer every read-fault query exactly as
+        /// the string keys did, through any sequence of clean, torn and
+        /// lost writes and RDD drops.
+        #[test]
+        fn typed_corrupt_keys_match_string_keys(
+            ops in proptest::collection::vec(op_strategy(), 1..60),
+        ) {
+            let faults = [WriteFault::None, WriteFault::Torn, WriteFault::Fail];
+            let mut cs = CheckpointStore::new(StorageConfig::default());
+            cs.set_fault_policy(Box::new(Fixed { fault: WriteFault::None }));
+            let mut model = StringModel::default();
+            for op in ops {
+                match op {
+                    Op::Put { rdd, part, fault } => {
+                        let fault = faults[usize::from(fault)];
+                        cs.set_fault_policy(Box::new(Fixed { fault }));
+                        cs.put(RddId(rdd), part, 3, data(), 10, SimTime::ZERO);
+                        model.landed(checkpoint_key(RddId(rdd), part), fault);
+                    }
+                    Op::PutShuffle { shuffle, part, fault } => {
+                        let fault = faults[usize::from(fault)];
+                        cs.set_fault_policy(Box::new(Fixed { fault }));
+                        cs.put_shuffle(ShuffleId(shuffle), part, data(), 10, SimTime::ZERO);
+                        model.landed(shuffle_key(ShuffleId(shuffle), part), fault);
+                    }
+                    Op::Drop { rdd } => {
+                        cs.drop_rdd(RddId(rdd), SimTime::ZERO);
+                        model.drop_rdd(RddId(rdd));
+                    }
+                }
+                for now in [SimTime::ZERO, SimTime::from_millis(1_500)] {
+                    for id in IDS {
+                        for part in 0..3 {
+                            prop_assert_eq!(
+                                cs.read_fault(RddId(id), part, now),
+                                model.fault(&checkpoint_key(RddId(id), part), now)
+                            );
+                            prop_assert_eq!(
+                                cs.shuffle_read_fault(ShuffleId(id), part, now),
+                                model.fault(&shuffle_key(ShuffleId(id), part), now)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

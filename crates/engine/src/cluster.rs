@@ -6,7 +6,7 @@ use std::collections::{BTreeSet, HashMap};
 use flint_simtime::{SimDuration, SimTime};
 
 use crate::block::{
-    BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot, InsertOutcome,
+    BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot, InsertOutcome, KeyMap,
 };
 
 /// Identifier of a worker slot within the engine.
@@ -121,7 +121,7 @@ pub struct Cluster {
     /// Alive worker ids, ascending (ids are handed out in join order).
     alive: Vec<WorkerId>,
     /// Block key -> ascending alive holders; no entry for an unheld key.
-    directory: HashMap<BlockKey, Vec<WorkerId>>,
+    directory: KeyMap<BlockKey, Vec<WorkerId>>,
     /// Keys that gained their first or lost their last alive holder
     /// since [`Cluster::take_changes`]: what the readiness planner must
     /// re-examine. Bounded by the number of distinct keys.
@@ -276,6 +276,12 @@ impl Cluster {
         std::mem::take(&mut self.changed)
     }
 
+    /// Whether any alive worker holds the block: one directory lookup,
+    /// the same answer as `locate(key).is_some()`.
+    pub fn holds(&self, key: &BlockKey) -> bool {
+        self.directory.contains_key(key)
+    }
+
     /// Finds a block anywhere in the alive cluster: the lowest alive
     /// `WorkerId` holding it, with that worker's location and size.
     pub fn locate(&self, key: &BlockKey) -> Option<(WorkerId, BlockLocation, u64)> {
@@ -363,7 +369,7 @@ impl Cluster {
 /// Drops `wid` from `key`'s holder list; a key that thereby loses its
 /// last holder leaves the directory and is recorded as changed.
 fn unlist(
-    directory: &mut HashMap<BlockKey, Vec<WorkerId>>,
+    directory: &mut KeyMap<BlockKey, Vec<WorkerId>>,
     changed: &mut BTreeSet<BlockKey>,
     key: BlockKey,
     wid: WorkerId,

@@ -310,7 +310,7 @@ impl DriverConfigBuilder {
 /// The derived `Ord` defines the commit order within a wave: outputs are
 /// admitted in ascending `TaskKey` order regardless of which host thread
 /// computed them first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum TaskKey {
     /// Produce the shuffle map output block for `(shuffle, map_part)`.
     ShuffleMap { shuffle: ShuffleId, map_part: u32 },
@@ -321,7 +321,7 @@ pub(crate) enum TaskKey {
 }
 
 /// A pending checkpoint write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum CkptJob {
     /// Checkpoint `(rdd, part)`.
     RddPart(RddId, u32),

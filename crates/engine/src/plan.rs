@@ -19,30 +19,31 @@
 //!   each step re-derives only the tasks that read a changed block.
 //!
 //! Anything that cannot be pinned on individual blocks — a new target, a
-//! replaced store fault policy, virtual time moving under a policy whose
-//! read outages depend on it — discards the plan and builds it again from
-//! the roots. That rebuild is the same code the incremental path uses to
-//! add a task, so there is one planner, not two.
+//! replaced store fault policy, the clock crossing an edge of a store read
+//! outage — discards the plan and builds it again from the roots. An
+//! outage covers the whole store, so a stored block is readable at `t`
+//! exactly when it is present, not torn, and `read_unavailable(t)` is
+//! false; presence and tearing change only through keys the store
+//! reports. The plan therefore carries across any two passes on the same
+//! side of every outage edge. The rebuild is the same code the
+//! incremental path uses to add a task, so there is one planner, not two.
 //!
 //! **The oracle, and what it costs.** Every pass ends by building a
 //! fresh plan from the roots and asserting the carried one equals it,
-//! field for field ([`Planner::plan`]). That is on in release builds
-//! too for this landing, which makes a pass O(nodes) instead of
-//! O(changed): on `als_serverless` about 190 of an op's 274 ms. It is a
-//! brake, kept on purpose: the benchmark gate bounds the run-to-run
-//! spread of `ops_per_s` by a quarter of the *parent's* median, so one
-//! landing can move throughput by roughly 2x and still be resolved.
-//! The release-mode comparison against the planner this module replaced
-//! (the first, heavier brake) is gone; that planner survives as the
-//! proptest reference in this file's tests. The next change puts this
-//! assertion back under `cfg!(debug_assertions)`; see DESIGN.md §8
-//! "Readiness planning".
+//! field for field ([`Planner::plan`]), in release builds too. A pass is
+//! therefore O(nodes), not O(changed), and the from-scratch build is kept
+//! cheap instead: an availability check formats no key and hashes each
+//! block once ([`Cluster::holds`], a typed corrupt set, [`KeyMap`]), and
+//! the small per-entry sets of the plan are sorted `Vec`s, not B-trees.
+//! Making the assertion debug-only again is one `cfg!(debug_assertions)`
+//! around it; see DESIGN.md §8 "Readiness planning" for what it costs
+//! today.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use flint_simtime::SimTime;
 
-use crate::block::BlockKey;
+use crate::block::{BlockKey, KeyMap};
 use crate::checkpoint::CheckpointStore;
 use crate::cluster::{Cluster, WorkerId};
 use crate::driver::TaskKey;
@@ -59,6 +60,10 @@ use crate::shuffle::ShuffleId;
 pub struct PlanStats {
     /// Planning passes: one per scheduler step.
     pub passes: u64,
+    /// Passes that discarded the plan and built it from the roots, the
+    /// first pass of each job included. The oracle's fresh build is not
+    /// counted.
+    pub rebuilds: u64,
     /// Task nodes derived (cone walked) or re-derived.
     pub nodes_visited: u64,
     /// Block availability lookups against the cluster directory and the
@@ -77,27 +82,24 @@ struct World<'a> {
 impl World<'_> {
     fn part_available(&self, rdd: RddId, part: u32) -> bool {
         self.ckpt.readable(rdd, part, self.now)
-            || self
-                .cluster
-                .locate(&BlockKey::RddPart { rdd, part })
-                .is_some()
+            || self.cluster.holds(&BlockKey::RddPart { rdd, part })
     }
 
     fn shuffle_available(&self, shuffle: ShuffleId, map_part: u32) -> bool {
         self.cluster
-            .locate(&BlockKey::ShuffleMap { shuffle, map_part })
-            .is_some()
+            .holds(&BlockKey::ShuffleMap { shuffle, map_part })
             || self.ckpt.shuffle_readable(shuffle, map_part, self.now)
     }
 }
 
-/// One task in the closure.
+/// One task in the closure. The sets here and below are ascending,
+/// duplicate-free `Vec`s: they usually hold one or two entries.
 #[derive(Debug, PartialEq)]
 struct Node {
-    /// Shuffles the task's narrow cone reads, ascending.
+    /// Shuffles the task's narrow cone reads.
     deps: Vec<ShuffleId>,
     /// `(rdd, part)` availabilities the cone walk consulted.
-    reads: BTreeSet<(RddId, u32)>,
+    reads: Vec<(RddId, u32)>,
     /// How many of `deps` still miss a map output; ready at zero.
     blocked: usize,
 }
@@ -107,9 +109,9 @@ struct Node {
 struct ShuffleState {
     /// Map parts with no available output. Each is a `ShuffleMap` task in
     /// the closure.
-    missing: BTreeSet<u32>,
+    missing: Vec<u32>,
     /// Tasks in the closure that read this shuffle; never empty.
-    dependents: BTreeSet<TaskKey>,
+    dependents: Vec<TaskKey>,
 }
 
 /// A remembered `(rdd, part)` availability.
@@ -117,19 +119,44 @@ struct ShuffleState {
 struct PartState {
     available: bool,
     /// Tasks whose cone walk consulted it; never empty.
-    readers: BTreeSet<TaskKey>,
+    readers: Vec<TaskKey>,
 }
 
 /// The plan itself: a pure function of the target and of what is
-/// available, whichever way it was arrived at.
+/// available, whichever way it was arrived at. The keyed maps are only
+/// looked up, never iterated, and hash-map equality ignores order.
 #[derive(Debug, Default, PartialEq)]
 struct PlanState {
     /// Target partitions not yet available; empty means the job is done.
     target_missing: BTreeSet<u32>,
-    nodes: BTreeMap<TaskKey, Node>,
+    nodes: KeyMap<TaskKey, Node>,
     shuffles: BTreeMap<ShuffleId, ShuffleState>,
-    parts: BTreeMap<(RddId, u32), PartState>,
+    parts: KeyMap<(RddId, u32), PartState>,
+    /// Ascending: the driver hands tasks out in this order.
     ready: BTreeSet<TaskKey>,
+}
+
+/// Inserts `x` into the ascending, duplicate-free `set`; `false` if it
+/// was already there.
+fn set_insert<T: Ord>(set: &mut Vec<T>, x: T) -> bool {
+    match set.binary_search(&x) {
+        Ok(_) => false,
+        Err(i) => {
+            set.insert(i, x);
+            true
+        }
+    }
+}
+
+/// Removes `x` from the ascending `set`; `false` if it was not there.
+fn set_remove<T: Ord>(set: &mut Vec<T>, x: &T) -> bool {
+    match set.binary_search(x) {
+        Ok(i) => {
+            set.remove(i);
+            true
+        }
+        Err(_) => false,
+    }
 }
 
 /// Incremental readiness planner for one driver.
@@ -167,18 +194,22 @@ impl Planner {
         };
         let carried = self.target == Some(target)
             && !stored.all
-            && (now == self.planned_at || !w.ckpt.reads_vary_with_time());
+            && w.ckpt.read_unavailable(self.planned_at) == w.ckpt.read_unavailable(now);
         if carried {
             for key in moved.union(&stored.keys) {
                 self.refresh(&w, *key);
             }
         } else {
+            self.stats.rebuilds += 1;
             self.rebuild(&w, target);
         }
         self.planned_at = now;
-        // The oracle, all builds for now (see the module docs).
+        // The oracle, in every build (see the module docs). Its maps are
+        // sized like the plan they must equal, so they never grow.
         let mut fresh = Planner::default();
-        fresh.rebuild(&w, target);
+        fresh.state.nodes.reserve(self.state.nodes.len());
+        fresh.state.parts.reserve(self.state.parts.len());
+        fresh.build(&w, target);
         assert_eq!(
             self.state, fresh.state,
             "carried plan diverged from a from-scratch plan"
@@ -197,6 +228,11 @@ impl Planner {
     /// Discards the plan and builds it from the target's partitions.
     fn rebuild(&mut self, w: &World<'_>, target: RddId) {
         self.state = PlanState::default();
+        self.build(w, target);
+    }
+
+    /// Builds the plan for `target` into an empty state.
+    fn build(&mut self, w: &World<'_>, target: RddId) {
         self.target = Some(target);
         for part in 0..w.lineage.meta(target).num_partitions {
             self.refresh_root(w, target, part);
@@ -237,7 +273,7 @@ impl Planner {
                 self.stats.availability_probes += 1;
                 let task = TaskKey::ShuffleMap { shuffle, map_part };
                 if w.shuffle_available(shuffle, map_part) {
-                    if !st.missing.remove(&map_part) {
+                    if !set_remove(&mut st.missing, &map_part) {
                         return;
                     }
                     if st.missing.is_empty() {
@@ -252,7 +288,7 @@ impl Planner {
                     }
                     self.remove_node(task);
                 } else {
-                    if !st.missing.insert(map_part) {
+                    if !set_insert(&mut st.missing, map_part) {
                         return;
                     }
                     if st.missing.len() == 1 {
@@ -326,7 +362,7 @@ impl Planner {
             return; // left the plan earlier in this pass
         };
         let (deps, reads) = self.derive(w, t);
-        for key in old.reads.difference(&reads) {
+        for key in old.reads.iter().filter(|k| reads.binary_search(k).is_err()) {
             self.forget_read(t, *key);
         }
         let mut joined = Vec::new();
@@ -346,7 +382,7 @@ impl Planner {
         }
     }
 
-    fn insert_node(&mut self, t: TaskKey, deps: Vec<ShuffleId>, reads: BTreeSet<(RddId, u32)>) {
+    fn insert_node(&mut self, t: TaskKey, deps: Vec<ShuffleId>, reads: Vec<(RddId, u32)>) {
         let blocked = deps
             .iter()
             .filter(|s| !self.state.shuffles[s].missing.is_empty())
@@ -375,7 +411,7 @@ impl Planner {
             let parent = w.lineage.shuffle(s).parent;
             let map_parts = w.lineage.meta(parent).num_partitions;
             stats.availability_probes += u64::from(map_parts);
-            let missing: BTreeSet<u32> = (0..map_parts)
+            let missing: Vec<u32> = (0..map_parts)
                 .filter(|mp| !w.shuffle_available(s, *mp))
                 .collect();
             work.extend(missing.iter().map(|mp| TaskKey::ShuffleMap {
@@ -384,10 +420,10 @@ impl Planner {
             }));
             ShuffleState {
                 missing,
-                dependents: BTreeSet::new(),
+                dependents: Vec::new(),
             }
         });
-        st.dependents.insert(t);
+        set_insert(&mut st.dependents, t);
     }
 
     /// Unregisters `t` as a reader of `s`. When the last reader goes the
@@ -398,7 +434,7 @@ impl Planner {
             .shuffles
             .get_mut(&s)
             .expect("a dependency is a tracked shuffle");
-        st.dependents.remove(&t);
+        set_remove(&mut st.dependents, &t);
         if st.dependents.is_empty() {
             let st = self.state.shuffles.remove(&s).expect("present above");
             work.extend(st.missing.into_iter().map(|mp| TaskKey::ShuffleMap {
@@ -410,7 +446,7 @@ impl Planner {
 
     fn forget_read(&mut self, t: TaskKey, key: (RddId, u32)) {
         if let Some(st) = self.state.parts.get_mut(&key) {
-            st.readers.remove(&t);
+            set_remove(&mut st.readers, &t);
             if st.readers.is_empty() {
                 self.state.parts.remove(&key);
             }
@@ -421,7 +457,7 @@ impl Planner {
     /// data or shuffle boundaries. Returns the shuffles it ends at
     /// (ascending) and every `(rdd, part)` whose availability it
     /// consulted, registering `t` as a reader of each.
-    fn derive(&mut self, w: &World<'_>, t: TaskKey) -> (Vec<ShuffleId>, BTreeSet<(RddId, u32)>) {
+    fn derive(&mut self, w: &World<'_>, t: TaskKey) -> (Vec<ShuffleId>, Vec<(RddId, u32)>) {
         self.stats.nodes_visited += 1;
         let start = match t {
             TaskKey::Output { rdd, part } => (rdd, part),
@@ -432,11 +468,11 @@ impl Planner {
             }
             TaskKey::Ckpt(_) => unreachable!("checkpoint writes are not planned here"),
         };
-        let mut deps = BTreeSet::new();
-        let mut reads = BTreeSet::new();
+        let mut deps = Vec::new();
+        let mut reads = Vec::new();
         let mut stack = vec![start];
         while let Some((rdd, part)) = stack.pop() {
-            if !reads.insert((rdd, part)) {
+            if !set_insert(&mut reads, (rdd, part)) {
                 continue;
             }
             let stats = &mut self.stats;
@@ -444,10 +480,10 @@ impl Planner {
                 stats.availability_probes += 1;
                 PartState {
                     available: w.part_available(rdd, part),
-                    readers: BTreeSet::new(),
+                    readers: Vec::new(),
                 }
             });
-            st.readers.insert(t);
+            set_insert(&mut st.readers, t);
             if st.available {
                 continue;
             }
@@ -467,12 +503,14 @@ impl Planner {
                         // Narrow single-parent ops are partition-aligned.
                         stack.push((meta.parents[0], part));
                     } else {
-                        deps.extend(inputs);
+                        for s in inputs {
+                            set_insert(&mut deps, s);
+                        }
                     }
                 }
             }
         }
-        (deps.into_iter().collect(), reads)
+        (deps, reads)
     }
 }
 
@@ -609,12 +647,11 @@ mod tests {
         (ready.into_iter().collect(), false)
     }
 
-    /// Reads fail inside `[from, to)`; every `torn_every`-th write lands
-    /// torn (0 = never).
+    /// Reads fail inside any of the half-open `windows`; every
+    /// `torn_every`-th write lands torn (0 = never).
     #[derive(Debug)]
     struct Flaky {
-        from: SimTime,
-        to: SimTime,
+        windows: Vec<(SimTime, SimTime)>,
         torn_every: u32,
         writes: u32,
     }
@@ -629,8 +666,10 @@ mod tests {
             }
         }
 
-        fn read_unavailable(&self, _key: &str, now: SimTime) -> bool {
-            now >= self.from && now < self.to
+        fn read_unavailable(&self, now: SimTime) -> bool {
+            self.windows
+                .iter()
+                .any(|(from, to)| now >= *from && now < *to)
         }
     }
 
@@ -641,6 +680,8 @@ mod tests {
         now: SimTime,
         stages: Vec<RddRef>,
         planner: Planner,
+        /// Outage window edges, ascending: where `Step::ToEdge` lands.
+        edges: Vec<SimTime>,
     }
 
     impl Fixture {
@@ -668,6 +709,7 @@ mod tests {
                 now: SimTime::ZERO,
                 stages,
                 planner: Planner::default(),
+                edges: Vec::new(),
             }
         }
 
@@ -787,6 +829,13 @@ mod tests {
         Advance {
             ms: u64,
         },
+        /// Moves the clock forward to `nudge` ms off the `skip`-th
+        /// outage edge after now: onto it, or just before or past it,
+        /// or over whole windows.
+        ToEdge {
+            skip: usize,
+            nudge: i64,
+        },
         Degrade {
             from: u64,
             len: u64,
@@ -797,7 +846,9 @@ mod tests {
         },
     }
 
-    fn step_strategy() -> impl Strategy<Value = Step> {
+    /// Everything but the clock and the fault policy: cache churn,
+    /// revocations, checkpoint writes and GC.
+    fn churn_arms() -> Vec<BoxedStrategy<Step>> {
         let cache = || {
             (0usize..40, 0u32..8, 0usize..6).prop_map(|(rdd, part, worker)| Step::CachePart {
                 rdd,
@@ -814,31 +865,91 @@ mod tests {
                 }
             })
         };
-        prop_oneof![
-            (0u64..4, 50u64..400).prop_map(|(ext, mem)| Step::AddWorker { ext, mem }),
-            (0u64..4).prop_map(|ext| Step::Revoke { ext }),
-            cache(),
-            cache(),
-            cache_map(),
-            cache_map(),
-            cache_map(),
-            (0usize..40, 0u32..8).prop_map(|(rdd, part)| Step::Uncache { rdd, part }),
+        vec![
+            (0u64..4, 50u64..400)
+                .prop_map(|(ext, mem)| Step::AddWorker { ext, mem })
+                .boxed(),
+            (0u64..4).prop_map(|ext| Step::Revoke { ext }).boxed(),
+            cache().boxed(),
+            cache().boxed(),
+            cache_map().boxed(),
+            cache_map().boxed(),
+            cache_map().boxed(),
+            (0usize..40, 0u32..8)
+                .prop_map(|(rdd, part)| Step::Uncache { rdd, part })
+                .boxed(),
             (0usize..12, 0u32..8)
-                .prop_map(|(shuffle, part)| Step::UncacheMapOutput { shuffle, part }),
-            (0usize..40, 0u32..8).prop_map(|(rdd, part)| Step::Checkpoint { rdd, part }),
+                .prop_map(|(shuffle, part)| Step::UncacheMapOutput { shuffle, part })
+                .boxed(),
+            (0usize..40, 0u32..8)
+                .prop_map(|(rdd, part)| Step::Checkpoint { rdd, part })
+                .boxed(),
             (0usize..12, 0u32..8)
-                .prop_map(|(shuffle, part)| Step::CheckpointMapOutput { shuffle, part }),
-            (0usize..40).prop_map(|rdd| Step::DropCheckpoints { rdd }),
-            (0u64..3_000).prop_map(|ms| Step::Advance { ms }),
-            (0u64..6_000, 0u64..4_000, 0u32..4).prop_map(|(from, len, torn_every)| {
-                Step::Degrade {
+                .prop_map(|(shuffle, part)| Step::CheckpointMapOutput { shuffle, part })
+                .boxed(),
+            (0usize..40)
+                .prop_map(|rdd| Step::DropCheckpoints { rdd })
+                .boxed(),
+        ]
+    }
+
+    fn retarget() -> BoxedStrategy<Step> {
+        (0usize..40).prop_map(|rdd| Step::Retarget { rdd }).boxed()
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        let mut arms = churn_arms();
+        arms.push((0u64..3_000).prop_map(|ms| Step::Advance { ms }).boxed());
+        arms.push(
+            (0u64..6_000, 0u64..4_000, 0u32..4)
+                .prop_map(|(from, len, torn_every)| Step::Degrade {
                     from,
                     len,
                     torn_every,
-                }
-            }),
-            (0usize..40).prop_map(|rdd| Step::Retarget { rdd }),
-        ]
+                })
+                .boxed(),
+        );
+        arms.push(retarget());
+        proptest::Union::new(arms)
+    }
+
+    /// Churn interleaved with clock steps that hit outage edges
+    /// exactly, stop just short of or just past them, jump over whole
+    /// windows, or move a little inside one. The fault policy is never
+    /// replaced, so only the clock can force a rebuild.
+    fn outage_step_strategy() -> impl Strategy<Value = Step> {
+        let to_edge = || {
+            (0usize..3, -1i64..2)
+                .prop_map(|(skip, nudge)| Step::ToEdge { skip, nudge })
+                .boxed()
+        };
+        let mut arms = churn_arms();
+        arms.extend([to_edge(), to_edge(), to_edge(), to_edge()]);
+        arms.push((0u64..400).prop_map(|ms| Step::Advance { ms }).boxed());
+        arms.push(retarget());
+        proptest::Union::new(arms)
+    }
+
+    /// Half-open outage windows laid out from a cursor: each starts at
+    /// the previous end (adjacent), after a gap, or before it
+    /// (overlapping), and may be empty.
+    fn windows_strategy() -> impl Strategy<Value = Vec<(SimTime, SimTime)>> {
+        let len = prop_oneof![Just(0u64), 1u64..1_500];
+        proptest::collection::vec((0u8..3, 1u64..1_500, len), 1..6).prop_map(|specs| {
+            let mut cursor = 0u64;
+            specs
+                .into_iter()
+                .map(|(kind, shift, len)| {
+                    let start = match kind {
+                        0 => cursor,
+                        1 => cursor + shift,
+                        _ => cursor.saturating_sub(shift),
+                    };
+                    cursor = start + len;
+                    (SimTime::from_millis(start), SimTime::from_millis(cursor))
+                })
+                .collect()
+        })
     }
 
     fn rows() -> Arc<Vec<Value>> {
@@ -907,13 +1018,19 @@ mod tests {
                 f.ckpt.drop_rdd(rdd, f.now);
             }
             Step::Advance { ms } => f.now += SimDuration::from_millis(ms),
+            Step::ToEdge { skip, nudge } => {
+                let edge = f.edges.iter().filter(|e| **e > f.now).nth(skip);
+                if let Some(edge) = edge {
+                    let at = edge.since_epoch().as_millis().saturating_add_signed(nudge);
+                    f.now = f.now.max(SimTime::from_millis(at));
+                }
+            }
             Step::Degrade {
                 from,
                 len,
                 torn_every,
             } => f.ckpt.set_fault_policy(Box::new(Flaky {
-                from: SimTime::from_millis(from),
-                to: SimTime::from_millis(from + len),
+                windows: vec![(SimTime::from_millis(from), SimTime::from_millis(from + len))],
                 torn_every,
                 writes: 0,
             })),
@@ -941,6 +1058,55 @@ mod tests {
                 f.plan_and_check(target);
             }
         }
+    }
+
+    /// Under a fixed set of store outage windows the plan is carried
+    /// through every pass that stays on one side of each window edge and
+    /// rebuilt exactly when the clock crosses one (or the target
+    /// changes), and the answer equals the reference at every step.
+    #[test]
+    fn carried_plan_equals_reference_across_outage_windows() {
+        let mut rng = proptest::rng_for("carried_plan_equals_reference_across_outage_windows");
+        let (mut passes, mut carried_inside) = (0u64, 0u64);
+        for _ in 0..150 {
+            let shape = proptest::collection::vec(shape_strategy(), 1..8).generate(&mut rng);
+            let windows = windows_strategy().generate(&mut rng);
+            let steps = proptest::collection::vec(outage_step_strategy(), 1..80).generate(&mut rng);
+            let mut f = Fixture::new(&shape);
+            f.edges = windows.iter().flat_map(|(s, e)| [*s, *e]).collect();
+            f.edges.sort();
+            f.edges.dedup();
+            f.ckpt.set_fault_policy(Box::new(Flaky {
+                windows,
+                torn_every: 3,
+                writes: 0,
+            }));
+            let mut target = f.stages.last().expect("non-empty").id();
+            f.plan_and_check(target);
+            let (mut last_target, mut last_now) = (target, f.now);
+            for step in steps {
+                apply(&mut f, &mut target, step);
+                let rebuilds = f.planner.stats().rebuilds;
+                f.plan_and_check(target);
+                let rebuilt = f.planner.stats().rebuilds > rebuilds;
+                let outage = f.ckpt.read_unavailable(f.now);
+                let crossed = outage != f.ckpt.read_unavailable(last_now);
+                assert_eq!(
+                    rebuilt,
+                    crossed || target != last_target,
+                    "at {:?} after {step:?}",
+                    f.now
+                );
+                passes += 1;
+                carried_inside += u64::from(outage && !rebuilt);
+                (last_target, last_now) = (target, f.now);
+            }
+        }
+        // Non-vacuous: plans really were carried inside outage windows.
+        assert!(
+            carried_inside * 20 > passes,
+            "{carried_inside} of {passes} passes carried a plan inside a window"
+        );
     }
 
     #[test]

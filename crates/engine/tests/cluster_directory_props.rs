@@ -4,9 +4,9 @@
 //! Random sequences of worker joins, revocations (including re-joins of
 //! a revoked external id), block inserts under capacities small enough
 //! to force spills, disk drops and self-drops, and cluster-wide
-//! removals. After every operation `locate`, `peek_fetch`, `snapshot`
-//! and the alive set must equal a linear scan over the alive workers —
-//! the definition the directory replaced.
+//! removals. After every operation `locate`, `holds`, `peek_fetch`,
+//! `snapshot` and the alive set must equal a linear scan over the alive
+//! workers — the definition the directory replaced.
 
 use std::sync::Arc;
 
@@ -87,6 +87,7 @@ fn check(c: &Cluster) {
         let k = key(i);
         let want = scan_locate(c, &k);
         assert_eq!(c.locate(&k), want, "locate({k})");
+        assert_eq!(c.holds(&k), want.is_some(), "holds({k})");
         let got = c
             .peek_fetch(&k)
             .map(|(wid, data, loc, vb)| (wid, loc, vb, data.len()));

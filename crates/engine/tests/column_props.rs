@@ -261,7 +261,7 @@ impl StoreFaultPolicy for ScriptedStore {
         *self.writes.get(self.next - 1).unwrap_or(&WriteFault::None)
     }
 
-    fn read_unavailable(&self, _key: &str, now: SimTime) -> bool {
+    fn read_unavailable(&self, now: SimTime) -> bool {
         now >= SimTime::from_millis(1_000) && now < SimTime::from_millis(2_000)
     }
 }

@@ -231,6 +231,30 @@ fn flag_u(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u
     Ok(flag_num(flags, name)?.unwrap_or(default))
 }
 
+/// Probability flag `--name`: a number in `[0, 1]`, or a usage error.
+fn flag_prob(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
+    let p = flag_f64(flags, name, default)?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!(
+            "invalid value for --{name}: {} (expected a probability in [0, 1])",
+            flags[name]
+        ))
+    }
+}
+
+/// The fault kinds `flint chaos --faults` can name, besides `all`.
+const FAULT_KINDS: &[&str] = &[
+    "revoke",
+    "mass",
+    "flap",
+    "delay",
+    "store",
+    "driver-crash",
+    "market-collapse",
+];
+
 /// Unwraps a flag-parsing `Result` inside a subcommand; a usage error is
 /// printed and ends the command with `ExitCode::FAILURE`. Commands call
 /// it before they start anything, so a bad flag runs nothing.
@@ -872,12 +896,22 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
     let jobs = or_usage!(flag_u(flags, "jobs", 1)).max(1) as usize;
     let workers = or_usage!(flag_u(flags, "workers", 4)).max(1) as u32;
     let revocations = or_usage!(flag_num::<u64>(flags, "revocations"));
-    let crash_prob = or_usage!(flag_f64(flags, "crash-prob", 0.5));
+    let crash_prob = or_usage!(flag_prob(flags, "crash-prob", 0.5));
     let crash_wave_max = or_usage!(flag_u(flags, "crash-wave-max", 8)).max(1);
-    let collapse_prob = or_usage!(flag_f64(flags, "collapse-prob", 0.5));
+    let collapse_prob = or_usage!(flag_prob(flags, "collapse-prob", 0.5));
     let faults = flags.get("faults").map(String::as_str).unwrap_or("all");
     let enabled: Vec<&str> = faults.split(',').map(str::trim).collect();
-    let has = |k: &str| faults == "all" || enabled.contains(&k);
+    if let Some(bad) = enabled
+        .iter()
+        .find(|k| **k != "all" && !FAULT_KINDS.contains(k))
+    {
+        eprintln!(
+            "unknown fault kind: {bad} (expected all or some of {})",
+            FAULT_KINDS.join(",")
+        );
+        return ExitCode::FAILURE;
+    }
+    let has = |k: &str| enabled.contains(&"all") || enabled.contains(&k);
     let mttf = SimDuration::from_hours_f64(or_usage!(flag_f64(flags, "mttf", 1.0)));
 
     let name = flags
@@ -905,6 +939,11 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
         eprintln!("unknown workload: {name}");
         return ExitCode::FAILURE;
     };
+    let ckpt_kind = flags.get("ckpt").map(String::as_str).unwrap_or("eager");
+    if !matches!(ckpt_kind, "eager" | "adaptive" | "none") {
+        eprintln!("unknown ckpt policy: {ckpt_kind} (expected eager|adaptive|none)");
+        return ExitCode::FAILURE;
+    }
 
     // The fault-free twin: its digest is the ground truth every chaos
     // run must reproduce, and its runtime sizes the fault horizon so
@@ -938,13 +977,6 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
         "fault-free    : checksum {:#018x}, {} records, runtime {baseline}",
         expect.checksum, expect.records
     );
-
-    // Validate flags that used to fail mid-loop before fanning out.
-    let ckpt_kind = flags.get("ckpt").map(String::as_str).unwrap_or("eager");
-    if !matches!(ckpt_kind, "eager" | "adaptive" | "none") {
-        eprintln!("unknown ckpt policy: {ckpt_kind} (expected eager|adaptive|none)");
-        return ExitCode::FAILURE;
-    }
 
     /// How one chaos run ended, for the survival tally. `Degraded` is
     /// byte-identical survival that went through the crash-resume path.

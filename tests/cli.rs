@@ -123,3 +123,44 @@ fn path_flag_without_value_is_a_usage_error() {
     assert!(created.is_empty(), "nothing may be created: {created:?}");
     std::fs::remove_dir(&dir).expect("remove temp dir");
 }
+
+/// `flint chaos` checks its fault names and probabilities before it runs
+/// anything, the fault-free twin included: a typo in `--faults` used to
+/// be dropped silently, and a probability outside `[0, 1]` used to panic
+/// (exit 5) after the twin had run.
+#[test]
+fn chaos_rejects_unusable_fault_names_and_probabilities() {
+    let chaos: &[&str] = &["chaos", "--seed", "1", "--runs", "2"];
+    let cases: [(&[&str], &str); 7] = [
+        (
+            &["--faults", "driver-crash", "--crash-prob", "2"],
+            "invalid value for --crash-prob: 2",
+        ),
+        (
+            &["--faults", "driver-crash", "--crash-prob", "-0.1"],
+            "invalid value for --crash-prob: -0.1",
+        ),
+        (
+            &["--faults", "driver-crash", "--crash-prob", "NaN"],
+            "invalid value for --crash-prob: NaN",
+        ),
+        (
+            &["--faults", "market-collapse", "--collapse-prob", "inf"],
+            "invalid value for --collapse-prob: inf",
+        ),
+        (&["--faults", "revoke,strore"], "unknown fault kind: strore"),
+        (&["--faults", "all,"], "unknown fault kind: "),
+        (&["--faults"], "unknown fault kind: true"),
+    ];
+    for (extra, named) in cases {
+        let args = [chaos, extra].concat();
+        let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+            .args(&args)
+            .output()
+            .expect("spawn flint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "flint {args:?}: {stderr}");
+        assert!(stderr.contains(named), "flint {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "flint {args:?} ran something");
+    }
+}

@@ -8,12 +8,18 @@
 //! `P² × W` (every step re-probed every map output of every shuffle in
 //! the cone on every worker).
 
-use flint::engine::{Driver, DriverConfig, NoCheckpoint, NoFailures, PlanStats, WorkerSpec};
-use flint::workloads::{Als, Workload, WorkloadConfig};
+use flint::core::FlintCheckpointPolicy;
+use flint::engine::{
+    ChaosConfig, ChaosInjector, ChaosSchedule, Driver, DriverConfig, NoCheckpoint, NoFailures,
+    PlanStats, WorkerSpec,
+};
+use flint::simtime::{SimDuration, SimTime};
+use flint::workloads::{Als, PageRank, Workload, WorkloadConfig};
 
 /// Runs ALS 2 GB with `partitions` on `workers` plain workers and
-/// returns the planner counters with the number of tasks run.
-fn als(partitions: u32, workers: u32) -> (PlanStats, u64) {
+/// returns the planner counters with the number of tasks and of jobs
+/// run.
+fn als(partitions: u32, workers: u32) -> (PlanStats, u64, u64) {
     let wl = Als::new(WorkloadConfig {
         dataset_gb: 2.0,
         partitions,
@@ -31,7 +37,8 @@ fn als(partitions: u32, workers: u32) -> (PlanStats, u64) {
         d.add_worker(WorkerSpec::r3_large());
     }
     wl.run(&mut d).expect("fault-free run");
-    (d.plan_stats(), d.stats().tasks_run)
+    let jobs = d.stats().actions.len() as u64;
+    (d.plan_stats(), d.stats().tasks_run, jobs)
 }
 
 #[test]
@@ -39,7 +46,9 @@ fn probes_per_task_do_not_grow_with_partitions_or_workers() {
     let runs: Vec<(u32, PlanStats, u64)> = [8, 16, 32]
         .into_iter()
         .map(|p| {
-            let (stats, tasks) = als(p, 5);
+            let (stats, tasks, jobs) = als(p, 5);
+            // Nothing but a new target discards the plan.
+            assert_eq!(stats.rebuilds, jobs, "P={p}: {stats:?} over {jobs} jobs");
             (p, stats, tasks)
         })
         .collect();
@@ -68,9 +77,79 @@ fn probes_per_task_do_not_grow_with_partitions_or_workers() {
 
     // The worker count is invisible to the planner: same plan, same
     // counters, whether 5 or 15 workers hold the blocks.
-    let (few, tasks_few) = als(16, 5);
-    let (many, tasks_many) = als(16, 15);
+    let (few, tasks_few, _) = als(16, 5);
+    let (many, tasks_many, _) = als(16, 15);
     assert_eq!(tasks_few, tasks_many);
     assert_eq!(few.availability_probes, many.availability_probes);
     assert_eq!(few.nodes_visited, many.nodes_visited);
+}
+
+/// A store outage makes every checkpoint unreadable at once, so the plan
+/// is rebuilt where the clock crosses a window edge and carried
+/// everywhere else, inside the windows included.
+#[test]
+fn outage_windows_rebuild_only_at_their_edges() {
+    let wl = PageRank::new(WorkloadConfig {
+        dataset_gb: 0.3,
+        partitions: 8,
+        iterations: 3,
+        seed: 1,
+    });
+    let cfg = DriverConfig::builder()
+        .size_scale(wl.recommended_size_scale())
+        .build();
+    let workers = |d: &mut Driver| {
+        for ext in 1..=4 {
+            d.add_worker_with_ext(ext, WorkerSpec::r3_large());
+        }
+    };
+    let mut twin = Driver::new(cfg.clone(), Box::new(NoCheckpoint), Box::new(NoFailures));
+    workers(&mut twin);
+    let expect = wl.run(&mut twin).expect("fault-free twin");
+
+    let mut edges_crossed = 0;
+    let (mut rebuilds, mut passes) = (0, 0);
+    for seed in 0..4 {
+        let mut chaos = ChaosConfig::new(seed);
+        chaos.horizon = twin.now().since_epoch();
+        chaos.outages = 3;
+        chaos.outage_len = chaos.horizon / 8;
+        let schedule = ChaosSchedule::generate(&chaos);
+        let mut d = Driver::new(
+            cfg.clone(),
+            Box::new(FlintCheckpointPolicy::with_mttf(SimDuration::from_mins(10))),
+            Box::new(ChaosInjector::from_schedule(schedule.clone())),
+        );
+        d.checkpoints_mut()
+            .set_fault_policy(Box::new(schedule.store_faults(&chaos)));
+        workers(&mut d);
+        let got = wl.run(&mut d).expect("survives its chaos schedule");
+        assert_eq!(got.checksum, expect.checksum, "seed {seed}");
+
+        let end = d.now();
+        let edges: Vec<SimTime> = schedule
+            .outages
+            .iter()
+            .flat_map(|(s, e)| [*s, *e])
+            .filter(|t| *t <= end)
+            .collect();
+        let jobs = d.stats().actions.len() as u64;
+        let stats = d.plan_stats();
+        eprintln!("seed {seed}: {stats:?}, {jobs} jobs, {} edges", edges.len());
+        assert!(
+            stats.rebuilds <= jobs + edges.len() as u64,
+            "seed {seed}: {stats:?} over {jobs} jobs and {} window edges",
+            edges.len()
+        );
+        edges_crossed += edges.len();
+        rebuilds += stats.rebuilds;
+        passes += stats.passes;
+    }
+    // Non-vacuous: the windows fell inside the runs, and the passes
+    // there carried their plan.
+    assert!(edges_crossed > 0, "no outage window fell inside a run");
+    assert!(
+        rebuilds * 20 < passes,
+        "{rebuilds} of {passes} passes rebuilt"
+    );
 }
