@@ -5,11 +5,14 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use flint_engine::{FailureInjector, WorkerEvent, WorkerSpec};
-use flint_market::{CloudSim, InstanceEvent, InstanceId, Market, MarketId, MarketKind};
+use flint_market::{
+    CloudSim, HazardModel, InstanceEvent, InstanceId, Market, MarketId, MarketKind,
+};
 use flint_simtime::{SimDuration, SimTime};
 use flint_store::StorageConfig;
 use parking_lot::Mutex;
 
+use crate::selection::{mttf_of_rate, mttf_rate};
 use crate::{
     harmonic_mttf, BidPolicy, FtSharedHandle, JobProfile, MarketView, SelectionConfig,
     SelectionPolicy,
@@ -357,32 +360,30 @@ impl NmInner {
     fn hazard_cluster_mttf(&mut self, now: SimTime) -> SimDuration {
         let hazard = self.cfg.hazard.build(SimDuration::MAX);
         // Market MTTFs are pure functions of (market, now); resolve each
-        // distinct active market once instead of per instance.
-        let market_mttf: HashMap<MarketId, SimDuration> = self
+        // distinct active market's rate term once instead of per
+        // instance. The index yields markets in id order, so the few
+        // entries are sorted for binary search.
+        let market_rate: Vec<(MarketId, Option<f64>)> = self
             .cloud
             .active_markets()
             .map(|(mid, _)| {
                 let m = self.cloud.catalog().market(mid);
-                (mid, m.stats(now, self.cfg.window, self.bid.bid_for(m)).mttf)
+                let mttf = m.stats(now, self.cfg.window, self.bid.bid_for(m)).mttf;
+                (mid, mttf_rate(mttf))
             })
             .collect();
-        let mut components: Vec<SimDuration> = Vec::new();
-        let mut instances = 0u64;
+        let cloud = &self.cloud;
         // The active index iterates in id order, matching the historical
         // full-scan component order exactly.
-        for id in self.cloud.active() {
-            let r = self.cloud.instance(id);
-            // Pending instances (ready in the future) have age zero.
-            let age = if now > r.ready_at {
-                now.duration_since(r.ready_at)
-            } else {
-                SimDuration::ZERO
-            };
-            components.push(market_mttf[&r.market]);
-            components.push(hazard.mean_residual(age));
-            instances += 1;
-        }
-        let agg = harmonic_mttf(&components);
+        let active = cloud.active().map(|id| {
+            let r = cloud.instance(id);
+            let at = market_rate
+                .binary_search_by_key(&r.market, |(m, _)| *m)
+                .expect("an active instance's market is in the active-market index");
+            (market_rate[at].1, r.ready_at)
+        });
+        let (rate, instances) = hazard_refit_rate(now, hazard.as_ref(), active);
+        let agg = mttf_of_rate(rate);
         self.cloud
             .trace()
             .emit_with(now, || flint_engine::EventKind::HazardRefit {
@@ -515,6 +516,43 @@ impl NmInner {
         out.sort_by_key(|(t, _)| *t);
         out
     }
+}
+
+/// Eq. 3's rate sum under an age-dependent hazard, folded in place over
+/// the active instances as `(market rate term, ready_at)` in id order.
+/// Each instance adds its market's term, then the term of its
+/// age-conditioned mean residual: the summation order of the
+/// per-instance component list this replaced, so the sum is
+/// bit-identical to it. Pending instances (ready in the future) have age
+/// zero. `mean_residual` runs once per run of equal ages; a replacement
+/// batch shares one `ready_at`. Returns the rate and the instance count.
+fn hazard_refit_rate(
+    now: SimTime,
+    hazard: &dyn HazardModel,
+    active: impl IntoIterator<Item = (Option<f64>, SimTime)>,
+) -> (f64, u64) {
+    let mut rate = 0.0;
+    let mut instances = 0u64;
+    let mut last: Option<(SimDuration, Option<f64>)> = None;
+    for (market_term, ready_at) in active {
+        let age = now.duration_since(ready_at);
+        let residual_term = match last {
+            Some((seen, term)) if seen == age => term,
+            _ => {
+                let term = mttf_rate(hazard.mean_residual(age));
+                last = Some((age, term));
+                term
+            }
+        };
+        if let Some(term) = market_term {
+            rate += term;
+        }
+        if let Some(term) = residual_term {
+            rate += term;
+        }
+        instances += 1;
+    }
+    (rate, instances)
 }
 
 fn merge_replace(list: &mut Vec<(SimTime, MarketId, u32)>, t: SimTime, market: MarketId) {
@@ -672,7 +710,172 @@ mod tests {
     use super::*;
     use crate::ckpt_policy::new_shared;
     use crate::{BatchSelection, InteractiveSelection};
-    use flint_market::MarketCatalog;
+    use flint_market::{CappedLifetimeHazard, HazardSpec, MarketCatalog};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The refit before it was folded in place, transcribed: a map of
+    /// market MTTFs, two components per instance, and the harmonic sum.
+    /// Returns the aggregate MTTF, the rate it inverts, and the instance
+    /// count.
+    fn reference_refit(
+        now: SimTime,
+        hazard: &dyn HazardModel,
+        market_mttf: &HashMap<MarketId, SimDuration>,
+        active: &[(MarketId, SimTime)],
+    ) -> (SimDuration, f64, u64) {
+        let mut components: Vec<SimDuration> = Vec::new();
+        let mut instances = 0u64;
+        for (market, ready_at) in active {
+            let age = if now > *ready_at {
+                now.duration_since(*ready_at)
+            } else {
+                SimDuration::ZERO
+            };
+            components.push(market_mttf[market]);
+            components.push(hazard.mean_residual(age));
+            instances += 1;
+        }
+        let mut rate = 0.0;
+        for m in &components {
+            if *m == SimDuration::MAX {
+                continue;
+            }
+            rate += 1.0 / m.as_hours_f64().max(1e-9);
+        }
+        let agg = if rate <= 0.0 {
+            SimDuration::MAX
+        } else {
+            SimDuration::from_hours_f64(1.0 / rate)
+        };
+        (agg, rate, instances)
+    }
+
+    fn arb_mttf() -> impl Strategy<Value = SimDuration> {
+        prop_oneof![
+            Just(SimDuration::MAX),
+            (1u64..200 * 3_600_000).prop_map(SimDuration::from_millis),
+            (1u64..10_000).prop_map(SimDuration::from_millis),
+        ]
+    }
+
+    /// Offset of a run's `ready_at` from `now`, in ms: negative is an age,
+    /// positive a pending instance. The fixed arms make equal `ready_at`s
+    /// recur across runs that are not adjacent.
+    fn arb_ready_offset() -> impl Strategy<Value = i64> {
+        const H: i64 = 3_600_000;
+        prop_oneof![
+            -60 * H..12 * H,
+            -60 * H..12 * H,
+            Just(-30 * H),
+            Just(-5 * H),
+            Just(0),
+            Just(H),
+        ]
+    }
+
+    proptest! {
+        /// The in-place fold returns bit-for-bit the rate, MTTF and
+        /// instance count of the transcribed map + component-list fold, over
+        /// several markets (one possibly on-demand, MTTF = MAX), pending
+        /// instances, ages past the cap, and runs of equal `ready_at`
+        /// interleaved with unequal ones.
+        #[test]
+        fn hazard_refit_matches_transcribed_fold(
+            mttfs in vec(arb_mttf(), 1..6),
+            runs in vec((arb_ready_offset(), vec(0usize..6, 1..6)), 0..40),
+            early_prob in 0.0f64..1.0,
+            cap_hours in 1.0f64..48.0,
+        ) {
+            let now = SimTime::ZERO + SimDuration::from_days(100);
+            let hazard = CappedLifetimeHazard::new(early_prob, cap_hours);
+            let market_mttf: HashMap<MarketId, SimDuration> = mttfs
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (MarketId(i as u32), *m))
+                .collect();
+            let n_markets = mttfs.len();
+            let active: Vec<(MarketId, SimTime)> = runs
+                .iter()
+                .flat_map(|(offset, markets)| {
+                    let ready_at = SimTime::from_millis(
+                        now.as_millis().checked_add_signed(*offset).expect("in range"),
+                    );
+                    markets
+                        .iter()
+                        .map(move |m| (MarketId((m % n_markets) as u32), ready_at))
+                })
+                .collect();
+            let (want_mttf, want_rate, want_instances) =
+                reference_refit(now, &hazard, &market_mttf, &active);
+            let (rate, instances) = hazard_refit_rate(
+                now,
+                &hazard,
+                active
+                    .iter()
+                    .map(|(m, ready_at)| (mttf_rate(market_mttf[m]), *ready_at)),
+            );
+            // The rate, not only the millisecond MTTF it rounds to, so a
+            // change of summation order cannot hide in the rounding.
+            prop_assert_eq!(rate.to_bits(), want_rate.to_bits());
+            prop_assert_eq!(mttf_of_rate(rate), want_mttf);
+            prop_assert_eq!(instances, want_instances);
+        }
+    }
+
+    /// On a live heterogeneous cluster under a capped-lifetime hazard, the
+    /// node manager's refit (market-rate lookup included) equals the
+    /// transcribed fold over the same cloud state at every probe time.
+    #[test]
+    fn hazard_cluster_mttf_matches_transcribed_fold_on_a_live_cluster() {
+        let catalog = MarketCatalog::synthetic_ec2(13, SimDuration::from_days(60));
+        let cloud = CloudSim::with_seed(catalog, 13);
+        let start = SimTime::ZERO + SimDuration::from_days(14);
+        let cfg = SelectionConfig {
+            hazard: HazardSpec::CappedLifetime {
+                early_prob: 0.3,
+                cap_hours: 24.0,
+            },
+            ..SelectionConfig::default()
+        };
+        let (mut nm, _handle) = NodeManager::launch(
+            cloud,
+            Box::new(InteractiveSelection::default()),
+            BidPolicy::OnDemandPrice,
+            cfg,
+            JobProfile::default(),
+            StorageConfig::default(),
+            12,
+            new_shared(SimDuration::MAX),
+            start,
+        );
+        for day in 1..=6 {
+            let t = start + SimDuration::from_days(day);
+            let _ = nm.events(t - SimDuration::from_days(1), t);
+            let mut inner = nm.0.lock();
+            let hazard = inner.cfg.hazard.build(SimDuration::MAX);
+            let market_mttf: HashMap<MarketId, SimDuration> = inner
+                .cloud
+                .active_markets()
+                .map(|(mid, _)| {
+                    let m = inner.cloud.catalog().market(mid);
+                    let bid = inner.bid.bid_for(m);
+                    (mid, m.stats(t, inner.cfg.window, bid).mttf)
+                })
+                .collect();
+            let active: Vec<(MarketId, SimTime)> = inner
+                .cloud
+                .active()
+                .map(|id| {
+                    let r = inner.cloud.instance(id);
+                    (r.market, r.ready_at)
+                })
+                .collect();
+            let want = reference_refit(t, hazard.as_ref(), &market_mttf, &active);
+            assert_eq!(inner.hazard_cluster_mttf(t), want.0, "day {day}");
+            assert!(market_mttf.len() >= 2, "interactive spans markets");
+        }
+    }
 
     fn launch_nm(
         policy: Box<dyn SelectionPolicy>,

@@ -78,12 +78,21 @@ pub fn expected_cost(factor: f64, mean_price: f64) -> f64 {
 /// ```
 pub fn harmonic_mttf(mttfs: &[SimDuration]) -> SimDuration {
     let mut rate = 0.0;
-    for m in mttfs {
-        if *m == SimDuration::MAX {
-            continue;
-        }
-        rate += 1.0 / m.as_hours_f64().max(1e-9);
+    for term in mttfs.iter().filter_map(|m| mttf_rate(*m)) {
+        rate += term;
     }
+    mttf_of_rate(rate)
+}
+
+/// One summand of Eq. 3's rate sum, `1/MTTF` in hours⁻¹; `None` for an
+/// infinite MTTF (on-demand), which adds nothing.
+pub(crate) fn mttf_rate(mttf: SimDuration) -> Option<f64> {
+    (mttf != SimDuration::MAX).then(|| 1.0 / mttf.as_hours_f64().max(1e-9))
+}
+
+/// The aggregate MTTF of a summed revocation rate (Eq. 3's outer
+/// inverse); a zero rate never fails.
+pub(crate) fn mttf_of_rate(rate: f64) -> SimDuration {
     if rate <= 0.0 {
         SimDuration::MAX
     } else {

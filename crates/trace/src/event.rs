@@ -23,19 +23,24 @@ pub struct Event {
 }
 
 impl Event {
-    /// Encodes the event as a single flat JSON object (no trailing
-    /// newline). The field order is fixed per variant, so equal events
-    /// encode to identical bytes.
+    /// Appends the event to `out` as a single flat JSON object (no
+    /// trailing newline). The field order is fixed per variant, so equal
+    /// events encode to identical bytes. Nothing is allocated beyond
+    /// `out`'s own growth.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"t\":");
+        let _ = write!(out, "{}", self.t.as_millis());
+        out.push_str(",\"ev\":\"");
+        out.push_str(self.kind.name());
+        out.push('"');
+        self.kind.write_fields(out);
+        out.push('}');
+    }
+
+    /// [`Event::write_json`] into a fresh `String`.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(64);
-        let _ = write!(
-            s,
-            "{{\"t\":{},\"ev\":\"{}\"",
-            self.t.as_millis(),
-            self.kind.name()
-        );
-        self.kind.write_fields(&mut s);
-        s.push('}');
+        self.write_json(&mut s);
         s
     }
 
@@ -85,8 +90,30 @@ macro_rules! event_kinds {
             fn write_fields(&self, out: &mut String) {
                 match self {
                     $( EventKind::$name { $( $field, )* } => {
-                        $( field_codec!(@encode $ty, out, stringify!($field), $field); )*
+                        $( field_codec!(@encode $ty, out, $field); )*
                     } )*
+                }
+            }
+
+            /// Visits every field as `(key, value)` in wire order, so the
+            /// tests can run a transcribed reference encoder.
+            #[cfg(test)]
+            fn for_each_field(&self, mut f: impl FnMut(&'static str, tests::Field<'_>)) {
+                match self {
+                    $( EventKind::$name { $( $field, )* } => {
+                        $( f(stringify!($field), field_codec!(@field $ty, $field)); )*
+                    } )*
+                }
+            }
+
+            /// An event of variant `name` with every field drawn from `g`.
+            #[cfg(test)]
+            fn draw(name: &str, g: &mut impl tests::FieldGen) -> EventKind {
+                match name {
+                    $( stringify!($name) => EventKind::$name {
+                        $( $field: field_codec!(@draw $ty, g), )*
+                    }, )*
+                    other => panic!("unknown variant {other}"),
                 }
             }
 
@@ -103,16 +130,36 @@ macro_rules! event_kinds {
 }
 
 macro_rules! field_codec {
-    (@encode u64, $out:expr, $key:expr, $val:expr) => {{
-        let _ = write!($out, ",\"{}\":{}", $key, $val);
+    (@encode u64, $out:expr, $field:ident) => {{
+        $out.push_str(concat!(",\"", stringify!($field), "\":"));
+        let _ = write!($out, "{}", $field);
     }};
-    (@encode f64, $out:expr, $key:expr, $val:expr) => {{
-        let _ = write!($out, ",\"{}\":{}", $key, fmt_f64(*$val));
+    (@encode f64, $out:expr, $field:ident) => {{
+        $out.push_str(concat!(",\"", stringify!($field), "\":"));
+        push_f64($out, *$field);
     }};
-    (@encode String, $out:expr, $key:expr, $val:expr) => {{
-        let _ = write!($out, ",\"{}\":", $key);
-        push_json_str($out, $val);
+    (@encode String, $out:expr, $field:ident) => {{
+        $out.push_str(concat!(",\"", stringify!($field), "\":"));
+        push_json_str($out, $field);
     }};
+    (@field u64, $val:expr) => {
+        tests::Field::U64(*$val)
+    };
+    (@field f64, $val:expr) => {
+        tests::Field::F64(*$val)
+    };
+    (@field String, $val:expr) => {
+        tests::Field::Str($val)
+    };
+    (@draw u64, $g:expr) => {
+        $g.u64()
+    };
+    (@draw f64, $g:expr) => {
+        $g.f64()
+    };
+    (@draw String, $g:expr) => {
+        $g.string()
+    };
     (@decode u64, $fields:expr, $key:expr) => {
         $fields.u64($key)?
     };
@@ -284,15 +331,19 @@ event_kinds! {
     RunResumed { manifest: String, frontier: u64 },
 }
 
-/// Formats an `f64` exactly as Rust's shortest-roundtrip `Display`,
+/// Appends an `f64` exactly as Rust's shortest-roundtrip `Display`,
 /// forcing a `.0` suffix on integral values so the token is
-/// unambiguously a float on the wire.
-fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
+/// unambiguously a float on the wire. `Display` writes digits, `-`,
+/// `.`, `inf` or `NaN` (never an exponent), so a `.`, `e`, `i` or `N`
+/// in the appended text marks it as already unambiguous.
+fn push_f64(out: &mut String, v: f64) {
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out.as_bytes()[start..]
+        .iter()
+        .any(|b| matches!(b, b'.' | b'e' | b'i' | b'N'))
+    {
+        out.push_str(".0");
     }
 }
 
@@ -511,6 +562,168 @@ fn parse_string(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// One field as [`EventKind::for_each_field`] hands it out.
+    pub(super) enum Field<'a> {
+        U64(u64),
+        F64(f64),
+        Str(&'a str),
+    }
+
+    /// Field values for [`EventKind::draw`].
+    pub(super) trait FieldGen {
+        fn u64(&mut self) -> u64;
+        fn f64(&mut self) -> f64;
+        fn string(&mut self) -> String;
+    }
+
+    /// Hands out drawn pools cyclically. The cursors carry over from one
+    /// variant to the next, so each variant sees different combinations.
+    struct Pools {
+        u64s: Vec<u64>,
+        f64s: Vec<f64>,
+        strs: Vec<String>,
+        at: (usize, usize, usize),
+    }
+
+    impl FieldGen for Pools {
+        fn u64(&mut self) -> u64 {
+            self.at.0 += 1;
+            self.u64s[self.at.0 % self.u64s.len()]
+        }
+        fn f64(&mut self) -> f64 {
+            self.at.1 += 1;
+            self.f64s[self.at.1 % self.f64s.len()]
+        }
+        fn string(&mut self) -> String {
+            self.at.2 += 1;
+            self.strs[self.at.2 % self.strs.len()].clone()
+        }
+    }
+
+    /// The encoder before `write_json`, transcribed: `write!` per field
+    /// and two `String`s per float.
+    fn reference_to_json(ev: &Event) -> String {
+        fn fmt_f64(v: f64) -> String {
+            let s = format!("{v}");
+            if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
+                s
+            } else {
+                format!("{s}.0")
+            }
+        }
+        fn push_json_str(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        let mut s = String::with_capacity(64);
+        let _ = write!(
+            s,
+            "{{\"t\":{},\"ev\":\"{}\"",
+            ev.t.as_millis(),
+            ev.kind.name()
+        );
+        ev.kind.for_each_field(|key, val| match val {
+            Field::U64(v) => {
+                let _ = write!(s, ",\"{}\":{}", key, v);
+            }
+            Field::F64(v) => {
+                let _ = write!(s, ",\"{}\":{}", key, fmt_f64(v));
+            }
+            Field::Str(v) => {
+                let _ = write!(s, ",\"{}\":", key);
+                push_json_str(&mut s, v);
+            }
+        });
+        s.push('}');
+        s
+    }
+
+    fn arb_u64() -> impl Strategy<Value = u64> {
+        prop_oneof![any::<u64>(), 0u64..1_000, Just(0), Just(u64::MAX)]
+    }
+
+    fn arb_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            // Includes NaN, ±∞, ±0.0, MIN_POSITIVE, MAX and MIN.
+            any::<f64>(),
+            (-1_000_000i64..1_000_000).prop_map(|i| i as f64),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            -1.0f64..1.0,
+            prop_oneof![
+                Just(1e21),
+                Just(-1e21),
+                Just(1e-7),
+                Just(-0.0),
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(f64::MAX),
+                Just(f64::from_bits(1)),
+                Just(0.1 + 0.2),
+            ],
+        ]
+    }
+
+    fn arb_string() -> impl Strategy<Value = String> {
+        const ALPHABET: [char; 16] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é',
+            '€', '😀',
+        ];
+        vec(0..ALPHABET.len(), 0..12).prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    proptest! {
+        /// `write_json` appends exactly the bytes the transcribed encoder
+        /// produced, for every variant, leaves what the buffer held before
+        /// intact, and (with finite floats) parses back to the same event.
+        #[test]
+        fn write_json_matches_transcribed_encoder(
+            t in arb_u64(),
+            u64s in vec(arb_u64(), 7..8),
+            f64s in vec(arb_f64(), 7..8),
+            strs in vec(arb_string(), 7..8),
+            prefix in arb_string(),
+        ) {
+            let mut pools = Pools { u64s, f64s, strs, at: (0, 0, 0) };
+            let mut out = prefix.clone();
+            for name in EventKind::NAMES {
+                let ev = Event {
+                    t: SimTime::from_millis(t),
+                    kind: EventKind::draw(name, &mut pools),
+                };
+                let want = reference_to_json(&ev);
+                let before = out.len();
+                ev.write_json(&mut out);
+                prop_assert_eq!(&out[before..], want.as_str());
+                prop_assert_eq!(ev.to_json(), out[before..]);
+                let mut finite = true;
+                ev.kind.for_each_field(|_, v| {
+                    finite &= !matches!(v, Field::F64(x) if !x.is_finite());
+                });
+                if finite {
+                    let back = Event::from_json(&want).unwrap_or_else(|e| panic!("{want}: {e}"));
+                    prop_assert_eq!(back, ev);
+                }
+            }
+            prop_assert!(out.starts_with(&prefix));
+        }
+    }
 
     fn sample_events() -> Vec<Event> {
         let t = SimTime::from_millis(1234);

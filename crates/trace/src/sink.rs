@@ -209,11 +209,11 @@ impl MemoryReader {
     }
 
     /// Renders the retained events as a JSONL document (one
-    /// [`Event::to_json`] line each, `\n`-terminated).
+    /// [`Event::write_json`] line each, `\n`-terminated).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in self.buf.lock().iter() {
-            out.push_str(&ev.to_json());
+            ev.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -222,11 +222,13 @@ impl MemoryReader {
 
 /// Streams events as JSONL to any writer (file, stdout, `Vec<u8>`).
 ///
-/// Lines accumulate in an internal buffer and reach the writer in
-/// [`JsonlSink::BUFFER_BYTES`]-sized chunks, so a multi-gigabyte trace
-/// costs a bounded amount of memory and a syscall every few thousand
-/// events rather than two per event. [`EventSink::flush`] drains the
-/// buffer; `Drop` does too, so nothing is lost if a flush is missed.
+/// Each event is encoded straight into an internal buffer
+/// ([`Event::write_json`]; no per-event `String`), and lines reach the
+/// writer in [`JsonlSink::BUFFER_BYTES`]-sized chunks, so a
+/// multi-gigabyte trace costs a bounded amount of memory and a syscall
+/// every few thousand events rather than two per event.
+/// [`EventSink::flush`] drains the buffer; `Drop` does too, so nothing is
+/// lost if a flush is missed.
 pub struct JsonlSink<W: Write + Send> {
     out: W,
     buf: String,
@@ -264,7 +266,7 @@ impl<W: Write + Send> JsonlSink<W> {
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn emit(&mut self, event: &Event) {
-        self.buf.push_str(&event.to_json());
+        event.write_json(&mut self.buf);
         self.buf.push('\n');
         self.lines += 1;
         if self.buf.len() >= Self::BUFFER_BYTES {

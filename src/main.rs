@@ -93,7 +93,8 @@ USAGE:
         [--trace FILE]   (run on a Flint-managed cluster; --trace writes
                           the structured event stream as JSONL. --mode is
                           accepted as an alias for --policy; --risk sets
-                          the portfolio's risk-aversion lambda, default 1.0.
+                          the portfolio's risk-aversion lambda, a finite
+                          number >= 0, default 1.0.
                           --backend serverless runs every task as a billed
                           function invocation — market flags like --policy
                           and --bid are rejected there)
@@ -244,6 +245,21 @@ fn flag_prob(flags: &HashMap<String, String>, name: &str, default: f64) -> Resul
     }
 }
 
+/// `--risk`, the portfolio's risk-aversion λ (default 1.0): a finite
+/// number ≥ 0, or a usage error. Clamping instead would run `nan` or
+/// `-1` as λ = 0, the batch policy's answer under the portfolio's name.
+fn flag_risk(flags: &HashMap<String, String>) -> Result<f64, String> {
+    let risk = flag_f64(flags, "risk", 1.0)?;
+    if risk.is_finite() && risk >= 0.0 {
+        Ok(risk)
+    } else {
+        Err(format!(
+            "invalid value for --risk: {} (expected a finite number >= 0)",
+            flags["risk"]
+        ))
+    }
+}
+
 /// The fault kinds `flint chaos --faults` can name, besides `all`.
 const FAULT_KINDS: &[&str] = &[
     "revoke",
@@ -345,7 +361,7 @@ fn cmd_run(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
     let wl = or_usage!(parse_workload(name, flags));
     let seed = or_usage!(flag_u(flags, "seed", 42));
     let workers = or_usage!(flag_u(flags, "workers", 10)) as u32;
-    let risk = or_usage!(flag_f64(flags, "risk", 1.0));
+    let risk = or_usage!(flag_risk(flags));
     let suspend_after = or_usage!(flag_num::<u64>(flags, "suspend-after"));
     let backend = match resolve_backend(flags) {
         Ok(spec) => spec,
@@ -645,13 +661,11 @@ fn cmd_markets(flags: &HashMap<String, String>) -> ExitCode {
 }
 
 fn cmd_mc(flags: &HashMap<String, String>) -> ExitCode {
+    let risk = or_usage!(flag_risk(flags));
     let policy = match flags.get("policy").map(String::as_str).unwrap_or("batch") {
         "batch" => PolicyKind::FlintBatch,
         "interactive" => PolicyKind::FlintInteractive,
-        "portfolio" => {
-            let risk = or_usage!(flag_f64(flags, "risk", 1.0)).max(0.0);
-            PolicyKind::Portfolio((risk * 1000.0) as u32)
-        }
+        "portfolio" => PolicyKind::Portfolio((risk * 1000.0) as u32),
         "fleet" => PolicyKind::SpotFleetCheapest,
         "od" | "on-demand" => PolicyKind::OnDemand,
         other => {
@@ -661,7 +675,11 @@ fn cmd_mc(flags: &HashMap<String, String>) -> ExitCode {
     };
     let hours = or_usage!(flag_u(flags, "hours", 24));
     let seed = or_usage!(flag_u(flags, "seed", 0));
-    let workers = or_usage!(flag_u(flags, "workers", 10)).max(1) as u32;
+    let workers: u32 = or_usage!(flag_num(flags, "workers")).unwrap_or(10);
+    if workers == 0 {
+        eprintln!("invalid value for --workers: 0 (expected at least 1)");
+        return ExitCode::FAILURE;
+    }
     let runs = or_usage!(flag_u(flags, "runs", 1)).max(1);
     let jobs = or_usage!(flag_u(flags, "jobs", 1)).max(1) as usize;
     let cat = MarketCatalog::synthetic_ec2(40, SimDuration::from_days(90));

@@ -124,6 +124,49 @@ fn path_flag_without_value_is_a_usage_error() {
     std::fs::remove_dir(&dir).expect("remove temp dir");
 }
 
+/// `--risk` is a finite number ≥ 0 in both subcommands that read it, and
+/// `flint mc` needs at least one worker: anything else is a usage error
+/// (exit 1) naming the flag, and nothing runs. `--risk nan` and `-1`
+/// used to be clamped to λ = 0 and print the batch policy's answer under
+/// the portfolio's name; `mc --workers 0` ran and billed one worker.
+#[test]
+fn unusable_risk_and_mc_workers_are_usage_errors() {
+    let run: &[&str] = &["run", "pagerank", "--gb", "0.1", "--partitions", "2"];
+    let run_portfolio: &[&str] = &[run, &["--policy", "portfolio"]].concat();
+    let mc_portfolio: &[&str] = &["mc", "--hours", "1", "--policy", "portfolio"];
+    let mut cases: Vec<(Vec<&str>, String)> = Vec::new();
+    for risk in ["nan", "-1", "-5", "inf", "-inf"] {
+        let named = format!("invalid value for --risk: {risk}");
+        cases.push(([run_portfolio, &["--risk", risk]].concat(), named.clone()));
+        cases.push(([mc_portfolio, &["--risk", risk]].concat(), named));
+    }
+    cases.push((
+        vec!["mc", "--hours", "1", "--workers", "0"],
+        "invalid value for --workers: 0".into(),
+    ));
+    for (args, named) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+            .args(&args)
+            .output()
+            .expect("spawn flint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "flint {args:?}: {stderr}");
+        assert!(stderr.contains(&named), "flint {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "flint {args:?} ran something");
+    }
+    // λ = 0 itself stays valid.
+    let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+        .args([mc_portfolio, &["--risk", "0"]].concat())
+        .output()
+        .expect("spawn flint");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 /// `flint chaos` checks its fault names and probabilities before it runs
 /// anything, the fault-free twin included: a typo in `--faults` used to
 /// be dropped silently, and a probability outside `[0, 1]` used to panic
