@@ -45,8 +45,8 @@ impl std::fmt::Display for BlockKey {
 /// SipHash.
 ///
 /// For maps whose keys never come from outside the program and that are
-/// never iterated, so neither hash flooding nor an order that depends on
-/// the hasher can reach an output.
+/// never iterated where the order could reach an output, so neither hash
+/// flooding nor an order that depends on the hasher can.
 pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// A multiply-rotate hasher for integer words: each word is added and

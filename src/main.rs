@@ -232,6 +232,42 @@ fn flag_u(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u
     Ok(flag_num(flags, name)?.unwrap_or(default))
 }
 
+/// Integer flag `--name` in `min..=u32::MAX`, or a usage error. A larger
+/// value used to wrap (`--partitions 4294967298` ran as 2) and a count
+/// of 0 used to be clamped or run.
+fn flag_u32(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: u32,
+    min: u32,
+) -> Result<u32, String> {
+    let v = flag_u(flags, name, u64::from(default))?;
+    match u32::try_from(v) {
+        Ok(v) if v >= min => Ok(v),
+        Ok(_) => Err(format!(
+            "invalid value for --{name}: {v} (expected at least {min})"
+        )),
+        Err(_) => Err(format!(
+            "invalid value for --{name}: {v} (expected at most {})",
+            u32::MAX
+        )),
+    }
+}
+
+/// Size or duration flag `--name`: a finite number > 0, or a usage
+/// error. `--gb nan` used to run 640 tasks and `--mttf 0` no revocations.
+fn flag_positive(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
+    let v = flag_f64(flags, name, default)?;
+    if v.is_finite() && v > 0.0 {
+        Ok(v)
+    } else {
+        Err(format!(
+            "invalid value for --{name}: {} (expected a finite number > 0)",
+            flags[name]
+        ))
+    }
+}
+
 /// Probability flag `--name`: a number in `[0, 1]`, or a usage error.
 fn flag_prob(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
     let p = flag_f64(flags, name, default)?;
@@ -334,16 +370,32 @@ fn resolve_backend(flags: &HashMap<String, String>) -> Result<BackendSpec, Backe
     }
 }
 
+/// `--gb`, `--partitions`, `--iterations` and the seed flag `seed_flag`
+/// over `defaults`.
+fn workload_config(
+    flags: &HashMap<String, String>,
+    defaults: WorkloadConfig,
+    seed_flag: &str,
+) -> Result<WorkloadConfig, String> {
+    Ok(WorkloadConfig {
+        dataset_gb: flag_positive(flags, "gb", defaults.dataset_gb)?,
+        partitions: flag_u32(flags, "partitions", defaults.partitions, 1)?,
+        iterations: flag_u32(flags, "iterations", defaults.iterations, 0)?,
+        seed: flag_u(flags, seed_flag, defaults.seed)?,
+    })
+}
+
 fn parse_workload(
     name: &str,
     flags: &HashMap<String, String>,
 ) -> Result<Box<dyn Workload>, String> {
-    let cfg = WorkloadConfig {
-        dataset_gb: flag_f64(flags, "gb", 2.0)?,
-        partitions: flag_u(flags, "partitions", 20)? as u32,
-        iterations: flag_u(flags, "iterations", 5)? as u32,
-        seed: flag_u(flags, "seed", 42)?,
+    let defaults = WorkloadConfig {
+        dataset_gb: 2.0,
+        partitions: 20,
+        iterations: 5,
+        seed: 42,
     };
+    let cfg = workload_config(flags, defaults, "seed")?;
     match name {
         "pagerank" => Ok(Box::new(PageRank::new(cfg))),
         "kmeans" => Ok(Box::new(KMeans::new(cfg))),
@@ -360,7 +412,7 @@ fn cmd_run(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
     };
     let wl = or_usage!(parse_workload(name, flags));
     let seed = or_usage!(flag_u(flags, "seed", 42));
-    let workers = or_usage!(flag_u(flags, "workers", 10)) as u32;
+    let workers = or_usage!(flag_u32(flags, "workers", 10, 0));
     let risk = or_usage!(flag_risk(flags));
     let suspend_after = or_usage!(flag_num::<u64>(flags, "suspend-after"));
     let backend = match resolve_backend(flags) {
@@ -557,9 +609,9 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
     };
     let wl = or_usage!(parse_workload(name, flags));
     let workers = or_usage!(flag_u(flags, "workers", 10));
-    let failures = or_usage!(flag_u(flags, "failures", 0)) as u32;
+    let failures = or_usage!(flag_u32(flags, "failures", 0, 0));
     let checkpoint = flags.contains_key("checkpoint");
-    let mttf = SimDuration::from_hours_f64(or_usage!(flag_f64(flags, "mttf", 20.0)));
+    let mttf = SimDuration::from_hours_f64(or_usage!(flag_positive(flags, "mttf", 20.0)));
 
     // Time the failure-free run first so failures can strike mid-job.
     let mut driver_cfg = DriverConfig::default();
@@ -675,13 +727,9 @@ fn cmd_mc(flags: &HashMap<String, String>) -> ExitCode {
     };
     let hours = or_usage!(flag_u(flags, "hours", 24));
     let seed = or_usage!(flag_u(flags, "seed", 0));
-    let workers: u32 = or_usage!(flag_num(flags, "workers")).unwrap_or(10);
-    if workers == 0 {
-        eprintln!("invalid value for --workers: 0 (expected at least 1)");
-        return ExitCode::FAILURE;
-    }
-    let runs = or_usage!(flag_u(flags, "runs", 1)).max(1);
-    let jobs = or_usage!(flag_u(flags, "jobs", 1)).max(1) as usize;
+    let workers = or_usage!(flag_u32(flags, "workers", 10, 1));
+    let runs = u64::from(or_usage!(flag_u32(flags, "runs", 1, 1)));
+    let jobs = or_usage!(flag_u32(flags, "jobs", 1, 1)) as usize;
     let cat = MarketCatalog::synthetic_ec2(40, SimDuration::from_days(90));
     let ckpt = if flags.contains_key("no-checkpoint") {
         CkptMode::None
@@ -910,10 +958,10 @@ impl flint::engine::CheckpointHooks for CkptEveryRdd {
 
 fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
     let seed = or_usage!(flag_u(flags, "seed", 42));
-    let runs = or_usage!(flag_u(flags, "runs", 3)).max(1);
-    let jobs = or_usage!(flag_u(flags, "jobs", 1)).max(1) as usize;
-    let workers = or_usage!(flag_u(flags, "workers", 4)).max(1) as u32;
-    let revocations = or_usage!(flag_num::<u64>(flags, "revocations"));
+    let runs = u64::from(or_usage!(flag_u32(flags, "runs", 3, 1)));
+    let jobs = or_usage!(flag_u32(flags, "jobs", 1, 1)) as usize;
+    let workers = or_usage!(flag_u32(flags, "workers", 4, 0)).max(1);
+    let revocations = or_usage!(flag_num::<u32>(flags, "revocations"));
     let crash_prob = or_usage!(flag_prob(flags, "crash-prob", 0.5));
     let crash_wave_max = or_usage!(flag_u(flags, "crash-wave-max", 8)).max(1);
     let collapse_prob = or_usage!(flag_prob(flags, "collapse-prob", 0.5));
@@ -930,18 +978,19 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let has = |k: &str| enabled.contains(&"all") || enabled.contains(&k);
-    let mttf = SimDuration::from_hours_f64(or_usage!(flag_f64(flags, "mttf", 1.0)));
+    let mttf = SimDuration::from_hours_f64(or_usage!(flag_positive(flags, "mttf", 1.0)));
 
     let name = flags
         .get("workload")
         .map(String::as_str)
         .unwrap_or("pagerank");
-    let wl_cfg = WorkloadConfig {
-        dataset_gb: or_usage!(flag_f64(flags, "gb", 0.3)),
-        partitions: or_usage!(flag_u(flags, "partitions", 6)) as u32,
-        iterations: or_usage!(flag_u(flags, "iterations", 3)) as u32,
-        seed: or_usage!(flag_u(flags, "wl-seed", 1)),
+    let defaults = WorkloadConfig {
+        dataset_gb: 0.3,
+        partitions: 6,
+        iterations: 3,
+        seed: 1,
     };
+    let wl_cfg = or_usage!(workload_config(flags, defaults, "wl-seed"));
     // Workloads are not shareable across threads; each parallel run
     // rebuilds its own instance from the (copyable) name + config.
     let make_wl = |name: &str| -> Option<Box<dyn Workload>> {
@@ -1034,7 +1083,7 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
             ccfg.outages = 0;
         }
         if let Some(n) = revocations {
-            ccfg.revocations = n as u32;
+            ccfg.revocations = n;
         }
         // The crash/collapse kinds arm only when named explicitly: they
         // change the campaign's shape (runs suspend and replay through
@@ -1241,7 +1290,7 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
 fn cmd_trace_prices(flags: &HashMap<String, String>) -> ExitCode {
     let seed = or_usage!(flag_u(flags, "seed", 42));
     let days = or_usage!(flag_u(flags, "days", 60));
-    let market = or_usage!(flag_u(flags, "market", 0)) as u32;
+    let market = or_usage!(flag_u32(flags, "market", 0, 0));
     let cat = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(days));
     if market as usize >= cat.len() {
         eprintln!("market index out of range (catalog has {})", cat.len());

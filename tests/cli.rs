@@ -53,6 +53,67 @@ fn unparsable_numeric_flag_is_a_usage_error_everywhere() {
     }
 }
 
+/// A numeric flag that parses but cannot mean what it says is a usage
+/// error (exit 1) naming the flag and the value, and nothing runs. A
+/// count above `u32::MAX` used to wrap (`--partitions 4294967298` ran as
+/// 2, `--workers 4294967297` as one worker); `--gb nan`, `-5` and `0`,
+/// `--partitions 0` and `--mttf 0` or `-1` ran and exited 0; `--runs 0`
+/// and `--jobs 0` were clamped to 1.
+#[test]
+fn out_of_range_numeric_flag_is_a_usage_error() {
+    let too_big = "4294967298";
+    let cases: Vec<(Vec<&str>, String)> = [
+        (
+            vec!["run", "als", "--gb", "1", "--partitions", too_big],
+            "--partitions",
+        ),
+        (vec!["run", "als", "--workers", "4294967297"], "--workers"),
+        (vec!["run", "als", "--iterations", too_big], "--iterations"),
+        (
+            vec!["workload", "pagerank", "--failures", too_big],
+            "--failures",
+        ),
+        (vec!["chaos", "--revocations", too_big], "--revocations"),
+        (vec!["chaos", "--workers", too_big], "--workers"),
+        (vec!["trace", "prices", "--market", too_big], "--market"),
+        (vec!["run", "als", "--gb", "nan"], "--gb"),
+        (vec!["run", "als", "--gb", "-5"], "--gb"),
+        (vec!["run", "als", "--gb", "0"], "--gb"),
+        (vec!["run", "als", "--gb", "inf"], "--gb"),
+        (vec!["workload", "pagerank", "--gb", "0"], "--gb"),
+        (vec!["chaos", "--gb", "nan"], "--gb"),
+        (vec!["run", "als", "--partitions", "0"], "--partitions"),
+        (
+            vec!["workload", "pagerank", "--partitions", "0"],
+            "--partitions",
+        ),
+        (vec!["chaos", "--partitions", "0"], "--partitions"),
+        (vec!["workload", "pagerank", "--mttf", "0"], "--mttf"),
+        (vec!["workload", "pagerank", "--mttf", "-1"], "--mttf"),
+        (vec!["chaos", "--mttf", "0"], "--mttf"),
+        (vec!["mc", "--runs", "0"], "--runs"),
+        (vec!["mc", "--jobs", "0"], "--jobs"),
+        (vec!["chaos", "--runs", "0"], "--runs"),
+        (vec!["chaos", "--jobs", "0"], "--jobs"),
+    ]
+    .into_iter()
+    .map(|(args, flag)| {
+        let value = args[args.iter().position(|a| *a == flag).expect("flag") + 1];
+        (args, format!("invalid value for {flag}: {value}"))
+    })
+    .collect();
+    for (args, named) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+            .args(&args)
+            .output()
+            .expect("spawn flint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "flint {args:?}: {stderr}");
+        assert!(stderr.contains(&named), "flint {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "flint {args:?} ran something");
+    }
+}
+
 /// A flag no subcommand reads is a usage error (exit 1) naming it — not a
 /// run with the default in place of what the typo meant — and nothing
 /// runs.
