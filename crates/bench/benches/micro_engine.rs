@@ -8,9 +8,10 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flint_engine::{
-    AggKernel, BlockKey, BlockManager, Driver, DriverConfig, HashPartitioner, KeyExpr, MapKernel,
-    NoCheckpoint, NoFailures, NumExpr, PartitionData, Partitioner, PayloadExpr, PredKernel, RddId,
-    RddRef, ScalarExpr, ScriptedInjector, Value, WorkerEvent, WorkerSpec,
+    radix_key_i64, radix_sort, AggKernel, BlockKey, BlockManager, Driver, DriverConfig,
+    HashPartitioner, KeyExpr, MapKernel, NoCheckpoint, NoFailures, NumExpr, PartitionData,
+    Partitioner, PayloadExpr, PredKernel, RddId, RddRef, ScalarExpr, ScriptedInjector, Value,
+    WorkerEvent, WorkerSpec,
 };
 use flint_market::{MarketCatalog, TraceGenerator, TraceProfile};
 use flint_simtime::{SimDuration, SimTime};
@@ -527,10 +528,22 @@ fn tree_fold<K: Ord>(keys: impl Iterator<Item = K>, vals: &[f64]) -> Vec<f64> {
 fn sort_fold<K: Ord + Copy>(keys: impl Iterator<Item = K>, vals: &[f64]) -> Vec<f64> {
     let mut recs: Vec<(K, u32)> = keys.zip(0u32..).collect();
     recs.sort_by_key(|r| r.0);
+    fold_runs(recs, vals)
+}
+
+/// `sort_fold` with the engine's stable radix sort in place of the
+/// comparison sort: what `typed_agg` does for `Int` keys.
+fn radix_fold(keys: &[i64], vals: &[f64]) -> Vec<f64> {
+    let mut recs: Vec<(i64, u32)> = keys.iter().copied().zip(0u32..).collect();
+    radix_sort(&mut recs, |r| radix_key_i64(r.0));
+    fold_runs(recs, vals)
+}
+
+fn fold_runs<K: PartialEq>(sorted: Vec<(K, u32)>, vals: &[f64]) -> Vec<f64> {
     let mut sums: Vec<f64> = Vec::new();
     let mut open: Option<K> = None;
-    for (k, i) in recs {
-        if open != Some(k) {
+    for (k, i) in sorted {
+        if open.as_ref() != Some(&k) {
             open = Some(k);
             sums.push(0.0);
         }
@@ -539,13 +552,14 @@ fn sort_fold<K: Ord + Copy>(keys: impl Iterator<Item = K>, vals: &[f64]) -> Vec<
     sums
 }
 
-/// The evidence for the one rule in `typed_agg` (DESIGN.md §16: sort-fold
-/// for fixed-width keys, a tree for string keys): ns per record of a
-/// keyed `f64` sum over 8 192 records, three ways — the row path's
+/// The evidence for the one rule in `typed_agg` (DESIGN.md §16: a radix
+/// sort-fold for fixed-width keys, a tree for string keys): ns per record
+/// of a keyed `f64` sum over 8 192 records — the row path's
 /// `BTreeMap<Value, Value>` with the kernel's combine closure, a typed
-/// tree, a typed stable sort + fold — at 4, 64 and 4 096 distinct keys,
-/// for `Int` keys and for `(Str, Str)` keys. One line per cell; the table
-/// is in EXPERIMENTS.md.
+/// tree, a typed comparison sort + fold, and (`Int` keys only) the
+/// engine's radix sort + fold — at 4, 64 and 4 096 distinct keys, for
+/// `Int` keys and for `(Str, Str)` keys. One line per cell; the table is
+/// in EXPERIMENTS.md.
 fn bench_keyed_agg(_c: &mut Criterion) {
     const N: usize = 8_192;
     fn ns_per_record(mut f: impl FnMut() -> Vec<f64>) -> (f64, Vec<f64>) {
@@ -588,9 +602,13 @@ fn bench_keyed_agg(_c: &mut Criterion) {
         let (row, want) = ns_per_record(|| row_tree(&rows));
         let (tree, got_tree) = ns_per_record(|| tree_fold(ints.iter().copied(), &vals));
         let (sort, got_sort) = ns_per_record(|| sort_fold(ints.iter().copied(), &vals));
-        assert!(got_tree == want && got_sort == want, "folds disagree");
+        let (radix, got_radix) = ns_per_record(|| radix_fold(&ints, &vals));
+        assert!(
+            got_tree == want && got_sort == want && got_radix == want,
+            "folds disagree"
+        );
         println!(
-            "keyed_agg Int     distinct {distinct:>5}: row_tree {row:6.1}  typed_tree {tree:6.1}  sort_fold {sort:6.1}  ns/record"
+            "keyed_agg Int     distinct {distinct:>5}: row_tree {row:6.1}  typed_tree {tree:6.1}  sort_fold {sort:6.1}  radix_fold {radix:6.1}  ns/record"
         );
 
         let strs: Vec<(Arc<str>, Arc<str>)> = ids

@@ -1126,19 +1126,66 @@ impl Ord for TotalF64 {
     }
 }
 
+/// The order-preserving `u64` image of an `i64` key: the sign bit
+/// flipped, so unsigned order on images is signed order on keys.
+pub fn radix_key_i64(k: i64) -> u64 {
+    (k as u64) ^ (1 << 63)
+}
+
+/// The order-preserving `u64` image of an `f64` key under IEEE total
+/// order: the bit transform `f64::total_cmp` compares by, sign bit
+/// flipped. Two images are equal exactly when `total_cmp` says the keys
+/// are (so `-0.0` and `0.0`, or two NaN payloads, stay apart).
+pub(crate) fn radix_key_f64(k: f64) -> u64 {
+    let bits = k.to_bits() as i64;
+    radix_key_i64(bits ^ (((bits >> 63) as u64) >> 1) as i64)
+}
+
+/// Stable LSD radix sort of `recs` by the `u64` image `key` gives each
+/// record, one 8-bit digit a pass. A digit every record shares is
+/// skipped (its pass would permute nothing), so keys that differ only in
+/// their low 16 bits — PageRank's node ids — take two passes, and
+/// all-equal keys take none. Records with equal images keep their input
+/// order.
+pub fn radix_sort<T: Copy>(recs: &mut Vec<T>, key: impl Fn(&T) -> u64) {
+    let Some(first) = recs.first().map(&key) else {
+        return;
+    };
+    let varying = recs.iter().fold(0, |acc, r| acc | (key(r) ^ first));
+    let mut buf: Vec<T> = Vec::new();
+    for shift in (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0) {
+        let digit = |r: &T| ((key(r) >> shift) & 0xff) as usize;
+        let mut next = [0usize; 256];
+        for r in recs.iter() {
+            next[digit(r)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            (*slot, start) = (start, start + *slot);
+        }
+        if buf.is_empty() {
+            buf = recs.clone();
+        }
+        for r in recs.iter() {
+            let d = digit(r);
+            buf[next[d]] = *r;
+            next[d] += 1;
+        }
+        std::mem::swap(recs, &mut buf);
+    }
+}
+
 /// Aggregates `(key, payload)` batches by typed key, folding each key's
 /// records in chunk order then row order (so per-key accumulation order —
 /// and therefore float rounding — matches the row path exactly), and
 /// returns the combined pairs as a columnar batch sorted by key.
 ///
 /// Fixed-width keys (`Int`, `Float` under IEEE total order) are folded by
-/// a stable sort of `(key, chunk, row)`: stability keeps each key's
-/// records in arrival order, and no map is probed per record — a flat
-/// 8–25 ns a record where the tree climbs from 4 to 75 with the number of
-/// distinct keys. String keys keep a `BTreeMap`: the string-keyed
-/// aggregations there are have a handful of groups (TPC-H Q1: four),
-/// where a sort's string compares buy nothing (EXPERIMENTS.md,
-/// `keyed_agg`).
+/// a stable [`radix_sort`] of `(key, chunk, row)`: stability keeps each
+/// key's records in arrival order, and no map is probed per record.
+/// String keys keep a `BTreeMap`: the string-keyed aggregations there
+/// are have a handful of groups (TPC-H Q1: four), where a sort's string
+/// compares buy nothing (EXPERIMENTS.md, `keyed_agg`).
 ///
 /// `None` when the chunks disagree on key type or payload shape — the
 /// caller decodes and takes the record path. The sorted emit order is
@@ -1153,7 +1200,7 @@ pub(crate) fn typed_agg(
         kernel: &AggKernel,
         chunks: &[(&Column, &ColumnBatch)],
         keys_of: impl Fn(&Column) -> &[K],
-        cmp: impl Fn(&K, &K) -> Ordering,
+        image: impl Fn(K) -> u64,
     ) -> (Vec<K>, Vec<AggState>) {
         let mut recs: Vec<(K, u32, u32)> =
             Vec::with_capacity(chunks.iter().map(|(keys, _)| keys.len()).sum());
@@ -1161,13 +1208,13 @@ pub(crate) fn typed_agg(
             let keys = keys_of(keys).iter().enumerate();
             recs.extend(keys.map(|(i, k)| (*k, c as u32, i as u32)));
         }
-        recs.sort_by(|a, b| cmp(&a.0, &b.0));
+        radix_sort(&mut recs, |r| image(r.0));
         let mut keys: Vec<K> = Vec::new();
         let mut states: Vec<AggState> = Vec::new();
         for (k, c, i) in recs {
             let (vals, i) = (chunks[c as usize].1, i as usize);
             match (keys.last(), states.last_mut()) {
-                (Some(open), Some(st)) if cmp(open, &k).is_eq() => kernel.fold(st, vals, i),
+                (Some(&open), Some(st)) if image(open) == image(k) => kernel.fold(st, vals, i),
                 _ => {
                     keys.push(k);
                     states.push(kernel.init(vals, i));
@@ -1213,7 +1260,7 @@ pub(crate) fn typed_agg(
                     _ => unreachable!("homogeneous key type checked"),
                 }
             }
-            let (keys, states) = fold_by_sort(kernel, chunks, keys_of, i64::cmp);
+            let (keys, states) = fold_by_sort(kernel, chunks, keys_of, radix_key_i64);
             (Column::Int(keys), states)
         }
         Column::Float(_) => {
@@ -1223,7 +1270,7 @@ pub(crate) fn typed_agg(
                     _ => unreachable!("homogeneous key type checked"),
                 }
             }
-            let (keys, states) = fold_by_sort(kernel, chunks, keys_of, f64::total_cmp);
+            let (keys, states) = fold_by_sort(kernel, chunks, keys_of, radix_key_f64);
             (Column::Float(keys), states)
         }
         Column::Str(_) => {
@@ -1757,6 +1804,99 @@ mod tests {
                 got.map(|rows| rows.iter().map(bits).collect::<Vec<_>>()),
                 want.map(|rows| rows.iter().map(bits).collect::<Vec<_>>())
             );
+        }
+    }
+
+    /// Key bit patterns a radix image can get wrong, drawn often so they
+    /// repeat: both `i64` extremes and the values around a byte edge.
+    const HOSTILE_I64: [i64; 8] = [i64::MIN, i64::MAX, -1, 0, 1, -256, 255, 256];
+    /// The same for `f64`: both zeros, NaNs of both signs with two
+    /// payloads each, both infinities and subnormals of both signs.
+    const HOSTILE_F64: [u64; 12] = [
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+        0xfff8_0000_0000_0000,
+        0x7ff0_0000_0000_0001,
+        0xfff0_0000_0000_0001,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x800f_ffff_ffff_ffff,
+        0x000f_ffff_ffff_ffff,
+        0x8000_0000_0000_0001,
+    ];
+
+    /// Sorts `(key, chunk, row)` records in arrival order the way
+    /// `fold_by_sort` did before (`sort_by` on `cmp`) and by the radix
+    /// sort on `image`, and asserts both give the same `(chunk, row)`
+    /// permutation and that `image` orders adjacent keys as `cmp` does.
+    fn assert_same_order<K: Copy>(
+        keys: &[K],
+        cmp: impl Fn(&K, &K) -> Ordering,
+        image: impl Fn(K) -> u64,
+    ) {
+        let recs: Vec<(K, u32, u32)> = (0u32..)
+            .zip(keys)
+            .map(|(i, &k)| (k, i / 64, i % 64))
+            .collect();
+        let mut want = recs.clone();
+        want.sort_by(|a, b| cmp(&a.0, &b.0));
+        for w in want.windows(2) {
+            assert_eq!(image(w[0].0).cmp(&image(w[1].0)), cmp(&w[0].0, &w[1].0));
+        }
+        let mut got = recs;
+        radix_sort(&mut got, |r| image(r.0));
+        let perm = |v: &[(K, u32, u32)]| v.iter().map(|&(_, c, r)| (c, r)).collect::<Vec<_>>();
+        assert_eq!(perm(&got), perm(&want));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The radix sort is the stable comparison sort it replaced: the
+        /// same permutation of `(key, chunk, row)` for `i64` and
+        /// total-order `f64` keys, and its images order adjacent keys
+        /// exactly as the comparison does. Shapes: hostile constants mixed
+        /// with any pattern, a handful of small keys repeated many times,
+        /// every key equal (no byte varies, so no pass runs), and keys
+        /// that differ only in the top byte; 0, 1, a few, and over 256
+        /// records.
+        #[test]
+        fn radix_order_is_the_stable_sort(
+            float in proptest::bool::ANY,
+            shape in 0usize..4,
+            draws in prop_oneof![
+                proptest::collection::vec((0usize..20, any::<u64>()), 0..2),
+                proptest::collection::vec((0usize..20, any::<u64>()), 2..64),
+                proptest::collection::vec((0usize..20, any::<u64>()), 257..700),
+            ],
+        ) {
+            let hostile = |pick: usize, raw: u64| match float {
+                false => HOSTILE_I64.get(pick).map_or(raw, |&k| k as u64),
+                true => HOSTILE_F64.get(pick).copied().unwrap_or(raw),
+            };
+            let first = draws.first().map_or(0, |&(pick, raw)| hostile(pick, raw));
+            let small = |raw: u64| match float {
+                false => ((raw % 7) as i64 - 3) as u64,
+                true => ((raw % 7) as f64 - 3.0).to_bits(),
+            };
+            let bits: Vec<u64> = draws
+                .iter()
+                .map(|&(pick, raw)| match shape {
+                    0 => hostile(pick, raw),
+                    1 => small(raw),
+                    2 => first,
+                    _ => (first & !(0xff << 56)) | (raw & 0xff) << 56,
+                })
+                .collect();
+            if float {
+                let keys: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+                assert_same_order(&keys, f64::total_cmp, radix_key_f64);
+            } else {
+                let keys: Vec<i64> = bits.iter().map(|&b| b as i64).collect();
+                assert_same_order(&keys, i64::cmp, radix_key_i64);
+            }
         }
     }
 

@@ -41,7 +41,8 @@ use crate::block::{BlockData, BlockKey, BlockLocation, Records};
 use crate::checkpoint::{CheckpointStore, ReadFault};
 use crate::cluster::{Cluster, WorkerId};
 use crate::column::{
-    typed_agg, typed_group, typed_sort_by_key, Column, ColumnBatch, ColumnCounters, OpKernel,
+    radix_key_i64, radix_sort, typed_agg, typed_group, typed_sort_by_key, Column, ColumnBatch,
+    ColumnCounters, OpKernel,
 };
 use crate::cost::CostModel;
 use crate::driver::{CkptJob, MissingShuffle, TaskKey};
@@ -51,7 +52,7 @@ use crate::shuffle::{
     scan_flat_bucket, BucketedBlock, HashPartitioner, Partitioner, RangePartitioner, ShuffleId,
     ShuffleKind,
 };
-use crate::value::Value;
+use crate::value::{PairVal, Value};
 
 /// Immutable snapshot of everything a wave's tasks may read.
 ///
@@ -701,21 +702,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     per_parent.push(chunks.iter().map(|c| c.rows(self.ctx.column)).collect());
                 }
                 let vb = self.ctx.cost.vbytes(total);
-                let mut groups: BTreeMap<Value, Vec<Vec<Value>>> = BTreeMap::new();
-                for (i, chunks) in per_parent.iter().enumerate() {
-                    for v in chunks.iter().flat_map(|c| c.iter()) {
-                        if let Value::Pair(p) = v {
-                            groups
-                                .entry(p.key().clone())
-                                .or_insert_with(|| vec![Vec::new(); per_parent.len()])[i]
-                                .push(p.val().clone());
-                        }
-                    }
-                }
-                let mut out: Vec<Value> = Vec::with_capacity(groups.len());
-                out.extend(groups.into_iter().map(|(k, gs)| {
-                    Value::pair(k, Value::list(gs.into_iter().map(Value::list).collect()))
-                }));
+                let out = cogroup_int(&per_parent).unwrap_or_else(|| cogroup_tree(&per_parent));
                 (
                     Records::Rows(Arc::new(out)),
                     self.ctx.cost.compute_time(vb, factor),
@@ -1004,6 +991,61 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
     }
 }
 
+/// `CoGroup`'s reduce: one `(k, [side 0 values, side 1 values, …])` pair
+/// per distinct pair key across `sides`, keys ascending, each side's
+/// values in arrival order; records that are not pairs are skipped.
+fn cogroup_tree(sides: &[Vec<PartitionData>]) -> Vec<Value> {
+    let mut groups: BTreeMap<Value, Vec<Vec<Value>>> = BTreeMap::new();
+    for (i, chunks) in sides.iter().enumerate() {
+        for v in chunks.iter().flat_map(|c| c.iter()) {
+            if let Value::Pair(p) = v {
+                groups
+                    .entry(p.key().clone())
+                    .or_insert_with(|| vec![Vec::new(); sides.len()])[i]
+                    .push(p.val().clone());
+            }
+        }
+    }
+    groups
+        .into_iter()
+        .map(|(k, gs)| cogroup_pair(k, gs))
+        .collect()
+}
+
+/// One output record of `CoGroup`: the key and one list per side.
+fn cogroup_pair(k: Value, sides: Vec<Vec<Value>>) -> Value {
+    Value::pair(k, Value::list(sides.into_iter().map(Value::list).collect()))
+}
+
+/// [`cogroup_tree`]'s output, built by a stable radix sort of
+/// `(key image, side, pair)` in the order the tree visits records, one
+/// output pair per run of equal keys. `None` as soon as a pair key is not
+/// an `Int`: `Value`'s order equates `Int(3)` with `Float(3.0)`, which no
+/// per-type image can, so any other key takes the tree.
+fn cogroup_int(sides: &[Vec<PartitionData>]) -> Option<Vec<Value>> {
+    let rows = sides.iter().flatten().map(|c| c.len()).sum();
+    let mut recs: Vec<(u64, u32, &PairVal)> = Vec::with_capacity(rows);
+    for (side, chunks) in sides.iter().enumerate() {
+        for v in chunks.iter().flat_map(|c| c.iter()) {
+            if let Value::Pair(p) = v {
+                let Value::Int(k) = p.key() else {
+                    return None;
+                };
+                recs.push((radix_key_i64(*k), side as u32, p));
+            }
+        }
+    }
+    radix_sort(&mut recs, |r| r.0);
+    let out = recs.chunk_by(|a, b| a.0 == b.0).map(|run| {
+        let mut gs = vec![Vec::new(); sides.len()];
+        for (_, side, p) in run {
+            gs[*side as usize].push(p.val().clone());
+        }
+        cogroup_pair(run[0].2.key().clone(), gs)
+    });
+    Some(out.collect())
+}
+
 /// The typed key/payload views of a fetched bucket set, if every chunk
 /// is a columnar batch in pair layout. Any row chunk that holds a record
 /// or scalar-encoded pair batch disqualifies the set: the typed reduce
@@ -1025,7 +1067,73 @@ fn pair_chunks(chunks: &[Records]) -> Option<Vec<(&Column, &ColumnBatch)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicU64;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The radix `CoGroup` builds exactly what the `BTreeMap` arm
+        /// (`cogroup_tree`, the arm's old body moved out of it) builds:
+        /// 1–3 sides, empty sides and chunks, non-pair records, keys
+        /// repeated within and across sides, negative and extreme keys.
+        /// A `Float` key equal to an `Int` key, or a `Str` key, must send
+        /// the whole reduce to the tree, whose output it then is.
+        #[test]
+        fn typed_cogroup_is_the_tree(
+            sides in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec((0usize..10, -50i64..50), 0..12),
+                    0..4,
+                ),
+                1..4,
+            ),
+            foreign in 0usize..4,
+            at in any::<usize>(),
+        ) {
+            const KEYS: [i64; 6] = [i64::MIN, -3, -1, 0, 2, i64::MAX];
+            let record = |pick: usize, v: i64| match pick {
+                0..=5 => Value::pair(Value::Int(KEYS[pick]), Value::Int(v)),
+                6 | 7 => Value::pair(Value::Int(v), Value::Float(v as f64)),
+                8 => Value::Int(v),
+                _ => Value::from_str_("not a pair"),
+            };
+            let mut sides: Vec<Vec<Vec<Value>>> = sides
+                .iter()
+                .map(|chunks| {
+                    let rows = |c: &Vec<(usize, i64)>| c.iter().map(|&(p, v)| record(p, v)).collect();
+                    chunks.iter().map(rows).collect()
+                })
+                .collect();
+            let pairs: Vec<(usize, usize, usize)> = (0..sides.len())
+                .flat_map(|s| (0..sides[s].len()).map(move |c| (s, c)))
+                .flat_map(|(s, c)| {
+                    let n = sides[s][c].len();
+                    (0..n).map(move |r| (s, c, r))
+                })
+                .filter(|&(s, c, r)| sides[s][c][r].key().is_some())
+                .collect();
+            let foreign = foreign >= 2 && !pairs.is_empty();
+            if foreign {
+                let (s, c, r) = pairs[at % pairs.len()];
+                let rec = &mut sides[s][c][r];
+                let (k, v) = rec.clone().into_pair().expect("a pair");
+                let key = match (at / pairs.len()) % 2 {
+                    0 => Value::Float(k.as_f64().expect("an Int key")),
+                    _ => Value::from_str_("k"),
+                };
+                *rec = Value::pair(key, v);
+            }
+            let parts: Vec<Vec<PartitionData>> = sides
+                .into_iter()
+                .map(|chunks| chunks.into_iter().map(Arc::new).collect())
+                .collect();
+            let typed = cogroup_int(&parts);
+            prop_assert_eq!(typed.is_none(), foreign);
+            let got = typed.unwrap_or_else(|| cogroup_tree(&parts));
+            prop_assert_eq!(format!("{got:?}"), format!("{:?}", cogroup_tree(&parts)));
+        }
+    }
 
     #[test]
     fn run_wave_preserves_input_order() {

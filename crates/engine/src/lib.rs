@@ -77,8 +77,8 @@ pub use checkpoint::{
 };
 pub use cluster::{Cluster, Worker, WorkerId, WorkerSpec};
 pub use column::{
-    AggField, AggKernel, Column, ColumnBatch, ColumnStats, KeyExpr, MapKernel, NumExpr, OpKernel,
-    PayloadExpr, PredKernel, ScalarExpr,
+    radix_key_i64, radix_sort, AggField, AggKernel, Column, ColumnBatch, ColumnStats, KeyExpr,
+    MapKernel, NumExpr, OpKernel, PayloadExpr, PredKernel, ScalarExpr,
 };
 pub use context::EngineContext;
 pub use cost::CostModel;

@@ -126,7 +126,8 @@ USAGE:
                           (--runs > 1 replays the config under consecutive
                            seeds and merges a campaign report; --jobs fans
                            seeds across host threads, byte-identical to
-                           --jobs 1)
+                           --jobs 1. --risk is rounded to the nearest
+                           0.001: 0 or 0.0005 to 4294967.295, default 1.0)
   flint experiment <name>   (fig02a fig02b fig03 fig04 fig06a fig06b fig06c
                              fig07 fig08 fig09 fig10a fig10b fig11a fig11b
                              multiaz storage ablation_* ext_*)
@@ -712,12 +713,30 @@ fn cmd_markets(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `flint mc --risk` in the thousandths `PolicyKind::Portfolio` holds,
+/// rounded to the nearest. A value the thousandths cannot hold is a
+/// usage error: the cast used to saturate everything above
+/// 4 294 967.295 to that λ and truncate `0.0004` to λ = 0.
+fn flag_risk_milli(flags: &HashMap<String, String>) -> Result<u32, String> {
+    let risk = flag_risk(flags)?;
+    let milli = (risk * 1000.0).round();
+    if milli > f64::from(u32::MAX) || (risk > 0.0 && milli == 0.0) {
+        Err(format!(
+            "invalid value for --risk: {} (flint mc rounds it to the nearest \
+             0.001; expected 0 or 0.0005 to 4294967.295)",
+            flags["risk"]
+        ))
+    } else {
+        Ok(milli as u32)
+    }
+}
+
 fn cmd_mc(flags: &HashMap<String, String>) -> ExitCode {
-    let risk = or_usage!(flag_risk(flags));
+    let risk_milli = or_usage!(flag_risk_milli(flags));
     let policy = match flags.get("policy").map(String::as_str).unwrap_or("batch") {
         "batch" => PolicyKind::FlintBatch,
         "interactive" => PolicyKind::FlintInteractive,
-        "portfolio" => PolicyKind::Portfolio((risk * 1000.0) as u32),
+        "portfolio" => PolicyKind::Portfolio(risk_milli),
         "fleet" => PolicyKind::SpotFleetCheapest,
         "od" | "on-demand" => PolicyKind::OnDemand,
         other => {
@@ -960,10 +979,10 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
     let seed = or_usage!(flag_u(flags, "seed", 42));
     let runs = u64::from(or_usage!(flag_u32(flags, "runs", 3, 1)));
     let jobs = or_usage!(flag_u32(flags, "jobs", 1, 1)) as usize;
-    let workers = or_usage!(flag_u32(flags, "workers", 4, 0)).max(1);
+    let workers = or_usage!(flag_u32(flags, "workers", 4, 1));
     let revocations = or_usage!(flag_num::<u32>(flags, "revocations"));
     let crash_prob = or_usage!(flag_prob(flags, "crash-prob", 0.5));
-    let crash_wave_max = or_usage!(flag_u(flags, "crash-wave-max", 8)).max(1);
+    let crash_wave_max = u64::from(or_usage!(flag_u32(flags, "crash-wave-max", 8, 1)));
     let collapse_prob = or_usage!(flag_prob(flags, "collapse-prob", 0.5));
     let faults = flags.get("faults").map(String::as_str).unwrap_or("all");
     let enabled: Vec<&str> = faults.split(',').map(str::trim).collect();

@@ -58,7 +58,8 @@ fn unparsable_numeric_flag_is_a_usage_error_everywhere() {
 /// count above `u32::MAX` used to wrap (`--partitions 4294967298` ran as
 /// 2, `--workers 4294967297` as one worker); `--gb nan`, `-5` and `0`,
 /// `--partitions 0` and `--mttf 0` or `-1` ran and exited 0; `--runs 0`
-/// and `--jobs 0` were clamped to 1.
+/// and `--jobs 0` were clamped to 1, and so were `chaos --workers 0` and
+/// `--crash-wave-max 0`.
 #[test]
 fn out_of_range_numeric_flag_is_a_usage_error() {
     let too_big = "4294967298";
@@ -95,6 +96,8 @@ fn out_of_range_numeric_flag_is_a_usage_error() {
         (vec!["mc", "--jobs", "0"], "--jobs"),
         (vec!["chaos", "--runs", "0"], "--runs"),
         (vec!["chaos", "--jobs", "0"], "--jobs"),
+        (vec!["chaos", "--workers", "0"], "--workers"),
+        (vec!["chaos", "--crash-wave-max", "0"], "--crash-wave-max"),
     ]
     .into_iter()
     .map(|(args, flag)| {
@@ -190,6 +193,10 @@ fn path_flag_without_value_is_a_usage_error() {
 /// (exit 1) naming the flag, and nothing runs. `--risk nan` and `-1`
 /// used to be clamped to λ = 0 and print the batch policy's answer under
 /// the portfolio's name; `mc --workers 0` ran and billed one worker.
+/// `flint mc` holds λ in thousandths, rounded to the nearest: a non-zero
+/// λ that rounds to 0 (`0.0004` ran as `--risk 0`) or one above
+/// 4 294 967.295 (`1e9`, `5000000` and `4294968` all ran as that λ) is a
+/// usage error too, and both ends of the range run.
 #[test]
 fn unusable_risk_and_mc_workers_are_usage_errors() {
     let run: &[&str] = &["run", "pagerank", "--gb", "0.1", "--partitions", "2"];
@@ -199,6 +206,10 @@ fn unusable_risk_and_mc_workers_are_usage_errors() {
     for risk in ["nan", "-1", "-5", "inf", "-inf"] {
         let named = format!("invalid value for --risk: {risk}");
         cases.push(([run_portfolio, &["--risk", risk]].concat(), named.clone()));
+        cases.push(([mc_portfolio, &["--risk", risk]].concat(), named));
+    }
+    for risk in ["0.0004", "1e9", "5000000", "4294968", "4294967.2956"] {
+        let named = format!("invalid value for --risk: {risk}");
         cases.push(([mc_portfolio, &["--risk", risk]].concat(), named));
     }
     cases.push((
@@ -215,17 +226,20 @@ fn unusable_risk_and_mc_workers_are_usage_errors() {
         assert!(stderr.contains(&named), "flint {args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "flint {args:?} ran something");
     }
-    // λ = 0 itself stays valid.
-    let out = Command::new(env!("CARGO_BIN_EXE_flint"))
-        .args([mc_portfolio, &["--risk", "0"]].concat())
-        .output()
-        .expect("spawn flint");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // λ = 0 itself stays valid, and so do the smallest and largest
+    // non-zero λ the thousandths hold.
+    for risk in ["0", "0.0005", "4294967.295"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+            .args([mc_portfolio, &["--risk", risk]].concat())
+            .output()
+            .expect("spawn flint");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "--risk {risk}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 /// `flint chaos` checks its fault names and probabilities before it runs
