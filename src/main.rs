@@ -9,8 +9,8 @@
 //! flint experiment fig08
 //! ```
 
-use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use flint::core::{BackendSpec, FlintCheckpointPolicy, FlintCluster, FlintConfig, Mode};
 use flint::engine::{
@@ -25,6 +25,7 @@ use flint::runner::run_on_flint;
 use flint::simtime::{SimDuration, SimTime};
 use flint::trace::{Event, EventKind, JsonlSink, MetricsAggregator, TraceHandle};
 use flint::workloads::{Als, KMeans, PageRank, Tpch, Workload, WorkloadConfig};
+use Kind::{Choice, Count, List, Path, Positive, Prob, Risk, Switch, U64};
 
 /// Exit codes beyond plain success/failure, so callers can tell the
 /// degradation outcomes apart: `3` = the run completed correctly but
@@ -37,433 +38,493 @@ const EXIT_PANIC: u8 = 5;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        usage();
+    let (name, rest) = match args.first().map(String::as_str) {
+        None => {
+            eprint!("{}", help());
+            return ExitCode::FAILURE;
+        }
+        Some("--help" | "-h" | "help") => {
+            print!("{}", help());
+            return ExitCode::SUCCESS;
+        }
+        // `flint trace --seed N …` (no subcommand) means `trace prices`.
+        Some("trace") => match args.get(1).filter(|s| !s.starts_with("--")) {
+            Some(sub) => (format!("trace {sub}"), &args[2..]),
+            None => ("trace prices".to_string(), &args[1..]),
+        },
+        Some(cmd) => (cmd.to_string(), &args[1..]),
+    };
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("unknown command: {name}");
+        eprint!("{}", help());
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    let flags = match Flags::parse(cmd, rest) {
         Ok(flags) => flags,
         Err(msg) => {
-            eprintln!("{msg}");
-            usage();
+            eprint!("{msg}\n\nUSAGE:\n{}", cmd.usage());
             return ExitCode::FAILURE;
         }
     };
-    if let Some(name) = flags
-        .keys()
-        .filter(|f| !KNOWN_FLAGS.contains(&f.as_str()))
-        .min()
-    {
-        eprintln!("unknown flag: --{name}");
-        usage();
-        return ExitCode::FAILURE;
-    }
     // A panic anywhere below is an invariant violation, reported with its
     // own exit code so scripts can tell it from a typed fail-stop error.
-    let code = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cmd.as_str() {
-        "run" => cmd_run(&args, &flags),
-        "workload" => cmd_workload(&args, &flags),
-        "chaos" => cmd_chaos(&flags),
-        "markets" => cmd_markets(&flags),
-        "mc" => cmd_mc(&flags),
-        "experiment" => cmd_experiment(&args),
-        "trace" => cmd_trace(&args, &flags),
-        "--help" | "-h" | "help" => {
-            usage();
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("unknown command: {other}");
-            usage();
-            ExitCode::FAILURE
-        }
-    }));
-    code.unwrap_or(ExitCode::from(EXIT_PANIC))
+    std::panic::catch_unwind(|| (cmd.run)(&flags)).unwrap_or(ExitCode::from(EXIT_PANIC))
 }
 
-fn usage() {
-    eprintln!(
+/// `flint --help`, generated from [`COMMANDS`].
+fn help() -> String {
+    let commands: String = COMMANDS.iter().map(Command::usage).collect();
+    format!(
         "flint — batch-interactive data-intensive processing on transient servers
 
 USAGE:
-  flint run <pagerank|kmeans|als|tpch> [--gb N] [--partitions N]
-        [--iterations N] [--seed N] [--workers N]
-        [--backend vm|serverless]
-        [--policy batch|interactive|portfolio] [--risk R]
-        [--trace FILE]   (run on a Flint-managed cluster; --trace writes
-                          the structured event stream as JSONL. --mode is
-                          accepted as an alias for --policy; --risk sets
-                          the portfolio's risk-aversion lambda, a finite
-                          number >= 0, default 1.0.
-                          --backend serverless runs every task as a billed
-                          function invocation — market flags like --policy
-                          and --bid are rejected there)
-        [--suspend-after W] [--manifest FILE] [--resume FILE]
-                         (crash-resume: --suspend-after kills the run at
-                          wave-commit boundary W and writes its run
-                          manifest to --manifest (default flint.manifest);
-                          --resume replays a fresh session from a manifest
-                          file — same flags required — and exits 3 on a
-                          degraded-but-complete finish)
-  flint workload <pagerank|kmeans|als|tpch> [--gb N] [--iterations N]
-        [--workers N] [--failures K] [--mttf H] [--checkpoint] [--seed N]
-        [--dot FILE]   (write the executed lineage graph as Graphviz DOT)
-  flint chaos [--seed N] [--runs R] [--jobs N]
-        [--faults revoke,mass,flap,delay,store,driver-crash,market-collapse]
-        [--crash-prob P] [--crash-wave-max N] [--collapse-prob P]
-        [--workload W] [--gb N] [--workers N] [--mttf H] [--trace FILE]
-                          (seeded fault-injection campaign: each run is
-                           diffed against its fault-free twin and must
-                           finish byte-identical or with a typed error;
-                           --jobs fans runs across host threads with
-                           byte-identical output. driver-crash and
-                           market-collapse arm only when named explicitly
-                           — a crashed run is resumed from its persisted
-                           manifest and must still match the twin)
-  flint markets [--seed N] [--days N]
-  flint mc [--policy batch|interactive|portfolio|fleet|od] [--risk R]
-        [--hours N] [--seed N] [--workers N] [--runs R] [--jobs N]
-                          (--runs > 1 replays the config under consecutive
-                           seeds and merges a campaign report; --jobs fans
-                           seeds across host threads, byte-identical to
-                           --jobs 1. --risk is rounded to the nearest
-                           0.001: 0 or 0.0005 to 4294967.295, default 1.0)
-  flint experiment <name>   (fig02a fig02b fig03 fig04 fig06a fig06b fig06c
-                             fig07 fig08 fig09 fig10a fig10b fig11a fig11b
-                             multiaz storage ablation_* ext_*)
-  flint trace summary <FILE>    (fold a JSONL event trace into run metrics)
-  flint trace validate <FILE>   (parse-check a JSONL event trace and verify
-                                 fault/recovery pairing: every corrupt
-                                 checkpoint detection must be answered by a
-                                 lineage fallback or a typed failure)
-  flint trace prices [--seed N] [--days N] [--market I]
-                                (CSV price trace to stdout; also the
-                                 default when no subcommand is given)
-
+{commands}
 EXIT CODES:
   0 success   1 usage/I-O error   3 degraded-but-complete (resumed or
   backstopped)   4 typed engine error (fail-stop)   5 panic / invariant
-  violation"
-    );
+  violation
+"
+    )
 }
 
-/// Every flag some subcommand reads. Anything else is a typo
-/// (`--wokers 50` used to run with the default ten workers).
-const KNOWN_FLAGS: &[&str] = &[
-    "backend",
-    "bid",
-    "checkpoint",
-    "ckpt",
-    "collapse-prob",
-    "crash-prob",
-    "crash-wave-max",
-    "days",
-    "dot",
-    "failures",
-    "faults",
-    "gb",
-    "hours",
-    "iterations",
-    "jobs",
-    "manifest",
-    "market",
-    "mode",
-    "mttf",
-    "no-checkpoint",
-    "partitions",
-    "policy",
-    "resume",
-    "revocations",
-    "risk",
-    "runs",
-    "seed",
-    "suspend-after",
-    "trace",
-    "wl-seed",
-    "workers",
-    "workload",
-];
+/// One `flint` subcommand: its operand, its flag table and its body.
+struct Command {
+    name: &'static str,
+    /// The positional operand the command requires, as `--help` names it.
+    operand: Option<&'static str>,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Flags) -> ExitCode,
+}
 
-/// Flags whose value names a file. Given no value they are a usage
-/// error, not a switch: the switch value would become the file name.
-const PATH_FLAGS: &[&str] = &["dot", "manifest", "resume", "trace"];
+impl Command {
+    /// This command's section of `--help`.
+    fn usage(&self) -> String {
+        let operand = self.operand.map(|o| format!(" {o}")).unwrap_or_default();
+        let mut s = format!("  flint {}{operand}\n", self.name);
+        for line in self.about.lines() {
+            s += &format!("      {line}\n");
+        }
+        for f in self.flags {
+            let mut head = format!("--{}{}", f.name, f.kind.meta());
+            if head.len() > 22 {
+                head += &format!("\n{:28}", "");
+            }
+            let default = f.default.map(|d| format!(" (default {d})"));
+            let default = default.unwrap_or_default();
+            s += &format!("      {head:<22} {}{default}\n", f.help);
+        }
+        s
+    }
+}
 
-fn parse_flags(rest: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < rest.len() {
-        if let Some(name) = rest[i].strip_prefix("--") {
-            let value = match rest.get(i + 1).filter(|v| !v.starts_with("--")) {
-                Some(v) => {
-                    i += 1;
+/// One declared flag. This is the only place its name, value kind,
+/// default and help text exist.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// The value when the flag is not given, as a user would type it;
+    /// `None` leaves the flag unset.
+    default: Option<&'static str>,
+    help: &'static str,
+}
+
+const fn flag(
+    name: &'static str,
+    kind: Kind,
+    default: Option<&'static str>,
+    help: &'static str,
+) -> Flag {
+    Flag {
+        name,
+        kind,
+        default,
+        help,
+    }
+}
+
+/// What a flag's value must be. Values are checked before the command
+/// runs, so its body reads them without a `Result`.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Takes no value: on when given.
+    Switch,
+    /// A file name.
+    Path,
+    /// One of fixed words; the noun names the value in the error.
+    Choice(&'static str, &'static [&'static str]),
+    /// A comma list of fixed words.
+    List(&'static str, &'static [&'static str]),
+    /// An integer from `min` to `u32::MAX`; a larger one is rejected, not
+    /// wrapped.
+    Count(u32),
+    U64,
+    /// A finite number > 0.
+    Positive,
+    /// A probability in `[0, 1]`.
+    Prob,
+    /// The portfolio's risk aversion λ: a finite number ≥ 0. Clamping
+    /// instead would run `nan` or `-1` as λ = 0, the batch policy's answer.
+    Risk,
+}
+
+impl Kind {
+    /// The value's placeholder in `--help`.
+    fn meta(self) -> String {
+        match self {
+            Switch => String::new(),
+            Path => " FILE".into(),
+            Choice(_, words) => format!(" {}", words.join("|")),
+            List(_, words) => format!(" {}", words.join(",")),
+            Count(_) | U64 => " N".into(),
+            Positive | Prob | Risk => " X".into(),
+        }
+    }
+
+    /// Checks `v`, the value given to `--name`.
+    fn check(self, name: &str, v: &str) -> Result<(), String> {
+        let float = v.parse::<f64>().ok();
+        let (ok, expected) = match self {
+            Switch | Path => return Ok(()),
+            Choice(what, words) if !words.contains(&v) => {
+                return Err(format!(
+                    "unknown {what}: {v} (expected {})",
+                    words.join("|")
+                ));
+            }
+            Choice(..) => return Ok(()),
+            List(what, words) => {
+                return match v.split(',').map(str::trim).find(|w| !words.contains(w)) {
+                    Some(bad) => Err(format!(
+                        "unknown {what}: {bad} (expected some of {})",
+                        words.join(",")
+                    )),
+                    None => Ok(()),
+                };
+            }
+            Count(min) => (
+                v.parse::<u32>().is_ok_and(|n| n >= min),
+                format!("an integer from {min} to {}", u32::MAX),
+            ),
+            U64 => (v.parse::<u64>().is_ok(), "an integer >= 0".into()),
+            Positive => (
+                float.is_some_and(|x| x.is_finite() && x > 0.0),
+                "a finite number > 0".into(),
+            ),
+            Prob => (
+                float.is_some_and(|x| (0.0..=1.0).contains(&x)),
+                "a probability in [0, 1]".into(),
+            ),
+            Risk => (
+                float.is_some_and(|x| x.is_finite() && x >= 0.0),
+                "a finite number >= 0".into(),
+            ),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "invalid value for --{name}: {v} (expected {expected})"
+            ))
+        }
+    }
+}
+
+/// A command's arguments, checked against its table by [`Flags::parse`].
+struct Flags {
+    table: &'static [Flag],
+    /// The text given for each flag of `table`, in table order.
+    given: Vec<Option<String>>,
+    operand: Option<String>,
+}
+
+impl Flags {
+    /// Checks `args` against `cmd` before anything runs: every flag is
+    /// declared, given at most once and carries a value of its kind (a
+    /// switch carries none), and the operand is there when the command
+    /// takes one and absent otherwise.
+    fn parse(cmd: &'static Command, args: &[String]) -> Result<Flags, String> {
+        let mut flags = Flags {
+            table: cmd.flags,
+            given: vec![None; cmd.flags.len()],
+            operand: None,
+        };
+        let mut it = args.iter().peekable();
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                if cmd.operand.is_none() || flags.operand.is_some() {
+                    return Err(format!("unexpected argument: {arg}"));
+                }
+                flags.operand = Some(arg.clone());
+                continue;
+            };
+            let slot = cmd
+                .flags
+                .iter()
+                .position(|f| f.name == name)
+                .ok_or_else(|| format!("unknown flag: --{name}"))?;
+            let value = match cmd.flags[slot].kind {
+                Switch => String::new(),
+                kind => {
+                    let v = it
+                        .next_if(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("missing value for --{name}"))?;
+                    kind.check(name, v)?;
                     v.clone()
                 }
-                None if PATH_FLAGS.contains(&name) => {
-                    return Err(format!("missing value for --{name}"));
-                }
-                None => "true".to_string(),
             };
-            flags.insert(name.to_string(), value);
+            if flags.given[slot].replace(value).is_some() {
+                return Err(format!("--{name} given twice"));
+            }
         }
-        i += 1;
+        match (cmd.operand, &flags.operand) {
+            (Some(operand), None) => Err(format!("{}: missing {operand}", cmd.name)),
+            _ => Ok(flags),
+        }
     }
-    Ok(flags)
-}
 
-/// Numeric flag `--name`, `None` when absent. A value that is present
-/// but does not parse is a usage error, never silently the default.
-fn flag_num<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-) -> Result<Option<T>, String> {
-    flags
-        .get(name)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid value for --{name}: {v}"))
-        })
-        .transpose()
-}
+    fn slot(&self, name: &str) -> usize {
+        self.table
+            .iter()
+            .position(|f| f.name == name)
+            .unwrap_or_else(|| panic!("--{name} is read but not declared"))
+    }
 
-fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
-    Ok(flag_num(flags, name)?.unwrap_or(default))
-}
+    /// Whether `--name` was given; for a switch, whether it is on.
+    fn given(&self, name: &str) -> bool {
+        self.given[self.slot(name)].is_some()
+    }
 
-fn flag_u(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
-    Ok(flag_num(flags, name)?.unwrap_or(default))
-}
+    /// `--name` as given, else its default; `None` when it has neither.
+    fn opt<T: FromStr>(&self, name: &str) -> Option<T> {
+        let slot = self.slot(name);
+        let text = self.given[slot].as_deref().or(self.table[slot].default)?;
+        Some(
+            text.parse()
+                .unwrap_or_else(|_| panic!("--{name} {text} was checked")),
+        )
+    }
 
-/// Integer flag `--name` in `min..=u32::MAX`, or a usage error. A larger
-/// value used to wrap (`--partitions 4294967298` ran as 2) and a count
-/// of 0 used to be clamped or run.
-fn flag_u32(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: u32,
-    min: u32,
-) -> Result<u32, String> {
-    let v = flag_u(flags, name, u64::from(default))?;
-    match u32::try_from(v) {
-        Ok(v) if v >= min => Ok(v),
-        Ok(_) => Err(format!(
-            "invalid value for --{name}: {v} (expected at least {min})"
-        )),
-        Err(_) => Err(format!(
-            "invalid value for --{name}: {v} (expected at most {})",
-            u32::MAX
-        )),
+    /// `--name` as given, else its default.
+    fn get<T: FromStr>(&self, name: &str) -> T {
+        self.opt(name)
+            .unwrap_or_else(|| panic!("--{name} has no default"))
+    }
+
+    fn operand(&self) -> &str {
+        self.operand.as_deref().unwrap_or_default()
     }
 }
 
-/// Size or duration flag `--name`: a finite number > 0, or a usage
-/// error. `--gb nan` used to run 640 tasks and `--mttf 0` no revocations.
-fn flag_positive(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
-    let v = flag_f64(flags, name, default)?;
-    if v.is_finite() && v > 0.0 {
-        Ok(v)
-    } else {
-        Err(format!(
-            "invalid value for --{name}: {} (expected a finite number > 0)",
-            flags[name]
-        ))
-    }
-}
+const WORKLOADS: &[&str] = &["pagerank", "kmeans", "als", "tpch"];
 
-/// Probability flag `--name`: a number in `[0, 1]`, or a usage error.
-fn flag_prob(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
-    let p = flag_f64(flags, name, default)?;
-    if (0.0..=1.0).contains(&p) {
-        Ok(p)
-    } else {
-        Err(format!(
-            "invalid value for --{name}: {} (expected a probability in [0, 1])",
-            flags[name]
-        ))
-    }
-}
-
-/// `--risk`, the portfolio's risk-aversion λ (default 1.0): a finite
-/// number ≥ 0, or a usage error. Clamping instead would run `nan` or
-/// `-1` as λ = 0, the batch policy's answer under the portfolio's name.
-fn flag_risk(flags: &HashMap<String, String>) -> Result<f64, String> {
-    let risk = flag_f64(flags, "risk", 1.0)?;
-    if risk.is_finite() && risk >= 0.0 {
-        Ok(risk)
-    } else {
-        Err(format!(
-            "invalid value for --risk: {} (expected a finite number >= 0)",
-            flags["risk"]
-        ))
-    }
-}
-
-/// The fault kinds `flint chaos --faults` can name, besides `all`.
-const FAULT_KINDS: &[&str] = &[
-    "revoke",
-    "mass",
-    "flap",
-    "delay",
-    "store",
-    "driver-crash",
-    "market-collapse",
+/// Every `flint` subcommand, in `--help` order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run", operand: Some("WORKLOAD"), run: cmd_run,
+        about: "run pagerank, kmeans, als or tpch on a Flint-managed cluster",
+        flags: &[
+            flag("gb", Positive, Some("2"), "dataset size in GB"),
+            flag("partitions", Count(1), Some("20"), "partitions per dataset"),
+            flag("iterations", Count(0), Some("5"), "workload iterations"),
+            flag("seed", U64, Some("42"), "workload and market seed"),
+            flag("workers", Count(0), Some("10"), "cluster size"),
+            flag("backend", Choice("backend", &["vm", "serverless"]), Some("vm"),
+                "serverless runs every task as a billed function invocation"),
+            flag("policy", Choice("policy", &["batch", "interactive", "portfolio"]), Some("batch"),
+                "server selection policy; not under serverless"),
+            flag("risk", Risk, Some("1"), "portfolio risk aversion λ; not under serverless"),
+            flag("trace", Path, None, "write the structured event stream as JSONL"),
+            flag("suspend-after", U64, None, "stop at wave-commit boundary N, writing a manifest"),
+            flag("manifest", Path, Some("flint.manifest"), "where --suspend-after writes it"),
+            flag("resume", Path, None, "replay from a manifest (same flags); exits 3 when done"),
+        ],
+    },
+    Command {
+        name: "workload", operand: Some("WORKLOAD"), run: cmd_workload,
+        about: "run a workload on a plain engine cluster, revoking --failures workers\n\
+                halfway through its fault-free runtime",
+        flags: &[
+            flag("gb", Positive, Some("2"), "dataset size in GB"),
+            flag("partitions", Count(1), Some("20"), "partitions per dataset"),
+            flag("iterations", Count(0), Some("5"), "workload iterations"),
+            flag("seed", U64, Some("42"), "workload seed"),
+            flag("workers", Count(0), Some("10"), "cluster size"),
+            flag("failures", Count(0), Some("0"), "workers revoked mid-job"),
+            flag("checkpoint", Switch, None, "checkpoint with Flint's adaptive policy"),
+            flag("mttf", Positive, Some("20"), "MTTF in hours that policy assumes"),
+            flag("dot", Path, None, "write the executed lineage graph as Graphviz DOT"),
+        ],
+    },
+    Command {
+        name: "chaos", operand: None, run: cmd_chaos,
+        about: "seeded fault-injection campaign: each run is diffed against its\n\
+                fault-free twin and must finish byte-identical or with a typed error;\n\
+                a run whose driver crashes resumes from its persisted manifest",
+        flags: &[
+            flag("seed", U64, Some("42"), "campaign seed; run r uses seed + r"),
+            flag("runs", Count(1), Some("3"), "runs in the campaign"),
+            flag("jobs", Count(1), Some("1"), "host threads; output is the same for any"),
+            flag("workers", Count(1), Some("4"), "cluster size"),
+            flag("revocations", Count(0), None, "revocations per run (default: the schedule's)"),
+            flag("faults", List("fault kind", &["all", "revoke", "mass", "flap", "delay", "store",
+                "driver-crash", "market-collapse"]), Some("all"),
+                "fault kinds; the last two arm only when named, not by all"),
+            flag("crash-prob", Prob, Some("0.5"), "chance of a driver crash per run"),
+            flag("crash-wave-max", Count(1), Some("8"), "last wave a driver crash can hit"),
+            flag("collapse-prob", Prob, Some("0.5"), "chance of a market collapse per run"),
+            flag("mttf", Positive, Some("1"), "MTTF in hours for --ckpt adaptive"),
+            flag("workload", Choice("workload", WORKLOADS), Some("pagerank"), "workload"),
+            flag("gb", Positive, Some("0.3"), "dataset size in GB"),
+            flag("partitions", Count(1), Some("6"), "partitions per dataset"),
+            flag("iterations", Count(0), Some("3"), "workload iterations"),
+            flag("wl-seed", U64, Some("1"), "workload seed"),
+            flag("ckpt", Choice("ckpt policy", &["eager", "adaptive", "none"]), Some("eager"),
+                "checkpoint every RDD, adaptively, or never"),
+            flag("trace", Path, None, "write each run's events as JSONL (FILE.runR if --runs > 1)"),
+        ],
+    },
+    Command {
+        name: "markets", operand: None, run: cmd_markets,
+        about: "the synthetic EC2 spot markets: current and mean price, MTTF",
+        flags: &[
+            flag("seed", U64, Some("42"), "catalog seed"),
+            flag("days", U64, Some("60"), "days of price history"),
+        ],
+    },
+    Command {
+        name: "mc", operand: None, run: cmd_mc,
+        about: "Monte-Carlo model of a job's cost and runtime under a selection policy",
+        flags: &[
+            flag("policy", Choice("policy",
+                &["batch", "interactive", "portfolio", "fleet", "od", "on-demand"]), Some("batch"),
+                "server selection policy"),
+            flag("risk", Risk, Some("1"), "portfolio risk aversion λ, rounded to 0.001"),
+            flag("hours", U64, Some("24"), "job length in hours"),
+            flag("seed", U64, Some("0"), "simulation seed"),
+            flag("workers", Count(1), Some("10"), "cluster size"),
+            flag("runs", Count(1), Some("1"), "seeds to replay and merge into a campaign report"),
+            flag("jobs", Count(1), Some("1"), "host threads; output is the same for any"),
+            flag("no-checkpoint", Switch, None, "turn adaptive checkpointing off"),
+        ],
+    },
+    Command {
+        name: "experiment", operand: Some("NAME"), run: cmd_experiment, flags: &[],
+        about: "regenerate a paper figure or table: fig02a fig02b fig03 fig04 fig06a\n\
+                fig06b fig06c fig07 fig08 fig09 fig10a fig10b fig11a fig11b multiaz\n\
+                storage ablation_* ext_*",
+    },
+    Command {
+        name: "trace summary", operand: Some("FILE"), flags: &[],
+        run: |f| cmd_trace_file(f.operand(), false),
+        about: "fold a JSONL event trace into run metrics",
+    },
+    Command {
+        name: "trace validate", operand: Some("FILE"), flags: &[],
+        run: |f| cmd_trace_file(f.operand(), true),
+        about: "parse-check a JSONL event trace and verify fault/recovery pairing:\n\
+                every corrupt checkpoint detection must be answered by a lineage\n\
+                fallback or a typed failure",
+    },
+    Command {
+        name: "trace prices", operand: None, run: cmd_trace_prices,
+        about: "a market's price trace as CSV; also what `flint trace` alone means",
+        flags: &[
+            flag("seed", U64, Some("42"), "catalog seed"),
+            flag("days", U64, Some("60"), "days of price history"),
+            flag("market", Count(0), Some("0"), "market index in the catalog"),
+        ],
+    },
 ];
 
-/// Unwraps a flag-parsing `Result` inside a subcommand; a usage error is
-/// printed and ends the command with `ExitCode::FAILURE`. Commands call
-/// it before they start anything, so a bad flag runs nothing.
-macro_rules! or_usage {
-    ($parsed:expr) => {
-        match $parsed {
-            Ok(v) => v,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-}
-
-/// Why the `--backend` selection could not be honored.
-#[derive(Debug, PartialEq, Eq)]
-enum BackendFlagError {
-    /// `--backend` named something other than `vm` or `serverless`.
-    UnknownBackend(String),
-    /// A VM-market flag was passed under a backend that has no market
-    /// (rejected instead of silently ignored).
-    MeaninglessFlag {
-        backend: &'static str,
-        flag: &'static str,
-    },
-}
-
-impl std::fmt::Display for BackendFlagError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendFlagError::UnknownBackend(name) => {
-                write!(f, "unknown backend: {name} (expected vm|serverless)")
-            }
-            BackendFlagError::MeaninglessFlag { backend, flag } => write!(
-                f,
-                "--{flag} is meaningless under the {backend} backend: functions are \
-                 not bid for on spot markets (drop --{flag} or use --backend vm)"
-            ),
-        }
+/// Resolves `--backend`. Under `serverless`, the flags that parameterize
+/// the VM market path are rejected instead of silently ignored.
+fn resolve_backend(f: &Flags) -> Result<BackendSpec, String> {
+    if f.get::<String>("backend") == "vm" {
+        return Ok(BackendSpec::TransientVm);
+    }
+    match ["policy", "risk"].into_iter().find(|name| f.given(name)) {
+        Some(name) => Err(format!(
+            "--{name} is meaningless under the serverless backend: functions are \
+             not bid for on spot markets (drop --{name} or use --backend vm)"
+        )),
+        None => Ok(BackendSpec::Serverless(ServerlessConfig::default())),
     }
 }
 
-/// Resolves `--backend` (default `vm`). Under `serverless`, the flags
-/// that parameterize the VM market path are typed errors.
-fn resolve_backend(flags: &HashMap<String, String>) -> Result<BackendSpec, BackendFlagError> {
-    match flags.get("backend").map(String::as_str).unwrap_or("vm") {
-        "vm" => Ok(BackendSpec::TransientVm),
-        "serverless" => {
-            for flag in ["policy", "mode", "bid", "risk"] {
-                if flags.contains_key(flag) {
-                    return Err(BackendFlagError::MeaninglessFlag {
-                        backend: "serverless",
-                        flag,
-                    });
-                }
-            }
-            Ok(BackendSpec::Serverless(ServerlessConfig::default()))
-        }
-        other => Err(BackendFlagError::UnknownBackend(other.to_string())),
+/// `--gb`, `--partitions`, `--iterations` and the seed flag `seed_flag`.
+fn workload_config(f: &Flags, seed_flag: &str) -> WorkloadConfig {
+    WorkloadConfig {
+        dataset_gb: f.get("gb"),
+        partitions: f.get("partitions"),
+        iterations: f.get("iterations"),
+        seed: f.get(seed_flag),
     }
 }
 
-/// `--gb`, `--partitions`, `--iterations` and the seed flag `seed_flag`
-/// over `defaults`.
-fn workload_config(
-    flags: &HashMap<String, String>,
-    defaults: WorkloadConfig,
-    seed_flag: &str,
-) -> Result<WorkloadConfig, String> {
-    Ok(WorkloadConfig {
-        dataset_gb: flag_positive(flags, "gb", defaults.dataset_gb)?,
-        partitions: flag_u32(flags, "partitions", defaults.partitions, 1)?,
-        iterations: flag_u32(flags, "iterations", defaults.iterations, 0)?,
-        seed: flag_u(flags, seed_flag, defaults.seed)?,
-    })
+/// The workload `name` names, `None` for a name outside [`WORKLOADS`].
+fn make_workload(name: &str, cfg: WorkloadConfig) -> Option<Box<dyn Workload>> {
+    let wl: Box<dyn Workload> = match name {
+        "pagerank" => Box::new(PageRank::new(cfg)),
+        "kmeans" => Box::new(KMeans::new(cfg)),
+        "als" => Box::new(Als::new(cfg)),
+        "tpch" => Box::new(Tpch::new(cfg)),
+        _ => return None,
+    };
+    Some(wl)
 }
 
-fn parse_workload(
-    name: &str,
-    flags: &HashMap<String, String>,
-) -> Result<Box<dyn Workload>, String> {
-    let defaults = WorkloadConfig {
-        dataset_gb: 2.0,
-        partitions: 20,
-        iterations: 5,
-        seed: 42,
-    };
-    let cfg = workload_config(flags, defaults, "seed")?;
-    match name {
-        "pagerank" => Ok(Box::new(PageRank::new(cfg))),
-        "kmeans" => Ok(Box::new(KMeans::new(cfg))),
-        "als" => Ok(Box::new(Als::new(cfg))),
-        "tpch" => Ok(Box::new(Tpch::new(cfg))),
-        _ => Err(format!("unknown workload: {name}")),
+/// The operand's workload, or `None` after reporting an unknown name.
+fn operand_workload(f: &Flags) -> Option<Box<dyn Workload>> {
+    let wl = make_workload(f.operand(), workload_config(f, "seed"));
+    if wl.is_none() {
+        eprintln!("unknown workload: {}", f.operand());
     }
+    wl
 }
 
-fn cmd_run(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
-    let Some(name) = args.get(1) else {
-        eprintln!("run: missing workload name");
-        return ExitCode::FAILURE;
-    };
-    let wl = or_usage!(parse_workload(name, flags));
-    let seed = or_usage!(flag_u(flags, "seed", 42));
-    let workers = or_usage!(flag_u32(flags, "workers", 10, 0));
-    let risk = or_usage!(flag_risk(flags));
-    let suspend_after = or_usage!(flag_num::<u64>(flags, "suspend-after"));
-    let backend = match resolve_backend(flags) {
+fn cmd_run(f: &Flags) -> ExitCode {
+    let backend = match resolve_backend(f) {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("run: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // `--policy` is the canonical spelling; `--mode` stays as an alias
-    // for older scripts. (Under serverless both were already rejected
-    // above, so the default here is never a silent override.)
-    let policy = flags
-        .get("policy")
-        .or_else(|| flags.get("mode"))
-        .map(String::as_str)
-        .unwrap_or("batch");
-    let mode = match policy {
+    let Some(wl) = operand_workload(f) else {
+        return ExitCode::FAILURE;
+    };
+    let seed = f.get("seed");
+    let suspend_after = f.opt("suspend-after");
+    let mode = match f.get::<String>("policy").as_str() {
         "batch" => Mode::Batch,
         "interactive" => Mode::Interactive,
-        "portfolio" => Mode::Portfolio,
-        other => {
-            eprintln!("unknown policy: {other} (expected batch|interactive|portfolio)");
-            return ExitCode::FAILURE;
-        }
+        _ => Mode::Portfolio,
     };
     let trace = TraceHandle::disabled();
-    if let Some(path) = flags.get("trace") {
-        match std::fs::File::create(path) {
-            Ok(f) => trace.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(f)))),
+    if let Some(path) = f.opt::<String>("trace") {
+        match std::fs::File::create(&path) {
+            Ok(file) => trace.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(file)))),
             Err(e) => {
                 eprintln!("could not create {path}: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    let resume_path = flags.get("resume");
     let catalog = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(30));
     let mut config = FlintConfig::builder()
-        .n_workers(workers)
+        .n_workers(f.get("workers"))
         .mode(mode)
-        .risk_aversion(risk)
+        .risk_aversion(f.get("risk"))
         .seed(seed)
         .trace(trace)
         .backend(backend)
         .build();
     config.driver.suspend_after_waves = suspend_after;
 
-    if suspend_after.is_some() || resume_path.is_some() {
-        return cmd_run_degraded(catalog, config, wl.as_ref(), flags, resume_path);
+    if suspend_after.is_some() || f.given("resume") {
+        return cmd_run_degraded(catalog, config, wl.as_ref(), f);
     }
     let run = match run_on_flint(catalog, config, wl.as_ref()) {
         Ok(run) => run,
@@ -472,13 +533,13 @@ fn cmd_run(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
             return ExitCode::from(EXIT_TYPED);
         }
     };
-    print_run_report(&run, flags.get("trace"));
+    print_run_report(&run, f);
     ExitCode::SUCCESS
 }
 
 /// The shared tail of every `flint run` variant: the human-readable
 /// summary of a completed run.
-fn print_run_report(run: &flint::runner::RunReport, trace_path: Option<&String>) {
+fn print_run_report(run: &flint::runner::RunReport, f: &Flags) {
     println!("workload     : {}", run.summary.name);
     println!("records      : {}", run.summary.records);
     println!("checksum     : {:#018x}", run.summary.checksum);
@@ -503,7 +564,7 @@ fn print_run_report(run: &flint::runner::RunReport, trace_path: Option<&String>)
         println!("compute cost : ${:.2}", run.cost.compute_cost);
     }
     println!("storage cost : ${:.2}", run.cost.storage_cost);
-    if let Some(path) = trace_path {
+    if let Some(path) = f.opt::<String>("trace") {
         println!("trace        : written to {path}");
     }
 }
@@ -516,8 +577,7 @@ fn cmd_run_degraded(
     catalog: MarketCatalog,
     config: FlintConfig,
     wl: &dyn Workload,
-    flags: &HashMap<String, String>,
-    resume_path: Option<&String>,
+    f: &Flags,
 ) -> ExitCode {
     let trace = config.trace.clone();
     let mut cluster = FlintCluster::launch(catalog, config);
@@ -526,8 +586,8 @@ fn cmd_run_degraded(
     cluster.driver_mut().set_cost_model(cost_model);
 
     let mut resumed_from = None;
-    if let Some(path) = resume_path {
-        let text = match std::fs::read_to_string(path) {
+    if let Some(path) = f.opt::<String>("resume") {
+        let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("run: could not read manifest {path}: {e}");
@@ -542,7 +602,7 @@ fn cmd_run_degraded(
             }
         };
         match cluster.driver_mut().resume(&manifest) {
-            Ok(()) => resumed_from = Some((path.clone(), manifest.frontier)),
+            Ok(()) => resumed_from = Some((path, manifest.frontier)),
             Err(e) => {
                 eprintln!("run: resume rejected: {e}");
                 return ExitCode::from(EXIT_TYPED);
@@ -564,7 +624,7 @@ fn cmd_run_degraded(
                 cost,
                 trace: None,
             };
-            print_run_report(&run, flags.get("trace"));
+            print_run_report(&run, f);
             match resumed_from {
                 Some((path, frontier)) => {
                     println!("resumed      : replayed from wave {frontier} ({path})");
@@ -583,10 +643,7 @@ fn cmd_run_degraded(
                 eprintln!("run: suspended but no manifest was persisted");
                 return ExitCode::from(EXIT_TYPED);
             };
-            let out = flags
-                .get("manifest")
-                .cloned()
-                .unwrap_or_else(|| "flint.manifest".to_string());
+            let out: String = f.get("manifest");
             if let Err(e) = std::fs::write(&out, &text) {
                 eprintln!("run: could not write {out}: {e}");
                 return ExitCode::FAILURE;
@@ -603,16 +660,13 @@ fn cmd_run_degraded(
     }
 }
 
-fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
-    let Some(name) = args.get(1) else {
-        eprintln!("workload: missing name");
+fn cmd_workload(f: &Flags) -> ExitCode {
+    let Some(wl) = operand_workload(f) else {
         return ExitCode::FAILURE;
     };
-    let wl = or_usage!(parse_workload(name, flags));
-    let workers = or_usage!(flag_u(flags, "workers", 10));
-    let failures = or_usage!(flag_u32(flags, "failures", 0, 0));
-    let checkpoint = flags.contains_key("checkpoint");
-    let mttf = SimDuration::from_hours_f64(or_usage!(flag_positive(flags, "mttf", 20.0)));
+    let workers: u64 = f.get("workers");
+    let failures: u64 = f.get("failures");
+    let mttf = SimDuration::from_hours_f64(f.get("mttf"));
 
     // Time the failure-free run first so failures can strike mid-job.
     let mut driver_cfg = DriverConfig::default();
@@ -635,7 +689,7 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
 
     let mut events = Vec::new();
     let strike = SimTime::ZERO + baseline / 2;
-    for ext in 1..=u64::from(failures) {
+    for ext in 1..=failures {
         events.push((strike, WorkerEvent::Remove { ext_id: ext }));
         events.push((
             strike + SimDuration::from_secs(120),
@@ -645,7 +699,7 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
             },
         ));
     }
-    let hooks: Box<dyn flint::engine::CheckpointHooks> = if checkpoint {
+    let hooks: Box<dyn flint::engine::CheckpointHooks> = if f.given("checkpoint") {
         Box::new(FlintCheckpointPolicy::with_mttf(mttf))
     } else {
         Box::new(NoCheckpoint)
@@ -681,8 +735,8 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
     );
     println!("restores     : {}", s.restores);
     println!("revocations  : {}", s.revocations);
-    if let Some(path) = flags.get("dot") {
-        match std::fs::write(path, d.lineage().to_dot()) {
+    if let Some(path) = f.opt::<String>("dot") {
+        match std::fs::write(&path, d.lineage().to_dot()) {
             Ok(()) => println!("lineage DOT  : written to {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
@@ -690,10 +744,9 @@ fn cmd_workload(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_markets(flags: &HashMap<String, String>) -> ExitCode {
-    let seed = or_usage!(flag_u(flags, "seed", 42));
-    let days = or_usage!(flag_u(flags, "days", 60));
-    let cat = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(days));
+fn cmd_markets(f: &Flags) -> ExitCode {
+    let days: u64 = f.get("days");
+    let cat = MarketCatalog::synthetic_ec2(f.get("seed"), SimDuration::from_days(days));
     let now = SimTime::ZERO + SimDuration::from_days(days.saturating_sub(1));
     let window = SimDuration::from_days(7);
     println!(
@@ -717,56 +770,54 @@ fn cmd_markets(flags: &HashMap<String, String>) -> ExitCode {
 /// rounded to the nearest. A value the thousandths cannot hold is a
 /// usage error: the cast used to saturate everything above
 /// 4 294 967.295 to that λ and truncate `0.0004` to λ = 0.
-fn flag_risk_milli(flags: &HashMap<String, String>) -> Result<u32, String> {
-    let risk = flag_risk(flags)?;
+fn risk_milli(f: &Flags) -> Result<u32, String> {
+    let risk: f64 = f.get("risk");
     let milli = (risk * 1000.0).round();
     if milli > f64::from(u32::MAX) || (risk > 0.0 && milli == 0.0) {
         Err(format!(
             "invalid value for --risk: {} (flint mc rounds it to the nearest \
              0.001; expected 0 or 0.0005 to 4294967.295)",
-            flags["risk"]
+            f.get::<String>("risk")
         ))
     } else {
         Ok(milli as u32)
     }
 }
 
-fn cmd_mc(flags: &HashMap<String, String>) -> ExitCode {
-    let risk_milli = or_usage!(flag_risk_milli(flags));
-    let policy = match flags.get("policy").map(String::as_str).unwrap_or("batch") {
+fn cmd_mc(f: &Flags) -> ExitCode {
+    let risk_milli = match risk_milli(f) {
+        Ok(milli) => milli,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let policy = match f.get::<String>("policy").as_str() {
         "batch" => PolicyKind::FlintBatch,
         "interactive" => PolicyKind::FlintInteractive,
         "portfolio" => PolicyKind::Portfolio(risk_milli),
         "fleet" => PolicyKind::SpotFleetCheapest,
-        "od" | "on-demand" => PolicyKind::OnDemand,
-        other => {
-            eprintln!("unknown policy: {other}");
-            return ExitCode::FAILURE;
-        }
+        _ => PolicyKind::OnDemand,
     };
-    let hours = or_usage!(flag_u(flags, "hours", 24));
-    let seed = or_usage!(flag_u(flags, "seed", 0));
-    let workers = or_usage!(flag_u32(flags, "workers", 10, 1));
-    let runs = u64::from(or_usage!(flag_u32(flags, "runs", 1, 1)));
-    let jobs = or_usage!(flag_u32(flags, "jobs", 1, 1)) as usize;
+    let runs: u64 = f.get("runs");
     let cat = MarketCatalog::synthetic_ec2(40, SimDuration::from_days(90));
-    let ckpt = if flags.contains_key("no-checkpoint") {
+    let ckpt = if f.given("no-checkpoint") {
         CkptMode::None
     } else {
         CkptMode::Adaptive
     };
     let base = McConfig {
-        job_length: SimDuration::from_hours(hours),
-        n_workers: workers,
+        job_length: SimDuration::from_hours(f.get("hours")),
+        n_workers: f.get("workers"),
         policy,
         ckpt,
-        seed,
+        seed: f.get("seed"),
         ..McConfig::default()
     };
     if runs > 1 {
         // Seed campaign: compute in parallel (--jobs), merge in seed
         // order — the printed report is byte-identical for any --jobs.
-        let campaign = CampaignConfig::consecutive(base, runs, jobs);
+        let campaign = CampaignConfig::consecutive(base, runs, f.get("jobs"));
         let report = run_mc_campaign(&cat, &campaign);
         println!("policy        : {}", policy.name());
         print!("{report}");
@@ -786,66 +837,47 @@ fn cmd_mc(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_trace(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
-    // `flint trace --seed N …` (no subcommand) keeps its original meaning:
-    // dump a market price trace as CSV.
-    let sub = args
-        .get(1)
-        .map(String::as_str)
-        .filter(|s| !s.starts_with("--"))
-        .unwrap_or("prices");
-    match sub {
-        "prices" => cmd_trace_prices(flags),
-        "summary" | "validate" => {
-            let Some(path) = args.get(2).filter(|p| !p.starts_with("--")) else {
-                eprintln!("trace {sub}: missing FILE");
+/// `flint trace validate FILE` (`validate`) or `flint trace summary FILE`.
+fn cmd_trace_file(path: &str, validate: bool) -> ExitCode {
+    let reader = match std::fs::File::open(path) {
+        Ok(f) => std::io::BufReader::new(f),
+        Err(e) => {
+            eprintln!("could not read {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // One pass, one event in memory at a time: multi-gigabyte
+    // traces stream through instead of materializing.
+    if validate {
+        let mut pairing = FaultPairing::default();
+        let events = match scan_trace(reader, |ev| pairing.observe(ev)) {
+            Ok(n) => n,
+            Err(msg) => {
+                eprintln!("{path}: {msg}");
                 return ExitCode::FAILURE;
-            };
-            let reader = match std::fs::File::open(path) {
-                Ok(f) => std::io::BufReader::new(f),
-                Err(e) => {
-                    eprintln!("could not read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // One pass, one event in memory at a time: multi-gigabyte
-            // traces stream through instead of materializing.
-            if sub == "validate" {
-                let mut pairing = FaultPairing::default();
-                let events = match scan_trace(reader, |ev| pairing.observe(ev)) {
-                    Ok(n) => n,
-                    Err(msg) => {
-                        eprintln!("{path}: {msg}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let pairs = match pairing.finish() {
-                    Ok(pairs) => pairs,
-                    Err(msg) => {
-                        eprintln!("{path}: {msg}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if pairs > 0 {
-                    println!("{path}: OK ({events} events, {pairs} fault/recovery pairs)");
-                } else {
-                    println!("{path}: OK ({events} events)");
-                }
-            } else {
-                let mut agg = MetricsAggregator::new();
-                if let Err(msg) = scan_trace(reader, |ev| agg.observe(ev)) {
-                    eprintln!("{path}: {msg}");
-                    return ExitCode::FAILURE;
-                }
-                print!("{agg}");
             }
-            ExitCode::SUCCESS
+        };
+        let pairs = match pairing.finish() {
+            Ok(pairs) => pairs,
+            Err(msg) => {
+                eprintln!("{path}: {msg}");
+                return ExitCode::FAILURE;
+            }
+        };
+        if pairs > 0 {
+            println!("{path}: OK ({events} events, {pairs} fault/recovery pairs)");
+        } else {
+            println!("{path}: OK ({events} events)");
         }
-        other => {
-            eprintln!("unknown trace subcommand: {other} (expected summary|validate|prices)");
-            ExitCode::FAILURE
+    } else {
+        let mut agg = MetricsAggregator::new();
+        if let Err(msg) = scan_trace(reader, |ev| agg.observe(ev)) {
+            eprintln!("{path}: {msg}");
+            return ExitCode::FAILURE;
         }
+        print!("{agg}");
     }
+    ExitCode::SUCCESS
 }
 
 /// Streams a JSONL event trace, enforcing the invariants a real run
@@ -975,61 +1007,25 @@ impl flint::engine::CheckpointHooks for CkptEveryRdd {
     }
 }
 
-fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
-    let seed = or_usage!(flag_u(flags, "seed", 42));
-    let runs = u64::from(or_usage!(flag_u32(flags, "runs", 3, 1)));
-    let jobs = or_usage!(flag_u32(flags, "jobs", 1, 1)) as usize;
-    let workers = or_usage!(flag_u32(flags, "workers", 4, 1));
-    let revocations = or_usage!(flag_num::<u32>(flags, "revocations"));
-    let crash_prob = or_usage!(flag_prob(flags, "crash-prob", 0.5));
-    let crash_wave_max = u64::from(or_usage!(flag_u32(flags, "crash-wave-max", 8, 1)));
-    let collapse_prob = or_usage!(flag_prob(flags, "collapse-prob", 0.5));
-    let faults = flags.get("faults").map(String::as_str).unwrap_or("all");
+fn cmd_chaos(f: &Flags) -> ExitCode {
+    let seed: u64 = f.get("seed");
+    let runs: u64 = f.get("runs");
+    let workers: u32 = f.get("workers");
+    let revocations: Option<u32> = f.opt("revocations");
+    let crash_prob = f.get("crash-prob");
+    let crash_wave_max = f.get("crash-wave-max");
+    let collapse_prob = f.get("collapse-prob");
+    let faults: String = f.get("faults");
     let enabled: Vec<&str> = faults.split(',').map(str::trim).collect();
-    if let Some(bad) = enabled
-        .iter()
-        .find(|k| **k != "all" && !FAULT_KINDS.contains(k))
-    {
-        eprintln!(
-            "unknown fault kind: {bad} (expected all or some of {})",
-            FAULT_KINDS.join(",")
-        );
-        return ExitCode::FAILURE;
-    }
     let has = |k: &str| enabled.contains(&"all") || enabled.contains(&k);
-    let mttf = SimDuration::from_hours_f64(or_usage!(flag_positive(flags, "mttf", 1.0)));
-
-    let name = flags
-        .get("workload")
-        .map(String::as_str)
-        .unwrap_or("pagerank");
-    let defaults = WorkloadConfig {
-        dataset_gb: 0.3,
-        partitions: 6,
-        iterations: 3,
-        seed: 1,
-    };
-    let wl_cfg = or_usage!(workload_config(flags, defaults, "wl-seed"));
+    let mttf = SimDuration::from_hours_f64(f.get("mttf"));
+    let name: String = f.get("workload");
+    let wl_cfg = workload_config(f, "wl-seed");
     // Workloads are not shareable across threads; each parallel run
     // rebuilds its own instance from the (copyable) name + config.
-    let make_wl = |name: &str| -> Option<Box<dyn Workload>> {
-        match name {
-            "pagerank" => Some(Box::new(PageRank::new(wl_cfg))),
-            "kmeans" => Some(Box::new(KMeans::new(wl_cfg))),
-            "als" => Some(Box::new(Als::new(wl_cfg))),
-            "tpch" => Some(Box::new(Tpch::new(wl_cfg))),
-            _ => None,
-        }
-    };
-    let Some(wl) = make_wl(name) else {
-        eprintln!("unknown workload: {name}");
-        return ExitCode::FAILURE;
-    };
-    let ckpt_kind = flags.get("ckpt").map(String::as_str).unwrap_or("eager");
-    if !matches!(ckpt_kind, "eager" | "adaptive" | "none") {
-        eprintln!("unknown ckpt policy: {ckpt_kind} (expected eager|adaptive|none)");
-        return ExitCode::FAILURE;
-    }
+    let make_wl = || make_workload(&name, wl_cfg).expect("--workload was checked");
+    let wl = make_wl();
+    let ckpt_kind: String = f.get("ckpt");
 
     // The fault-free twin: its digest is the ground truth every chaos
     // run must reproduce, and its runtime sizes the fault horizon so
@@ -1078,7 +1074,7 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
     // their verdicts are committed back in run order — output and
     // per-run trace files are byte-identical to a sequential campaign.
     let run_ids: Vec<u64> = (0..runs).collect();
-    let outcomes = fan_out(jobs, &run_ids, |&r| {
+    let outcomes = fan_out(f.get("jobs"), &run_ids, |&r| {
         let run_seed = seed.wrapping_add(r);
         let mut ccfg = ChaosConfig::new(run_seed);
         ccfg.n_workers = workers;
@@ -1123,13 +1119,9 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
             .iter()
             .any(|(_, k, _)| k == "market_collapse");
 
-        let trace_path = flags.get("trace").map(|p| {
-            if runs > 1 {
-                format!("{p}.run{r}")
-            } else {
-                p.clone()
-            }
-        });
+        let trace_path =
+            f.opt::<String>("trace")
+                .map(|p| if runs > 1 { format!("{p}.run{r}") } else { p });
         // Sinks attach per session: a crashed session's partial trace is
         // discarded and the file re-created for the resumed session, so
         // the file always holds one complete, monotonic event stream.
@@ -1146,12 +1138,12 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
                 Ok(())
             }
         };
-        let wl = make_wl(name).expect("workload validated before fan-out");
+        let wl = make_wl();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let build = |suspend: Option<u64>, tr: &TraceHandle| {
                 let mut cfg = driver_cfg.clone();
                 cfg.suspend_after_waves = suspend;
-                let hooks: Box<dyn flint::engine::CheckpointHooks> = match ckpt_kind {
+                let hooks: Box<dyn flint::engine::CheckpointHooks> = match ckpt_kind.as_str() {
                     "eager" => Box::new(CkptEveryRdd),
                     "adaptive" => Box::new(FlintCheckpointPolicy::with_mttf(mttf)),
                     _ => Box::new(NoCheckpoint),
@@ -1306,11 +1298,9 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-fn cmd_trace_prices(flags: &HashMap<String, String>) -> ExitCode {
-    let seed = or_usage!(flag_u(flags, "seed", 42));
-    let days = or_usage!(flag_u(flags, "days", 60));
-    let market = or_usage!(flag_u32(flags, "market", 0, 0));
-    let cat = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(days));
+fn cmd_trace_prices(f: &Flags) -> ExitCode {
+    let market: u32 = f.get("market");
+    let cat = MarketCatalog::synthetic_ec2(f.get("seed"), SimDuration::from_days(f.get("days")));
     if market as usize >= cat.len() {
         eprintln!("market index out of range (catalog has {})", cat.len());
         return ExitCode::FAILURE;
@@ -1322,13 +1312,9 @@ fn cmd_trace_prices(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_experiment(args: &[String]) -> ExitCode {
+fn cmd_experiment(f: &Flags) -> ExitCode {
     use flint_bench::{ablations, exp_engine, exp_market, exp_model};
-    let Some(name) = args.get(1) else {
-        eprintln!("experiment: missing name");
-        return ExitCode::FAILURE;
-    };
-    let table = match name.as_str() {
+    let table = match f.operand() {
         "fig02a" => exp_market::fig02a_ec2_availability(),
         "fig02b" => exp_market::fig02b_gce_availability(),
         "fig03" => exp_engine::fig03_memory_pressure(),
@@ -1368,21 +1354,22 @@ fn cmd_experiment(args: &[String]) -> ExitCode {
 mod tests {
     use super::*;
 
-    fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
+    fn parse(cmd: &str, args: &[&str]) -> Result<Flags, String> {
+        let cmd = COMMANDS.iter().find(|c| c.name == cmd).expect("command");
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Flags::parse(cmd, &args)
+    }
+
+    fn backend(args: &[&str]) -> Result<BackendSpec, String> {
+        let f = parse("run", &[&["pagerank"], args].concat()).expect("flags parse");
+        resolve_backend(&f)
     }
 
     #[test]
     fn backend_defaults_to_vm() {
+        assert!(matches!(backend(&[]), Ok(BackendSpec::TransientVm)));
         assert!(matches!(
-            resolve_backend(&flags(&[])),
-            Ok(BackendSpec::TransientVm)
-        ));
-        assert!(matches!(
-            resolve_backend(&flags(&[("backend", "vm"), ("policy", "portfolio")])),
+            backend(&["--backend", "vm", "--policy", "portfolio"]),
             Ok(BackendSpec::TransientVm)
         ));
     }
@@ -1390,36 +1377,48 @@ mod tests {
     #[test]
     fn serverless_backend_parses() {
         assert!(matches!(
-            resolve_backend(&flags(&[("backend", "serverless")])),
+            backend(&["--backend", "serverless"]),
             Ok(BackendSpec::Serverless(_))
         ));
     }
 
     #[test]
-    fn unknown_backend_is_a_typed_error() {
-        let err = resolve_backend(&flags(&[("backend", "mainframe")])).unwrap_err();
-        assert_eq!(err, BackendFlagError::UnknownBackend("mainframe".into()));
-        assert!(err.to_string().contains("vm|serverless"));
+    fn unknown_backend_is_a_usage_error() {
+        let err = parse("run", &["pagerank", "--backend", "mainframe"]).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("unknown backend: mainframe (expected vm|serverless)")
+        );
     }
 
     #[test]
     fn market_flags_are_rejected_under_serverless() {
-        for flag in ["policy", "mode", "bid", "risk"] {
-            let err =
-                resolve_backend(&flags(&[("backend", "serverless"), (flag, "x")])).unwrap_err();
-            assert_eq!(
-                err,
-                BackendFlagError::MeaninglessFlag {
-                    backend: "serverless",
-                    flag: match flag {
-                        "policy" => "policy",
-                        "mode" => "mode",
-                        "bid" => "bid",
-                        _ => "risk",
-                    },
-                },
-            );
-            assert!(err.to_string().contains(flag));
+        for (flag, value) in [("--policy", "batch"), ("--risk", "1")] {
+            let err = backend(&["--backend", "serverless", flag, value]).err();
+            let err = err.expect("rejected");
+            assert!(err.starts_with(&format!("{flag} is meaningless")), "{err}");
+        }
+    }
+
+    /// Each table declares a name once, every default passes its own
+    /// kind, a switch has no default (it is on exactly when given), and
+    /// each help text fits its one `--help` line.
+    #[test]
+    fn every_flag_table_is_consistent() {
+        for cmd in COMMANDS {
+            for (i, f) in cmd.flags.iter().enumerate() {
+                let at = format!("flint {} --{}", cmd.name, f.name);
+                assert!(
+                    cmd.flags[..i].iter().all(|g| g.name != f.name),
+                    "{at} twice"
+                );
+                assert!(!f.help.contains('\n'), "{at}: multi-line help");
+                match (f.kind, f.default) {
+                    (Switch, Some(_)) => panic!("{at}: a switch has no default"),
+                    (kind, Some(d)) => kind.check(f.name, d).expect(&at),
+                    _ => {}
+                }
+            }
         }
     }
 }
