@@ -4,10 +4,8 @@ use std::fmt;
 use std::fs;
 use std::path::PathBuf;
 
-use serde::Serialize;
-
 /// A labelled table of experiment results.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Title, e.g. `"Figure 8a: PageRank running time vs failures"`.
     pub title: String,

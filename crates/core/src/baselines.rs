@@ -3,12 +3,11 @@
 
 use flint_market::MarketId;
 use flint_simtime::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::{MarketView, SelectionPolicy};
 
 /// SpotFleet's per-market choice criterion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpotFleetCriterion {
     /// Pick the lowest current spot price ("lowestPrice" strategy).
     Cheapest,
@@ -135,7 +134,7 @@ impl SelectionPolicy for FixedMarketSelection {
 /// Spark-EMR pricing: unmodified Spark as a managed service on spot
 /// instances, with EMR's flat fee of 25 % of the on-demand price per
 /// instance-hour on top of the spot bill (§5.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmrPricing {
     /// Fee as a fraction of the on-demand price per instance-hour.
     pub fee_fraction: f64,

@@ -2,7 +2,6 @@
 
 use flint_market::{HazardModel, Market};
 use flint_simtime::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// How Flint bids for spot instances.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// cost is flat over a wide range of bids, so Flint simply bids the
 /// on-demand price (§3.2.2, "Bidding Policy"). Alternative multiples are
 /// provided for the bid-sweep experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BidPolicy {
     /// Bid exactly the on-demand price (Flint's default).
     #[default]

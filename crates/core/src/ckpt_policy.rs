@@ -1,12 +1,11 @@
 //! Flint's fault-tolerance manager: the automated checkpointing policy.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use flint_engine::{
     CheckpointDirective, CheckpointHooks, Event, EventKind, EventSink, LineageView, RddId,
 };
-use flint_simtime::{SimDuration, SimTime};
-use parking_lot::Mutex;
+use flint_simtime::{lock, SimDuration, SimTime};
 
 use crate::optimal_tau;
 
@@ -120,12 +119,12 @@ impl FlintCheckpointPolicy {
     }
 
     fn current_tau(&self) -> SimDuration {
-        let s = self.shared.lock();
+        let s = lock(&self.shared);
         optimal_tau(s.delta, s.mttf)
     }
 
     fn update_delta(&mut self, observed: SimDuration) {
-        let mut s = self.shared.lock();
+        let mut s = lock(&self.shared);
         let blended =
             s.delta.as_secs_f64() * (1.0 - self.alpha) + observed.as_secs_f64() * self.alpha;
         s.delta = SimDuration::from_secs_f64(blended.max(0.001));
@@ -156,7 +155,7 @@ impl CheckpointHooks for FlintCheckpointPolicy {
         // updates the checkpointing interval τ").
         if self.adaptive_delta {
             self.update_delta(view.frontier_delta());
-            let s = self.shared.lock();
+            let s = lock(&self.shared);
             events.emit(&Event {
                 t: now,
                 kind: EventKind::TauAdapted {
@@ -444,10 +443,10 @@ mod tests {
     fn delta_update_moves_tau() {
         let p = FlintCheckpointPolicy::with_mttf(SimDuration::from_hours(10));
         let shared = p.shared();
-        let tau0 = optimal_tau(shared.lock().delta, SimDuration::from_hours(10));
+        let tau0 = optimal_tau(lock(&shared).delta, SimDuration::from_hours(10));
         let mut p = p;
         p.update_delta(SimDuration::from_mins(20));
-        let s = shared.lock();
+        let s = lock(&shared);
         assert!(s.delta > SimDuration::from_mins(2));
         assert!(s.tau > tau0, "bigger δ must stretch τ");
     }

@@ -464,6 +464,7 @@ impl FlintCluster {
 mod tests {
     use super::*;
     use flint_engine::Value;
+    use flint_simtime::lock;
 
     fn catalog() -> MarketCatalog {
         MarketCatalog::synthetic_ec2(23, SimDuration::from_days(60))
@@ -545,7 +546,7 @@ mod tests {
     #[test]
     fn ft_state_carries_finite_mttf() {
         let cluster = FlintCluster::launch(catalog(), FlintConfig::default());
-        let mttf = cluster.ft_state().lock().mttf;
+        let mttf = lock(&cluster.ft_state()).mttf;
         assert!(mttf < SimDuration::MAX);
     }
 
@@ -650,7 +651,7 @@ mod tests {
         let mut cluster =
             FlintCluster::launch(catalog(), FlintConfig::builder().n_workers(6).build());
         // Force a low MTTF so τ is short and checkpoints happen quickly.
-        cluster.ft_state().lock().mttf = SimDuration::from_hours(1);
+        lock(&cluster.ft_state()).mttf = SimDuration::from_hours(1);
         let driver = cluster.driver_mut();
         // An iterative program: each iteration derives a new frontier.
         let mut cur = driver.ctx().parallelize((0..3000).map(Value::from_i64), 10);

@@ -2,15 +2,14 @@
 //! replacement of transient servers (paper §4, Fig. 5).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use flint_engine::{FailureInjector, WorkerEvent, WorkerSpec};
 use flint_market::{
     CloudSim, HazardModel, InstanceEvent, InstanceId, Market, MarketId, MarketKind,
 };
-use flint_simtime::{SimDuration, SimTime};
+use flint_simtime::{lock, SimDuration, SimTime};
 use flint_store::StorageConfig;
-use parking_lot::Mutex;
 
 use crate::selection::{mttf_of_rate, mttf_rate};
 use crate::{
@@ -352,7 +351,7 @@ impl NmInner {
             .emit_with(now, || flint_engine::EventKind::MttfUpdated {
                 mttf_ms: agg.as_millis(),
             });
-        let mut ft = self.ft.lock();
+        let mut ft = lock(&self.ft);
         ft.mttf = agg;
     }
 
@@ -618,11 +617,11 @@ impl NodeManager {
 
 impl FailureInjector for NodeManager {
     fn events(&mut self, _from: SimTime, to: SimTime) -> Vec<(SimTime, WorkerEvent)> {
-        self.0.lock().collect_events(to)
+        lock(&self.0).collect_events(to)
     }
 
     fn next_event_after(&mut self, t: SimTime) -> Option<SimTime> {
-        let inner = self.0.lock();
+        let inner = lock(&self.0);
         inner
             .cloud
             .next_event_time()
@@ -633,34 +632,34 @@ impl FailureInjector for NodeManager {
 impl NodeManagerHandle {
     /// Total compute (instance) cost accrued up to `until`.
     pub fn compute_cost(&self, until: SimTime) -> f64 {
-        self.0.lock().cloud.total_cost(until)
+        lock(&self.0).cloud.total_cost(until)
     }
 
     /// Number of provider revocations observed so far.
     pub fn revocations(&self) -> u64 {
-        self.0.lock().cloud.revocation_count()
+        lock(&self.0).cloud.revocation_count()
     }
 
     /// Number of replacement rounds the restoration policy executed.
     pub fn replacements(&self) -> u64 {
-        self.0.lock().replacements
+        lock(&self.0).replacements
     }
 
     /// Times a market circuit breaker tripped open (0 unless the
     /// breaker knobs in [`SelectionConfig`] are enabled).
     pub fn breaker_trips(&self) -> u64 {
-        self.0.lock().breaker_trips
+        lock(&self.0).breaker_trips
     }
 
     /// On-demand workers provisioned by the backstop tier (capacity
     /// floor or all-markets-open fallback).
     pub fn backstop_workers(&self) -> u64 {
-        self.0.lock().backstop_workers
+        lock(&self.0).backstop_workers
     }
 
     /// Markets whose breakers are currently open (sorted).
     pub fn open_breakers(&self) -> Vec<MarketId> {
-        let inner = self.0.lock();
+        let inner = lock(&self.0);
         let mut ms: Vec<MarketId> = inner
             .breakers
             .iter()
@@ -673,26 +672,26 @@ impl NodeManagerHandle {
 
     /// The selection policy's name.
     pub fn policy_name(&self) -> &'static str {
-        self.0.lock().policy.name()
+        lock(&self.0).policy.name()
     }
 
     /// Distinct markets currently backing active instances (sorted — the
     /// cloud's per-market index maintains them, no instance scan).
     pub fn active_markets(&self) -> Vec<MarketId> {
-        let inner = self.0.lock();
+        let inner = lock(&self.0);
         inner.cloud.active_markets().map(|(m, _)| m).collect()
     }
 
     /// The on-demand price of the catalog's on-demand pool.
     pub fn on_demand_price(&self) -> f64 {
-        let inner = self.0.lock();
+        let inner = lock(&self.0);
         let cat = inner.cloud.catalog();
         cat.market(cat.on_demand_id()).on_demand_price
     }
 
     /// Terminates every active instance at `now` (end of job).
     pub fn shutdown(&self, now: SimTime) {
-        let mut inner = self.0.lock();
+        let mut inner = lock(&self.0);
         let ids: Vec<InstanceId> = inner.cloud.active().collect();
         for id in ids {
             inner.cloud.terminate(id, now);
@@ -701,7 +700,7 @@ impl NodeManagerHandle {
 
     /// Runs `f` with the underlying cloud simulator (read-only).
     pub fn with_cloud<R>(&self, f: impl FnOnce(&CloudSim) -> R) -> R {
-        f(&self.0.lock().cloud)
+        f(&lock(&self.0).cloud)
     }
 }
 
@@ -852,7 +851,7 @@ mod tests {
         for day in 1..=6 {
             let t = start + SimDuration::from_days(day);
             let _ = nm.events(t - SimDuration::from_days(1), t);
-            let mut inner = nm.0.lock();
+            let mut inner = lock(&nm.0);
             let hazard = inner.cfg.hazard.build(SimDuration::MAX);
             let market_mttf: HashMap<MarketId, SimDuration> = inner
                 .cloud
@@ -1065,7 +1064,7 @@ mod tests {
             ft,
             start,
         );
-        let mut inner = nm.0.lock();
+        let mut inner = lock(&nm.0);
         let m = MarketId(0);
         // Two revocations inside the window trip the breaker...
         inner.note_revocation(m, start);
@@ -1222,7 +1221,7 @@ mod tests {
             ft.clone(),
             start,
         );
-        let mttf = ft.lock().mttf;
+        let mttf = lock(&ft).mttf;
         assert!(
             mttf < SimDuration::MAX,
             "spot cluster must have finite MTTF"

@@ -1,10 +1,9 @@
 //! Cost and performance reporting.
 
 use flint_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The bill and fault-tolerance summary of a cluster session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostReport {
     /// Selection policy that produced this bill.
     pub policy: String,

@@ -7,7 +7,6 @@ use flint_market::{
 };
 use flint_simtime::{SimDuration, SimTime};
 use flint_store::StorageConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::BidPolicy;
 
@@ -127,7 +126,7 @@ pub fn runtime_variance(
 }
 
 /// Static configuration of the selection machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectionConfig {
     /// Backward-looking window for price statistics (the paper uses "a
     /// recent time window, e.g., the past week").
@@ -220,7 +219,7 @@ impl Default for SelectionConfig {
 }
 
 /// What the job ahead looks like, for plugging into Eq. 1–4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobProfile {
     /// Estimated failure-free running time `T`.
     pub runtime_estimate: SimDuration,

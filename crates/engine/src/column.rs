@@ -25,8 +25,6 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::{
     stable_hash_float, stable_hash_int, stable_hash_str, stable_hash_str_pair, Value,
 };
@@ -99,7 +97,7 @@ impl ColumnCounters {
 }
 
 /// One typed column vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// 64-bit integers (`Value::Int`).
     Int(Vec<i64>),
@@ -240,7 +238,7 @@ impl Column {
 
 /// A columnar partition: the same record sequence as a flat
 /// `Vec<Value>`, stored as typed columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnBatch {
     /// Scalar records — each row is one typed value.
     Scalar(Column),

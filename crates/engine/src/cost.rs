@@ -9,7 +9,6 @@
 //! timings — all simulated in milliseconds of wall time.
 
 use flint_simtime::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Throughput and overhead parameters for task-time accounting.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// HDFS, moderate network): per-core compute streams at ~150 MiB/s for a
 /// plain map, the network moves ~120 MiB/s per worker, and every task pays
 /// a fixed scheduling overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Virtual bytes per real in-process byte (dataset scale-up factor).
     pub size_scale: f64,

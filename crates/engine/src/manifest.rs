@@ -11,8 +11,8 @@
 //! checkpoint keys present at suspension, so an operator can audit what
 //! the store held when the driver died.
 //!
-//! Serialization is a hand-rolled line format (the repo vendors no
-//! serde codegen): a tagged header line followed by `key=value` lines,
+//! Serialization is a hand-rolled line format: a tagged header line
+//! followed by `key=value` lines,
 //! stable across versions behind the leading version tag.
 
 use std::fmt;

@@ -1,10 +1,9 @@
 //! Execution metrics collected by the driver.
 
 use flint_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Timing record of one action (job).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionRecord {
     /// Action label, e.g. `"collect(rdd-12)"`.
     pub name: String,
@@ -29,7 +28,7 @@ impl ActionRecord {
 /// replacement servers.
 /// `PartialEq` exists so the determinism suite can assert that runs at
 /// different `host_threads` settings produce bit-identical accounting.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Number of compute tasks executed.
     pub tasks_run: u64,

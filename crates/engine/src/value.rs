@@ -6,8 +6,6 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// A dynamically-typed record.
 ///
 /// Using one datum type keeps the lineage graph homogeneous (any RDD is a
@@ -34,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(pair.key().unwrap().as_str().unwrap(), "page-7");
 /// assert_eq!(pair.val().unwrap().as_f64().unwrap(), 0.15);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// The absent value.
     Null,

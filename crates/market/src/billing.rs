@@ -7,7 +7,6 @@
 //! terminates it. EBS checkpoint volumes are billed per GB-month.
 
 use flint_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::PriceTrace;
 
@@ -60,7 +59,7 @@ pub fn hourly_spot_cost(
 }
 
 /// Pricing for durable EBS-style checkpoint volumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EbsCostModel {
     /// Dollars per GB-month (the paper cites $0.10 for SSD EBS).
     pub price_per_gb_month: f64,
@@ -99,7 +98,7 @@ impl EbsCostModel {
 }
 
 /// One line of a cost report: what an instance (or volume) cost and why.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BillingLine {
     /// Human-readable description, e.g. a market name.
     pub description: String,

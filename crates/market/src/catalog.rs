@@ -1,7 +1,6 @@
 //! Catalogs of markets available to a Flint deployment.
 
 use flint_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::{InstanceSpec, Market, MarketId, MarketKind, PriceTrace, TraceGenerator, TraceProfile};
 
@@ -20,7 +19,7 @@ use crate::{InstanceSpec, Market, MarketId, MarketKind, PriceTrace, TraceGenerat
 /// assert!(cat.spot_markets().len() >= 9);
 /// assert!(!cat.market(cat.on_demand_id()).is_revocable());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MarketCatalog {
     markets: Vec<Market>,
     on_demand: MarketId,

@@ -5,18 +5,17 @@ use std::collections::{BTreeMap, BTreeSet};
 use flint_simtime::rng::stream;
 use flint_simtime::{EventQueue, SimDuration, SimTime};
 use flint_trace::{EventKind, TraceHandle};
-use serde::{Deserialize, Serialize};
 
 use crate::{
     hourly_spot_cost, CappedLifetimeHazard, HazardModel, MarketCatalog, MarketId, MarketKind,
 };
 
 /// Identifier of a provisioned instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceId(pub u64);
 
 /// Lifecycle state of an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceState {
     /// Requested, waiting out the acquisition delay.
     Pending,
@@ -29,7 +28,7 @@ pub enum InstanceState {
 }
 
 /// A lifecycle event delivered by [`CloudSim::events_until`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceEvent {
     /// The instance finished acquisition and is now usable.
     Ready {
@@ -61,7 +60,7 @@ impl InstanceEvent {
 }
 
 /// Accounting record of one instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceRecord {
     /// The instance id.
     pub id: InstanceId,

@@ -12,7 +12,6 @@ use flint_simtime::rng::stream;
 use flint_simtime::{SimDuration, SimTime};
 use rand::Rng;
 use rand_distr_shim::sample_exp;
-use serde::{Deserialize, Serialize};
 
 use crate::PriceTrace;
 
@@ -33,7 +32,7 @@ mod rand_distr_shim {
 /// constructors are calibrated so a bid at the on-demand price observes
 /// the MTTFs the paper reports (≈19 h for a volatile market up to ≈700 h
 /// for a quiet one, Fig. 2a).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceProfile {
     /// Steady-state spot price between spikes.
     pub base_price: f64,
@@ -119,7 +118,7 @@ impl TraceProfile {
 /// generated independently per market, or shared between markets to induce
 /// the correlated revocations Flint's interactive policy must avoid
 /// (Fig. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpikeProcess {
     /// Realized spikes, sorted by start time.
     pub spikes: Vec<(SimTime, SimDuration, f64)>,

@@ -25,7 +25,6 @@
 
 use flint_simtime::SimDuration;
 use rand::{Rng, StdRng};
-use serde::{Deserialize, Serialize};
 
 /// A lifetime distribution for transient instances.
 ///
@@ -212,7 +211,7 @@ impl HazardModel for CappedLifetimeHazard {
 
 /// Serializable choice of hazard model, threaded through
 /// `SelectionConfig` and chaos configs.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub enum HazardSpec {
     /// Memoryless exponential lifetimes (the default). The MTTF comes
     /// from market price statistics, ages are ignored, and the whole

@@ -1,19 +1,18 @@
 //! Markets, instance specifications, and per-market statistics.
 
 use flint_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::PriceTrace;
 
 /// Identifier of a market within a [`crate::MarketCatalog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MarketId(pub u32);
 
 /// Hardware shape of the instances sold by a market.
 ///
 /// Mirrors the paper's testbed: `r3.large` has 2 vCPUs, 15 GB memory and
 /// 32 GB of local SSD.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceSpec {
     /// Number of virtual CPUs.
     pub vcpus: u32,
@@ -54,7 +53,7 @@ impl InstanceSpec {
 }
 
 /// The pricing/revocation regime of a market.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MarketKind {
     /// EC2-style spot market: dynamic price, revoked on up-crossing of the
     /// bid, two-minute warning.
@@ -69,7 +68,7 @@ pub enum MarketKind {
 }
 
 /// One transient-server market (an instance type in an availability zone).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Market {
     /// Identifier within the catalog.
     pub id: MarketId,
@@ -134,7 +133,7 @@ impl Market {
 }
 
 /// Backward-looking statistics of a market, as consumed by Flint policies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarketStats {
     /// The market these statistics describe.
     pub market: MarketId,

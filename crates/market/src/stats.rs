@@ -2,13 +2,12 @@
 //! behind Figure 2, packaged for reuse.
 
 use flint_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::PriceTrace;
 
 /// Summary statistics of the time-to-failure distribution of a trace at
 /// a given bid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TtfStats {
     /// Number of samples taken.
     pub samples: usize,

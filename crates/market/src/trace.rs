@@ -1,7 +1,6 @@
 //! Piecewise-constant price traces.
 
 use flint_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant price series over virtual time.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(trace.price_at(SimTime::from_millis(500)), 0.10);
 /// assert_eq!(trace.price_at(SimTime::from_millis(1500)), 0.50);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PriceTrace {
     /// Sorted, deduplicated change points.
     points: Vec<(SimTime, f64)>,

@@ -36,12 +36,11 @@ use flint_core::{
 };
 use flint_engine::{FailureInjector, WorkerEvent};
 use flint_market::{CloudSim, EbsCostModel, MarketCatalog};
-use flint_simtime::{SimDuration, SimTime};
+use flint_simtime::{lock, SimDuration, SimTime};
 use flint_store::StorageConfig;
-use serde::{Deserialize, Serialize};
 
 /// Checkpointing behaviour of the canonical program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CkptMode {
     /// Never checkpoint (unmodified Spark): a revocation rolls lost
     /// servers' work back to the beginning.
@@ -54,7 +53,7 @@ pub enum CkptMode {
 }
 
 /// Which selection policy the run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// Flint's batch policy (single cheapest-expected-cost market).
     FlintBatch,
@@ -161,7 +160,7 @@ impl Default for McConfig {
 }
 
 /// Outcome of a Monte-Carlo run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McResult {
     /// Wall time from start to completion.
     pub runtime: SimDuration,
@@ -265,7 +264,7 @@ pub fn run_mc_traced(
         let tau = match cfg.ckpt {
             CkptMode::None => SimDuration::MAX,
             CkptMode::Fixed(i) => i,
-            CkptMode::Adaptive => optimal_tau(delta, ft.lock().mttf),
+            CkptMode::Adaptive => optimal_tau(delta, lock(&ft).mttf),
         };
         let overhead = if tau == SimDuration::MAX {
             0.0

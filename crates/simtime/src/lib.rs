@@ -17,6 +17,7 @@
 //!   stable FIFO ordering for simultaneous events.
 //! * [`rng`] — helpers for deriving independent, named sub-streams from a
 //!   single experiment seed.
+//! * [`lock`] — the one place a poisoned `std::sync::Mutex` is recovered.
 //!
 //! # Examples
 //!
@@ -45,3 +46,12 @@ mod time;
 pub use clock::Clock;
 pub use events::EventQueue;
 pub use time::{SimDuration, SimTime};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the guard from a poisoned lock instead of
+/// propagating the poison: a panic while holding one of the simulator's
+/// locks is already a bug that surfaces on its own.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

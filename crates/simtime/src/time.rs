@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of virtual time with millisecond resolution.
 ///
 /// Arithmetic saturates instead of overflowing: the simulator treats
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let tau = SimDuration::from_hours(2) + SimDuration::from_mins(30);
 /// assert_eq!(tau.as_secs_f64(), 9000.0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -210,7 +208,7 @@ impl Sum for SimDuration {
 /// let t = SimTime::ZERO + SimDuration::from_hours(1);
 /// assert_eq!(t.since_epoch().as_hours_f64(), 1.0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

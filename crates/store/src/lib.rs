@@ -35,10 +35,9 @@ use std::collections::BTreeMap;
 
 use flint_market::EbsCostModel;
 use flint_simtime::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Bandwidth and replication model for durable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageConfig {
     /// Aggregate write bandwidth per writer node, MiB/s. The paper's
     /// `r3.large` workers are EBS-bandwidth-limited to ~500 Mbps
@@ -97,7 +96,7 @@ impl StorageConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct StoredObject<T> {
     payload: T,
     bytes: u64,

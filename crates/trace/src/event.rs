@@ -5,16 +5,14 @@
 //! repair — is one [`Event`]: a [`SimTime`] timestamp plus an
 //! [`EventKind`] payload. The JSON encoding is deliberately flat (one
 //! object per line, scalar fields only) so traces can be diffed,
-//! grepped, and parsed without a real serde implementation; the
-//! vendored `serde` shim is marker-only, so both directions of the
-//! codec here are hand-rolled and byte-deterministic.
+//! grepped, and parsed with no serialization library; both directions
+//! of the codec here are hand-rolled and byte-deterministic.
 
 use flint_simtime::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One timestamped trace record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Virtual instant at which the event was committed to the stream.
     pub t: SimTime,
@@ -65,7 +63,7 @@ macro_rules! event_kinds {
         /// `String`) rather than engine/market types: `flint-trace`
         /// sits below every other crate in the dependency graph, so
         /// emitters translate their ids at the call site.
-        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, PartialEq)]
         // Variant *fields* are primitive and self-describing; the
         // variant docs above each carry the semantics.
         #[allow(missing_docs)]

@@ -12,8 +12,8 @@
 //!   run yields one totally ordered stream. Zero overhead when no
 //!   sink is attached (one relaxed atomic load per emit site).
 //! * Sinks — [`memory_sink`] (bounded ring, for tests),
-//!   [`JsonlSink`] (streaming JSONL, hand-rolled codec since the
-//!   vendored serde is marker-only).
+//!   [`JsonlSink`] (streaming JSONL through the hand-rolled codec of
+//!   [`Event::write_json`]).
 //! * [`MetricsAggregator`] — folds a stream back into the totals
 //!   `RunStats`/`CostReport` track, as a cross-check that traces are
 //!   complete.

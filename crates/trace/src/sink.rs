@@ -8,12 +8,11 @@
 //! the `micro_engine` bench polices.
 
 use crate::event::{Event, EventKind};
-use flint_simtime::SimTime;
-use parking_lot::Mutex;
+use flint_simtime::{lock, SimTime};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Receiver of a trace stream. Implementations must not reorder or
 /// drop events (the in-memory ring may drop from the *front* once its
@@ -104,7 +103,7 @@ impl TraceHandle {
 
     /// Attaches a sink, enabling the handle.
     pub fn add_sink(&self, sink: Box<dyn EventSink>) {
-        let mut bus = self.bus.lock();
+        let mut bus = lock(&self.bus);
         bus.add_sink(sink);
         self.enabled.store(true, Ordering::Relaxed);
     }
@@ -121,21 +120,21 @@ impl TraceHandle {
     /// hot paths so payload construction is skipped when disabled.
     pub fn emit(&self, t: SimTime, kind: EventKind) {
         if self.is_enabled() {
-            self.bus.lock().broadcast(&Event { t, kind });
+            lock(&self.bus).broadcast(&Event { t, kind });
         }
     }
 
     /// Emits lazily: `f` runs only if a sink is attached.
     pub fn emit_with(&self, t: SimTime, f: impl FnOnce() -> EventKind) {
         if self.is_enabled() {
-            self.bus.lock().broadcast(&Event { t, kind: f() });
+            lock(&self.bus).broadcast(&Event { t, kind: f() });
         }
     }
 
     /// Flushes every attached sink.
     pub fn flush(&self) {
         if self.is_enabled() {
-            self.bus.lock().flush();
+            lock(&self.bus).flush();
         }
     }
 }
@@ -148,7 +147,7 @@ impl TraceHandle {
 impl EventSink for TraceHandle {
     fn emit(&mut self, event: &Event) {
         if self.is_enabled() {
-            self.bus.lock().broadcast(event);
+            lock(&self.bus).broadcast(event);
         }
     }
 
@@ -184,7 +183,7 @@ pub fn memory_sink(capacity: usize) -> (MemorySink, MemoryReader) {
 
 impl EventSink for MemorySink {
     fn emit(&mut self, event: &Event) {
-        let mut buf = self.buf.lock();
+        let mut buf = lock(&self.buf);
         if self.capacity > 0 && buf.len() == self.capacity {
             buf.pop_front();
         }
@@ -195,24 +194,24 @@ impl EventSink for MemorySink {
 impl MemoryReader {
     /// Snapshot of the retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.buf.lock().iter().cloned().collect()
+        lock(&self.buf).iter().cloned().collect()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        lock(&self.buf).len()
     }
 
     /// Whether nothing has been retained.
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
+        lock(&self.buf).is_empty()
     }
 
     /// Renders the retained events as a JSONL document (one
     /// [`Event::write_json`] line each, `\n`-terminated).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for ev in self.buf.lock().iter() {
+        for ev in lock(&self.buf).iter() {
             ev.write_json(&mut out);
             out.push('\n');
         }
@@ -354,7 +353,7 @@ mod tests {
         struct Shared(Arc<Mutex<Vec<u8>>>);
         impl Write for Shared {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(buf);
+                lock(&self.0).extend_from_slice(buf);
                 Ok(buf.len())
             }
             fn flush(&mut self) -> std::io::Result<()> {
@@ -368,11 +367,11 @@ mod tests {
             sink.emit(&ev(2));
             assert_eq!(sink.lines(), 2);
             assert!(
-                store.0.lock().is_empty(),
+                lock(&store.0).is_empty(),
                 "small emits must stay in the sink's buffer"
             );
         }
-        let text = String::from_utf8(store.0.lock().clone()).unwrap();
+        let text = String::from_utf8(lock(&store.0).clone()).unwrap();
         assert_eq!(text.lines().count(), 2, "drop drains the buffer");
         for line in text.lines() {
             Event::from_json(line).unwrap();

@@ -2,10 +2,9 @@
 
 use flint_simtime::rng::stream;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Shape of a generated graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphConfig {
     /// Number of vertices.
     pub nodes: u32,

@@ -39,10 +39,9 @@ pub use streaming::{BatchRecord, StreamOutcome, Streaming};
 pub use tpch::{Tpch, TpchQuery, TpchTables};
 
 use flint_engine::{Driver, Result};
-use serde::{Deserialize, Serialize};
 
 /// Size/shape parameters shared by workload constructors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Logical dataset size in (paper-scale) gigabytes.
     pub dataset_gb: f64,
@@ -67,7 +66,7 @@ impl Default for WorkloadConfig {
 
 /// Outcome of one workload run: a checksum for correctness comparison
 /// across failure schedules, plus headline counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSummary {
     /// Workload name.
     pub name: String,

@@ -13,7 +13,6 @@ use flint_engine::{Driver, RddRef, Result, Value};
 use flint_simtime::rng::stream;
 use flint_simtime::{SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{f64_bits, fold_checksum, Workload, WorkloadConfig, WorkloadSummary};
 
@@ -21,7 +20,7 @@ use crate::{f64_bits, fold_checksum, Workload, WorkloadConfig, WorkloadSummary};
 pub type StreamOutcome = (Vec<BatchRecord>, Vec<(i64, f64)>);
 
 /// Per-batch timing of a streaming run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchRecord {
     /// Batch sequence number.
     pub batch: u32,

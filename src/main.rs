@@ -36,7 +36,47 @@ const EXIT_DEGRADED: u8 = 3;
 const EXIT_TYPED: u8 = 4;
 const EXIT_PANIC: u8 = 5;
 
+/// Writes command output to stdout, like `print!`, through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `out!` with a trailing newline, like `println!`.
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// The unwind payload of a write to a closed stdout (`flint markets |
+/// head -1`): `main` turns it into a quiet exit 0.
+struct ClosedStdout;
+
+/// The one writer of command output. A closed stdout unwinds with
+/// [`ClosedStdout`] through `resume_unwind`, which runs no panic hook;
+/// the unwind still drops, and so flushes, open trace, manifest and DOT
+/// files. Any other write error panics, as `println!` does.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            std::panic::resume_unwind(Box::new(ClosedStdout))
+        }
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 fn main() -> ExitCode {
+    // A panic anywhere below is an invariant violation, reported with its
+    // own exit code so scripts can tell it from a typed fail-stop error.
+    match std::panic::catch_unwind(dispatch) {
+        Ok(code) => code,
+        Err(payload) if payload.is::<ClosedStdout>() => ExitCode::SUCCESS,
+        Err(_) => ExitCode::from(EXIT_PANIC),
+    }
+}
+
+/// Parses the command line and runs the command it names.
+fn dispatch() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (name, rest) = match args.first().map(String::as_str) {
         None => {
@@ -44,7 +84,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         Some("--help" | "-h" | "help") => {
-            print!("{}", help());
+            out!("{}", help());
             return ExitCode::SUCCESS;
         }
         // `flint trace --seed N …` (no subcommand) means `trace prices`.
@@ -66,9 +106,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // A panic anywhere below is an invariant violation, reported with its
-    // own exit code so scripts can tell it from a typed fail-stop error.
-    std::panic::catch_unwind(|| (cmd.run)(&flags)).unwrap_or(ExitCode::from(EXIT_PANIC))
+    (cmd.run)(&flags)
 }
 
 /// `flint --help`, generated from [`COMMANDS`].
@@ -104,6 +142,18 @@ impl Command {
         let mut s = format!("  flint {}{operand}\n", self.name);
         for line in self.about.lines() {
             s += &format!("      {line}\n");
+        }
+        if self.name == "experiment" {
+            // Listed from the experiment table, so `--help` cannot drift.
+            let mut line = String::from("     ");
+            for (name, _) in flint_bench::EXPERIMENTS {
+                if line.len() + name.len() >= 78 {
+                    s += &format!("{line}\n");
+                    line = String::from("     ");
+                }
+                line += &format!(" {name}");
+            }
+            s += &format!("{line}\n");
         }
         for f in self.flags {
             let mut head = format!("--{}{}", f.name, f.kind.meta());
@@ -411,9 +461,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "experiment", operand: Some("NAME"), run: cmd_experiment, flags: &[],
-        about: "regenerate a paper figure or table: fig02a fig02b fig03 fig04 fig06a\n\
-                fig06b fig06c fig07 fig08 fig09 fig10a fig10b fig11a fig11b multiaz\n\
-                storage ablation_* ext_*",
+        about: "print a paper figure, table or ablation; NAME is its results/ file stem:",
     },
     Command {
         name: "trace summary", operand: Some("FILE"), flags: &[],
@@ -540,32 +588,32 @@ fn cmd_run(f: &Flags) -> ExitCode {
 /// The shared tail of every `flint run` variant: the human-readable
 /// summary of a completed run.
 fn print_run_report(run: &flint::runner::RunReport, f: &Flags) {
-    println!("workload     : {}", run.summary.name);
-    println!("records      : {}", run.summary.records);
-    println!("checksum     : {:#018x}", run.summary.checksum);
-    println!("runtime      : {:.1}s", run.runtime_secs);
-    println!("tasks        : {}", run.stats.tasks_run);
-    println!(
+    outln!("workload     : {}", run.summary.name);
+    outln!("records      : {}", run.summary.records);
+    outln!("checksum     : {:#018x}", run.summary.checksum);
+    outln!("runtime      : {:.1}s", run.runtime_secs);
+    outln!("tasks        : {}", run.stats.tasks_run);
+    outln!(
         "checkpoints  : {} ({} GB)",
         run.stats.checkpoints_written,
         run.stats.checkpoint_bytes / 1_000_000_000
     );
-    println!("restores     : {}", run.stats.restores);
-    println!("revocations  : {}", run.stats.revocations);
-    println!("backend      : {}", run.backend());
-    println!("policy       : {}", run.cost.policy);
+    outln!("restores     : {}", run.stats.restores);
+    outln!("revocations  : {}", run.stats.revocations);
+    outln!("backend      : {}", run.backend());
+    outln!("policy       : {}", run.cost.policy);
     if run.cost.invocations > 0 {
-        println!("invocations  : {}", run.cost.invocations);
-        println!("gb-seconds   : {:.2}", run.cost.invocation_gb_seconds);
+        outln!("invocations  : {}", run.cost.invocations);
+        outln!("gb-seconds   : {:.2}", run.cost.invocation_gb_seconds);
         // Per-invocation pricing bills in micro-dollars; two decimals
         // would round a typical run to $0.00.
-        println!("compute cost : ${:.6}", run.cost.compute_cost);
+        outln!("compute cost : ${:.6}", run.cost.compute_cost);
     } else {
-        println!("compute cost : ${:.2}", run.cost.compute_cost);
+        outln!("compute cost : ${:.2}", run.cost.compute_cost);
     }
-    println!("storage cost : ${:.2}", run.cost.storage_cost);
+    outln!("storage cost : ${:.2}", run.cost.storage_cost);
     if let Some(path) = f.opt::<String>("trace") {
-        println!("trace        : written to {path}");
+        outln!("trace        : written to {path}");
     }
 }
 
@@ -627,7 +675,7 @@ fn cmd_run_degraded(
             print_run_report(&run, f);
             match resumed_from {
                 Some((path, frontier)) => {
-                    println!("resumed      : replayed from wave {frontier} ({path})");
+                    outln!("resumed      : replayed from wave {frontier} ({path})");
                     ExitCode::from(EXIT_DEGRADED)
                 }
                 None => ExitCode::SUCCESS,
@@ -649,8 +697,8 @@ fn cmd_run_degraded(
                 return ExitCode::FAILURE;
             }
             trace.flush();
-            println!("suspended    : at wave {frontier}; manifest written to {out}");
-            println!("resume with  : flint run … --resume {out} (same flags)");
+            outln!("suspended    : at wave {frontier}; manifest written to {out}");
+            outln!("resume with  : flint run … --resume {out} (same flags)");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -716,30 +764,33 @@ fn cmd_workload(f: &Flags) -> ExitCode {
         }
     };
     let runtime = d.now().since_epoch();
-    println!("workload     : {}", summary.name);
-    println!("records      : {}", summary.records);
-    println!("checksum     : {:#018x}", summary.checksum);
-    println!("baseline     : {baseline}");
-    println!("runtime      : {runtime}");
-    println!(
+    // Written before the report, so a closed stdout does not lose it.
+    let dot = f
+        .opt::<String>("dot")
+        .map(|path| (std::fs::write(&path, d.lineage().to_dot()), path));
+    outln!("workload     : {}", summary.name);
+    outln!("records      : {}", summary.records);
+    outln!("checksum     : {:#018x}", summary.checksum);
+    outln!("baseline     : {baseline}");
+    outln!("runtime      : {runtime}");
+    outln!(
         "increase     : {:+.1}%",
         (runtime.as_secs_f64() / baseline.as_secs_f64() - 1.0) * 100.0
     );
     let s = d.stats();
-    println!("tasks        : {}", s.tasks_run);
-    println!("recompute    : {}", s.recompute_time);
-    println!(
+    outln!("tasks        : {}", s.tasks_run);
+    outln!("recompute    : {}", s.recompute_time);
+    outln!(
         "checkpoints  : {} ({} GB)",
         s.checkpoints_written,
         s.checkpoint_bytes / 1_000_000_000
     );
-    println!("restores     : {}", s.restores);
-    println!("revocations  : {}", s.revocations);
-    if let Some(path) = f.opt::<String>("dot") {
-        match std::fs::write(&path, d.lineage().to_dot()) {
-            Ok(()) => println!("lineage DOT  : written to {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+    outln!("restores     : {}", s.restores);
+    outln!("revocations  : {}", s.revocations);
+    match dot {
+        Some((Ok(()), path)) => outln!("lineage DOT  : written to {path}"),
+        Some((Err(e), path)) => eprintln!("could not write {path}: {e}"),
+        None => {}
     }
     ExitCode::SUCCESS
 }
@@ -749,13 +800,16 @@ fn cmd_markets(f: &Flags) -> ExitCode {
     let cat = MarketCatalog::synthetic_ec2(f.get("seed"), SimDuration::from_days(days));
     let now = SimTime::ZERO + SimDuration::from_days(days.saturating_sub(1));
     let window = SimDuration::from_days(7);
-    println!(
+    outln!(
         "{:<28} {:>10} {:>10} {:>12}",
-        "market", "current$", "mean$", "MTTF"
+        "market",
+        "current$",
+        "mean$",
+        "MTTF"
     );
     for m in cat.spot_markets() {
         let s = m.stats(now, window, m.on_demand_price);
-        println!(
+        outln!(
             "{:<28} {:>10.4} {:>10.4} {:>12}",
             m.name,
             s.current_price,
@@ -819,21 +873,22 @@ fn cmd_mc(f: &Flags) -> ExitCode {
         // order — the printed report is byte-identical for any --jobs.
         let campaign = CampaignConfig::consecutive(base, runs, f.get("jobs"));
         let report = run_mc_campaign(&cat, &campaign);
-        println!("policy        : {}", policy.name());
-        print!("{report}");
+        outln!("policy        : {}", policy.name());
+        out!("{report}");
         return ExitCode::SUCCESS;
     }
     let r = run_mc(&cat, &base);
-    println!("policy        : {}", policy.name());
-    println!("runtime       : {}", r.runtime);
-    println!("compute cost  : ${:.2}", r.compute_cost);
-    println!("storage cost  : ${:.2}", r.storage_cost);
-    println!("unit cost     : {:.3} (on-demand = 1.0)", r.unit_cost());
-    println!(
+    outln!("policy        : {}", policy.name());
+    outln!("runtime       : {}", r.runtime);
+    outln!("compute cost  : ${:.2}", r.compute_cost);
+    outln!("storage cost  : ${:.2}", r.storage_cost);
+    outln!("unit cost     : {:.3} (on-demand = 1.0)", r.unit_cost());
+    outln!(
         "revocations   : {} events / {} servers",
-        r.revocation_events, r.servers_revoked
+        r.revocation_events,
+        r.servers_revoked
     );
-    println!("stall fraction: {:.1}%", r.stall_fraction * 100.0);
+    outln!("stall fraction: {:.1}%", r.stall_fraction * 100.0);
     ExitCode::SUCCESS
 }
 
@@ -865,9 +920,9 @@ fn cmd_trace_file(path: &str, validate: bool) -> ExitCode {
             }
         };
         if pairs > 0 {
-            println!("{path}: OK ({events} events, {pairs} fault/recovery pairs)");
+            outln!("{path}: OK ({events} events, {pairs} fault/recovery pairs)");
         } else {
-            println!("{path}: OK ({events} events)");
+            outln!("{path}: OK ({events} events)");
         }
     } else {
         let mut agg = MetricsAggregator::new();
@@ -875,7 +930,7 @@ fn cmd_trace_file(path: &str, validate: bool) -> ExitCode {
             eprintln!("{path}: {msg}");
             return ExitCode::FAILURE;
         }
-        print!("{agg}");
+        out!("{agg}");
     }
     ExitCode::SUCCESS
 }
@@ -1051,13 +1106,14 @@ fn cmd_chaos(f: &Flags) -> ExitCode {
         Vec::new()
     };
 
-    println!(
+    outln!(
         "chaos campaign: seed {seed}, {runs} run(s), faults [{faults}], \
          workload {name}"
     );
-    println!(
+    outln!(
         "fault-free    : checksum {:#018x}, {} records, runtime {baseline}",
-        expect.checksum, expect.records
+        expect.checksum,
+        expect.records
     );
 
     /// How one chaos run ended, for the survival tally. `Degraded` is
@@ -1225,6 +1281,7 @@ fn cmd_chaos(f: &Flags) -> ExitCode {
         }));
 
         let (class, verdict) = match outcome {
+            Err(payload) if payload.is::<ClosedStdout>() => std::panic::resume_unwind(payload),
             Err(_) => (
                 RunClass::Violation,
                 format!("PANIC (seed {run_seed}) — invariant violated"),
@@ -1277,12 +1334,12 @@ fn cmd_chaos(f: &Flags) -> ExitCode {
             RunClass::Violation => violations += 1,
         }
         let run_seed = seed.wrapping_add(r as u64);
-        println!("run {r:>3} seed {run_seed:<8}: {verdict}");
+        outln!("run {r:>3} seed {run_seed:<8}: {verdict}");
         if let Some(path) = &trace_path {
-            println!("              trace written to {path}");
+            outln!("              trace written to {path}");
         }
     }
-    println!(
+    outln!(
         "survival      : {}/{runs} byte-identical ({degraded} via resume), \
          {typed} typed error(s), {violations} violation(s)",
         survived + degraded
@@ -1305,7 +1362,7 @@ fn cmd_trace_prices(f: &Flags) -> ExitCode {
         eprintln!("market index out of range (catalog has {})", cat.len());
         return ExitCode::FAILURE;
     }
-    print!(
+    out!(
         "{}",
         cat.market(flint::market::MarketId(market)).trace.to_csv()
     );
@@ -1313,41 +1370,16 @@ fn cmd_trace_prices(f: &Flags) -> ExitCode {
 }
 
 fn cmd_experiment(f: &Flags) -> ExitCode {
-    use flint_bench::{ablations, exp_engine, exp_market, exp_model};
-    let table = match f.operand() {
-        "fig02a" => exp_market::fig02a_ec2_availability(),
-        "fig02b" => exp_market::fig02b_gce_availability(),
-        "fig03" => exp_engine::fig03_memory_pressure(),
-        "fig04" => exp_market::fig04_correlation(),
-        "fig06a" => exp_engine::fig06a_ckpt_tax(),
-        "fig06b" => exp_engine::fig06b_system_ckpt(),
-        "fig06c" => exp_engine::fig06c_volatility(),
-        "fig07" => exp_engine::fig07_single_revocation(),
-        "fig08" => exp_engine::fig08_concurrent_failures(),
-        "fig09" => exp_engine::fig09_interactive(),
-        "fig10a" => exp_model::fig10a_mttf_sweep(),
-        "fig10b" => exp_model::fig10b_flint_vs_spark(),
-        "fig11a" => exp_model::fig11a_unit_cost(),
-        "fig11b" => exp_model::fig11b_bid_sweep(),
-        "multiaz" => exp_engine::tab_multi_az(),
-        "storage" => exp_model::tab_storage_cost(),
-        "ablation_tau" => ablations::ablation_fixed_tau(),
-        "ablation_periodic" => ablations::ablation_adaptive_vs_periodic(),
-        "ablation_fastpath" => ablations::ablation_shuffle_fastpath(),
-        "ablation_markets" => ablations::ablation_market_count(),
-        "ablation_bids" => ablations::ablation_bid_stratification(),
-        "ext_streaming" => ablations::ext_streaming_latency(),
-        "ablation_delta" => ablations::ablation_adaptive_delta(),
-        "ablation_portfolio" => ablations::ablation_portfolio(),
-        "ablation_backend" => ablations::ablation_backend(),
-        "ablation_backstop" => ablations::ablation_backstop(),
-        other => {
-            eprintln!("unknown experiment: {other}");
-            return ExitCode::FAILURE;
+    match flint_bench::experiment(f.operand()) {
+        Ok(run) => {
+            outln!("{}", run());
+            ExitCode::SUCCESS
         }
-    };
-    println!("{table}");
-    ExitCode::SUCCESS
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]

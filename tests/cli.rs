@@ -1,6 +1,6 @@
 //! The `flint` binary's edges: exit codes a calling script relies on.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// A cluster with no workers cannot run anything; both entry points
 /// report that as the typed engine error (exit 4), not as a panic
@@ -334,5 +334,85 @@ fn chaos_rejects_unusable_fault_names_and_probabilities() {
         assert_eq!(out.status.code(), Some(1), "flint {args:?}: {stderr}");
         assert!(stderr.contains(named), "flint {args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "flint {args:?} ran something");
+    }
+}
+
+/// A closed stdout (`flint markets | head -1`) ends every subcommand
+/// quietly: exit 0, nothing on stderr. It used to panic with "failed
+/// printing to stdout: Broken pipe" and exit 5, the invariant-violation
+/// code. Files the command writes are still complete.
+#[test]
+fn closed_stdout_is_a_quiet_exit() {
+    let dir = std::env::temp_dir().join(format!("flint-cli-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = |name: &str| dir.join(name).to_str().expect("UTF-8 path").to_string();
+    let (trace, closed_trace, dot) = (path("open.jsonl"), path("closed.jsonl"), path("g.dot"));
+    let small: &[&str] = &["--gb", "0.05", "--partitions", "2", "--iterations", "1"];
+    let small = [small, &["--workers", "2"]].concat();
+    let run = [&["run", "pagerank"], &small[..]].concat();
+    let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+        .args([&run[..], &["--trace", &trace]].concat())
+        .output()
+        .expect("spawn flint");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let cases: Vec<Vec<&str>> = vec![
+        [&run[..], &["--trace", &closed_trace]].concat(),
+        [&["workload", "pagerank"], &small[..], &["--dot", &dot]].concat(),
+        [&["chaos", "--runs", "1"], &small[..]].concat(),
+        vec!["markets", "--days", "2"],
+        vec!["mc", "--hours", "1", "--workers", "2"],
+        vec!["experiment", "tab_storage_cost"],
+        vec!["trace", "summary", &trace],
+        vec!["trace", "validate", &trace],
+        vec!["trace", "prices", "--days", "2"],
+    ];
+    for args in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_flint"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn flint");
+        // Close the read end before the child has written anything.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for flint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "flint {args:?}: {stderr}");
+        assert!(stderr.is_empty(), "flint {args:?}: {stderr}");
+    }
+    let read = |p: &str| std::fs::read(p).expect("written");
+    assert_eq!(
+        read(&closed_trace),
+        read(&trace),
+        "trace under a closed stdout"
+    );
+    assert!(
+        read(&dot).starts_with(b"digraph"),
+        "DOT under a closed stdout"
+    );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+/// `flint experiment` takes each experiment by its `results/` file stem
+/// and by nothing else: the short names (`storage`, `ablation_tau`, …)
+/// are gone, and `ablation_fixed_tau` used to be `unknown experiment`.
+#[test]
+fn experiments_are_named_by_their_results_file() {
+    for (name, code) in [("tab_storage_cost", 0), ("storage", 1)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+            .args(["experiment", name])
+            .output()
+            .expect("spawn flint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "flint experiment {name}: {stderr}"
+        );
     }
 }

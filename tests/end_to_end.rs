@@ -4,7 +4,7 @@
 use flint::core::{FlintCluster, FlintConfig, Mode};
 use flint::engine::Value;
 use flint::market::MarketCatalog;
-use flint::simtime::{SimDuration, SimTime};
+use flint::simtime::{lock, SimDuration, SimTime};
 use flint::workloads::{PageRank, Tpch, TpchQuery, Workload, WorkloadConfig};
 
 fn catalog() -> MarketCatalog {
@@ -77,14 +77,14 @@ fn interactive_cluster_diversifies_and_answers_queries() {
     }
     // Fault-tolerance state has a finite MTTF and a sane τ.
     let ft = cluster.ft_state();
-    let s = ft.lock();
+    let s = lock(&ft);
     assert!(s.mttf < SimDuration::MAX);
 }
 
 #[test]
 fn adaptive_checkpoints_appear_during_long_sessions() {
     let mut cluster = FlintCluster::launch(catalog(), FlintConfig::builder().n_workers(4).build());
-    cluster.ft_state().lock().mttf = SimDuration::from_hours(2);
+    lock(&cluster.ft_state()).mttf = SimDuration::from_hours(2);
     let driver = cluster.driver_mut();
     let base = driver.ctx().parallelize((0..2000).map(Value::from_i64), 8);
     driver.ctx().persist(base);
@@ -130,7 +130,7 @@ fn gce_catalog_runs_end_to_end() {
         .unwrap();
     assert_eq!(total.as_i64(), Some(2 * (0..500).sum::<i64>()));
     // Preemptible clusters have a finite (~20h) MTTF.
-    let mttf = cluster.ft_state().lock().mttf;
+    let mttf = lock(&cluster.ft_state()).mttf;
     assert!(mttf < SimDuration::from_hours(30));
     assert!(mttf > SimDuration::from_hours(10));
 }
