@@ -329,15 +329,6 @@ pub(crate) enum CkptJob {
     Shuffle(ShuffleId, u32),
 }
 
-/// What to do when a running task completes.
-#[derive(Debug, Clone)]
-enum Commit {
-    /// Insert a block into the executing worker's store.
-    Block(BlockKey),
-    /// Write a checkpoint object of `wire` serialized bytes.
-    Checkpoint { job: CkptJob, wire: u64 },
-}
-
 #[derive(Debug, Clone)]
 struct Running {
     key: TaskKey,
@@ -345,8 +336,9 @@ struct Running {
     finish: SimTime,
     data: BlockData,
     vbytes: u64,
+    /// Byte-exact serialized size (checkpoint writes only, else 0).
+    wire: u64,
     duration: SimDuration,
-    commit: Commit,
     touched: Vec<(RddId, u32, u64)>,
     seq: u64,
     /// Backend invocation id assigned at admission (0 = the backend
@@ -552,12 +544,6 @@ impl Driver {
         self.waves_committed
     }
 
-    /// Snapshots the current run state as a [`RunManifest`] — exactly
-    /// what a suspension persists to the durable store.
-    pub fn manifest(&self) -> RunManifest {
-        self.build_manifest()
-    }
-
     /// Arms a resume replay against `manifest`.
     ///
     /// The engine is deterministic, so crash recovery is re-launching
@@ -594,6 +580,8 @@ impl Driver {
         Ok(())
     }
 
+    /// Snapshots the run state: what a suspension persists, and what a
+    /// resume replay is checked against at its frontier.
     fn build_manifest(&self) -> RunManifest {
         let mut blocks: Vec<String> = self
             .ckpt
@@ -655,48 +643,26 @@ impl Driver {
         let due = self
             .resume_check
             .as_ref()
-            .map(|m| self.waves_committed >= m.frontier)
-            .unwrap_or(false);
+            .is_some_and(|m| self.waves_committed >= m.frontier);
         if !due {
             return;
         }
         let m = self.resume_check.take().expect("checked above");
-        let now_ms = self.clock.now().as_millis();
-        let mismatch = if self.waves_committed > m.frontier {
-            Some(("frontier", m.frontier, self.waves_committed))
-        } else if now_ms != m.now_ms {
-            Some(("now_ms", m.now_ms, now_ms))
-        } else if self.stats.tasks_run != m.tasks_run {
-            Some(("tasks_run", m.tasks_run, self.stats.tasks_run))
-        } else if self.stats.revocations != m.revocations {
-            Some(("revocations", m.revocations, self.stats.revocations))
-        } else if self.stats.checkpoints_written != m.checkpoints_written {
-            Some((
-                "checkpoints_written",
-                m.checkpoints_written,
-                self.stats.checkpoints_written,
-            ))
-        } else {
-            None
-        };
-        match mismatch {
-            Some((field, expected, actual)) => {
-                self.resume_failed = Some(EngineError::ResumeDiverged {
-                    field,
-                    expected,
-                    actual,
-                });
-            }
-            None => {
-                let now = self.clock.now();
-                let key = m.store_key();
-                let frontier = m.frontier;
-                self.trace.emit_with(now, || EventKind::RunResumed {
-                    manifest: key.clone(),
-                    frontier,
-                });
-            }
+        if let Some((field, expected, actual)) = m.diverges_from(&self.build_manifest()) {
+            self.resume_failed = Some(EngineError::ResumeDiverged {
+                field,
+                expected,
+                actual,
+            });
+            return;
         }
+        let now = self.clock.now();
+        let key = m.store_key();
+        let frontier = m.frontier;
+        self.trace.emit_with(now, || EventKind::RunResumed {
+            manifest: key.clone(),
+            frontier,
+        });
     }
 
     /// Returns the cluster view.
@@ -725,19 +691,13 @@ impl Driver {
     }
 
     /// Number of queued (not yet written) checkpoint partitions.
-    pub fn pending_checkpoints(&self) -> usize {
+    fn pending_checkpoints(&self) -> usize {
         self.ckpt_queue.len()
             + self
                 .running
                 .iter()
                 .filter(|r| matches!(r.key, TaskKey::Ckpt(_)))
                 .count()
-    }
-
-    /// Runs checkpoint garbage collection, returning deleted objects.
-    pub fn gc_checkpoints(&mut self) -> usize {
-        let now = self.clock.now();
-        self.ckpt.gc(self.ctx.lineage(), now)
     }
 
     // ------------------------------------------------------------------
@@ -964,9 +924,7 @@ impl Driver {
                 let outputs = self.compute_wave(&pending);
                 for (key, out) in pending.into_iter().zip(outputs) {
                     if let Some(out) = out {
-                        if self.admit_task(key, out) {
-                            assigned_any = true;
-                        }
+                        assigned_any |= self.admit(key, out);
                     }
                 }
             }
@@ -982,15 +940,7 @@ impl Driver {
                         return Err(EngineError::NoWorkers);
                     }
                 }
-                (None, Some(ti)) => {
-                    // Stalled waiting for workers.
-                    self.stats.stall_time += ti - now;
-                    self.trace.emit_with(now, || EventKind::Stalled {
-                        millis: (ti - now).as_millis(),
-                    });
-                    self.clock.advance_to(ti);
-                    self.pump_injector();
-                }
+                (None, Some(ti)) => self.stall_until(ti),
                 (Some(tt), Some(ti)) if ti < tt => {
                     self.clock.advance_to(ti);
                     self.pump_injector();
@@ -1000,6 +950,18 @@ impl Driver {
                 }
             }
         }
+    }
+
+    /// Waits for the injector's next event at `ti` with nothing running:
+    /// the gap is stall time.
+    fn stall_until(&mut self, ti: SimTime) {
+        let now = self.clock.now();
+        self.stats.stall_time += ti - now;
+        self.trace.emit_with(now, || EventKind::Stalled {
+            millis: (ti - now).as_millis(),
+        });
+        self.clock.advance_to(ti);
+        self.pump_injector();
     }
 
     /// Advances the clock to `t`, processing injector events at or before
@@ -1119,15 +1081,16 @@ impl Driver {
     /// Discards in-flight tasks on a dead worker; checkpoint jobs are
     /// requeued, compute tasks are replanned naturally.
     fn invalidate_worker(&mut self, wid: WorkerId) {
-        for r in self.running.iter().filter(|r| r.worker == wid) {
+        let (lost, kept): (Vec<Running>, Vec<Running>) = std::mem::take(&mut self.running)
+            .into_iter()
+            .partition(|r| r.worker == wid);
+        self.running = kept;
+        for r in lost {
             self.in_flight.remove(&r.key);
             if let TaskKey::Ckpt(job) = r.key {
-                if self.ckpt_queued.insert(job) {
-                    self.ckpt_queue.push_back(job);
-                }
+                self.enqueue_ckpt(job);
             }
         }
-        self.running.retain(|r| r.worker != wid);
     }
 
     // ------------------------------------------------------------------
@@ -1153,27 +1116,35 @@ impl Driver {
             let Some(fault) = self.ckpt.shuffle_read_fault(shuffle, map_part, now) else {
                 continue;
             };
-            let block = BlockKey::ShuffleMap { shuffle, map_part };
-            if !self.corrupt_reported.insert(block) {
-                continue;
+            if self.report_fallback(BlockKey::ShuffleMap { shuffle, map_part }, fault, now) {
+                self.fallback_recomputes += 1;
             }
-            let block = block.to_string();
-            self.fallback_recomputes += 1;
-            if fault == ReadFault::Corrupt {
-                self.trace
-                    .emit_with(now, || EventKind::CheckpointCorruptDetected {
-                        block: block.clone(),
-                    });
-            }
-            self.trace.emit_with(now, || EventKind::RestoreFallback {
-                block: block.clone(),
-                reason: match fault {
-                    ReadFault::Corrupt => "corrupt",
-                    ReadFault::Unavailable => "outage",
-                }
-                .to_string(),
-            });
         }
+    }
+
+    /// Emits the detection/fallback event pair for an unreadable
+    /// checkpoint of `block`, once per block. Returns `false` when the
+    /// block was already reported.
+    fn report_fallback(&mut self, block: BlockKey, fault: ReadFault, now: SimTime) -> bool {
+        if !self.corrupt_reported.insert(block) {
+            return false;
+        }
+        let block = block.to_string();
+        if fault == ReadFault::Corrupt {
+            self.trace
+                .emit_with(now, || EventKind::CheckpointCorruptDetected {
+                    block: block.clone(),
+                });
+        }
+        self.trace.emit_with(now, || EventKind::RestoreFallback {
+            block: block.clone(),
+            reason: match fault {
+                ReadFault::Corrupt => "corrupt",
+                ReadFault::Unavailable => "outage",
+            }
+            .to_string(),
+        });
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1269,22 +1240,14 @@ impl Driver {
         }
     }
 
-    /// Materializes a wave of compute tasks in parallel. Outputs come
-    /// back in input order; `None` marks a transient shuffle miss.
+    /// Materializes a wave of tasks in parallel: compute tasks, or the
+    /// serialization walks of checkpoint writes. Outputs come back in
+    /// input order; `None` marks a transient shuffle miss or a vanished
+    /// checkpoint payload.
     fn compute_wave(&self, keys: &[TaskKey]) -> Vec<Option<TaskOutput>> {
         let ctx = self.wave_ctx();
         executor::run_wave(self.config.host_threads, keys, |k| {
             executor::compute_task(&ctx, *k)
-        })
-    }
-
-    /// Serializes a wave of checkpoint jobs in parallel. `None` marks a
-    /// vanished payload (dropped silently, as the job is replanned or
-    /// moot).
-    fn compute_ckpt_wave(&self, jobs: &[CkptJob]) -> Vec<Option<TaskOutput>> {
-        let ctx = self.wave_ctx();
-        executor::run_wave(self.config.host_threads, jobs, |j| {
-            executor::compute_ckpt(&ctx, *j)
         })
     }
 
@@ -1336,37 +1299,58 @@ impl Driver {
     }
 
     /// Admits one computed task: picks the worker, applies the recorded
-    /// effects, prices network time, and reserves a core. Returns `false`
-    /// if no worker is available.
-    fn admit_task(&mut self, key: TaskKey, out: TaskOutput) -> bool {
-        let (rdd, part, commit) = match key {
-            TaskKey::Output { rdd, part } => {
-                (rdd, part, Commit::Block(BlockKey::RddPart { rdd, part }))
+    /// effects, prices the task, and reserves a core. Returns `false` if
+    /// no worker can host it.
+    ///
+    /// A checkpoint write is admitted like any other task but for three
+    /// steps: its worker, its duration, and the stall it puts on its
+    /// node's sibling cores.
+    fn admit(&mut self, key: TaskKey, out: TaskOutput) -> bool {
+        let worker = match key {
+            TaskKey::Output { rdd, part } | TaskKey::Ckpt(CkptJob::RddPart(rdd, part)) => {
+                self.place(rdd, part)
             }
             TaskKey::ShuffleMap { shuffle, map_part } => {
-                let parent = self.ctx.lineage().shuffle(shuffle).parent;
-                (
-                    parent,
-                    map_part,
-                    Commit::Block(BlockKey::ShuffleMap { shuffle, map_part }),
-                )
+                self.place(self.ctx.lineage().shuffle(shuffle).parent, map_part)
             }
-            TaskKey::Ckpt(_) => return false,
+            // A shuffle snapshot is written by the worker holding the
+            // map output block.
+            TaskKey::Ckpt(CkptJob::Shuffle(..)) => {
+                out.source.filter(|&w| self.cluster.worker(w).is_alive())
+            }
         };
-        let Some(worker) = self.place(rdd, part) else {
+        let Some(worker) = worker else {
             return false;
         };
         let net = self.apply_output_effects(&out, worker);
-        let mut dur = out.base_dur + net + self.config.cost.task_overhead;
-        // Under external shuffle transport the map output is written to
-        // the durable store at commit; the producing task pays the
-        // store-write time up front (reducers pay the store read in
-        // `fetch_shuffle_bucket`, exactly like a checkpointed shuffle).
-        if self.backend.shuffle_transport() == ShuffleTransport::ExternalStore
-            && matches!(key, TaskKey::ShuffleMap { .. })
-        {
-            dur += self.ckpt.config().write_time(out.vbytes, 1);
-        }
+        let (mut dur, stall) = if let TaskKey::Ckpt(_) = key {
+            // Materialization time (including network reads) is
+            // discarded: Flint's checkpoint tasks capture partitions as
+            // they are produced (§4), so only the durable write is
+            // charged. Durable-write bandwidth is a per-NODE resource
+            // shared by all cores; with one writer per core, each sees
+            // 1/cores of the node's EBS bandwidth. The write saturates
+            // it, stalling concurrent compute on the sibling cores; the
+            // stall models the write itself, so invocation startup
+            // overhead (added below) is excluded.
+            let cores = u64::from(self.cluster.worker(worker).spec.cores.max(1));
+            let write = self.ckpt.config().write_time(out.vbytes * cores, 1);
+            let contention = self.config.cost.ckpt_contention.clamp(0.0, 1.0);
+            (write, Some(write.mul_f64(contention)))
+        } else {
+            let mut dur = out.base_dur + net + self.config.cost.task_overhead;
+            // Under external shuffle transport the map output is written
+            // to the durable store at commit; the producing task pays the
+            // store-write time up front (reducers pay the store read in
+            // `fetch_shuffle_bucket`, exactly like a checkpointed
+            // shuffle).
+            if self.backend.shuffle_transport() == ShuffleTransport::ExternalStore
+                && matches!(key, TaskKey::ShuffleMap { .. })
+            {
+                dur += self.ckpt.config().write_time(out.vbytes, 1);
+            }
+            (dur, None)
+        };
         let now = self.clock.now();
         // Core choice and start instant from an immutable view first, so
         // the backend hook (which needs `&mut self.backend`) can observe
@@ -1388,7 +1372,15 @@ impl Driver {
             });
         }
         let finish = start + dur;
-        self.cluster.worker_mut(worker).cores_busy_until[core] = finish;
+        let w = self.cluster.worker_mut(worker);
+        w.cores_busy_until[core] = finish;
+        if let Some(stall) = stall {
+            for (i, busy) in w.cores_busy_until.iter_mut().enumerate() {
+                if i != core {
+                    *busy = (*busy).max(now) + stall;
+                }
+            }
+        }
         self.task_seq += 1;
         self.running.push(Running {
             key,
@@ -1396,14 +1388,24 @@ impl Driver {
             finish,
             data: out.data,
             vbytes: out.vbytes,
+            wire: out.wire,
             duration: dur,
-            commit,
             touched: out.touched,
             seq: self.task_seq,
             invocation,
         });
         self.in_flight.insert(key);
         true
+    }
+
+    /// Queues a checkpoint write unless it is already queued; returns
+    /// whether it was added.
+    fn enqueue_ckpt(&mut self, job: CkptJob) -> bool {
+        let added = self.ckpt_queued.insert(job);
+        if added {
+            self.ckpt_queue.push_back(job);
+        }
+        added
     }
 
     /// True when a queued checkpoint job needs no work: it is already in
@@ -1418,127 +1420,38 @@ impl Driver {
         }
     }
 
-    /// Assigns every queued checkpoint write to a worker core. The
-    /// serialization walks and any payload materialization run on the
-    /// wave executor's host threads; admission (worker choice, core
-    /// reservation, contention stalls) stays in queue order on the driver
-    /// thread.
+    /// Runs every queued checkpoint write as one wave: the serialization
+    /// walks and any payload materialization run on the wave executor's
+    /// host threads, and admission stays in queue order on the driver
+    /// thread, like any other task.
     fn assign_checkpoint_jobs(&mut self) {
         if self.ckpt_queue.is_empty() || self.cluster.alive_count() == 0 {
             return; // keep the queue intact until workers exist
         }
-        let mut todo: Vec<CkptJob> = Vec::with_capacity(self.ckpt_queue.len());
+        let mut todo = Vec::with_capacity(self.ckpt_queue.len());
         while let Some(job) = self.ckpt_queue.pop_front() {
             if !self.ckpt_satisfied(job) {
-                todo.push(job);
+                todo.push(TaskKey::Ckpt(job));
             }
         }
         self.ckpt_queued.clear();
         if todo.is_empty() {
             return;
         }
-        let outputs = self.compute_ckpt_wave(&todo);
-        for (job, out) in todo.into_iter().zip(outputs) {
+        let outputs = self.compute_wave(&todo);
+        for (key, out) in todo.into_iter().zip(outputs) {
             // A vanished payload (dead shuffle block, missing shuffle
             // input) is dropped silently; the partition is replanned or
             // moot.
             let Some(out) = out else { continue };
-            if !self.admit_ckpt(job, out) && self.ckpt_queued.insert(job) {
+            if let (false, TaskKey::Ckpt(job)) = (self.admit(key, out), key) {
                 // Lost the worker between compute and admit: requeue.
-                self.ckpt_queue.push_back(job);
+                self.enqueue_ckpt(job);
             }
         }
     }
 
-    /// Admits one serialized checkpoint job. Returns `false` if no worker
-    /// can host the write.
-    fn admit_ckpt(&mut self, job: CkptJob, out: TaskOutput) -> bool {
-        let worker = match job {
-            CkptJob::RddPart(rdd, part) => match self.place(rdd, part) {
-                Some(w) => w,
-                None => return false,
-            },
-            // A shuffle snapshot is written by the worker holding the
-            // map output block.
-            CkptJob::Shuffle(..) => match out.source {
-                Some(w) if self.cluster.worker(w).is_alive() => w,
-                _ => return false,
-            },
-        };
-        // Materialization time (including network reads) is discarded:
-        // Flint's checkpoint tasks capture partitions as they are
-        // produced (§4), so no recomputation is charged — but bookkeeping
-        // side effects (restores, cache inserts, LRU bumps) still apply.
-        let _net = self.apply_output_effects(&out, worker);
-        // Durable-write bandwidth is a per-NODE resource shared by all
-        // cores; with one writer per core, each sees 1/cores of the
-        // node's EBS bandwidth.
-        let cores = u64::from(self.cluster.worker(worker).spec.cores.max(1));
-        let write = self.ckpt.config().write_time(out.vbytes * cores, 1);
-        self.start_ckpt_task(TaskKey::Ckpt(job), worker, out, write, job);
-        true
-    }
-
-    fn start_ckpt_task(
-        &mut self,
-        key: TaskKey,
-        worker: WorkerId,
-        out: TaskOutput,
-        dur: SimDuration,
-        job: CkptJob,
-    ) {
-        let mut dur = dur;
-        let now = self.clock.now();
-        let contention = self.config.cost.ckpt_contention.clamp(0.0, 1.0);
-        // The write saturates the node's shared EBS/NIC bandwidth,
-        // stalling concurrent compute on its sibling cores. The stall
-        // models the write itself, so invocation startup overhead
-        // (added below) is excluded.
-        let stall = dur.mul_f64(contention);
-        let (core, start) = {
-            let w = self.cluster.worker(worker);
-            let core = w.earliest_free_core();
-            (core, w.cores_busy_until[core].max(now))
-        };
-        let mut invocation = 0;
-        if let Some(inv) = self.backend.on_task_admitted(worker, start) {
-            invocation = inv.invocation;
-            dur += inv.overhead;
-            let ext = self.cluster.worker(worker).ext_id;
-            self.trace.emit_with(now, || EventKind::InvocationStarted {
-                invocation: inv.invocation,
-                worker: ext,
-                cold_ms: inv.cold_ms,
-            });
-        }
-        let finish = start + dur;
-        let w = self.cluster.worker_mut(worker);
-        w.cores_busy_until[core] = finish;
-        for (i, busy) in w.cores_busy_until.iter_mut().enumerate() {
-            if i != core {
-                *busy = (*busy).max(now) + stall;
-            }
-        }
-        self.task_seq += 1;
-        self.running.push(Running {
-            key,
-            worker,
-            finish,
-            data: out.data,
-            vbytes: out.vbytes,
-            duration: dur,
-            commit: Commit::Checkpoint {
-                job,
-                wire: out.wire,
-            },
-            touched: out.touched,
-            seq: self.task_seq,
-            invocation,
-        });
-        self.in_flight.insert(key);
-    }
-
-    fn commit_task(&mut self, mut r: Running) {
+    fn commit_task(&mut self, r: Running) {
         let now = self.clock.now();
         // Per-invocation billing fires for every commit, in commit
         // order — also for checkpoint tasks and for writes the store
@@ -1555,165 +1468,145 @@ impl Driver {
                 cost: bill.cost,
             });
         }
-        match r.commit {
-            Commit::Block(key) => {
-                self.stats.tasks_run += 1;
-                self.stats.compute_time += r.duration;
-                let ext = self.cluster.worker(r.worker).ext_id;
-                self.trace.emit_with(now, || {
-                    let (kind, id, part) = match r.key {
-                        TaskKey::ShuffleMap { shuffle, map_part } => {
-                            ("shuffle", u64::from(shuffle.0), u64::from(map_part))
-                        }
-                        TaskKey::Output { rdd, part } => {
-                            ("output", u64::from(rdd.0), u64::from(part))
-                        }
-                        TaskKey::Ckpt(_) => unreachable!("ckpt tasks commit as Checkpoint"),
-                    };
-                    EventKind::TaskFinished {
-                        kind: kind.to_string(),
-                        id,
-                        part,
-                        worker: ext,
-                        millis: r.duration.as_millis(),
-                    }
-                });
-                let external_shuffle = self.backend.shuffle_transport()
-                    == ShuffleTransport::ExternalStore
-                    && matches!(key, BlockKey::ShuffleMap { .. });
-                if let (
-                    true,
-                    BlockKey::ShuffleMap {
-                        shuffle: s,
-                        map_part: mp,
-                    },
-                ) = (external_shuffle, key)
-                {
-                    // Serverless invocations cannot serve remote reads
-                    // after returning: the map output goes to the
-                    // durable store instead of worker memory. Reducers
-                    // find it via `shuffle_block_available` /
-                    // `fetch_shuffle_bucket`'s existing store path. A
-                    // failed write leaves nothing durable and the
-                    // planner re-runs the map task.
-                    let fault = self.ckpt.put_shuffle(s, mp, r.data, r.vbytes, now);
-                    match fault {
-                        WriteFault::Fail => {
-                            self.trace.emit_with(now, || EventKind::FaultInjected {
-                                kind: "shuffle_ext_fail".to_string(),
-                                target: key.to_string(),
-                            });
-                        }
-                        WriteFault::Torn => {
-                            self.trace.emit_with(now, || EventKind::FaultInjected {
-                                kind: "shuffle_ext_torn".to_string(),
-                                target: key.to_string(),
-                            });
-                        }
-                        WriteFault::None => {}
-                    }
-                    if fault != WriteFault::Fail {
-                        let vbytes = r.vbytes;
-                        self.trace
-                            .emit_with(now, || EventKind::ShuffleExternalized {
-                                shuffle: u64::from(s.0),
-                                map_part: u64::from(mp),
-                                vbytes,
-                            });
-                    }
-                } else {
-                    let outcome = self.cluster.insert_block(r.worker, key, r.data, r.vbytes);
-                    self.emit_cache(now, ext, key, r.vbytes, &outcome);
-                }
-                if let BlockKey::RddPart { rdd, part } = key {
-                    self.computed_once.insert((rdd, part));
-                }
-                // Record sizes and fire materialization hooks
-                // *interleaved* in chain order (ancestors before
-                // descendants), so each RDD is observed at its
-                // execution-frontier moment — before its own child's
-                // completion is visible — the paper's mark-on-generation.
-                for (rdd, part, bytes) in r.touched {
-                    self.ctx
-                        .lineage_mut()
-                        .record_partition_size(rdd, part, bytes);
-                    self.fire_materialized(rdd, now);
+        let (kind, id, part, block) = match r.key {
+            TaskKey::Ckpt(job) => return self.commit_checkpoint(job, r, now),
+            TaskKey::ShuffleMap { shuffle, map_part } => (
+                "shuffle",
+                u64::from(shuffle.0),
+                u64::from(map_part),
+                BlockKey::ShuffleMap { shuffle, map_part },
+            ),
+            TaskKey::Output { rdd, part } => (
+                "output",
+                u64::from(rdd.0),
+                u64::from(part),
+                BlockKey::RddPart { rdd, part },
+            ),
+        };
+        self.stats.tasks_run += 1;
+        self.stats.compute_time += r.duration;
+        let ext = self.cluster.worker(r.worker).ext_id;
+        self.trace.emit_with(now, || EventKind::TaskFinished {
+            kind: kind.to_string(),
+            id,
+            part,
+            worker: ext,
+            millis: r.duration.as_millis(),
+        });
+        match block {
+            BlockKey::ShuffleMap { shuffle, map_part }
+                if self.backend.shuffle_transport() == ShuffleTransport::ExternalStore =>
+            {
+                // Serverless invocations cannot serve remote reads after
+                // returning: the map output goes to the durable store
+                // instead of worker memory. Reducers find it via
+                // `shuffle_block_available` / `fetch_shuffle_bucket`'s
+                // existing store path. A failed write leaves nothing
+                // durable and the planner re-runs the map task.
+                let fault = self
+                    .ckpt
+                    .put_shuffle(shuffle, map_part, r.data, r.vbytes, now);
+                self.note_write_fault(fault, ["shuffle_ext_fail", "shuffle_ext_torn"], block, now);
+                if fault != WriteFault::Fail {
+                    let vbytes = r.vbytes;
+                    self.trace
+                        .emit_with(now, || EventKind::ShuffleExternalized {
+                            shuffle: u64::from(shuffle.0),
+                            map_part: u64::from(map_part),
+                            vbytes,
+                        });
                 }
             }
-            Commit::Checkpoint { job, wire } => {
-                self.apply_touched(std::mem::take(&mut r.touched), now);
-                let block = match job {
-                    CkptJob::RddPart(rdd, part) => BlockKey::RddPart { rdd, part }.to_string(),
-                    CkptJob::Shuffle(shuffle, map_part) => {
-                        BlockKey::ShuffleMap { shuffle, map_part }.to_string()
-                    }
-                };
-                let fault = match job {
-                    CkptJob::RddPart(rdd, part) => {
-                        let n = self.ctx.lineage().meta(rdd).num_partitions;
-                        self.ckpt.put(rdd, part, n, r.data, r.vbytes, now)
-                    }
-                    CkptJob::Shuffle(s, mp) => self.ckpt.put_shuffle(s, mp, r.data, r.vbytes, now),
-                };
-                match fault {
-                    WriteFault::Fail => {
-                        // The store dropped the object: nothing durable
-                        // exists, so neither the written event nor the
-                        // checkpoint stats fire (keeping the trace
-                        // aggregate consistent with `RunStats`).
-                        self.trace.emit_with(now, || EventKind::FaultInjected {
-                            kind: "ckpt_write_fail".to_string(),
-                            target: block.clone(),
-                        });
-                        return;
-                    }
-                    WriteFault::Torn => {
-                        // The write "succeeded" from the client's view;
-                        // the note records the planted corruption the
-                        // restore-time integrity check will catch.
-                        self.trace.emit_with(now, || EventKind::FaultInjected {
-                            kind: "ckpt_torn".to_string(),
-                            target: block.clone(),
-                        });
-                    }
-                    WriteFault::None => {}
-                }
-                self.stats.checkpoint_time += r.duration;
-                self.stats.checkpoints_written += 1;
-                self.stats.checkpoint_bytes += r.vbytes;
-                self.stats.checkpoint_wire_bytes += wire;
-                self.trace.emit_with(now, || EventKind::CheckpointWritten {
-                    block: block.clone(),
-                    vbytes: r.vbytes,
-                    wire_bytes: wire,
-                    millis: r.duration.as_millis(),
-                });
-                if let CkptJob::RddPart(rdd, part) = job {
-                    self.hooks
-                        .on_checkpoint_written(rdd, part, r.vbytes, r.duration, now);
-                    if self.ckpt.is_fully_checkpointed(rdd) {
-                        // Paper §4: checkpointing an RDD terminates its
-                        // lineage; ancestors' checkpoints become garbage.
-                        let deleted = self.ckpt.gc(self.ctx.lineage(), now);
-                        if deleted > 0 {
-                            self.trace.emit_with(now, || EventKind::CheckpointGc {
-                                rdd: u64::from(rdd.0),
-                                blocks: deleted as u64,
-                            });
-                        }
-                    }
+            _ => {
+                let outcome = self.cluster.insert_block(r.worker, block, r.data, r.vbytes);
+                self.emit_cache(now, ext, block, r.vbytes, &outcome);
+            }
+        }
+        if let BlockKey::RddPart { rdd, part } = block {
+            self.computed_once.insert((rdd, part));
+        }
+        // Record sizes and fire materialization hooks *interleaved* in
+        // chain order (ancestors before descendants), so each RDD is
+        // observed at its execution-frontier moment — before its own
+        // child's completion is visible — the paper's mark-on-generation.
+        for (rdd, part, bytes) in r.touched {
+            self.ctx
+                .lineage_mut()
+                .record_partition_size(rdd, part, bytes);
+            self.fire_materialized(rdd, now);
+        }
+    }
+
+    /// Commits a checkpoint write to the durable store. Partition sizes
+    /// are recorded, but no materialization hook fires: the write
+    /// produced no new partition.
+    fn commit_checkpoint(&mut self, job: CkptJob, r: Running, now: SimTime) {
+        for (rdd, part, bytes) in r.touched {
+            self.ctx
+                .lineage_mut()
+                .record_partition_size(rdd, part, bytes);
+        }
+        let (block, fault) = match job {
+            CkptJob::RddPart(rdd, part) => {
+                let n = self.ctx.lineage().meta(rdd).num_partitions;
+                let fault = self.ckpt.put(rdd, part, n, r.data, r.vbytes, now);
+                (BlockKey::RddPart { rdd, part }, fault)
+            }
+            CkptJob::Shuffle(shuffle, map_part) => {
+                let fault = self
+                    .ckpt
+                    .put_shuffle(shuffle, map_part, r.data, r.vbytes, now);
+                (BlockKey::ShuffleMap { shuffle, map_part }, fault)
+            }
+        };
+        // A torn write "succeeded" from the client's view; the note
+        // records the planted corruption the restore-time integrity check
+        // will catch. A failed write left nothing durable, so neither the
+        // written event nor the checkpoint stats fire (keeping the trace
+        // aggregate consistent with `RunStats`).
+        self.note_write_fault(fault, ["ckpt_write_fail", "ckpt_torn"], block, now);
+        if fault == WriteFault::Fail {
+            return;
+        }
+        self.stats.checkpoint_time += r.duration;
+        self.stats.checkpoints_written += 1;
+        self.stats.checkpoint_bytes += r.vbytes;
+        self.stats.checkpoint_wire_bytes += r.wire;
+        self.trace.emit_with(now, || EventKind::CheckpointWritten {
+            block: block.to_string(),
+            vbytes: r.vbytes,
+            wire_bytes: r.wire,
+            millis: r.duration.as_millis(),
+        });
+        if let CkptJob::RddPart(rdd, part) = job {
+            self.hooks
+                .on_checkpoint_written(rdd, part, r.vbytes, r.duration, now);
+            if self.ckpt.is_fully_checkpointed(rdd) {
+                // Paper §4: checkpointing an RDD terminates its lineage;
+                // ancestors' checkpoints become garbage.
+                let deleted = self.ckpt.gc(self.ctx.lineage(), now);
+                if deleted > 0 {
+                    self.trace.emit_with(now, || EventKind::CheckpointGc {
+                        rdd: u64::from(rdd.0),
+                        blocks: deleted as u64,
+                    });
                 }
             }
         }
     }
 
-    /// Records computed partition sizes in chain order.
-    fn apply_touched(&mut self, touched: Vec<(RddId, u32, u64)>, _now: SimTime) {
-        for (rdd, part, bytes) in touched {
-            self.ctx
-                .lineage_mut()
-                .record_partition_size(rdd, part, bytes);
-        }
+    /// Traces a store write fault planted on `block`; `kinds` names the
+    /// failed and the torn note.
+    fn note_write_fault(&self, fault: WriteFault, kinds: [&str; 2], block: BlockKey, now: SimTime) {
+        let kind = match fault {
+            WriteFault::Fail => kinds[0],
+            WriteFault::Torn => kinds[1],
+            WriteFault::None => return,
+        };
+        self.trace.emit_with(now, || EventKind::FaultInjected {
+            kind: kind.to_string(),
+            target: block.to_string(),
+        });
     }
 
     /// Fires the materialization hook for `rdd` the first time it becomes
@@ -1763,12 +1656,10 @@ impl Driver {
                     let n = self.ctx.lineage().meta(rdd).num_partitions;
                     let mut enqueued = 0u64;
                     for part in 0..n {
-                        if !self.ckpt.has(rdd, part) {
-                            let job = CkptJob::RddPart(rdd, part);
-                            if self.ckpt_queued.insert(job) {
-                                self.ckpt_queue.push_back(job);
-                                enqueued += 1;
-                            }
+                        if !self.ckpt.has(rdd, part)
+                            && self.enqueue_ckpt(CkptJob::RddPart(rdd, part))
+                        {
+                            enqueued += 1;
                         }
                     }
                     if self.trace.is_enabled() {
@@ -1807,9 +1698,7 @@ impl Driver {
                                 CkptJob::Shuffle(shuffle, map_part)
                             }
                         };
-                        if self.ckpt_queued.insert(job) {
-                            self.ckpt_queue.push_back(job);
-                        }
+                        self.enqueue_ckpt(job);
                     }
                 }
             }
@@ -1834,18 +1723,7 @@ impl Driver {
                 None => return Ok(true),
                 Some(ReadFault::Corrupt) => {
                     let now = self.clock.now();
-                    let block = BlockKey::RddPart { rdd, part };
-                    if self.corrupt_reported.insert(block) {
-                        let block = block.to_string();
-                        self.trace
-                            .emit_with(now, || EventKind::CheckpointCorruptDetected {
-                                block: block.clone(),
-                            });
-                        self.trace.emit_with(now, || EventKind::RestoreFallback {
-                            block: block.clone(),
-                            reason: "corrupt".to_string(),
-                        });
-                    }
+                    self.report_fallback(BlockKey::RddPart { rdd, part }, ReadFault::Corrupt, now);
                     return Ok(false);
                 }
                 Some(ReadFault::Unavailable) => {
@@ -1949,15 +1827,9 @@ impl Driver {
             self.assign_checkpoint_jobs();
             let Some(tt) = self.running.iter().map(|r| r.finish).min() else {
                 // Nothing running and nothing assignable: need workers.
-                let now = self.clock.now();
-                match self.injector.next_event_after(now) {
+                match self.injector.next_event_after(self.clock.now()) {
                     Some(ti) => {
-                        self.stats.stall_time += ti - now;
-                        self.trace.emit_with(now, || EventKind::Stalled {
-                            millis: (ti - now).as_millis(),
-                        });
-                        self.clock.advance_to(ti);
-                        self.pump_injector();
+                        self.stall_until(ti);
                         continue;
                     }
                     None => return Err(EngineError::NoWorkers),
@@ -1966,468 +1838,5 @@ impl Driver {
             self.advance_and_commit(tt);
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sum_pairs(d: &mut Driver, r: RddRef) -> Vec<(i64, i64)> {
-        let mut out: Vec<(i64, i64)> = d
-            .collect(r)
-            .unwrap()
-            .into_iter()
-            .map(|v| {
-                let (k, val) = v.into_pair().unwrap();
-                (k.as_i64().unwrap(), val.as_i64().unwrap())
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn map_filter_pipeline() {
-        let mut d = Driver::local(3);
-        let src = d.ctx().parallelize((0..100).map(Value::from_i64), 8);
-        let doubled = d.ctx().map(src, |v| Value::Int(v.as_i64().unwrap() * 2));
-        let big = d.ctx().filter(doubled, |v| v.as_i64().unwrap() >= 100);
-        let out = d.collect(big).unwrap();
-        assert_eq!(out.len(), 50);
-        assert!(out.iter().all(|v| v.as_i64().unwrap() % 2 == 0));
-        assert!(d.now() > SimTime::ZERO, "virtual time must advance");
-        assert!(d.stats().tasks_run >= 8);
-    }
-
-    #[test]
-    fn word_count_reduce_by_key() {
-        let mut d = Driver::local(2);
-        let words = d.ctx().parallelize(
-            ["a", "b", "a", "c", "b", "a"]
-                .iter()
-                .map(|s| Value::from_str_(s)),
-            3,
-        );
-        let pairs = d
-            .ctx()
-            .map(words, |w| Value::pair(w.clone(), Value::Int(1)));
-        let counts = d.ctx().reduce_by_key(pairs, 2, |a, b| {
-            Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
-        });
-        let mut out: Vec<(String, i64)> = d
-            .collect(counts)
-            .unwrap()
-            .into_iter()
-            .map(|v| {
-                let (k, c) = v.into_pair().unwrap();
-                (k.as_str().unwrap().to_string(), c.as_i64().unwrap())
-            })
-            .collect();
-        out.sort();
-        assert_eq!(out, vec![("a".into(), 3), ("b".into(), 2), ("c".into(), 1)]);
-    }
-
-    #[test]
-    fn join_matches_keys() {
-        let mut d = Driver::local(2);
-        let left = d.ctx().parallelize(
-            vec![
-                Value::pair(Value::Int(1), Value::from_str_("x")),
-                Value::pair(Value::Int(2), Value::from_str_("y")),
-            ],
-            2,
-        );
-        let right = d.ctx().parallelize(
-            vec![
-                Value::pair(Value::Int(1), Value::Int(10)),
-                Value::pair(Value::Int(1), Value::Int(11)),
-                Value::pair(Value::Int(3), Value::Int(30)),
-            ],
-            2,
-        );
-        let joined = d.ctx().join(left, right, 3);
-        let out = d.collect(joined).unwrap();
-        // Key 1 joins with two right values; keys 2 and 3 do not match.
-        assert_eq!(out.len(), 2);
-        for v in &out {
-            assert_eq!(v.key().unwrap().as_i64(), Some(1));
-        }
-    }
-
-    #[test]
-    fn sort_by_key_orders_globally() {
-        let mut d = Driver::local(3);
-        let vals: Vec<Value> = [5i64, 3, 9, 1, 7, 2, 8, 0, 6, 4]
-            .iter()
-            .map(|i| Value::pair(Value::Int(*i), Value::Int(*i * 10)))
-            .collect();
-        let src = d.ctx().parallelize(vals, 4);
-        let sorted = d.ctx().sort_by_key(src, 3, true);
-        let keys: Vec<i64> = d
-            .collect(sorted)
-            .unwrap()
-            .iter()
-            .map(|v| v.key().unwrap().as_i64().unwrap())
-            .collect();
-        assert_eq!(keys, (0..10).collect::<Vec<_>>());
-
-        let sorted_desc = d.ctx().sort_by_key(src, 3, false);
-        let keys: Vec<i64> = d
-            .collect(sorted_desc)
-            .unwrap()
-            .iter()
-            .map(|v| v.key().unwrap().as_i64().unwrap())
-            .collect();
-        assert_eq!(keys, (0..10).rev().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn count_reduce_take_actions() {
-        let mut d = Driver::local(2);
-        let src = d.ctx().parallelize((1..=10).map(Value::from_i64), 4);
-        assert_eq!(d.count(src).unwrap(), 10);
-        let total = d
-            .reduce(src, |a, b| {
-                Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
-            })
-            .unwrap();
-        assert_eq!(total.as_i64(), Some(55));
-        assert_eq!(d.take(src, 3).unwrap().len(), 3);
-        assert_eq!(d.stats().actions.len(), 3);
-    }
-
-    #[test]
-    fn reduce_on_empty_errors() {
-        let mut d = Driver::local(1);
-        let src = d.ctx().parallelize(std::iter::empty(), 2);
-        let e = d.reduce(src, |a, _| a.clone()).unwrap_err();
-        assert_eq!(e, EngineError::EmptyDataset);
-    }
-
-    #[test]
-    fn distinct_and_union() {
-        let mut d = Driver::local(2);
-        let a = d.ctx().parallelize([1, 2, 2, 3].map(Value::from_i64), 2);
-        let b = d.ctx().parallelize([3, 4].map(Value::from_i64), 1);
-        let u = d.ctx().union(a, b);
-        assert_eq!(d.count(u).unwrap(), 6);
-        let dist = d.ctx().distinct(u, 2);
-        let mut vals: Vec<i64> = d
-            .collect(dist)
-            .unwrap()
-            .iter()
-            .map(|v| v.as_i64().unwrap())
-            .collect();
-        vals.sort();
-        assert_eq!(vals, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn sample_is_deterministic() {
-        let mut d1 = Driver::local(2);
-        let s1 = d1.ctx().parallelize((0..1000).map(Value::from_i64), 4);
-        let samp1 = d1.ctx().sample(s1, 0.3, 42);
-        let c1 = d1.count(samp1).unwrap();
-        let mut d2 = Driver::local(2);
-        let s2 = d2.ctx().parallelize((0..1000).map(Value::from_i64), 4);
-        let samp2 = d2.ctx().sample(s2, 0.3, 42);
-        let c2 = d2.count(samp2).unwrap();
-        assert_eq!(c1, c2);
-        assert!(c1 > 150 && c1 < 450, "sample count {c1} wildly off 30%");
-    }
-
-    #[test]
-    fn revocation_mid_job_recovers_with_identical_result() {
-        // Golden result without failures.
-        let build = |d: &mut Driver| {
-            let src = d.ctx().parallelize((0..500).map(Value::from_i64), 10);
-            let pairs = d.ctx().map(src, |v| {
-                Value::pair(Value::Int(v.as_i64().unwrap() % 7), Value::Int(1))
-            });
-            d.ctx().reduce_by_key(pairs, 5, |a, b| {
-                Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
-            })
-        };
-        let mut golden_driver = Driver::local(4);
-        let g = build(&mut golden_driver);
-        let golden = sum_pairs(&mut golden_driver, g);
-
-        // Same job with two workers revoked mid-run (and never replaced;
-        // two survivors carry on).
-        let mut d = Driver::new(
-            DriverConfig::default(),
-            Box::new(NoCheckpoint),
-            Box::new(crate::ScriptedInjector::new(vec![
-                (SimTime::from_millis(50), WorkerEvent::Remove { ext_id: 1 }),
-                (SimTime::from_millis(60), WorkerEvent::Remove { ext_id: 2 }),
-            ])),
-        );
-        for ext in 1..=4u64 {
-            d.cluster
-                .add_worker(ext, WorkerSpec::r3_large(), SimTime::ZERO);
-        }
-        let r = build(&mut d);
-        let out = sum_pairs(&mut d, r);
-        assert_eq!(out, golden);
-        assert_eq!(d.stats().revocations, 2);
-    }
-
-    #[test]
-    fn all_workers_lost_then_replaced() {
-        let mut d = Driver::new(
-            DriverConfig::default(),
-            Box::new(NoCheckpoint),
-            Box::new(crate::ScriptedInjector::new(vec![
-                (SimTime::from_millis(10), WorkerEvent::Remove { ext_id: 1 }),
-                (SimTime::from_millis(10), WorkerEvent::Remove { ext_id: 2 }),
-                (
-                    SimTime::from_millis(120_000),
-                    WorkerEvent::Add {
-                        ext_id: 3,
-                        spec: WorkerSpec::r3_large(),
-                    },
-                ),
-            ])),
-        );
-        d.cluster
-            .add_worker(1, WorkerSpec::r3_large(), SimTime::ZERO);
-        d.cluster
-            .add_worker(2, WorkerSpec::r3_large(), SimTime::ZERO);
-        let src = d.ctx().parallelize((0..200).map(Value::from_i64), 6);
-        let sq = d.ctx().map(src, |v| Value::Int(v.as_i64().unwrap().pow(2)));
-        assert_eq!(d.count(sq).unwrap(), 200);
-        // The job must have stalled waiting for the replacement.
-        assert!(d.stats().stall_time > SimDuration::from_secs(60));
-        assert_eq!(d.stats().revocations, 2);
-    }
-
-    #[test]
-    fn no_workers_and_no_events_errors() {
-        let mut d = Driver::new(
-            DriverConfig::default(),
-            Box::new(NoCheckpoint),
-            Box::new(NoFailures),
-        );
-        let src = d.ctx().parallelize((0..10).map(Value::from_i64), 2);
-        assert_eq!(d.count(src).unwrap_err(), EngineError::NoWorkers);
-    }
-
-    #[test]
-    fn persisted_rdd_cached_and_reused() {
-        let mut d = Driver::local(2);
-        let src = d.ctx().parallelize((0..100).map(Value::from_i64), 4);
-        let heavy = d.ctx().map(src, |v| v.clone());
-        d.ctx().persist(heavy);
-        let _ = d.count(heavy).unwrap();
-        let t1 = d.stats().actions[0].latency();
-        let _ = d.count(heavy).unwrap();
-        let t2 = d.stats().actions[1].latency();
-        assert!(t2 < t1, "cached second run ({t2}) should beat first ({t1})");
-    }
-
-    #[test]
-    fn explicit_checkpoint_survives_total_cluster_loss() {
-        let mut d = Driver::new(
-            DriverConfig::default(),
-            Box::new(NoCheckpoint),
-            Box::new(crate::ScriptedInjector::new(vec![
-                (
-                    SimTime::from_hours_f64(1.0),
-                    WorkerEvent::Remove { ext_id: 1 },
-                ),
-                (
-                    SimTime::from_hours_f64(1.0),
-                    WorkerEvent::Remove { ext_id: 2 },
-                ),
-                (
-                    SimTime::from_hours_f64(1.1),
-                    WorkerEvent::Add {
-                        ext_id: 10,
-                        spec: WorkerSpec::r3_large(),
-                    },
-                ),
-                (
-                    SimTime::from_hours_f64(1.1),
-                    WorkerEvent::Add {
-                        ext_id: 11,
-                        spec: WorkerSpec::r3_large(),
-                    },
-                ),
-            ])),
-        );
-        d.cluster
-            .add_worker(1, WorkerSpec::r3_large(), SimTime::ZERO);
-        d.cluster
-            .add_worker(2, WorkerSpec::r3_large(), SimTime::ZERO);
-
-        let src = d.ctx().parallelize((0..300).map(Value::from_i64), 6);
-        let mapped = d.ctx().map(src, |v| Value::Int(v.as_i64().unwrap() + 1));
-        d.checkpoint_now(mapped).unwrap();
-        assert!(d.checkpoints().is_fully_checkpointed(mapped.id()));
-
-        // Lose the whole cluster, get new workers, and re-read: the data
-        // must come back from the durable store (restores > 0).
-        d.idle_until(SimTime::from_hours_f64(1.2)).unwrap();
-        assert_eq!(d.cluster().alive_count(), 2);
-        let before = d.stats().restores;
-        let total = d
-            .reduce(mapped, |a, b| {
-                Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
-            })
-            .unwrap();
-        assert_eq!(total.as_i64(), Some((1..=300).sum::<i64>()));
-        assert!(d.stats().restores > before);
-    }
-
-    #[test]
-    fn recompute_time_tracked_after_loss() {
-        // Scale the tiny in-process dataset up so durations exceed the
-        // millisecond resolution of virtual time.
-        let mut config = DriverConfig::default();
-        config.cost.size_scale = 1e6;
-        let mut d = Driver::new(
-            config,
-            Box::new(NoCheckpoint),
-            Box::new(crate::ScriptedInjector::new(vec![(
-                SimTime::from_hours_f64(0.5),
-                WorkerEvent::Remove { ext_id: 1 },
-            )])),
-        );
-        d.cluster
-            .add_worker(1, WorkerSpec::r3_large(), SimTime::ZERO);
-        d.cluster
-            .add_worker(2, WorkerSpec::r3_large(), SimTime::ZERO);
-        let src = d.ctx().parallelize((0..400).map(Value::from_i64), 8);
-        let pairs = d.ctx().map(src, |v| {
-            Value::pair(Value::Int(v.as_i64().unwrap() % 5), Value::Int(1))
-        });
-        let red = d.ctx().reduce_by_key(pairs, 4, |a, b| {
-            Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
-        });
-        let _ = d.count(red).unwrap();
-        assert_eq!(d.stats().recompute_time, SimDuration::ZERO);
-
-        // Idle across the revocation, then ask again: half the cache is
-        // gone, so some recomputation must happen.
-        d.idle_until(SimTime::from_hours_f64(0.6)).unwrap();
-        let _ = d.count(red).unwrap();
-        assert!(d.stats().recompute_time > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn coalesce_preserves_data_with_fewer_partitions() {
-        let mut d = Driver::local(3);
-        let src = d.ctx().parallelize((0..100).map(Value::from_i64), 8);
-        let co = d.ctx().coalesce(src, 3);
-        assert_eq!(d.ctx().num_partitions(co), 3);
-        let mut vals: Vec<i64> = d
-            .collect(co)
-            .unwrap()
-            .iter()
-            .map(|v| v.as_i64().unwrap())
-            .collect();
-        vals.sort_unstable();
-        assert_eq!(vals, (0..100).collect::<Vec<_>>());
-        // Coalescing to more partitions than exist clamps.
-        let same = d.ctx().coalesce(src, 100);
-        assert_eq!(d.ctx().num_partitions(same), 8);
-        assert_eq!(d.count(same).unwrap(), 100);
-    }
-
-    #[test]
-    fn coalesce_survives_revocation() {
-        let mut d = Driver::new(
-            DriverConfig::default(),
-            Box::new(NoCheckpoint),
-            Box::new(crate::ScriptedInjector::new(vec![(
-                SimTime::from_millis(40),
-                WorkerEvent::Remove { ext_id: 1 },
-            )])),
-        );
-        for ext in 1..=3u64 {
-            d.add_worker_with_ext(ext, WorkerSpec::r3_large());
-        }
-        let src = d.ctx().parallelize((0..60).map(Value::from_i64), 6);
-        let co = d.ctx().coalesce(src, 2);
-        let total = d
-            .reduce(co, |a, b| {
-                Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
-            })
-            .unwrap();
-        assert_eq!(total.as_i64(), Some((0..60).sum::<i64>()));
-    }
-
-    #[test]
-    fn pair_projection_helpers() {
-        let mut d = Driver::local(2);
-        let pairs = d.ctx().parallelize(
-            (0..10).map(|i| Value::pair(Value::Int(i % 3), Value::Int(i))),
-            2,
-        );
-        let doubled = d
-            .ctx()
-            .map_values(pairs, |v| Value::Int(v.as_i64().unwrap() * 2));
-        let vals = d.ctx().values(doubled);
-        let total = d
-            .reduce(vals, |a, b| {
-                Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
-            })
-            .unwrap();
-        assert_eq!(total.as_i64(), Some(2 * (0..10).sum::<i64>()));
-
-        let keys = d.ctx().keys(pairs);
-        let distinct = d.ctx().distinct(keys, 2);
-        assert_eq!(d.count(distinct).unwrap(), 3);
-    }
-
-    #[test]
-    fn ordered_and_keyed_actions() {
-        let mut d = Driver::local(2);
-        let src = d.ctx().parallelize([5, 1, 9, 3, 7].map(Value::from_i64), 3);
-        assert_eq!(
-            d.take_ordered(src, 2).unwrap(),
-            vec![Value::Int(1), Value::Int(3)]
-        );
-        assert!(d.first(src).unwrap().is_some());
-
-        let pairs = d.ctx().parallelize(
-            (0..12).map(|i| Value::pair(Value::Int(i % 3), Value::Int(i))),
-            3,
-        );
-        let counts = d.count_by_key(pairs).unwrap();
-        assert_eq!(counts.len(), 3);
-        assert!(counts.values().all(|c| *c == 4));
-
-        let empty = d.ctx().parallelize(std::iter::empty(), 1);
-        assert_eq!(d.first(empty).unwrap(), None);
-    }
-
-    #[test]
-    fn cogroup_groups_both_sides() {
-        let mut d = Driver::local(2);
-        let a = d.ctx().parallelize(
-            vec![
-                Value::pair(Value::Int(1), Value::from_str_("a1")),
-                Value::pair(Value::Int(2), Value::from_str_("a2")),
-            ],
-            2,
-        );
-        let b = d
-            .ctx()
-            .parallelize(vec![Value::pair(Value::Int(1), Value::from_str_("b1"))], 1);
-        let cg = d.ctx().cogroup(a, b, 2);
-        let out = d.collect(cg).unwrap();
-        assert_eq!(out.len(), 2); // keys 1 and 2
-        for v in out {
-            let (k, groups) = v.into_pair().unwrap();
-            let groups = groups.as_list().unwrap().to_vec();
-            assert_eq!(groups.len(), 2);
-            if k.as_i64() == Some(2) {
-                assert_eq!(groups[1].as_list().unwrap().len(), 0);
-            } else {
-                assert_eq!(groups[1].as_list().unwrap().len(), 1);
-            }
-        }
     }
 }

@@ -7,10 +7,12 @@
 //! results on a pool of scoped host threads while keeping the simulation
 //! bit-for-bit deterministic:
 //!
-//! * **Compute phase (parallel, pure).** Each task runs
-//!   [`compute_task`]/[`compute_ckpt`] against an immutable [`WaveCtx`]
-//!   snapshot of the lineage, cluster caches, checkpoint store, and cost
-//!   model. Nothing is mutated; every would-be side effect (LRU bumps,
+//! * **Compute phase (parallel, pure).** Each task, checkpoint writes
+//!   (`TaskKey::Ckpt`) included, runs [`compute_task`] against an
+//!   immutable [`WaveCtx`] snapshot of the lineage, cluster caches,
+//!   checkpoint store, and cost model. A checkpoint write materializes
+//!   (or peeks) its payload and runs the byte-exact serialization walk.
+//!   Nothing is mutated; every would-be side effect (LRU bumps,
 //!   cache inserts, stat deltas, resolved range partitioners) is
 //!   *recorded* in the returned [`TaskOutput`]. Durations that depend on
 //!   the executing worker (network fetches) are recorded as
@@ -200,16 +202,16 @@ where
     indexed.into_iter().map(|(_, o)| o).collect()
 }
 
-/// Computes one compute task (`Output` or `ShuffleMap`) against the wave
-/// snapshot. Returns `None` when a required shuffle input vanished
-/// between planning and execution (the driver replans).
+/// Computes one task against the wave snapshot. Returns `None` when a
+/// required shuffle input vanished between planning and execution (the
+/// driver replans) or a checkpoint payload is gone.
 pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput> {
     let (rdd, part) = match key {
         TaskKey::Output { rdd, part } => (rdd, part),
         TaskKey::ShuffleMap { shuffle, map_part } => {
             (ctx.lineage.shuffle(shuffle).parent, map_part)
         }
-        TaskKey::Ckpt(_) => unreachable!("checkpoint jobs use compute_ckpt"),
+        TaskKey::Ckpt(job) => return compute_ckpt(ctx, job),
     };
     let mut b = TaskBuilder::new(ctx);
     let (data, mut vbytes, mut dur) = match b.materialize(rdd, part) {
@@ -331,7 +333,7 @@ fn columnar_map_output(
 /// runs the serialization walk on the wave thread. Returns `None` when
 /// the payload is gone (vanished shuffle block or missing shuffle input)
 /// and the job should be dropped silently, as the sequential path did.
-pub(crate) fn compute_ckpt(ctx: &WaveCtx<'_>, job: CkptJob) -> Option<TaskOutput> {
+fn compute_ckpt(ctx: &WaveCtx<'_>, job: CkptJob) -> Option<TaskOutput> {
     match job {
         CkptJob::RddPart(rdd, part) => {
             let mut b = TaskBuilder::new(ctx);

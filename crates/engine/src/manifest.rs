@@ -71,6 +71,28 @@ impl RunManifest {
         format!("manifest/{}", self.session)
     }
 
+    /// The first verified field on which `replay` (a snapshot of the
+    /// resumed run at its frontier) differs from this manifest, as
+    /// `(field, expected, actual)`. Fields are checked in order:
+    /// frontier, now_ms, tasks_run, revocations, checkpoints_written.
+    /// The block catalog is an audit record and is not compared; the
+    /// config fingerprint is checked up front by [`crate::Driver::resume`].
+    pub fn diverges_from(&self, replay: &RunManifest) -> Option<(&'static str, u64, u64)> {
+        [
+            ("frontier", self.frontier, replay.frontier),
+            ("now_ms", self.now_ms, replay.now_ms),
+            ("tasks_run", self.tasks_run, replay.tasks_run),
+            ("revocations", self.revocations, replay.revocations),
+            (
+                "checkpoints_written",
+                self.checkpoints_written,
+                replay.checkpoints_written,
+            ),
+        ]
+        .into_iter()
+        .find(|(_, expected, actual)| expected != actual)
+    }
+
     /// Serializes to the line format.
     pub fn encode(&self) -> String {
         let mut out = String::new();
@@ -199,6 +221,37 @@ mod tests {
         let mut text = sample().encode();
         text.push_str("future_field=whatever\n");
         assert_eq!(RunManifest::decode(&text), Ok(sample()));
+    }
+
+    #[test]
+    fn diverges_from_names_the_first_differing_field() {
+        let m = sample();
+        assert_eq!(m.diverges_from(&m), None);
+        // The block catalog is not a verified field.
+        let other_blocks = RunManifest {
+            blocks: vec!["rdd-000009/part-00000".into()],
+            ..sample()
+        };
+        assert_eq!(m.diverges_from(&other_blocks), None);
+        // Several fields differ: the earliest in check order is named.
+        let replay = RunManifest {
+            tasks_run: 97,
+            revocations: 4,
+            checkpoints_written: 9,
+            ..sample()
+        };
+        assert_eq!(m.diverges_from(&replay), Some(("tasks_run", 96, 97)));
+        let replay = RunManifest {
+            frontier: 13,
+            now_ms: 0,
+            ..replay
+        };
+        assert_eq!(m.diverges_from(&replay), Some(("frontier", 12, 13)));
+        let late = RunManifest {
+            checkpoints_written: 7,
+            ..sample()
+        };
+        assert_eq!(m.diverges_from(&late), Some(("checkpoints_written", 8, 7)));
     }
 
     #[test]

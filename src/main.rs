@@ -661,6 +661,20 @@ fn cmd_run_degraded(
     let started = cluster.driver().now();
     match wl.run(cluster.driver_mut()) {
         Ok(summary) => {
+            // The driver verifies a replay when it crosses the manifest's
+            // frontier; a run that ends short of it verified nothing.
+            if let Some((_, frontier)) = resumed_from {
+                let reached = cluster.driver().waves_committed();
+                if reached < frontier {
+                    let e = EngineError::ResumeDiverged {
+                        field: "frontier",
+                        expected: frontier,
+                        actual: reached,
+                    };
+                    eprintln!("run: resume rejected: {e}");
+                    return ExitCode::from(EXIT_TYPED);
+                }
+            }
             let runtime_secs = (cluster.driver().now() - started).as_secs_f64();
             let stats = cluster.driver().stats().clone();
             let cost = cluster.shutdown();

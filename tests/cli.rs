@@ -416,3 +416,61 @@ fn experiments_are_named_by_their_results_file() {
         );
     }
 }
+
+/// A resume is verified when the replay crosses its manifest's
+/// frontier. A replay that finishes before reaching it (a manifest from
+/// a longer job) verified nothing and is the typed `ResumeDiverged`
+/// error on `frontier` (exit 4), not a degraded success (exit 3). A
+/// genuine manifest still resumes to exit 3.
+#[test]
+fn resume_short_of_the_manifest_frontier_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("flint-cli-resume-short-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = |name: &str| dir.join(name).to_str().expect("UTF-8 path").to_string();
+    let base: &[&str] = &["run", "pagerank", "--gb", "0.3", "--partitions", "4"];
+    let base = [base, &["--workers", "4"]].concat();
+    let flint = |iterations: &str, extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_flint"))
+            .args(&base)
+            .args(["--iterations", iterations])
+            .args(extra)
+            .output()
+            .expect("spawn flint")
+    };
+    let cases = [
+        ("5", "30", path("long.manifest"), Some(4)),
+        ("2", "2", path("genuine.manifest"), Some(3)),
+    ];
+    for (suspend_iterations, wave, manifest, code) in cases {
+        let out = flint(
+            suspend_iterations,
+            &["--suspend-after", wave, "--manifest", &manifest],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "suspend at wave {wave}: {stderr}"
+        );
+
+        let out = flint("2", &["--resume", &manifest]);
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert_eq!(out.status.code(), code, "resume from wave {wave}: {stderr}");
+        if code == Some(4) {
+            assert!(
+                stderr.contains("resume rejected") && stderr.contains("frontier"),
+                "{stderr}"
+            );
+            assert!(!stdout.contains("resumed"), "{stdout}");
+        } else {
+            assert!(
+                stdout.contains("resumed      : replayed from wave 2"),
+                "{stdout}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}

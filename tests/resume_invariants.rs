@@ -242,14 +242,28 @@ fn diverging_resume_is_rejected_with_typed_errors() {
         other => panic!("expected ResumeDiverged, got {other:?}"),
     }
 
-    // Forged stats: accepted up front, rejected at the frontier.
-    let mut forged = manifest.clone();
-    forged.tasks_run += 1;
-    let mut c = launch(1, None);
-    c.driver.resume(&forged).expect("fingerprint still matches");
-    match run_job(&mut c.driver, 23) {
-        Err(EngineError::ResumeDiverged { field, .. }) => assert_eq!(field, "tasks_run"),
-        other => panic!("expected ResumeDiverged at the frontier, got {other:?}"),
+    // Forged stats: accepted up front, rejected at the frontier by the
+    // name of the one verified field that lies.
+    type Field = fn(&mut RunManifest) -> &mut u64;
+    let fields: [(&str, Field); 4] = [
+        ("now_ms", |m| &mut m.now_ms),
+        ("tasks_run", |m| &mut m.tasks_run),
+        ("revocations", |m| &mut m.revocations),
+        ("checkpoints_written", |m| &mut m.checkpoints_written),
+    ];
+    for (name, forge) in fields {
+        let mut forged = manifest.clone();
+        *forge(&mut forged) += 1;
+        let mut c = launch(1, None);
+        c.driver.resume(&forged).expect("fingerprint still matches");
+        match run_job(&mut c.driver, 23) {
+            Err(EngineError::ResumeDiverged {
+                field,
+                expected,
+                actual,
+            }) => assert_eq!((field, expected), (name, actual + 1)),
+            other => panic!("forged {name}: expected ResumeDiverged, got {other:?}"),
+        }
     }
 }
 
