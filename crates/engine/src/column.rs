@@ -91,8 +91,15 @@ impl ColumnCounters {
 
     /// [`ColumnBatch::to_rows`], counted.
     pub(crate) fn decode(&self, batch: &ColumnBatch) -> Vec<Value> {
-        self.decodes.fetch_add(batch.len() as u64, Relaxed);
+        self.decoded(batch.len() as u64);
         batch.to_rows()
+    }
+
+    /// Counts `records` values read out of batches one at a time (a
+    /// reduce that builds rows with `value_at` instead of decoding whole
+    /// batches).
+    pub(crate) fn decoded(&self, records: u64) {
+        self.decodes.fetch_add(records, Relaxed);
     }
 }
 

@@ -320,6 +320,10 @@ impl EngineContext {
         let parts = parts.max(1);
         let sa = self.lineage.add_shuffle(a.id, ShuffleKind::Hash { parts });
         let sb = self.lineage.add_shuffle(b.id, ShuffleKind::Hash { parts });
+        // Like grouping, a cogroup has no combine: batch map outputs
+        // bucket typed and the reduce groups straight off the key column.
+        self.lineage.mark_batch_shuffle(sa);
+        self.lineage.mark_batch_shuffle(sb);
         self.add(
             "cogroup",
             RddOp::CoGroup {

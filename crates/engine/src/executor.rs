@@ -54,7 +54,7 @@ use crate::shuffle::{
     scan_flat_bucket, BucketedBlock, HashPartitioner, Partitioner, RangePartitioner, ShuffleId,
     ShuffleKind,
 };
-use crate::value::{PairVal, Value};
+use crate::value::Value;
 
 /// Immutable snapshot of everything a wave's tasks may read.
 ///
@@ -291,9 +291,9 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
 /// (an opaque closure upstream) encodes them once, here, so everything
 /// downstream of the shuffle stays a batch. Returns `None` — row
 /// fallback — when columnar execution is off, the shuffle is not batch
-/// capable, a grouping shuffle's payload is rows, the rows do not encode,
-/// or the batch shape defeats the typed kernels; each is a pure function
-/// of the data. Range shuffles are never batch-marked.
+/// capable, a grouping or cogroup shuffle's payload is rows, the rows do
+/// not encode, or the batch shape defeats the typed kernels; each is a
+/// pure function of the data. Range shuffles are never batch-marked.
 fn columnar_map_output(
     ctx: &WaveCtx<'_>,
     shuffle: ShuffleId,
@@ -696,15 +696,20 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             RddOp::CoGroup { shuffles } => {
                 let mut fdur = SimDuration::ZERO;
                 let mut total = 0u64;
-                let mut per_parent: Vec<Vec<PartitionData>> = Vec::with_capacity(shuffles.len());
+                let mut sides: Vec<Vec<Records>> = Vec::with_capacity(shuffles.len());
                 for s in &shuffles {
                     let (chunks, bytes, d) = self.fetch_shuffle_bucket(*s, part)?;
                     fdur += d;
                     total += bytes + 16;
-                    per_parent.push(chunks.iter().map(|c| c.rows(self.ctx.column)).collect());
+                    sides.push(chunks);
                 }
                 let vb = self.ctx.cost.vbytes(total);
-                let out = cogroup_int(&per_parent).unwrap_or_else(|| cogroup_tree(&per_parent));
+                let column = self.ctx.column;
+                let out = cogroup_radix(&sides, column).unwrap_or_else(|| {
+                    let rows =
+                        |chunks: &Vec<Records>| chunks.iter().map(|c| c.rows(column)).collect();
+                    cogroup_tree(&sides.iter().map(rows).collect::<Vec<_>>())
+                });
                 (
                     Records::Rows(Arc::new(out)),
                     self.ctx.cost.compute_time(vb, factor),
@@ -905,6 +910,9 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         };
 
         let mut out: Vec<Records> = Vec::with_capacity(m as usize);
+        // At most one cache touch and one network fetch per map block.
+        self.effects.reserve(m as usize);
+        self.net.reserve(m as usize);
         let mut payload = 0u64;
         let mut dur = SimDuration::ZERO;
         for mp in 0..m {
@@ -1019,33 +1027,84 @@ fn cogroup_pair(k: Value, sides: Vec<Vec<Value>>) -> Value {
     Value::pair(k, Value::list(sides.into_iter().map(Value::list).collect()))
 }
 
-/// [`cogroup_tree`]'s output, built by a stable radix sort of
-/// `(key image, side, pair)` in the order the tree visits records, one
-/// output pair per run of equal keys. `None` as soon as a pair key is not
-/// an `Int`: `Value`'s order equates `Int(3)` with `Float(3.0)`, which no
-/// per-type image can, so any other key takes the tree.
-fn cogroup_int(sides: &[Vec<PartitionData>]) -> Option<Vec<Value>> {
-    let rows = sides.iter().flatten().map(|c| c.len()).sum();
-    let mut recs: Vec<(u64, u32, &PairVal)> = Vec::with_capacity(rows);
-    for (side, chunks) in sides.iter().enumerate() {
-        for v in chunks.iter().flat_map(|c| c.iter()) {
-            if let Value::Pair(p) = v {
-                let Value::Int(k) = p.key() else {
+/// Where a [`cogroup_radix`] record's value lives: a pair row, or a row
+/// of a `ColumnBatch::Pair`'s payload batch.
+#[derive(Clone, Copy)]
+enum CoChunk<'a> {
+    Rows(&'a [Value]),
+    Col(&'a ColumnBatch),
+}
+
+/// [`cogroup_tree`]'s output over fetched chunks in either form, grouped
+/// by one stable radix sort instead of a map. Pairs of a row chunk and
+/// rows of a `ColumnBatch::Pair` chunk keyed by an `Int` column are
+/// collected as `(key, chunk, row)` in the order the tree visits records
+/// (side-major, then chunk, then row), sorted by the key's `u64` image,
+/// and each run of equal keys becomes one output pair whose per-side
+/// lists are sized exactly. A batch's values are read one at a time
+/// (`value_at`, counted in `ColumnStats::decodes`); its keys never leave
+/// the column. Non-pair rows and empty chunks contribute nothing. `None`
+/// as soon as a pair key is not an `Int` or a non-empty batch has another
+/// layout: `Value`'s order equates `Int(3)` with `Float(3.0)`, which no
+/// per-type image can, so any other key takes the tree over decoded rows.
+fn cogroup_radix(sides: &[Vec<Records>], column: &ColumnCounters) -> Option<Vec<Value>> {
+    let mut chunks: Vec<(usize, CoChunk<'_>)> = Vec::new();
+    let mut recs: Vec<(i64, u32, u32)> =
+        Vec::with_capacity(sides.iter().flatten().map(Records::len).sum());
+    let mut batch_rows = 0u64;
+    for (side, chunk) in sides
+        .iter()
+        .enumerate()
+        .flat_map(|(s, cs)| cs.iter().map(move |c| (s, c)))
+    {
+        let c = chunks.len() as u32;
+        match chunk {
+            Records::Rows(rows) => {
+                for (i, v) in rows.iter().enumerate() {
+                    if let Value::Pair(p) = v {
+                        let Value::Int(k) = p.key() else {
+                            return None;
+                        };
+                        recs.push((*k, c, i as u32));
+                    }
+                }
+                chunks.push((side, CoChunk::Rows(rows)));
+            }
+            Records::Col(_) if chunk.is_empty() => {}
+            Records::Col(batch) => {
+                let ColumnBatch::Pair {
+                    key: Column::Int(keys),
+                    val,
+                } = batch.as_ref()
+                else {
                     return None;
                 };
-                recs.push((radix_key_i64(*k), side as u32, p));
+                recs.extend(keys.iter().enumerate().map(|(i, k)| (*k, c, i as u32)));
+                batch_rows += keys.len() as u64;
+                chunks.push((side, CoChunk::Col(val)));
             }
         }
     }
-    radix_sort(&mut recs, |r| r.0);
-    let out = recs.chunk_by(|a, b| a.0 == b.0).map(|run| {
-        let mut gs = vec![Vec::new(); sides.len()];
-        for (_, side, p) in run {
-            gs[*side as usize].push(p.val().clone());
+    radix_sort(&mut recs, |r| radix_key_i64(r.0));
+    let mut out = Vec::new();
+    let mut counts = vec![0usize; sides.len()];
+    for run in recs.chunk_by(|a, b| a.0 == b.0) {
+        counts.fill(0);
+        for &(_, c, _) in run {
+            counts[chunks[c as usize].0] += 1;
         }
-        cogroup_pair(run[0].2.key().clone(), gs)
-    });
-    Some(out.collect())
+        let mut gs: Vec<Vec<Value>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for &(_, c, i) in run {
+            let (side, chunk) = chunks[c as usize];
+            gs[side].push(match chunk {
+                CoChunk::Rows(rows) => rows[i as usize].val().expect("a pair").clone(),
+                CoChunk::Col(val) => val.value_at(i as usize),
+            });
+        }
+        out.push(cogroup_pair(Value::Int(run[0].0), gs));
+    }
+    column.decoded(batch_rows);
+    Some(out)
 }
 
 /// The typed key/payload views of a fetched bucket set, if every chunk
@@ -1076,64 +1135,83 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The radix `CoGroup` builds exactly what the `BTreeMap` arm
-        /// (`cogroup_tree`, the arm's old body moved out of it) builds:
-        /// 1–3 sides, empty sides and chunks, non-pair records, keys
-        /// repeated within and across sides, negative and extreme keys.
-        /// A `Float` key equal to an `Int` key, or a `Str` key, must send
-        /// the whole reduce to the tree, whose output it then is.
+        /// (`cogroup_tree`) builds over the decoded rows, whichever form
+        /// each fetched chunk arrives in: 1–3 sides, each chunk handed
+        /// over as rows or as its `ColumnBatch::from_rows` encoding (an
+        /// empty one as an empty batch of a foreign layout). Chunks are
+        /// `Int`-keyed pairs with scalar, string or list payloads, keys
+        /// repeated within and across sides, negative and extreme; or
+        /// mixed rows with non-pair records; or `Float`-keyed (equal to
+        /// `Int` keys), `Str`-keyed or scalar-layout chunks. A row chunk
+        /// with a non-`Int` pair key, or a non-empty batch that is not an
+        /// `Int`-keyed pair batch, sends the reduce to the tree; otherwise
+        /// the radix path counts one decode per batch row.
         #[test]
         fn typed_cogroup_is_the_tree(
             sides in proptest::collection::vec(
                 proptest::collection::vec(
-                    proptest::collection::vec((0usize..10, -50i64..50), 0..12),
+                    (
+                        0usize..16,
+                        any::<bool>(),
+                        proptest::collection::vec((0usize..10, -50i64..50), 0..12),
+                    ),
                     0..4,
                 ),
                 1..4,
             ),
-            foreign in 0usize..4,
-            at in any::<usize>(),
         ) {
             const KEYS: [i64; 6] = [i64::MIN, -3, -1, 0, 2, i64::MAX];
-            let record = |pick: usize, v: i64| match pick {
-                0..=5 => Value::pair(Value::Int(KEYS[pick]), Value::Int(v)),
-                6 | 7 => Value::pair(Value::Int(v), Value::Float(v as f64)),
-                8 => Value::Int(v),
-                _ => Value::from_str_("not a pair"),
+            let record = |shape: usize, pick: usize, v: i64| {
+                let k = KEYS.get(pick).copied().unwrap_or(v);
+                match shape {
+                    0..=3 => Value::pair(Value::Int(k), Value::Int(v)),
+                    4..=6 => Value::pair(
+                        Value::Int(k),
+                        Value::list(vec![Value::Int(v), Value::Float(v as f64)]),
+                    ),
+                    7 | 8 => Value::pair(Value::Int(k), Value::from_str_(&v.to_string())),
+                    9 => Value::pair(Value::Float(k as f64), Value::Int(v)),
+                    10 => Value::pair(Value::from_str_(&k.to_string()), Value::Int(v)),
+                    11 => Value::Int(v),
+                    _ => match pick % 3 {
+                        0 => Value::pair(Value::Int(k), Value::Float(v as f64)),
+                        1 => Value::Int(v),
+                        _ => Value::from_str_("not a pair"),
+                    },
+                }
             };
-            let mut sides: Vec<Vec<Vec<Value>>> = sides
+            let chunk = |&(shape, encode, ref recs): &(usize, bool, Vec<(usize, i64)>)| {
+                let rows: Vec<Value> = recs.iter().map(|&(p, v)| record(shape, p, v)).collect();
+                match (encode, ColumnBatch::from_rows(&rows)) {
+                    (true, Some(batch)) => Records::Col(Arc::new(batch)),
+                    (true, None) if rows.is_empty() => {
+                        Records::Col(Arc::new(ColumnBatch::Scalar(Column::Str(Vec::new()))))
+                    }
+                    _ => Records::Rows(Arc::new(rows)),
+                }
+            };
+            let sides: Vec<Vec<Records>> =
+                sides.iter().map(|cs| cs.iter().map(chunk).collect()).collect();
+            let radix_ready = sides.iter().flatten().all(|c| match c {
+                Records::Rows(rows) => rows.iter().all(|v| matches!(v.key(), None | Some(Value::Int(_)))),
+                Records::Col(b) => {
+                    b.is_empty() || matches!(b.as_ref(), ColumnBatch::Pair { key: Column::Int(_), .. })
+                }
+            });
+            let batch_rows: usize = sides.iter().flatten().filter_map(Records::batch).map(|b| b.len()).sum();
+
+            let rows: Vec<Vec<PartitionData>> = sides
                 .iter()
-                .map(|chunks| {
-                    let rows = |c: &Vec<(usize, i64)>| c.iter().map(|&(p, v)| record(p, v)).collect();
-                    chunks.iter().map(rows).collect()
-                })
+                .map(|cs| cs.iter().map(Records::to_rows).collect())
                 .collect();
-            let pairs: Vec<(usize, usize, usize)> = (0..sides.len())
-                .flat_map(|s| (0..sides[s].len()).map(move |c| (s, c)))
-                .flat_map(|(s, c)| {
-                    let n = sides[s][c].len();
-                    (0..n).map(move |r| (s, c, r))
-                })
-                .filter(|&(s, c, r)| sides[s][c][r].key().is_some())
-                .collect();
-            let foreign = foreign >= 2 && !pairs.is_empty();
-            if foreign {
-                let (s, c, r) = pairs[at % pairs.len()];
-                let rec = &mut sides[s][c][r];
-                let (k, v) = rec.clone().into_pair().expect("a pair");
-                let key = match (at / pairs.len()) % 2 {
-                    0 => Value::Float(k.as_f64().expect("an Int key")),
-                    _ => Value::from_str_("k"),
-                };
-                *rec = Value::pair(key, v);
+            let tree = cogroup_tree(&rows);
+            let column = ColumnCounters::default();
+            let radix = cogroup_radix(&sides, &column);
+            prop_assert_eq!(radix.is_some(), radix_ready);
+            if let Some(got) = radix {
+                prop_assert_eq!(format!("{got:?}"), format!("{tree:?}"));
+                prop_assert_eq!(column.snapshot().decodes, batch_rows as u64);
             }
-            let parts: Vec<Vec<PartitionData>> = sides
-                .into_iter()
-                .map(|chunks| chunks.into_iter().map(Arc::new).collect())
-                .collect();
-            let typed = cogroup_int(&parts);
-            prop_assert_eq!(typed.is_none(), foreign);
-            let got = typed.unwrap_or_else(|| cogroup_tree(&parts));
-            prop_assert_eq!(format!("{got:?}"), format!("{:?}", cogroup_tree(&parts)));
         }
     }
 

@@ -186,7 +186,8 @@ impl BucketedBlock {
     pub fn partition_columnar(batch: &ColumnBatch, parts: u32) -> Option<Self> {
         let parts = parts.max(1);
         let n = parts as usize;
-        let mut idx: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let per = batch.len() / n + 1;
+        let mut idx: Vec<Vec<u32>> = (0..n).map(|_| Vec::with_capacity(per)).collect();
         let mut bucket_bytes = vec![0u64; n];
         for i in 0..batch.len() {
             let h = batch.route_hash_at(i)?;

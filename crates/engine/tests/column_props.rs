@@ -14,7 +14,9 @@
 //!   function, and every simulated duration (derived from vbytes) is
 //!   bit-equal between the two paths. That holds when an opaque closure
 //!   feeds the kernel-declared shuffle rows, which encode at its map side
-//!   — or refuse to, and fall back.
+//!   — or refuse to, and fall back; and for a join whose batch side
+//!   buckets typed and is grouped off its key column, with a worker lost
+//!   mid-job.
 //! * **Form-blind checkpoint store** — putting a partition as a batch
 //!   and as rows gives the same sizes, the same fate under write and
 //!   read faults, and the same records back.
@@ -27,9 +29,10 @@ use std::sync::Arc;
 use flint_engine::{
     AggKernel, BucketedBlock, CheckpointStore, ColumnBatch, Driver, DriverConfig, KeyExpr,
     MapKernel, NoCheckpoint, NoFailures, NumExpr, PayloadExpr, PredKernel, RddId, Records,
-    RunStats, ScalarExpr, StoreFaultPolicy, TraceHandle, Value, WorkerSpec, WriteFault,
+    RunStats, ScalarExpr, ScriptedInjector, StoreFaultPolicy, TraceHandle, Value, WorkerEvent,
+    WorkerSpec, WriteFault,
 };
-use flint_simtime::SimTime;
+use flint_simtime::{SimDuration, SimTime};
 use flint_store::StorageConfig;
 use proptest::prelude::*;
 
@@ -247,6 +250,117 @@ fn group_sort(rows: &[Value], columnar: bool) -> (Vec<Value>, RunStats) {
     (out, d.stats().clone())
 }
 
+/// Which keys the two sides of [`keyed_join`] carry.
+#[derive(Debug, Clone, Copy)]
+enum JoinKeys {
+    /// `Int` on both sides: the radix reduce over a batch and rows.
+    Int,
+    /// `Float` on both sides: `Float`-keyed buckets, grouped by the tree.
+    Float,
+    /// `Int` on the kernel side, `Float` on the closure side, so `Int(2)`
+    /// and `Float(2.0)` meet as one key under `Value`'s order.
+    Mixed,
+}
+
+fn arb_join_keys() -> impl Strategy<Value = JoinKeys> {
+    prop_oneof![
+        Just(JoinKeys::Int),
+        Just(JoinKeys::Int),
+        Just(JoinKeys::Float),
+        Just(JoinKeys::Mixed),
+    ]
+}
+
+/// `[Int key, Float key, Int payload]` rows; half the `Float` keys are
+/// whole numbers, equal to an `Int` key.
+fn arb_join_side() -> impl Strategy<Value = Vec<Value>> {
+    proptest::collection::vec(
+        (0..12i64, -50..50i64).prop_map(|(k, v)| {
+            Value::list(vec![
+                Value::Int(k),
+                Value::Float(k as f64 / 2.0),
+                Value::Int(v),
+            ])
+        }),
+        1..64,
+    )
+}
+
+/// `cogroup` and `join` of a `map_kernel`-keyed side (a batch under
+/// `columnar`) with a row-closure-keyed side (always rows), the worker on
+/// external id 1 revoked at `revoke_at` and replaced two minutes later:
+/// `((cogroup, join), stats, trace, finish time)`.
+fn keyed_join(
+    a: &[Value],
+    b: &[Value],
+    keys: JoinKeys,
+    columnar: bool,
+    revoke_at: SimTime,
+) -> ((Vec<Value>, Vec<Value>), RunStats, String, SimTime) {
+    let cfg = DriverConfig::builder()
+        .host_threads(2)
+        .size_scale(5e5)
+        .columnar(columnar)
+        .build();
+    let script = vec![
+        (revoke_at, WorkerEvent::Remove { ext_id: 1 }),
+        (
+            revoke_at + SimDuration::from_secs(120),
+            WorkerEvent::Add {
+                ext_id: 100,
+                spec: WorkerSpec::r3_large(),
+            },
+        ),
+    ];
+    let mut d = Driver::new(
+        cfg,
+        Box::new(NoCheckpoint),
+        Box::new(ScriptedInjector::new(script)),
+    );
+    for ext in 1..=4 {
+        d.add_worker_with_ext(ext, WorkerSpec::r3_large());
+    }
+    let trace = TraceHandle::disabled();
+    let reader = trace.attach_memory(0);
+    d.set_trace(trace);
+
+    let src_a = d.ctx().parallelize(a.to_vec(), 4);
+    let key_field = match keys {
+        JoinKeys::Int | JoinKeys::Mixed => 0,
+        JoinKeys::Float => 1,
+    };
+    let kernel_keyed = d.ctx().map_kernel(
+        src_a,
+        MapKernel::Pair {
+            key: KeyExpr::Field(key_field),
+            val: PayloadExpr::Scalar(ScalarExpr::Field(2)),
+        },
+    );
+    let src_b = d.ctx().parallelize(b.to_vec(), 3);
+    let closure_keyed = d.ctx().map(src_b, move |row| {
+        let c = row.as_list().expect("list row");
+        let key = match keys {
+            JoinKeys::Int => c[0].clone(),
+            JoinKeys::Float | JoinKeys::Mixed => c[1].clone(),
+        };
+        Value::pair(
+            key,
+            Value::from_str_(&format!("b{}", c[2].as_i64().unwrap())),
+        )
+    });
+    let grouped = d.ctx().cogroup(kernel_keyed, closure_keyed, 3);
+    let joined = d.ctx().join(kernel_keyed, closure_keyed, 2);
+    let grouped = d.collect(grouped).unwrap();
+    let joined = d.collect(joined).unwrap();
+    let finished = d.now();
+    (
+        (grouped, joined),
+        d.stats().clone(),
+        reader.to_jsonl(),
+        finished,
+    )
+}
+
 /// Writes meet the scripted faults in order (then succeed); reads fail
 /// inside `[1 s, 2 s)`.
 #[derive(Debug)]
@@ -455,6 +569,26 @@ proptest! {
             let got = closure_agg(&rows, host_threads, columnar);
             prop_assert_eq!(&got, &want, "host_threads={} columnar={}", host_threads, columnar);
         }
+    }
+
+    /// Same contract for a keyed join: `cogroup` and `join` of a batch
+    /// side and a row side — `Int`, `Float` or mixed keys — return the
+    /// same records with the same `RunStats` and trace bytes as the
+    /// `columnar = false` run, with a worker revoked halfway through the
+    /// job.
+    #[test]
+    fn join_columnar_equals_row_path(
+        a in arb_join_side(),
+        b in arb_join_side(),
+        keys in arb_join_keys(),
+    ) {
+        let never = SimTime::from_hours_f64(1e6);
+        let (_, _, _, finished) = keyed_join(&a, &b, keys, false, never);
+        let halfway = SimTime::from_millis(finished.as_millis() / 2);
+        let want = keyed_join(&a, &b, keys, false, halfway);
+        prop_assert_eq!(want.1.revocations, 1);
+        let got = keyed_join(&a, &b, keys, true, halfway);
+        prop_assert_eq!(&got, &want, "{:?} keys", keys);
     }
 
     /// Same contract for the no-combiner group path and the typed sort.

@@ -4,23 +4,29 @@
 //! simulated observable can, which is why the vectorised path could stop
 //! running in TPC-H without any other test noticing.
 
+use std::collections::{BTreeSet, HashMap};
+
 use flint::engine::{
-    BlockKey, CheckpointDirective, CheckpointHooks, ColumnStats, Driver, DriverConfig, EventSink,
-    FailureInjector, LineageView, NoCheckpoint, NoFailures, RddId, RunStats, ScriptedInjector,
-    TraceHandle, Value, WorkerEvent, WorkerSpec,
+    BlockData, BlockKey, CheckpointDirective, CheckpointHooks, ColumnStats, Driver, DriverConfig,
+    EventSink, FailureInjector, LineageView, NoCheckpoint, NoFailures, RddId, RddOp, RddRef,
+    Records, RunStats, ScriptedInjector, TraceHandle, Value, WorkerEvent, WorkerSpec,
 };
 use flint::simtime::{SimDuration, SimTime};
-use flint::workloads::{Als, PageRank, Tpch, TpchQuery, Workload, WorkloadConfig, WorkloadSummary};
+use flint::workloads::{
+    Als, PageRank, Tpch, TpchQuery, TpchTables, Workload, WorkloadConfig, WorkloadSummary,
+};
 
 const WORKERS: u64 = 4;
 
+const TPCH: WorkloadConfig = WorkloadConfig {
+    dataset_gb: 4.0,
+    partitions: 8,
+    iterations: 1,
+    seed: 23,
+};
+
 fn tpch() -> Tpch {
-    Tpch::new(WorkloadConfig {
-        dataset_gb: 4.0,
-        partitions: 8,
-        iterations: 1,
-        seed: 23,
-    })
+    Tpch::new(TPCH)
 }
 
 /// A driver sized for `wl` with workers on external ids `1..=WORKERS`.
@@ -97,8 +103,10 @@ fn kernel_queries_on_prepared_tables_take_the_batch_arm() {
         })
         .count() as u64;
 
+    let (q3, q10) = join_query_stats(&mut row, &rt);
     for q in TpchQuery::ALL {
         let before = col.column_stats();
+        let rdds = col.lineage().len();
         let got = wl.query(&mut col, &ct, q).unwrap();
         let used = since(col.column_stats(), before);
         eprintln!("{}: {used:?}", q.name());
@@ -109,11 +117,20 @@ fn kernel_queries_on_prepared_tables_take_the_batch_arm() {
             q.name()
         );
         // The scan queries are kernel-declared end to end; the join
-        // queries still decode at the cogroup boundary.
+        // queries bucket their batches typed and group them off the key
+        // column (`join_query_stats`).
         let gathered = match q {
             TpchQuery::Q1 => got.len() as u64,
             TpchQuery::Q6 => q6_gathered,
-            TpchQuery::Q3 | TpchQuery::Q10 => continue,
+            TpchQuery::Q3 => {
+                assert_eq!(used, q3, "Q3");
+                continue;
+            }
+            TpchQuery::Q10 => {
+                assert_eq!(used, q10, "Q10");
+                assert_join_map_blocks_are_batches(&col, rdds);
+                continue;
+            }
         };
         assert!(used.kernel_batches > 0, "{}: no kernel ran", q.name());
         assert_eq!(used.row_fallbacks, 0, "{}: {used:?}", q.name());
@@ -125,6 +142,104 @@ fn kernel_queries_on_prepared_tables_take_the_batch_arm() {
         );
     }
     assert_eq!(row.column_stats(), ColumnStats::default());
+}
+
+/// The `ColumnStats` of Q3 and Q10 on the `Tpch::prepare` tables, derived
+/// from the rows of the `columnar = false` twin `row`. Every kernel runs
+/// its batch arm, a join's map tasks bucket their batches without
+/// decoding them, and each `CoGroup` reduce reads every batch value once,
+/// so `decodes` is the record count of the join inputs that arrive as
+/// batches — the kernel-keyed ones.
+///
+/// * Q3: five kernels (a filter over `customer`, a filter and a keying
+///   map over each of `orders` and `lineitem`). Its BUILDING customers
+///   are keyed by a row closure, which decodes them, and the first join's
+///   output is rows re-keyed by another. So the batches the joins read
+///   are the orders placed before day 1800 and the lineitems shipped
+///   after it. The per-order `SumFloat` keys by `[orderkey, meta]`, a
+///   list with no column type: both sides of that aggregation run the
+///   row closure, `2 · partitions` fallbacks.
+/// * Q10: six kernels (the returned-lineitem filter, three keying maps,
+///   both sides of `SumFloat`). Both sides of both joins are batches: the
+///   returned lineitems and every order, then the per-customer sums and
+///   every customer. The first join's rows re-key through a `flat_map`
+///   and encode once, at the map side of `SumFloat`.
+fn join_query_stats(row: &mut Driver, t: &TpchTables) -> (ColumnStats, ColumnStats) {
+    let table = |d: &mut Driver, rdd: RddRef| -> Vec<Vec<Value>> {
+        let rows = d.collect(rdd).unwrap();
+        rows.iter()
+            .map(|r| r.as_list().expect("table row").to_vec())
+            .collect()
+    };
+    let (lineitem, orders) = (table(row, t.lineitem), table(row, t.orders));
+    let customers = table(row, t.customer);
+    let int = |v: &Value| v.as_i64().expect("an Int column");
+    let parts = u64::from(TPCH.partitions);
+
+    let early_orders = orders.iter().filter(|o| int(&o[2]) < 1800).count();
+    let late_items = lineitem.iter().filter(|l| int(&l[6]) > 1800).count();
+    let building = customers
+        .iter()
+        .filter(|c| c[1].as_str() == Some("BUILDING"))
+        .count();
+    let q3 = ColumnStats {
+        kernel_batches: 5 * parts,
+        row_fallbacks: 2 * parts,
+        encodes: 0,
+        decodes: (building + early_orders + late_items) as u64,
+    };
+
+    let customer_of: HashMap<i64, i64> = orders.iter().map(|o| (int(&o[0]), int(&o[1]))).collect();
+    let returned: Vec<i64> = lineitem
+        .iter()
+        .filter(|l| l[4].as_str() == Some("R") && (600..1800).contains(&int(&l[6])))
+        .map(|l| int(&l[0]))
+        .collect();
+    let joined: Vec<i64> = returned
+        .iter()
+        .filter_map(|o| customer_of.get(o).copied())
+        .collect();
+    let summed = joined.iter().collect::<BTreeSet<_>>().len();
+    let q10 = ColumnStats {
+        kernel_batches: 6 * parts,
+        row_fallbacks: 0,
+        encodes: joined.len() as u64,
+        decodes: (returned.len() + orders.len() + summed + customers.len()) as u64,
+    };
+    (q3, q10)
+}
+
+/// Every map block of the `CoGroup`s made after the first `rdds` RDDs of
+/// `d`'s lineage is still cached, bucketed, and holds its non-empty
+/// buckets as batches: the map tasks handed their kernel-made batches to
+/// `partition_columnar` instead of decoding them to rows.
+fn assert_join_map_blocks_are_batches(d: &Driver, rdds: usize) {
+    let lineage = d.lineage();
+    let mut blocks = 0;
+    for rdd in lineage.ids().skip(rdds) {
+        let RddOp::CoGroup { shuffles } = &lineage.meta(rdd).op else {
+            continue;
+        };
+        for &shuffle in shuffles {
+            let maps = lineage.meta(lineage.shuffle(shuffle).parent).num_partitions;
+            for map_part in 0..maps {
+                let key = BlockKey::ShuffleMap { shuffle, map_part };
+                let (_, data, _, _) = d.cluster().peek_fetch(&key).expect("map block cached");
+                let BlockData::Bucketed(bb) = data else {
+                    panic!("{key} is not bucketed");
+                };
+                for part in 0..bb.num_buckets() {
+                    let bucket = bb.bucket(part).expect("bucket in range");
+                    assert!(
+                        bucket.is_empty() || matches!(bucket, Records::Col(_)),
+                        "{key} bucket {part} holds rows"
+                    );
+                }
+                blocks += 1;
+            }
+        }
+    }
+    assert!(blocks > 0, "no join map block was inspected");
 }
 
 /// Prepare, checkpoint `lineitem`, lose the worker on external id 1 and
@@ -342,11 +457,13 @@ fn restored_ranks_stay_on_the_batch_path() {
 /// map side of the kernel-declared shuffle, and stays a batch through the
 /// reduce and the rank update. Only the first `map_kernel` over `links`
 /// falls back (nested adjacency lists have no columnar layout), once per
-/// partition. ALS declares no kernel; its counters are printed
-/// (`--nocapture`), not asserted.
+/// partition. ALS declares no kernel, so its counters are form changes
+/// only: its sources encode, and each half-step's join buckets them typed
+/// and reads every value out of a batch once, at the `CoGroup` reduce.
 #[test]
 fn pagerank_and_als_counters_are_recorded() {
     let cfg = PAGERANK;
+    let (parts, iters) = (u64::from(cfg.partitions), u64::from(cfg.iterations));
     let workloads: [&dyn Workload; 2] = [&PageRank::new(cfg), &Als::new(cfg)];
     for wl in workloads {
         let mut col = driver(wl, true, Box::new(NoFailures));
@@ -355,9 +472,22 @@ fn pagerank_and_als_counters_are_recorded() {
         let used = col.column_stats();
         eprintln!("{}: {used:?}", wl.name());
         if wl.name() == "pagerank" {
-            let (parts, iters) = (u64::from(cfg.partitions), u64::from(cfg.iterations));
             assert_eq!(used.row_fallbacks, parts, "{used:?}");
             assert_eq!(used.kernel_batches, 3 * parts * iters, "{used:?}");
+        } else {
+            // 1 GB of ALS is 400 ratings over 25 items. Both keyings of
+            // the ratings and the initial item factors encode at their
+            // sources (the initial user factors are replaced unread). Every
+            // half-step's join reads each rating from a batch, the first
+            // one each initial item factor too; later factors are rows.
+            let (ratings, items) = (400, 25);
+            let want = ColumnStats {
+                kernel_batches: 0,
+                row_fallbacks: 0,
+                encodes: 2 * ratings + items,
+                decodes: 2 * iters * ratings + items,
+            };
+            assert_eq!(used, want);
         }
     }
 }
