@@ -90,11 +90,6 @@ impl EbsCostModel {
         let months = dur.as_hours_f64() / (24.0 * 30.0);
         self.price_per_gb_month * gb * months
     }
-
-    /// Equivalent hourly cost of holding `gb` gigabytes.
-    pub fn hourly_cost(&self, gb: f64) -> f64 {
-        self.price_per_gb_month * gb / (24.0 * 30.0)
-    }
 }
 
 /// One line of a cost report: what an instance (or volume) cost and why.
@@ -171,6 +166,6 @@ mod tests {
         let one = ebs.cost(10.0, SimDuration::from_days(15));
         let two = ebs.cost(20.0, SimDuration::from_days(15));
         assert!((two - 2.0 * one).abs() < 1e-12);
-        assert!((ebs.hourly_cost(720.0) - 0.1).abs() < 1e-9);
+        assert!((ebs.cost(720.0, SimDuration::from_hours(1)) - 0.1).abs() < 1e-9);
     }
 }

@@ -199,19 +199,9 @@ impl CloudSim {
         &self.trace
     }
 
-    /// Overrides the acquisition delay (for experiments).
-    pub fn set_acquisition_delay(&mut self, d: SimDuration) {
-        self.acquisition_delay = d;
-    }
-
     /// Returns the market catalog.
     pub fn catalog(&self) -> &MarketCatalog {
         &self.catalog
-    }
-
-    /// Returns the acquisition delay.
-    pub fn acquisition_delay(&self) -> SimDuration {
-        self.acquisition_delay
     }
 
     /// Requests one instance from `market` at `bid`, at time `now`.
@@ -621,7 +611,7 @@ mod tests {
     #[test]
     fn billing_waives_revoked_partial_hour() {
         let mut cloud = fixture();
-        cloud.set_acquisition_delay(SimDuration::ZERO);
+        cloud.acquisition_delay = SimDuration::ZERO;
         let id = cloud.request(MarketId(0), 0.40, SimTime::ZERO);
         let _ = cloud.events_until(hours(24.0));
         // Ran [0, 10h) at $0.10 hour-start price; 10 full hours billed,
@@ -633,7 +623,7 @@ mod tests {
     #[test]
     fn running_instance_billed_up_to_now() {
         let mut cloud = fixture();
-        cloud.set_acquisition_delay(SimDuration::ZERO);
+        cloud.acquisition_delay = SimDuration::ZERO;
         let id = cloud.request(MarketId(1), 0.40, SimTime::ZERO);
         let _ = cloud.events_until(hours(2.0));
         let c = cloud.instance_cost(id, hours(2.0));

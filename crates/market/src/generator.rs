@@ -8,6 +8,9 @@
 //! The generator reproduces it with a marked Poisson process of spikes on
 //! top of a slowly jittering base price.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use flint_simtime::rng::stream;
 use flint_simtime::{SimDuration, SimTime};
 use rand::Rng;
@@ -166,6 +169,30 @@ impl SpikeProcess {
     }
 }
 
+/// A spike height ordered by [`f64::total_cmp`], so spikes can key a heap.
+#[derive(Debug, Clone, Copy)]
+struct Height(f64);
+
+impl PartialEq for Height {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Height {}
+
+impl PartialOrd for Height {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Height {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
 /// Deterministic generator of price traces from a master seed.
 ///
 /// # Examples
@@ -270,14 +297,24 @@ impl TraceGenerator {
             }
         };
 
+        // One pass in boundary order: spikes enter a max-heap by height as
+        // they start, and a top whose unclamped end `s + d` is at or before
+        // the boundary has finished and is popped, so the top is the
+        // tallest spike with `s <= b < s + d`. A finished spike under the
+        // top stays until it surfaces; the boundaries only grow.
+        let mut by_start: Vec<usize> = (0..spikes.spikes.len()).collect();
+        by_start.sort_by_key(|&i| spikes.spikes[i].0);
+        let mut pending = by_start.into_iter().map(|i| spikes.spikes[i]).peekable();
+        let mut active: BinaryHeap<(Height, SimTime)> = BinaryHeap::new();
         let mut points = Vec::with_capacity(boundaries.len());
         for b in boundaries {
-            let spike_price = spikes
-                .spikes
-                .iter()
-                .filter(|(s, d, _)| *s <= b && b < *s + *d)
-                .map(|(_, _, h)| *h)
-                .fold(f64::NEG_INFINITY, f64::max);
+            while let Some((s, d, h)) = pending.next_if(|&(s, _, _)| s <= b) {
+                active.push((Height(h), s + d));
+            }
+            while active.peek().is_some_and(|&(_, end)| end <= b) {
+                active.pop();
+            }
+            let spike_price = active.peek().map_or(f64::NEG_INFINITY, |(h, _)| h.0);
             let price = if spike_price.is_finite() {
                 spike_price.max(base_at(b))
             } else {
@@ -292,6 +329,8 @@ impl TraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn horizon_days(d: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_days(d)
@@ -392,5 +431,122 @@ mod tests {
         };
         let sp = SpikeProcess::sample(&p, 1.0, horizon_days(30), 1, "z");
         assert!(sp.spikes.is_empty());
+    }
+
+    /// The pre-sweep `build`, transcribed: the price at each boundary is a
+    /// scan of every spike for the tallest with `s <= b < s + d`.
+    fn reference_build(
+        g: &TraceGenerator,
+        label: &str,
+        profile: &TraceProfile,
+        spikes: &SpikeProcess,
+    ) -> PriceTrace {
+        let mut rng = stream(g.seed, &format!("base:{label}"));
+        let mut base_points: Vec<(SimTime, f64)> = vec![(SimTime::ZERO, profile.base_price)];
+        let mut t = SimTime::ZERO;
+        loop {
+            let gap = SimDuration::from_hours_f64(sample_exp(
+                &mut rng,
+                profile.jitter_interval_hours.max(1e-3),
+            ));
+            t += gap;
+            if t >= g.horizon {
+                break;
+            }
+            let jitter: f64 = rng.gen_range(-profile.base_jitter..=profile.base_jitter);
+            base_points.push((t, (profile.base_price * (1.0 + jitter)).max(0.001)));
+        }
+        let mut boundaries: Vec<SimTime> = base_points.iter().map(|(t, _)| *t).collect();
+        for &(s, d, _) in &spikes.spikes {
+            boundaries.push(s);
+            boundaries.push((s + d).min(g.horizon));
+        }
+        boundaries.sort();
+        boundaries.dedup();
+        let base_at = |t: SimTime| -> f64 {
+            match base_points.binary_search_by_key(&t, |(pt, _)| *pt) {
+                Ok(i) => base_points[i].1,
+                Err(0) => base_points[0].1,
+                Err(i) => base_points[i - 1].1,
+            }
+        };
+        let mut points = Vec::with_capacity(boundaries.len());
+        for b in boundaries {
+            let spike_price = spikes
+                .spikes
+                .iter()
+                .filter(|(s, d, _)| *s <= b && b < *s + *d)
+                .map(|(_, _, h)| *h)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let price = if spike_price.is_finite() {
+                spike_price.max(base_at(b))
+            } else {
+                base_at(b)
+            };
+            points.push((b, price));
+        }
+        PriceTrace::from_points(points)
+    }
+
+    fn bits(trace: &PriceTrace) -> Vec<(SimTime, u64)> {
+        trace
+            .points()
+            .iter()
+            .map(|&(t, p)| (t, p.to_bits()))
+            .collect()
+    }
+
+    fn profile(which: usize) -> TraceProfile {
+        match which {
+            0 => TraceProfile::volatile(0.35),
+            1 => TraceProfile::quiet(0.35),
+            2 => TraceProfile::with_mttf_hours(0.35, 0.5),
+            _ => TraceProfile::with_mttf_hours(0.35, 2.0),
+        }
+    }
+
+    proptest! {
+        /// The heap sweep prices every boundary exactly as the scan did.
+        /// Sampled families use the group label as one member's label, so
+        /// with `rho = 0.5` `merge` joins two copies of one process (equal
+        /// starts and heights); minutes-long horizons leave spikes running
+        /// past the clamped horizon boundary; the hand-placed spikes sit
+        /// on a 15-minute grid with three heights, so starts, ends,
+        /// heights and the horizon coincide.
+        #[test]
+        fn build_sweep_matches_transcribed_scan(
+            seed in any::<u64>(),
+            which in 0usize..4,
+            horizon_mins in prop_oneof![5u64..240, 240u64..20_000],
+            rho in prop_oneof![Just(0.0), Just(0.5), Just(1.0), 0.0f64..1.0],
+            grid in vec((0u64..48, 1u64..12, 0usize..3), 0..24),
+            grid_horizon in 1u64..48,
+        ) {
+            let p = profile(which);
+            let g = TraceGenerator::new(seed, SimTime::ZERO + SimDuration::from_mins(horizon_mins));
+            let shared = SpikeProcess::sample(&p, rho, g.horizon, g.seed, "grp");
+            for label in ["grp", "a", "b"] {
+                let own = SpikeProcess::sample(&p, 1.0 - rho, g.horizon, g.seed, label);
+                let all = own.merge(&shared);
+                prop_assert_eq!(
+                    bits(&g.build(label, &p, &all)),
+                    bits(&reference_build(&g, label, &p, &all))
+                );
+            }
+
+            let quarter = SimDuration::from_mins(15);
+            let g = TraceGenerator::new(seed, SimTime::ZERO + quarter * grid_horizon);
+            let heights = [2.0 * p.on_demand_price, 3.0 * p.on_demand_price, 3.0 * p.on_demand_price];
+            let mut spikes: Vec<(SimTime, SimDuration, f64)> = grid
+                .iter()
+                .map(|&(s, d, h)| (SimTime::ZERO + quarter * (s % grid_horizon), quarter * d, heights[h]))
+                .collect();
+            spikes.sort_by_key(|(t, _, _)| *t);
+            let hand = SpikeProcess { spikes };
+            prop_assert_eq!(
+                bits(&g.build("hand", &p, &hand)),
+                bits(&reference_build(&g, "hand", &p, &hand))
+            );
+        }
     }
 }

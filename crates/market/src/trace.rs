@@ -30,8 +30,9 @@ pub struct PriceTrace {
     /// price·milliseconds. Windowed means become two O(log n) lookups.
     cum: Vec<f64>,
     /// Flat max segment tree over point prices (leaves start at
-    /// `seg_max.len() / 2`); drives "first point above threshold"
-    /// descents for up-crossing queries.
+    /// `seg_max.len() / 2`); drives the "first point above threshold"
+    /// descents of the unbounded [`PriceTrace::next_up_crossing`] search.
+    /// Windowed crossing counts scan the window instead.
     seg_max: Vec<f64>,
     /// Min counterpart of [`PriceTrace::seg_max`], for "first point at
     /// or below threshold" (the must-drop-first half of a crossing).
@@ -229,19 +230,25 @@ impl PriceTrace {
         self.crossings(from, to, threshold).collect()
     }
 
-    /// The up-crossings of `threshold` in `[from, to)`, lazily, each
-    /// found from the previous one; the first at or past `to` ends it.
+    /// The up-crossings of `threshold` after `from` and before `to`, in
+    /// order.
+    ///
+    /// An up-crossing is a change point `k` with `p[k-1] <= threshold <
+    /// p[k]`: chained [`PriceTrace::next_up_crossing`] calls visit exactly
+    /// these. So two binary searches bound the window and one pass over its
+    /// points finds them. `points[0]` is the epoch, so `lo >= 1`.
     fn crossings(
         &self,
         from: SimTime,
         to: SimTime,
         threshold: f64,
     ) -> impl Iterator<Item = SimTime> + '_ {
-        let mut cur = from;
-        std::iter::from_fn(move || {
-            cur = self.next_up_crossing(cur, threshold).filter(|&t| t < to)?;
-            Some(cur)
-        })
+        let lo = self.points.partition_point(|&(t, _)| t <= from);
+        let hi = self.points.partition_point(|&(t, _)| t < to).max(lo);
+        self.points[lo - 1..hi]
+            .windows(2)
+            .filter(move |w| w[0].1 <= threshold && w[1].1 > threshold)
+            .map(|w| w[1].0)
     }
 
     /// Estimates the mean time between up-crossings of `threshold` over

@@ -25,7 +25,7 @@ use flint::runner::run_on_flint;
 use flint::simtime::{SimDuration, SimTime};
 use flint::trace::{Event, EventKind, JsonlSink, MetricsAggregator, TraceHandle};
 use flint::workloads::{Als, KMeans, PageRank, Tpch, Workload, WorkloadConfig};
-use Kind::{Choice, Count, List, Path, Positive, Prob, Risk, Switch, U64};
+use Kind::{Choice, Count, List, Path, Positive, Prob, Risk, Switch, Within, U64};
 
 /// Exit codes beyond plain success/failure, so callers can tell the
 /// degradation outcomes apart: `3` = the run completed correctly but
@@ -208,6 +208,9 @@ enum Kind {
     /// An integer from `min` to `u32::MAX`; a larger one is rejected, not
     /// wrapped.
     Count(u32),
+    /// An integer from `min` to `max`, for a value whose cost grows with
+    /// it (`--days` sizes every trace of the catalog).
+    Within(u32, u32),
     U64,
     /// A finite number > 0.
     Positive,
@@ -226,7 +229,7 @@ impl Kind {
             Path => " FILE".into(),
             Choice(_, words) => format!(" {}", words.join("|")),
             List(_, words) => format!(" {}", words.join(",")),
-            Count(_) | U64 => " N".into(),
+            Count(_) | Within(..) | U64 => " N".into(),
             Positive | Prob | Risk => " X".into(),
         }
     }
@@ -252,9 +255,10 @@ impl Kind {
                     None => Ok(()),
                 };
             }
-            Count(min) => (
-                v.parse::<u32>().is_ok_and(|n| n >= min),
-                format!("an integer from {min} to {}", u32::MAX),
+            Count(min) => return Within(min, u32::MAX).check(name, v),
+            Within(min, max) => (
+                v.parse::<u32>().is_ok_and(|n| (min..=max).contains(&n)),
+                format!("an integer from {min} to {max}"),
             ),
             U64 => (v.parse::<u64>().is_ok(), "an integer >= 0".into()),
             Positive => (
@@ -368,6 +372,11 @@ impl Flags {
 
 const WORKLOADS: &[&str] = &["pagerank", "kmeans", "als", "tpch"];
 
+/// `--days` of generated price history: one day to ten years. The
+/// catalog's memory grows with it, and `0` left no window to measure an
+/// MTTF over.
+const DAYS: Kind = Within(1, 3650);
+
 /// Every `flint` subcommand, in `--help` order.
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
@@ -440,7 +449,7 @@ const COMMANDS: &[Command] = &[
         about: "the synthetic EC2 spot markets: current and mean price, MTTF",
         flags: &[
             flag("seed", U64, Some("42"), "catalog seed"),
-            flag("days", U64, Some("60"), "days of price history"),
+            flag("days", DAYS, Some("60"), "days of price history"),
         ],
     },
     Command {
@@ -480,7 +489,7 @@ const COMMANDS: &[Command] = &[
         about: "a market's price trace as CSV; also what `flint trace` alone means",
         flags: &[
             flag("seed", U64, Some("42"), "catalog seed"),
-            flag("days", U64, Some("60"), "days of price history"),
+            flag("days", DAYS, Some("60"), "days of price history"),
             flag("market", Count(0), Some("0"), "market index in the catalog"),
         ],
     },

@@ -21,10 +21,12 @@ fn zero_workers_is_a_typed_error_on_run_and_workload() {
 
 /// A numeric flag whose value does not parse is a usage error (exit 1)
 /// naming the flag and the value — not a silent run with the default —
-/// in every subcommand that reads one, and nothing runs.
+/// in every subcommand that reads one, and nothing runs. So is a
+/// `--days` outside 1 to 3 650: `0` printed an MTTF of `inf`, and
+/// `1000000` ran out of time and memory building the catalog.
 #[test]
 fn unparsable_numeric_flag_is_a_usage_error_everywhere() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["run", "pagerank", "--workers", "abc"], "--workers: abc"),
         (&["run", "pagerank", "--gb", "lots"], "--gb: lots"),
         (
@@ -32,6 +34,11 @@ fn unparsable_numeric_flag_is_a_usage_error_everywhere() {
             "--failures: -1",
         ),
         (&["markets", "--days", "3.5"], "--days: 3.5"),
+        (&["markets", "--days", "0"], "--days: 0"),
+        (&["markets", "--days", "3651"], "--days: 3651"),
+        (&["markets", "--days", "1000000"], "--days: 1000000"),
+        (&["trace", "prices", "--days", "0"], "--days: 0"),
+        (&["trace", "prices", "--days", "3651"], "--days: 3651"),
         (&["mc", "--hours", "day"], "--hours: day"),
         (&["chaos", "--revocations", "many"], "--revocations: many"),
         (&["trace", "prices", "--market", "x"], "--market: x"),
@@ -48,6 +55,30 @@ fn unparsable_numeric_flag_is_a_usage_error_everywhere() {
             "flint {args:?}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "flint {args:?} ran something");
+    }
+}
+
+/// `--days` takes one day to ten years on both commands that read it.
+#[test]
+fn days_edges_run() {
+    for days in ["1", "3650"] {
+        for sub in [&["markets"][..], &["trace", "prices"][..]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+                .args(sub)
+                .args(["--days", days])
+                .output()
+                .expect("spawn flint");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "flint {sub:?} --days {days}: {stderr}"
+            );
+            assert!(
+                !out.stdout.is_empty(),
+                "flint {sub:?} --days {days} printed nothing"
+            );
+        }
     }
 }
 

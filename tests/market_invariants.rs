@@ -102,3 +102,56 @@ proptest! {
         prop_assert!(mid <= high || mid == to - from);
     }
 }
+
+/// FNV-1a over a byte string — the same pinning scheme the golden
+/// workload suite uses.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// Pins the generator: every market's `to_csv()` of two catalogs hashes
+/// to the value the per-boundary spike scan produced, so the sweep in
+/// `TraceGenerator::build` (and any later rewrite) emits the same bytes.
+#[test]
+fn generated_catalog_csvs_are_golden() {
+    let catalogs = [
+        (
+            MarketCatalog::synthetic_ec2(42, SimDuration::from_days(365)),
+            &[
+                ("us-east-1a/r3.large", 0x9549db8dd1a35b40),
+                ("us-east-1a/m3.2xlarge", 0x34f2f6694b183354),
+                ("us-east-1a/m2.2xlarge", 0x8ba1b0f130e00a29),
+                ("us-east-1b/r3.large", 0x145dcda19db4cd78),
+                ("us-east-1b/m3.2xlarge", 0x87048ca74696ccfe),
+                ("us-east-1b/m2.2xlarge", 0x030c0c85d474cc04),
+                ("us-east-1c/r3.large", 0x43fda52d43396f5c),
+                ("us-east-1c/m3.2xlarge", 0x4471b6beaf276c40),
+                ("us-east-1c/m2.2xlarge", 0x22f679d9eb0e8069),
+                ("us-east-1a2/r3.large", 0x76be0cc28cb984af),
+                ("on-demand/r3.large", 0x0f042c3f5594121c),
+            ][..],
+        ),
+        (
+            flint::model::catalog_with_mttf(12, SimDuration::from_days(120), 2.0),
+            &[
+                ("synthetic-0/mttf-2h", 0x39f00a82d15b7b18),
+                ("synthetic-1/mttf-2h", 0x5fe26c6a472f4ff6),
+                ("synthetic-2/mttf-2h", 0x401531da4f21c656),
+                ("on-demand", 0x0f042c3f5594121c),
+            ][..],
+        ),
+    ];
+    for (catalog, golden) in catalogs {
+        let got: Vec<(&str, u64)> = catalog
+            .markets()
+            .iter()
+            .map(|m| (m.name.as_str(), fnv1a(m.trace.to_csv().as_bytes())))
+            .collect();
+        assert_eq!(got, golden);
+    }
+}
