@@ -680,7 +680,11 @@ fn bench_trace_lookup(c: &mut Criterion) {
 
 fn bench_catalog_generation(c: &mut Criterion) {
     c.bench_function("synthetic_ec2_catalog_30d", |b| {
-        b.iter(|| MarketCatalog::synthetic_ec2(7, SimDuration::from_days(30)).len())
+        b.iter(|| {
+            MarketCatalog::synthetic_ec2(7, SimDuration::from_days(30))
+                .markets()
+                .len()
+        })
     });
 }
 

@@ -14,7 +14,7 @@ use crate::Table;
 /// Validates the Daly interval: fixed intervals of τ*/4, τ*, and 4·τ*
 /// versus the adaptive policy, on a volatile market. τ* should (roughly)
 /// minimize the runtime; the adaptive policy should match it.
-pub fn ablation_fixed_tau() -> Table {
+pub(crate) fn ablation_fixed_tau() -> Table {
     let mut table = Table::new(
         "Ablation: checkpoint interval choice (canonical program, MTTF = 5h)",
         &["interval", "runtime", "increase over failure-free"],
@@ -73,7 +73,7 @@ pub fn ablation_fixed_tau() -> Table {
 /// the run. The fixed intervals are deliberately mis-tuned the way a
 /// volatility-unaware operator would tune them: too eager pays write
 /// overhead, too lazy pays recomputation.
-pub fn ablation_adaptive_vs_periodic() -> Table {
+pub(crate) fn ablation_adaptive_vs_periodic() -> Table {
     use flint_workloads::Als;
     let mut table = Table::new(
         "Ablation: adaptive (Flint) vs fixed-interval RDD checkpointing (ALS, 1 full revocation)",
@@ -129,7 +129,7 @@ pub fn ablation_adaptive_vs_periodic() -> Table {
 
 /// Isolates the shuffle fast-path (τ / #map-partitions): PageRank with
 /// five mid-run revocations, with and without it.
-pub fn ablation_shuffle_fastpath() -> Table {
+pub(crate) fn ablation_shuffle_fastpath() -> Table {
     let mut table = Table::new(
         "Ablation: shuffle fast-path checkpointing (PageRank, 5 revocations)",
         &[
@@ -168,7 +168,7 @@ pub fn ablation_shuffle_fastpath() -> Table {
 /// Market diversification depth: caps the interactive policy's market
 /// count and reports cost and runtime variability across trace offsets
 /// (the paper's variance argument, §3.2.2).
-pub fn ablation_market_count() -> Table {
+pub(crate) fn ablation_market_count() -> Table {
     let mut table = Table::new(
         "Ablation: interactive diversification depth",
         &[
@@ -215,7 +215,7 @@ pub fn ablation_market_count() -> Table {
 /// spreading bids within a market is ineffective because spikes dwarf any
 /// reasonable bid spread. Measures the fraction of revocation spikes
 /// that would kill *both* a low (0.8x) and a high (1.5x) bid.
-pub fn ablation_bid_stratification() -> Table {
+pub(crate) fn ablation_bid_stratification() -> Table {
     let mut table = Table::new(
         "Ablation: bid stratification within a market",
         &[
@@ -255,7 +255,7 @@ pub fn ablation_bid_stratification() -> Table {
 /// Flint's checkpointing, when a revocation lands mid-stream. The state
 /// RDD accumulates the whole stream history, so an unprotected loss
 /// replays everything processed so far.
-pub fn ext_streaming_latency() -> Table {
+pub(crate) fn ext_streaming_latency() -> Table {
     use flint_workloads::Streaming;
 
     let mut table = Table::new(
@@ -318,7 +318,7 @@ pub fn ext_streaming_latency() -> Table {
 /// initial guess (2 minutes), τ — and the shuffle fast-path interval —
 /// overshoot a short job entirely, leaving it unprotected. PageRank's
 /// real frontier writes in seconds, which adaptation discovers.
-pub fn ablation_adaptive_delta() -> Table {
+pub(crate) fn ablation_adaptive_delta() -> Table {
     let mut table = Table::new(
         "Ablation: adaptive δ re-estimation (PageRank, 5 revocations, MTTF = 20h)",
         &[
@@ -369,7 +369,7 @@ pub fn ablation_adaptive_delta() -> Table {
 /// one price spike revokes everything at once; the portfolio spreads
 /// servers across markets in proportion to the risk-aversion λ, trading
 /// pennies of cost for bounded simultaneous losses.
-pub fn ablation_portfolio() -> Table {
+pub(crate) fn ablation_portfolio() -> Table {
     let mut table = Table::new(
         "Ablation: portfolio selection vs greedy batch, calm -> volatile regimes",
         &[
@@ -433,7 +433,7 @@ pub fn ablation_portfolio() -> Table {
 /// ~$0.24/h-equivalent versus ~$0.02/h for a spot r3.large). The
 /// crossover the 2018 serverless-Flint paper measured on AWS falls out
 /// directly: serverless wins small bursts, VMs win sustained work.
-pub fn ablation_backend() -> Table {
+pub(crate) fn ablation_backend() -> Table {
     use flint_core::{BackendSpec, FlintCluster, FlintConfig};
     use flint_engine::ServerlessConfig;
     use flint_market::MarketCatalog;
@@ -521,7 +521,7 @@ pub fn ablation_backend() -> Table {
 /// only trade cost for stability — completion stays at 100% on both
 /// sides (correctness is never degraded), while the guarded side shifts
 /// revocation churn into on-demand spend as the regime worsens.
-pub fn ablation_backstop() -> Table {
+pub(crate) fn ablation_backstop() -> Table {
     use flint_core::{FlintCluster, FlintConfig, SelectionConfig};
     use flint_workloads::{Workload, WorkloadConfig};
 

@@ -24,7 +24,7 @@ fn batch_workloads() -> Vec<(&'static str, Box<dyn Workload>)> {
 /// 2/4/6 GB on ten `r3.large` workers with limited local disk; five
 /// servers are revoked at mid-run. The paper reports the increase
 /// exploding (to out-of-memory behaviour) at 6 GB.
-pub fn fig03_memory_pressure() -> Table {
+pub(crate) fn fig03_memory_pressure() -> Table {
     let mut table = Table::new(
         "Figure 3: simultaneous revocations under memory pressure (PageRank)",
         &[
@@ -103,7 +103,7 @@ fn ckpt_tax(workload: &dyn Workload, hooks: HookSpec) -> (f64, u64) {
 
 /// Figure 6a: Flint's RDD checkpointing tax at MTTF = 50 h. The paper
 /// reports 2–10 %, highest for ALS.
-pub fn fig06a_ckpt_tax() -> Table {
+pub(crate) fn fig06a_ckpt_tax() -> Table {
     let mut table = Table::new(
         "Figure 6a: Flint checkpointing tax (MTTF = 50h, no failures)",
         &["workload", "tax", "checkpoints written"],
@@ -125,7 +125,7 @@ pub fn fig06a_ckpt_tax() -> Table {
 /// Figure 6b: application-level (Flint-RDD) versus systems-level
 /// whole-memory checkpointing for ALS at the same cadence. The paper
 /// reports ~10 % versus ~50 %.
-pub fn fig06b_system_ckpt() -> Table {
+pub(crate) fn fig06b_system_ckpt() -> Table {
     let mut table = Table::new(
         "Figure 6b: checkpointing tax, Flint-RDD vs systems-level (ALS, MTTF = 50h)",
         &["approach", "tax", "checkpoint bytes (GB)"],
@@ -174,7 +174,7 @@ pub fn fig06b_system_ckpt() -> Table {
 /// experiences full-cluster revocations drawn as a Poisson process at
 /// the stated MTTF (averaged over five seeds), with Flint's adaptive
 /// checkpointing active.
-pub fn fig06c_volatility() -> Table {
+pub(crate) fn fig06c_volatility() -> Table {
     let mut table = Table::new(
         "Figure 6c: ALS overhead (ckpt tax + recovery) vs cluster MTTF",
         &[
@@ -228,7 +228,7 @@ pub fn fig06c_volatility() -> Table {
 /// paper reports a 50–90 % running-time increase, dominated by
 /// recomputation (node acquisition is ~5 % of the increase for PageRank,
 /// negligible for the longer workloads).
-pub fn fig07_single_revocation() -> Table {
+pub(crate) fn fig07_single_revocation() -> Table {
     let mut table = Table::new(
         "Figure 7: running-time increase from one revocation (no checkpointing)",
         &[
@@ -273,7 +273,7 @@ pub fn fig07_single_revocation() -> Table {
 
 /// Figure 8 (a–c): running time versus concurrent revocations
 /// {0, 1, 5, 10}, with Flint's checkpointing versus recomputation only.
-pub fn fig08_concurrent_failures() -> Table {
+pub(crate) fn fig08_concurrent_failures() -> Table {
     let mut table = Table::new(
         "Figure 8: running time vs concurrent revocations, checkpointing vs recomputation",
         &[
@@ -335,7 +335,7 @@ pub fn fig08_concurrent_failures() -> Table {
 /// batch policy (one market: all ten servers revoked together), and
 /// Flint's interactive policy (diversified markets: ten staggered
 /// single-server revocations).
-pub fn fig09_interactive() -> Table {
+pub(crate) fn fig09_interactive() -> Table {
     let mut table = Table::new(
         "Figure 9: TPC-H query response times under revocations",
         &[
@@ -440,7 +440,7 @@ pub fn fig09_interactive() -> Table {
 /// §5.2's multi-availability-zone note: spreading workers across zones
 /// halves checkpoint write bandwidth but barely hurts: the paper reports
 /// no noticeable change for KMeans and ~7 % for ALS.
-pub fn tab_multi_az() -> Table {
+pub(crate) fn tab_multi_az() -> Table {
     let mut table = Table::new(
         "Multi-AZ deployment: checkpoint-bandwidth penalty (§5.2)",
         &["workload", "single-AZ", "multi-AZ", "degradation"],

@@ -19,7 +19,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// Figure 2a: availability (time-to-failure) distribution of EC2-style
 /// spot markets at an on-demand bid. The paper's empirical MTTFs are
 /// us-west-2c ≈ 701 h, eu-west-1c ≈ 101 h, sa-east-1a ≈ 18.8 h.
-pub fn fig02a_ec2_availability() -> Table {
+pub(crate) fn fig02a_ec2_availability() -> Table {
     let od = 0.175;
     let horizon_days = 720;
     let horizon = SimTime::ZERO + SimDuration::from_days(horizon_days);
@@ -67,7 +67,7 @@ pub fn fig02a_ec2_availability() -> Table {
 /// Figure 2b: availability of GCE preemptible instances (lifetime capped
 /// at 24 h). Paper MTTFs: f1-micro 21.68 h, n1-standard-1 20.26 h,
 /// n1-highmem-2 22.92 h.
-pub fn fig02b_gce_availability() -> Table {
+pub(crate) fn fig02b_gce_availability() -> Table {
     let catalog = MarketCatalog::synthetic_gce(2016, SimDuration::from_days(400));
     let mut table = Table::new(
         "Figure 2b: GCE preemptible instance availability",
@@ -116,7 +116,7 @@ pub fn fig02b_gce_availability() -> Table {
 /// shows most pairs uncorrelated with a few strongly-correlated squares;
 /// the synthetic catalog reproduces that with mild same-zone correlation
 /// and one strongly-correlated twin pair.
-pub fn fig04_correlation() -> Table {
+pub(crate) fn fig04_correlation() -> Table {
     let days = 90;
     let catalog = MarketCatalog::synthetic_ec2(2016, SimDuration::from_days(days));
     let spot = catalog.spot_markets();

@@ -29,7 +29,7 @@ fn mean(xs: impl Iterator<Item = f64>) -> f64 {
 /// Figure 10a: runtime increase versus transient-server MTTF for the
 /// canonical 4 GB-checkpoint program. The paper reports the increase
 /// falling below 10 % once the MTTF exceeds ~20 h.
-pub fn fig10a_mttf_sweep() -> Table {
+pub(crate) fn fig10a_mttf_sweep() -> Table {
     let mut table = Table::new(
         "Figure 10a: runtime increase vs MTTF (canonical program, Flint checkpointing)",
         &["MTTF (h)", "runtime increase", "revocation events (avg)"],
@@ -64,7 +64,7 @@ pub fn fig10a_mttf_sweep() -> Table {
 /// Figure 10b: Flint versus unmodified Spark (no checkpointing) on spot
 /// instances, in the calm current spot market and in a high-volatility
 /// (GCE-like, ~20 h MTTF) regime.
-pub fn fig10b_flint_vs_spark() -> Table {
+pub(crate) fn fig10b_flint_vs_spark() -> Table {
     let mut table = Table::new(
         "Figure 10b: runtime increase, Flint vs unmodified Spark on spot servers",
         &["market regime", "system", "runtime increase"],
@@ -115,7 +115,7 @@ pub fn fig10b_flint_vs_spark() -> Table {
 
 /// Figure 11a: unit cost (on-demand = 1.0) of Flint's policies versus
 /// SpotFleet, Spark-EMR on spot, and on-demand servers.
-pub fn fig11a_unit_cost() -> Table {
+pub(crate) fn fig11a_unit_cost() -> Table {
     let mut table = Table::new(
         "Figure 11a: unit cost relative to on-demand servers",
         &[
@@ -202,7 +202,7 @@ pub fn fig11a_unit_cost() -> Table {
 /// `MTTF(bid)` and the mean price paid while running (price ≤ bid), and
 /// plug both into the expected-cost model (Eq. 2). The paper finds a
 /// wide flat optimum around the on-demand price.
-pub fn fig11b_bid_sweep() -> Table {
+pub(crate) fn fig11b_bid_sweep() -> Table {
     use flint_core::{expected_runtime_factor, optimal_tau};
     use flint_store::StorageConfig;
 
@@ -286,7 +286,7 @@ pub fn fig11b_bid_sweep() -> Table {
 /// provisions 2× each node\'s RAM as SSD EBS (30 GB on `r3.large`) at
 /// $0.10/GB-month and reports the volumes costing ~2 % of the on-demand
 /// bill and ~10–20 % of the spot bill.
-pub fn tab_storage_cost() -> Table {
+pub(crate) fn tab_storage_cost() -> Table {
     use flint_market::EbsCostModel;
 
     let mut table = Table::new(

@@ -12,6 +12,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ablations;
 pub mod exp_engine;

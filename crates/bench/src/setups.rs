@@ -161,7 +161,7 @@ fn schedule(opts: &RunOpts) -> Vec<(SimTime, WorkerEvent)> {
 }
 
 /// Builds a calibrated driver for `workload` under `opts`.
-pub fn build_driver(workload: &dyn Workload, opts: &RunOpts) -> Driver {
+pub(crate) fn build_driver(workload: &dyn Workload, opts: &RunOpts) -> Driver {
     let mut cfg = DriverConfig::builder()
         .size_scale(workload.recommended_size_scale())
         .storage(opts.storage)
@@ -183,7 +183,7 @@ pub fn build_driver(workload: &dyn Workload, opts: &RunOpts) -> Driver {
 /// # Panics
 ///
 /// Panics if the workload fails (experiments are expected to complete).
-pub fn run_workload(workload: &dyn Workload, opts: &RunOpts) -> EngineRun {
+pub(crate) fn run_workload(workload: &dyn Workload, opts: &RunOpts) -> EngineRun {
     let mut d = build_driver(workload, opts);
     let summary = workload
         .run(&mut d)
@@ -196,7 +196,7 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOpts) -> EngineRun {
 }
 
 /// The failure-free running time of `workload` on `n` workers.
-pub fn baseline_runtime(workload: &dyn Workload, n_workers: u32) -> SimDuration {
+pub(crate) fn baseline_runtime(workload: &dyn Workload, n_workers: u32) -> SimDuration {
     run_workload(
         workload,
         &RunOpts {
@@ -215,7 +215,7 @@ pub fn baseline_runtime(workload: &dyn Workload, n_workers: u32) -> SimDuration 
 /// same model the node manager assumes), drawing the same stream the
 /// inline inverse-CDF sampler always consumed, so historical schedules
 /// are unchanged.
-pub fn poisson_kills(
+pub(crate) fn poisson_kills(
     mttf_hours: f64,
     horizon: SimTime,
     cluster_size: u32,
@@ -237,18 +237,18 @@ pub fn poisson_kills(
 }
 
 /// Percentage increase of `x` over baseline `b`.
-pub fn pct_increase(x: SimDuration, b: SimDuration) -> f64 {
+pub(crate) fn pct_increase(x: SimDuration, b: SimDuration) -> f64 {
     let b = b.as_secs_f64().max(1e-9);
     (x.as_secs_f64() - b) / b * 100.0
 }
 
 /// Formats seconds with one decimal.
-pub fn fmt_secs(d: SimDuration) -> String {
+pub(crate) fn fmt_secs(d: SimDuration) -> String {
     format!("{:.1}s", d.as_secs_f64())
 }
 
 /// Formats a percentage with one decimal.
-pub fn fmt_pct(x: f64) -> String {
+pub(crate) fn fmt_pct(x: f64) -> String {
     format!("{x:.1}%")
 }
 

@@ -19,7 +19,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             note: String::new(),
@@ -29,13 +29,13 @@ impl Table {
     }
 
     /// Sets the note line.
-    pub fn with_note(mut self, note: impl Into<String>) -> Self {
+    pub(crate) fn with_note(mut self, note: impl Into<String>) -> Self {
         self.note = note.into();
         self
     }
 
     /// Appends a row.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -49,7 +49,8 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell is missing. Non-numeric cells yield `NaN`.
-    pub fn cell_f64(&self, row: usize, col: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn cell_f64(&self, row: usize, col: usize) -> f64 {
         self.rows[row][col]
             .trim_end_matches(['%', 'x', 's', 'h'])
             .trim()
@@ -57,14 +58,9 @@ impl Table {
             .unwrap_or(f64::NAN)
     }
 
-    /// Finds the first row whose first cell equals `key`.
-    pub fn row_by_key(&self, key: &str) -> Option<usize> {
-        self.rows.iter().position(|r| r[0] == key)
-    }
-
     /// Writes the table as JSON to `results/<name>.json` at the
     /// workspace root.
-    pub fn save_json(&self, name: &str) -> std::io::Result<()> {
+    pub(crate) fn save_json(&self, name: &str) -> std::io::Result<()> {
         let dir = results_dir();
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.json"));
@@ -75,7 +71,7 @@ impl Table {
     /// Renders the table as pretty-printed JSON. Tables are flat
     /// (strings and arrays of strings), so the encoding is done by
     /// hand; only string escaping needs care.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"title\": {},\n", json_str(&self.title)));
         out.push_str(&format!("  \"note\": {},\n", json_str(&self.note)));
@@ -169,8 +165,6 @@ mod tests {
     fn table_round_trip() {
         let mut t = Table::new("T", &["a", "b"]).with_note("n");
         t.push_row(vec!["x".into(), "1.5%".into()]);
-        assert_eq!(t.row_by_key("x"), Some(0));
-        assert_eq!(t.row_by_key("y"), None);
         assert!((t.cell_f64(0, 1) - 1.5).abs() < 1e-12);
         let s = t.to_string();
         assert!(s.contains("=== T ==="));

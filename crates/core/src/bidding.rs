@@ -20,7 +20,7 @@ pub enum BidPolicy {
 
 impl BidPolicy {
     /// Returns the bid to place in `market`.
-    pub fn bid_for(&self, market: &Market) -> f64 {
+    pub(crate) fn bid_for(&self, market: &Market) -> f64 {
         match self {
             BidPolicy::OnDemandPrice => market.on_demand_price,
             BidPolicy::OnDemandMultiple(m) => market.on_demand_price * m.clamp(0.0, 10.0),
@@ -37,7 +37,7 @@ impl BidPolicy {
     /// its extra headroom). Unbounded hazards (exponential) leave the
     /// bid untouched, as does the default [`BidPolicy::OnDemandPrice`]
     /// which carries no headroom.
-    pub fn bid_for_hazard(&self, market: &Market, hazard: &dyn HazardModel) -> f64 {
+    pub(crate) fn bid_for_hazard(&self, market: &Market, hazard: &dyn HazardModel) -> f64 {
         let base = self.bid_for(market);
         let Some(cap) = hazard.lifetime_cap() else {
             return base;

@@ -96,7 +96,7 @@ pub struct FlintCheckpointPolicy {
 
 impl FlintCheckpointPolicy {
     /// Creates the policy bound to shared FT state.
-    pub fn new(shared: FtSharedHandle) -> Self {
+    pub(crate) fn new(shared: FtSharedHandle) -> Self {
         FlintCheckpointPolicy {
             shared,
             last_ckpt: SimTime::ZERO,
@@ -111,11 +111,6 @@ impl FlintCheckpointPolicy {
     /// for controlled experiments.
     pub fn with_mttf(mttf: SimDuration) -> Self {
         Self::new(new_shared(mttf))
-    }
-
-    /// Returns the shared-state handle.
-    pub fn shared(&self) -> FtSharedHandle {
-        self.shared.clone()
     }
 
     fn current_tau(&self) -> SimDuration {
@@ -442,7 +437,7 @@ mod tests {
     #[test]
     fn delta_update_moves_tau() {
         let p = FlintCheckpointPolicy::with_mttf(SimDuration::from_hours(10));
-        let shared = p.shared();
+        let shared = p.shared.clone();
         let tau0 = optimal_tau(lock(&shared).delta, SimDuration::from_hours(10));
         let mut p = p;
         p.update_delta(SimDuration::from_mins(20));

@@ -1,8 +1,8 @@
 //! [`FlintCluster`]: the assembled managed service.
 
 use flint_engine::{
-    CheckpointHooks, Driver, DriverConfig, EventKind, NoCheckpoint, NoFailures, ServerlessBackend,
-    ServerlessConfig, TraceHandle, WorkerSpec,
+    Driver, DriverConfig, EventKind, NoCheckpoint, NoFailures, ServerlessBackend, ServerlessConfig,
+    TraceHandle, WorkerSpec,
 };
 use flint_market::{CloudSim, EbsCostModel, MarketCatalog};
 use flint_simtime::{SimDuration, SimTime};
@@ -43,22 +43,10 @@ pub enum BackendSpec {
     Serverless(ServerlessConfig),
 }
 
-impl BackendSpec {
-    /// Stable wire name (`"vm"` / `"serverless"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendSpec::TransientVm => "vm",
-            BackendSpec::Serverless(_) => "serverless",
-        }
-    }
-}
-
 /// Configuration of a [`FlintCluster`].
 ///
-/// Construct through [`FlintConfig::builder`] — the supported path, kept
-/// stable as fields are added (struct-literal construction is
-/// deprecated-in-spirit and may break when this becomes
-/// `#[non_exhaustive]`).
+/// Start from [`FlintConfig::default`] or [`FlintConfig::builder`];
+/// fields without a builder setter are set directly.
 #[derive(Debug, Clone)]
 pub struct FlintConfig {
     /// Cluster size `N` (the paper's evaluation uses 10).
@@ -159,18 +147,6 @@ impl FlintConfigBuilder {
         self
     }
 
-    /// Job profile for Eq. 1–4.
-    pub fn job(mut self, job: JobProfile) -> Self {
-        self.cfg.job = job;
-        self
-    }
-
-    /// Bidding policy.
-    pub fn bid(mut self, bid: BidPolicy) -> Self {
-        self.cfg.bid = bid;
-        self
-    }
-
     /// Engine configuration (cost model, storage bandwidth, threads).
     pub fn driver(mut self, driver: DriverConfig) -> Self {
         self.cfg.driver = driver;
@@ -245,10 +221,7 @@ impl FlintCluster {
     /// catalog is unused there — functions are not bid for).
     pub fn launch(catalog: MarketCatalog, config: FlintConfig) -> FlintCluster {
         match config.backend.clone() {
-            BackendSpec::TransientVm => {
-                let policy = Self::mode_policy(&config);
-                Self::launch_custom(catalog, config, policy, None)
-            }
+            BackendSpec::TransientVm => Self::launch_vm(catalog, config),
             BackendSpec::Serverless(spec) => Self::launch_serverless(config, spec),
         }
     }
@@ -287,30 +260,14 @@ impl FlintCluster {
         }
     }
 
-    /// The mode's default selection policy.
-    fn mode_policy(config: &FlintConfig) -> Box<dyn SelectionPolicy> {
-        match config.mode {
+    /// Launches on transient VMs: the mode's selection policy behind a
+    /// node manager, checkpointed by [`FlintCheckpointPolicy`].
+    fn launch_vm(catalog: MarketCatalog, config: FlintConfig) -> FlintCluster {
+        let policy: Box<dyn SelectionPolicy> = match config.mode {
             Mode::Batch => Box::new(BatchSelection),
             Mode::Interactive => Box::new(InteractiveSelection::default()),
             Mode::Portfolio => Box::new(PortfolioPolicy::new(config.risk_aversion)),
-        }
-    }
-
-    /// Launches with an explicit selection policy and (optionally) an
-    /// explicit checkpoint policy — the baselines of §5 plug in here.
-    /// Passing `None` uses [`FlintCheckpointPolicy`]; to run *without*
-    /// checkpointing pass `Some(Box::new(flint_engine::NoCheckpoint))`.
-    pub fn launch_custom(
-        catalog: MarketCatalog,
-        config: FlintConfig,
-        policy: Box<dyn SelectionPolicy>,
-        hooks: Option<Box<dyn CheckpointHooks>>,
-    ) -> FlintCluster {
-        assert!(
-            matches!(config.backend, BackendSpec::TransientVm),
-            "selection policies and checkpoint hooks are VM-backend concepts; \
-             launch a serverless session through FlintCluster::launch"
-        );
+        };
         let mut cloud = CloudSim::with_seed(catalog, config.seed);
         cloud.set_trace(config.trace.clone());
         let ft = new_shared(SimDuration::MAX);
@@ -325,10 +282,7 @@ impl FlintCluster {
             ft.clone(),
             config.start,
         );
-        let hooks: Box<dyn CheckpointHooks> = match hooks {
-            Some(h) => h,
-            None => Box::new(FlintCheckpointPolicy::new(ft.clone())),
-        };
+        let hooks = Box::new(FlintCheckpointPolicy::new(ft.clone()));
         let mut driver = Driver::new(config.driver.clone(), hooks, Box::new(nm_injector));
         driver.set_trace(config.trace.clone());
         driver.warp_to(config.start);
@@ -348,16 +302,6 @@ impl FlintCluster {
         }
     }
 
-    /// Launches with no checkpointing at all (the "Recomputation"
-    /// baseline).
-    pub fn launch_without_checkpointing(
-        catalog: MarketCatalog,
-        config: FlintConfig,
-    ) -> FlintCluster {
-        let policy = Self::mode_policy(&config);
-        Self::launch_custom(catalog, config, policy, Some(Box::new(NoCheckpoint)))
-    }
-
     /// The engine driver (define RDDs, run actions).
     pub fn driver_mut(&mut self) -> &mut Driver {
         &mut self.driver
@@ -372,16 +316,14 @@ impl FlintCluster {
     ///
     /// # Panics
     ///
-    /// Panics under the serverless backend, which has no node manager;
-    /// use [`FlintCluster::try_node_manager`] when the backend is not
-    /// statically known.
+    /// Panics under the serverless backend, which has no node manager.
     pub fn node_manager(&self) -> &NodeManagerHandle {
         self.try_node_manager()
             .expect("the serverless backend has no node manager")
     }
 
     /// The node-manager query handle, or `None` under serverless.
-    pub fn try_node_manager(&self) -> Option<&NodeManagerHandle> {
+    pub(crate) fn try_node_manager(&self) -> Option<&NodeManagerHandle> {
         match &self.backing {
             Backing::Vm { nm } => Some(nm),
             Backing::Serverless { .. } => None,
@@ -391,11 +333,6 @@ impl FlintCluster {
     /// The shared fault-tolerance state (MTTF, δ, τ).
     pub fn ft_state(&self) -> FtSharedHandle {
         self.ft.clone()
-    }
-
-    /// The launch configuration.
-    pub fn config(&self) -> &FlintConfig {
-        &self.config
     }
 
     /// Builds the bill up to the current virtual instant.
@@ -551,18 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn no_checkpoint_variant_never_writes() {
-        let mut cluster = FlintCluster::launch_without_checkpointing(
-            catalog(),
-            FlintConfig::builder().n_workers(4).build(),
-        );
-        let _ = word_count(cluster.driver_mut());
-        assert_eq!(cluster.driver().stats().checkpoints_written, 0);
-        let report = cluster.shutdown();
-        assert_eq!(report.storage_cost, 0.0);
-    }
-
-    #[test]
     fn serverless_cluster_runs_jobs_and_bills_per_invocation() {
         let trace = TraceHandle::disabled();
         let reader = trace.attach_memory(0);
@@ -630,20 +555,6 @@ mod tests {
         assert_eq!(run(3), run(3), "same seed must replay identically");
         // The result (not the bill) is backend-independent.
         assert_eq!(run(4).0, 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "VM-backend concepts")]
-    fn custom_policy_rejects_serverless_backend() {
-        let config = FlintConfig::builder()
-            .backend(BackendSpec::Serverless(ServerlessConfig::default()))
-            .build();
-        let _ = FlintCluster::launch_custom(
-            catalog(),
-            config,
-            Box::new(BatchSelection),
-            Some(Box::new(NoCheckpoint)),
-        );
     }
 
     #[test]

@@ -52,9 +52,6 @@ struct NmInner {
     replaced: HashSet<InstanceId>,
     /// Count of replacement rounds, for reporting.
     replacements: u64,
-    /// Markets excluded from selection until the stored time
-    /// (`cfg.market_cooldown` after their last failure).
-    cooldown_until: HashMap<MarketId, SimTime>,
     /// Per-market circuit breakers (closed = absent). Empty unless the
     /// breaker knobs in [`SelectionConfig`] are enabled.
     breakers: HashMap<MarketId, BreakerState>,
@@ -99,24 +96,17 @@ impl NmInner {
         }
     }
 
-    /// Markets excluded from selection at `now`: cooldown windows plus
-    /// open circuit breakers. Half-open breakers are deliberately *not*
-    /// excluded — the next allocation into that market is the probe.
-    fn cooled_markets(&self, now: SimTime) -> Vec<MarketId> {
+    /// Markets excluded from selection: those whose circuit breaker is
+    /// open. Half-open breakers are deliberately *not* excluded — the
+    /// next allocation into that market is the probe.
+    fn cooled_markets(&self) -> Vec<MarketId> {
         let mut ms: Vec<MarketId> = self
-            .cooldown_until
+            .breakers
             .iter()
-            .filter(|(_, until)| **until > now)
+            .filter(|(_, st)| matches!(st, BreakerState::Open { .. }))
             .map(|(m, _)| *m)
             .collect();
-        ms.extend(
-            self.breakers
-                .iter()
-                .filter(|(_, st)| matches!(st, BreakerState::Open { .. }))
-                .map(|(m, _)| *m),
-        );
         ms.sort();
-        ms.dedup();
         ms
     }
 
@@ -260,26 +250,6 @@ impl NmInner {
         self.refresh_cluster_mttf(t);
     }
 
-    /// Starts (or extends) the cooldown window for a market that just
-    /// failed. A no-op when `cfg.market_cooldown` is zero, so default
-    /// configurations behave exactly as before cooldowns existed.
-    fn cool_down(&mut self, market: MarketId, t: SimTime) {
-        if self.cfg.market_cooldown == SimDuration::ZERO {
-            return;
-        }
-        let until = t + self.cfg.market_cooldown;
-        let entry = self.cooldown_until.entry(market).or_insert(until);
-        if *entry < until {
-            *entry = until;
-        }
-        self.cloud
-            .trace()
-            .emit_with(t, || flint_engine::EventKind::MarketCooledDown {
-                market: u64::from(market.0),
-                until_ms: until.as_millis(),
-            });
-    }
-
     fn request_allocation(&mut self, alloc: &[(MarketId, u32)], now: SimTime) {
         let total: u32 = alloc.iter().map(|(_, c)| *c).sum();
         let risk = self.policy.decision_risk();
@@ -395,7 +365,7 @@ impl NmInner {
 
     fn provision_initial(&mut self, now: SimTime) {
         let alloc = {
-            let cooled = self.cooled_markets(now);
+            let cooled = self.cooled_markets();
             let view = Self::view(
                 &self.cloud,
                 &self.cfg,
@@ -449,9 +419,8 @@ impl NmInner {
             }
             let batch_end = to_replace.iter().map(|(t, _, _)| *t).max();
             for (t, failed, count) in to_replace {
-                self.cool_down(failed, t);
                 self.tick_breakers(t);
-                let cooled = self.cooled_markets(t);
+                let cooled = self.cooled_markets();
                 let alloc = {
                     let view = Self::view(
                         &self.cloud,
@@ -602,7 +571,6 @@ impl NodeManager {
             ft,
             replaced: HashSet::new(),
             replacements: 0,
-            cooldown_until: HashMap::new(),
             breakers: HashMap::new(),
             revoke_times: HashMap::new(),
             breaker_trips: 0,
@@ -657,21 +625,8 @@ impl NodeManagerHandle {
         lock(&self.0).backstop_workers
     }
 
-    /// Markets whose breakers are currently open (sorted).
-    pub fn open_breakers(&self) -> Vec<MarketId> {
-        let inner = lock(&self.0);
-        let mut ms: Vec<MarketId> = inner
-            .breakers
-            .iter()
-            .filter(|(_, st)| matches!(st, BreakerState::Open { .. }))
-            .map(|(m, _)| *m)
-            .collect();
-        ms.sort();
-        ms
-    }
-
     /// The selection policy's name.
-    pub fn policy_name(&self) -> &'static str {
+    pub(crate) fn policy_name(&self) -> &'static str {
         lock(&self.0).policy.name()
     }
 
@@ -952,44 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn cooldown_still_maintains_cluster_size() {
-        // With a long cooldown window, replacement rounds must redirect to
-        // other markets — never suppress the replacement itself.
-        let catalog = MarketCatalog::synthetic_ec2(13, SimDuration::from_days(60));
-        let cloud = CloudSim::with_seed(catalog, 13);
-        let start = SimTime::ZERO + SimDuration::from_days(14);
-        let ft = new_shared(SimDuration::MAX);
-        let cfg = SelectionConfig {
-            market_cooldown: SimDuration::from_hours(12),
-            ..SelectionConfig::default()
-        };
-        let (mut nm, handle) = NodeManager::launch(
-            cloud,
-            Box::new(BatchSelection),
-            BidPolicy::OnDemandPrice,
-            cfg,
-            JobProfile::default(),
-            StorageConfig::default(),
-            8,
-            ft,
-            start,
-        );
-        let evs = nm.events(start, start + SimDuration::from_days(20));
-        let adds = evs
-            .iter()
-            .filter(|(_, e)| matches!(e, WorkerEvent::Add { .. }))
-            .count();
-        let removes = evs
-            .iter()
-            .filter(|(_, e)| matches!(e, WorkerEvent::Remove { .. }))
-            .count();
-        assert_eq!(adds, removes + 8, "adds {adds}, removes {removes}");
-        if removes > 0 {
-            assert!(handle.replacements() > 0);
-        }
-    }
-
-    #[test]
     fn breakers_trip_and_cluster_size_is_maintained() {
         // Hair-trigger breaker: one revocation in the window opens the
         // market. Replacements must still keep the cluster at n, only
@@ -1071,10 +988,7 @@ mod tests {
         assert_eq!(inner.breaker_trips, 0, "one strike is not enough");
         inner.note_revocation(m, start + SimDuration::from_mins(10));
         assert_eq!(inner.breaker_trips, 1);
-        assert_eq!(
-            inner.cooled_markets(start + SimDuration::from_mins(10)),
-            vec![m]
-        );
+        assert_eq!(inner.cooled_markets(), vec![m]);
         // ...the cooldown expires into half-open (selectable again)...
         let probe_t = start + SimDuration::from_mins(50);
         inner.tick_breakers(probe_t);
@@ -1082,7 +996,7 @@ mod tests {
             matches!(inner.breakers[&m], BreakerState::HalfOpen { .. }),
             "cooldown elapsed: breaker should be probing"
         );
-        assert!(inner.cooled_markets(probe_t).is_empty());
+        assert!(inner.cooled_markets().is_empty());
         // ...a revocation during the probe re-opens...
         inner.note_revocation(m, probe_t);
         assert_eq!(inner.breaker_trips, 2, "failed probe re-trips");

@@ -40,7 +40,7 @@ impl CostReport {
     }
 
     /// Session duration.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.end - self.start
     }
 

@@ -149,20 +149,12 @@ pub struct SelectionConfig {
     /// the on-demand reference pool, so expected costs are comparable
     /// per worker (diversification then spans zones/pools, not sizes).
     pub match_reference_spec: bool,
-    /// Exclusion window after a market fails (spikes/revokes): the node
-    /// manager keeps it out of the candidate set for this long across
-    /// replacement rounds, so restoration does not immediately buy back
-    /// into a still-spiking market. `ZERO` (the default) disables the
-    /// window, preserving pre-cooldown behavior byte-for-byte.
-    pub market_cooldown: SimDuration,
     /// Revocations within [`Self::breaker_window`] that trip a market's
     /// circuit breaker from closed to open. `0` (the default) disables
     /// breakers entirely, preserving pre-breaker behavior byte-for-byte.
-    /// Breakers generalize [`Self::market_cooldown`]: where a cooldown
-    /// is a fixed timed exclusion per failure, a breaker counts failures
-    /// in a sliding window, excludes the market while open, probes it
-    /// with a half-open round after the cooldown, and re-opens on a
-    /// failed probe.
+    /// A breaker counts failures in a sliding window, excludes the
+    /// market while open, probes it with a half-open round after the
+    /// cooldown, and re-opens on a failed probe.
     pub breaker_revocation_threshold: u32,
     /// Sliding window over which [`Self::breaker_revocation_threshold`]
     /// counts revocations.
@@ -206,7 +198,6 @@ impl Default for SelectionConfig {
             spike_threshold: 2.0,
             rd: SimDuration::from_secs(120),
             match_reference_spec: true,
-            market_cooldown: SimDuration::ZERO,
             breaker_revocation_threshold: 0,
             breaker_window: SimDuration::from_hours(1),
             breaker_cooldown: SimDuration::from_mins(30),
@@ -256,8 +247,8 @@ pub struct MarketView<'a> {
     pub storage: StorageConfig,
     /// Cluster size being provisioned.
     pub n: u32,
-    /// Markets inside their failure cooldown window at `now`: excluded
-    /// from [`MarketView::candidates`] so no policy re-enters them.
+    /// Markets whose circuit breaker is open at `now`: excluded from
+    /// [`MarketView::candidates`] so no policy re-enters them.
     pub cooled: &'a [MarketId],
 }
 
@@ -269,7 +260,7 @@ impl MarketView<'_> {
     }
 
     /// Estimated checkpoint write time δ with `n` parallel writers.
-    pub fn delta(&self) -> SimDuration {
+    pub(crate) fn delta(&self) -> SimDuration {
         self.storage
             .write_time(self.job.checkpoint_bytes, self.n.max(1))
     }
@@ -611,11 +602,6 @@ impl PortfolioPolicy {
         PortfolioPolicy {
             risk_aversion: risk_aversion.max(0.0),
         }
-    }
-
-    /// The configured risk-aversion λ.
-    pub fn risk_aversion(&self) -> f64 {
-        self.risk_aversion
     }
 
     /// Candidate universe with cost rates: stable spot markets strictly

@@ -42,17 +42,6 @@ pub enum BackendKind {
     Serverless,
 }
 
-impl BackendKind {
-    /// Stable wire name (`"vm"` / `"serverless"`), used in traces and
-    /// cost reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::TransientVm => "vm",
-            BackendKind::Serverless => "serverless",
-        }
-    }
-}
-
 /// Where shuffle map outputs are materialized between stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShuffleTransport {
@@ -259,11 +248,6 @@ impl ServerlessBackend {
             gb_seconds: 0.0,
         }
     }
-
-    /// The pricing / latency model.
-    pub fn config(&self) -> &ServerlessConfig {
-        &self.cfg
-    }
 }
 
 impl Backend for ServerlessBackend {
@@ -356,7 +340,7 @@ mod tests {
     #[test]
     fn vm_backend_is_a_total_no_op() {
         let mut b = TransientVmBackend;
-        assert_eq!(b.kind().name(), "vm");
+        assert_eq!(b.kind(), BackendKind::TransientVm);
         assert_eq!(b.shuffle_transport(), ShuffleTransport::WorkerMemory);
         assert!(b.on_task_admitted(WorkerId(1), SimTime::ZERO).is_none());
         assert!(b

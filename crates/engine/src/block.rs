@@ -212,7 +212,7 @@ impl BlockData {
     /// Payload bytes: the sum of every record's [`Value::size_bytes`]
     /// (bucketing reorders records; it changes neither the multiset nor
     /// the size formula).
-    pub fn payload_bytes(&self) -> u64 {
+    pub(crate) fn payload_bytes(&self) -> u64 {
         match self {
             BlockData::Part(r) => r.payload_bytes(),
             BlockData::Bucketed(b) => b.payload_bytes(),
@@ -544,12 +544,12 @@ impl BlockManager {
     }
 
     /// Memory capacity in virtual bytes.
-    pub fn mem_capacity(&self) -> u64 {
+    pub(crate) fn mem_capacity(&self) -> u64 {
         self.mem_capacity
     }
 
     /// Drops every block (worker revoked).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.mem.clear();
         self.disk.clear();
     }

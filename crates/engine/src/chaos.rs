@@ -337,11 +337,6 @@ pub struct ChaosInjector {
 }
 
 impl ChaosInjector {
-    /// Generates the schedule for `cfg` and wraps it.
-    pub fn new(cfg: &ChaosConfig) -> Self {
-        Self::from_schedule(ChaosSchedule::generate(cfg))
-    }
-
     /// Wraps an existing schedule (shared with a store-fault policy).
     pub fn from_schedule(schedule: ChaosSchedule) -> Self {
         ChaosInjector {
@@ -349,11 +344,6 @@ impl ChaosInjector {
             notes: schedule.notes,
             note_cursor: 0,
         }
-    }
-
-    /// Worker events not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.inner.remaining()
     }
 }
 

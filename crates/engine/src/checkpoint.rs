@@ -167,7 +167,7 @@ impl CheckpointStore {
     /// Durably stores one shuffle map output (rows or bucketed — a
     /// restore serves back whichever form was captured). Returns what
     /// the (possibly degraded) store did with the write.
-    pub fn put_shuffle(
+    pub(crate) fn put_shuffle(
         &mut self,
         s: ShuffleId,
         map_part: u32,
@@ -193,18 +193,13 @@ impl CheckpointStore {
     }
 
     /// Returns the checkpointed shuffle map output, if present.
-    pub fn get_shuffle(&self, s: ShuffleId, map_part: u32) -> Option<&BlockData> {
+    pub(crate) fn get_shuffle(&self, s: ShuffleId, map_part: u32) -> Option<&BlockData> {
         self.store.get(&shuffle_key(s, map_part))
     }
 
     /// Returns `true` if the shuffle map output is durably stored.
-    pub fn has_shuffle(&self, s: ShuffleId, map_part: u32) -> bool {
+    pub(crate) fn has_shuffle(&self, s: ShuffleId, map_part: u32) -> bool {
         self.shuffle_parts.contains(&(s, map_part))
-    }
-
-    /// Returns the stored virtual size of a shuffle map output.
-    pub fn size_of_shuffle(&self, s: ShuffleId, map_part: u32) -> Option<u64> {
-        self.store.size_of(&shuffle_key(s, map_part))
     }
 
     /// Returns the underlying durable store.
@@ -218,7 +213,7 @@ impl CheckpointStore {
     }
 
     /// Returns the storage bandwidth model.
-    pub fn config(&self) -> &StorageConfig {
+    pub(crate) fn config(&self) -> &StorageConfig {
         self.store.config()
     }
 
@@ -228,7 +223,7 @@ impl CheckpointStore {
     /// (a suspend that loses its own manifest is indistinguishable from
     /// a plain crash, which resume already covers) and are excluded from
     /// checkpoint GC by their key prefix.
-    pub fn put_manifest(&mut self, key: &str, text: &str, now: SimTime) {
+    pub(crate) fn put_manifest(&mut self, key: &str, text: &str, now: SimTime) {
         let payload: PartitionData = std::sync::Arc::new(vec![crate::Value::from_str_(text)]);
         let bytes = text.len() as u64;
         self.store.put(key, payload.into(), bytes, now);
@@ -314,7 +309,7 @@ impl CheckpointStore {
 
     /// Why a *present* shuffle checkpoint can not be restored at `now`,
     /// or `None` if a restore would succeed.
-    pub fn shuffle_read_fault(
+    pub(crate) fn shuffle_read_fault(
         &self,
         s: ShuffleId,
         map_part: u32,
@@ -346,7 +341,7 @@ impl CheckpointStore {
     }
 
     /// Shuffle-side readability predicate (see [`CheckpointStore::readable`]).
-    pub fn shuffle_readable(&self, s: ShuffleId, map_part: u32, now: SimTime) -> bool {
+    pub(crate) fn shuffle_readable(&self, s: ShuffleId, map_part: u32, now: SimTime) -> bool {
         self.has_shuffle(s, map_part) && self.shuffle_read_fault(s, map_part, now).is_none()
     }
 
@@ -371,7 +366,7 @@ impl CheckpointStore {
     }
 
     /// Drops every checkpoint of `rdd`.
-    pub fn drop_rdd(&mut self, rdd: RddId, now: SimTime) -> usize {
+    pub(crate) fn drop_rdd(&mut self, rdd: RddId, now: SimTime) -> usize {
         let parts = self.parts.remove(&rdd).map_or(0, |bits| bits.len() as u32);
         for part in 0..parts {
             self.changes.keys.insert(BlockKey::RddPart { rdd, part });
@@ -388,7 +383,7 @@ impl CheckpointStore {
     /// program explicitly persists (those remain live targets of future
     /// actions, e.g. resident tables queried repeatedly). Returns the
     /// number of partition objects deleted.
-    pub fn gc(&mut self, lineage: &Lineage, now: SimTime) -> usize {
+    pub(crate) fn gc(&mut self, lineage: &Lineage, now: SimTime) -> usize {
         // covered(X): recomputing anything *below* X never needs X's
         // checkpoint, because every path down from X crosses a fully-
         // checkpointed RDD. Evaluated bottom-up; ids are topological
@@ -518,7 +513,6 @@ mod tests {
         cs.put_shuffle(ShuffleId(2), 0, data(), 64, SimTime::ZERO);
         assert!(cs.has_shuffle(ShuffleId(2), 0));
         assert!(cs.get_shuffle(ShuffleId(2), 0).is_some());
-        assert_eq!(cs.size_of_shuffle(ShuffleId(2), 0), Some(64));
         assert!(!cs.has_shuffle(ShuffleId(2), 1));
     }
 

@@ -85,7 +85,7 @@ impl Worker {
 
     /// Returns the earliest instant any core is free, no earlier than
     /// `now`.
-    pub fn earliest_free(&self, now: SimTime) -> SimTime {
+    pub(crate) fn earliest_free(&self, now: SimTime) -> SimTime {
         self.cores_busy_until
             .iter()
             .copied()
@@ -95,7 +95,7 @@ impl Worker {
     }
 
     /// Returns the index of the earliest-free core.
-    pub fn earliest_free_core(&self) -> usize {
+    pub(crate) fn earliest_free_core(&self) -> usize {
         self.cores_busy_until
             .iter()
             .enumerate()
@@ -170,11 +170,6 @@ impl Cluster {
         Some(id)
     }
 
-    /// Resolves an external id to an engine id, if that worker is known.
-    pub fn by_ext(&self, ext_id: u64) -> Option<WorkerId> {
-        self.ext_map.get(&ext_id).copied()
-    }
-
     /// Returns the worker with engine id `id`.
     ///
     /// # Panics
@@ -189,7 +184,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `id` is unknown.
-    pub fn worker_mut(&mut self, id: WorkerId) -> &mut Worker {
+    pub(crate) fn worker_mut(&mut self, id: WorkerId) -> &mut Worker {
         &mut self.workers[id.0 as usize]
     }
 
@@ -207,7 +202,7 @@ impl Cluster {
     /// alive worker (ties to the lowest id), unless the data-local
     /// `prefer` is alive and not backed up well past it. `None` when no
     /// worker is alive.
-    pub fn pick_worker(&self, now: SimTime, prefer: Option<WorkerId>) -> Option<WorkerId> {
+    pub(crate) fn pick_worker(&self, now: SimTime, prefer: Option<WorkerId>) -> Option<WorkerId> {
         let least_loaded = self
             .alive
             .iter()
@@ -291,7 +286,10 @@ impl Cluster {
     }
 
     /// Fetches a block's data from anywhere in the alive cluster.
-    pub fn fetch(&mut self, key: &BlockKey) -> Option<(WorkerId, BlockData, BlockLocation, u64)> {
+    pub(crate) fn fetch(
+        &mut self,
+        key: &BlockKey,
+    ) -> Option<(WorkerId, BlockData, BlockLocation, u64)> {
         let (wid, _, _) = self.locate(key)?;
         let w = &mut self.workers[wid.0 as usize];
         let (data, loc, bytes) = w.blocks.get(key)?;
@@ -300,8 +298,8 @@ impl Cluster {
 
     /// Fetches a block's data from anywhere in the alive cluster without
     /// mutating LRU state — the read-snapshot analogue of
-    /// [`Cluster::fetch`], usable from parallel wave threads. Callers
-    /// replay the LRU bump afterwards with [`Cluster::touch`].
+    /// `Cluster::fetch`, usable from parallel wave threads. Callers
+    /// replay the LRU bump afterwards with `Cluster::touch`.
     pub fn peek_fetch(&self, key: &BlockKey) -> Option<(WorkerId, BlockData, BlockLocation, u64)> {
         let (wid, _, _) = self.locate(key)?;
         let w = &self.workers[wid.0 as usize];
@@ -312,7 +310,7 @@ impl Cluster {
     /// Bumps a block's LRU stamp on one worker (deferred half of a
     /// [`Cluster::peek_fetch`]). No-op if the worker died or dropped the
     /// block since the peek.
-    pub fn touch(&mut self, wid: WorkerId, key: &BlockKey) {
+    pub(crate) fn touch(&mut self, wid: WorkerId, key: &BlockKey) {
         if let Some(w) = self.workers.get_mut(wid.0 as usize) {
             if w.alive {
                 w.blocks.touch(key);
@@ -412,7 +410,6 @@ mod tests {
         let a = c.add_worker(100, spec(), SimTime::ZERO);
         let b = c.add_worker(101, spec(), SimTime::ZERO);
         assert_eq!(c.alive(), vec![a, b]);
-        assert_eq!(c.by_ext(100), Some(a));
         assert_eq!(c.remove_by_ext(100), Some(a));
         assert_eq!(c.remove_by_ext(100), None);
         assert_eq!(c.alive(), vec![b]);

@@ -121,7 +121,7 @@ pub enum Column {
 
 impl Column {
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Column::Int(v) => v.len(),
             Column::Float(v) => v.len(),
@@ -129,11 +129,6 @@ impl Column {
             Column::StrPair(v) => v.len(),
             Column::Vector(v) => v.len(),
         }
-    }
-
-    /// `true` when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// An empty column of the same type as `v`, or `None` for types
@@ -169,7 +164,7 @@ impl Column {
     }
 
     /// Reconstructs the `Value` at row `i`.
-    pub fn value_at(&self, i: usize) -> Value {
+    pub(crate) fn value_at(&self, i: usize) -> Value {
         match self {
             Column::Int(c) => Value::Int(c[i]),
             Column::Float(c) => Value::Float(c[i]),
@@ -184,7 +179,7 @@ impl Column {
 
     /// Virtual size of the `Value` at row `i` (the exact
     /// [`Value::size_bytes`] constants).
-    pub fn size_at(&self, i: usize) -> u64 {
+    pub(crate) fn size_at(&self, i: usize) -> u64 {
         match self {
             Column::Int(_) | Column::Float(_) => 16,
             Column::Str(c) => 24 + c[i].len() as u64,
@@ -194,7 +189,7 @@ impl Column {
     }
 
     /// Σ of the per-row virtual sizes.
-    pub fn payload_bytes(&self) -> u64 {
+    pub(crate) fn payload_bytes(&self) -> u64 {
         match self {
             Column::Int(c) => 16 * c.len() as u64,
             Column::Float(c) => 16 * c.len() as u64,
@@ -208,7 +203,7 @@ impl Column {
     }
 
     /// Selects the rows at `idx`, in order.
-    pub fn gather(&self, idx: &[u32]) -> Column {
+    pub(crate) fn gather(&self, idx: &[u32]) -> Column {
         match self {
             Column::Int(c) => Column::Int(idx.iter().map(|&i| c[i as usize]).collect()),
             Column::Float(c) => Column::Float(idx.iter().map(|&i| c[i as usize]).collect()),
@@ -465,7 +460,7 @@ pub enum NumExpr {
 
 impl NumExpr {
     /// Per-record evaluation (the row-path reference semantics).
-    pub fn eval_value(&self, v: &Value) -> f64 {
+    pub(crate) fn eval_value(&self, v: &Value) -> f64 {
         match self {
             NumExpr::Input => match v {
                 Value::Pair(p) => p.val().as_f64().unwrap_or(0.0),
@@ -698,7 +693,7 @@ pub enum ScalarExpr {
 
 impl ScalarExpr {
     /// Per-record evaluation (the row-path reference semantics).
-    pub fn eval_value(&self, v: &Value) -> Value {
+    pub(crate) fn eval_value(&self, v: &Value) -> Value {
         match self {
             ScalarExpr::Field(i) => v
                 .as_list()
@@ -740,7 +735,7 @@ pub enum KeyExpr {
 
 impl KeyExpr {
     /// Per-record evaluation (the row-path reference semantics).
-    pub fn eval_value(&self, v: &Value) -> Value {
+    pub(crate) fn eval_value(&self, v: &Value) -> Value {
         match self {
             KeyExpr::Field(i) => v
                 .as_list()
@@ -797,7 +792,7 @@ pub enum PayloadExpr {
 
 impl PayloadExpr {
     /// Per-record evaluation (the row-path reference semantics).
-    pub fn eval_value(&self, v: &Value) -> Value {
+    pub(crate) fn eval_value(&self, v: &Value) -> Value {
         match self {
             PayloadExpr::Scalar(e) => e.eval_value(v),
             PayloadExpr::List(es) => Value::list(es.iter().map(|e| e.eval_value(v)).collect()),

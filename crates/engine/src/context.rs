@@ -40,14 +40,14 @@ pub struct EngineContext {
 
 impl EngineContext {
     /// Creates an empty context.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EngineContext {
             lineage: Lineage::new(),
         }
     }
 
     /// Returns the lineage graph.
-    pub fn lineage(&self) -> &Lineage {
+    pub(crate) fn lineage(&self) -> &Lineage {
         &self.lineage
     }
 
@@ -472,7 +472,6 @@ mod tests {
         assert_eq!(ctx.lineage().meta(c.id()).parents, vec![b.id()]);
         assert_eq!(ctx.lineage().meta(c.id()).num_partitions, 4);
         assert!(ctx.lineage().meta(c.id()).op.is_shuffle());
-        assert_eq!(ctx.lineage().frontier(), vec![c.id()]);
     }
 
     #[test]

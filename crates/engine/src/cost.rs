@@ -57,7 +57,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Converts real bytes to virtual bytes.
-    pub fn vbytes(&self, real_bytes: u64) -> u64 {
+    pub(crate) fn vbytes(&self, real_bytes: u64) -> u64 {
         (real_bytes as f64 * self.size_scale).round() as u64
     }
 
@@ -67,22 +67,22 @@ impl CostModel {
 
     /// Compute time for processing `vbytes` with an operator of the given
     /// cost factor on one core.
-    pub fn compute_time(&self, vbytes: u64, cost_factor: f64) -> SimDuration {
+    pub(crate) fn compute_time(&self, vbytes: u64, cost_factor: f64) -> SimDuration {
         SimDuration::from_secs_f64(Self::mib(vbytes) * cost_factor.max(0.0) / self.compute_mib_s)
     }
 
     /// Network transfer time for `vbytes`.
-    pub fn net_time(&self, vbytes: u64) -> SimDuration {
+    pub(crate) fn net_time(&self, vbytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(Self::mib(vbytes) / self.net_mib_s)
     }
 
     /// Local-disk reload time for `vbytes`.
-    pub fn disk_time(&self, vbytes: u64) -> SimDuration {
+    pub(crate) fn disk_time(&self, vbytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(Self::mib(vbytes) / self.disk_mib_s)
     }
 
     /// Source (re-)read time for `vbytes`.
-    pub fn source_time(&self, vbytes: u64) -> SimDuration {
+    pub(crate) fn source_time(&self, vbytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(Self::mib(vbytes) / self.source_mib_s)
     }
 }

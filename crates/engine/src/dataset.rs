@@ -147,16 +147,11 @@ impl<T> Copy for Dataset<T> {}
 impl<T: Datum> Dataset<T> {
     /// Wraps an untyped RDD the caller knows to contain `T`-encoded
     /// records.
-    pub fn from_rdd(rdd: RddRef) -> Self {
+    pub(crate) fn from_rdd(rdd: RddRef) -> Self {
         Dataset {
             rdd,
             _t: PhantomData,
         }
-    }
-
-    /// Returns the underlying untyped handle.
-    pub fn rdd(&self) -> RddRef {
-        self.rdd
     }
 
     /// Creates a typed source dataset.
@@ -179,55 +174,15 @@ impl<T: Datum> Dataset<T> {
         Dataset::from_rdd(rdd)
     }
 
-    /// Keeps elements satisfying `f`.
-    pub fn filter(
-        self,
-        ctx: &mut EngineContext,
-        f: impl Fn(&T) -> bool + Send + Sync + 'static,
-    ) -> Dataset<T> {
-        let rdd = ctx.filter(self.rdd, move |v| f(&decode_or_panic::<T>(v)));
-        Dataset::from_rdd(rdd)
-    }
-
-    /// Element-to-many transformation.
-    pub fn flat_map<U: Datum>(
-        self,
-        ctx: &mut EngineContext,
-        f: impl Fn(T) -> Vec<U> + Send + Sync + 'static,
-    ) -> Dataset<U> {
-        let rdd = ctx.flat_map(self.rdd, move |v| {
-            f(decode_or_panic::<T>(v))
-                .into_iter()
-                .map(Datum::encode)
-                .collect()
-        });
-        Dataset::from_rdd(rdd)
-    }
-
     /// Concatenates two datasets.
     pub fn union(self, ctx: &mut EngineContext, other: Dataset<T>) -> Dataset<T> {
         Dataset::from_rdd(ctx.union(self.rdd, other.rdd))
-    }
-
-    /// Removes duplicates (via a shuffle).
-    pub fn distinct(self, ctx: &mut EngineContext, parts: u32) -> Dataset<T> {
-        Dataset::from_rdd(ctx.distinct(self.rdd, parts))
     }
 
     /// Marks the dataset for in-memory caching across jobs.
     pub fn persist(self, ctx: &mut EngineContext) -> Dataset<T> {
         ctx.persist(self.rdd);
         self
-    }
-
-    /// Deterministic Bernoulli sample.
-    pub fn sample(self, ctx: &mut EngineContext, fraction: f64, seed: u64) -> Dataset<T> {
-        Dataset::from_rdd(ctx.sample(self.rdd, fraction, seed))
-    }
-
-    /// Narrow repartitioning into at most `parts` partitions.
-    pub fn coalesce(self, ctx: &mut EngineContext, parts: u32) -> Dataset<T> {
-        Dataset::from_rdd(ctx.coalesce(self.rdd, parts))
     }
 
     /// Materializes and returns all elements in partition order.
@@ -242,35 +197,6 @@ impl<T: Datum> Dataset<T> {
     /// Materializes and counts elements.
     pub fn count(self, driver: &mut Driver) -> Result<u64> {
         driver.count(self.rdd)
-    }
-
-    /// Materializes and folds elements with `f`.
-    ///
-    /// Returns [`crate::EngineError::EmptyDataset`] when empty.
-    pub fn reduce(self, driver: &mut Driver, f: impl Fn(T, T) -> T) -> Result<T> {
-        let v = driver.reduce(self.rdd, move |a, b| {
-            f(decode_or_panic::<T>(a), decode_or_panic::<T>(b)).encode()
-        })?;
-        Ok(decode_or_panic::<T>(&v))
-    }
-
-    /// Materializes and returns up to `n` elements.
-    pub fn take(self, driver: &mut Driver, n: usize) -> Result<Vec<T>> {
-        Ok(driver
-            .take(self.rdd, n)?
-            .iter()
-            .map(decode_or_panic::<T>)
-            .collect())
-    }
-
-    /// Materializes and returns the `n` smallest elements by the
-    /// engine's total value order.
-    pub fn take_ordered(self, driver: &mut Driver, n: usize) -> Result<Vec<T>> {
-        Ok(driver
-            .take_ordered(self.rdd, n)?
-            .iter()
-            .map(decode_or_panic::<T>)
-            .collect())
     }
 }
 
@@ -287,65 +213,6 @@ impl<K: Datum, V: Datum> Dataset<(K, V)> {
             f(decode_or_panic::<V>(a), decode_or_panic::<V>(b)).encode()
         });
         Dataset::from_rdd(rdd)
-    }
-
-    /// Groups values by key.
-    pub fn group_by_key(self, ctx: &mut EngineContext, parts: u32) -> Dataset<(K, Vec<V>)> {
-        Dataset::from_rdd(ctx.group_by_key(self.rdd, parts))
-    }
-
-    /// Globally sorts by key.
-    pub fn sort_by_key(
-        self,
-        ctx: &mut EngineContext,
-        parts: u32,
-        ascending: bool,
-    ) -> Dataset<(K, V)> {
-        Dataset::from_rdd(ctx.sort_by_key(self.rdd, parts, ascending))
-    }
-
-    /// Transforms only values, keeping keys.
-    pub fn map_values<U: Datum>(
-        self,
-        ctx: &mut EngineContext,
-        f: impl Fn(V) -> U + Send + Sync + 'static,
-    ) -> Dataset<(K, U)> {
-        let rdd = ctx.map_values(self.rdd, move |v| f(decode_or_panic::<V>(v)).encode());
-        Dataset::from_rdd(rdd)
-    }
-
-    /// Projects to keys.
-    pub fn keys(self, ctx: &mut EngineContext) -> Dataset<K> {
-        Dataset::from_rdd(ctx.keys(self.rdd))
-    }
-
-    /// Projects to values.
-    pub fn values(self, ctx: &mut EngineContext) -> Dataset<V> {
-        Dataset::from_rdd(ctx.values(self.rdd))
-    }
-
-    /// Materializes and counts elements per key.
-    pub fn count_by_key(self, driver: &mut Driver) -> Result<std::collections::BTreeMap<K, u64>>
-    where
-        K: Ord,
-    {
-        Ok(driver
-            .count_by_key(self.rdd)?
-            .iter()
-            .map(|(k, c)| (decode_or_panic::<K>(k), *c))
-            .collect())
-    }
-
-    /// Inner-joins with another keyed dataset.
-    pub fn join<W: Datum>(
-        self,
-        ctx: &mut EngineContext,
-        other: Dataset<(K, W)>,
-        parts: u32,
-    ) -> Dataset<(K, Vec<Value>)> {
-        // The join payload is heterogeneous ([v, w]); expose it as raw
-        // values and let callers decode per side.
-        Dataset::from_rdd(ctx.join(self.rdd, other.rdd, parts))
     }
 }
 
@@ -379,83 +246,13 @@ mod tests {
     }
 
     #[test]
-    fn typed_pipeline_chain() {
-        let mut d = Driver::local(2);
-        let nums = Dataset::from_iter(d.ctx(), 0i64..100, 4);
-        let result = nums
-            .filter(d.ctx(), |n| n % 2 == 0)
-            .map(d.ctx(), |n| n * n)
-            .reduce(&mut d, |a, b| a + b)
-            .unwrap();
-        let expect: i64 = (0..100).filter(|n| n % 2 == 0).map(|n| n * n).sum();
-        assert_eq!(result, expect);
-    }
-
-    #[test]
-    fn typed_group_and_sort() {
-        let mut d = Driver::local(2);
-        let pairs = Dataset::from_iter(d.ctx(), (0i64..12).map(|i| (i % 3, i)), 3);
-        let grouped = pairs.group_by_key(d.ctx(), 2);
-        let mut sizes: Vec<(i64, usize)> = grouped
-            .collect(&mut d)
-            .unwrap()
-            .into_iter()
-            .map(|(k, vs)| (k, vs.len()))
-            .collect();
-        sizes.sort();
-        assert_eq!(sizes, vec![(0, 4), (1, 4), (2, 4)]);
-
-        let sorted = pairs.sort_by_key(d.ctx(), 2, false);
-        let keys: Vec<i64> = sorted
-            .collect(&mut d)
-            .unwrap()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        for w in keys.windows(2) {
-            assert!(w[0] >= w[1]);
-        }
-    }
-
-    #[test]
-    fn typed_vectors_and_values_projection() {
-        let mut d = Driver::local(2);
-        let vecs = Dataset::from_iter(
-            d.ctx(),
-            (0..10).map(|i| (i as i64, DenseVector(vec![f64::from(i), 1.0]))),
-            2,
-        );
-        let norms = vecs.map_values(d.ctx(), |v| v.0.iter().map(|x| x * x).sum::<f64>().sqrt());
-        let vals = norms.values(d.ctx());
-        assert_eq!(vals.count(&mut d).unwrap(), 10);
-        let keys = norms.keys(d.ctx()).distinct(d.ctx(), 2);
-        assert_eq!(keys.count(&mut d).unwrap(), 10);
-    }
-
-    #[test]
     #[should_panic(expected = "typed dataset decode failure")]
     fn type_confusion_panics() {
         let mut d = Driver::local(1);
         let nums = Dataset::<i64>::from_iter(d.ctx(), 0..5, 1);
         // Reinterpret as strings: decoding must fail loudly.
-        let lied: Dataset<String> = Dataset::from_rdd(nums.rdd());
+        let lied: Dataset<String> = Dataset::from_rdd(nums.rdd);
         let _ = lied.collect(&mut d);
-    }
-
-    #[test]
-    fn typed_sample_coalesce_and_ordered() {
-        let mut d = Driver::local(3);
-        let nums = Dataset::from_iter(d.ctx(), 0i64..1000, 8);
-        let sampled = nums.sample(d.ctx(), 0.25, 7);
-        let n = sampled.count(&mut d).unwrap();
-        assert!(n > 120 && n < 400, "25% sample gave {n}");
-        let co = nums.coalesce(d.ctx(), 2);
-        assert_eq!(co.count(&mut d).unwrap(), 1000);
-        assert_eq!(nums.take_ordered(&mut d, 3).unwrap(), vec![0, 1, 2]);
-        let pairs = nums.map(d.ctx(), |x| (x % 4, x));
-        let counts = pairs.count_by_key(&mut d).unwrap();
-        assert_eq!(counts.len(), 4);
-        assert!(counts.values().all(|c| *c == 250));
     }
 
     #[test]
@@ -465,6 +262,5 @@ mod tests {
         let b = Dataset::from_iter(d.ctx(), 5i64..10, 1);
         let u = a.union(d.ctx(), b).persist(d.ctx());
         assert_eq!(u.count(&mut d).unwrap(), 10);
-        assert_eq!(u.take(&mut d, 3).unwrap().len(), 3);
     }
 }

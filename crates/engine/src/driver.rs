@@ -25,12 +25,30 @@ use crate::shuffle::{RangePartitioner, ShuffleId};
 use crate::stats::{ActionRecord, RunStats};
 use crate::value::Value;
 
-/// A unified retry policy: an attempt budget plus capped exponential
-/// backoff in virtual time.
+/// Cap on scheduler loop iterations per action, idle wait or checkpoint
+/// drain, guarding against revocation livelock (MTTF far below task
+/// granularity).
+const MAX_ITERATIONS: u64 = 5_000_000;
+
+/// Gather passes per action: the first, plus up to two job re-runs when
+/// a result block vanished between job completion and gather (a
+/// same-instant revocation). A failed last pass returns
+/// [`EngineError::RetryBudgetExhausted`].
+const GATHER_PASSES: u64 = 3;
+
+/// Revocations of one external id within [`FLAP_WINDOW`] that mark it as
+/// flapping and quarantine it: its further joins are ignored.
+const FLAP_THRESHOLD: usize = 3;
+
+/// Sliding window over which repeated revocations of one external id
+/// count as flapping.
+const FLAP_WINDOW: SimDuration = SimDuration::from_secs(600);
+
+/// A retry policy: an attempt budget plus capped exponential backoff in
+/// virtual time.
 ///
-/// One shape covers the driver's historically ad-hoc retry loops — the
-/// store-outage wait, the gather re-run loop — so chaos campaigns and
-/// callers tune a single kind of knob. `backoff(attempt)` doubles from
+/// It shapes the driver's store-outage wait
+/// ([`DriverConfig::store_retry`]). `delay(attempt)` doubles from
 /// `backoff_base` per attempt and saturates at `backoff_cap`; a zero
 /// base means "retry immediately" (no virtual time passes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,32 +63,14 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy of `budget` immediate retries (no backoff).
-    pub fn immediate(budget: u64) -> Self {
-        RetryPolicy {
-            budget,
-            backoff_base: SimDuration::ZERO,
-            backoff_cap: SimDuration::ZERO,
-        }
-    }
-
-    /// A policy of `budget` retries with capped exponential backoff.
-    pub fn backoff(budget: u64, base: SimDuration, cap: SimDuration) -> Self {
-        RetryPolicy {
-            budget,
-            backoff_base: base,
-            backoff_cap: cap,
-        }
-    }
-
     /// `true` once `attempt` retries have been spent.
-    pub fn exhausted(&self, attempt: u64) -> bool {
+    pub(crate) fn exhausted(&self, attempt: u64) -> bool {
         attempt >= self.budget
     }
 
     /// The wait before retry number `attempt` (0-based): capped
     /// exponential doubling, or `ZERO` for a no-backoff policy.
-    pub fn delay(&self, attempt: u64) -> SimDuration {
+    pub(crate) fn delay(&self, attempt: u64) -> SimDuration {
         if self.backoff_base == SimDuration::ZERO {
             return SimDuration::ZERO;
         }
@@ -82,19 +82,14 @@ impl RetryPolicy {
 
 /// Tuning knobs for a [`Driver`].
 ///
-/// Construct through [`DriverConfig::builder`] — the supported path, kept
-/// stable as fields are added (struct-literal construction is
-/// deprecated-in-spirit and may break when this becomes
-/// `#[non_exhaustive]`).
+/// Start from [`DriverConfig::default`] or [`DriverConfig::builder`];
+/// fields without a builder setter are set directly.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
     /// The virtual-time cost model.
     pub cost: CostModel,
     /// The durable-storage bandwidth model.
     pub storage: StorageConfig,
-    /// Hard cap on scheduler loop iterations per action, guarding against
-    /// revocation livelock (MTTF far below task granularity).
-    pub max_iterations: u64,
     /// Host threads used to materialize each scheduling wave's tasks in
     /// parallel (real wall-clock parallelism; virtual time is
     /// unaffected). Results are committed in fixed task-key order on the
@@ -106,23 +101,6 @@ pub struct DriverConfig {
     /// capped-exponential backoff waits a restore spends before failing
     /// the action with [`EngineError::StoreUnavailable`].
     pub store_retry: RetryPolicy,
-    /// Retry policy for the gather loop: how many times the driver
-    /// re-runs the job when a result block vanishes between completion
-    /// and gather (same-instant revocation) before failing with
-    /// [`EngineError::RetryBudgetExhausted`].
-    pub gather_retry: RetryPolicy,
-    /// Budget of integrity-check restore fallbacks (each one forces a
-    /// lineage recompute) allowed per action before it fails with
-    /// [`EngineError::RetryBudgetExhausted`]. `u64::MAX` disables the
-    /// budget (the default).
-    pub recompute_depth_budget: u64,
-    /// Sliding window over which repeated revocations of the same
-    /// external id count as flapping.
-    pub flap_window: SimDuration,
-    /// Revocations of one external id within [`DriverConfig::flap_window`]
-    /// that quarantine it (further joins are ignored). `0` disables
-    /// quarantining.
-    pub flap_threshold: u32,
     /// Enables the columnar batch execution path: partitions of
     /// batch-capable ops (built through the `*_kernel` context
     /// constructors) are stored as typed column vectors and run through
@@ -145,17 +123,12 @@ impl Default for DriverConfig {
         DriverConfig {
             cost: CostModel::default(),
             storage: StorageConfig::default(),
-            max_iterations: 5_000_000,
             host_threads: 1,
-            store_retry: RetryPolicy::backoff(
-                6,
-                SimDuration::from_secs(1),
-                SimDuration::from_secs(60),
-            ),
-            gather_retry: RetryPolicy::immediate(3),
-            recompute_depth_budget: u64::MAX,
-            flap_window: SimDuration::from_secs(600),
-            flap_threshold: 3,
+            store_retry: RetryPolicy {
+                budget: 6,
+                backoff_base: SimDuration::from_secs(1),
+                backoff_cap: SimDuration::from_secs(60),
+            },
             columnar: true,
             suspend_after_waves: None,
         }
@@ -177,7 +150,7 @@ impl DriverConfig {
     /// `suspend_after_waves` (which necessarily differs between a
     /// crashing run and its resume replay). [`Driver::resume`] rejects
     /// a manifest whose fingerprint does not match.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |s: &str| {
             for b in s.bytes() {
@@ -186,15 +159,8 @@ impl DriverConfig {
             }
         };
         eat(&format!(
-            "{:?}|{:?}|{}|{:?}|{:?}|{}|{:?}|{}",
-            self.cost,
-            self.storage,
-            self.max_iterations,
-            self.store_retry,
-            self.gather_retry,
-            self.recompute_depth_budget,
-            self.flap_window,
-            self.flap_threshold,
+            "{:?}|{:?}|{:?}",
+            self.cost, self.storage, self.store_retry
         ));
         h
     }
@@ -220,21 +186,9 @@ pub struct DriverConfigBuilder {
 }
 
 impl DriverConfigBuilder {
-    /// The virtual-time cost model.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cfg.cost = cost;
-        self
-    }
-
     /// The durable-storage bandwidth model.
     pub fn storage(mut self, storage: StorageConfig) -> Self {
         self.cfg.storage = storage;
-        self
-    }
-
-    /// Hard cap on scheduler loop iterations per action.
-    pub fn max_iterations(mut self, max: u64) -> Self {
-        self.cfg.max_iterations = max;
         self
     }
 
@@ -250,44 +204,6 @@ impl DriverConfigBuilder {
     /// datasets from small in-memory collections.
     pub fn size_scale(mut self, scale: f64) -> Self {
         self.cfg.cost.size_scale = scale;
-        self
-    }
-
-    /// Retry policy for transient checkpoint-store outages.
-    pub fn store_retry(mut self, policy: RetryPolicy) -> Self {
-        self.cfg.store_retry = policy;
-        self
-    }
-
-    /// Retry policy for the gather re-run loop.
-    pub fn gather_retry(mut self, policy: RetryPolicy) -> Self {
-        self.cfg.gather_retry = policy;
-        self
-    }
-
-    /// Suspend the run once this many waves have committed (see
-    /// [`DriverConfig::suspend_after_waves`]).
-    pub fn suspend_after_waves(mut self, waves: u64) -> Self {
-        self.cfg.suspend_after_waves = Some(waves);
-        self
-    }
-
-    /// Per-action budget of integrity-check restore fallbacks.
-    pub fn recompute_depth_budget(mut self, budget: u64) -> Self {
-        self.cfg.recompute_depth_budget = budget;
-        self
-    }
-
-    /// Sliding window for flapping-worker detection.
-    pub fn flap_window(mut self, window: SimDuration) -> Self {
-        self.cfg.flap_window = window;
-        self
-    }
-
-    /// Revocations within the flap window that quarantine an external
-    /// id (`0` disables).
-    pub fn flap_threshold(mut self, threshold: u32) -> Self {
-        self.cfg.flap_threshold = threshold;
         self
     }
 
@@ -388,9 +304,6 @@ pub struct Driver {
     remove_times: HashMap<u64, VecDeque<SimTime>>,
     /// External ids quarantined for flapping: their joins are ignored.
     quarantined: HashSet<u64>,
-    /// Integrity-check restore fallbacks admitted during the current
-    /// action (checked against `config.recompute_depth_budget`).
-    fallback_recomputes: u64,
     /// Committed-wave frontier: `advance_and_commit` calls that landed
     /// at least one task. Deterministic across `host_threads`, so it is
     /// the resume-manifest's notion of progress.
@@ -441,7 +354,6 @@ impl Driver {
             corrupt_reported: HashSet::new(),
             remove_times: HashMap::new(),
             quarantined: HashSet::new(),
-            fallback_recomputes: 0,
             waves_committed: 0,
             session: "run".to_string(),
             pending_suspend: false,
@@ -528,13 +440,6 @@ impl Driver {
     /// or the event stream; all zero on a `columnar = false` driver.
     pub fn column_stats(&self) -> ColumnStats {
         self.column.snapshot()
-    }
-
-    /// Sets the session tag naming this run's manifest key in the
-    /// durable store (`manifest/<tag>`). A run that may suspend and its
-    /// resume replay must agree on the tag.
-    pub fn set_session(&mut self, tag: impl Into<String>) {
-        self.session = tag.into();
     }
 
     /// The committed-wave frontier so far: scheduler advances that
@@ -798,7 +703,7 @@ impl Driver {
         let mut iterations = 0u64;
         loop {
             iterations += 1;
-            if iterations > self.config.max_iterations {
+            if iterations > MAX_ITERATIONS {
                 return Err(EngineError::JobBudgetExhausted {
                     phase: "idle",
                     iterations,
@@ -860,7 +765,6 @@ impl Driver {
         let name = format!("{label}(rdd-{})", target.0);
         self.trace
             .emit_with(started, || EventKind::ActionStarted { name: name.clone() });
-        self.fallback_recomputes = 0;
         self.pump_injector();
         self.run_job(target)?;
         let parts = self.gather(target)?;
@@ -882,10 +786,7 @@ impl Driver {
         let mut iterations = 0u64;
         loop {
             iterations += 1;
-            if iterations > self.config.max_iterations {
-                return Err(EngineError::RetryBudgetExhausted { rdd: target });
-            }
-            if self.fallback_recomputes > self.config.recompute_depth_budget {
+            if iterations > MAX_ITERATIONS {
                 return Err(EngineError::RetryBudgetExhausted { rdd: target });
             }
             if let Some(e) = self.take_interrupt() {
@@ -1053,21 +954,19 @@ impl Driver {
         }
     }
 
-    /// Flap detection: a worker revoked [`DriverConfig::flap_threshold`]
-    /// times within [`DriverConfig::flap_window`] is quarantined — its
-    /// future joins are ignored, so replacement capacity comes from
-    /// stable instances instead.
+    /// Flap detection: a worker revoked [`FLAP_THRESHOLD`] times within
+    /// [`FLAP_WINDOW`] is quarantined — its future joins are ignored, so
+    /// replacement capacity comes from stable instances instead.
     fn note_remove(&mut self, ext_id: u64, t: SimTime) {
-        if self.config.flap_threshold == 0 || self.quarantined.contains(&ext_id) {
+        if self.quarantined.contains(&ext_id) {
             return;
         }
-        let window = self.config.flap_window;
         let times = self.remove_times.entry(ext_id).or_default();
         times.push_back(t);
-        while times.front().map(|&f| f + window < t).unwrap_or(false) {
+        while times.front().map(|&f| f + FLAP_WINDOW < t).unwrap_or(false) {
             times.pop_front();
         }
-        if times.len() as u32 >= self.config.flap_threshold {
+        if times.len() >= FLAP_THRESHOLD {
             let removes = times.len() as u64;
             self.quarantined.insert(ext_id);
             self.remove_times.remove(&ext_id);
@@ -1116,18 +1015,15 @@ impl Driver {
             let Some(fault) = self.ckpt.shuffle_read_fault(shuffle, map_part, now) else {
                 continue;
             };
-            if self.report_fallback(BlockKey::ShuffleMap { shuffle, map_part }, fault, now) {
-                self.fallback_recomputes += 1;
-            }
+            self.report_fallback(BlockKey::ShuffleMap { shuffle, map_part }, fault, now);
         }
     }
 
     /// Emits the detection/fallback event pair for an unreadable
-    /// checkpoint of `block`, once per block. Returns `false` when the
-    /// block was already reported.
-    fn report_fallback(&mut self, block: BlockKey, fault: ReadFault, now: SimTime) -> bool {
+    /// checkpoint of `block`, once per block.
+    fn report_fallback(&mut self, block: BlockKey, fault: ReadFault, now: SimTime) {
         if !self.corrupt_reported.insert(block) {
-            return false;
+            return;
         }
         let block = block.to_string();
         if fault == ReadFault::Corrupt {
@@ -1144,7 +1040,6 @@ impl Driver {
             }
             .to_string(),
         });
-        true
     }
 
     // ------------------------------------------------------------------
@@ -1260,7 +1155,6 @@ impl Driver {
         self.stats.restores += out.restores;
         self.stats.restore_time += out.restore_time;
         self.stats.recompute_time += out.recompute_time;
-        self.fallback_recomputes += out.fallbacks;
         let now = self.clock.now();
         if self.trace.is_enabled() {
             // Compute-phase events were buffered in the effect ledger;
@@ -1746,13 +1640,14 @@ impl Driver {
     }
 
     /// Fetches every partition of `target` to the driver, charging
-    /// parallel transfer time. A vanished block (same-instant
-    /// revocation) re-runs the job under
-    /// [`DriverConfig::gather_retry`].
+    /// parallel transfer time. A block that vanished between job
+    /// completion and gather (a same-instant revocation) re-runs the
+    /// job, for at most [`GATHER_PASSES`] passes in all.
     fn gather(&mut self, target: RddId) -> Result<Vec<Records>> {
-        let retry = self.config.gather_retry;
-        let mut attempt = 0u64;
-        loop {
+        for pass in 0..GATHER_PASSES {
+            if pass > 0 {
+                self.run_job(target)?;
+            }
             let n = self.ctx.lineage().meta(target).num_partitions;
             let mut parts = Vec::with_capacity(n as usize);
             let mut total_vb = 0u64;
@@ -1793,18 +1688,6 @@ impl Driver {
                 self.clock.advance(dur);
                 return Ok(parts);
             }
-            // A block vanished between job completion and gather (e.g. a
-            // same-instant revocation): re-run the job.
-            attempt += 1;
-            if retry.exhausted(attempt) {
-                break;
-            }
-            let wait = retry.delay(attempt - 1);
-            if wait > SimDuration::ZERO {
-                self.clock.advance(wait);
-                self.pump_injector();
-            }
-            self.run_job(target)?;
         }
         Err(EngineError::RetryBudgetExhausted { rdd: target })
     }
@@ -1815,7 +1698,7 @@ impl Driver {
         let mut iterations = 0u64;
         while self.pending_checkpoints() > 0 {
             iterations += 1;
-            if iterations > self.config.max_iterations {
+            if iterations > MAX_ITERATIONS {
                 return Err(EngineError::JobBudgetExhausted {
                     phase: "drain-checkpoints",
                     iterations,

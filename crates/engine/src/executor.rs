@@ -151,10 +151,6 @@ pub(crate) struct TaskOutput {
     /// Portion of `base_dur` that recomputed previously-materialized
     /// partitions.
     pub recompute_time: SimDuration,
-    /// Restores abandoned by the integrity/availability check (each one
-    /// forced a lineage recompute). Counted unconditionally — the
-    /// driver's recompute-depth budget must not depend on tracing.
-    pub fallbacks: u64,
     /// Trace events recorded during the parallel compute phase
     /// (restores, recomputation cascades). Buffered here — part of the
     /// effect ledger — and emitted by the driver at admission, in
@@ -394,7 +390,6 @@ struct TaskBuilder<'c, 'a> {
     restores: u64,
     restore_time: SimDuration,
     recompute_time: SimDuration,
-    fallbacks: u64,
     /// Buffered trace events (only filled when `ctx.trace_enabled`).
     events: Vec<EventKind>,
     /// Current `materialize` recursion depth: 0 for the task's own
@@ -419,7 +414,6 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             restores: 0,
             restore_time: SimDuration::ZERO,
             recompute_time: SimDuration::ZERO,
-            fallbacks: 0,
             events: Vec::new(),
             depth: 0,
             local: HashMap::new(),
@@ -448,7 +442,6 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             restores: self.restores,
             restore_time: self.restore_time,
             recompute_time: self.recompute_time,
-            fallbacks: self.fallbacks,
             events: self.events,
         }
     }
@@ -549,7 +542,6 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     return Ok((data, vb, dur));
                 }
                 Some(fault) => {
-                    self.fallbacks += 1;
                     if self.ctx.trace_enabled {
                         if fault == ReadFault::Corrupt {
                             self.events.push(EventKind::CheckpointCorruptDetected {

@@ -35,7 +35,7 @@ impl LineageView<'_> {
 
     /// Estimated time δ to checkpoint `rdd` with the cluster's current
     /// write parallelism.
-    pub fn checkpoint_delta(&self, rdd: RddId) -> SimDuration {
+    pub(crate) fn checkpoint_delta(&self, rdd: RddId) -> SimDuration {
         self.storage
             .write_time(self.rdd_vbytes(rdd), self.alive_workers.max(1) as u32)
     }

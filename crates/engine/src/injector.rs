@@ -117,11 +117,6 @@ impl ScriptedInjector {
         events.sort_by_key(|(t, ev)| (*t, kind_rank(ev)));
         ScriptedInjector { events, cursor: 0 }
     }
-
-    /// Returns the number of events not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
 }
 
 impl FailureInjector for ScriptedInjector {
@@ -166,12 +161,10 @@ mod tests {
             (t(30), WorkerEvent::Remove { ext_id: 1 }),
             (t(10), WorkerEvent::Warn { ext_id: 1 }),
         ]);
-        assert_eq!(inj.remaining(), 2);
         let w1 = inj.events(SimTime::ZERO, t(15));
         assert_eq!(w1, vec![(t(10), WorkerEvent::Warn { ext_id: 1 })]);
         let w2 = inj.events(t(15), t(100));
         assert_eq!(w2, vec![(t(30), WorkerEvent::Remove { ext_id: 1 })]);
-        assert_eq!(inj.remaining(), 0);
         assert_eq!(inj.next_event_after(SimTime::ZERO), None);
     }
 

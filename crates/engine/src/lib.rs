@@ -40,6 +40,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod backend;
 mod block;
@@ -90,7 +91,7 @@ pub use injector::{FailureInjector, NoFailures, ScriptedInjector, WorkerEvent};
 pub use lineage::Lineage;
 pub use manifest::{ManifestError, RunManifest};
 pub use plan::PlanStats;
-pub use rdd::{Dependency, PartitionData, RddId, RddMeta, RddOp, RddRef};
+pub use rdd::{PartitionData, RddId, RddMeta, RddOp, RddRef};
 pub use shuffle::{
     scan_flat_bucket, BucketedBlock, HashPartitioner, Partitioner, RangePartitioner, ShuffleId,
     ShuffleInfo, ShuffleKind,

@@ -11,8 +11,8 @@ use crate::shuffle::{ShuffleId, ShuffleInfo, ShuffleKind};
 ///
 /// The lineage graph is the engine's recovery metadata (§2.2): given any
 /// lost partition, walking parents (and cached/checkpointed cut points)
-/// yields a recomputation plan. It also exposes the *frontier* — the
-/// current sink RDDs — which is exactly the set Flint's checkpoint policy
+/// yields a recomputation plan. It also exposes the *execution frontier*
+/// ([`Lineage::execution_frontier`]) — the set Flint's checkpoint policy
 /// (Policy 1) marks for checkpointing.
 #[derive(Debug, Default)]
 pub struct Lineage {
@@ -97,7 +97,7 @@ impl Lineage {
 
     /// Registers a shuffle edge with a map-side combiner (used by keyed
     /// aggregations, mirroring Spark's `reduceByKey`).
-    pub fn add_shuffle_with_combine(
+    pub(crate) fn add_shuffle_with_combine(
         &mut self,
         parent: RddId,
         kind: ShuffleKind,
@@ -123,7 +123,7 @@ impl Lineage {
     }
 
     /// Returns `true` if `id` names a registered RDD.
-    pub fn contains(&self, id: RddId) -> bool {
+    pub(crate) fn contains(&self, id: RddId) -> bool {
         (id.0 as usize) < self.metas.len()
     }
 
@@ -190,51 +190,18 @@ impl Lineage {
     }
 
     /// Returns the children of `id` (RDDs that list it as a parent).
-    pub fn children(&self, id: RddId) -> &[RddId] {
+    pub(crate) fn children(&self, id: RddId) -> &[RddId] {
         self.children.get(&id).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Returns the number of registered RDDs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.metas.len()
-    }
-
-    /// Returns `true` if no RDDs are registered.
-    pub fn is_empty(&self) -> bool {
-        self.metas.is_empty()
     }
 
     /// Returns all RDD ids in creation order.
     pub fn ids(&self) -> impl Iterator<Item = RddId> + '_ {
         (0..self.metas.len() as u32).map(RddId)
-    }
-
-    /// Returns the current frontier: RDDs with no children (the sinks of
-    /// the graph). This is the set Policy 1 checkpoints.
-    pub fn frontier(&self) -> Vec<RddId> {
-        self.ids()
-            .filter(|id| self.children(*id).is_empty())
-            .collect()
-    }
-
-    /// Returns `true` if `id` is currently on the frontier.
-    pub fn is_frontier(&self, id: RddId) -> bool {
-        self.children(id).is_empty()
-    }
-
-    /// Returns the strict ancestors of `id` (its full recomputation cone).
-    pub fn ancestors(&self, id: RddId) -> Vec<RddId> {
-        let mut seen = HashSet::new();
-        let mut stack: Vec<RddId> = self.meta(id).parents.clone();
-        let mut out = Vec::new();
-        while let Some(n) = stack.pop() {
-            if seen.insert(n) {
-                out.push(n);
-                stack.extend(self.meta(n).parents.iter().copied());
-            }
-        }
-        out.sort();
-        out
     }
 
     /// Marks `id` for in-memory caching, like Spark's `persist()`.
@@ -257,17 +224,9 @@ impl Lineage {
         }
     }
 
-    /// Returns the recorded size of `(rdd, part)`, if it has been
-    /// materialized at least once.
-    pub fn partition_size(&self, rdd: RddId, part: u32) -> Option<u64> {
-        self.part_sizes
-            .get(&rdd)
-            .and_then(|s| s.get(part as usize).copied().flatten())
-    }
-
     /// Returns the total known size of `rdd` in real bytes (sum over
     /// partitions with recorded sizes).
-    pub fn known_size(&self, rdd: RddId) -> u64 {
+    pub(crate) fn known_size(&self, rdd: RddId) -> u64 {
         self.part_sizes
             .get(&rdd)
             .map(|s| s.iter().flatten().sum())
@@ -276,7 +235,7 @@ impl Lineage {
 
     /// Returns `true` if every partition of `rdd` has a recorded size,
     /// i.e. the RDD has been fully materialized at least once.
-    pub fn is_fully_materialized(&self, rdd: RddId) -> bool {
+    pub(crate) fn is_fully_materialized(&self, rdd: RddId) -> bool {
         self.part_sizes
             .get(&rdd)
             .map(|s| s.iter().all(Option::is_some))
@@ -295,9 +254,8 @@ impl Lineage {
     /// paper's frontier ("the most recent RDDs for which all partitions
     /// have been computed, and whose dependencies have not been fully
     /// generated", §3.1.1) — the set Policy 1 checkpoints. Unlike the
-    /// static sink set ([`Lineage::frontier`]), it advances stage by
-    /// stage even when a program's whole DAG is declared before any
-    /// action runs.
+    /// static sink set, it advances stage by stage even when a program's
+    /// whole DAG is declared before any action runs.
     pub fn execution_frontier(&self) -> Vec<RddId> {
         self.ids()
             .filter(|id| self.is_fully_materialized(*id) && !self.has_materialized_child(*id))
@@ -350,7 +308,7 @@ impl Lineage {
     /// # Panics
     ///
     /// Panics if `id` is not a union or `part` is out of range.
-    pub fn union_source(&self, id: RddId, part: u32) -> (RddId, u32) {
+    pub(crate) fn union_source(&self, id: RddId, part: u32) -> (RddId, u32) {
         let meta = self.meta(id);
         assert!(matches!(meta.op, RddOp::Union), "not a union RDD");
         let mut offset = 0;
@@ -391,23 +349,6 @@ mod tests {
         assert_eq!(l.len(), 3);
         assert_eq!(l.children(a), &[b]);
         assert_eq!(l.children(c), &[] as &[RddId]);
-        assert_eq!(l.ancestors(c), vec![a, b]);
-        assert_eq!(l.frontier(), vec![c]);
-        assert!(l.is_frontier(c));
-        assert!(!l.is_frontier(a));
-    }
-
-    #[test]
-    fn frontier_moves_as_graph_grows() {
-        let mut l = Lineage::new();
-        let a = l.add_rdd("src", source_op(2), vec![], 2);
-        assert_eq!(l.frontier(), vec![a]);
-        let b = l.add_rdd("m", map_op(), vec![a], 2);
-        assert_eq!(l.frontier(), vec![b]);
-        // Two branches from b: both are frontier.
-        let c = l.add_rdd("m", map_op(), vec![b], 2);
-        let d = l.add_rdd("m", map_op(), vec![b], 2);
-        assert_eq!(l.frontier(), vec![c, d]);
     }
 
     #[test]
@@ -421,7 +362,6 @@ mod tests {
         l.record_partition_size(a, 1, 50);
         assert_eq!(l.known_size(a), 150);
         assert!(l.is_fully_materialized(a));
-        assert_eq!(l.partition_size(a, 1), Some(50));
     }
 
     #[test]
@@ -476,6 +416,6 @@ mod tests {
         let a = l.add_rdd("src", source_op(2), vec![], 2);
         let s = l.add_shuffle(a, ShuffleKind::Hash { parts: 3 });
         assert_eq!(l.shuffle(s).parent, a);
-        assert_eq!(l.shuffle(s).kind.num_partitions(), 3);
+        assert!(matches!(l.shuffle(s).kind, ShuffleKind::Hash { parts: 3 }));
     }
 }

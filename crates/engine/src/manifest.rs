@@ -26,7 +26,7 @@ pub struct RunManifest {
     /// durable store.
     pub session: String,
     /// Fingerprint of the determinism-relevant driver config
-    /// ([`crate::DriverConfig::fingerprint`]).
+    /// (`crate::DriverConfig::fingerprint`).
     pub config_fp: u64,
     /// Committed-wave frontier at suspension.
     pub frontier: u64,
@@ -67,7 +67,7 @@ const HEADER: &str = "flint-run-manifest v1";
 
 impl RunManifest {
     /// The durable-store key this manifest is persisted under.
-    pub fn store_key(&self) -> String {
+    pub(crate) fn store_key(&self) -> String {
         format!("manifest/{}", self.session)
     }
 
@@ -77,7 +77,7 @@ impl RunManifest {
     /// frontier, now_ms, tasks_run, revocations, checkpoints_written.
     /// The block catalog is an audit record and is not compared; the
     /// config fingerprint is checked up front by [`crate::Driver::resume`].
-    pub fn diverges_from(&self, replay: &RunManifest) -> Option<(&'static str, u64, u64)> {
+    pub(crate) fn diverges_from(&self, replay: &RunManifest) -> Option<(&'static str, u64, u64)> {
         [
             ("frontier", self.frontier, replay.frontier),
             ("now_ms", self.now_ms, replay.now_ms),
@@ -94,7 +94,7 @@ impl RunManifest {
     }
 
     /// Serializes to the line format.
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         let mut out = String::new();
         out.push_str(HEADER);
         out.push('\n');

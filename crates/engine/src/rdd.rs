@@ -30,21 +30,21 @@ impl RddRef {
 pub type PartitionData = Arc<Vec<Value>>;
 
 /// Element-wise transformation.
-pub type MapFn = Arc<dyn Fn(&Value) -> Value + Send + Sync>;
+pub(crate) type MapFn = Arc<dyn Fn(&Value) -> Value + Send + Sync>;
 /// Element-to-many transformation.
-pub type FlatMapFn = Arc<dyn Fn(&Value) -> Vec<Value> + Send + Sync>;
+pub(crate) type FlatMapFn = Arc<dyn Fn(&Value) -> Vec<Value> + Send + Sync>;
 /// Element predicate.
-pub type PredFn = Arc<dyn Fn(&Value) -> bool + Send + Sync>;
+pub(crate) type PredFn = Arc<dyn Fn(&Value) -> bool + Send + Sync>;
 /// Whole-partition transformation; receives the partition index.
-pub type PartsFn = Arc<dyn Fn(u32, &[Value]) -> Vec<Value> + Send + Sync>;
+pub(crate) type PartsFn = Arc<dyn Fn(u32, &[Value]) -> Vec<Value> + Send + Sync>;
 /// Two-value combiner for keyed aggregation and `reduce`.
-pub type AggFn = Arc<dyn Fn(&Value, &Value) -> Value + Send + Sync>;
+pub(crate) type AggFn = Arc<dyn Fn(&Value, &Value) -> Value + Send + Sync>;
 
 /// The shared identity transform. Code that needs a no-op `Map` (e.g.
 /// forcing a materialization point before a checkpoint) should use this
 /// single instance: the executor recognizes it by pointer and shares the
 /// parent partition's records outright instead of cloning each one.
-pub fn identity() -> MapFn {
+pub(crate) fn identity() -> MapFn {
     static IDENTITY: std::sync::OnceLock<MapFn> = std::sync::OnceLock::new();
     IDENTITY
         .get_or_init(|| Arc::new(|v: &Value| v.clone()))
@@ -140,7 +140,7 @@ pub enum RddOp {
 
 impl RddOp {
     /// Returns a short operator name for logs and debugging.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             RddOp::Parallelize { .. } => "parallelize",
             RddOp::Map { .. } => "map",
@@ -178,7 +178,7 @@ impl RddOp {
     ///
     /// These weights shape the checkpoint-vs-recompute trade-off per
     /// workload; absolute time comes from [`crate::CostModel`].
-    pub fn cost_factor(&self) -> f64 {
+    pub(crate) fn cost_factor(&self) -> f64 {
         match self {
             RddOp::Parallelize { .. } => 0.0, // charged as source read, not compute
             RddOp::Map { .. } => 1.0,
@@ -202,16 +202,6 @@ impl fmt::Debug for RddOp {
     }
 }
 
-/// The dependency class between an RDD and its parents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dependency {
-    /// Partition `p` depends only on partition `p` of each parent (or a
-    /// single parent partition, for `Union`).
-    Narrow,
-    /// Partition `p` depends on all partitions of each parent.
-    Shuffle,
-}
-
 /// Metadata of one RDD in the lineage graph.
 #[derive(Clone)]
 pub struct RddMeta {
@@ -225,17 +215,6 @@ pub struct RddMeta {
     pub parents: Vec<RddId>,
     /// Number of partitions.
     pub num_partitions: u32,
-}
-
-impl RddMeta {
-    /// Returns the dependency class of this RDD on its parents.
-    pub fn dependency(&self) -> Dependency {
-        if self.op.is_shuffle() {
-            Dependency::Shuffle
-        } else {
-            Dependency::Narrow
-        }
-    }
 }
 
 impl fmt::Debug for RddMeta {
@@ -274,29 +253,6 @@ mod tests {
             shuffles: vec![ShuffleId(1), ShuffleId(2)],
         };
         assert_eq!(cg.input_shuffles().len(), 2);
-    }
-
-    #[test]
-    fn dependency_classification() {
-        let narrow = RddMeta {
-            id: RddId(0),
-            name: "m".into(),
-            op: RddOp::Union,
-            parents: vec![],
-            num_partitions: 2,
-        };
-        assert_eq!(narrow.dependency(), Dependency::Narrow);
-
-        let wide = RddMeta {
-            id: RddId(1),
-            name: "g".into(),
-            op: RddOp::ShuffleGroup {
-                shuffle: ShuffleId(0),
-            },
-            parents: vec![RddId(0)],
-            num_partitions: 4,
-        };
-        assert_eq!(wide.dependency(), Dependency::Shuffle);
     }
 
     #[test]

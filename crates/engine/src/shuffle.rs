@@ -89,16 +89,6 @@ impl RangePartitioner {
         }
         RangePartitioner { bounds, ascending }
     }
-
-    /// Returns the boundary keys.
-    pub fn bounds(&self) -> &[Value] {
-        &self.bounds
-    }
-
-    /// Returns the sort direction.
-    pub fn ascending(&self) -> bool {
-        self.ascending
-    }
 }
 
 impl Partitioner for RangePartitioner {
@@ -278,15 +268,6 @@ pub enum ShuffleKind {
     },
 }
 
-impl ShuffleKind {
-    /// The number of reduce partitions this shuffle produces.
-    pub fn num_partitions(&self) -> u32 {
-        match self {
-            ShuffleKind::Hash { parts } | ShuffleKind::Range { parts, .. } => (*parts).max(1),
-        }
-    }
-}
-
 /// Static description of a shuffle edge.
 #[derive(Clone)]
 pub struct ShuffleInfo {
@@ -397,18 +378,5 @@ mod tests {
             assert_eq!(scanned, *bb.bucket(part).unwrap().to_rows());
             assert_eq!(bytes, bb.bucket_bytes(part));
         }
-    }
-
-    #[test]
-    fn shuffle_kind_partition_counts() {
-        assert_eq!(ShuffleKind::Hash { parts: 5 }.num_partitions(), 5);
-        assert_eq!(
-            ShuffleKind::Range {
-                parts: 0,
-                ascending: true
-            }
-            .num_partitions(),
-            1
-        );
     }
 }

@@ -63,22 +63,9 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Total virtual time across all recorded actions.
-    pub fn total_action_time(&self) -> SimDuration {
-        self.actions.iter().map(ActionRecord::latency).sum()
-    }
-
     /// Latency of the most recent action.
     pub fn last_action_latency(&self) -> Option<SimDuration> {
         self.actions.last().map(ActionRecord::latency)
-    }
-
-    /// Mean action latency in seconds (0 when no actions ran).
-    pub fn mean_action_secs(&self) -> f64 {
-        if self.actions.is_empty() {
-            return 0.0;
-        }
-        self.total_action_time().as_secs_f64() / self.actions.len() as f64
     }
 }
 
@@ -99,16 +86,12 @@ mod tests {
             started: SimTime::from_millis(2000),
             finished: SimTime::from_millis(2500),
         });
-        assert_eq!(s.total_action_time(), SimDuration::from_millis(2000));
         assert_eq!(s.last_action_latency(), Some(SimDuration::from_millis(500)));
-        assert!((s.mean_action_secs() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_are_zero() {
         let s = RunStats::default();
-        assert_eq!(s.total_action_time(), SimDuration::ZERO);
         assert_eq!(s.last_action_latency(), None);
-        assert_eq!(s.mean_action_secs(), 0.0);
     }
 }

@@ -171,7 +171,7 @@ impl Value {
     }
 
     /// Returns the boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,

@@ -1,11 +1,11 @@
 //! The driver's actions end to end on small in-memory datasets:
 //! transformations, shuffles and every action return the right values,
 //! and revocations, total cluster loss and explicit checkpoints recover
-//! them.
+//! them. A worker revoked three times within ten minutes is quarantined.
 
 use flint_engine::{
-    Driver, DriverConfig, EngineError, NoCheckpoint, NoFailures, RddRef, ScriptedInjector, Value,
-    WorkerEvent, WorkerSpec,
+    Driver, DriverConfig, EngineError, EventKind, NoCheckpoint, NoFailures, RddRef,
+    ScriptedInjector, TraceHandle, Value, WorkerEvent, WorkerSpec,
 };
 use flint_simtime::{SimDuration, SimTime};
 
@@ -457,5 +457,75 @@ fn cogroup_groups_both_sides() {
         } else {
             assert_eq!(groups[1].as_list().unwrap().len(), 1);
         }
+    }
+}
+
+/// Drives an idle two-worker cluster through `events` (ext 2 never
+/// moves) and returns the quarantines and ext 1's joins it traced.
+fn flap_run(events: Vec<(SimTime, WorkerEvent)>) -> (Vec<(u64, u64)>, Vec<SimTime>) {
+    let trace = TraceHandle::disabled();
+    let reader = trace.attach_memory(0);
+    let mut d = Driver::new(
+        DriverConfig::default(),
+        Box::new(NoCheckpoint),
+        Box::new(ScriptedInjector::new(events)),
+    );
+    d.set_trace(trace);
+    d.add_worker_with_ext(1, WorkerSpec::r3_large());
+    d.add_worker_with_ext(2, WorkerSpec::r3_large());
+    d.idle_until(SimTime::from_millis(3_600_000)).unwrap();
+    let mut quarantined = Vec::new();
+    let mut joins = Vec::new();
+    for e in reader.events() {
+        match e.kind {
+            EventKind::WorkerQuarantined { ext, removes } => quarantined.push((ext, removes)),
+            EventKind::WorkerAdded { ext: 1 } => joins.push(e.t),
+            _ => {}
+        }
+    }
+    (quarantined, joins)
+}
+
+/// Ext 1 is revoked at each of `removes` (seconds) and re-added 10 s
+/// after each.
+fn flapping(removes: [u64; 3]) -> Vec<(SimTime, WorkerEvent)> {
+    let s = |secs: u64| SimTime::from_millis(secs * 1000);
+    removes
+        .iter()
+        .flat_map(|&r| {
+            [
+                (s(r), WorkerEvent::Remove { ext_id: 1 }),
+                (
+                    s(r + 10),
+                    WorkerEvent::Add {
+                        ext_id: 1,
+                        spec: WorkerSpec::r3_large(),
+                    },
+                ),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn three_revocations_in_ten_minutes_quarantine_a_worker() {
+    // First to third revocation is exactly 600 s: still inside.
+    let (quarantined, joins) = flap_run(flapping([10, 300, 610]));
+    assert_eq!(quarantined, vec![(1, 3)]);
+    // The joins after the first two revocations land; the one after
+    // the third is ignored.
+    assert_eq!(
+        joins,
+        vec![SimTime::from_millis(20_000), SimTime::from_millis(310_000)]
+    );
+}
+
+#[test]
+fn revocations_spaced_past_the_flap_window_never_quarantine() {
+    // Each gap over 600 s, and then a first-to-third span of 601 s.
+    for removes in [[10, 620, 1230], [10, 300, 611]] {
+        let (quarantined, joins) = flap_run(flapping(removes));
+        assert!(quarantined.is_empty(), "{removes:?}: {quarantined:?}");
+        assert_eq!(joins.len(), 3, "{removes:?}");
     }
 }

@@ -265,16 +265,6 @@ impl MarketCatalog {
     pub fn on_demand_id(&self) -> MarketId {
         self.on_demand
     }
-
-    /// Returns the number of markets.
-    pub fn len(&self) -> usize {
-        self.markets.len()
-    }
-
-    /// Returns `true` if the catalog has no markets.
-    pub fn is_empty(&self) -> bool {
-        self.markets.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +275,7 @@ mod tests {
     #[test]
     fn ec2_catalog_shape() {
         let cat = MarketCatalog::synthetic_ec2(5, SimDuration::from_days(60));
-        assert_eq!(cat.len(), 11); // 9 zone markets + twin + on-demand
+        assert_eq!(cat.markets().len(), 11); // 9 zone markets + twin + on-demand
         assert_eq!(cat.spot_markets().len(), 10);
         assert!(!cat.market(cat.on_demand_id()).is_revocable());
     }

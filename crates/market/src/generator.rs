@@ -23,7 +23,7 @@ mod rand_distr_shim {
     use rand::Rng;
 
     /// Samples Exp(mean) via inverse transform.
-    pub fn sample_exp<R: Rng>(rng: &mut R, mean: f64) -> f64 {
+    pub(crate) fn sample_exp<R: Rng>(rng: &mut R, mean: f64) -> f64 {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         -mean * u.ln()
     }
@@ -130,7 +130,7 @@ pub struct SpikeProcess {
 impl SpikeProcess {
     /// Samples a spike process with the profile's rate scaled by
     /// `rate_scale`, over `[0, horizon)`.
-    pub fn sample(
+    pub(crate) fn sample(
         profile: &TraceProfile,
         rate_scale: f64,
         horizon: SimTime,
@@ -162,7 +162,7 @@ impl SpikeProcess {
     }
 
     /// Merges two spike processes, keeping chronological order.
-    pub fn merge(mut self, other: &SpikeProcess) -> Self {
+    pub(crate) fn merge(mut self, other: &SpikeProcess) -> Self {
         self.spikes.extend(other.spikes.iter().cloned());
         self.spikes.sort_by_key(|(t, _, _)| *t);
         self
@@ -220,11 +220,6 @@ impl TraceGenerator {
         TraceGenerator { seed, horizon }
     }
 
-    /// Returns the trace horizon.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
     /// Generates an independent trace for the market labelled `label`.
     pub fn generate(&self, label: &str, profile: &TraceProfile) -> PriceTrace {
         let spikes = SpikeProcess::sample(profile, 1.0, self.horizon, self.seed, label);
@@ -239,7 +234,7 @@ impl TraceGenerator {
     /// market keeps the profile's marginal spike rate while any pair
     /// shares a `rho` fraction of its spikes — the construction behind the
     /// correlated squares in Fig. 4.
-    pub fn generate_correlated(
+    pub(crate) fn generate_correlated(
         &self,
         group_label: &str,
         labels: &[&str],

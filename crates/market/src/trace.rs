@@ -284,11 +284,6 @@ impl PriceTrace {
         out
     }
 
-    /// Returns the last change point of the trace (its horizon).
-    pub fn horizon(&self) -> SimTime {
-        self.points.last().map(|(t, _)| *t).unwrap_or(SimTime::ZERO)
-    }
-
     /// Returns the raw change points.
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points

@@ -114,17 +114,17 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// Mean unit cost across runs (on-demand = 1.0).
-    pub fn mean_unit_cost(&self) -> f64 {
+    pub(crate) fn mean_unit_cost(&self) -> f64 {
         self.fold_mean(|r| r.unit_cost())
     }
 
     /// Mean runtime-increase fraction versus the failure-free job.
-    pub fn mean_runtime_increase(&self) -> f64 {
+    pub(crate) fn mean_runtime_increase(&self) -> f64 {
         self.fold_mean(|r| r.runtime_increase_frac(r.job_length))
     }
 
     /// Total servers revoked across all runs.
-    pub fn servers_revoked(&self) -> u64 {
+    pub(crate) fn servers_revoked(&self) -> u64 {
         self.runs
             .iter()
             .map(|(_, r)| u64::from(r.servers_revoked))

@@ -28,11 +28,6 @@ impl Clock {
         Clock { now: SimTime::ZERO }
     }
 
-    /// Creates a clock positioned at `start`.
-    pub fn starting_at(start: SimTime) -> Self {
-        Clock { now: start }
-    }
-
     /// Returns the current virtual instant.
     pub fn now(&self) -> SimTime {
         self.now
@@ -66,7 +61,8 @@ mod tests {
 
     #[test]
     fn advance_accumulates() {
-        let mut c = Clock::starting_at(SimTime::from_millis(10));
+        let mut c = Clock::new();
+        c.advance_to(SimTime::from_millis(10));
         c.advance(SimDuration::from_millis(15));
         c.advance(SimDuration::from_millis(5));
         assert_eq!(c.now(), SimTime::from_millis(30));

@@ -96,21 +96,6 @@ impl<E> EventQueue<E> {
             _ => None,
         }
     }
-
-    /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -147,15 +132,6 @@ mod tests {
             Some((SimTime::from_millis(10), "early"))
         );
         assert_eq!(q.pop_before(SimTime::from_millis(50)), None);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(100)));
     }
 }

@@ -6,8 +6,9 @@
 //! GB-month. This crate reproduces those three properties:
 //!
 //! * [`DurableStore`] — a keyed object store whose contents survive any
-//!   worker revocation; supports put/get/delete and keeps a GB-hour
-//!   integral for cost accounting.
+//!   worker revocation; supports put/get and prefix deletion (checkpoint
+//!   garbage collection) and keeps a GB-hour integral for cost
+//!   accounting.
 //! * [`StorageConfig`] — the bandwidth/latency model used to charge
 //!   virtual time for checkpoint writes and restore reads, including the
 //!   replication write amplification and an optional cross-availability-
@@ -30,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::collections::BTreeMap;
 
@@ -100,7 +102,6 @@ impl StorageConfig {
 struct StoredObject<T> {
     payload: T,
     bytes: u64,
-    written_at: SimTime,
 }
 
 /// A durable, revocation-proof keyed object store.
@@ -143,11 +144,6 @@ impl<T> DurableStore<T> {
         &self.cfg
     }
 
-    /// Replaces the bandwidth/replication model (for experiments).
-    pub fn set_config(&mut self, cfg: StorageConfig) {
-        self.cfg = cfg;
-    }
-
     fn integrate_to(&mut self, now: SimTime) {
         if now > self.last_update {
             let dt = (now - self.last_update).as_millis() as f64;
@@ -163,14 +159,8 @@ impl<T> DurableStore<T> {
         if let Some(old) = self.objects.remove(key) {
             self.total_bytes -= old.bytes;
         }
-        self.objects.insert(
-            key.to_string(),
-            StoredObject {
-                payload,
-                bytes,
-                written_at: now,
-            },
-        );
+        self.objects
+            .insert(key.to_string(), StoredObject { payload, bytes });
         self.total_bytes += bytes;
         self.bytes_written += bytes;
         self.peak_bytes = self.peak_bytes.max(self.total_bytes);
@@ -181,12 +171,6 @@ impl<T> DurableStore<T> {
         self.objects.get(key).map(|o| &o.payload)
     }
 
-    /// Returns the instant the object under `key` was written, if
-    /// present (e.g. for checkpoint-age policies).
-    pub fn written_at(&self, key: &str) -> Option<SimTime> {
-        self.objects.get(key).map(|o| o.written_at)
-    }
-
     /// Returns an object's virtual size in bytes.
     pub fn size_of(&self, key: &str) -> Option<u64> {
         self.objects.get(key).map(|o| o.bytes)
@@ -195,17 +179,6 @@ impl<T> DurableStore<T> {
     /// Returns `true` if `key` is stored.
     pub fn contains(&self, key: &str) -> bool {
         self.objects.contains_key(key)
-    }
-
-    /// Deletes the object under `key`, returning `true` if it existed.
-    pub fn delete(&mut self, key: &str, now: SimTime) -> bool {
-        self.integrate_to(now);
-        if let Some(old) = self.objects.remove(key) {
-            self.total_bytes -= old.bytes;
-            true
-        } else {
-            false
-        }
     }
 
     /// Deletes every object whose key starts with `prefix`, returning the
@@ -299,9 +272,9 @@ mod tests {
         s.put("a", "hello", 100, t(0));
         assert_eq!(s.get("a"), Some(&"hello"));
         assert_eq!(s.size_of("a"), Some(100));
-        assert!(s.delete("a", t(1)));
-        assert!(!s.delete("a", t(1)));
-        assert!(s.is_empty());
+        assert_eq!(s.delete_prefix("a", t(1)), 1);
+        assert_eq!(s.delete_prefix("a", t(1)), 0);
+        assert_eq!(s.total_bytes(), 0);
     }
 
     #[test]
@@ -425,7 +398,7 @@ mod tests {
 
         let mut gced: DurableStore<()> = DurableStore::new(cfg);
         gced.put("k", (), gb, SimTime::ZERO);
-        gced.delete("k", SimTime::ZERO + SimDuration::from_days(15));
+        gced.delete_prefix("k", SimTime::ZERO + SimDuration::from_days(15));
         let gced_cost = gced.storage_cost(&ebs, SimTime::ZERO + month);
 
         assert!((gced_cost - kept_cost / 2.0).abs() < 1e-6);

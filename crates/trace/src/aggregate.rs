@@ -18,7 +18,6 @@ pub struct Histogram {
     buckets: [u64; 64],
     count: u64,
     sum: u64,
-    min: u64,
     max: u64,
 }
 
@@ -28,7 +27,6 @@ impl Default for Histogram {
             buckets: [0; 64],
             count: 0,
             sum: 0,
-            min: u64::MAX,
             max: 0,
         }
     }
@@ -36,41 +34,26 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Records one sample.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         let idx = (u64::BITS - v.leading_zeros()) as usize; // 0 for v=0
         self.buckets[idx.min(63)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
 
     /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
-    /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
     /// Largest sample, or 0 when empty.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Mean sample, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -81,7 +64,7 @@ impl Histogram {
     /// Upper bound of the bucket containing the `q`-quantile
     /// (`0.0 ..= 1.0`), or 0 when empty. Coarse by construction —
     /// buckets are powers of two — but monotone and deterministic.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -186,8 +169,6 @@ pub struct MetricsAggregator {
     pub backoffs_scheduled: u64,
     /// Flapping workers quarantined.
     pub workers_quarantined: u64,
-    /// Markets placed in a cooldown exclusion window.
-    pub market_cooldowns: u64,
     /// Portfolio weight decisions emitted by the mean-variance policy.
     pub portfolio_weights: u64,
     /// Cluster-MTTF re-fits under an age-dependent hazard model.
@@ -355,7 +336,6 @@ impl MetricsAggregator {
             EventKind::RestoreFallback { .. } => self.restore_fallbacks += 1,
             EventKind::BackoffScheduled { .. } => self.backoffs_scheduled += 1,
             EventKind::WorkerQuarantined { .. } => self.workers_quarantined += 1,
-            EventKind::MarketCooledDown { .. } => self.market_cooldowns += 1,
             EventKind::PortfolioWeight { .. } => self.portfolio_weights += 1,
             EventKind::HazardRefit { .. } => self.hazard_refits += 1,
             EventKind::BackendSelected { backend, workers } => {
@@ -396,7 +376,7 @@ impl MetricsAggregator {
     }
 
     /// Virtual span covered by the trace.
-    pub fn span_ms(&self) -> u64 {
+    pub(crate) fn span_ms(&self) -> u64 {
         match (self.first_t, self.last_t) {
             (Some(a), Some(b)) => (b - a).as_millis(),
             _ => 0,
@@ -538,7 +518,6 @@ impl fmt::Display for MetricsAggregator {
             row(f, "restore fallbacks", self.restore_fallbacks)?;
             row(f, "backoffs scheduled", self.backoffs_scheduled)?;
             row(f, "workers quarantined", self.workers_quarantined)?;
-            row(f, "market cooldowns", self.market_cooldowns)?;
         }
         if self.breakers_opened > 0 || self.backstop_rounds > 0 || self.runs_resumed > 0 {
             writeln!(f, "degradation:")?;
@@ -593,14 +572,12 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 7);
-        assert_eq!(h.sum(), 1110);
-        assert_eq!(h.min(), 0);
+        assert_eq!(h.mean(), 1110.0 / 7.0);
         assert_eq!(h.max(), 1000);
         assert!(h.quantile(0.5) <= 8);
         assert!(h.quantile(1.0) >= 1000);
         let empty = Histogram::default();
         assert_eq!(empty.quantile(0.5), 0);
-        assert_eq!(empty.min(), 0);
         assert_eq!(empty.mean(), 0.0);
     }
 

@@ -25,7 +25,7 @@ impl Event {
     /// trailing newline). The field order is fixed per variant, so equal
     /// events encode to identical bytes. Nothing is allocated beyond
     /// `out`'s own growth.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         out.push_str("{\"t\":");
         let _ = write!(out, "{}", self.t.as_millis());
         out.push_str(",\"ev\":\"");
@@ -35,7 +35,7 @@ impl Event {
         out.push('}');
     }
 
-    /// [`Event::write_json`] into a fresh `String`.
+    /// `Event::write_json` into a fresh `String`.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(64);
         self.write_json(&mut s);
@@ -73,7 +73,7 @@ macro_rules! event_kinds {
 
         impl EventKind {
             /// Stable wire name of the variant (the `"ev"` field).
-            pub fn name(&self) -> &'static str {
+            pub(crate) fn name(&self) -> &'static str {
                 match self {
                     $( EventKind::$name { .. } => stringify!($name), )*
                 }
@@ -272,9 +272,6 @@ event_kinds! {
     /// A flapping worker exceeded the remove-rate threshold and was
     /// quarantined: future Adds for this ext id are ignored.
     WorkerQuarantined { ext: u64, removes: u64 },
-    /// A failed/spiking market entered its cooldown exclusion window
-    /// and will not receive replacement requests until `until_ms`.
-    MarketCooledDown { market: u64, until_ms: u64 },
 
     // ── backend lifecycle and per-invocation billing ───────────────
     /// The run selected an execution backend at launch. `backend` is
@@ -839,10 +836,6 @@ mod tests {
             EventKind::WorkerQuarantined {
                 ext: 17,
                 removes: 3,
-            },
-            EventKind::MarketCooledDown {
-                market: 4,
-                until_ms: 7_200_000,
             },
             EventKind::BackendSelected {
                 backend: "serverless".into(),

@@ -13,7 +13,7 @@
 //!   sink is attached (one relaxed atomic load per emit site).
 //! * Sinks — [`memory_sink`] (bounded ring, for tests),
 //!   [`JsonlSink`] (streaming JSONL through the hand-rolled codec of
-//!   [`Event::write_json`]).
+//!   `Event::write_json`).
 //! * [`MetricsAggregator`] — folds a stream back into the totals
 //!   `RunStats`/`CostReport` track, as a cross-check that traces are
 //!   complete.
@@ -28,6 +28,7 @@
 //! observability.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod aggregate;
 mod event;

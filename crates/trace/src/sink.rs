@@ -31,30 +31,20 @@ pub struct TraceBus {
 }
 
 impl TraceBus {
-    /// A bus with no sinks.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether at least one sink is attached.
-    pub fn is_enabled(&self) -> bool {
-        !self.sinks.is_empty()
-    }
-
     /// Attaches a sink; all subsequent events reach it.
-    pub fn add_sink(&mut self, sink: Box<dyn EventSink>) {
+    pub(crate) fn add_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sinks.push(sink);
     }
 
     /// Broadcasts an already-built event to every sink.
-    pub fn broadcast(&mut self, event: &Event) {
+    pub(crate) fn broadcast(&mut self, event: &Event) {
         for s in &mut self.sinks {
             s.emit(event);
         }
     }
 
     /// Flushes all sinks.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         for s in &mut self.sinks {
             s.flush();
         }
@@ -87,13 +77,6 @@ impl TraceHandle {
     /// relaxed atomic load.
     pub fn disabled() -> Self {
         Self::default()
-    }
-
-    /// A handle with one initial sink attached.
-    pub fn with_sink(sink: Box<dyn EventSink>) -> Self {
-        let h = Self::default();
-        h.add_sink(sink);
-        h
     }
 
     /// Whether any sink is attached (i.e. whether emits do work).
@@ -208,7 +191,7 @@ impl MemoryReader {
     }
 
     /// Renders the retained events as a JSONL document (one
-    /// [`Event::write_json`] line each, `\n`-terminated).
+    /// `Event::write_json` line each, `\n`-terminated).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in lock(&self.buf).iter() {
@@ -222,7 +205,7 @@ impl MemoryReader {
 /// Streams events as JSONL to any writer (file, stdout, `Vec<u8>`).
 ///
 /// Each event is encoded straight into an internal buffer
-/// ([`Event::write_json`]; no per-event `String`), and lines reach the
+/// (`Event::write_json`; no per-event `String`), and lines reach the
 /// writer in [`JsonlSink::BUFFER_BYTES`]-sized chunks, so a
 /// multi-gigabyte trace costs a bounded amount of memory and a syscall
 /// every few thousand events rather than two per event.
@@ -231,7 +214,6 @@ impl MemoryReader {
 pub struct JsonlSink<W: Write + Send> {
     out: W,
     buf: String,
-    lines: u64,
 }
 
 impl<W: Write + Send> JsonlSink<W> {
@@ -243,13 +225,7 @@ impl<W: Write + Send> JsonlSink<W> {
         Self {
             out,
             buf: String::with_capacity(Self::BUFFER_BYTES + 1024),
-            lines: 0,
         }
-    }
-
-    /// Lines written so far (including any still in the buffer).
-    pub fn lines(&self) -> u64 {
-        self.lines
     }
 
     fn drain(&mut self) {
@@ -267,7 +243,6 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn emit(&mut self, event: &Event) {
         event.write_json(&mut self.buf);
         self.buf.push('\n');
-        self.lines += 1;
         if self.buf.len() >= Self::BUFFER_BYTES {
             self.drain();
         }
@@ -337,7 +312,6 @@ mod tests {
             let mut sink = JsonlSink::new(&mut buf);
             sink.emit(&ev(1));
             sink.emit(&ev(2));
-            assert_eq!(sink.lines(), 2);
             sink.flush();
         }
         let text = String::from_utf8(buf).unwrap();
@@ -365,7 +339,6 @@ mod tests {
             let mut sink = JsonlSink::new(store.clone());
             sink.emit(&ev(1));
             sink.emit(&ev(2));
-            assert_eq!(sink.lines(), 2);
             assert!(
                 lock(&store.0).is_empty(),
                 "small emits must stay in the sink's buffer"

@@ -151,7 +151,7 @@ impl Als {
 
     /// Runs ALS, returning `(user_factors, item_factors)` sorted by id.
     #[allow(clippy::type_complexity)]
-    pub fn run_factors(
+    pub(crate) fn run_factors(
         &self,
         driver: &mut Driver,
     ) -> Result<(Vec<(i64, Vec<f64>)>, Vec<(i64, Vec<f64>)>)> {

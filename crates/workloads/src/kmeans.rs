@@ -45,7 +45,7 @@ impl KMeans {
     }
 
     /// The well-separated ground-truth centers points jitter around.
-    pub fn true_centers(k: u32, dim: u32) -> Vec<Vec<f64>> {
+    pub(crate) fn true_centers(k: u32, dim: u32) -> Vec<Vec<f64>> {
         (0..k)
             .map(|c| {
                 let mut rng = stream(0xC3A5, &format!("center{c}"));
@@ -72,7 +72,7 @@ impl KMeans {
     }
 
     /// Runs KMeans and returns the final centroids.
-    pub fn run_centroids(&self, driver: &mut Driver) -> Result<Vec<Vec<f64>>> {
+    pub(crate) fn run_centroids(&self, driver: &mut Driver) -> Result<Vec<Vec<f64>>> {
         let parts = self.cfg.partitions;
         let points = driver.ctx().parallelize(self.points(), parts);
         driver.ctx().persist(points);

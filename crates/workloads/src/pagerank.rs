@@ -80,7 +80,7 @@ impl PageRank {
     }
 
     /// Runs PageRank and returns the final ranks.
-    pub fn run_ranks(&self, driver: &mut Driver) -> Result<Vec<(i64, f64)>> {
+    pub(crate) fn run_ranks(&self, driver: &mut Driver) -> Result<Vec<(i64, f64)>> {
         let parts = self.cfg.partitions;
         let links = driver.ctx().parallelize(self.adjacency_values(), parts);
         driver.ctx().persist(links);

@@ -1381,8 +1381,11 @@ fn cmd_chaos(f: &Flags) -> ExitCode {
 fn cmd_trace_prices(f: &Flags) -> ExitCode {
     let market: u32 = f.get("market");
     let cat = MarketCatalog::synthetic_ec2(f.get("seed"), SimDuration::from_days(f.get("days")));
-    if market as usize >= cat.len() {
-        eprintln!("market index out of range (catalog has {})", cat.len());
+    if market as usize >= cat.markets().len() {
+        eprintln!(
+            "market index out of range (catalog has {})",
+            cat.markets().len()
+        );
         return ExitCode::FAILURE;
     }
     out!(

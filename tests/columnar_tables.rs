@@ -106,7 +106,7 @@ fn kernel_queries_on_prepared_tables_take_the_batch_arm() {
     let (q3, q10) = join_query_stats(&mut row, &rt);
     for q in TpchQuery::ALL {
         let before = col.column_stats();
-        let rdds = col.lineage().len();
+        let rdds = col.lineage().ids().count();
         let got = wl.query(&mut col, &ct, q).unwrap();
         let used = since(col.column_stats(), before);
         eprintln!("{}: {used:?}", q.name());

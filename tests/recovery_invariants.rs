@@ -447,8 +447,9 @@ proptest! {
 
     /// Billing stays consistent under market-driven churn: after
     /// shutdown, the sum of `InstanceBilled` trace events equals the
-    /// `CostReport`'s compute cost, with the failure-cooldown window
-    /// active so replacement rounds route around failed markets.
+    /// `CostReport`'s compute cost, with a hair-trigger circuit breaker
+    /// (one revocation opens a market for an hour) so replacement rounds
+    /// route around failed markets.
     #[test]
     fn billed_events_match_cost_report_under_churn(seed in 0u64..500) {
         let catalog = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(30));
@@ -458,7 +459,9 @@ proptest! {
             .n_workers(4)
             .mode(Mode::Interactive)
             .selection(SelectionConfig {
-                market_cooldown: SimDuration::from_hours(1),
+                breaker_revocation_threshold: 1,
+                breaker_window: SimDuration::from_hours(1),
+                breaker_cooldown: SimDuration::from_hours(1),
                 ..SelectionConfig::default()
             })
             .seed(seed)
@@ -497,7 +500,9 @@ proptest! {
             .mode(Mode::Portfolio)
             .risk_aversion(1.5)
             .selection(SelectionConfig {
-                market_cooldown: SimDuration::from_hours(1),
+                breaker_revocation_threshold: 1,
+                breaker_window: SimDuration::from_hours(1),
+                breaker_cooldown: SimDuration::from_hours(1),
                 ..SelectionConfig::default()
             })
             .seed(seed)
