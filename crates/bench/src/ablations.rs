@@ -7,7 +7,8 @@ use flint_simtime::{SimDuration, SimTime};
 use flint_workloads::PageRank;
 
 use crate::setups::{
-    baseline_runtime, fmt_pct, fmt_secs, pct_increase, run_workload, HookSpec, RunOpts,
+    baseline_runtime, fmt_pct, fmt_secs, on_host_cores, pct_increase, run_workload, HookSpec,
+    RunOpts,
 };
 use crate::Table;
 
@@ -550,80 +551,88 @@ pub(crate) fn ablation_backstop() -> Table {
     );
 
     const RUNS: u64 = 4;
-    let cell = |mttf_h: f64, guard: bool| -> (u64, f64, f64, u64, u64, u64) {
-        let (mut completed, mut cost_sum, mut rt_sum) = (0u64, 0.0f64, 0.0f64);
-        let (mut revocations, mut trips, mut od_runs) = (0u64, 0u64, 0u64);
-        for i in 0..RUNS {
-            let wl = PageRank::new(WorkloadConfig {
-                dataset_gb: 4.0,
-                partitions: 16,
-                iterations: 32,
-                seed: 7 + i,
-            });
-            let cat = catalog_with_mttf(90 + i, SimDuration::from_days(30), mttf_h);
-            let od_id = cat.on_demand_id();
-            let mut selection = SelectionConfig::default();
-            if guard {
-                selection.breaker_revocation_threshold = 1;
-                selection.breaker_window = SimDuration::from_hours(1);
-                selection.breaker_cooldown = SimDuration::from_hours(2);
-                selection.breaker_price_factor = 1.0;
-                selection.capacity_floor = 0.75;
-                selection.backstop = true;
-            }
-            let config = FlintConfig::builder()
-                .n_workers(8)
-                .seed(90 + i)
-                .start(SimTime::ZERO + SimDuration::from_days(7 + i * 5))
-                .selection(selection)
-                .build();
-            let mut cluster = FlintCluster::launch(cat, config);
-            let mut cost_model = *cluster.driver().cost_model();
-            cost_model.size_scale = wl.recommended_size_scale();
-            cluster.driver_mut().set_cost_model(cost_model);
-            let started = cluster.driver().now();
-            let res = wl.run(cluster.driver_mut());
-            let makespan = (cluster.driver().now() - started).as_secs_f64();
-            let nm = cluster.node_manager();
-            revocations += nm.revocations();
-            trips += nm.breaker_trips();
-            // A run "ends on the backstop" when fixed-price on-demand
-            // capacity is still in the active set at completion — either
-            // the strict backstop tier or breaker-routed od replacement.
-            if nm.backstop_workers() > 0 || nm.active_markets().contains(&od_id) {
-                od_runs += 1;
-            }
-            let report = cluster.shutdown();
-            if res.is_ok() {
-                completed += 1;
-                cost_sum += report.total();
-                rt_sum += makespan;
-            }
-        }
-        let denom = completed.max(1) as f64;
-        (
-            completed,
-            cost_sum / denom,
-            rt_sum / denom,
-            revocations,
-            trips,
-            od_runs,
-        )
-    };
-
-    for (regime, mttf_h) in [
+    let regimes = [
         ("calm 24h", 24.0),
         ("volatile 0.5h", 0.5),
         ("collapse 0.25h", 0.25),
-    ] {
+    ];
+    // One run per (regime, guard, draw); a cell is RUNS consecutive runs.
+    let runs: Vec<(f64, bool, u64)> = regimes
+        .iter()
+        .flat_map(|&(_, mttf_h)| {
+            [false, true]
+                .into_iter()
+                .flat_map(move |guard| (0..RUNS).map(move |i| (mttf_h, guard, i)))
+        })
+        .collect();
+    // Per run: (cost, makespan) if it completed, revocations, breaker
+    // trips, and whether it ended on the backstop.
+    let results = on_host_cores(&runs, |&(mttf_h, guard, i)| {
+        let wl = PageRank::new(WorkloadConfig {
+            dataset_gb: 4.0,
+            partitions: 16,
+            iterations: 32,
+            seed: 7 + i,
+        });
+        let cat = catalog_with_mttf(90 + i, SimDuration::from_days(30), mttf_h);
+        let od_id = cat.on_demand_id();
+        let mut selection = SelectionConfig::default();
+        if guard {
+            selection.breaker_revocation_threshold = 1;
+            selection.breaker_window = SimDuration::from_hours(1);
+            selection.breaker_cooldown = SimDuration::from_hours(2);
+            selection.breaker_price_factor = 1.0;
+            selection.capacity_floor = 0.75;
+            selection.backstop = true;
+        }
+        let config = FlintConfig::builder()
+            .n_workers(8)
+            .seed(90 + i)
+            .start(SimTime::ZERO + SimDuration::from_days(7 + i * 5))
+            .selection(selection)
+            .build();
+        let mut cluster = FlintCluster::launch(cat, config);
+        let mut cost_model = *cluster.driver().cost_model();
+        cost_model.size_scale = wl.recommended_size_scale();
+        cluster.driver_mut().set_cost_model(cost_model);
+        let started = cluster.driver().now();
+        let res = wl.run(cluster.driver_mut());
+        let makespan = (cluster.driver().now() - started).as_secs_f64();
+        let nm = cluster.node_manager();
+        let (revocations, trips) = (nm.revocations(), nm.breaker_trips());
+        // A run "ends on the backstop" when fixed-price on-demand
+        // capacity is still in the active set at completion — either
+        // the strict backstop tier or breaker-routed od replacement.
+        let on_backstop = nm.backstop_workers() > 0 || nm.active_markets().contains(&od_id);
+        let report = cluster.shutdown();
+        let done = res.is_ok().then(|| (report.total(), makespan));
+        (done, revocations, trips, on_backstop)
+    });
+
+    // Folded in run order, so the float sums are the serial loop's.
+    let mut cells = results.chunks(RUNS as usize);
+    for (regime, _) in regimes {
         for guard in [false, true] {
-            let (completed, cost, makespan, revocations, trips, od_runs) = cell(mttf_h, guard);
+            let cell = cells.next().expect("one cell per regime and guard");
+            let (mut completed, mut cost_sum, mut rt_sum) = (0u64, 0.0f64, 0.0f64);
+            let (mut revocations, mut trips, mut od_runs) = (0u64, 0u64, 0u64);
+            for (done, revs, run_trips, on_backstop) in cell {
+                revocations += revs;
+                trips += run_trips;
+                od_runs += u64::from(*on_backstop);
+                if let Some((cost, makespan)) = done {
+                    completed += 1;
+                    cost_sum += cost;
+                    rt_sum += makespan;
+                }
+            }
+            let denom = completed.max(1) as f64;
             table.push_row(vec![
                 regime.to_string(),
                 if guard { "on" } else { "off" }.to_string(),
                 format!("{completed}/{RUNS}"),
-                format!("{cost:.4}"),
-                format!("{makespan:.1}"),
+                format!("{:.4}", cost_sum / denom),
+                format!("{:.1}", rt_sum / denom),
                 revocations.to_string(),
                 trips.to_string(),
                 format!("{od_runs}/{RUNS}"),

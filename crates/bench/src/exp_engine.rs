@@ -7,8 +7,8 @@ use flint_store::StorageConfig;
 use flint_workloads::{Als, KMeans, PageRank, Tpch, TpchQuery, Workload, WorkloadConfig};
 
 use crate::setups::{
-    baseline_runtime, build_driver, fmt_pct, fmt_secs, pct_increase, run_workload, HookSpec,
-    RunOpts, ACQ,
+    baseline_runtime, build_driver, fmt_pct, fmt_secs, on_host_cores, pct_increase, run_workload,
+    HookSpec, RunOpts, ACQ,
 };
 use crate::Table;
 
@@ -187,30 +187,43 @@ pub(crate) fn fig06c_volatility() -> Table {
     .with_note("Paper: ~10% at 50h rising to ~50% at 1h. 24 seeds per point.");
     let wl = Als::paper_scale();
     let base = baseline_runtime(&wl, 10);
-    for mttf in [50.0, 20.0, 5.0, 1.0] {
+    const SEEDS: u64 = 24;
+    let mttfs = [50.0, 20.0, 5.0, 1.0];
+    let runs: Vec<(f64, u64)> = mttfs
+        .iter()
+        .flat_map(|&mttf| (0..SEEDS).map(move |seed| (mttf, seed)))
+        .collect();
+    // Poisson full-cluster revocations at rate 1/MTTF over a window
+    // comfortably covering the (inflated) run.
+    let horizon = SimTime::ZERO + base.mul_f64(1.5);
+    let results = on_host_cores(&runs, |&(mttf, seed)| {
+        let kill_batches = crate::setups::poisson_kills(mttf, horizon, 10, seed, "fig06c");
+        let run = run_workload(
+            &wl,
+            &RunOpts {
+                hooks: HookSpec::Flint {
+                    mttf_hours: mttf,
+                    shuffle_fastpath: true,
+                },
+                kill_batches,
+                ..RunOpts::default()
+            },
+        );
+        (
+            run.runtime.as_secs_f64(),
+            run.stats.revocations as f64 / 10.0,
+            run.stats.checkpoints_written as f64,
+        )
+    });
+    // Folded in seed order, so the float sums are the serial loop's.
+    for (mttf, per_seed) in mttfs.iter().zip(results.chunks(SEEDS as usize)) {
         let mut runtimes = 0.0;
         let mut revs = 0.0;
         let mut ckpts = 0.0;
-        const SEEDS: u64 = 24;
-        for seed in 0..SEEDS {
-            // Poisson full-cluster revocations at rate 1/MTTF over a
-            // window comfortably covering the (inflated) run.
-            let horizon = SimTime::ZERO + base.mul_f64(1.5);
-            let kill_batches = crate::setups::poisson_kills(mttf, horizon, 10, seed, "fig06c");
-            let run = run_workload(
-                &wl,
-                &RunOpts {
-                    hooks: HookSpec::Flint {
-                        mttf_hours: mttf,
-                        shuffle_fastpath: true,
-                    },
-                    kill_batches,
-                    ..RunOpts::default()
-                },
-            );
-            runtimes += run.runtime.as_secs_f64();
-            revs += run.stats.revocations as f64 / 10.0;
-            ckpts += run.stats.checkpoints_written as f64;
+        for (runtime, rev, ckpt) in per_seed {
+            runtimes += runtime;
+            revs += rev;
+            ckpts += ckpt;
         }
         let mean_rt = runtimes / SEEDS as f64;
         let overhead = (mean_rt - base.as_secs_f64()) / base.as_secs_f64() * 100.0;

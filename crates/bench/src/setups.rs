@@ -236,6 +236,18 @@ pub(crate) fn poisson_kills(
     }
 }
 
+/// Maps `f` over independent `items` on one thread per host core;
+/// results come back in `items` order ([`flint_model::fan_out`]).
+pub(crate) fn on_host_cores<T, O, F>(items: &[T], f: F) -> Vec<O>
+where
+    T: Sync,
+    O: Send,
+    F: Fn(&T) -> O + Sync,
+{
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    flint_model::fan_out(jobs, items, f)
+}
+
 /// Percentage increase of `x` over baseline `b`.
 pub(crate) fn pct_increase(x: SimDuration, b: SimDuration) -> f64 {
     let b = b.as_secs_f64().max(1e-9);

@@ -46,7 +46,8 @@ impl std::fmt::Display for BlockKey {
 ///
 /// For maps whose keys never come from outside the program and that are
 /// never iterated where the order could reach an output, so neither hash
-/// flooding nor an order that depends on the hasher can.
+/// flooding nor an order that depends on the hasher can. Comparing two
+/// such maps is fine: `HashMap` equality does not depend on the order.
 pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// A multiply-rotate hasher for integer words: each word is added and

@@ -28,20 +28,13 @@
 //! side of every outage edge. The rebuild is the same code the
 //! incremental path uses to add a task, so there is one planner, not two.
 //!
-//! **The oracle, and what it costs.** Every pass ends by checking that
-//! the carried plan equals the one a from-scratch build would make, field
-//! for field ([`Planner::plan`]), in release builds too. The check builds
-//! nothing: it walks the from-scratch closure against the carried maps,
-//! re-probing every remembered availability and re-walking every task's
-//! cone into reused buffers, and counts what it matched, so it passes
-//! exactly when the two plans would compare equal (`Planner::check`). A
-//! pass is therefore O(nodes), not O(changed). What keeps that cheap: an
-//! availability check formats no key and hashes each block once
-//! ([`Cluster::holds`], a typed corrupt set, [`KeyMap`]), the small
-//! per-entry sets of the plan are sorted `Vec`s, and the check allocates
-//! nothing once its buffers have grown. Making it debug-only is one
-//! `cfg!(debug_assertions)` around the call; see DESIGN.md §8
-//! "Readiness planning" for what it costs today.
+//! **The oracle.** In debug builds (the profile `cargo test` and a
+//! plain `cargo run` use) every pass ends by building a second plan from
+//! the roots and asserting that the carried one equals it field for
+//! field ([`Planner::plan`]). Release builds skip it:
+//! `cfg!(debug_assertions)` is false there and the comparison compiles
+//! away, so a release pass does only the incremental work. DESIGN.md §8
+//! "Readiness planning" records what the oracle costs.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,8 +58,8 @@ pub struct PlanStats {
     /// Planning passes: one per scheduler step.
     pub passes: u64,
     /// Passes that discarded the plan and built it from the roots, the
-    /// first pass of each job included. The oracle's check is not
-    /// counted, here or below.
+    /// first pass of each job included. The oracle's from-scratch build
+    /// is not counted, here or below: its counters are discarded.
     pub rebuilds: u64,
     /// Task nodes derived (cone walked) or re-derived.
     pub nodes_visited: u64,
@@ -98,8 +91,7 @@ impl World<'_> {
 
 /// One task in the closure. The sets here and below are ascending,
 /// duplicate-free `Vec`s: they usually hold one or two entries.
-#[derive(Debug)]
-#[cfg_attr(test, derive(Clone, PartialEq))]
+#[derive(Debug, PartialEq)]
 struct Node {
     /// Shuffles the task's narrow cone reads.
     deps: Vec<ShuffleId>,
@@ -110,8 +102,7 @@ struct Node {
 }
 
 /// A shuffle some task in the closure reads.
-#[derive(Debug)]
-#[cfg_attr(test, derive(Clone, PartialEq))]
+#[derive(Debug, PartialEq)]
 struct ShuffleState {
     /// Map parts with no available output. Each is a `ShuffleMap` task in
     /// the closure.
@@ -121,8 +112,7 @@ struct ShuffleState {
 }
 
 /// A remembered `(rdd, part)` availability.
-#[derive(Debug)]
-#[cfg_attr(test, derive(Clone, PartialEq))]
+#[derive(Debug, PartialEq)]
 struct PartState {
     available: bool,
     /// Tasks whose cone walk consulted it; never empty.
@@ -130,11 +120,10 @@ struct PartState {
 }
 
 /// The plan itself: a pure function of the target and of what is
-/// available, whichever way it was arrived at. The keyed maps are looked
-/// up, and iterated only by the check, whose verdict does not depend on
-/// the order.
-#[derive(Debug, Default)]
-#[cfg_attr(test, derive(Clone, PartialEq))]
+/// available, whichever way it was arrived at. The keyed maps are only
+/// looked up, and compared whole by the oracle, which does not depend on
+/// their order.
+#[derive(Debug, Default, PartialEq)]
 struct PlanState {
     /// Target partitions not yet available; empty means the job is done.
     target_missing: BTreeSet<u32>,
@@ -166,11 +155,6 @@ fn set_remove<T: Ord>(set: &mut Vec<T>, x: &T) -> bool {
         }
         Err(_) => false,
     }
-}
-
-/// Whether `set` is ascending and duplicate-free.
-fn is_set<T: Ord>(set: &[T]) -> bool {
-    set.windows(2).all(|p| p[0] < p[1])
 }
 
 /// The partition task `t` materializes, where its cone starts.
@@ -229,30 +213,6 @@ fn walk_cone(
     }
 }
 
-/// Buffers the planner reuses from pass to pass.
-#[derive(Debug, Default)]
-struct Scratch {
-    /// A cone walk's stack.
-    stack: Vec<(RddId, u32)>,
-    /// The check's worklist of tasks in the from-scratch closure.
-    work: Vec<TaskKey>,
-    /// The check's re-derivation of one task's cone.
-    deps: Vec<ShuffleId>,
-    reads: Vec<(RddId, u32)>,
-    /// Shuffles the check has reached, ascending.
-    seen: Vec<ShuffleId>,
-}
-
-/// Ends `Planner::check` with a description of the difference unless
-/// `$same` holds.
-macro_rules! agree {
-    ($same:expr, $($what:tt)+) => {
-        if !$same {
-            return Err(format!($($what)+));
-        }
-    };
-}
-
 /// Incremental readiness planner for one driver.
 #[derive(Debug, Default)]
 pub(crate) struct Planner {
@@ -260,7 +220,8 @@ pub(crate) struct Planner {
     planned_at: SimTime,
     state: PlanState,
     stats: PlanStats,
-    scratch: Scratch,
+    /// A cone walk's stack, reused from pass to pass.
+    stack: Vec<(RddId, u32)>,
 }
 
 impl Planner {
@@ -299,8 +260,15 @@ impl Planner {
             self.rebuild(&w, target);
         }
         self.planned_at = now;
-        // The oracle, in every build (see the module docs).
-        self.verify(&w, target);
+        // The oracle, in debug builds (see the module docs).
+        if cfg!(debug_assertions) {
+            let mut fresh = Planner::default();
+            fresh.build(&w, target);
+            assert_eq!(
+                self.state, fresh.state,
+                "carried plan diverged from a from-scratch plan"
+            );
+        }
         (
             self.state.ready.iter().copied().collect(),
             self.state.target_missing.is_empty(),
@@ -310,179 +278,6 @@ impl Planner {
     /// The planner's work counters so far.
     pub(crate) fn stats(&self) -> PlanStats {
         self.stats
-    }
-
-    /// Panics unless the carried plan equals the one `build` would make
-    /// for `target` from scratch.
-    fn verify(&mut self, w: &World<'_>, target: RddId) {
-        if let Err(what) = self.check(w, target) {
-            panic!("carried plan diverged from a from-scratch plan: {what}");
-        }
-    }
-
-    /// Whether the carried plan equals, field for field, the one `build`
-    /// would make for `target` from scratch, decided without building it.
-    ///
-    /// Walks the from-scratch closure from the roots and matches every
-    /// task, shuffle and read it meets against the carried maps, probing
-    /// each availability the fresh build would probe. The counts at the
-    /// end rule out anything the walk did not meet. Touches no
-    /// [`PlanStats`]; on a difference, describes the first one found.
-    fn check(&mut self, w: &World<'_>, target: RddId) -> Result<(), String> {
-        let Planner { state, scratch, .. } = self;
-        let Scratch {
-            stack,
-            work,
-            deps,
-            reads,
-            seen,
-        } = scratch;
-        work.clear();
-        seen.clear();
-
-        let mut readers = 0;
-        for (key, st) in &state.parts {
-            agree!(
-                !st.readers.is_empty() && is_set(&st.readers),
-                "{key:?} has readers {:?}",
-                st.readers
-            );
-            agree!(
-                st.available == w.part_available(key.0, key.1),
-                "{key:?} remembered as available: {}",
-                st.available
-            );
-            readers += st.readers.len();
-        }
-        let mut dependents = 0;
-        for (s, st) in &state.shuffles {
-            agree!(
-                !st.dependents.is_empty() && is_set(&st.dependents),
-                "{s:?} has dependents {:?}",
-                st.dependents
-            );
-            dependents += st.dependents.len();
-        }
-
-        let mut missing = state.target_missing.iter();
-        for part in 0..w.lineage.meta(target).num_partitions {
-            if !w.part_available(target, part) {
-                agree!(
-                    missing.next() == Some(&part),
-                    "target part {part} missing but not in {:?}",
-                    state.target_missing
-                );
-                work.push(TaskKey::Output { rdd: target, part });
-            }
-        }
-        agree!(
-            missing.next().is_none(),
-            "target_missing {:?} lists an available or out-of-range part",
-            state.target_missing
-        );
-
-        // Each task enters `work` once: roots are distinct, and a map task
-        // only when its shuffle is first reached.
-        let (mut nodes, mut read_pairs, mut dep_pairs, mut ready) = (0, 0, 0, 0);
-        while let Some(t) = work.pop() {
-            let Some(node) = state.nodes.get(&t) else {
-                return Err(format!("{t:?} is in the closure but has no node"));
-            };
-            let mut unread = None;
-            walk_cone(w.lineage, t, stack, deps, reads, |key| {
-                match state.parts.get(&key) {
-                    Some(st) if st.readers.binary_search(&t).is_ok() => st.available,
-                    _ => {
-                        unread.get_or_insert(key);
-                        true // walk no further; reported below
-                    }
-                }
-            });
-            agree!(
-                unread.is_none(),
-                "{t:?} reads {unread:?}, which does not list it as a reader"
-            );
-            agree!(
-                node.deps == *deps && node.reads == *reads,
-                "{t:?} carries deps {:?} reads {:?}, its cone is {deps:?} {reads:?}",
-                node.deps,
-                node.reads
-            );
-            let mut blocked = 0;
-            for s in deps.iter() {
-                let Some(st) = state.shuffles.get(s) else {
-                    return Err(format!("{t:?} reads {s:?}, which is not tracked"));
-                };
-                agree!(
-                    st.dependents.binary_search(&t).is_ok(),
-                    "{t:?} reads {s:?} but is not among its dependents"
-                );
-                if set_insert(seen, *s) {
-                    let parent = w.lineage.shuffle(*s).parent;
-                    let mut carried = st.missing.iter();
-                    for mp in 0..w.lineage.meta(parent).num_partitions {
-                        if !w.shuffle_available(*s, mp) {
-                            agree!(
-                                carried.next() == Some(&mp),
-                                "{s:?} misses map part {mp}, carried {:?}",
-                                st.missing
-                            );
-                            work.push(TaskKey::ShuffleMap {
-                                shuffle: *s,
-                                map_part: mp,
-                            });
-                        }
-                    }
-                    agree!(
-                        carried.next().is_none(),
-                        "{s:?} carries missing {:?}, some available or out of range",
-                        st.missing
-                    );
-                }
-                blocked += usize::from(!st.missing.is_empty());
-            }
-            agree!(
-                node.blocked == blocked,
-                "{t:?} carries blocked {}, is blocked by {blocked}",
-                node.blocked
-            );
-            agree!(
-                state.ready.contains(&t) == (blocked == 0),
-                "{t:?} is blocked by {blocked}, in ready: {}",
-                state.ready.contains(&t)
-            );
-            nodes += 1;
-            read_pairs += reads.len();
-            dep_pairs += deps.len();
-            ready += usize::from(blocked == 0);
-        }
-
-        // Everything met matched; equal counts leave nothing unmet.
-        agree!(
-            nodes == state.nodes.len(),
-            "{} nodes, {nodes} in the closure",
-            state.nodes.len()
-        );
-        agree!(
-            seen.len() == state.shuffles.len(),
-            "{} shuffles, {} reached",
-            state.shuffles.len(),
-            seen.len()
-        );
-        agree!(
-            read_pairs == readers,
-            "{readers} readers, {read_pairs} reads"
-        );
-        agree!(
-            dep_pairs == dependents,
-            "{dependents} dependents, {dep_pairs} deps"
-        );
-        agree!(
-            ready == state.ready.len(),
-            "{} ready, {ready} unblocked",
-            state.ready.len()
-        );
-        Ok(())
     }
 
     /// Discards the plan and builds it from the target's partitions.
@@ -721,28 +516,21 @@ impl Planner {
         let Planner {
             state,
             stats,
-            scratch,
+            stack,
             ..
         } = self;
         let (mut deps, mut reads) = (Vec::new(), Vec::new());
-        walk_cone(
-            w.lineage,
-            t,
-            &mut scratch.stack,
-            &mut deps,
-            &mut reads,
-            |(rdd, part)| {
-                let st = state.parts.entry((rdd, part)).or_insert_with(|| {
-                    stats.availability_probes += 1;
-                    PartState {
-                        available: w.part_available(rdd, part),
-                        readers: Vec::new(),
-                    }
-                });
-                set_insert(&mut st.readers, t);
-                st.available
-            },
-        );
+        walk_cone(w.lineage, t, stack, &mut deps, &mut reads, |(rdd, part)| {
+            let st = state.parts.entry((rdd, part)).or_insert_with(|| {
+                stats.availability_probes += 1;
+                PartState {
+                    available: w.part_available(rdd, part),
+                    readers: Vec::new(),
+                }
+            });
+            set_insert(&mut st.readers, t);
+            st.available
+        });
         (deps, reads)
     }
 }
@@ -793,7 +581,6 @@ mod tests {
     use flint_store::StorageConfig;
     use proptest::prelude::*;
     use std::collections::VecDeque;
-    use std::panic::AssertUnwindSafe;
     use std::sync::Arc;
 
     /// The missing `(shuffle, map_part)` inputs of one node of
@@ -981,8 +768,9 @@ mod tests {
         }
 
         /// Plans for `target` and checks the answer against the
-        /// reference. (The oracle inside `plan` additionally checks the
-        /// carried state against a from-scratch plan.)
+        /// reference. (In debug builds the oracle inside `plan`
+        /// additionally checks the carried state against a from-scratch
+        /// plan.)
         fn plan_and_check(&mut self, target: RddId) {
             let got = self.planner.plan(
                 self.ctx.lineage(),
@@ -999,184 +787,7 @@ mod tests {
             };
             assert_eq!(got, reference_plan(&w, target));
         }
-
-        /// The in-place check's verdict on the carried plan, and the
-        /// materialized oracle's.
-        fn both_oracles(&mut self, target: RddId) -> (Result<(), String>, bool) {
-            let w = World {
-                lineage: self.ctx.lineage(),
-                cluster: &self.cluster,
-                ckpt: &self.ckpt,
-                now: self.now,
-            };
-            let materialized = self.planner.equals_fresh_build(&w, target);
-            (self.planner.check(&w, target), materialized)
-        }
-
-        /// Whether the oracle `plan` runs panics on the carried plan.
-        fn verify_panics(&mut self, target: RddId) -> bool {
-            let w = World {
-                lineage: self.ctx.lineage(),
-                cluster: &self.cluster,
-                ckpt: &self.ckpt,
-                now: self.now,
-            };
-            let planner = &mut self.planner;
-            std::panic::catch_unwind(AssertUnwindSafe(|| planner.verify(&w, target))).is_err()
-        }
     }
-
-    impl Planner {
-        /// The oracle the in-place check replaced: build a second plan
-        /// from the roots and compare the two field for field.
-        fn equals_fresh_build(&self, w: &World<'_>, target: RddId) -> bool {
-            let mut fresh = Planner::default();
-            fresh.build(w, target);
-            self.state == fresh.state
-        }
-    }
-
-    /// The `pick`-th item of `it`, wrapping around; `None` if it is empty.
-    fn nth<I: ExactSizeIterator>(mut it: I, pick: usize) -> Option<I::Item> {
-        let n = it.len();
-        (n > 0).then(|| it.nth(pick % n)).flatten()
-    }
-
-    /// Swaps the last of the ascending `set` for `x`, if `x` is not in it.
-    fn replace_last<T: Ord>(set: &mut Vec<T>, x: T) -> bool {
-        set.binary_search(&x).is_err() && set.pop().is_some() && set_insert(set, x)
-    }
-
-    /// A single-field edit of a plan and whether it changed anything.
-    type Corruption = fn(&mut PlanState, usize) -> bool;
-
-    /// One named corruption per way a field of `PlanState` can be wrong.
-    /// Each picks what to edit by `pick`, wrapping around.
-    const CORRUPTIONS: &[(&str, Corruption)] = &[
-        ("flip a part's availability", |s, pick| {
-            nth(s.parts.values_mut(), pick)
-                .map(|p| p.available = !p.available)
-                .is_some()
-        }),
-        ("add a reader", |s, pick| {
-            let Some(t) = nth(s.nodes.keys().copied(), pick / 3) else {
-                return false;
-            };
-            nth(s.parts.values_mut(), pick).is_some_and(|p| set_insert(&mut p.readers, t))
-        }),
-        ("drop a reader", |s, pick| {
-            nth(s.parts.values_mut(), pick)
-                .and_then(|p| p.readers.pop())
-                .is_some()
-        }),
-        ("replace a reader", |s, pick| {
-            let Some(t) = nth(s.nodes.keys().copied(), pick / 3) else {
-                return false;
-            };
-            nth(s.parts.values_mut(), pick).is_some_and(|p| replace_last(&mut p.readers, t))
-        }),
-        ("add a part with no readers", |s, pick| {
-            let empty = PartState {
-                available: false,
-                readers: Vec::new(),
-            };
-            s.parts
-                .insert((RddId(u32::MAX), pick as u32), empty)
-                .is_none()
-        }),
-        ("add a dependent", |s, pick| {
-            let Some(t) = nth(s.nodes.keys().copied(), pick / 3) else {
-                return false;
-            };
-            nth(s.shuffles.values_mut(), pick).is_some_and(|st| set_insert(&mut st.dependents, t))
-        }),
-        ("drop a dependent", |s, pick| {
-            nth(s.shuffles.values_mut(), pick)
-                .and_then(|st| st.dependents.pop())
-                .is_some()
-        }),
-        ("replace a dependent", |s, pick| {
-            let Some(t) = nth(s.nodes.keys().copied(), pick / 3) else {
-                return false;
-            };
-            nth(s.shuffles.values_mut(), pick).is_some_and(|st| replace_last(&mut st.dependents, t))
-        }),
-        ("unsort dependents", |s, pick| {
-            nth(s.shuffles.values_mut(), pick).is_some_and(|st| {
-                st.dependents.reverse();
-                st.dependents.len() > 1
-            })
-        }),
-        ("drop a shuffle", |s, pick| {
-            let Some(id) = nth(s.shuffles.keys().copied(), pick) else {
-                return false;
-            };
-            s.shuffles.remove(&id).is_some()
-        }),
-        ("add a missing map part", |s, pick| {
-            nth(s.shuffles.values_mut(), pick).is_some_and(|st| {
-                let mp = (0..).find(|mp| st.missing.binary_search(mp).is_err());
-                set_insert(&mut st.missing, mp.expect("a free map part"))
-            })
-        }),
-        ("add a node", |s, pick| {
-            let t = TaskKey::ShuffleMap {
-                shuffle: ShuffleId(u32::MAX),
-                map_part: pick as u32,
-            };
-            let node = Node {
-                deps: Vec::new(),
-                reads: Vec::new(),
-                blocked: 0,
-            };
-            s.nodes.insert(t, node).is_none()
-        }),
-        ("remove a node", |s, pick| {
-            let Some(t) = nth(s.nodes.keys().copied(), pick) else {
-                return false;
-            };
-            s.nodes.remove(&t).is_some()
-        }),
-        ("add a dep", |s, pick| {
-            nth(s.nodes.values_mut(), pick)
-                .is_some_and(|n| set_insert(&mut n.deps, ShuffleId(u32::MAX)))
-        }),
-        ("drop a dep", |s, pick| {
-            nth(s.nodes.values_mut(), pick).is_some_and(|n| n.deps.pop().is_some())
-        }),
-        ("add a read", |s, pick| {
-            nth(s.nodes.values_mut(), pick)
-                .is_some_and(|n| set_insert(&mut n.reads, (RddId(u32::MAX), 0)))
-        }),
-        ("drop a read", |s, pick| {
-            nth(s.nodes.values_mut(), pick).is_some_and(|n| n.reads.pop().is_some())
-        }),
-        ("raise blocked", |s, pick| {
-            nth(s.nodes.values_mut(), pick)
-                .map(|n| n.blocked += 1)
-                .is_some()
-        }),
-        ("add a ready key", |s, pick| {
-            s.ready.insert(TaskKey::ShuffleMap {
-                shuffle: ShuffleId(u32::MAX),
-                map_part: pick as u32,
-            })
-        }),
-        ("drop a ready key", |s, pick| {
-            nth(s.ready.iter().copied(), pick).is_some_and(|t| s.ready.remove(&t))
-        }),
-        ("replace a ready key", |s, pick| {
-            nth(s.nodes.keys().copied(), pick).is_some_and(|t| {
-                !s.ready.contains(&t) && s.ready.pop_last().is_some() && s.ready.insert(t)
-            })
-        }),
-        ("add an out-of-range target part", |s, _| {
-            s.target_missing.insert(u32::MAX)
-        }),
-        ("drop a target part", |s, pick| {
-            nth(s.target_missing.iter().copied(), pick).is_some_and(|p| s.target_missing.remove(&p))
-        }),
-    ];
 
     #[derive(Debug, Clone, Copy)]
     enum Shape {
@@ -1520,54 +1131,16 @@ mod tests {
         );
     }
 
-    /// Through the churn `carried_plan_equals_reference` drives, the
-    /// in-place check passes on every carried plan, and after a random
-    /// single-field corruption of it passes exactly when the materialized
-    /// oracle finds the plan equal to a fresh build.
+    /// A carried plan that differs from a from-scratch one makes the next
+    /// pass panic. The derived `PartialEq` compares every field; this pins
+    /// that `plan` runs the comparison.
+    #[cfg(debug_assertions)]
     #[test]
-    fn in_place_check_equals_materialized_oracle() {
-        let mut rng = proptest::rng_for("in_place_check_equals_materialized_oracle");
-        let corruption = || (0usize..CORRUPTIONS.len(), 0usize..1_000);
-        let (mut kept, mut corrupted) = (0u64, 0u64);
-        for _ in 0..100 {
-            let shape = proptest::collection::vec(shape_strategy(), 1..8).generate(&mut rng);
-            let steps = proptest::collection::vec((step_strategy(), corruption()), 1..60)
-                .generate(&mut rng);
-            let mut f = Fixture::new(&shape);
-            let mut target = f.stages.last().expect("non-empty").id();
-            f.plan_and_check(target);
-            for (step, (kind, pick)) in steps {
-                apply(&mut f, &mut target, step);
-                f.plan_and_check(target);
-                let (check, materialized) = f.both_oracles(target);
-                assert!(check.is_ok() && materialized, "{check:?}");
-                let (what, corrupt) = CORRUPTIONS[kind];
-                let valid = f.planner.state.clone();
-                let changed = corrupt(&mut f.planner.state, pick);
-                let (check, materialized) = f.both_oracles(target);
-                assert_eq!(check.is_ok(), materialized, "{what}: {check:?}");
-                assert_eq!(materialized, !changed, "{what}");
-                f.planner.state = valid;
-                corrupted += u64::from(changed);
-                kept += u64::from(!changed);
-            }
-        }
-        // Non-vacuous: both verdicts were reached many times.
-        assert!(
-            corrupted > 500 && kept > 100,
-            "{corrupted} corrupted, {kept} unchanged"
-        );
-    }
-
-    /// Each kind of single-field corruption of a valid carried plan makes
-    /// the oracle `plan` runs panic.
-    #[test]
-    fn in_place_check_catches_every_field_mutation() {
+    #[should_panic(expected = "carried plan diverged")]
+    fn plan_panics_on_a_diverged_carried_plan() {
         // src(4) -> reduce(4) -> map -> reduce(3) with the first shuffle
         // complete, one map partition cached and one map output of the
-        // second shuffle present: the plan holds available and missing
-        // parts, a complete and an incomplete shuffle, ready and blocked
-        // tasks.
+        // second shuffle present.
         let mut f = Fixture::new(&[Shape::Reduce(4), Shape::Map, Shape::Reduce(3)]);
         let target = f.stages[3].id();
         let w0 = f.cluster.add_worker(
@@ -1596,26 +1169,10 @@ mod tests {
             map_part: 2,
         });
         f.plan_and_check(target);
-        let s = &f.planner.state;
-        assert!(s.parts.values().any(|p| p.available));
-        assert!(s.parts.values().any(|p| !p.available));
-        assert!(s.shuffles.values().any(|st| st.missing.is_empty()));
-        assert!(s.shuffles.values().any(|st| !st.missing.is_empty()));
-        assert!(!s.ready.is_empty() && s.ready.len() < s.nodes.len());
-
-        let valid = f.planner.state.clone();
-        assert!(!f.verify_panics(target));
-        for (what, corrupt) in CORRUPTIONS {
-            // Non-vacuous: some pick applies each kind, and what it
-            // applies really is a different plan.
-            assert!(
-                (0..64).any(|pick| corrupt(&mut f.planner.state, pick)),
-                "{what}: never applied"
-            );
-            assert!(!f.both_oracles(target).1, "{what}: changed nothing");
-            assert!(f.verify_panics(target), "{what}: the oracle passed");
-            f.planner.state = valid.clone();
-        }
+        let part = f.planner.state.parts.values_mut().next();
+        let part = part.expect("the plan read some partition");
+        part.available = !part.available;
+        f.plan_and_check(target);
     }
 
     #[test]

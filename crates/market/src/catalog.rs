@@ -204,44 +204,6 @@ impl MarketCatalog {
         MarketCatalog::new(markets, od_id)
     }
 
-    /// Builds a catalog from externally supplied spot traces (e.g.
-    /// parsed from archive CSVs via [`PriceTrace::from_csv`]): one spot
-    /// market per `(name, on_demand_price, trace)` triple, all selling
-    /// `spec`, plus an on-demand pool at `on_demand_price` of the first
-    /// entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces` is empty.
-    pub fn from_traces(spec: InstanceSpec, traces: Vec<(String, f64, PriceTrace)>) -> Self {
-        assert!(!traces.is_empty(), "need at least one trace");
-        let od_price = traces[0].1;
-        let mut markets: Vec<Market> = traces
-            .into_iter()
-            .enumerate()
-            .map(|(i, (name, od, trace))| Market {
-                id: MarketId(i as u32),
-                name,
-                zone: "imported".to_string(),
-                spec,
-                on_demand_price: od,
-                kind: MarketKind::Spot,
-                trace,
-            })
-            .collect();
-        let od_id = MarketId(markets.len() as u32);
-        markets.push(Market {
-            id: od_id,
-            name: "on-demand".to_string(),
-            zone: "imported".to_string(),
-            spec,
-            on_demand_price: od_price,
-            kind: MarketKind::OnDemand,
-            trace: PriceTrace::flat(od_price),
-        });
-        MarketCatalog::new(markets, od_id)
-    }
-
     /// Returns all markets, including the on-demand pool.
     pub fn markets(&self) -> &[Market] {
         &self.markets
@@ -341,20 +303,6 @@ mod tests {
                 "GCE MTTF {got:.2} vs paper {want}"
             );
         }
-    }
-
-    #[test]
-    fn catalog_from_imported_traces() {
-        let csv = "hours,price\n0,0.02\n10,0.5\n11,0.02\n";
-        let trace = PriceTrace::from_csv(csv).unwrap();
-        let cat = MarketCatalog::from_traces(
-            InstanceSpec::R3_LARGE,
-            vec![("archive/us-east-1e".into(), 0.175, trace)],
-        );
-        assert_eq!(cat.spot_markets().len(), 1);
-        let m = cat.market(MarketId(0));
-        assert_eq!(m.price_at(SimTime::from_hours_f64(10.5)), 0.5);
-        assert!(!cat.market(cat.on_demand_id()).is_revocable());
     }
 
     #[test]

@@ -296,37 +296,13 @@ impl PriceTrace {
 
     /// Serializes the trace as CSV (`hours,price` rows) — the format of
     /// public spot-price archives, so generated traces can be compared
-    /// against or swapped for real ones.
+    /// against real ones.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("hours,price\n");
         for (t, p) in &self.points {
             out.push_str(&format!("{:.6},{:.6}\n", t.as_hours_f64(), p));
         }
         out
-    }
-
-    /// Parses a trace from the CSV produced by [`PriceTrace::to_csv`]
-    /// (header optional). Returns `None` on any malformed row or if no
-    /// points parse.
-    pub fn from_csv(csv: &str) -> Option<PriceTrace> {
-        let mut points = Vec::new();
-        for line in csv.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with("hours") {
-                continue;
-            }
-            let (h, p) = line.split_once(',')?;
-            let hours: f64 = h.trim().parse().ok()?;
-            let price: f64 = p.trim().parse().ok()?;
-            if !(hours.is_finite() && price.is_finite() && price >= 0.0) {
-                return None;
-            }
-            points.push((SimTime::from_hours_f64(hours), price));
-        }
-        if points.is_empty() {
-            return None;
-        }
-        Some(PriceTrace::from_points(points))
     }
 }
 
@@ -437,27 +413,5 @@ mod tests {
     #[test]
     fn max_price_over_trace() {
         assert_eq!(step_trace().max_price(), 0.8);
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let tr = step_trace();
-        let csv = tr.to_csv();
-        let back = PriceTrace::from_csv(&csv).expect("parse");
-        // Millisecond-resolution round trip.
-        for t in [0u64, 50, 150, 250, 350] {
-            assert_eq!(
-                back.price_at(SimTime::from_millis(t)),
-                tr.price_at(SimTime::from_millis(t))
-            );
-        }
-    }
-
-    #[test]
-    fn csv_rejects_garbage() {
-        assert!(PriceTrace::from_csv("").is_none());
-        assert!(PriceTrace::from_csv("hours,price\n1.0,abc").is_none());
-        assert!(PriceTrace::from_csv("1.0,-3").is_none());
-        assert!(PriceTrace::from_csv("hours,price\n2.5,0.25").is_some());
     }
 }

@@ -243,29 +243,6 @@ impl MetricsAggregator {
         agg
     }
 
-    /// Folds a JSONL trace incrementally from a reader: one line is
-    /// parsed, observed, and dropped before the next is read, so a
-    /// multi-gigabyte trace file is aggregated in constant memory.
-    ///
-    /// Returns the aggregator plus the number of malformed lines that
-    /// were skipped (blank lines are ignored silently).
-    pub fn from_jsonl_reader(reader: impl std::io::BufRead) -> std::io::Result<(Self, u64)> {
-        let mut agg = Self::new();
-        let mut malformed = 0u64;
-        for line in reader.lines() {
-            let line = line?;
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match Event::from_json(line) {
-                Ok(ev) => agg.observe(&ev),
-                Err(_) => malformed += 1,
-            }
-        }
-        Ok((agg, malformed))
-    }
-
     /// Folds one event into the totals.
     pub fn observe(&mut self, ev: &Event) {
         self.events += 1;
@@ -681,27 +658,6 @@ mod tests {
         let text = agg.to_string();
         assert!(text.contains("tasks run"));
         assert!(text.contains("compute cost"));
-
-        // Streaming the same events through the JSONL reader path must
-        // reproduce the in-memory fold exactly (rendered summaries are
-        // a full-field comparison).
-        let mut jsonl = String::new();
-        for ev in &events {
-            jsonl.push_str(&ev.to_json());
-            jsonl.push('\n');
-        }
-        let (streamed, malformed) = MetricsAggregator::from_jsonl_reader(jsonl.as_bytes()).unwrap();
-        assert_eq!(malformed, 0);
-        assert_eq!(streamed.events, agg.events);
-        assert_eq!(streamed.to_string(), text);
-    }
-
-    #[test]
-    fn jsonl_reader_skips_blank_and_counts_malformed() {
-        let jsonl = "\n{\"not\":\"an event\"}\ngarbage\n";
-        let (agg, malformed) = MetricsAggregator::from_jsonl_reader(jsonl.as_bytes()).unwrap();
-        assert_eq!(agg.events, 0);
-        assert_eq!(malformed, 2);
     }
 
     #[test]

@@ -55,8 +55,9 @@ fn probes_per_task_do_not_grow_with_partitions_or_workers() {
     for (p, stats, tasks) in &runs {
         eprintln!("P={p}: {stats:?} over {tasks} tasks");
     }
-    // The oracle checks every pass and counts nothing: these are the
-    // carried planner's own counters, pinned.
+    // In debug builds the oracle builds a fresh plan every pass and drops
+    // its counters: these are the carried planner's own, pinned, and the
+    // same in release builds.
     let pin = |passes, nodes_visited, availability_probes| PlanStats {
         passes,
         rebuilds: 2,
