@@ -48,7 +48,9 @@ struct NmInner {
     storage: StorageConfig,
     n: u32,
     ft: FtSharedHandle,
-    /// Instances whose replacement was already requested (on warning).
+    /// Warned instances whose replacement was already requested; each
+    /// leaves the set at its revocation, so it holds only the instances
+    /// in flight.
     replaced: HashSet<InstanceId>,
     /// Count of replacement rounds, for reporting.
     replacements: u64,
@@ -411,7 +413,10 @@ impl NmInner {
                     InstanceEvent::Revoked { .. } => {
                         out.push((t, WorkerEvent::Remove { ext_id }));
                         self.note_revocation(market, t);
-                        if self.replaced.insert(id) {
+                        // A warned instance was replaced at its warning;
+                        // an unwarned one is replaced now. Either way its
+                        // id is never delivered again.
+                        if !self.replaced.remove(&id) {
                             merge_replace(&mut to_replace, t, market);
                         }
                     }
@@ -580,6 +585,21 @@ impl NodeManager {
         inner.provision_initial(start);
         let arc = Arc::new(Mutex::new(inner));
         (NodeManager(arc.clone()), NodeManagerHandle(arc))
+    }
+
+    /// The first instant at which [`FailureInjector::events`] could
+    /// return an event or re-fit the MTTF: the next cloud event, or the
+    /// next age-aware hazard refit if that comes first. A call with
+    /// `to` before this instant returns nothing and changes nothing.
+    /// `SimTime::MAX` when neither is pending.
+    pub fn quiet_until(&self) -> SimTime {
+        let inner = lock(&self.0);
+        let next_event = inner.cloud.next_event_time().unwrap_or(SimTime::MAX);
+        if inner.cfg.hazard.is_memoryless() {
+            next_event
+        } else {
+            next_event.min(inner.last_hazard_refit + HAZARD_REFIT_INTERVAL)
+        }
     }
 }
 
@@ -904,6 +924,21 @@ mod tests {
             .filter(|(_, e)| matches!(e, WorkerEvent::Warn { .. }))
             .count();
         assert_eq!(warns, removes);
+    }
+
+    #[test]
+    fn replaced_set_holds_only_instances_in_flight() {
+        // The 20-day run above: revoked instances leave the set, so it
+        // never holds more than the warned instances still in flight.
+        let (mut nm, handle, start) = launch_nm(Box::new(BatchSelection), 8);
+        let evs = nm.events(start, start + SimDuration::from_days(20));
+        let removes = evs
+            .iter()
+            .filter(|(_, e)| matches!(e, WorkerEvent::Remove { .. }))
+            .count();
+        assert!(removes > 8, "the run must revoke more than the cluster");
+        assert!(handle.revocations() > 0);
+        assert!(lock(&nm.0).replaced.len() <= 8);
     }
 
     #[test]

@@ -260,12 +260,27 @@ pub fn run_mc_traced(
     // livelock under absurd volatility).
     let deadline = cfg.start + SimDuration::from_days(365);
 
+    // The injector's next cloud event and the FT manager's MTTF change
+    // only inside `events`: read them after launch and after each call.
+    // Until `quiet` a call would return nothing and change nothing, so
+    // steps before it skip it. `quiet` may be an age-aware refit
+    // deadline; it gates the call but never bounds a step, so the step
+    // sequence is exactly that of a loop calling `events` every step.
+    let observe = |injector: &NodeManager| {
+        (
+            injector.quiet_until(),
+            handle.with_cloud(CloudSim::next_event_time),
+            lock(&ft).mttf,
+        )
+    };
+    let (mut quiet, mut next_cloud_event, mut mttf) = observe(&injector);
+
     while work < target && t < deadline {
         // Current checkpoint interval and overhead.
         let tau = match cfg.ckpt {
             CkptMode::None => SimDuration::MAX,
             CkptMode::Fixed(i) => i,
-            CkptMode::Adaptive => optimal_tau(delta, lock(&ft).mttf),
+            CkptMode::Adaptive => optimal_tau(delta, mttf),
         };
         let overhead = if tau == SimDuration::MAX {
             0.0
@@ -290,7 +305,7 @@ pub fn run_mc_traced(
         } else {
             Some((last_ckpt_wall + tau).max(t + SimDuration::from_millis(1)))
         };
-        let next_ev = injector.next_event_after(t);
+        let next_ev = next_cloud_event.map(|et| et.max(t + SimDuration::from_millis(1)));
 
         let mut next = deadline;
         if let Some(x) = finish_at {
@@ -325,8 +340,12 @@ pub fn run_mc_traced(
             last_ckpt_wall = t;
         }
 
-        // Cluster events at or before t.
+        // Cluster events at or before t: none before `quiet`.
+        if t < quiet {
+            continue;
+        }
         let evs = injector.events(prev_t, t);
+        (quiet, next_cloud_event, mttf) = observe(&injector);
         let mut removed = 0u32;
         for (_, ev) in evs {
             match ev {
@@ -424,6 +443,223 @@ pub fn catalog_with_mttf(seed: u64, horizon: SimDuration, mttf_hours: f64) -> Ma
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flint_market::HazardSpec;
+
+    /// `run_mc_traced` before the quiet steps, transcribed: the injector
+    /// and the FT manager are consulted on every step.
+    fn reference_run_mc_traced(
+        catalog: &MarketCatalog,
+        cfg: &McConfig,
+        trace: flint_engine::TraceHandle,
+    ) -> McResult {
+        let mut cloud = CloudSim::with_seed(catalog.clone(), cfg.seed);
+        cloud.set_trace(trace.clone());
+        let ft = new_shared(SimDuration::MAX);
+        let job = JobProfile {
+            runtime_estimate: cfg.job_length,
+            checkpoint_bytes: cfg.checkpoint_bytes,
+        };
+        let (mut injector, handle) = NodeManager::launch(
+            cloud,
+            cfg.policy.build(),
+            cfg.bid,
+            cfg.selection,
+            job,
+            cfg.storage,
+            cfg.n_workers,
+            ft.clone(),
+            cfg.start,
+        );
+
+        let n = f64::from(cfg.n_workers.max(1));
+        let target = cfg.job_length.as_secs_f64();
+        let delta = cfg.storage.write_time(cfg.checkpoint_bytes, cfg.n_workers);
+
+        let mut t = cfg.start;
+        let mut alive: u32 = 0;
+        let mut work = 0.0_f64;
+        let mut ckpt_work = 0.0_f64;
+        let mut last_ckpt_wall = cfg.start;
+        let mut revocation_events = 0u32;
+        let mut servers_revoked = 0u32;
+        let mut stall = SimDuration::ZERO;
+        let deadline = cfg.start + SimDuration::from_days(365);
+
+        while work < target && t < deadline {
+            let tau = match cfg.ckpt {
+                CkptMode::None => SimDuration::MAX,
+                CkptMode::Fixed(i) => i,
+                CkptMode::Adaptive => optimal_tau(delta, lock(&ft).mttf),
+            };
+            let overhead = if tau == SimDuration::MAX {
+                0.0
+            } else {
+                delta.as_secs_f64() / tau.as_secs_f64().max(1.0)
+            };
+            let rate = if alive == 0 {
+                0.0
+            } else {
+                (f64::from(alive) / n).min(1.0) / (1.0 + overhead)
+            };
+            let finish_at = if rate > 0.0 {
+                Some(t + SimDuration::from_secs_f64((target - work) / rate))
+            } else {
+                None
+            };
+            let next_ckpt = if tau == SimDuration::MAX {
+                None
+            } else {
+                Some((last_ckpt_wall + tau).max(t + SimDuration::from_millis(1)))
+            };
+            let next_ev = injector.next_event_after(t);
+
+            let mut next = deadline;
+            if let Some(x) = finish_at {
+                next = next.min(x);
+            }
+            if let Some(x) = next_ckpt {
+                next = next.min(x);
+            }
+            if let Some(x) = next_ev {
+                next = next.min(x);
+            }
+            if next <= t {
+                next = t + SimDuration::from_millis(1);
+            }
+
+            let dt = (next - t).as_secs_f64();
+            if rate == 0.0 {
+                stall += next - t;
+            }
+            work = (work + rate * dt).min(target);
+            let prev_t = t;
+            t = next;
+
+            if work >= target {
+                break;
+            }
+            if next_ckpt.map(|x| x <= t).unwrap_or(false) {
+                ckpt_work = work;
+                last_ckpt_wall = t;
+            }
+
+            let evs = injector.events(prev_t, t);
+            let mut removed = 0u32;
+            for (_, ev) in evs {
+                match ev {
+                    WorkerEvent::Add { .. } => alive += 1,
+                    WorkerEvent::Remove { .. } => {
+                        alive = alive.saturating_sub(1);
+                        removed += 1;
+                    }
+                    WorkerEvent::Warn { .. } => {}
+                }
+            }
+            if removed > 0 {
+                revocation_events += 1;
+                servers_revoked += removed;
+                let frac = (f64::from(removed) / n).min(1.0);
+                let unsaved = if frac >= 1.0 {
+                    work - ckpt_work
+                } else {
+                    (work - ckpt_work).min(cfg.rollback_cap.as_secs_f64())
+                };
+                work -= unsaved * frac;
+            }
+        }
+
+        let runtime = t - cfg.start;
+        handle.shutdown(t);
+        let compute_cost = handle.compute_cost(t);
+        let storage_cost = if matches!(cfg.ckpt, CkptMode::None) {
+            0.0
+        } else {
+            let gb = cfg.checkpoint_bytes as f64 / 1e9 * f64::from(cfg.storage.replication.max(1));
+            EbsCostModel::default().cost(gb, runtime)
+        };
+
+        trace.flush();
+        McResult {
+            runtime,
+            compute_cost,
+            storage_cost,
+            service_fee: 0.0,
+            revocation_events,
+            servers_revoked,
+            stall_fraction: stall.as_secs_f64() / runtime.as_secs_f64().max(1.0),
+            on_demand_price: handle.on_demand_price(),
+            n_workers: cfg.n_workers,
+            job_length: cfg.job_length,
+        }
+    }
+
+    /// Every field of an [`McResult`], floats as their bits.
+    fn result_bits(r: &McResult) -> [u64; 10] {
+        [
+            r.runtime.as_millis(),
+            r.compute_cost.to_bits(),
+            r.storage_cost.to_bits(),
+            r.service_fee.to_bits(),
+            u64::from(r.revocation_events),
+            u64::from(r.servers_revoked),
+            r.stall_fraction.to_bits(),
+            r.on_demand_price.to_bits(),
+            u64::from(r.n_workers),
+            r.job_length.as_millis(),
+        ]
+    }
+
+    /// Skipping `events` on quiet steps leaves the run exactly as the
+    /// transcribed every-step loop left it: the same result, float bits
+    /// included, and the same JSONL trace bytes, across catalogs,
+    /// memoryless and capped-lifetime hazards, every checkpoint mode,
+    /// and small and large clusters.
+    #[test]
+    fn quiet_steps_match_transcribed_loop() {
+        let hazards = [
+            HazardSpec::Exponential,
+            HazardSpec::CappedLifetime {
+                early_prob: 0.1,
+                cap_hours: 24.0,
+            },
+        ];
+        let ckpts = [
+            CkptMode::Adaptive,
+            CkptMode::Fixed(SimDuration::from_secs(7 * 60 + 13)),
+            CkptMode::None,
+        ];
+        let mut revoked = 0;
+        for seed in [3u64, 11] {
+            let catalog = catalog_with_mttf(seed, SimDuration::from_days(40), 2.0);
+            for hazard in hazards {
+                for ckpt in ckpts {
+                    for n_workers in [4u32, 200] {
+                        let mut cfg = McConfig {
+                            job_length: SimDuration::from_hours(30),
+                            n_workers,
+                            ckpt,
+                            seed,
+                            ..McConfig::default()
+                        };
+                        cfg.selection.hazard = hazard;
+                        let run = |f: fn(&MarketCatalog, &McConfig, _) -> McResult| {
+                            let trace = flint_engine::TraceHandle::disabled();
+                            let reader = trace.attach_memory(0);
+                            let r = f(&catalog, &cfg, trace);
+                            (result_bits(&r), r, reader.to_jsonl())
+                        };
+                        let (want_bits, want, want_trace) = run(reference_run_mc_traced);
+                        let (got_bits, got, got_trace) = run(run_mc_traced);
+                        let at = format!("seed {seed}, {hazard:?}, {ckpt:?}, {n_workers} workers");
+                        assert_eq!(got_bits, want_bits, "{at}: {got:?} vs {want:?}");
+                        assert!(got_trace == want_trace, "{at}: traces differ");
+                        revoked += want.servers_revoked;
+                    }
+                }
+            }
+        }
+        assert!(revoked > 0, "the sweep must exercise revocations");
+    }
 
     fn quick_cfg() -> McConfig {
         McConfig {

@@ -1,7 +1,6 @@
 //! A deterministic timed event queue.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::SimTime;
 
@@ -9,7 +8,9 @@ use crate::SimTime;
 ///
 /// Events scheduled for the same instant are popped in the order they were
 /// scheduled (stable FIFO), which keeps simulations deterministic without
-/// requiring `E: Ord`.
+/// requiring `E: Ord`. Each instant owns one FIFO slot in an ordered map, so
+/// a batch of events sharing an instant costs one map lookup to schedule
+/// and a front pop each to drain, not a heap sift per event.
 ///
 /// # Examples
 ///
@@ -28,32 +29,8 @@ use crate::SimTime;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+    /// Pending events per instant, in schedule order. No slot is empty.
+    slots: BTreeMap<SimTime, VecDeque<E>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -66,26 +43,29 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            slots: BTreeMap::new(),
         }
     }
 
     /// Schedules `event` to fire at instant `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, event }));
+        self.slots.entry(at).or_default().push_back(event);
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
+        let mut slot = self.slots.first_entry()?;
+        let at = *slot.key();
+        let event = slot.get_mut().pop_front()?;
+        if slot.get().is_empty() {
+            slot.remove();
+        }
+        Some((at, event))
     }
 
     /// Returns the timestamp of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.slots.first_key_value().map(|(at, _)| *at)
     }
 
     /// Removes and returns the earliest event only if it fires at or before

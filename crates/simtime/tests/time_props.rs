@@ -1,7 +1,70 @@
 //! Property tests of the virtual-time algebra.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use flint_simtime::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// The binary-heap queue the per-instant queue replaced, transcribed:
+/// entries ordered by `(at, seq)`, `seq` counting schedules.
+struct HeapQueue<E> {
+    heap: BinaryHeap<Reverse<Entry<E>>>,
+    seq: u64,
+}
+
+struct Entry<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
+impl<E> HeapQueue<E> {
+    fn new() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    fn schedule(&mut self, at: SimTime, event: E) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Entry { at, seq, event }));
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| e.at)
+    }
+
+    fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        match self.peek_time() {
+            Some(t) if t <= deadline => self.pop(),
+            _ => None,
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -70,5 +133,34 @@ proptest! {
         }
         popped.sort_unstable();
         prop_assert_eq!(popped, (0..times.len()).collect::<Vec<_>>());
+    }
+
+    /// The per-instant queue pops event for event what the transcribed
+    /// heap queue pops, over interleaved `schedule` / `pop` /
+    /// `pop_before` scripts. Instants come from a narrow range, so ties
+    /// are common and many events land at or before an instant already
+    /// popped.
+    #[test]
+    fn event_queue_matches_transcribed_heap(
+        script in proptest::collection::vec((0u8..5, 0u64..12), 0..200),
+    ) {
+        let mut q = EventQueue::new();
+        let mut heap = HeapQueue::new();
+        for (i, (op, t)) in script.iter().enumerate() {
+            let at = SimTime::from_millis(*t);
+            match op {
+                0..=2 => {
+                    q.schedule(at, i);
+                    heap.schedule(at, i);
+                }
+                3 => prop_assert_eq!(q.pop(), heap.pop()),
+                _ => prop_assert_eq!(q.pop_before(at), heap.pop_before(at)),
+            }
+            prop_assert_eq!(q.peek_time(), heap.peek_time());
+        }
+        while let Some(want) = heap.pop() {
+            prop_assert_eq!(q.pop(), Some(want));
+        }
+        prop_assert_eq!(q.pop(), None);
     }
 }

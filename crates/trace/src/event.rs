@@ -23,22 +23,23 @@ pub struct Event {
 impl Event {
     /// Appends the event to `out` as a single flat JSON object (no
     /// trailing newline). The field order is fixed per variant, so equal
-    /// events encode to identical bytes. Nothing is allocated beyond
-    /// `out`'s own growth.
-    pub(crate) fn write_json(&self, out: &mut String) {
+    /// events encode to identical bytes. `floats` is the encoder's ring
+    /// of recent float tokens; it changes no byte written. Nothing is
+    /// allocated beyond `out`'s own growth.
+    pub(crate) fn write_json(&self, out: &mut String, floats: &mut FloatTokens) {
         out.push_str("{\"t\":");
-        let _ = write!(out, "{}", self.t.as_millis());
+        push_u64(out, self.t.as_millis());
         out.push_str(",\"ev\":\"");
         out.push_str(self.kind.name());
         out.push('"');
-        self.kind.write_fields(out);
+        self.kind.write_fields(out, floats);
         out.push('}');
     }
 
     /// `Event::write_json` into a fresh `String`.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(64);
-        self.write_json(&mut s);
+        self.write_json(&mut s, &mut FloatTokens::default());
         s
     }
 
@@ -85,10 +86,10 @@ macro_rules! event_kinds {
                 $( stringify!($name), )*
             ];
 
-            fn write_fields(&self, out: &mut String) {
+            fn write_fields(&self, out: &mut String, floats: &mut FloatTokens) {
                 match self {
                     $( EventKind::$name { $( $field, )* } => {
-                        $( field_codec!(@encode $ty, out, $field); )*
+                        $( field_codec!(@encode $ty, out, floats, $field); )*
                     } )*
                 }
             }
@@ -128,15 +129,15 @@ macro_rules! event_kinds {
 }
 
 macro_rules! field_codec {
-    (@encode u64, $out:expr, $field:ident) => {{
+    (@encode u64, $out:expr, $floats:expr, $field:ident) => {{
         $out.push_str(concat!(",\"", stringify!($field), "\":"));
-        let _ = write!($out, "{}", $field);
+        push_u64($out, *$field);
     }};
-    (@encode f64, $out:expr, $field:ident) => {{
+    (@encode f64, $out:expr, $floats:expr, $field:ident) => {{
         $out.push_str(concat!(",\"", stringify!($field), "\":"));
-        push_f64($out, *$field);
+        $floats.push_f64($out, *$field);
     }};
-    (@encode String, $out:expr, $field:ident) => {{
+    (@encode String, $out:expr, $floats:expr, $field:ident) => {{
         $out.push_str(concat!(",\"", stringify!($field), "\":"));
         push_json_str($out, $field);
     }};
@@ -326,19 +327,92 @@ event_kinds! {
     RunResumed { manifest: String, frontier: u64 },
 }
 
-/// Appends an `f64` exactly as Rust's shortest-roundtrip `Display`,
-/// forcing a `.0` suffix on integral values so the token is
-/// unambiguously a float on the wire. `Display` writes digits, `-`,
-/// `.`, `inf` or `NaN` (never an exponent), so a `.`, `e`, `i` or `N`
-/// in the appended text marks it as already unambiguous.
-fn push_f64(out: &mut String, v: f64) {
-    let start = out.len();
-    let _ = write!(out, "{v}");
-    if !out.as_bytes()[start..]
-        .iter()
-        .any(|b| matches!(b, b'.' | b'e' | b'i' | b'N'))
-    {
-        out.push_str(".0");
+/// Two ASCII digits for each of `0..100`, for [`push_u64`].
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Appends `v` in decimal, the bytes `Display` writes, two digits per
+/// division from the right into a stack buffer (`u64::MAX` has 20).
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+}
+
+/// The last few float tokens an encoder wrote, keyed by bit pattern, so
+/// a value that repeats across events (one replacement batch's price,
+/// bid and bill) is formatted once. The bits decide the token, so a hit
+/// appends exactly what formatting afresh would. Each encoder owns one;
+/// it lives inline, so a fresh ring allocates nothing.
+#[derive(Default)]
+pub(crate) struct FloatTokens {
+    /// `(f64::to_bits, token length, token bytes)`; length 0 marks an
+    /// unused slot.
+    slots: [(u64, u8, [u8; FloatTokens::TOKEN_BYTES]); 4],
+    /// The slot the next stored token overwrites.
+    next: usize,
+}
+
+impl FloatTokens {
+    /// The longest token a slot keeps. Everyday values fit; a longer
+    /// token (a huge or subnormal magnitude written out in full) is
+    /// formatted every time.
+    const TOKEN_BYTES: usize = 32;
+
+    /// Appends an `f64` exactly as Rust's shortest-roundtrip `Display`,
+    /// forcing a `.0` suffix on integral values so the token is
+    /// unambiguously a float on the wire. `Display` writes digits, `-`,
+    /// `.`, `inf` or `NaN` (never an exponent), so a `.`, `e`, `i` or
+    /// `N` in the appended text marks it as already unambiguous.
+    fn push_f64(&mut self, out: &mut String, v: f64) {
+        let bits = v.to_bits();
+        if let Some((_, len, token)) = self
+            .slots
+            .iter()
+            .find(|(key, len, _)| *key == bits && *len > 0)
+        {
+            let token = &token[..usize::from(*len)];
+            out.push_str(std::str::from_utf8(token).expect("a stored token is ASCII"));
+            return;
+        }
+        let start = out.len();
+        let _ = write!(out, "{v}");
+        if !out.as_bytes()[start..]
+            .iter()
+            .any(|b| matches!(b, b'.' | b'e' | b'i' | b'N'))
+        {
+            out.push_str(".0");
+        }
+        let written = &out.as_bytes()[start..];
+        if written.len() <= Self::TOKEN_BYTES {
+            let (key, len, token) = &mut self.slots[self.next];
+            *key = bits;
+            *len = written.len() as u8;
+            token[..written.len()].copy_from_slice(written);
+            self.next = (self.next + 1) % self.slots.len();
+        }
     }
 }
 
@@ -704,7 +778,7 @@ mod tests {
                 };
                 let want = reference_to_json(&ev);
                 let before = out.len();
-                ev.write_json(&mut out);
+                ev.write_json(&mut out, &mut FloatTokens::default());
                 prop_assert_eq!(&out[before..], want.as_str());
                 prop_assert_eq!(ev.to_json(), out[before..]);
                 let mut finite = true;
@@ -718,6 +792,58 @@ mod tests {
             }
             prop_assert!(out.starts_with(&prefix));
         }
+
+        /// One `JsonlSink` (one float-token ring) streams exactly the
+        /// transcribed encoder's lines. Floats mostly repeat from a
+        /// 3-value pool, so the ring hits, and otherwise come fresh, so
+        /// it misses and evicts; `±0.0` and NaNs with distinct payloads
+        /// share a token or differ only in their bits.
+        #[test]
+        fn jsonl_sink_float_ring_matches_transcribed_encoder(
+            names in vec(0..EventKind::NAMES.len(), 1..60),
+            times in vec(arb_u64(), 1..8),
+            pool in vec(arb_ring_f64(), 3..4),
+            fresh in vec(arb_ring_f64(), 1..16),
+            picks in vec(0usize..5, 1..64),
+            u64s in vec(arb_u64(), 1..8),
+            strs in vec(arb_string(), 1..4),
+        ) {
+            let f64s: Vec<f64> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, p)| if *p < 3 { pool[*p] } else { fresh[i % fresh.len()] })
+                .collect();
+            let mut pools = Pools { u64s, f64s, strs, at: (0, 0, 0) };
+            let mut bytes = Vec::new();
+            let mut want = String::new();
+            {
+                let mut sink = crate::JsonlSink::new(&mut bytes);
+                for (i, name) in names.iter().enumerate() {
+                    let ev = Event {
+                        t: SimTime::from_millis(times[i % times.len()]),
+                        kind: EventKind::draw(EventKind::NAMES[*name], &mut pools),
+                    };
+                    crate::EventSink::emit(&mut sink, &ev);
+                    want.push_str(&reference_to_json(&ev));
+                    want.push('\n');
+                }
+            }
+            prop_assert_eq!(String::from_utf8(bytes).expect("JSONL is UTF-8"), want);
+        }
+    }
+
+    /// `arb_f64` plus the values whose tokens a bit-keyed ring could
+    /// confuse: both zeros and NaNs with different sign and payload.
+    fn arb_ring_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            arb_f64(),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::NAN),
+            Just(-f64::NAN),
+            Just(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Just(f64::MIN_POSITIVE / 2.0),
+        ]
     }
 
     fn sample_events() -> Vec<Event> {

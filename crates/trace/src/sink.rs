@@ -7,7 +7,7 @@
 //! closures are never run — the zero-overhead-when-disabled contract
 //! the `micro_engine` bench polices.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, FloatTokens};
 use flint_simtime::{lock, SimTime};
 use std::collections::VecDeque;
 use std::io::Write;
@@ -194,8 +194,9 @@ impl MemoryReader {
     /// `Event::write_json` line each, `\n`-terminated).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
+        let mut floats = FloatTokens::default();
         for ev in lock(&self.buf).iter() {
-            ev.write_json(&mut out);
+            ev.write_json(&mut out, &mut floats);
             out.push('\n');
         }
         out
@@ -214,6 +215,7 @@ impl MemoryReader {
 pub struct JsonlSink<W: Write + Send> {
     out: W,
     buf: String,
+    floats: FloatTokens,
 }
 
 impl<W: Write + Send> JsonlSink<W> {
@@ -225,6 +227,7 @@ impl<W: Write + Send> JsonlSink<W> {
         Self {
             out,
             buf: String::with_capacity(Self::BUFFER_BYTES + 1024),
+            floats: FloatTokens::default(),
         }
     }
 
@@ -241,7 +244,7 @@ impl<W: Write + Send> JsonlSink<W> {
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn emit(&mut self, event: &Event) {
-        event.write_json(&mut self.buf);
+        event.write_json(&mut self.buf, &mut self.floats);
         self.buf.push('\n');
         if self.buf.len() >= Self::BUFFER_BYTES {
             self.drain();
