@@ -406,11 +406,6 @@ pub(crate) fn fig09_interactive() -> Table {
                 // 2015-era S3 re-fetch is slow (the paper's recompute
                 // path re-reads, re-partitions and de-serializes, §5.4).
                 source_mib_s: 10.0,
-                // EBS-backed HDFS reads under recovery contention.
-                storage: StorageConfig {
-                    read_mib_s_per_node: 60.0,
-                    ..StorageConfig::default()
-                },
                 ..RunOpts::default()
             };
             let mut d = build_driver(&wl, &opts);

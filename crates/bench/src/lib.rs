@@ -14,18 +14,18 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod ablations;
-pub mod exp_engine;
-pub mod exp_market;
-pub mod exp_model;
-pub mod setups;
+mod ablations;
+mod exp_engine;
+mod exp_market;
+mod exp_model;
+mod setups;
 mod table;
 
 pub use table::Table;
 
 /// An experiment: its name, which is its `results/` file stem, and the
 /// function that computes its table.
-pub type Experiment = (&'static str, fn() -> Table);
+pub(crate) type Experiment = (&'static str, fn() -> Table);
 
 /// Every experiment. This is the only list of them: `flint experiment`,
 /// its `--help` and `benches/paper.rs` all read it.

@@ -12,7 +12,7 @@ use flint_workloads::{Workload, WorkloadSummary};
 
 /// Which checkpointing policy a run uses.
 #[derive(Debug, Clone, Copy)]
-pub enum HookSpec {
+pub(crate) enum HookSpec {
     /// No checkpointing (the paper's "Recomputation" configuration).
     None,
     /// Flint's adaptive frontier policy with a fixed cluster MTTF.
@@ -71,22 +71,22 @@ impl HookSpec {
 
 /// Options for an engine experiment run.
 #[derive(Debug, Clone)]
-pub struct RunOpts {
+pub(crate) struct RunOpts {
     /// Cluster size (the paper's evaluation uses 10 `r3.large`).
-    pub n_workers: u32,
+    pub(crate) n_workers: u32,
     /// Checkpoint policy.
-    pub hooks: HookSpec,
+    pub(crate) hooks: HookSpec,
     /// `(time, servers)` revocation batches; victims are drawn from the
     /// initial workers in order.
-    pub kill_batches: Vec<(SimTime, u32)>,
+    pub(crate) kill_batches: Vec<(SimTime, u32)>,
     /// Replace revoked servers after the EC2 acquisition delay.
-    pub replace: bool,
+    pub(crate) replace: bool,
     /// Worker shape (defaults to `r3.large`).
-    pub worker: WorkerSpec,
+    pub(crate) worker: WorkerSpec,
     /// Storage bandwidth model override.
-    pub storage: StorageConfig,
+    pub(crate) storage: StorageConfig,
     /// Source-data (S3) read bandwidth override, MiB/s.
-    pub source_mib_s: f64,
+    pub(crate) source_mib_s: f64,
 }
 
 impl Default for RunOpts {
@@ -105,17 +105,17 @@ impl Default for RunOpts {
 
 /// Outcome of an engine experiment run.
 #[derive(Debug, Clone)]
-pub struct EngineRun {
+pub(crate) struct EngineRun {
     /// Total virtual running time of the workload.
-    pub runtime: SimDuration,
+    pub(crate) runtime: SimDuration,
     /// Engine statistics.
-    pub stats: RunStats,
+    pub(crate) stats: RunStats,
     /// Workload result digest.
-    pub summary: WorkloadSummary,
+    pub(crate) summary: WorkloadSummary,
 }
 
 /// The EC2 acquisition / warning lead used by the schedules.
-pub const ACQ: SimDuration = SimDuration::from_secs(120);
+pub(crate) const ACQ: SimDuration = SimDuration::from_secs(120);
 
 /// Builds the scripted worker-event schedule for `opts`.
 ///

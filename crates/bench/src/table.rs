@@ -8,13 +8,13 @@ use std::path::PathBuf;
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Title, e.g. `"Figure 8a: PageRank running time vs failures"`.
-    pub title: String,
+    pub(crate) title: String,
     /// One-line note (paper reference values, caveats).
-    pub note: String,
+    pub(crate) note: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    pub(crate) headers: Vec<String>,
     /// Rows of cells (already formatted).
-    pub rows: Vec<Vec<String>>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Table {

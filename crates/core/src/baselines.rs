@@ -22,9 +22,9 @@ pub enum SpotFleetCriterion {
 #[derive(Debug, Clone, Copy)]
 pub struct SpotFleetSelection {
     /// The selection criterion.
-    pub criterion: SpotFleetCriterion,
+    pub(crate) criterion: SpotFleetCriterion,
     /// Number of instance types in the fleet (the paper uses 2).
-    pub fleet_width: usize,
+    pub(crate) fleet_width: usize,
 }
 
 impl SpotFleetSelection {
@@ -106,38 +106,13 @@ impl SelectionPolicy for SpotFleetSelection {
     }
 }
 
-/// Pins the cluster to one specific market regardless of prices — used
-/// by the bid-sweep experiment (Fig. 11b), which measures the cost of
-/// *that* market as a function of the bid.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedMarketSelection(pub MarketId);
-
-impl SelectionPolicy for FixedMarketSelection {
-    fn name(&self) -> &'static str {
-        "fixed-market"
-    }
-
-    fn initial(&mut self, view: &MarketView<'_>) -> Vec<(MarketId, u32)> {
-        vec![(self.0, view.n)]
-    }
-
-    fn replacement(
-        &mut self,
-        _view: &MarketView<'_>,
-        _failed: MarketId,
-        count: u32,
-    ) -> Vec<(MarketId, u32)> {
-        vec![(self.0, count)]
-    }
-}
-
 /// Spark-EMR pricing: unmodified Spark as a managed service on spot
 /// instances, with EMR's flat fee of 25 % of the on-demand price per
 /// instance-hour on top of the spot bill (§5.5).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmrPricing {
     /// Fee as a fraction of the on-demand price per instance-hour.
-    pub fee_fraction: f64,
+    pub(crate) fee_fraction: f64,
 }
 
 impl Default for EmrPricing {

@@ -17,9 +17,9 @@ pub struct FtShared {
     /// Estimated MTTF of the current cluster composition.
     pub mttf: SimDuration,
     /// Current estimate of the checkpoint write time δ.
-    pub delta: SimDuration,
+    pub(crate) delta: SimDuration,
     /// The most recent checkpoint interval τ.
-    pub tau: SimDuration,
+    pub(crate) tau: SimDuration,
 }
 
 impl Default for FtShared {
@@ -33,7 +33,7 @@ impl Default for FtShared {
 }
 
 /// A cloneable handle to the shared fault-tolerance state.
-pub type FtSharedHandle = Arc<Mutex<FtShared>>;
+pub(crate) type FtSharedHandle = Arc<Mutex<FtShared>>;
 
 /// Creates a fresh shared-state handle.
 pub fn new_shared(mttf: SimDuration) -> FtSharedHandle {
@@ -78,7 +78,7 @@ fn checkpoint_eligible(view: &LineageView<'_>, rdd: RddId) -> bool {
 ///   and the storage bandwidth at the current cluster size, with
 ///   exponential smoothing; τ adapts as δ and the MTTF move.
 ///
-/// The MTTF arrives through the [`FtSharedHandle`] maintained by the node
+/// The MTTF arrives through the `FtSharedHandle` maintained by the node
 /// manager, which re-derives it after every (re)selection of markets.
 pub struct FlintCheckpointPolicy {
     shared: FtSharedHandle,

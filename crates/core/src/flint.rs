@@ -22,7 +22,7 @@ pub enum Mode {
     /// Diversified cluster, minimum response-time variance.
     Interactive,
     /// Mean-variance portfolio over markets; the risk-aversion knob
-    /// ([`FlintConfig::risk_aversion`]) interpolates between the two.
+    /// ([`FlintConfigBuilder::risk_aversion`]) interpolates between the two.
     Portfolio,
 }
 
@@ -45,40 +45,36 @@ pub enum BackendSpec {
 
 /// Configuration of a [`FlintCluster`].
 ///
-/// Start from [`FlintConfig::default`] or [`FlintConfig::builder`];
-/// fields without a builder setter are set directly.
+/// Start from [`FlintConfig::default`] or [`FlintConfig::builder`]; the
+/// builder has a setter for every field.
 #[derive(Debug, Clone)]
 pub struct FlintConfig {
     /// Cluster size `N` (the paper's evaluation uses 10).
     pub n_workers: u32,
     /// Batch or interactive policy pair.
-    pub mode: Mode,
+    pub(crate) mode: Mode,
     /// Market-selection configuration.
-    pub selection: SelectionConfig,
-    /// Job profile for Eq. 1–4.
-    pub job: JobProfile,
-    /// Bidding policy.
-    pub bid: BidPolicy,
+    pub(crate) selection: SelectionConfig,
     /// Engine configuration (cost model, storage bandwidth).
     pub driver: DriverConfig,
     /// Seed for the cloud simulator (preemptible lifetimes).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Risk-aversion λ for [`Mode::Portfolio`] (ignored by the other
     /// modes): `0` recovers the greedy batch allocation, values at or
     /// above `flint_core::RISK_POLICY2` recover the interactive
     /// (Policy 2) split.
-    pub risk_aversion: f64,
+    pub(crate) risk_aversion: f64,
     /// Session start within the price traces; defaults to two weeks in so
     /// the backward-looking window has history.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Shared event-trace handle. Disabled (no sinks) by default; attach
     /// a sink before launch to capture the run's full event stream.
     pub trace: TraceHandle,
     /// Execution backend. The default transient-VM spec preserves the
     /// pre-abstraction behavior exactly; under
-    /// [`BackendSpec::Serverless`] the `mode`, `selection`, `bid`, and
+    /// [`BackendSpec::Serverless`] the `mode`, `selection` and
     /// `risk_aversion` fields are meaningless and ignored.
-    pub backend: BackendSpec,
+    pub(crate) backend: BackendSpec,
 }
 
 impl Default for FlintConfig {
@@ -87,8 +83,6 @@ impl Default for FlintConfig {
             n_workers: 10,
             mode: Mode::Batch,
             selection: SelectionConfig::default(),
-            job: JobProfile::default(),
-            bid: BidPolicy::OnDemandPrice,
             driver: DriverConfig::default(),
             seed: 0,
             risk_aversion: 1.0,
@@ -274,9 +268,9 @@ impl FlintCluster {
         let (nm_injector, nm) = NodeManager::launch(
             cloud,
             policy,
-            config.bid,
+            BidPolicy::OnDemandPrice,
             config.selection,
-            config.job,
+            JobProfile::default(),
             config.driver.storage,
             config.n_workers,
             ft.clone(),

@@ -64,11 +64,11 @@ mod node_manager;
 mod report;
 mod selection;
 
-pub use baselines::{EmrPricing, FixedMarketSelection, SpotFleetCriterion, SpotFleetSelection};
+pub use baselines::{EmrPricing, SpotFleetCriterion, SpotFleetSelection};
 pub use bidding::BidPolicy;
+pub(crate) use ckpt_policy::FtSharedHandle;
 pub use ckpt_policy::{
-    new_shared, FlintCheckpointPolicy, FtShared, FtSharedHandle, PeriodicRddCheckpoint,
-    PeriodicSystemCheckpoint,
+    new_shared, FlintCheckpointPolicy, FtShared, PeriodicRddCheckpoint, PeriodicSystemCheckpoint,
 };
 pub use flint::{BackendSpec, FlintCluster, FlintConfig, FlintConfigBuilder, Mode};
 pub use node_manager::{NodeManager, NodeManagerHandle};
@@ -76,5 +76,5 @@ pub use report::CostReport;
 pub use selection::{
     expected_cost, expected_runtime_factor, harmonic_mttf, optimal_tau, runtime_variance,
     BatchSelection, InteractiveSelection, JobProfile, MarketView, OnDemandSelection,
-    PortfolioPolicy, SelectionConfig, SelectionPolicy, RISK_POLICY2,
+    PortfolioPolicy, SelectionConfig, SelectionPolicy, RISK_POLICY2, STATS_WINDOW,
 };

@@ -11,7 +11,7 @@ use flint_market::{
 use flint_simtime::{lock, SimDuration, SimTime};
 use flint_store::StorageConfig;
 
-use crate::selection::{mttf_of_rate, mttf_rate};
+use crate::selection::{mttf_of_rate, mttf_rate, STATS_WINDOW};
 use crate::{
     harmonic_mttf, BidPolicy, FtSharedHandle, JobProfile, MarketView, SelectionConfig,
     SelectionPolicy,
@@ -311,7 +311,7 @@ impl NmInner {
                 .active_markets()
                 .map(|(mid, _)| {
                     let m = self.cloud.catalog().market(mid);
-                    m.stats(now, self.cfg.window, self.bid.bid_for(m)).mttf
+                    m.stats(now, STATS_WINDOW, self.bid.bid_for(m)).mttf
                 })
                 .collect();
             harmonic_mttf(&mttfs)
@@ -339,7 +339,7 @@ impl NmInner {
             .active_markets()
             .map(|(mid, _)| {
                 let m = self.cloud.catalog().market(mid);
-                let mttf = m.stats(now, self.cfg.window, self.bid.bid_for(m)).mttf;
+                let mttf = m.stats(now, STATS_WINDOW, self.bid.bid_for(m)).mttf;
                 (mid, mttf_rate(mttf))
             })
             .collect();
@@ -834,7 +834,7 @@ mod tests {
                 .map(|(mid, _)| {
                     let m = inner.cloud.catalog().market(mid);
                     let bid = inner.bid.bid_for(m);
-                    (mid, m.stats(t, inner.cfg.window, bid).mttf)
+                    (mid, m.stats(t, STATS_WINDOW, bid).mttf)
                 })
                 .collect();
             let active: Vec<(MarketId, SimTime)> = inner

@@ -12,15 +12,15 @@ pub struct CostReport {
     /// Durable checkpoint storage (EBS) cost in dollars.
     pub storage_cost: f64,
     /// Managed-service fee (e.g. EMR's 25 %), if any.
-    pub service_fee: f64,
+    pub(crate) service_fee: f64,
     /// Session start.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Accounting end.
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Cluster size.
-    pub n_workers: u32,
+    pub(crate) n_workers: u32,
     /// On-demand price of the reference instance type.
-    pub on_demand_price: f64,
+    pub(crate) on_demand_price: f64,
     /// Provider revocations during the session.
     pub revocations: u64,
     /// Execution backend that produced this bill (`"vm"` or

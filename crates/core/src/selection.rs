@@ -125,30 +125,27 @@ pub fn runtime_variance(
     rate * e_u2 / (m_f * m_f)
 }
 
+/// Backward-looking window for price statistics (the paper uses "a
+/// recent time window, e.g., the past week").
+pub const STATS_WINDOW: SimDuration = SimDuration::from_days(7);
+/// Reject markets whose instantaneous price exceeds the window mean by
+/// more than this fraction (§3.1.2 restoration policy, 10 %).
+const STABILITY_THRESHOLD: f64 = 0.10;
+/// Maximum pairwise spike correlation admitted into the candidate set
+/// `L` (§3.2.2).
+const MAX_CORRELATION: f64 = 0.25;
+/// Sampling step for correlation estimation.
+const CORRELATION_STEP: SimDuration = SimDuration::from_mins(10);
+/// Spike threshold (multiple of mean price) for correlation.
+const SPIKE_THRESHOLD: f64 = 2.0;
+/// Replacement/acquisition delay `rd` (EC2: two minutes).
+const RD: SimDuration = SimDuration::from_secs(120);
+
 /// Static configuration of the selection machinery.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectionConfig {
-    /// Backward-looking window for price statistics (the paper uses "a
-    /// recent time window, e.g., the past week").
-    pub window: SimDuration,
-    /// Reject markets whose instantaneous price exceeds the window mean
-    /// by more than this fraction (§3.1.2 restoration policy, 10 %).
-    pub stability_threshold: f64,
-    /// Maximum pairwise spike correlation admitted into the candidate
-    /// set `L` (§3.2.2).
-    pub max_correlation: f64,
     /// Cap on `|L|` (pruning the >1000-market search space).
     pub max_markets: usize,
-    /// Sampling step for correlation estimation.
-    pub correlation_step: SimDuration,
-    /// Spike threshold (multiple of mean price) for correlation.
-    pub spike_threshold: f64,
-    /// Replacement/acquisition delay `rd` (EC2: two minutes).
-    pub rd: SimDuration,
-    /// Restrict candidates to markets selling the same instance shape as
-    /// the on-demand reference pool, so expected costs are comparable
-    /// per worker (diversification then spans zones/pools, not sizes).
-    pub match_reference_spec: bool,
     /// Revocations within [`Self::breaker_window`] that trip a market's
     /// circuit breaker from closed to open. `0` (the default) disables
     /// breakers entirely, preserving pre-breaker behavior byte-for-byte.
@@ -190,14 +187,7 @@ pub struct SelectionConfig {
 impl Default for SelectionConfig {
     fn default() -> Self {
         SelectionConfig {
-            window: SimDuration::from_days(7),
-            stability_threshold: 0.10,
-            max_correlation: 0.25,
             max_markets: 6,
-            correlation_step: SimDuration::from_mins(10),
-            spike_threshold: 2.0,
-            rd: SimDuration::from_secs(120),
-            match_reference_spec: true,
             breaker_revocation_threshold: 0,
             breaker_window: SimDuration::from_hours(1),
             breaker_cooldown: SimDuration::from_mins(30),
@@ -256,7 +246,7 @@ impl MarketView<'_> {
     /// Backward-looking statistics of `market` at the policy's bid.
     pub fn stats(&self, market: MarketId) -> MarketStats {
         let m = self.catalog.market(market);
-        m.stats(self.now, self.cfg.window, self.bid.bid_for(m))
+        m.stats(self.now, STATS_WINDOW, self.bid.bid_for(m))
     }
 
     /// Estimated checkpoint write time δ with `n` parallel writers.
@@ -274,7 +264,7 @@ impl MarketView<'_> {
     pub(crate) fn factor_of(&self, s: &MarketStats) -> f64 {
         let delta = self.delta();
         let tau = optimal_tau(delta, s.mttf);
-        expected_runtime_factor(delta, tau, s.mttf, self.cfg.rd, 1.0)
+        expected_runtime_factor(delta, tau, s.mttf, RD, 1.0)
     }
 
     /// Expected cost rate ($/server-hour) on a single market.
@@ -306,16 +296,19 @@ impl MarketView<'_> {
     /// [`MarketView::candidates`] paired with their cost rates. Each
     /// market's statistics are computed once per call.
     pub(crate) fn ranked_candidates(&self) -> Vec<(MarketId, f64)> {
+        // Only markets selling the on-demand reference pool's shape, so
+        // expected costs compare per worker (diversification then spans
+        // zones and pools, not sizes).
         let reference = self.catalog.market(self.catalog.on_demand_id()).spec;
         let mut c: Vec<(MarketId, f64)> = self
             .catalog
             .spot_markets()
             .iter()
-            .filter(|m| !self.cfg.match_reference_spec || m.spec == reference)
+            .filter(|m| m.spec == reference)
             .filter(|m| !self.cooled.contains(&m.id))
             .filter_map(|m| {
                 let s = self.stats(m.id);
-                s.price_is_stable(self.cfg.stability_threshold)
+                s.price_is_stable(STABILITY_THRESHOLD)
                     .then(|| (m.id, self.cost_rate_of(&s)))
             })
             .collect();
@@ -336,10 +329,10 @@ impl MarketView<'_> {
             .collect();
         correlation_matrix(
             &traces,
-            self.now.saturating_sub(self.cfg.window),
+            self.now.saturating_sub(STATS_WINDOW),
             self.now,
-            self.cfg.correlation_step,
-            self.cfg.spike_threshold,
+            CORRELATION_STEP,
+            SPIKE_THRESHOLD,
         )
     }
 }
@@ -452,7 +445,7 @@ fn uncorrelated_candidates(view: &MarketView<'_>) -> Vec<MarketId> {
         return Vec::new();
     }
     let corr = view.correlations(&cands);
-    greedy_uncorrelated_subset(&corr, view.cfg.max_correlation, view.cfg.max_markets)
+    greedy_uncorrelated_subset(&corr, MAX_CORRELATION, view.cfg.max_markets)
         .into_iter()
         .map(|i| cands[i])
         .collect()
@@ -466,7 +459,7 @@ fn variance_of(view: &MarketView<'_>, set: &[MarketId]) -> f64 {
         view.job.runtime_estimate,
         view.delta(),
         agg,
-        view.cfg.rd,
+        RD,
         set.len() as u32,
     )
 }
@@ -541,7 +534,7 @@ impl SelectionPolicy for InteractiveSelection {
             l = uncorrelated_candidates(view);
             self.last_l.clone_from(&l);
         }
-        let stable = |m: &MarketId| view.stats(*m).price_is_stable(view.cfg.stability_threshold);
+        let stable = |m: &MarketId| view.stats(*m).price_is_stable(STABILITY_THRESHOLD);
         // Prefer an unused stable market; failing that, re-enter the
         // lowest-cost stable market already in use (better than paying
         // on-demand); only with L exhausted fall back to on-demand.
@@ -655,7 +648,7 @@ impl PortfolioPolicy {
                     view.job.runtime_estimate,
                     view.delta(),
                     view.stats(*id).mttf,
-                    view.cfg.rd,
+                    RD,
                     1,
                 )
             })
@@ -922,7 +915,7 @@ mod tests {
         for i in 0..ids.len() {
             for j in (i + 1)..ids.len() {
                 assert!(
-                    corr[i][j].abs() <= cfg.max_correlation + 1e-9,
+                    corr[i][j].abs() <= MAX_CORRELATION + 1e-9,
                     "markets {i},{j} correlate at {}",
                     corr[i][j]
                 );
@@ -1075,13 +1068,10 @@ mod tests {
             .catalog
             .spot_markets()
             .iter()
-            .filter(|m| !view.cfg.match_reference_spec || m.spec == reference)
+            .filter(|m| m.spec == reference)
             .map(|m| m.id)
             .filter(|id| !view.cooled.contains(id))
-            .filter(|id| {
-                view.stats(*id)
-                    .price_is_stable(view.cfg.stability_threshold)
-            })
+            .filter(|id| view.stats(*id).price_is_stable(STABILITY_THRESHOLD))
             .collect();
         c.sort_by(|a, b| {
             view.cost_rate(*a)

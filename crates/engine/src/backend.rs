@@ -59,23 +59,21 @@ pub enum ShuffleTransport {
 #[derive(Debug, Clone, Copy)]
 pub struct InvocationStart {
     /// Monotone invocation id (1-based, admission order).
-    pub invocation: u64,
+    pub(crate) invocation: u64,
     /// Cold-start latency in virtual millis (0 for a warm container).
-    pub cold_ms: u64,
+    pub(crate) cold_ms: u64,
     /// Startup overhead added to the task's duration (warm or cold).
-    pub overhead: SimDuration,
+    pub(crate) overhead: SimDuration,
 }
 
 /// Returned by [`Backend::on_task_committed`] when the task produced a
 /// per-invocation bill.
 #[derive(Debug, Clone, Copy)]
 pub struct InvocationBill {
-    /// The invocation id assigned at admission.
-    pub invocation: u64,
     /// GB-seconds consumed: task duration × function memory.
-    pub gb_seconds: f64,
+    pub(crate) gb_seconds: f64,
     /// Dollars charged: GB-seconds × rate + per-request fee.
-    pub cost: f64,
+    pub(crate) cost: f64,
 }
 
 /// The executor/cluster seam: how workers are provisioned and billed
@@ -103,12 +101,10 @@ pub trait Backend {
         None
     }
 
-    /// Called once per committed task (commit order). `invocation` is
-    /// the id assigned at admission (0 when admission registered no
-    /// invocation). Return `Some` to emit a per-invocation bill.
+    /// Called once per committed task (commit order). Return `Some` to
+    /// emit a per-invocation bill.
     fn on_task_committed(
         &mut self,
-        _invocation: u64,
         _worker: WorkerId,
         _duration: SimDuration,
         _now: SimTime,
@@ -162,30 +158,31 @@ impl Backend for TransientVmBackend {
     }
 }
 
-/// Pricing and latency model for [`ServerlessBackend`].
+/// Dollars per GB-second of invocation time.
+const PRICE_PER_GB_SECOND: f64 = 0.000_016_666_7;
+/// Flat dollars per invocation (request fee).
+const PRICE_PER_INVOCATION: f64 = 0.000_000_2;
+/// Deterministic floor of a cold start.
+const COLD_START_BASE: SimDuration = SimDuration::from_millis(150);
+/// Mean of the exponential cold-start tail added to the floor.
+const COLD_START_MEAN_EXTRA: SimDuration = SimDuration::from_millis(350);
+/// Dispatch latency onto an already-warm container.
+const WARM_START: SimDuration = SimDuration::from_millis(5);
+/// How long a container stays warm after an invocation starts or
+/// commits on its slot.
+const KEEPALIVE: SimDuration = SimDuration::from_mins(10);
+
+/// Slot size and cost-report reference for [`ServerlessBackend`].
 ///
-/// Defaults model a Lambda-like offering: 4 GB function slots at
-/// $0.0000166667 per GB-second plus $0.0000002 per request, cold
-/// starts of 150 ms plus an exponential tail (mean 350 ms), 5 ms warm
-/// dispatch, and a 10-minute container keepalive.
+/// Prices and latencies model a Lambda-like offering: 4 GB function
+/// slots at $0.0000166667 per GB-second plus $0.0000002 per request,
+/// cold starts of 150 ms plus an exponential tail (mean 350 ms), 5 ms
+/// warm dispatch, and a 10-minute container keepalive.
 #[derive(Debug, Clone)]
 pub struct ServerlessConfig {
     /// Function memory per invocation, GB (also sizes the slot's
     /// result cache).
     pub memory_gb: f64,
-    /// Dollars per GB-second of invocation time.
-    pub price_per_gb_second: f64,
-    /// Flat dollars per invocation (request fee).
-    pub price_per_invocation: f64,
-    /// Deterministic floor of a cold start.
-    pub cold_start_base: SimDuration,
-    /// Mean of the exponential cold-start tail added to the floor.
-    pub cold_start_mean_extra: SimDuration,
-    /// Dispatch latency onto an already-warm container.
-    pub warm_start: SimDuration,
-    /// How long a container stays warm after an invocation starts or
-    /// commits on its slot.
-    pub keepalive: SimDuration,
     /// On-demand VM price used as the cost-report reference (the
     /// paper's r3.large at $0.175/h), so serverless unit costs stay
     /// comparable to VM unit costs.
@@ -196,12 +193,6 @@ impl Default for ServerlessConfig {
     fn default() -> Self {
         ServerlessConfig {
             memory_gb: 4.0,
-            price_per_gb_second: 0.000_016_666_7,
-            price_per_invocation: 0.000_000_2,
-            cold_start_base: SimDuration::from_millis(150),
-            cold_start_mean_extra: SimDuration::from_millis(350),
-            warm_start: SimDuration::from_millis(5),
-            keepalive: SimDuration::from_mins(10),
             on_demand_equiv: 0.175,
         }
     }
@@ -211,8 +202,8 @@ impl Default for ServerlessConfig {
 ///
 /// Each cluster worker models one unit of function concurrency (a
 /// 1-core slot). A task admitted onto a slot whose container has gone
-/// cold — never used, or idle past [`ServerlessConfig::keepalive`] —
-/// pays a seeded cold-start latency drawn from the
+/// cold — never used, or idle past `KEEPALIVE` — pays a seeded
+/// cold-start latency drawn from the
 /// `rng::stream(seed, "serverless:coldstart")` sub-stream; admission
 /// order is deterministic, so the draws (and thus the whole trace)
 /// replay byte-identically for any `host_threads`. Every committed
@@ -264,23 +255,20 @@ impl Backend for ServerlessBackend {
         let warm = self.warm_until.get(&worker).is_some_and(|&t| start <= t);
         let (overhead, cold_ms) = if warm {
             self.warm_invocations += 1;
-            (self.cfg.warm_start, 0)
+            (WARM_START, 0)
         } else {
             // Cold start: deterministic floor plus an exponential tail
             // drawn from the seeded sub-stream (inverse-CDF transform).
             let u: f64 = self.rng.gen::<f64>();
-            let extra = self
-                .cfg
-                .cold_start_mean_extra
-                .mul_f64(-(1.0 - u).max(1e-12).ln());
-            let overhead = self.cfg.cold_start_base + extra;
+            let extra = COLD_START_MEAN_EXTRA.mul_f64(-(1.0 - u).max(1e-12).ln());
+            let overhead = COLD_START_BASE + extra;
             (overhead, overhead.as_millis())
         };
         // Provisional warm horizon from the invocation's start; commit
         // extends it from the finish instant. Back-to-back tasks queued
         // on the same slot therefore see a warm container as long as
         // each predecessor fits inside the keepalive window.
-        let horizon = start + overhead + self.cfg.keepalive;
+        let horizon = start + overhead + KEEPALIVE;
         let entry = self.warm_until.entry(worker).or_insert(horizon);
         *entry = (*entry).max(horizon);
         Some(InvocationStart {
@@ -292,24 +280,19 @@ impl Backend for ServerlessBackend {
 
     fn on_task_committed(
         &mut self,
-        invocation: u64,
         worker: WorkerId,
         duration: SimDuration,
         now: SimTime,
     ) -> Option<InvocationBill> {
         self.billed += 1;
         let gb_seconds = duration.as_secs_f64() * self.cfg.memory_gb;
-        let cost = gb_seconds * self.cfg.price_per_gb_second + self.cfg.price_per_invocation;
+        let cost = gb_seconds * PRICE_PER_GB_SECOND + PRICE_PER_INVOCATION;
         self.gb_seconds += gb_seconds;
         self.cost += cost;
-        let horizon = now + self.cfg.keepalive;
+        let horizon = now + KEEPALIVE;
         let entry = self.warm_until.entry(worker).or_insert(horizon);
         *entry = (*entry).max(horizon);
-        Some(InvocationBill {
-            invocation,
-            gb_seconds,
-            cost,
-        })
+        Some(InvocationBill { gb_seconds, cost })
     }
 
     fn compute_cost(&self) -> f64 {
@@ -344,7 +327,7 @@ mod tests {
         assert_eq!(b.shuffle_transport(), ShuffleTransport::WorkerMemory);
         assert!(b.on_task_admitted(WorkerId(1), SimTime::ZERO).is_none());
         assert!(b
-            .on_task_committed(0, WorkerId(1), SimDuration::from_secs(1), SimTime::ZERO)
+            .on_task_committed(WorkerId(1), SimDuration::from_secs(1), SimTime::ZERO)
             .is_none());
         assert_eq!(b.compute_cost(), 0.0);
         assert_eq!(b.invocations(), 0);
@@ -353,9 +336,7 @@ mod tests {
 
     #[test]
     fn cold_then_warm_then_cold_after_keepalive() {
-        let cfg = ServerlessConfig::default();
-        let keepalive = cfg.keepalive;
-        let mut b = ServerlessBackend::new(cfg, 7);
+        let mut b = ServerlessBackend::new(ServerlessConfig::default(), 7);
         let w = WorkerId(0);
         let first = b.on_task_admitted(w, SimTime::ZERO).unwrap();
         assert!(first.cold_ms >= 150, "first touch must be cold");
@@ -365,7 +346,7 @@ mod tests {
         assert_eq!(second.cold_ms, 0);
         assert_eq!(second.overhead, SimDuration::from_millis(5));
         // Past the keepalive horizon the container is cold again.
-        let t2 = t1 + second.overhead + keepalive + SimDuration::from_secs(1);
+        let t2 = t1 + second.overhead + KEEPALIVE + SimDuration::from_secs(1);
         let third = b.on_task_admitted(w, t2).unwrap();
         assert!(third.cold_ms >= 150);
         assert_eq!(b.invocations(), 3);
@@ -399,13 +380,12 @@ mod tests {
         for i in 0..50u64 {
             let dur = SimDuration::from_millis(100 + i * 37);
             let bill = b
-                .on_task_committed(i + 1, WorkerId((i % 4) as u32), dur, SimTime::ZERO)
+                .on_task_committed(WorkerId((i % 4) as u32), dur, SimTime::ZERO)
                 .unwrap();
             let expect_gbs = dur.as_secs_f64() * cfg.memory_gb;
             assert!((bill.gb_seconds - expect_gbs).abs() < 1e-12);
             assert!(
-                (bill.cost - (expect_gbs * cfg.price_per_gb_second + cfg.price_per_invocation))
-                    .abs()
+                (bill.cost - (expect_gbs * PRICE_PER_GB_SECOND + PRICE_PER_INVOCATION)).abs()
                     < 1e-15
             );
             total += bill.cost;

@@ -342,9 +342,9 @@ pub struct BlockManager {
     disk_capacity: u64,
     clock: u64,
     /// Cumulative virtual bytes spilled memory→disk.
-    pub spilled_bytes: u64,
+    pub(crate) spilled_bytes: u64,
     /// Cumulative virtual bytes dropped entirely (cache + disk full).
-    pub dropped_bytes: u64,
+    pub(crate) dropped_bytes: u64,
 }
 
 impl BlockManager {

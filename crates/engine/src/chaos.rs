@@ -25,6 +25,23 @@ use crate::checkpoint::{StoreFaultPolicy, WriteFault};
 use crate::cluster::WorkerSpec;
 use crate::injector::{FailureInjector, ScriptedInjector, WorkerEvent};
 
+/// Lead time of a revocation warning when one is issued (EC2: 120 s).
+const WARNING_LEAD: SimDuration = SimDuration::from_secs(120);
+/// Add/Remove cycles per flapping worker.
+const FLAP_CYCLES: u32 = 3;
+/// Gap between flap transitions.
+const FLAP_GAP: SimDuration = SimDuration::from_secs(15);
+/// Normal replacement acquisition delay.
+const REPLACEMENT_DELAY: SimDuration = SimDuration::from_secs(120);
+/// Lateness multiplier for delayed replacements.
+const DELAY_FACTOR: f64 = 8.0;
+/// MTTF parameter for an exponential `lifetime_hazard` (capped hazards
+/// carry their own parameters).
+const LIFETIME_MTTF: SimDuration = SimDuration::from_hours(1);
+/// How long a market collapse leaves the cluster empty before the
+/// recovery cohort arrives.
+const COLLAPSE_LEN: SimDuration = SimDuration::from_mins(10);
+
 /// Parameters of one seeded chaos campaign. Probabilities are per
 /// scheduled revocation event (or per write, for the store knobs);
 /// setting every rate to zero yields an empty schedule, which the
@@ -32,19 +49,15 @@ use crate::injector::{FailureInjector, ScriptedInjector, WorkerEvent};
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Campaign seed; every sub-stream derives from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Schedule horizon — faults land in `(0, horizon]`.
     pub horizon: SimDuration,
     /// Base worker pool the driver starts with (ext ids `1..=n`).
     pub n_workers: u32,
-    /// Hardware shape of injected replacement workers.
-    pub spec: WorkerSpec,
     /// Revocation events scheduled across the horizon.
     pub revocations: u32,
     /// Fraction of revocations that skip the `Warn` (warning-less).
     pub unwarned_frac: f64,
-    /// Lead time of the warning when one is issued (EC2: 120 s).
-    pub warning_lead: SimDuration,
     /// Probability a revocation widens to its whole correlated group.
     pub mass_revoke_prob: f64,
     /// Correlated ext-id groups (from the market correlation model);
@@ -52,18 +65,10 @@ pub struct ChaosConfig {
     pub groups: Vec<Vec<u64>>,
     /// Probability a revoked worker flaps (rapid re-add/re-remove).
     pub flap_prob: f64,
-    /// Add/Remove cycles per flapping worker.
-    pub flap_cycles: u32,
-    /// Gap between flap transitions.
-    pub flap_gap: SimDuration,
     /// Whether revocations are followed by replacement `Add`s.
-    pub replacements: bool,
-    /// Normal replacement acquisition delay.
-    pub replacement_delay: SimDuration,
+    pub(crate) replacements: bool,
     /// Fraction of replacements that arrive late.
     pub delayed_frac: f64,
-    /// Lateness multiplier for delayed replacements.
-    pub delay_factor: f64,
     /// Probability a checkpoint write lands torn (corrupt-on-read).
     pub torn_write_prob: f64,
     /// Probability a checkpoint write is lost outright.
@@ -78,9 +83,6 @@ pub struct ChaosConfig {
     /// selection layer share one preemption distribution. `None` (the
     /// default) keeps the legacy uniform draws byte-identical.
     pub lifetime_hazard: Option<HazardSpec>,
-    /// MTTF parameter for an exponential `lifetime_hazard` (capped
-    /// hazards carry their own parameters).
-    pub lifetime_mttf: SimDuration,
     /// Probability the campaign kills the driver mid-run: the schedule
     /// draws a wave number and the harness suspends the driver at that
     /// wave-commit boundary (via `DriverConfig::suspend_after_waves`),
@@ -91,12 +93,9 @@ pub struct ChaosConfig {
     pub driver_crash_wave_max: u64,
     /// Probability the campaign includes a market-wide collapse: every
     /// live pool worker is removed at one drawn instant, with a fresh
-    /// cohort arriving only after [`Self::collapse_len`]. `0.0` (the
+    /// cohort arriving only after `COLLAPSE_LEN`. `0.0` (the
     /// default) draws nothing.
     pub market_collapse_prob: f64,
-    /// How long a market collapse leaves the cluster empty before the
-    /// recovery cohort arrives.
-    pub collapse_len: SimDuration,
 }
 
 impl ChaosConfig {
@@ -108,29 +107,21 @@ impl ChaosConfig {
             seed,
             horizon: SimDuration::from_hours(2),
             n_workers: 4,
-            spec: WorkerSpec::r3_large(),
             revocations: 6,
             unwarned_frac: 0.5,
-            warning_lead: SimDuration::from_secs(120),
             mass_revoke_prob: 0.2,
             groups: Vec::new(),
             flap_prob: 0.25,
-            flap_cycles: 3,
-            flap_gap: SimDuration::from_secs(15),
             replacements: true,
-            replacement_delay: SimDuration::from_secs(120),
             delayed_frac: 0.3,
-            delay_factor: 8.0,
             torn_write_prob: 0.15,
             failed_write_prob: 0.1,
             outages: 2,
             outage_len: SimDuration::from_mins(5),
             lifetime_hazard: None,
-            lifetime_mttf: SimDuration::from_hours(1),
             driver_crash_prob: 0.0,
             driver_crash_wave_max: 8,
             market_collapse_prob: 0.0,
-            collapse_len: SimDuration::from_mins(10),
         }
     }
 }
@@ -168,9 +159,7 @@ impl ChaosSchedule {
         // no longer hosts is deliberate chaos (the driver must shrug).
         let mut pool: Vec<u64> = (1..=u64::from(cfg.n_workers.max(1))).collect();
         let mut next_replacement_ext: u64 = 9_000_000;
-        let hazard = cfg
-            .lifetime_hazard
-            .map(|spec| spec.build(cfg.lifetime_mttf));
+        let hazard = cfg.lifetime_hazard.map(|spec| spec.build(LIFETIME_MTTF));
         let mut hazard_clock = SimDuration::ZERO;
 
         for _ in 0..cfg.revocations {
@@ -200,9 +189,7 @@ impl ChaosSchedule {
             for &v in &victims {
                 let warned = cfg.unwarned_frac < 1.0 && !rng.gen_bool(cfg.unwarned_frac);
                 if warned {
-                    let warn_t = t
-                        .saturating_sub(cfg.warning_lead)
-                        .max(SimTime::from_millis(1));
+                    let warn_t = t.saturating_sub(WARNING_LEAD).max(SimTime::from_millis(1));
                     events.push((warn_t, WorkerEvent::Warn { ext_id: v }));
                 }
                 events.push((t, WorkerEvent::Remove { ext_id: v }));
@@ -217,11 +204,9 @@ impl ChaosSchedule {
                 if cfg.replacements {
                     let late = cfg.delayed_frac > 0.0 && rng.gen_bool(cfg.delayed_frac);
                     let delay = if late {
-                        SimDuration::from_secs_f64(
-                            cfg.replacement_delay.as_secs_f64() * cfg.delay_factor.max(1.0),
-                        )
+                        SimDuration::from_secs_f64(REPLACEMENT_DELAY.as_secs_f64() * DELAY_FACTOR)
                     } else {
-                        cfg.replacement_delay
+                        REPLACEMENT_DELAY
                     };
                     let ext = next_replacement_ext;
                     next_replacement_ext += 1;
@@ -230,7 +215,7 @@ impl ChaosSchedule {
                         rt,
                         WorkerEvent::Add {
                             ext_id: ext,
-                            spec: cfg.spec,
+                            spec: WorkerSpec::r3_large(),
                         },
                     ));
                     if late {
@@ -241,16 +226,16 @@ impl ChaosSchedule {
             }
             if cfg.flap_prob > 0.0 && rng.gen_bool(cfg.flap_prob) {
                 let mut ft = t;
-                for _ in 0..cfg.flap_cycles {
-                    ft += cfg.flap_gap;
+                for _ in 0..FLAP_CYCLES {
+                    ft += FLAP_GAP;
                     events.push((
                         ft,
                         WorkerEvent::Add {
                             ext_id: victim,
-                            spec: cfg.spec,
+                            spec: WorkerSpec::r3_large(),
                         },
                     ));
-                    ft += cfg.flap_gap;
+                    ft += FLAP_GAP;
                     events.push((ft, WorkerEvent::Remove { ext_id: victim }));
                 }
                 notes.push((t, "flap".to_string(), format!("ext-{victim}")));
@@ -290,7 +275,7 @@ impl ChaosSchedule {
                 "market_collapse".to_string(),
                 format!("workers-{}", pool.len()),
             ));
-            let rt = t + cfg.collapse_len;
+            let rt = t + COLLAPSE_LEN;
             for _ in 0..cfg.n_workers.max(1) {
                 let ext = next_replacement_ext;
                 next_replacement_ext += 1;
@@ -298,7 +283,7 @@ impl ChaosSchedule {
                     rt,
                     WorkerEvent::Add {
                         ext_id: ext,
-                        spec: cfg.spec,
+                        spec: WorkerSpec::r3_large(),
                     },
                 ));
             }
@@ -507,7 +492,7 @@ mod tests {
         assert!((1..=5).contains(&wave));
         assert!(s.notes.iter().any(|(_, k, _)| k == "driver_crash"));
         // The collapse removes the whole live pool at one instant and
-        // brings a fresh cohort exactly collapse_len later.
+        // brings a fresh cohort exactly COLLAPSE_LEN later.
         let (ct, _, target) = s
             .notes
             .iter()
@@ -528,7 +513,7 @@ mod tests {
         let cohort = s
             .worker_events
             .iter()
-            .filter(|(t, e)| *t == ct + cfg.collapse_len && matches!(e, WorkerEvent::Add { .. }))
+            .filter(|(t, e)| *t == ct + COLLAPSE_LEN && matches!(e, WorkerEvent::Add { .. }))
             .count();
         assert_eq!(cohort, cfg.n_workers as usize);
     }

@@ -59,7 +59,7 @@ pub trait StoreFaultPolicy: Send + Sync + std::fmt::Debug {
 /// through it is branch-free so a chaos-compiled-in-but-disabled run
 /// is an exact no-op against the pre-chaos engine.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct HealthyStore;
+pub(crate) struct HealthyStore;
 
 impl StoreFaultPolicy for HealthyStore {
     fn on_write(&mut self, _key: &str, _now: SimTime) -> WriteFault {
@@ -148,7 +148,7 @@ impl CheckpointStore {
         }
     }
 
-    /// Installs a store degradation model (replacing [`HealthyStore`]).
+    /// Installs a store degradation model (replacing `HealthyStore`).
     pub fn set_fault_policy(&mut self, policy: Box<dyn StoreFaultPolicy>) {
         self.faults = policy;
         self.changes.all = true;

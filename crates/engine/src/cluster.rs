@@ -58,17 +58,15 @@ pub struct Worker {
     /// events onto this worker.
     pub ext_id: u64,
     /// Hardware shape.
-    pub spec: WorkerSpec,
+    pub(crate) spec: WorkerSpec,
     /// Whether the worker is currently alive. Private: the cluster's
     /// alive set and block directory are keyed on it.
     alive: bool,
     /// Per-core busy-until instants.
-    pub cores_busy_until: Vec<SimTime>,
+    pub(crate) cores_busy_until: Vec<SimTime>,
     /// The worker's block store. Private: every mutation goes through
     /// [`Cluster`] so the block directory cannot drift.
     blocks: BlockManager,
-    /// When the worker joined the cluster.
-    pub joined_at: SimTime,
 }
 
 impl Worker {
@@ -144,7 +142,6 @@ impl Cluster {
             alive: true,
             cores_busy_until: vec![now; spec.cores.max(1) as usize],
             blocks: BlockManager::new(spec.cache_mem_bytes, spec.disk_bytes),
-            joined_at: now,
         });
         self.ext_map.insert(ext_id, id);
         self.alive.push(id);

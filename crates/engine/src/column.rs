@@ -1463,7 +1463,7 @@ pub(crate) fn typed_sort_by_key(rows: &mut Vec<Value>, ascending: bool) -> bool 
 /// The per-op kernel registry entry: how an RDD's user function is
 /// expressed for the batch path.
 #[derive(Debug, Clone)]
-pub enum OpKernel {
+pub(crate) enum OpKernel {
     /// A `RddOp::Map` kernel.
     Map(MapKernel),
     /// A `RddOp::Filter` kernel.

@@ -10,46 +10,42 @@
 
 use flint_simtime::SimDuration;
 
-/// Throughput and overhead parameters for task-time accounting.
+/// Per-core compute throughput for a cost-factor-1.0 operator, MiB/s of
+/// virtual input bytes.
+const COMPUTE_MIB_S: f64 = 150.0;
+/// Per-worker network bandwidth for remote block fetches, MiB/s.
+const NET_MIB_S: f64 = 120.0;
+/// Local-disk bandwidth for spill reloads, MiB/s.
+const DISK_MIB_S: f64 = 200.0;
+
+/// Scale, source and contention parameters for task-time accounting.
 ///
-/// Defaults approximate the paper's testbed (`r3.large` workers, EBS-backed
-/// HDFS, moderate network): per-core compute streams at ~150 MiB/s for a
-/// plain map, the network moves ~120 MiB/s per worker, and every task pays
-/// a fixed scheduling overhead.
+/// The fixed throughputs approximate the paper's testbed (`r3.large`
+/// workers, EBS-backed HDFS, moderate network): per-core compute streams
+/// at ~150 MiB/s for a plain map, the network moves ~120 MiB/s per
+/// worker, and every task pays a fixed scheduling overhead (the driver's
+/// `TASK_OVERHEAD`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Virtual bytes per real in-process byte (dataset scale-up factor).
     pub size_scale: f64,
-    /// Per-core compute throughput for a cost-factor-1.0 operator, MiB/s
-    /// of virtual input bytes.
-    pub compute_mib_s: f64,
-    /// Per-worker network bandwidth for remote block fetches, MiB/s.
-    pub net_mib_s: f64,
-    /// Local-disk bandwidth for spill reloads, MiB/s.
-    pub disk_mib_s: f64,
     /// Bandwidth for (re-)reading source data, MiB/s. Deliberately slow:
     /// the paper observes that recomputing from source re-fetches from S3
     /// and re-partitions/de-serializes (§5.4).
     pub source_mib_s: f64,
-    /// Fixed per-task overhead (scheduling, deserialization).
-    pub task_overhead: SimDuration,
     /// Fraction of a checkpoint write's duration that stalls the
     /// worker's *other* cores (the write saturates the node's shared
     /// EBS/NIC bandwidth, degrading concurrent compute — §3.1.1:
     /// "checkpointing tasks consume CPU and I/O resources that
     /// proportionally degrade the performance of other tasks").
-    pub ckpt_contention: f64,
+    pub(crate) ckpt_contention: f64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
             size_scale: 1.0,
-            compute_mib_s: 150.0,
-            net_mib_s: 120.0,
-            disk_mib_s: 200.0,
             source_mib_s: 40.0,
-            task_overhead: SimDuration::from_millis(80),
             ckpt_contention: 0.5,
         }
     }
@@ -68,17 +64,17 @@ impl CostModel {
     /// Compute time for processing `vbytes` with an operator of the given
     /// cost factor on one core.
     pub(crate) fn compute_time(&self, vbytes: u64, cost_factor: f64) -> SimDuration {
-        SimDuration::from_secs_f64(Self::mib(vbytes) * cost_factor.max(0.0) / self.compute_mib_s)
+        SimDuration::from_secs_f64(Self::mib(vbytes) * cost_factor.max(0.0) / COMPUTE_MIB_S)
     }
 
     /// Network transfer time for `vbytes`.
     pub(crate) fn net_time(&self, vbytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(Self::mib(vbytes) / self.net_mib_s)
+        SimDuration::from_secs_f64(Self::mib(vbytes) / NET_MIB_S)
     }
 
     /// Local-disk reload time for `vbytes`.
     pub(crate) fn disk_time(&self, vbytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(Self::mib(vbytes) / self.disk_mib_s)
+        SimDuration::from_secs_f64(Self::mib(vbytes) / DISK_MIB_S)
     }
 
     /// Source (re-)read time for `vbytes`.

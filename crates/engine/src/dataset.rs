@@ -73,20 +73,6 @@ impl Datum for String {
     }
 }
 
-/// A dense numeric vector encoded as [`Value::Vector`] (compact; the
-/// generic `Vec<T>` impl encodes as a heterogeneous list instead).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseVector(pub Vec<f64>);
-
-impl Datum for DenseVector {
-    fn encode(self) -> Value {
-        Value::vector(self.0)
-    }
-    fn decode(v: &Value) -> Option<Self> {
-        v.as_vector().map(|x| DenseVector(x.to_vec()))
-    }
-}
-
 impl<K: Datum, V: Datum> Datum for (K, V) {
     fn encode(self) -> Value {
         Value::pair(self.0.encode(), self.1.encode())

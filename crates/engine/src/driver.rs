@@ -44,22 +44,24 @@ const FLAP_THRESHOLD: usize = 3;
 /// count as flapping.
 const FLAP_WINDOW: SimDuration = SimDuration::from_secs(600);
 
+/// Fixed per-task overhead (scheduling, deserialization).
+const TASK_OVERHEAD: SimDuration = SimDuration::from_millis(80);
+
+/// First store-retry backoff; each further attempt doubles it.
+const BACKOFF_BASE: SimDuration = SimDuration::from_secs(1);
+/// Ceiling on the store-retry backoff.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(60);
+
 /// A retry policy: an attempt budget plus capped exponential backoff in
 /// virtual time.
 ///
 /// It shapes the driver's store-outage wait
 /// ([`DriverConfig::store_retry`]). `delay(attempt)` doubles from
-/// `backoff_base` per attempt and saturates at `backoff_cap`; a zero
-/// base means "retry immediately" (no virtual time passes).
+/// `BACKOFF_BASE` (1 s) per attempt and saturates at `BACKOFF_CAP` (60 s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts allowed before the loop gives up with a typed error.
     pub budget: u64,
-    /// First backoff; each further attempt doubles it. `ZERO` retries
-    /// without advancing virtual time.
-    pub backoff_base: SimDuration,
-    /// Ceiling on the backoff.
-    pub backoff_cap: SimDuration,
 }
 
 impl RetryPolicy {
@@ -69,14 +71,13 @@ impl RetryPolicy {
     }
 
     /// The wait before retry number `attempt` (0-based): capped
-    /// exponential doubling, or `ZERO` for a no-backoff policy.
+    /// exponential doubling.
     pub(crate) fn delay(&self, attempt: u64) -> SimDuration {
-        if self.backoff_base == SimDuration::ZERO {
-            return SimDuration::ZERO;
-        }
-        let base = self.backoff_base.as_millis().max(1);
-        let cap = self.backoff_cap.as_millis().max(base);
-        SimDuration::from_millis(base.saturating_mul(1u64 << attempt.min(32)).min(cap))
+        let base = BACKOFF_BASE.as_millis();
+        SimDuration::from_millis(
+            base.saturating_mul(1u64 << attempt.min(32))
+                .min(BACKOFF_CAP.as_millis()),
+        )
     }
 }
 
@@ -124,11 +125,7 @@ impl Default for DriverConfig {
             cost: CostModel::default(),
             storage: StorageConfig::default(),
             host_threads: 1,
-            store_retry: RetryPolicy {
-                budget: 6,
-                backoff_base: SimDuration::from_secs(1),
-                backoff_cap: SimDuration::from_secs(60),
-            },
+            store_retry: RetryPolicy { budget: 6 },
             columnar: true,
             suspend_after_waves: None,
         }
@@ -1232,7 +1229,7 @@ impl Driver {
             let contention = self.config.cost.ckpt_contention.clamp(0.0, 1.0);
             (write, Some(write.mul_f64(contention)))
         } else {
-            let mut dur = out.base_dur + net + self.config.cost.task_overhead;
+            let mut dur = out.base_dur + net + TASK_OVERHEAD;
             // Under external shuffle transport the map output is written
             // to the durable store at commit; the producing task pays the
             // store-write time up front (reducers pay the store read in
@@ -1351,10 +1348,7 @@ impl Driver {
         // order — also for checkpoint tasks and for writes the store
         // subsequently faults (the invocation ran either way). The VM
         // backend returns `None` here, so this is a no-op for it.
-        if let Some(bill) = self
-            .backend
-            .on_task_committed(r.invocation, r.worker, r.duration, now)
-        {
+        if let Some(bill) = self.backend.on_task_committed(r.worker, r.duration, now) {
             let invocation = r.invocation;
             self.trace.emit_with(now, || EventKind::InvocationBilled {
                 invocation,

@@ -25,12 +25,6 @@ pub enum EngineError {
     /// An action was invoked on an empty dataset where it has no identity
     /// (e.g. `reduce`).
     EmptyDataset,
-    /// A checkpoint failed its integrity check (torn write) and no
-    /// lineage remained to recompute the partition from source data.
-    CheckpointCorrupt {
-        /// Durable-store key of the corrupt partition checkpoint.
-        block: String,
-    },
     /// The checkpoint store stayed unreachable through the driver's
     /// capped-backoff retry loop.
     StoreUnavailable {
@@ -80,12 +74,6 @@ impl fmt::Display for EngineError {
                 write!(f, "retry budget exhausted while materializing {rdd:?}")
             }
             EngineError::EmptyDataset => write!(f, "action undefined on an empty dataset"),
-            EngineError::CheckpointCorrupt { block } => {
-                write!(
-                    f,
-                    "checkpoint {block:?} failed its integrity check and no lineage remains"
-                )
-            }
             EngineError::StoreUnavailable { retries } => {
                 write!(
                     f,
@@ -129,14 +117,10 @@ mod tests {
 
     #[test]
     fn new_variants_display_their_context() {
-        let c = EngineError::CheckpointCorrupt {
-            block: "rdd-000005/part-00001".into(),
-        };
-        assert!(c.to_string().contains("rdd-000005/part-00001"));
         let s = EngineError::StoreUnavailable { retries: 7 };
         assert!(s.to_string().contains('7'));
-        // Both are std errors with no deeper source.
+        // A std error with no deeper source.
         use std::error::Error as _;
-        assert!(c.source().is_none() && s.source().is_none());
+        assert!(s.source().is_none());
     }
 }

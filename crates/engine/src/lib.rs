@@ -73,17 +73,16 @@ pub use block::{
 };
 pub use chaos::{ChaosConfig, ChaosInjector, ChaosSchedule, ChaosStoreFaults};
 pub use checkpoint::{
-    checkpoint_key, wire_size, CheckpointStore, HealthyStore, ReadFault, StoreFaultPolicy,
-    WriteFault,
+    checkpoint_key, wire_size, CheckpointStore, ReadFault, StoreFaultPolicy, WriteFault,
 };
 pub use cluster::{Cluster, Worker, WorkerId, WorkerSpec};
 pub use column::{
     radix_key_i64, radix_sort, AggField, AggKernel, Column, ColumnBatch, ColumnStats, KeyExpr,
-    MapKernel, NumExpr, OpKernel, PayloadExpr, PredKernel, ScalarExpr,
+    MapKernel, NumExpr, PayloadExpr, PredKernel, ScalarExpr,
 };
 pub use context::EngineContext;
 pub use cost::CostModel;
-pub use dataset::{Dataset, Datum, DenseVector};
+pub use dataset::{Dataset, Datum};
 pub use driver::{Driver, DriverConfig, DriverConfigBuilder, RetryPolicy};
 pub use error::{EngineError, Result};
 pub use hooks::{CheckpointDirective, CheckpointHooks, LineageView, NoCheckpoint};

@@ -21,13 +21,13 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunManifest {
     /// Format version (currently 1).
-    pub version: u32,
+    pub(crate) version: u32,
     /// Session tag; the manifest lives at `manifest/<session>` in the
     /// durable store.
-    pub session: String,
+    pub(crate) session: String,
     /// Fingerprint of the determinism-relevant driver config
     /// (`crate::DriverConfig::fingerprint`).
-    pub config_fp: u64,
+    pub(crate) config_fp: u64,
     /// Committed-wave frontier at suspension.
     pub frontier: u64,
     /// Virtual time at suspension, in milliseconds.
@@ -40,7 +40,7 @@ pub struct RunManifest {
     pub checkpoints_written: u64,
     /// Sorted durable-store keys present at suspension (checkpoint and
     /// shuffle objects; manifests themselves are excluded).
-    pub blocks: Vec<String>,
+    pub(crate) blocks: Vec<String>,
 }
 
 /// Why a serialized manifest failed to decode.
@@ -173,6 +173,8 @@ impl RunManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample() -> RunManifest {
         RunManifest {
@@ -257,5 +259,70 @@ mod tests {
     #[test]
     fn store_key_is_session_scoped() {
         assert_eq!(sample().store_key(), "manifest/seed-42");
+    }
+
+    fn arb_manifest() -> impl Strategy<Value = RunManifest> {
+        (
+            "[a-z0-9/_-]{0,12}",
+            vec(any::<u64>(), 6..7),
+            vec("[a-z0-9/_-]{1,24}", 0..4),
+        )
+            .prop_map(|(session, n, blocks)| RunManifest {
+                version: 1,
+                session,
+                config_fp: n[0],
+                frontier: n[1],
+                now_ms: n[2],
+                tasks_run: n[3],
+                revocations: n[4],
+                checkpoints_written: n[5],
+                blocks,
+            })
+    }
+
+    proptest! {
+        /// `decode` is total on hostile input: every prefix of a valid
+        /// encoding, its body lines in any order, a key given twice, a
+        /// numeric key holding a non-number, and arbitrary bytes each
+        /// return `Ok` or a typed error. Reordered lines and a repeated
+        /// identical line decode to the original; a non-number is
+        /// `BadField` naming its key.
+        #[test]
+        fn decode_is_total_on_hostile_input(
+            m in arb_manifest(),
+            order in vec(any::<u64>(), 8..9),
+            pick in any::<usize>(),
+            bytes in vec(any::<u8>(), 0..96),
+        ) {
+            let text = m.encode();
+            prop_assert_eq!(RunManifest::decode(&text), Ok(m.clone()));
+            for end in 0..text.len() {
+                let _ = RunManifest::decode(&text[..end]);
+            }
+            let body: Vec<&str> = text.lines().skip(1).collect();
+            prop_assert_eq!(body.len(), order.len());
+            let mut shuffled: Vec<(u64, &str)> = order.iter().copied().zip(body.iter().copied()).collect();
+            shuffled.sort();
+            let reordered: String = std::iter::once(HEADER)
+                .chain(shuffled.iter().map(|(_, l)| *l))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            prop_assert_eq!(RunManifest::decode(&reordered), Ok(m.clone()));
+            let line = body[pick % body.len()];
+            let twice = format!("{text}{line}\n");
+            prop_assert_eq!(RunManifest::decode(&twice), Ok(m.clone()));
+            let (key, _) = line.split_once('=').expect("a body line is key=value");
+            let _ = RunManifest::decode(&format!("{text}{key}=x\n"));
+            if !matches!(key, "session" | "blocks") {
+                let wrong = text.replacen(line, &format!("{key}=x"), 1);
+                let field = match RunManifest::decode(&wrong) {
+                    Err(ManifestError::BadField(f)) => f,
+                    other => panic!("{key}=x decoded as {other:?}"),
+                };
+                prop_assert_eq!(field, key);
+            }
+            let _ = RunManifest::decode(&String::from_utf8_lossy(&bytes));
+            let _ = RunManifest::decode(&format!("{HEADER}\n{}", String::from_utf8_lossy(&bytes)));
+        }
     }
 }

@@ -206,13 +206,13 @@ impl fmt::Debug for RddOp {
 #[derive(Clone)]
 pub struct RddMeta {
     /// The RDD's id.
-    pub id: RddId,
+    pub(crate) id: RddId,
     /// Human-readable name (defaults to the operator kind).
-    pub name: String,
+    pub(crate) name: String,
     /// The producing operator.
     pub op: RddOp,
     /// Parent RDDs, in operator order.
-    pub parents: Vec<RddId>,
+    pub(crate) parents: Vec<RddId>,
     /// Number of partitions.
     pub num_partitions: u32,
 }

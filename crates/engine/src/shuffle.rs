@@ -272,16 +272,16 @@ pub enum ShuffleKind {
 #[derive(Clone)]
 pub struct ShuffleInfo {
     /// The shuffle id.
-    pub id: ShuffleId,
+    pub(crate) id: ShuffleId,
     /// The map-side (parent) RDD.
     pub parent: crate::RddId,
     /// Partitioning scheme.
-    pub kind: ShuffleKind,
+    pub(crate) kind: ShuffleKind,
     /// Map-side combiner (Spark's `reduceByKey` pre-aggregation): pairs
     /// with equal keys within one map output are combined before the
     /// block is stored, collapsing shuffle volume to ~one record per key
     /// per map partition.
-    pub combine: Option<crate::rdd::AggFn>,
+    pub(crate) combine: Option<crate::rdd::AggFn>,
 }
 
 impl std::fmt::Debug for ShuffleInfo {

@@ -92,19 +92,6 @@ impl EbsCostModel {
     }
 }
 
-/// One line of a cost report: what an instance (or volume) cost and why.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BillingLine {
-    /// Human-readable description, e.g. a market name.
-    pub description: String,
-    /// Interval start.
-    pub start: SimTime,
-    /// Interval end.
-    pub end: SimTime,
-    /// Dollars charged.
-    pub cost: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

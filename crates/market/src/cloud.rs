@@ -63,13 +63,13 @@ impl InstanceEvent {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceRecord {
     /// The instance id.
-    pub id: InstanceId,
+    pub(crate) id: InstanceId,
     /// The market it was provisioned from.
     pub market: MarketId,
     /// The bid placed (ignored for fixed-price kinds).
-    pub bid: f64,
+    pub(crate) bid: f64,
     /// When the request was made.
-    pub requested_at: SimTime,
+    pub(crate) requested_at: SimTime,
     /// When it became usable.
     pub ready_at: SimTime,
     /// When it ended, if it has.

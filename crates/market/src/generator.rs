@@ -38,21 +38,21 @@ mod rand_distr_shim {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceProfile {
     /// Steady-state spot price between spikes.
-    pub base_price: f64,
+    pub(crate) base_price: f64,
     /// On-demand price of the equivalent instance.
-    pub on_demand_price: f64,
+    pub(crate) on_demand_price: f64,
     /// Poisson rate of price spikes, per hour.
-    pub spike_rate_per_hour: f64,
+    pub(crate) spike_rate_per_hour: f64,
     /// Spike height as a multiple of the on-demand price, sampled
     /// uniformly from this `(low, high)` range. EC2 caps bids at 10x
     /// on-demand, so heights above 10 guarantee revocation at any bid.
-    pub spike_height_mult: (f64, f64),
+    pub(crate) spike_height_mult: (f64, f64),
     /// Mean spike duration in minutes (exponentially distributed).
-    pub mean_spike_mins: f64,
+    pub(crate) mean_spike_mins: f64,
     /// Relative jitter applied to the base price at each re-jitter epoch.
-    pub base_jitter: f64,
+    pub(crate) base_jitter: f64,
     /// Mean interval between base-price re-jitters, in hours.
-    pub jitter_interval_hours: f64,
+    pub(crate) jitter_interval_hours: f64,
 }
 
 impl TraceProfile {
@@ -122,9 +122,9 @@ impl TraceProfile {
 /// the correlated revocations Flint's interactive policy must avoid
 /// (Fig. 4).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpikeProcess {
+pub(crate) struct SpikeProcess {
     /// Realized spikes, sorted by start time.
-    pub spikes: Vec<(SimTime, SimDuration, f64)>,
+    pub(crate) spikes: Vec<(SimTime, SimDuration, f64)>,
 }
 
 impl SpikeProcess {

@@ -55,13 +55,13 @@ mod market;
 mod stats;
 mod trace;
 
-pub use billing::{hourly_spot_cost, BillingLine, EbsCostModel};
+pub use billing::{hourly_spot_cost, EbsCostModel};
 pub use catalog::MarketCatalog;
 pub use cloud::{CloudSim, InstanceEvent, InstanceId, InstanceRecord, InstanceState};
 pub use correlation::{
     correlated_groups, correlation_matrix, greedy_uncorrelated_subset, pairwise_correlation,
 };
-pub use generator::{SpikeProcess, TraceGenerator, TraceProfile};
+pub use generator::{TraceGenerator, TraceProfile};
 pub use hazard::{CappedLifetimeHazard, ExponentialHazard, HazardModel, HazardSpec};
 pub use market::{InstanceSpec, Market, MarketId, MarketKind, MarketStats};
 pub use stats::TtfStats;

@@ -136,7 +136,7 @@ impl Market {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarketStats {
     /// The market these statistics describe.
-    pub market: MarketId,
+    pub(crate) market: MarketId,
     /// Instantaneous price at the observation time.
     pub current_price: f64,
     /// Time-weighted mean price over the observation window.

@@ -10,7 +10,7 @@ use crate::PriceTrace;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TtfStats {
     /// Number of samples taken.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Mean time to failure.
     pub mean: SimDuration,
     /// 25th percentile.

@@ -64,6 +64,11 @@ where
     fan_out(jobs, seeds, |s| f(*s))
 }
 
+/// Offset added to `base.start` per successive seed, so runs on the same
+/// price traces decorrelate (spot revocations are a function of the
+/// trace, not the cloud seed).
+const START_STRIDE: SimDuration = SimDuration::from_hours(6);
+
 /// A seed campaign over [`run_mc`]: the same base configuration
 /// replayed under many seeds (and staggered trace offsets), merged
 /// into one report.
@@ -71,15 +76,11 @@ where
 pub struct CampaignConfig {
     /// Per-run configuration; `seed` and `start` are overridden per
     /// seed.
-    pub base: McConfig,
+    pub(crate) base: McConfig,
     /// The seeds to run, in report order.
     pub seeds: Vec<u64>,
-    /// Offset added to `base.start` per successive seed, so runs on
-    /// the same price traces decorrelate (spot revocations are a
-    /// function of the trace, not the cloud seed).
-    pub start_stride: SimDuration,
     /// Maximum host threads computing seeds concurrently.
-    pub jobs: usize,
+    pub(crate) jobs: usize,
 }
 
 impl CampaignConfig {
@@ -90,7 +91,6 @@ impl CampaignConfig {
         CampaignConfig {
             base,
             seeds: (0..runs).map(|r| first.wrapping_add(r)).collect(),
-            start_stride: SimDuration::from_hours(6),
             jobs,
         }
     }
@@ -99,7 +99,7 @@ impl CampaignConfig {
     pub fn cfg_for(&self, idx: usize) -> McConfig {
         McConfig {
             seed: self.seeds[idx],
-            start: self.base.start + self.start_stride * idx as u64,
+            start: self.base.start + START_STRIDE * idx as u64,
             ..self.base.clone()
         }
     }
@@ -109,7 +109,7 @@ impl CampaignConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// `(seed, result)` per run, in the campaign's seed order.
-    pub runs: Vec<(u64, McResult)>,
+    pub(crate) runs: Vec<(u64, McResult)>,
 }
 
 impl CampaignReport {

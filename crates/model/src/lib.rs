@@ -31,8 +31,8 @@ mod campaign;
 pub use campaign::{fan_out, run_mc_campaign, run_seeds, CampaignConfig, CampaignReport};
 
 use flint_core::{
-    new_shared, optimal_tau, BatchSelection, BidPolicy, FixedMarketSelection, InteractiveSelection,
-    JobProfile, NodeManager, OnDemandSelection, PortfolioPolicy, SelectionConfig, SelectionPolicy,
+    new_shared, optimal_tau, BatchSelection, BidPolicy, InteractiveSelection, JobProfile,
+    NodeManager, OnDemandSelection, PortfolioPolicy, SelectionConfig, SelectionPolicy,
     SpotFleetCriterion, SpotFleetSelection,
 };
 use flint_engine::{FailureInjector, WorkerEvent};
@@ -62,13 +62,8 @@ pub enum PolicyKind {
     FlintInteractive,
     /// SpotFleet, cheapest-current-price criterion.
     SpotFleetCheapest,
-    /// SpotFleet, least-volatile criterion.
-    SpotFleetStable,
     /// On-demand only.
     OnDemand,
-    /// Pinned to one market (bid-sweep experiments); the value is the
-    /// market's raw id.
-    FixedMarket(u32),
     /// Mean-variance portfolio policy; the value is the risk-aversion
     /// λ in thousandths (per-mille), keeping the enum `Copy + Eq`
     /// (`Portfolio(2000)` runs at λ = 2.0).
@@ -83,13 +78,7 @@ impl PolicyKind {
             PolicyKind::SpotFleetCheapest => {
                 Box::new(SpotFleetSelection::new(SpotFleetCriterion::Cheapest))
             }
-            PolicyKind::SpotFleetStable => {
-                Box::new(SpotFleetSelection::new(SpotFleetCriterion::LeastVolatile))
-            }
             PolicyKind::OnDemand => Box::new(OnDemandSelection),
-            PolicyKind::FixedMarket(id) => {
-                Box::new(FixedMarketSelection(flint_market::MarketId(id)))
-            }
             PolicyKind::Portfolio(risk_milli) => {
                 Box::new(PortfolioPolicy::new(f64::from(risk_milli) / 1000.0))
             }
@@ -102,13 +91,18 @@ impl PolicyKind {
             PolicyKind::FlintBatch => "Flint-Batch",
             PolicyKind::FlintInteractive => "Flint-Interactive",
             PolicyKind::SpotFleetCheapest => "Spot-Fleet",
-            PolicyKind::SpotFleetStable => "Spot-Fleet-Stable",
             PolicyKind::OnDemand => "On-demand",
-            PolicyKind::FixedMarket(_) => "Fixed-Market",
             PolicyKind::Portfolio(_) => "Flint-Portfolio",
         }
     }
 }
+
+/// Upper bound on the work lost per revocation event even without
+/// checkpoints: iterative data-parallel programs have natural lineage
+/// cuts (persisted per-iteration state, durable inputs), so recomputation
+/// is bounded by the distance to the nearest surviving cut rather than
+/// rolling back to zero.
+const ROLLBACK_CAP: SimDuration = SimDuration::from_hours(2);
 
 /// Configuration of a Monte-Carlo run.
 #[derive(Debug, Clone)]
@@ -134,12 +128,6 @@ pub struct McConfig {
     pub start: SimTime,
     /// Cloud seed (preemptible lifetimes).
     pub seed: u64,
-    /// Upper bound on the work lost per revocation event even without
-    /// checkpoints: iterative data-parallel programs have natural lineage
-    /// cuts (persisted per-iteration state, durable inputs), so
-    /// recomputation is bounded by the distance to the nearest surviving
-    /// cut rather than rolling back to zero.
-    pub rollback_cap: SimDuration,
 }
 
 impl Default for McConfig {
@@ -155,7 +143,6 @@ impl Default for McConfig {
             selection: SelectionConfig::default(),
             start: SimTime::ZERO + SimDuration::from_days(14),
             seed: 0,
-            rollback_cap: SimDuration::from_hours(2),
         }
     }
 }
@@ -182,7 +169,7 @@ pub struct McResult {
     /// Cluster size.
     pub n_workers: u32,
     /// The failure-free job length (fixed work) this run performed.
-    pub job_length: SimDuration,
+    pub(crate) job_length: SimDuration,
 }
 
 impl McResult {
@@ -372,7 +359,7 @@ pub fn run_mc_traced(
             let unsaved = if frac >= 1.0 {
                 work - ckpt_work
             } else {
-                (work - ckpt_work).min(cfg.rollback_cap.as_secs_f64())
+                (work - ckpt_work).min(ROLLBACK_CAP.as_secs_f64())
             };
             work -= unsaved * frac;
         }
@@ -562,7 +549,7 @@ mod tests {
                 let unsaved = if frac >= 1.0 {
                     work - ckpt_work
                 } else {
-                    (work - ckpt_work).min(cfg.rollback_cap.as_secs_f64())
+                    (work - ckpt_work).min(ROLLBACK_CAP.as_secs_f64())
                 };
                 work -= unsaved * frac;
             }

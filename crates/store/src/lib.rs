@@ -38,19 +38,20 @@ use std::collections::BTreeMap;
 use flint_market::EbsCostModel;
 use flint_simtime::{SimDuration, SimTime};
 
-/// Bandwidth and replication model for durable storage.
+/// Aggregate write bandwidth per writer node, MiB/s. The paper's
+/// `r3.large` workers are EBS-bandwidth-limited to ~500 Mbps (~60 MiB/s)
+/// shared by the whole node.
+const WRITE_MIB_S_PER_NODE: f64 = 60.0;
+/// Aggregate read bandwidth per reader node, MiB/s.
+const READ_MIB_S_PER_NODE: f64 = 60.0;
+/// Fixed per-operation latency (metadata round trips).
+const OP_LATENCY: SimDuration = SimDuration::from_millis(20);
+
+/// Replication and zone model for durable storage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageConfig {
-    /// Aggregate write bandwidth per writer node, MiB/s. The paper's
-    /// `r3.large` workers are EBS-bandwidth-limited to ~500 Mbps
-    /// (~60 MiB/s) shared by the whole node.
-    pub write_mib_s_per_node: f64,
-    /// Aggregate read bandwidth per reader node, MiB/s.
-    pub read_mib_s_per_node: f64,
     /// HDFS replication factor (the paper uses 3).
     pub replication: u32,
-    /// Fixed per-operation latency (metadata round trips).
-    pub op_latency: SimDuration,
     /// Bandwidth divisor for cross-availability-zone traffic; `1.0`
     /// within a zone. §5.2 reports checkpoint writes are bandwidth- not
     /// latency-sensitive, so multi-AZ mostly shows up here.
@@ -60,10 +61,7 @@ pub struct StorageConfig {
 impl Default for StorageConfig {
     fn default() -> Self {
         StorageConfig {
-            write_mib_s_per_node: 60.0,
-            read_mib_s_per_node: 60.0,
             replication: 3,
-            op_latency: SimDuration::from_millis(20),
             cross_zone_factor: 1.0,
         }
     }
@@ -83,8 +81,8 @@ impl StorageConfig {
         // ~10% pipeline overhead per extra replica.
         let pipeline = 1.0 + 0.1 * (self.replication.max(1) - 1) as f64;
         let per_node = bytes as f64 * pipeline / writers;
-        let bw = (self.write_mib_s_per_node / self.cross_zone_factor.max(1.0)).max(1e-6);
-        self.op_latency + SimDuration::from_secs_f64(per_node / (bw * 1024.0 * 1024.0))
+        let bw = (WRITE_MIB_S_PER_NODE / self.cross_zone_factor.max(1.0)).max(1e-6);
+        OP_LATENCY + SimDuration::from_secs_f64(per_node / (bw * 1024.0 * 1024.0))
     }
 
     /// Time to read `bytes` spread over `parallel_readers` nodes.
@@ -93,8 +91,8 @@ impl StorageConfig {
     pub fn read_time(&self, bytes: u64, parallel_readers: u32) -> SimDuration {
         let readers = parallel_readers.max(1) as f64;
         let per_node = bytes as f64 / readers;
-        let bw = (self.read_mib_s_per_node / self.cross_zone_factor.max(1.0)).max(1e-6);
-        self.op_latency + SimDuration::from_secs_f64(per_node / (bw * 1024.0 * 1024.0))
+        let bw = (READ_MIB_S_PER_NODE / self.cross_zone_factor.max(1.0)).max(1e-6);
+        OP_LATENCY + SimDuration::from_secs_f64(per_node / (bw * 1024.0 * 1024.0))
     }
 }
 
@@ -328,8 +326,8 @@ mod tests {
         let parallel = cfg.write_time(100 << 20, 10);
         assert!(parallel < big);
         // 10x parallelism ~ 10x faster (minus latency floor).
-        let serial_s = big.as_secs_f64() - cfg.op_latency.as_secs_f64();
-        let par_s = parallel.as_secs_f64() - cfg.op_latency.as_secs_f64();
+        let serial_s = big.as_secs_f64() - OP_LATENCY.as_secs_f64();
+        let par_s = parallel.as_secs_f64() - OP_LATENCY.as_secs_f64();
         assert!((serial_s / par_s - 10.0).abs() < 0.1);
     }
 

@@ -14,7 +14,7 @@ use std::fmt;
 /// (virtual millis, bytes). Bucket `i` holds values `v` with
 /// `2^(i-1) <= v < 2^i` (bucket 0 holds zero).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: [u64; 64],
     count: u64,
     sum: u64,
@@ -88,9 +88,9 @@ pub struct MetricsAggregator {
     /// Total events folded.
     pub events: u64,
     /// Timestamp of the first event seen.
-    pub first_t: Option<SimTime>,
+    pub(crate) first_t: Option<SimTime>,
     /// Timestamp of the last event seen.
-    pub last_t: Option<SimTime>,
+    pub(crate) last_t: Option<SimTime>,
 
     // ── engine: mirrors RunStats ───────────────────────────────────
     /// Compute tasks committed (`TaskFinished`).
@@ -137,11 +137,11 @@ pub struct MetricsAggregator {
     /// τ re-estimations observed.
     pub tau_adaptations: u64,
     /// Most recent τ (ms), if any `TauAdapted` was seen.
-    pub last_tau_ms: Option<u64>,
+    pub(crate) last_tau_ms: Option<u64>,
     /// Checkpoint GC rounds.
-    pub gc_rounds: u64,
+    pub(crate) gc_rounds: u64,
     /// Maximum lineage recompute depth observed.
-    pub max_recompute_depth: u64,
+    pub(crate) max_recompute_depth: u64,
 
     // ── market / core: mirrors CostReport ──────────────────────────
     /// Σ `InstanceBilled.cost` — mirrors `CostReport::compute_cost`
@@ -150,45 +150,45 @@ pub struct MetricsAggregator {
     /// Bids placed.
     pub bids: u64,
     /// Price spikes (spot price crossed a live bid).
-    pub price_spikes: u64,
+    pub(crate) price_spikes: u64,
     /// Instances revoked by the provider.
     pub instances_revoked: u64,
     /// Instances terminated by the tenant.
-    pub instances_terminated: u64,
+    pub(crate) instances_terminated: u64,
     /// Replacement rounds run by the node manager.
     pub replacement_rounds: u64,
 
     // ── chaos: injected faults and recovery decisions ──────────────
     /// Faults injected by the chaos subsystem.
-    pub faults_injected: u64,
+    pub(crate) faults_injected: u64,
     /// Torn checkpoint writes detected at restore time.
-    pub corrupt_detected: u64,
+    pub(crate) corrupt_detected: u64,
     /// Restores abandoned in favour of lineage recomputation.
-    pub restore_fallbacks: u64,
+    pub(crate) restore_fallbacks: u64,
     /// Store-retry backoffs scheduled by the driver.
-    pub backoffs_scheduled: u64,
+    pub(crate) backoffs_scheduled: u64,
     /// Flapping workers quarantined.
-    pub workers_quarantined: u64,
+    pub(crate) workers_quarantined: u64,
     /// Portfolio weight decisions emitted by the mean-variance policy.
-    pub portfolio_weights: u64,
+    pub(crate) portfolio_weights: u64,
     /// Cluster-MTTF re-fits under an age-dependent hazard model.
-    pub hazard_refits: u64,
+    pub(crate) hazard_refits: u64,
 
     // ── degradation: breakers, backstop, resumable runs ────────────
     /// Circuit breakers tripped open (`BreakerOpened`).
     pub breakers_opened: u64,
     /// Breakers that entered half-open probing (`BreakerHalfOpen`).
-    pub breakers_half_open: u64,
+    pub(crate) breakers_half_open: u64,
     /// Breakers that closed again (`BreakerClosed`).
-    pub breakers_closed: u64,
+    pub(crate) breakers_closed: u64,
     /// On-demand backstop provisioning rounds (`BackstopProvisioned`).
-    pub backstop_rounds: u64,
+    pub(crate) backstop_rounds: u64,
     /// Σ `BackstopProvisioned.workers` — on-demand workers provisioned.
     pub backstop_workers: u64,
     /// Runs suspended with a persisted manifest (`RunSuspended`).
-    pub runs_suspended: u64,
+    pub(crate) runs_suspended: u64,
     /// Runs resumed from a persisted manifest (`RunResumed`).
-    pub runs_resumed: u64,
+    pub(crate) runs_resumed: u64,
 
     // ── backend lifecycle / serverless billing ─────────────────────
     /// Backend kind announced at launch (`BackendSelected`), if any.
@@ -200,7 +200,7 @@ pub struct MetricsAggregator {
     /// Invocations whose container was cold (`cold_ms > 0`).
     pub cold_starts: u64,
     /// Σ `InvocationStarted.cold_ms` — total cold-start latency.
-    pub cold_start_ms: u64,
+    pub(crate) cold_start_ms: u64,
     /// Invocations billed (`InvocationBilled`).
     pub invocations_billed: u64,
     /// Σ `InvocationBilled.cost` — mirrors the serverless
@@ -215,17 +215,17 @@ pub struct MetricsAggregator {
 
     // ── per-phase histograms ───────────────────────────────────────
     /// Action (job) latencies, virtual millis.
-    pub action_latency: Histogram,
+    pub(crate) action_latency: Histogram,
     /// Compute-task durations, virtual millis.
-    pub task_millis: Histogram,
+    pub(crate) task_millis: Histogram,
     /// Checkpoint wire sizes, bytes.
-    pub ckpt_wire: Histogram,
+    pub(crate) ckpt_wire: Histogram,
     /// Restore durations, virtual millis.
-    pub restore_millis: Histogram,
+    pub(crate) restore_millis: Histogram,
     /// Cold-start latencies, virtual millis (cold invocations only).
-    pub cold_millis: Histogram,
+    pub(crate) cold_millis: Histogram,
     /// Per-invocation bills, micro-dollars.
-    pub invocation_microdollars: Histogram,
+    pub(crate) invocation_microdollars: Histogram,
 }
 
 impl MetricsAggregator {

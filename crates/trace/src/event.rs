@@ -1070,6 +1070,78 @@ mod tests {
         assert!(Event::from_json("{\"t\":1,\"ev\":\"WaveStarted\",\"tasks\":[2]}").is_err());
     }
 
+    /// `ev`'s encoding as its `"key":value` pairs, in wire order.
+    fn json_pairs(ev: &Event) -> Vec<String> {
+        let mut pairs = vec![
+            format!("\"t\":{}", ev.t.as_millis()),
+            format!("\"ev\":\"{}\"", ev.kind.name()),
+        ];
+        ev.kind.for_each_field(|key, val| {
+            let mut v = String::new();
+            match val {
+                Field::U64(x) => push_u64(&mut v, x),
+                Field::F64(x) => FloatTokens::default().push_f64(&mut v, x),
+                Field::Str(x) => push_json_str(&mut v, x),
+            }
+            pairs.push(format!("\"{key}\":{v}"));
+        });
+        pairs
+    }
+
+    proptest! {
+        /// `from_json` is total on hostile input: every prefix of a valid
+        /// line, its keys in any order, a key given twice, a value of the
+        /// wrong type, and arbitrary bytes each return `Ok` or a typed
+        /// error. Reordered keys and a repeated identical key decode as
+        /// the original line does; a wrong-typed value is an error.
+        #[test]
+        fn from_json_is_total_on_hostile_input(
+            t in arb_u64(),
+            u64s in vec(arb_u64(), 7..8),
+            f64s in vec(arb_f64(), 7..8),
+            strs in vec(arb_string(), 7..8),
+            variant in 0..EventKind::NAMES.len(),
+            order in vec(any::<u64>(), 32..33),
+            pick in any::<usize>(),
+            bytes in vec(any::<u8>(), 0..96),
+        ) {
+            let mut pools = Pools { u64s, f64s, strs, at: (0, 0, 0) };
+            let ev = Event {
+                t: SimTime::from_millis(t),
+                kind: EventKind::draw(EventKind::NAMES[variant], &mut pools),
+            };
+            let line = ev.to_json();
+            let pairs = json_pairs(&ev);
+            prop_assert_eq!(format!("{{{}}}", pairs.join(",")), line);
+            prop_assert!(pairs.len() <= order.len());
+            let original = format!("{:?}", Event::from_json(&line));
+            for (end, _) in line.char_indices() {
+                let _ = Event::from_json(&line[..end]);
+            }
+            let object = |ps: &[&str]| format!("{{{}}}", ps.join(","));
+            let mut shuffled: Vec<(u64, &str)> = order.iter().copied().zip(pairs.iter().map(String::as_str)).collect();
+            shuffled.sort();
+            let reordered: Vec<&str> = shuffled.iter().map(|(_, p)| *p).collect();
+            prop_assert_eq!(format!("{:?}", Event::from_json(&object(&reordered))), original);
+            let k = pick % pairs.len();
+            let mut twice: Vec<&str> = pairs.iter().map(String::as_str).collect();
+            twice.push(&pairs[k]);
+            prop_assert_eq!(format!("{:?}", Event::from_json(&object(&twice))), original);
+            let (key, value) = pairs[k].split_once(':').expect("a pair is key:value");
+            let retyped = if value.starts_with('"') {
+                format!("{key}:7")
+            } else {
+                format!("{key}:\"7\"")
+            };
+            twice[pairs.len()] = &retyped;
+            let _ = Event::from_json(&object(&twice));
+            let mut wrong: Vec<&str> = pairs.iter().map(String::as_str).collect();
+            wrong[k] = &retyped;
+            prop_assert!(Event::from_json(&object(&wrong)).is_err(), "{} decoded", object(&wrong));
+            let _ = Event::from_json(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
     #[test]
     fn unknown_event_error_names_the_variant() {
         let err = Event::from_json("{\"t\":1,\"ev\":\"Bogus\"}").unwrap_err();

@@ -7,11 +7,11 @@
 //!
 //! * [`Event`] / [`EventKind`] — the typed vocabulary, timestamped in
 //!   virtual time ([`flint_simtime::SimTime`]).
-//! * [`TraceHandle`] / [`TraceBus`] — a cloneable bus shared by the
+//! * [`TraceHandle`] / `TraceBus` — a cloneable bus shared by the
 //!   engine driver, the cloud simulator, and the node manager, so a
 //!   run yields one totally ordered stream. Zero overhead when no
 //!   sink is attached (one relaxed atomic load per emit site).
-//! * Sinks — [`memory_sink`] (bounded ring, for tests),
+//! * Sinks — [`TraceHandle::attach_memory`] (bounded ring, for tests),
 //!   [`JsonlSink`] (streaming JSONL through the hand-rolled codec of
 //!   `Event::write_json`).
 //! * [`MetricsAggregator`] — folds a stream back into the totals
@@ -34,8 +34,6 @@ mod aggregate;
 mod event;
 mod sink;
 
-pub use aggregate::{Histogram, MetricsAggregator};
+pub use aggregate::MetricsAggregator;
 pub use event::{Event, EventKind, ParseError};
-pub use sink::{
-    memory_sink, EventSink, JsonlSink, MemoryReader, MemorySink, TraceBus, TraceHandle,
-};
+pub use sink::{EventSink, JsonlSink, MemoryReader, TraceHandle};

@@ -26,7 +26,7 @@ pub trait EventSink: Send {
 
 /// Fan-out over the attached sinks. Usually owned by a [`TraceHandle`].
 #[derive(Default)]
-pub struct TraceBus {
+pub(crate) struct TraceBus {
     sinks: Vec<Box<dyn EventSink>>,
 }
 
@@ -51,7 +51,7 @@ impl TraceBus {
     }
 }
 
-/// Cloneable, thread-safe handle to a shared [`TraceBus`].
+/// Cloneable, thread-safe handle to a shared `TraceBus`.
 ///
 /// The engine driver, the cloud simulator, and the node manager all
 /// hold clones of the same handle, so a run produces one totally
@@ -141,19 +141,19 @@ impl EventSink for TraceHandle {
 
 /// Bounded FIFO ring buffer of events, for tests and `trace summary`
 /// over live runs.
-pub struct MemorySink {
+pub(crate) struct MemorySink {
     buf: Arc<Mutex<VecDeque<Event>>>,
     capacity: usize,
 }
 
-/// Reading side of a [`MemorySink`].
+/// Reading side of the in-memory ring that [`TraceHandle::attach_memory`] attaches.
 #[derive(Clone)]
 pub struct MemoryReader {
     buf: Arc<Mutex<VecDeque<Event>>>,
 }
 
 /// Creates a ring sink and its reader. `capacity == 0` = unbounded.
-pub fn memory_sink(capacity: usize) -> (MemorySink, MemoryReader) {
+pub(crate) fn memory_sink(capacity: usize) -> (MemorySink, MemoryReader) {
     let buf = Arc::new(Mutex::new(VecDeque::new()));
     (
         MemorySink {

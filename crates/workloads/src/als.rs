@@ -21,7 +21,7 @@ use crate::{f64_bits, fold_checksum, Workload, WorkloadConfig, WorkloadSummary};
 pub struct Als {
     cfg: WorkloadConfig,
     /// Latent factor rank.
-    pub rank: u32,
+    pub(crate) rank: u32,
     users: u32,
     items: u32,
     ratings_count: u32,

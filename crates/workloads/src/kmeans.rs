@@ -17,9 +17,9 @@ use crate::{f64_bits, fold_checksum, Workload, WorkloadConfig, WorkloadSummary};
 pub struct KMeans {
     cfg: WorkloadConfig,
     /// Number of clusters.
-    pub k: u32,
+    pub(crate) k: u32,
     /// Point dimensionality.
-    pub dim: u32,
+    pub(crate) dim: u32,
     points_count: u32,
 }
 

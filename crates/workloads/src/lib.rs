@@ -36,7 +36,7 @@ pub use als::Als;
 pub use graph::{power_law_graph, GraphConfig};
 pub use kmeans::KMeans;
 pub use pagerank::PageRank;
-pub use streaming::{BatchRecord, StreamOutcome, Streaming};
+pub use streaming::{BatchRecord, Streaming};
 pub use tpch::{Tpch, TpchQuery, TpchTables};
 
 use flint_engine::{Driver, Result};

@@ -17,15 +17,15 @@ use rand::Rng;
 use crate::{f64_bits, fold_checksum, Workload, WorkloadConfig, WorkloadSummary};
 
 /// `(per-batch records, final (key, total) state sorted by key)`.
-pub type StreamOutcome = (Vec<BatchRecord>, Vec<(i64, f64)>);
+pub(crate) type StreamOutcome = (Vec<BatchRecord>, Vec<(i64, f64)>);
 
 /// Per-batch timing of a streaming run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchRecord {
     /// Batch sequence number.
-    pub batch: u32,
+    pub(crate) batch: u32,
     /// Virtual instant the batch started processing.
-    pub started: SimTime,
+    pub(crate) started: SimTime,
     /// Processing latency of the batch.
     pub latency: SimDuration,
 }
@@ -36,13 +36,13 @@ pub struct BatchRecord {
 pub struct Streaming {
     cfg: WorkloadConfig,
     /// Number of micro-batches to process (`cfg.iterations`).
-    pub batches: u32,
+    pub(crate) batches: u32,
     /// Events per micro-batch.
-    pub events_per_batch: u32,
+    pub(crate) events_per_batch: u32,
     /// Distinct keys in the stream.
-    pub keys: u32,
+    pub(crate) keys: u32,
     /// Wall-clock interval between batch arrivals.
-    pub batch_interval: SimDuration,
+    pub(crate) batch_interval: SimDuration,
 }
 
 impl Streaming {

@@ -12,7 +12,9 @@
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use flint::core::{BackendSpec, FlintCheckpointPolicy, FlintCluster, FlintConfig, Mode};
+use flint::core::{
+    BackendSpec, FlintCheckpointPolicy, FlintCluster, FlintConfig, Mode, STATS_WINDOW,
+};
 use flint::engine::{
     ChaosConfig, ChaosInjector, ChaosSchedule, Driver, DriverConfig, EngineError, NoCheckpoint,
     RunManifest, ScriptedInjector, ServerlessConfig, WorkerEvent, WorkerSpec,
@@ -737,6 +739,14 @@ fn cmd_workload(f: &Flags) -> ExitCode {
     };
     let workers: u64 = f.get("workers");
     let failures: u64 = f.get("failures");
+    // Revocations target ext ids `1..=failures`: an id past `--workers`
+    // names no worker, yet its replacement would still join.
+    if failures > workers {
+        eprintln!(
+            "workload: invalid value for --failures: {failures} (at most --workers, {workers})"
+        );
+        return ExitCode::FAILURE;
+    }
     let mttf = SimDuration::from_hours_f64(f.get("mttf"));
 
     // Time the failure-free run first so failures can strike mid-job.
@@ -822,7 +832,6 @@ fn cmd_markets(f: &Flags) -> ExitCode {
     let days: u64 = f.get("days");
     let cat = MarketCatalog::synthetic_ec2(f.get("seed"), SimDuration::from_days(days));
     let now = SimTime::ZERO + SimDuration::from_days(days.saturating_sub(1));
-    let window = SimDuration::from_days(7);
     outln!(
         "{:<28} {:>10} {:>10} {:>12}",
         "market",
@@ -831,7 +840,7 @@ fn cmd_markets(f: &Flags) -> ExitCode {
         "MTTF"
     );
     for m in cat.spot_markets() {
-        let s = m.stats(now, window, m.on_demand_price);
+        let s = m.stats(now, STATS_WINDOW, m.on_demand_price);
         outln!(
             "{:<28} {:>10.4} {:>10.4} {:>12}",
             m.name,

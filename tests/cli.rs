@@ -88,7 +88,8 @@ fn days_edges_run() {
 /// 2, `--workers 4294967297` as one worker); `--gb nan`, `-5` and `0`,
 /// `--partitions 0` and `--mttf 0` or `-1` ran and exited 0; `--runs 0`
 /// and `--jobs 0` were clamped to 1, and so were `chaos --workers 0` and
-/// `--crash-wave-max 0`.
+/// `--crash-wave-max 0`. `workload --failures` above `--workers` revoked
+/// ids no worker held but still added every replacement.
 #[test]
 fn out_of_range_numeric_flag_is_a_usage_error() {
     let too_big = "4294967298";
@@ -111,6 +112,10 @@ fn out_of_range_numeric_flag_is_a_usage_error() {
         (vec!["run", "als", "--gb", "0"], "--gb"),
         (vec!["run", "als", "--gb", "inf"], "--gb"),
         (vec!["workload", "pagerank", "--gb", "0"], "--gb"),
+        (
+            vec!["workload", "pagerank", "--workers", "2", "--failures", "5"],
+            "--failures",
+        ),
         (vec!["chaos", "--gb", "nan"], "--gb"),
         (vec!["run", "als", "--partitions", "0"], "--partitions"),
         (
