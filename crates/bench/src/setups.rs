@@ -237,7 +237,7 @@ pub(crate) fn poisson_kills(
 }
 
 /// Maps `f` over independent `items` on one thread per host core;
-/// results come back in `items` order ([`flint_model::fan_out`]).
+/// results come back in `items` order ([`flint_simtime::fan_out`]).
 pub(crate) fn on_host_cores<T, O, F>(items: &[T], f: F) -> Vec<O>
 where
     T: Sync,
@@ -245,7 +245,7 @@ where
     F: Fn(&T) -> O + Sync,
 {
     let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    flint_model::fan_out(jobs, items, f)
+    flint_simtime::fan_out(jobs, items, f)
 }
 
 /// Percentage increase of `x` over baseline `b`.

@@ -6,36 +6,18 @@ use flint_simtime::SimDuration;
 
 use crate::{MarketView, SelectionPolicy};
 
-/// SpotFleet's per-market choice criterion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpotFleetCriterion {
-    /// Pick the lowest current spot price ("lowestPrice" strategy).
-    Cheapest,
-    /// Pick the highest-MTTF (least volatile) market.
-    LeastVolatile,
-}
+/// EC2 SpotFleet-style selection with the "lowestPrice" strategy:
+/// application-agnostic — it ranks markets by current spot price, never
+/// by the application's checkpoint/recompute trade-off. The paper
+/// configures fleets over two instance types, so the initial allocation
+/// spreads over the two cheapest markets.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SpotFleetSelection;
 
-/// EC2 SpotFleet-style selection: application-agnostic — it looks only at
-/// price or volatility, never at the application's checkpoint/recompute
-/// trade-off. The paper configures fleets over two instance types, so the
-/// initial allocation spreads over the top two markets by the criterion.
-#[derive(Debug, Clone, Copy)]
-pub struct SpotFleetSelection {
-    /// The selection criterion.
-    pub(crate) criterion: SpotFleetCriterion,
-    /// Number of instance types in the fleet (the paper uses 2).
-    pub(crate) fleet_width: usize,
-}
+/// Number of instance types in the fleet (the paper uses 2).
+const FLEET_WIDTH: usize = 2;
 
 impl SpotFleetSelection {
-    /// Creates a fleet policy with the paper's two-type configuration.
-    pub fn new(criterion: SpotFleetCriterion) -> Self {
-        SpotFleetSelection {
-            criterion,
-            fleet_width: 2,
-        }
-    }
-
     fn ranked(&self, view: &MarketView<'_>, exclude: Option<MarketId>) -> Vec<MarketId> {
         let mut ids: Vec<MarketId> = view
             .catalog
@@ -44,40 +26,25 @@ impl SpotFleetSelection {
             .map(|m| m.id)
             .filter(|id| Some(*id) != exclude)
             .collect();
-        match self.criterion {
-            SpotFleetCriterion::Cheapest => {
-                ids.sort_by(|a, b| {
-                    let pa = view.stats(*a).current_price;
-                    let pb = view.stats(*b).current_price;
-                    pa.partial_cmp(&pb)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(b))
-                });
-            }
-            SpotFleetCriterion::LeastVolatile => {
-                ids.sort_by(|a, b| {
-                    let ma = view.stats(*a).mttf;
-                    let mb = view.stats(*b).mttf;
-                    mb.cmp(&ma).then(a.cmp(b))
-                });
-            }
-        }
+        ids.sort_by(|a, b| {
+            let pa = view.stats(*a).current_price;
+            let pb = view.stats(*b).current_price;
+            pa.partial_cmp(&pb)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(b))
+        });
         ids
     }
 }
 
 impl SelectionPolicy for SpotFleetSelection {
     fn name(&self) -> &'static str {
-        match self.criterion {
-            SpotFleetCriterion::Cheapest => "spot-fleet-cheapest",
-            SpotFleetCriterion::LeastVolatile => "spot-fleet-stable",
-        }
+        "spot-fleet-cheapest"
     }
 
     fn initial(&mut self, view: &MarketView<'_>) -> Vec<(MarketId, u32)> {
         let ranked = self.ranked(view, None);
-        let width = self.fleet_width.max(1).min(ranked.len().max(1));
-        let chosen = &ranked[..width.min(ranked.len())];
+        let chosen = &ranked[..FLEET_WIDTH.min(ranked.len())];
         if chosen.is_empty() {
             return vec![(view.catalog.on_demand_id(), view.n)];
         }
@@ -167,7 +134,7 @@ mod tests {
     #[test]
     fn fleet_spreads_over_two_markets() {
         with_view(|view| {
-            let mut p = SpotFleetSelection::new(SpotFleetCriterion::Cheapest);
+            let mut p = SpotFleetSelection;
             let alloc = p.initial(view);
             assert_eq!(alloc.len(), 2);
             assert_eq!(alloc.iter().map(|(_, c)| c).sum::<u32>(), 10);
@@ -177,7 +144,7 @@ mod tests {
     #[test]
     fn cheapest_criterion_minimizes_current_price() {
         with_view(|view| {
-            let mut p = SpotFleetSelection::new(SpotFleetCriterion::Cheapest);
+            let mut p = SpotFleetSelection;
             let alloc = p.initial(view);
             let chosen_price = view.stats(alloc[0].0).current_price;
             for m in view.catalog.spot_markets() {
@@ -187,21 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn least_volatile_criterion_maximizes_mttf() {
-        with_view(|view| {
-            let mut p = SpotFleetSelection::new(SpotFleetCriterion::LeastVolatile);
-            let alloc = p.initial(view);
-            let chosen_mttf = view.stats(alloc[0].0).mttf;
-            for m in view.catalog.spot_markets() {
-                assert!(view.stats(m.id).mttf <= chosen_mttf);
-            }
-        });
-    }
-
-    #[test]
     fn replacement_avoids_failed_market() {
         with_view(|view| {
-            let mut p = SpotFleetSelection::new(SpotFleetCriterion::Cheapest);
+            let mut p = SpotFleetSelection;
             let failed = p.initial(view)[0].0;
             let repl = p.replacement(view, failed, 5);
             assert_ne!(repl[0].0, failed);

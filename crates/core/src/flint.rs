@@ -233,14 +233,14 @@ impl FlintCluster {
         driver.set_trace(config.trace.clone());
         driver.set_backend(Box::new(ServerlessBackend::new(spec.clone(), config.seed)));
         driver.warp_to(config.start);
-        for i in 1..=u64::from(config.n_workers.max(1)) {
+        for i in 1..=u64::from(config.n_workers) {
             driver.add_worker_with_ext(i, WorkerSpec::serverless_slot(spec.memory_gb));
         }
         config.trace.emit(
             driver.now(),
             EventKind::BackendSelected {
                 backend: "serverless".to_string(),
-                workers: u64::from(config.n_workers.max(1)),
+                workers: u64::from(config.n_workers),
             },
         );
         FlintCluster {

@@ -64,7 +64,7 @@ mod node_manager;
 mod report;
 mod selection;
 
-pub use baselines::{EmrPricing, SpotFleetCriterion, SpotFleetSelection};
+pub use baselines::{EmrPricing, SpotFleetSelection};
 pub use bidding::BidPolicy;
 pub(crate) use ckpt_policy::FtSharedHandle;
 pub use ckpt_policy::{

@@ -273,25 +273,12 @@ impl NmInner {
                     });
             }
             let m = self.cloud.catalog().market(*market);
-            let bid = self.place_bid(m);
+            let bid = self.bid.bid_for(m);
             for _ in 0..*count {
                 self.cloud.request(*market, bid, now);
             }
         }
         self.refresh_cluster_mttf(now);
-    }
-
-    /// The bid to place in `market`: the configured policy's bid,
-    /// hazard-discounted when an age-dependent hazard is configured.
-    /// The memoryless default routes straight through [`BidPolicy`],
-    /// unchanged.
-    fn place_bid(&self, market: &Market) -> f64 {
-        if self.cfg.hazard.is_memoryless() {
-            self.bid.bid_for(market)
-        } else {
-            let hazard = self.cfg.hazard.build(SimDuration::MAX);
-            self.bid.bid_for_hazard(market, hazard.as_ref())
-        }
     }
 
     /// Recomputes the aggregate cluster MTTF and publishes it to the FT

@@ -177,10 +177,9 @@ pub struct SelectionConfig {
     pub backstop: bool,
     /// The instance-lifetime hazard model the node manager assumes.
     /// The default ([`HazardSpec::Exponential`]) keeps the legacy
-    /// memoryless pipeline — market-stats MTTF, age-blind τ, unscaled
-    /// bids — byte-for-byte; an age-dependent spec switches cluster
-    /// MTTF estimation to per-instance mean residual lifetimes and
-    /// discounts bid headroom past the lifetime cap.
+    /// memoryless pipeline — market-stats MTTF, age-blind τ —
+    /// byte-for-byte; an age-dependent spec switches cluster MTTF
+    /// estimation to per-instance mean residual lifetimes.
     pub hazard: HazardSpec,
 }
 

@@ -4,6 +4,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use flint_simtime::SimTime;
 use flint_store::{DurableStore, StorageConfig};
+use flint_trace::EventKind;
 
 use crate::block::{BlockData, BlockKey, Records};
 use crate::rdd::{PartitionData, RddId};
@@ -32,6 +33,30 @@ pub enum ReadFault {
     /// The store is inside a transient outage window; the checkpoint
     /// will become readable again once the window closes.
     Unavailable,
+}
+
+impl ReadFault {
+    /// The trace events that report falling back to lineage for `block`:
+    /// a corrupt checkpoint is first reported as detected, and either
+    /// fault names its reason.
+    pub(crate) fn fallback_events(self, block: &BlockKey) -> Vec<EventKind> {
+        let block = block.to_string();
+        let reason = match self {
+            ReadFault::Corrupt => "corrupt",
+            ReadFault::Unavailable => "outage",
+        };
+        let mut events = Vec::with_capacity(2);
+        if self == ReadFault::Corrupt {
+            events.push(EventKind::CheckpointCorruptDetected {
+                block: block.clone(),
+            });
+        }
+        events.push(EventKind::RestoreFallback {
+            block,
+            reason: reason.to_string(),
+        });
+        events
+    }
 }
 
 /// A deterministic checkpoint-store degradation model.

@@ -938,7 +938,7 @@ impl AggKernel {
     /// Per-record combine (the row-path reference semantics): `a` is
     /// the accumulator, `b` the newly-arrived value, matching the
     /// engine's `combine(acc, new)` call order.
-    pub fn combine_values(&self, a: &Value, b: &Value) -> Value {
+    pub(crate) fn combine_values(&self, a: &Value, b: &Value) -> Value {
         match self {
             AggKernel::SumFloat => {
                 Value::Float(a.as_f64().unwrap_or(0.0) + b.as_f64().unwrap_or(0.0))
@@ -1128,7 +1128,7 @@ impl Ord for TotalF64 {
 
 /// The order-preserving `u64` image of an `i64` key: the sign bit
 /// flipped, so unsigned order on images is signed order on keys.
-pub fn radix_key_i64(k: i64) -> u64 {
+pub(crate) fn radix_key_i64(k: i64) -> u64 {
     (k as u64) ^ (1 << 63)
 }
 
@@ -1147,7 +1147,7 @@ pub(crate) fn radix_key_f64(k: f64) -> u64 {
 /// their low 16 bits — PageRank's node ids — take two passes, and
 /// all-equal keys take none. Records with equal images keep their input
 /// order.
-pub fn radix_sort<T: Copy>(recs: &mut Vec<T>, key: impl Fn(&T) -> u64) {
+pub(crate) fn radix_sort<T: Copy>(recs: &mut Vec<T>, key: impl Fn(&T) -> u64) {
     let Some(first) = recs.first().map(&key) else {
         return;
     };

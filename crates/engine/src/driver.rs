@@ -1022,21 +1022,11 @@ impl Driver {
         if !self.corrupt_reported.insert(block) {
             return;
         }
-        let block = block.to_string();
-        if fault == ReadFault::Corrupt {
-            self.trace
-                .emit_with(now, || EventKind::CheckpointCorruptDetected {
-                    block: block.clone(),
-                });
-        }
-        self.trace.emit_with(now, || EventKind::RestoreFallback {
-            block: block.clone(),
-            reason: match fault {
-                ReadFault::Corrupt => "corrupt",
-                ReadFault::Unavailable => "outage",
+        if self.trace.is_enabled() {
+            for ev in fault.fallback_events(&block) {
+                self.trace.emit(now, ev);
             }
-            .to_string(),
-        });
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1138,7 +1128,7 @@ impl Driver {
     /// checkpoint payload.
     fn compute_wave(&self, keys: &[TaskKey]) -> Vec<Option<TaskOutput>> {
         let ctx = self.wave_ctx();
-        executor::run_wave(self.config.host_threads, keys, |k| {
+        flint_simtime::fan_out(self.config.host_threads, keys, |k| {
             executor::compute_task(&ctx, *k)
         })
     }

@@ -4,8 +4,8 @@
 //! set of ready tasks, whose real-data materialization (lineage
 //! recomputation, shuffle-bucket fetches, checkpoint serialization) is
 //! the expensive part of a simulated run. This module computes those
-//! results on a pool of scoped host threads while keeping the simulation
-//! bit-for-bit deterministic:
+//! results on a pool of scoped host threads ([`flint_simtime::fan_out`])
+//! while keeping the simulation bit-for-bit deterministic:
 //!
 //! * **Compute phase (parallel, pure).** Each task, checkpoint writes
 //!   (`TaskKey::Ckpt`) included, runs [`compute_task`] against an
@@ -33,14 +33,13 @@
 //! counts.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use flint_simtime::{SimDuration, SimTime};
 use flint_trace::EventKind;
 
 use crate::block::{BlockData, BlockKey, BlockLocation, Records};
-use crate::checkpoint::{CheckpointStore, ReadFault};
+use crate::checkpoint::CheckpointStore;
 use crate::cluster::{Cluster, WorkerId};
 use crate::column::{
     radix_key_i64, radix_sort, typed_agg, typed_group, typed_sort_by_key, Column, ColumnBatch,
@@ -157,45 +156,6 @@ pub(crate) struct TaskOutput {
     /// task-key order, so the trace stream is bit-identical for any
     /// `host_threads` setting. Empty when tracing is disabled.
     pub events: Vec<EventKind>,
-}
-
-/// Runs `f` over `items` on up to `host_threads` scoped threads, pulling
-/// work from a shared atomic cursor. Results come back in input order, so
-/// the caller's sequential commit loop is independent of scheduling.
-/// `host_threads <= 1` degenerates to a plain in-order loop over the very
-/// same function — the single- and multi-threaded paths cannot diverge.
-pub(crate) fn run_wave<T, O, F>(host_threads: usize, items: &[T], f: F) -> Vec<O>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(&T) -> O + Sync,
-{
-    let n_threads = host_threads.min(items.len());
-    if n_threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, O)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, f(item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("wave worker thread panicked"))
-            .collect()
-    });
-    indexed.sort_unstable_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, o)| o).collect()
 }
 
 /// Computes one task against the wave snapshot. Returns `None` when a
@@ -543,19 +503,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 }
                 Some(fault) => {
                     if self.ctx.trace_enabled {
-                        if fault == ReadFault::Corrupt {
-                            self.events.push(EventKind::CheckpointCorruptDetected {
-                                block: bk.to_string(),
-                            });
-                        }
-                        self.events.push(EventKind::RestoreFallback {
-                            block: bk.to_string(),
-                            reason: match fault {
-                                ReadFault::Corrupt => "corrupt",
-                                ReadFault::Unavailable => "outage",
-                            }
-                            .to_string(),
-                        });
+                        self.events.extend(fault.fallback_events(&bk));
                     }
                     // Fall through to lineage recomputation.
                 }
@@ -1121,7 +1069,6 @@ fn pair_chunks(chunks: &[Records]) -> Option<Vec<(&Column, &ColumnBatch)>> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::atomic::AtomicU64;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
@@ -1205,64 +1152,5 @@ mod tests {
                 prop_assert_eq!(column.snapshot().decodes, batch_rows as u64);
             }
         }
-    }
-
-    #[test]
-    fn run_wave_preserves_input_order() {
-        let items: Vec<u64> = (0..100).collect();
-        for threads in [1, 2, 8] {
-            let out = run_wave(threads, &items, |x| x * 3);
-            assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn run_wave_uses_multiple_threads_when_asked() {
-        // With 8 threads over blocking-free work we can at least verify
-        // every item ran exactly once.
-        let counter = AtomicU64::new(0);
-        let items: Vec<u32> = (0..1000).collect();
-        let out = run_wave(8, &items, |x| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            *x
-        });
-        assert_eq!(out.len(), 1000);
-        assert_eq!(counter.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn run_wave_empty_and_single() {
-        let empty: Vec<u32> = vec![];
-        assert!(run_wave(8, &empty, |x| *x).is_empty());
-        assert_eq!(run_wave(8, &[42u32], |x| *x + 1), vec![43]);
-    }
-
-    #[test]
-    fn run_wave_overlaps_blocking_tasks() {
-        // Eight 30 ms sleeps take ~240 ms sequentially; with 8 threads
-        // they overlap to ~30 ms even on a single CPU. The generous bound
-        // still proves concurrency.
-        let items: Vec<u32> = (0..8).collect();
-        let t0 = std::time::Instant::now();
-        let out = run_wave(8, &items, |x| {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            *x
-        });
-        let elapsed = t0.elapsed();
-        assert_eq!(out, items);
-        assert!(
-            elapsed < std::time::Duration::from_millis(150),
-            "8 blocking tasks did not overlap: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "wave worker thread panicked")]
-    fn run_wave_propagates_panics() {
-        let items: Vec<u32> = (0..10).collect();
-        let _ = run_wave(4, &items, |x| {
-            assert!(*x != 7, "boom");
-            *x
-        });
     }
 }

@@ -77,8 +77,8 @@ pub use checkpoint::{
 };
 pub use cluster::{Cluster, Worker, WorkerId, WorkerSpec};
 pub use column::{
-    radix_key_i64, radix_sort, AggField, AggKernel, Column, ColumnBatch, ColumnStats, KeyExpr,
-    MapKernel, NumExpr, PayloadExpr, PredKernel, ScalarExpr,
+    AggField, AggKernel, Column, ColumnBatch, ColumnStats, KeyExpr, MapKernel, NumExpr,
+    PayloadExpr, PredKernel, ScalarExpr,
 };
 pub use context::EngineContext;
 pub use cost::CostModel;

@@ -50,9 +50,7 @@ pub trait HazardModel: Send + Sync + std::fmt::Debug {
 
     /// The hard lifetime cap, if the distribution has one.
     ///
-    /// `None` means lifetimes are unbounded (exponential); bidding uses
-    /// this to discount price-insurance headroom that can never pay off
-    /// past the cap.
+    /// `None` means lifetimes are unbounded (exponential).
     fn lifetime_cap(&self) -> Option<SimDuration> {
         None
     }

@@ -28,12 +28,12 @@
 
 mod campaign;
 
-pub use campaign::{fan_out, run_mc_campaign, run_seeds, CampaignConfig, CampaignReport};
+pub use campaign::{run_mc_campaign, CampaignConfig, CampaignReport};
 
 use flint_core::{
     new_shared, optimal_tau, BatchSelection, BidPolicy, InteractiveSelection, JobProfile,
     NodeManager, OnDemandSelection, PortfolioPolicy, SelectionConfig, SelectionPolicy,
-    SpotFleetCriterion, SpotFleetSelection,
+    SpotFleetSelection,
 };
 use flint_engine::{FailureInjector, WorkerEvent};
 use flint_market::{CloudSim, EbsCostModel, MarketCatalog};
@@ -75,9 +75,7 @@ impl PolicyKind {
         match self {
             PolicyKind::FlintBatch => Box::new(BatchSelection),
             PolicyKind::FlintInteractive => Box::new(InteractiveSelection::default()),
-            PolicyKind::SpotFleetCheapest => {
-                Box::new(SpotFleetSelection::new(SpotFleetCriterion::Cheapest))
-            }
+            PolicyKind::SpotFleetCheapest => Box::new(SpotFleetSelection),
             PolicyKind::OnDemand => Box::new(OnDemandSelection),
             PolicyKind::Portfolio(risk_milli) => {
                 Box::new(PortfolioPolicy::new(f64::from(risk_milli) / 1000.0))

@@ -4,8 +4,9 @@
 //! all of them feed the same [`TraceBus`], which fans each event out
 //! to every attached [`EventSink`]. With no sinks attached the handle
 //! is inert: `emit_with` is a single relaxed atomic load, and payload
-//! closures are never run — the zero-overhead-when-disabled contract
-//! the `micro_engine` bench polices.
+//! closures are never run — the zero-overhead-when-disabled contract.
+//! `benchmark/`'s `trace.overhead_share` times the same ops with the
+//! trace off and on.
 
 use crate::event::{Event, EventKind, FloatTokens};
 use flint_simtime::{lock, SimTime};

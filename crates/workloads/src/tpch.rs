@@ -175,9 +175,8 @@ impl Tpch {
 
     /// One table's share of [`Tpch::prepare`]: `raw` rows in `parts`
     /// partitions through the de-serialize pass, persisted and
-    /// materialized. Public so benches build tables of the shape the
-    /// queries really run on.
-    pub fn load_table(driver: &mut Driver, raw: Vec<Value>, parts: u32) -> Result<RddRef> {
+    /// materialized.
+    fn load_table(driver: &mut Driver, raw: Vec<Value>, parts: u32) -> Result<RddRef> {
         let src = driver.ctx().parallelize(raw, parts);
         // The deserialization/repartition pass (cost factor ~2), declared
         // rather than an opaque closure: the records pass through

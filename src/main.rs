@@ -20,11 +20,9 @@ use flint::engine::{
     RunManifest, ScriptedInjector, ServerlessConfig, WorkerEvent, WorkerSpec,
 };
 use flint::market::{correlated_groups, correlation_matrix, MarketCatalog};
-use flint::model::{
-    fan_out, run_mc, run_mc_campaign, CampaignConfig, CkptMode, McConfig, PolicyKind,
-};
+use flint::model::{run_mc, run_mc_campaign, CampaignConfig, CkptMode, McConfig, PolicyKind};
 use flint::runner::run_on_flint;
-use flint::simtime::{SimDuration, SimTime};
+use flint::simtime::{fan_out, SimDuration, SimTime};
 use flint::trace::{Event, EventKind, JsonlSink, MetricsAggregator, TraceHandle};
 use flint::workloads::{Als, KMeans, PageRank, Tpch, Workload, WorkloadConfig};
 use Kind::{Choice, Count, List, Path, Positive, Prob, Risk, Switch, Within, U64};

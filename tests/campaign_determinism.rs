@@ -4,10 +4,8 @@
 //! `--jobs 8`.
 
 use flint::engine::TraceHandle;
-use flint::model::{
-    catalog_with_mttf, fan_out, run_mc_traced, CampaignConfig, McConfig, PolicyKind,
-};
-use flint::simtime::SimDuration;
+use flint::model::{catalog_with_mttf, run_mc_traced, CampaignConfig, McConfig, PolicyKind};
+use flint::simtime::{fan_out, SimDuration};
 
 /// FNV-1a over a byte string — the same pinning scheme the golden
 /// workload suite uses.
