@@ -425,7 +425,7 @@ pub(crate) fn ablation_portfolio() -> Table {
     table
 }
 
-/// Backend crossover: the same burst-parallel TPC-H-shaped stage on
+/// Crossover: the same burst-parallel TPC-H-shaped stage on
 /// transient VMs versus serverless functions, across stage scales.
 ///
 /// VMs bill by the instance-hour, so a short burst pays for far more

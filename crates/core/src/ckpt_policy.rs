@@ -312,7 +312,6 @@ mod tests {
         lineage: Lineage,
         ckpt: CheckpointStore,
         cost: CostModel,
-        storage: StorageConfig,
     }
 
     impl Fixture {
@@ -321,7 +320,6 @@ mod tests {
                 lineage: Lineage::new(),
                 ckpt: CheckpointStore::new(StorageConfig::default()),
                 cost: CostModel::default(),
-                storage: StorageConfig::default(),
             }
         }
 
@@ -359,7 +357,6 @@ mod tests {
                 checkpoints: &self.ckpt,
                 alive_workers: 10,
                 cost: &self.cost,
-                storage: &self.storage,
             }
         }
     }

@@ -231,7 +231,7 @@ impl FlintCluster {
             Box::new(NoFailures),
         );
         driver.set_trace(config.trace.clone());
-        driver.set_backend(Box::new(ServerlessBackend::new(spec.clone(), config.seed)));
+        driver.set_serverless(ServerlessBackend::new(spec.clone(), config.seed));
         driver.warp_to(config.start);
         for i in 1..=u64::from(config.n_workers) {
             driver.add_worker_with_ext(i, WorkerSpec::serverless_slot(spec.memory_gb));
@@ -342,7 +342,6 @@ impl FlintCluster {
                 policy: nm.policy_name().to_string(),
                 compute_cost: nm.compute_cost(now),
                 storage_cost,
-                service_fee: 0.0,
                 start: self.config.start,
                 end: now,
                 n_workers: self.config.n_workers,
@@ -353,7 +352,10 @@ impl FlintCluster {
                 invocation_gb_seconds: 0.0,
             },
             Backing::Serverless { on_demand_equiv } => {
-                let backend = self.driver.backend();
+                let backend = self
+                    .driver
+                    .serverless()
+                    .expect("a serverless session installs its backend at launch");
                 CostReport {
                     policy: "serverless".to_string(),
                     // Per-invocation bills, accumulated in commit
@@ -361,7 +363,6 @@ impl FlintCluster {
                     // exactly.
                     compute_cost: backend.compute_cost(),
                     storage_cost,
-                    service_fee: 0.0,
                     start: self.config.start,
                     end: now,
                     n_workers: self.config.n_workers,

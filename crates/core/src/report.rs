@@ -11,8 +11,6 @@ pub struct CostReport {
     pub compute_cost: f64,
     /// Durable checkpoint storage (EBS) cost in dollars.
     pub storage_cost: f64,
-    /// Managed-service fee (e.g. EMR's 25 %), if any.
-    pub(crate) service_fee: f64,
     /// Session start.
     pub(crate) start: SimTime,
     /// Accounting end.
@@ -36,7 +34,7 @@ pub struct CostReport {
 impl CostReport {
     /// Total dollars spent.
     pub fn total(&self) -> f64 {
-        self.compute_cost + self.storage_cost + self.service_fee
+        self.compute_cost + self.storage_cost
     }
 
     /// Session duration.
@@ -69,7 +67,6 @@ mod tests {
             policy: "flint-batch".into(),
             compute_cost: 1.0,
             storage_cost: 0.1,
-            service_fee: 0.0,
             start: SimTime::ZERO,
             end: SimTime::ZERO + SimDuration::from_hours(10),
             n_workers: 10,

@@ -1,29 +1,12 @@
-//! The execution-backend seam: provisioning model, invocation
-//! overhead, shuffle-data transport, and billing.
-//!
-//! The driver's scheduling loop is backend-agnostic: it plans waves,
-//! admits tasks onto cluster cores, and commits effects in `TaskKey`
-//! order. Everything that *differs* between running on long-lived
-//! transient VMs and running on ephemeral functions is funnelled
-//! through the [`Backend`] trait:
-//!
-//! * **Invocation overhead** — charged at task admission. VMs have
-//!   none; serverless tasks pay a seeded cold-start latency when their
-//!   function slot's container has gone cold.
-//! * **Shuffle transport** — where shuffle map outputs live between
-//!   stages. VMs keep them in worker memory (the block manager);
-//!   serverless materializes them through the durable [`flint_store`]
-//!   store, because invocations cannot serve remote reads after they
-//!   return.
-//! * **Billing** — VMs are billed per instance-hour by the market
-//!   layer (`InstanceBilled` events); serverless bills every committed
-//!   task per GB-second plus a per-request fee (`InvocationBilled`
-//!   events), accumulated here so Σ bills == compute cost *exactly*.
-//!
-//! [`TransientVmBackend`] is the default and is a guaranteed no-op:
-//! every hook returns `None`/zero, draws no randomness, and emits no
-//! events, so installing it explicitly is byte-identical to the
-//! pre-abstraction engine (the golden-trace gate pins this).
+//! The serverless execution backend. A driver without one runs on
+//! transient VMs: the failure injector drives worker lifecycle, shuffle
+//! map outputs stay in worker memory, and the market layer bills
+//! instance-hours. With a [`ServerlessBackend`] installed
+//! ([`crate::Driver::set_serverless`]) every task is an invocation that
+//! pays a seeded cold start or a warm dispatch at admission and a
+//! per-GB-second bill at commit (Σ `InvocationBilled` == compute cost
+//! *exactly*), and shuffle map outputs go through the durable store,
+//! because invocations cannot serve remote reads after they return.
 
 use crate::cluster::WorkerId;
 use flint_simtime::{rng, SimDuration, SimTime};
@@ -31,33 +14,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
 
-/// Which execution substrate a backend models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Long-lived transient VMs (spot instances) managed by a node
-    /// manager — the paper's setting.
-    TransientVm,
-    /// Ephemeral per-invocation function slots with cold starts and
-    /// per-GB-second billing.
-    Serverless,
-}
-
-/// Where shuffle map outputs are materialized between stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShuffleTransport {
-    /// Map outputs stay in the producing worker's block manager and are
-    /// fetched peer-to-peer (the Spark/VM model).
-    WorkerMemory,
-    /// Map outputs are written to the durable store at commit and read
-    /// back from it by reducers (the serverless model — invocations
-    /// cannot serve remote reads after returning).
-    ExternalStore,
-}
-
-/// Returned by [`Backend::on_task_admitted`] when the task counts as a
-/// billable invocation.
+/// What [`ServerlessBackend::on_task_admitted`] registered for a task.
 #[derive(Debug, Clone, Copy)]
-pub struct InvocationStart {
+pub(crate) struct InvocationStart {
     /// Monotone invocation id (1-based, admission order).
     pub(crate) invocation: u64,
     /// Cold-start latency in virtual millis (0 for a warm container).
@@ -66,96 +25,13 @@ pub struct InvocationStart {
     pub(crate) overhead: SimDuration,
 }
 
-/// Returned by [`Backend::on_task_committed`] when the task produced a
-/// per-invocation bill.
+/// The bill [`ServerlessBackend::on_task_committed`] charged for a task.
 #[derive(Debug, Clone, Copy)]
-pub struct InvocationBill {
+pub(crate) struct InvocationBill {
     /// GB-seconds consumed: task duration × function memory.
     pub(crate) gb_seconds: f64,
     /// Dollars charged: GB-seconds × rate + per-request fee.
     pub(crate) cost: f64,
-}
-
-/// The executor/cluster seam: how workers are provisioned and billed
-/// and how shuffle data moves between stages.
-///
-/// All hooks run on the driver thread at deterministic points
-/// (admission and commit order are both fixed by the wave executor's
-/// `TaskKey` ordering), so a backend may consume seeded randomness and
-/// still replay byte-identically at any `host_threads` setting.
-pub trait Backend {
-    /// Which substrate this backend models.
-    fn kind(&self) -> BackendKind;
-
-    /// Where shuffle map outputs are materialized.
-    fn shuffle_transport(&self) -> ShuffleTransport {
-        ShuffleTransport::WorkerMemory
-    }
-
-    /// Called once per admitted task, before its duration is fixed.
-    /// `start` is the instant the task will begin executing on its
-    /// reserved core. Return `Some` to charge startup overhead and
-    /// register a billable invocation; the default (VM) registers
-    /// nothing.
-    fn on_task_admitted(&mut self, _worker: WorkerId, _start: SimTime) -> Option<InvocationStart> {
-        None
-    }
-
-    /// Called once per committed task (commit order). Return `Some` to
-    /// emit a per-invocation bill.
-    fn on_task_committed(
-        &mut self,
-        _worker: WorkerId,
-        _duration: SimDuration,
-        _now: SimTime,
-    ) -> Option<InvocationBill> {
-        None
-    }
-
-    /// Total compute dollars billed so far. VM backends return 0.0 —
-    /// their compute cost is owned by the market layer.
-    fn compute_cost(&self) -> f64 {
-        0.0
-    }
-
-    /// Invocations admitted so far.
-    fn invocations(&self) -> u64 {
-        0
-    }
-
-    /// Invocations billed so far. Can trail [`Backend::invocations`]:
-    /// billing fires at task commit, and tasks still in flight when the
-    /// run's final job completes are admitted but never committed.
-    fn invocations_billed(&self) -> u64 {
-        0
-    }
-
-    /// Σ GB-seconds billed so far.
-    fn billed_gb_seconds(&self) -> f64 {
-        0.0
-    }
-
-    /// Invocations that paid a cold-start penalty. VM backends have no
-    /// invocation lifecycle, so the default is 0.
-    fn cold_starts(&self) -> u64 {
-        0
-    }
-}
-
-/// The transient-VM backend: today's `Cluster` semantics, unchanged.
-///
-/// Every hook is an exact no-op — no randomness, no overhead, no
-/// events — so a driver carrying this backend is byte-identical to the
-/// pre-abstraction engine. Worker lifecycle stays with the
-/// [`FailureInjector`](crate::FailureInjector) and billing with the
-/// market layer's `InstanceBilled` stream.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TransientVmBackend;
-
-impl Backend for TransientVmBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::TransientVm
-    }
 }
 
 /// Dollars per GB-second of invocation time.
@@ -208,7 +84,7 @@ impl Default for ServerlessConfig {
 /// order is deterministic, so the draws (and thus the whole trace)
 /// replay byte-identically for any `host_threads`. Every committed
 /// task is billed duration × memory × rate + request fee, accumulated
-/// so that Σ `InvocationBilled` events equals [`Backend::compute_cost`]
+/// so that Σ `InvocationBilled` events equals [`ServerlessBackend::compute_cost`]
 /// exactly. Shuffle map outputs travel through the external store.
 #[derive(Debug)]
 pub struct ServerlessBackend {
@@ -239,18 +115,11 @@ impl ServerlessBackend {
             gb_seconds: 0.0,
         }
     }
-}
 
-impl Backend for ServerlessBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Serverless
-    }
-
-    fn shuffle_transport(&self) -> ShuffleTransport {
-        ShuffleTransport::ExternalStore
-    }
-
-    fn on_task_admitted(&mut self, worker: WorkerId, start: SimTime) -> Option<InvocationStart> {
+    /// Registers one admitted task as an invocation, before its duration
+    /// is fixed: `start` is the instant it begins on its reserved slot.
+    /// Returns the startup overhead to charge (warm or cold).
+    pub(crate) fn on_task_admitted(&mut self, worker: WorkerId, start: SimTime) -> InvocationStart {
         self.invocations += 1;
         let warm = self.warm_until.get(&worker).is_some_and(|&t| start <= t);
         let (overhead, cold_ms) = if warm {
@@ -271,19 +140,20 @@ impl Backend for ServerlessBackend {
         let horizon = start + overhead + KEEPALIVE;
         let entry = self.warm_until.entry(worker).or_insert(horizon);
         *entry = (*entry).max(horizon);
-        Some(InvocationStart {
+        InvocationStart {
             invocation: self.invocations,
             cold_ms,
             overhead,
-        })
+        }
     }
 
-    fn on_task_committed(
+    /// Bills one committed task (commit order).
+    pub(crate) fn on_task_committed(
         &mut self,
         worker: WorkerId,
         duration: SimDuration,
         now: SimTime,
-    ) -> Option<InvocationBill> {
+    ) -> InvocationBill {
         self.billed += 1;
         let gb_seconds = duration.as_secs_f64() * self.cfg.memory_gb;
         let cost = gb_seconds * PRICE_PER_GB_SECOND + PRICE_PER_INVOCATION;
@@ -292,26 +162,32 @@ impl Backend for ServerlessBackend {
         let horizon = now + KEEPALIVE;
         let entry = self.warm_until.entry(worker).or_insert(horizon);
         *entry = (*entry).max(horizon);
-        Some(InvocationBill { gb_seconds, cost })
+        InvocationBill { gb_seconds, cost }
     }
 
-    fn compute_cost(&self) -> f64 {
+    /// Total compute dollars billed so far.
+    pub fn compute_cost(&self) -> f64 {
         self.cost
     }
 
-    fn invocations(&self) -> u64 {
+    /// Invocations admitted so far.
+    pub fn invocations(&self) -> u64 {
         self.invocations
     }
 
-    fn invocations_billed(&self) -> u64 {
+    /// Invocations billed so far: trails `invocations` by the tasks still
+    /// in flight when the run's final job completed.
+    pub fn invocations_billed(&self) -> u64 {
         self.billed
     }
 
-    fn billed_gb_seconds(&self) -> f64 {
+    /// Σ GB-seconds billed so far.
+    pub fn billed_gb_seconds(&self) -> f64 {
         self.gb_seconds
     }
 
-    fn cold_starts(&self) -> u64 {
+    /// Invocations that paid a cold-start penalty.
+    pub fn cold_starts(&self) -> u64 {
         self.invocations - self.warm_invocations
     }
 }
@@ -321,37 +197,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vm_backend_is_a_total_no_op() {
-        let mut b = TransientVmBackend;
-        assert_eq!(b.kind(), BackendKind::TransientVm);
-        assert_eq!(b.shuffle_transport(), ShuffleTransport::WorkerMemory);
-        assert!(b.on_task_admitted(WorkerId(1), SimTime::ZERO).is_none());
-        assert!(b
-            .on_task_committed(WorkerId(1), SimDuration::from_secs(1), SimTime::ZERO)
-            .is_none());
-        assert_eq!(b.compute_cost(), 0.0);
-        assert_eq!(b.invocations(), 0);
-        assert_eq!(b.billed_gb_seconds(), 0.0);
-    }
-
-    #[test]
     fn cold_then_warm_then_cold_after_keepalive() {
         let mut b = ServerlessBackend::new(ServerlessConfig::default(), 7);
         let w = WorkerId(0);
-        let first = b.on_task_admitted(w, SimTime::ZERO).unwrap();
+        let first = b.on_task_admitted(w, SimTime::ZERO);
         assert!(first.cold_ms >= 150, "first touch must be cold");
         // A task starting immediately after hits the warm container.
         let t1 = SimTime::ZERO + first.overhead + SimDuration::from_secs(1);
-        let second = b.on_task_admitted(w, t1).unwrap();
+        let second = b.on_task_admitted(w, t1);
         assert_eq!(second.cold_ms, 0);
         assert_eq!(second.overhead, SimDuration::from_millis(5));
         // Past the keepalive horizon the container is cold again.
         let t2 = t1 + second.overhead + KEEPALIVE + SimDuration::from_secs(1);
-        let third = b.on_task_admitted(w, t2).unwrap();
+        let third = b.on_task_admitted(w, t2);
         assert!(third.cold_ms >= 150);
         assert_eq!(b.invocations(), 3);
         // A different slot is always cold on first touch.
-        let other = b.on_task_admitted(WorkerId(1), t1).unwrap();
+        let other = b.on_task_admitted(WorkerId(1), t1);
         assert!(other.cold_ms >= 150);
     }
 
@@ -360,11 +222,7 @@ mod tests {
         let draws = |seed: u64| -> Vec<u64> {
             let mut b = ServerlessBackend::new(ServerlessConfig::default(), seed);
             (0..20)
-                .map(|i| {
-                    b.on_task_admitted(WorkerId(i), SimTime::ZERO)
-                        .unwrap()
-                        .cold_ms
-                })
+                .map(|i| b.on_task_admitted(WorkerId(i), SimTime::ZERO).cold_ms)
                 .collect()
         };
         assert_eq!(draws(42), draws(42));
@@ -379,9 +237,7 @@ mod tests {
         let mut gbs = 0.0;
         for i in 0..50u64 {
             let dur = SimDuration::from_millis(100 + i * 37);
-            let bill = b
-                .on_task_committed(WorkerId((i % 4) as u32), dur, SimTime::ZERO)
-                .unwrap();
+            let bill = b.on_task_committed(WorkerId((i % 4) as u32), dur, SimTime::ZERO);
             let expect_gbs = dur.as_secs_f64() * cfg.memory_gb;
             assert!((bill.gb_seconds - expect_gbs).abs() < 1e-12);
             assert!(

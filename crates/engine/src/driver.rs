@@ -1,24 +1,28 @@
-//! The driver: stage planning, virtual-time task execution, failure
-//! handling, and checkpoint orchestration.
+//! The driver's scheduler core: it plans lineage waves, computes them,
+//! and commits their outputs in virtual time. [`recovery`], [`ckpt_pump`]
+//! and [`crate::manifest`]'s resume state own the rest of a run's state.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+mod ckpt_pump;
+mod recovery;
+
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use flint_simtime::{Clock, SimDuration, SimTime};
-use flint_store::StorageConfig;
 use flint_trace::{EventKind, TraceHandle};
 
-use crate::backend::{Backend, ShuffleTransport, TransientVmBackend};
+use crate::backend::ServerlessBackend;
 use crate::block::{BlockData, BlockKey, InsertOutcome, Records};
-use crate::checkpoint::{CheckpointStore, ReadFault, WriteFault};
+use crate::checkpoint::{CheckpointStore, WriteFault};
 use crate::cluster::{Cluster, WorkerId, WorkerSpec};
 use crate::column::{ColumnCounters, ColumnStats};
+use crate::config::DriverConfig;
 use crate::context::EngineContext;
 use crate::cost::CostModel;
 use crate::error::{EngineError, Result};
 use crate::executor::{self, CacheEffect, TaskOutput, WaveCtx};
-use crate::hooks::{CheckpointDirective, CheckpointHooks, LineageView, NoCheckpoint};
-use crate::injector::{FailureInjector, NoFailures, WorkerEvent};
-use crate::manifest::RunManifest;
+use crate::hooks::{CheckpointDirective, CheckpointHooks, NoCheckpoint};
+use crate::injector::{FailureInjector, NoFailures};
+use crate::manifest::{ResumeState, RunManifest};
 use crate::plan::{self, PlanStats, Planner};
 use crate::rdd::{RddId, RddRef};
 use crate::shuffle::{RangePartitioner, ShuffleId};
@@ -30,193 +34,8 @@ use crate::value::Value;
 /// granularity).
 const MAX_ITERATIONS: u64 = 5_000_000;
 
-/// Gather passes per action: the first, plus up to two job re-runs when
-/// a result block vanished between job completion and gather (a
-/// same-instant revocation). A failed last pass returns
-/// [`EngineError::RetryBudgetExhausted`].
-const GATHER_PASSES: u64 = 3;
-
-/// Revocations of one external id within [`FLAP_WINDOW`] that mark it as
-/// flapping and quarantine it: its further joins are ignored.
-const FLAP_THRESHOLD: usize = 3;
-
-/// Sliding window over which repeated revocations of one external id
-/// count as flapping.
-const FLAP_WINDOW: SimDuration = SimDuration::from_secs(600);
-
 /// Fixed per-task overhead (scheduling, deserialization).
 const TASK_OVERHEAD: SimDuration = SimDuration::from_millis(80);
-
-/// First store-retry backoff; each further attempt doubles it.
-const BACKOFF_BASE: SimDuration = SimDuration::from_secs(1);
-/// Ceiling on the store-retry backoff.
-const BACKOFF_CAP: SimDuration = SimDuration::from_secs(60);
-
-/// A retry policy: an attempt budget plus capped exponential backoff in
-/// virtual time.
-///
-/// It shapes the driver's store-outage wait
-/// ([`DriverConfig::store_retry`]). `delay(attempt)` doubles from
-/// `BACKOFF_BASE` (1 s) per attempt and saturates at `BACKOFF_CAP` (60 s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempts allowed before the loop gives up with a typed error.
-    pub budget: u64,
-}
-
-impl RetryPolicy {
-    /// `true` once `attempt` retries have been spent.
-    pub(crate) fn exhausted(&self, attempt: u64) -> bool {
-        attempt >= self.budget
-    }
-
-    /// The wait before retry number `attempt` (0-based): capped
-    /// exponential doubling.
-    pub(crate) fn delay(&self, attempt: u64) -> SimDuration {
-        let base = BACKOFF_BASE.as_millis();
-        SimDuration::from_millis(
-            base.saturating_mul(1u64 << attempt.min(32))
-                .min(BACKOFF_CAP.as_millis()),
-        )
-    }
-}
-
-/// Tuning knobs for a [`Driver`].
-///
-/// Start from [`DriverConfig::default`] or [`DriverConfig::builder`];
-/// fields without a builder setter are set directly.
-#[derive(Debug, Clone)]
-pub struct DriverConfig {
-    /// The virtual-time cost model.
-    pub cost: CostModel,
-    /// The durable-storage bandwidth model.
-    pub storage: StorageConfig,
-    /// Host threads used to materialize each scheduling wave's tasks in
-    /// parallel (real wall-clock parallelism; virtual time is
-    /// unaffected). Results are committed in fixed task-key order on the
-    /// driver thread, so any value — including 1 — produces bit-identical
-    /// results, statistics, and virtual-time trajectories. See the
-    /// `executor` module docs for the compute/commit split.
-    pub host_threads: usize,
-    /// Retry policy for transient checkpoint-store outages: how many
-    /// capped-exponential backoff waits a restore spends before failing
-    /// the action with [`EngineError::StoreUnavailable`].
-    pub store_retry: RetryPolicy,
-    /// Enables the columnar batch execution path: partitions of
-    /// batch-capable ops (built through the `*_kernel` context
-    /// constructors) are stored as typed column vectors and run through
-    /// vectorized kernels; everything else stays on the per-record
-    /// path. Either setting produces bit-identical results, virtual
-    /// sizes, and traces — only host wall-clock changes. On by default.
-    pub columnar: bool,
-    /// When set, the driver suspends the run at the first wave-commit
-    /// boundary where the committed-wave counter reaches this value: a
-    /// [`RunManifest`] is persisted through the durable store and the
-    /// in-flight action returns [`EngineError::Suspended`]. `None` (the
-    /// default) never suspends and leaves every trace byte-identical.
-    /// This is the deterministic stand-in for a driver crash — chaos
-    /// campaigns wire [`crate::ChaosSchedule::driver_crash_wave`] here.
-    pub suspend_after_waves: Option<u64>,
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig {
-            cost: CostModel::default(),
-            storage: StorageConfig::default(),
-            host_threads: 1,
-            store_retry: RetryPolicy { budget: 6 },
-            columnar: true,
-            suspend_after_waves: None,
-        }
-    }
-}
-
-impl DriverConfig {
-    /// Starts a builder preloaded with the defaults (the §5.5 cost model,
-    /// default EBS bandwidth, one host thread).
-    pub fn builder() -> DriverConfigBuilder {
-        DriverConfigBuilder::default()
-    }
-
-    /// FNV-1a fingerprint of the determinism-relevant configuration.
-    ///
-    /// Covers every knob that shapes results, virtual time, or the
-    /// trace; deliberately excludes `host_threads` and `columnar`
-    /// (proven bit-identical by the determinism suite) and
-    /// `suspend_after_waves` (which necessarily differs between a
-    /// crashing run and its resume replay). [`Driver::resume`] rejects
-    /// a manifest whose fingerprint does not match.
-    pub(crate) fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |s: &str| {
-            for b in s.bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&format!(
-            "{:?}|{:?}|{:?}",
-            self.cost, self.storage, self.store_retry
-        ));
-        h
-    }
-}
-
-/// Fluent builder for [`DriverConfig`];
-/// `DriverConfig::builder().build()` equals `DriverConfig::default()`.
-///
-/// # Examples
-///
-/// ```
-/// use flint_engine::DriverConfig;
-///
-/// let cfg = DriverConfig::builder()
-///     .host_threads(8)
-///     .size_scale(5e5)
-///     .build();
-/// assert_eq!(cfg.host_threads, 8);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct DriverConfigBuilder {
-    cfg: DriverConfig,
-}
-
-impl DriverConfigBuilder {
-    /// The durable-storage bandwidth model.
-    pub fn storage(mut self, storage: StorageConfig) -> Self {
-        self.cfg.storage = storage;
-        self
-    }
-
-    /// Host threads used to materialize each wave in parallel. Any value
-    /// produces bit-identical results; see [`DriverConfig::host_threads`].
-    pub fn host_threads(mut self, threads: usize) -> Self {
-        self.cfg.host_threads = threads;
-        self
-    }
-
-    /// Convenience: sets the cost model's virtual-size multiplier
-    /// (`cost.size_scale`), the usual knob for simulating paper-scale
-    /// datasets from small in-memory collections.
-    pub fn size_scale(mut self, scale: f64) -> Self {
-        self.cfg.cost.size_scale = scale;
-        self
-    }
-
-    /// Enables or disables the columnar batch path (on by default);
-    /// results are bit-identical either way, see
-    /// [`DriverConfig::columnar`].
-    pub fn columnar(mut self, on: bool) -> Self {
-        self.cfg.columnar = on;
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> DriverConfig {
-        self.cfg
-    }
-}
 
 /// A schedulable unit of work.
 ///
@@ -254,16 +73,10 @@ struct Running {
     duration: SimDuration,
     touched: Vec<(RddId, u32, u64)>,
     seq: u64,
-    /// Backend invocation id assigned at admission (0 = the backend
-    /// registered no invocation for this task).
+    /// Serverless invocation id assigned at admission (0 on a VM
+    /// cluster).
     invocation: u64,
 }
-
-/// Internal materialization failure: a required shuffle input vanished
-/// between planning and execution (cannot normally happen; handled by
-/// replanning).
-#[derive(Debug)]
-pub(crate) struct MissingShuffle;
 
 /// The execution engine: owns the lineage context, the simulated cluster,
 /// the checkpoint store, and the virtual clock.
@@ -275,7 +88,8 @@ pub struct Driver {
     ckpt: CheckpointStore,
     planner: Planner,
     column: ColumnCounters,
-    backend: Box<dyn Backend>,
+    /// The serverless backend, if installed; `None` is a VM cluster.
+    serverless: Option<ServerlessBackend>,
     hooks: Box<dyn CheckpointHooks>,
     injector: Box<dyn FailureInjector>,
     clock: Clock,
@@ -285,9 +99,7 @@ pub struct Driver {
     range_cache: BTreeMap<ShuffleId, RangePartitioner>,
     computed_once: HashSet<(RddId, u32)>,
     fired_materialized: HashSet<RddId>,
-    marked_ckpt: HashSet<RddId>,
-    ckpt_queue: VecDeque<CkptJob>,
-    ckpt_queued: BTreeSet<CkptJob>,
+    ckpt_queue: ckpt_pump::CkptQueue,
     running: Vec<Running>,
     in_flight: BTreeSet<TaskKey>,
     last_pumped: SimTime,
@@ -297,23 +109,8 @@ pub struct Driver {
     /// already paired with a `RestoreFallback` event (dedup across
     /// planning iterations).
     corrupt_reported: HashSet<BlockKey>,
-    /// Recent revocation instants per external id (flap detection).
-    remove_times: HashMap<u64, VecDeque<SimTime>>,
-    /// External ids quarantined for flapping: their joins are ignored.
-    quarantined: HashSet<u64>,
-    /// Committed-wave frontier: `advance_and_commit` calls that landed
-    /// at least one task. Deterministic across `host_threads`, so it is
-    /// the resume-manifest's notion of progress.
-    waves_committed: u64,
-    /// Session tag naming this run's manifest key in the durable store.
-    session: String,
-    /// A suspension is armed and fires at the next loop boundary.
-    pending_suspend: bool,
-    /// Manifest a resume replay must cross and verify against.
-    resume_check: Option<RunManifest>,
-    /// A resume replay diverged from its manifest; surfaced as a typed
-    /// error at the next loop boundary.
-    resume_failed: Option<EngineError>,
+    flaps: recovery::FlapGuard,
+    resume: ResumeState,
 }
 
 impl Driver {
@@ -323,14 +120,13 @@ impl Driver {
         hooks: Box<dyn CheckpointHooks>,
         injector: Box<dyn FailureInjector>,
     ) -> Self {
-        let storage = config.storage;
         Driver {
             ctx: EngineContext::new(),
             cluster: Cluster::new(),
-            ckpt: CheckpointStore::new(storage),
+            ckpt: CheckpointStore::new(config.storage),
             planner: Planner::default(),
             column: ColumnCounters::default(),
-            backend: Box::new(TransientVmBackend),
+            serverless: None,
             hooks,
             injector,
             clock: Clock::new(),
@@ -340,22 +136,15 @@ impl Driver {
             range_cache: BTreeMap::new(),
             computed_once: HashSet::new(),
             fired_materialized: HashSet::new(),
-            marked_ckpt: HashSet::new(),
-            ckpt_queue: VecDeque::new(),
-            ckpt_queued: BTreeSet::new(),
+            ckpt_queue: Default::default(),
             running: Vec::new(),
             in_flight: BTreeSet::new(),
             last_pumped: SimTime::ZERO,
             next_local_ext: 1 << 40,
             task_seq: 0,
             corrupt_reported: HashSet::new(),
-            remove_times: HashMap::new(),
-            quarantined: HashSet::new(),
-            waves_committed: 0,
-            session: "run".to_string(),
-            pending_suspend: false,
-            resume_check: None,
-            resume_failed: None,
+            flaps: Default::default(),
+            resume: Default::default(),
         }
     }
 
@@ -443,128 +232,37 @@ impl Driver {
     /// landed at least one task commit. Deterministic across
     /// `host_threads`, so it is the [`RunManifest`] notion of progress.
     pub fn waves_committed(&self) -> u64 {
-        self.waves_committed
+        self.resume.waves_committed()
     }
 
-    /// Arms a resume replay against `manifest`.
+    /// Arms a resume replay against `manifest` (see [`RunManifest`]).
     ///
-    /// The engine is deterministic, so crash recovery is re-launching
-    /// the identical session and replaying it; the manifest is the
-    /// verification artifact. Call on a freshly built driver (same
-    /// config, workload, and injector as the crashed run) before
-    /// re-running the actions: when the replay's committed-wave frontier
-    /// crosses `manifest.frontier`, the driver checks virtual time and
-    /// stats against the manifest and emits `RunResumed` — a mismatch
-    /// surfaces as [`EngineError::ResumeDiverged`] instead of silently
-    /// continuing a divergent run. Rejects a manifest whose config
-    /// fingerprint does not match this driver's.
+    /// Call on a freshly built driver (same config, workload, and
+    /// injector as the crashed run) before re-running the actions: when
+    /// the replay's committed-wave frontier crosses `manifest.frontier`,
+    /// the driver checks virtual time and stats against the manifest and
+    /// emits `RunResumed`, or fails with [`EngineError::ResumeDiverged`]
+    /// instead of continuing a divergent run. Rejects a manifest whose
+    /// config fingerprint does not match this driver's.
     pub fn resume(&mut self, manifest: &RunManifest) -> Result<()> {
-        let fp = self.config.fingerprint();
-        if manifest.config_fp != fp {
-            return Err(EngineError::ResumeDiverged {
-                field: "config_fp",
-                expected: manifest.config_fp,
-                actual: fp,
-            });
-        }
-        self.session.clone_from(&manifest.session);
-        if manifest.frontier == 0 {
-            // Crashed before any wave committed: nothing to verify.
-            let key = manifest.store_key();
-            let now = self.clock.now();
-            self.trace.emit_with(now, || EventKind::RunResumed {
-                manifest: key.clone(),
-                frontier: 0,
-            });
-            return Ok(());
-        }
-        self.resume_check = Some(manifest.clone());
-        Ok(())
-    }
-
-    /// Snapshots the run state: what a suspension persists, and what a
-    /// resume replay is checked against at its frontier.
-    fn build_manifest(&self) -> RunManifest {
-        let mut blocks: Vec<String> = self
-            .ckpt
-            .store()
-            .keys_with_prefix("")
-            .into_iter()
-            .map(str::to_string)
-            .collect();
-        blocks.retain(|k| !k.starts_with("manifest/"));
-        RunManifest {
-            version: 1,
-            session: self.session.clone(),
-            config_fp: self.config.fingerprint(),
-            frontier: self.waves_committed,
-            now_ms: self.clock.now().as_millis(),
-            tasks_run: self.stats.tasks_run,
-            revocations: self.stats.revocations,
-            checkpoints_written: self.stats.checkpoints_written,
-            blocks,
-        }
-    }
-
-    /// Persists the run manifest and returns the typed suspension
-    /// error the in-flight action propagates.
-    fn suspend_now(&mut self) -> EngineError {
         let now = self.clock.now();
-        let m = self.build_manifest();
-        let key = m.store_key();
-        let frontier = m.frontier;
-        self.ckpt.put_manifest(&key, &m.encode(), now);
-        self.trace.emit_with(now, || EventKind::RunSuspended {
-            manifest: key.clone(),
-            frontier,
-        });
-        EngineError::Suspended {
-            manifest: key,
-            frontier,
-        }
+        self.resume.resume(manifest, &self.config, now, &self.trace)
     }
 
-    /// Typed interruption pending at a scheduler loop boundary: an
-    /// armed suspension or a failed resume verification. `None` on the
-    /// hot path when neither feature is in use.
-    fn take_interrupt(&mut self) -> Option<EngineError> {
-        if let Some(e) = self.resume_failed.take() {
-            return Some(e);
-        }
-        if self.pending_suspend {
-            self.pending_suspend = false;
-            return Some(self.suspend_now());
-        }
-        None
+    /// `Ok` unless a resume replay armed by [`Driver::resume`] ended
+    /// short of its manifest's frontier, which verified nothing: then
+    /// [`EngineError::ResumeDiverged`] naming `frontier`. Call after the
+    /// replayed actions return.
+    pub fn resume_verified(&self) -> Result<()> {
+        self.resume.verified()
     }
 
-    /// Verifies a resume replay the moment its frontier reaches the
-    /// manifest's: virtual time and stats must match exactly, or the
-    /// replay is flagged divergent.
-    fn check_resume_frontier(&mut self) {
-        let due = self
-            .resume_check
-            .as_ref()
-            .is_some_and(|m| self.waves_committed >= m.frontier);
-        if !due {
-            return;
-        }
-        let m = self.resume_check.take().expect("checked above");
-        if let Some((field, expected, actual)) = m.diverges_from(&self.build_manifest()) {
-            self.resume_failed = Some(EngineError::ResumeDiverged {
-                field,
-                expected,
-                actual,
-            });
-            return;
-        }
+    /// The typed interruption pending at a scheduler loop boundary, as an
+    /// error: a failed resume verification or an armed suspension.
+    fn take_interrupt(&mut self) -> Result<()> {
         let now = self.clock.now();
-        let key = m.store_key();
-        let frontier = m.frontier;
-        self.trace.emit_with(now, || EventKind::RunResumed {
-            manifest: key.clone(),
-            frontier,
-        });
+        self.resume
+            .take_interrupt(&self.config, now, &self.stats, &mut self.ckpt, &self.trace)
     }
 
     /// Returns the cluster view.
@@ -590,16 +288,6 @@ impl Driver {
     /// Replaces the cost model (calibration).
     pub fn set_cost_model(&mut self, cost: CostModel) {
         self.config.cost = cost;
-    }
-
-    /// Number of queued (not yet written) checkpoint partitions.
-    fn pending_checkpoints(&self) -> usize {
-        self.ckpt_queue.len()
-            + self
-                .running
-                .iter()
-                .filter(|r| matches!(r.key, TaskKey::Ckpt(_)))
-                .count()
     }
 
     // ------------------------------------------------------------------
@@ -706,9 +394,7 @@ impl Driver {
                     iterations,
                 });
             }
-            if let Some(e) = self.take_interrupt() {
-                return Err(e);
-            }
+            self.take_interrupt()?;
             self.poll_hooks();
             self.assign_checkpoint_jobs();
             let now = self.clock.now();
@@ -786,9 +472,7 @@ impl Driver {
             if iterations > MAX_ITERATIONS {
                 return Err(EngineError::RetryBudgetExhausted { rdd: target });
             }
-            if let Some(e) = self.take_interrupt() {
-                return Err(e);
-            }
+            self.take_interrupt()?;
 
             self.poll_hooks();
 
@@ -885,147 +569,9 @@ impl Driver {
             self.commit_task(r);
         }
         if committed_any {
-            self.waves_committed += 1;
-            if self.config.suspend_after_waves == Some(self.waves_committed) {
-                self.pending_suspend = true;
-            }
-            self.check_resume_frontier();
-        }
-    }
-
-    /// Delivers all failure-injector events up to the current instant,
-    /// interleaving any planted-fault notes (chaos campaigns) into the
-    /// trace by time so the stream stays chronologically ordered.
-    fn pump_injector(&mut self) {
-        let now = self.clock.now();
-        if now < self.last_pumped {
-            return;
-        }
-        let from = self.last_pumped;
-        let events = self.injector.events(from, now);
-        let notes = self.injector.fault_notes(from, now);
-        self.last_pumped = now;
-        let mut notes = notes.into_iter().peekable();
-        for (t, ev) in events {
-            while notes.peek().map(|(nt, _, _)| *nt <= t).unwrap_or(false) {
-                let (nt, kind, target) = notes.next().expect("peeked");
-                self.trace.emit_with(nt, || EventKind::FaultInjected {
-                    kind: kind.clone(),
-                    target: target.clone(),
-                });
-            }
-            match ev {
-                WorkerEvent::Add { ext_id, spec } => {
-                    if self.quarantined.contains(&ext_id) {
-                        // A flapping instance rejoining: refuse it so
-                        // its next revocation cannot strand tasks again.
-                        continue;
-                    }
-                    self.cluster.add_worker(ext_id, spec, t);
-                    self.trace
-                        .emit_with(t, || EventKind::WorkerAdded { ext: ext_id });
-                }
-                WorkerEvent::Warn { ext_id } => {
-                    self.stats.warnings += 1;
-                    self.trace
-                        .emit_with(t, || EventKind::RevocationWarning { ext: ext_id });
-                    self.hooks.on_warning(ext_id, t);
-                }
-                WorkerEvent::Remove { ext_id } => {
-                    if let Some(wid) = self.cluster.remove_by_ext(ext_id) {
-                        self.stats.revocations += 1;
-                        self.trace
-                            .emit_with(t, || EventKind::WorkerRevoked { ext: ext_id });
-                        self.hooks.on_revocation(ext_id, t);
-                        self.invalidate_worker(wid);
-                        self.note_remove(ext_id, t);
-                    }
-                }
-            }
-        }
-        for (nt, kind, target) in notes {
-            self.trace.emit_with(nt, || EventKind::FaultInjected {
-                kind: kind.clone(),
-                target: target.clone(),
-            });
-        }
-    }
-
-    /// Flap detection: a worker revoked [`FLAP_THRESHOLD`] times within
-    /// [`FLAP_WINDOW`] is quarantined — its future joins are ignored, so
-    /// replacement capacity comes from stable instances instead.
-    fn note_remove(&mut self, ext_id: u64, t: SimTime) {
-        if self.quarantined.contains(&ext_id) {
-            return;
-        }
-        let times = self.remove_times.entry(ext_id).or_default();
-        times.push_back(t);
-        while times.front().map(|&f| f + FLAP_WINDOW < t).unwrap_or(false) {
-            times.pop_front();
-        }
-        if times.len() >= FLAP_THRESHOLD {
-            let removes = times.len() as u64;
-            self.quarantined.insert(ext_id);
-            self.remove_times.remove(&ext_id);
-            self.trace.emit_with(t, || EventKind::WorkerQuarantined {
-                ext: ext_id,
-                removes,
-            });
-        }
-    }
-
-    /// Discards in-flight tasks on a dead worker; checkpoint jobs are
-    /// requeued, compute tasks are replanned naturally.
-    fn invalidate_worker(&mut self, wid: WorkerId) {
-        let (lost, kept): (Vec<Running>, Vec<Running>) = std::mem::take(&mut self.running)
-            .into_iter()
-            .partition(|r| r.worker == wid);
-        self.running = kept;
-        for r in lost {
-            self.in_flight.remove(&r.key);
-            if let TaskKey::Ckpt(job) = r.key {
-                self.enqueue_ckpt(job);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Planning
-    // ------------------------------------------------------------------
-
-    /// Emits the detection/fallback event pair for shuffle checkpoints
-    /// the planner just declared unreadable (corrupt or mid-outage):
-    /// the scheduled `ShuffleMap` recompute in `ready` is their
-    /// fallback. RDD-part fallbacks are reported by the executor at the
-    /// restore site; this covers the shuffle side, where "fallback"
-    /// means the planner re-runs the map task instead. Deduplicated per
-    /// block so replanning iterations do not repeat the pair.
-    fn report_unreadable_shuffles(&mut self, ready: &[TaskKey]) {
-        let now = self.clock.now();
-        for key in ready {
-            let TaskKey::ShuffleMap { shuffle, map_part } = *key else {
-                continue;
-            };
-            if !self.ckpt.has_shuffle(shuffle, map_part) {
-                continue;
-            }
-            let Some(fault) = self.ckpt.shuffle_read_fault(shuffle, map_part, now) else {
-                continue;
-            };
-            self.report_fallback(BlockKey::ShuffleMap { shuffle, map_part }, fault, now);
-        }
-    }
-
-    /// Emits the detection/fallback event pair for an unreadable
-    /// checkpoint of `block`, once per block.
-    fn report_fallback(&mut self, block: BlockKey, fault: ReadFault, now: SimTime) {
-        if !self.corrupt_reported.insert(block) {
-            return;
-        }
-        if self.trace.is_enabled() {
-            for ev in fault.fallback_events(&block) {
-                self.trace.emit(now, ev);
-            }
+            let now = self.clock.now();
+            self.resume
+                .wave_committed(&self.config, now, &self.stats, &self.ckpt, &self.trace);
         }
     }
 
@@ -1052,18 +598,16 @@ impl Driver {
         &self.trace
     }
 
-    /// Installs the execution backend. The default
-    /// [`TransientVmBackend`] is a guaranteed no-op, so calling this
-    /// with it (or never calling it) leaves every trace byte-identical
-    /// to the pre-abstraction engine. Install before running actions:
-    /// swapping backends mid-job would orphan in-flight invocations.
-    pub fn set_backend(&mut self, backend: Box<dyn Backend>) {
-        self.backend = backend;
+    /// Runs this driver's tasks as serverless invocations instead of on
+    /// VMs. Install before running actions: swapping backends mid-job
+    /// would orphan in-flight invocations.
+    pub fn set_serverless(&mut self, backend: ServerlessBackend) {
+        self.serverless = Some(backend);
     }
 
-    /// The installed execution backend.
-    pub fn backend(&self) -> &dyn Backend {
-        self.backend.as_ref()
+    /// The installed serverless backend; `None` on a VM cluster.
+    pub fn serverless(&self) -> Option<&ServerlessBackend> {
+        self.serverless.as_ref()
     }
 
     /// Emits the cache-churn events for one traced block insert: any
@@ -1220,29 +764,28 @@ impl Driver {
             (write, Some(write.mul_f64(contention)))
         } else {
             let mut dur = out.base_dur + net + TASK_OVERHEAD;
-            // Under external shuffle transport the map output is written
-            // to the durable store at commit; the producing task pays the
+            // On a serverless backend the map output is written to the
+            // durable store at commit; the producing task pays the
             // store-write time up front (reducers pay the store read in
             // `fetch_shuffle_bucket`, exactly like a checkpointed
             // shuffle).
-            if self.backend.shuffle_transport() == ShuffleTransport::ExternalStore
-                && matches!(key, TaskKey::ShuffleMap { .. })
-            {
+            if self.serverless.is_some() && matches!(key, TaskKey::ShuffleMap { .. }) {
                 dur += self.ckpt.config().write_time(out.vbytes, 1);
             }
             (dur, None)
         };
         let now = self.clock.now();
         // Core choice and start instant from an immutable view first, so
-        // the backend hook (which needs `&mut self.backend`) can observe
-        // the start before the reservation is written back.
+        // the serverless backend can observe the start before the
+        // reservation is written back.
         let (core, start) = {
             let w = self.cluster.worker(worker);
             let core = w.earliest_free_core();
             (core, w.cores_busy_until[core].max(now))
         };
         let mut invocation = 0;
-        if let Some(inv) = self.backend.on_task_admitted(worker, start) {
+        if let Some(backend) = &mut self.serverless {
+            let inv = backend.on_task_admitted(worker, start);
             invocation = inv.invocation;
             dur += inv.overhead;
             let ext = self.cluster.worker(worker).ext_id;
@@ -1279,66 +822,13 @@ impl Driver {
         true
     }
 
-    /// Queues a checkpoint write unless it is already queued; returns
-    /// whether it was added.
-    fn enqueue_ckpt(&mut self, job: CkptJob) -> bool {
-        let added = self.ckpt_queued.insert(job);
-        if added {
-            self.ckpt_queue.push_back(job);
-        }
-        added
-    }
-
-    /// True when a queued checkpoint job needs no work: it is already in
-    /// flight or its object is already durable.
-    fn ckpt_satisfied(&self, job: CkptJob) -> bool {
-        if self.in_flight.contains(&TaskKey::Ckpt(job)) {
-            return true;
-        }
-        match job {
-            CkptJob::RddPart(rdd, part) => self.ckpt.has(rdd, part),
-            CkptJob::Shuffle(s, mp) => self.ckpt.has_shuffle(s, mp),
-        }
-    }
-
-    /// Runs every queued checkpoint write as one wave: the serialization
-    /// walks and any payload materialization run on the wave executor's
-    /// host threads, and admission stays in queue order on the driver
-    /// thread, like any other task.
-    fn assign_checkpoint_jobs(&mut self) {
-        if self.ckpt_queue.is_empty() || self.cluster.alive_count() == 0 {
-            return; // keep the queue intact until workers exist
-        }
-        let mut todo = Vec::with_capacity(self.ckpt_queue.len());
-        while let Some(job) = self.ckpt_queue.pop_front() {
-            if !self.ckpt_satisfied(job) {
-                todo.push(TaskKey::Ckpt(job));
-            }
-        }
-        self.ckpt_queued.clear();
-        if todo.is_empty() {
-            return;
-        }
-        let outputs = self.compute_wave(&todo);
-        for (key, out) in todo.into_iter().zip(outputs) {
-            // A vanished payload (dead shuffle block, missing shuffle
-            // input) is dropped silently; the partition is replanned or
-            // moot.
-            let Some(out) = out else { continue };
-            if let (false, TaskKey::Ckpt(job)) = (self.admit(key, out), key) {
-                // Lost the worker between compute and admit: requeue.
-                self.enqueue_ckpt(job);
-            }
-        }
-    }
-
     fn commit_task(&mut self, r: Running) {
         let now = self.clock.now();
         // Per-invocation billing fires for every commit, in commit
         // order — also for checkpoint tasks and for writes the store
-        // subsequently faults (the invocation ran either way). The VM
-        // backend returns `None` here, so this is a no-op for it.
-        if let Some(bill) = self.backend.on_task_committed(r.worker, r.duration, now) {
+        // subsequently faults (the invocation ran either way).
+        if let Some(backend) = &mut self.serverless {
+            let bill = backend.on_task_committed(r.worker, r.duration, now);
             let invocation = r.invocation;
             self.trace.emit_with(now, || EventKind::InvocationBilled {
                 invocation,
@@ -1372,9 +862,7 @@ impl Driver {
             millis: r.duration.as_millis(),
         });
         match block {
-            BlockKey::ShuffleMap { shuffle, map_part }
-                if self.backend.shuffle_transport() == ShuffleTransport::ExternalStore =>
-            {
+            BlockKey::ShuffleMap { shuffle, map_part } if self.serverless.is_some() => {
                 // Serverless invocations cannot serve remote reads after
                 // returning: the map output goes to the durable store
                 // instead of worker memory. Reducers find it via
@@ -1413,297 +901,5 @@ impl Driver {
                 .record_partition_size(rdd, part, bytes);
             self.fire_materialized(rdd, now);
         }
-    }
-
-    /// Commits a checkpoint write to the durable store. Partition sizes
-    /// are recorded, but no materialization hook fires: the write
-    /// produced no new partition.
-    fn commit_checkpoint(&mut self, job: CkptJob, r: Running, now: SimTime) {
-        for (rdd, part, bytes) in r.touched {
-            self.ctx
-                .lineage_mut()
-                .record_partition_size(rdd, part, bytes);
-        }
-        let (block, fault) = match job {
-            CkptJob::RddPart(rdd, part) => {
-                let n = self.ctx.lineage().meta(rdd).num_partitions;
-                let fault = self.ckpt.put(rdd, part, n, r.data, r.vbytes, now);
-                (BlockKey::RddPart { rdd, part }, fault)
-            }
-            CkptJob::Shuffle(shuffle, map_part) => {
-                let fault = self
-                    .ckpt
-                    .put_shuffle(shuffle, map_part, r.data, r.vbytes, now);
-                (BlockKey::ShuffleMap { shuffle, map_part }, fault)
-            }
-        };
-        // A torn write "succeeded" from the client's view; the note
-        // records the planted corruption the restore-time integrity check
-        // will catch. A failed write left nothing durable, so neither the
-        // written event nor the checkpoint stats fire (keeping the trace
-        // aggregate consistent with `RunStats`).
-        self.note_write_fault(fault, ["ckpt_write_fail", "ckpt_torn"], block, now);
-        if fault == WriteFault::Fail {
-            return;
-        }
-        self.stats.checkpoint_time += r.duration;
-        self.stats.checkpoints_written += 1;
-        self.stats.checkpoint_bytes += r.vbytes;
-        self.stats.checkpoint_wire_bytes += r.wire;
-        self.trace.emit_with(now, || EventKind::CheckpointWritten {
-            block: block.to_string(),
-            vbytes: r.vbytes,
-            wire_bytes: r.wire,
-            millis: r.duration.as_millis(),
-        });
-        if let CkptJob::RddPart(rdd, part) = job {
-            self.hooks
-                .on_checkpoint_written(rdd, part, r.vbytes, r.duration, now);
-            if self.ckpt.is_fully_checkpointed(rdd) {
-                // Paper §4: checkpointing an RDD terminates its lineage;
-                // ancestors' checkpoints become garbage.
-                let deleted = self.ckpt.gc(self.ctx.lineage(), now);
-                if deleted > 0 {
-                    self.trace.emit_with(now, || EventKind::CheckpointGc {
-                        rdd: u64::from(rdd.0),
-                        blocks: deleted as u64,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Traces a store write fault planted on `block`; `kinds` names the
-    /// failed and the torn note.
-    fn note_write_fault(&self, fault: WriteFault, kinds: [&str; 2], block: BlockKey, now: SimTime) {
-        let kind = match fault {
-            WriteFault::Fail => kinds[0],
-            WriteFault::Torn => kinds[1],
-            WriteFault::None => return,
-        };
-        self.trace.emit_with(now, || EventKind::FaultInjected {
-            kind: kind.to_string(),
-            target: block.to_string(),
-        });
-    }
-
-    /// Fires the materialization hook for `rdd` the first time it becomes
-    /// fully materialized.
-    fn fire_materialized(&mut self, rdd: RddId, now: SimTime) {
-        if self.fired_materialized.contains(&rdd) || !self.ctx.lineage().is_fully_materialized(rdd)
-        {
-            return;
-        }
-        self.fired_materialized.insert(rdd);
-        let view = LineageView {
-            lineage: self.ctx.lineage(),
-            checkpoints: &self.ckpt,
-            alive_workers: self.cluster.alive_count(),
-            cost: &self.config.cost,
-            storage: self.ckpt.config(),
-        };
-        let directives = self
-            .hooks
-            .on_rdd_materialized(&view, &mut self.trace, rdd, now);
-        self.apply_directives(directives);
-    }
-
-    fn poll_hooks(&mut self) {
-        let now = self.clock.now();
-        let view = LineageView {
-            lineage: self.ctx.lineage(),
-            checkpoints: &self.ckpt,
-            alive_workers: self.cluster.alive_count(),
-            cost: &self.config.cost,
-            storage: self.ckpt.config(),
-        };
-        let directives = self.hooks.poll(&view, &mut self.trace, now);
-        self.apply_directives(directives);
-    }
-
-    fn apply_directives(&mut self, directives: Vec<CheckpointDirective>) {
-        for d in directives {
-            match d {
-                CheckpointDirective::Checkpoint(rdd) => {
-                    if !self.ctx.lineage().contains(rdd) {
-                        continue;
-                    }
-                    if !self.marked_ckpt.insert(rdd) {
-                        continue;
-                    }
-                    let n = self.ctx.lineage().meta(rdd).num_partitions;
-                    let mut enqueued = 0u64;
-                    for part in 0..n {
-                        if !self.ckpt.has(rdd, part)
-                            && self.enqueue_ckpt(CkptJob::RddPart(rdd, part))
-                        {
-                            enqueued += 1;
-                        }
-                    }
-                    if self.trace.is_enabled() {
-                        let view = LineageView {
-                            lineage: self.ctx.lineage(),
-                            checkpoints: &self.ckpt,
-                            alive_workers: self.cluster.alive_count(),
-                            cost: &self.config.cost,
-                            storage: self.ckpt.config(),
-                        };
-                        let delta_ms = view.checkpoint_delta(rdd).as_millis();
-                        self.trace.emit(
-                            self.clock.now(),
-                            EventKind::CheckpointScheduled {
-                                rdd: u64::from(rdd.0),
-                                parts: enqueued,
-                                delta_ms,
-                            },
-                        );
-                    }
-                }
-                CheckpointDirective::CheckpointAllCached => {
-                    let snap = self.cluster.snapshot();
-                    for (_, key, _) in snap.blocks {
-                        let job = match key {
-                            BlockKey::RddPart { rdd, part } => {
-                                if self.ckpt.has(rdd, part) {
-                                    continue;
-                                }
-                                CkptJob::RddPart(rdd, part)
-                            }
-                            BlockKey::ShuffleMap { shuffle, map_part } => {
-                                if self.ckpt.has_shuffle(shuffle, map_part) {
-                                    continue;
-                                }
-                                CkptJob::Shuffle(shuffle, map_part)
-                            }
-                        };
-                        self.enqueue_ckpt(job);
-                    }
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Gather
-    // ------------------------------------------------------------------
-
-    /// Waits (in virtual time) until a *present* checkpoint of
-    /// `(rdd, part)` is restorable. Transient outages are retried with
-    /// capped exponential backoff; a corrupt object returns `Ok(false)`
-    /// (with the detection/fallback event pair) so the caller falls
-    /// back to cluster state or recomputation — corrupt bytes are never
-    /// served. Exhausting the retry budget returns
-    /// [`EngineError::StoreUnavailable`].
-    fn await_store_readable(&mut self, rdd: RddId, part: u32) -> Result<bool> {
-        let mut attempt = 0u64;
-        loop {
-            match self.ckpt.read_fault(rdd, part, self.clock.now()) {
-                None => return Ok(true),
-                Some(ReadFault::Corrupt) => {
-                    let now = self.clock.now();
-                    self.report_fallback(BlockKey::RddPart { rdd, part }, ReadFault::Corrupt, now);
-                    return Ok(false);
-                }
-                Some(ReadFault::Unavailable) => {
-                    let retry = self.config.store_retry;
-                    if retry.exhausted(attempt) {
-                        return Err(EngineError::StoreUnavailable { retries: attempt });
-                    }
-                    let wait_ms = retry.delay(attempt).as_millis();
-                    attempt += 1;
-                    self.trace
-                        .emit_with(self.clock.now(), || EventKind::BackoffScheduled {
-                            attempt,
-                            millis: wait_ms,
-                        });
-                    self.clock.advance(SimDuration::from_millis(wait_ms));
-                    self.pump_injector();
-                }
-            }
-        }
-    }
-
-    /// Fetches every partition of `target` to the driver, charging
-    /// parallel transfer time. A block that vanished between job
-    /// completion and gather (a same-instant revocation) re-runs the
-    /// job, for at most [`GATHER_PASSES`] passes in all.
-    fn gather(&mut self, target: RddId) -> Result<Vec<Records>> {
-        for pass in 0..GATHER_PASSES {
-            if pass > 0 {
-                self.run_job(target)?;
-            }
-            let n = self.ctx.lineage().meta(target).num_partitions;
-            let mut parts = Vec::with_capacity(n as usize);
-            let mut total_vb = 0u64;
-            let mut ok = true;
-            for p in 0..n {
-                if self.ckpt.has(target, p) && self.await_store_readable(target, p)? {
-                    let d = self.ckpt.get(target, p).expect("bitmap agrees").clone();
-                    total_vb += self.ckpt.size_of(target, p).unwrap_or(0);
-                    self.stats.restores += 1;
-                    // Gather reads count as restores but charge no restore
-                    // time (the transfer is priced below), hence millis: 0.
-                    self.trace
-                        .emit_with(self.clock.now(), || EventKind::Restored {
-                            block: BlockKey::RddPart {
-                                rdd: target,
-                                part: p,
-                            }
-                            .to_string(),
-                            millis: 0,
-                        });
-                    parts.push(d);
-                } else if let Some((_, d, _, vb)) = self.cluster.fetch(&BlockKey::RddPart {
-                    rdd: target,
-                    part: p,
-                }) {
-                    total_vb += vb;
-                    let records = d.part().expect("RDD partition blocks are never bucketed");
-                    parts.push(records.clone());
-                } else {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                // Workers stream to the driver in parallel.
-                let streams = self.cluster.alive_count().max(1) as u64;
-                let dur = self.config.cost.net_time(total_vb / streams);
-                self.clock.advance(dur);
-                return Ok(parts);
-            }
-        }
-        Err(EngineError::RetryBudgetExhausted { rdd: target })
-    }
-
-    /// Drains the checkpoint queue to completion (used by explicit
-    /// `checkpoint_now`).
-    fn drain_checkpoints(&mut self) -> Result<()> {
-        let mut iterations = 0u64;
-        while self.pending_checkpoints() > 0 {
-            iterations += 1;
-            if iterations > MAX_ITERATIONS {
-                return Err(EngineError::JobBudgetExhausted {
-                    phase: "drain-checkpoints",
-                    iterations,
-                });
-            }
-            if let Some(e) = self.take_interrupt() {
-                return Err(e);
-            }
-            self.assign_checkpoint_jobs();
-            let Some(tt) = self.running.iter().map(|r| r.finish).min() else {
-                // Nothing running and nothing assignable: need workers.
-                match self.injector.next_event_after(self.clock.now()) {
-                    Some(ti) => {
-                        self.stall_until(ti);
-                        continue;
-                    }
-                    None => return Err(EngineError::NoWorkers),
-                }
-            };
-            self.advance_and_commit(tt);
-        }
-        Ok(())
     }
 }

@@ -1,0 +1,297 @@
+//! The checkpoint pump: the queue of pending durable writes, the policy
+//! hooks that fill it, and the commits that land them in the store.
+
+use std::collections::{BTreeSet, HashSet, VecDeque};
+
+use flint_simtime::SimTime;
+use flint_trace::{EventKind, TraceHandle};
+
+use super::{CkptJob, Driver, Running, TaskKey, MAX_ITERATIONS};
+use crate::block::BlockKey;
+use crate::checkpoint::WriteFault;
+use crate::error::{EngineError, Result};
+use crate::hooks::{CheckpointDirective, CheckpointHooks, LineageView};
+use crate::rdd::RddId;
+
+/// Pending checkpoint writes: FIFO, each job at most once, plus the RDDs
+/// a `Checkpoint` directive has already marked.
+#[derive(Debug, Default)]
+pub(super) struct CkptQueue {
+    jobs: VecDeque<CkptJob>,
+    queued: BTreeSet<CkptJob>,
+    marked: HashSet<RddId>,
+}
+
+impl CkptQueue {
+    /// Queues a checkpoint write unless it is already queued; returns
+    /// whether it was added.
+    pub(super) fn push(&mut self, job: CkptJob) -> bool {
+        let added = self.queued.insert(job);
+        if added {
+            self.jobs.push_back(job);
+        }
+        added
+    }
+
+    /// Empties the queue, returning its jobs in queue order.
+    fn take(&mut self) -> VecDeque<CkptJob> {
+        self.queued.clear();
+        std::mem::take(&mut self.jobs)
+    }
+
+    /// Marks `rdd` for checkpointing; `false` if it already was.
+    fn mark(&mut self, rdd: RddId) -> bool {
+        self.marked.insert(rdd)
+    }
+}
+
+impl Driver {
+    /// Number of queued (not yet written) checkpoint partitions.
+    fn pending_checkpoints(&self) -> usize {
+        self.ckpt_queue.jobs.len()
+            + self
+                .running
+                .iter()
+                .filter(|r| matches!(r.key, TaskKey::Ckpt(_)))
+                .count()
+    }
+
+    /// True when a queued checkpoint job needs no work: it is already in
+    /// flight or its object is already durable.
+    fn ckpt_satisfied(&self, job: CkptJob) -> bool {
+        if self.in_flight.contains(&TaskKey::Ckpt(job)) {
+            return true;
+        }
+        match job {
+            CkptJob::RddPart(rdd, part) => self.ckpt.has(rdd, part),
+            CkptJob::Shuffle(s, mp) => self.ckpt.has_shuffle(s, mp),
+        }
+    }
+
+    /// Runs every queued checkpoint write as one wave: the serialization
+    /// walks and any payload materialization run on the wave executor's
+    /// host threads, and admission stays in queue order on the driver
+    /// thread, like any other task.
+    pub(super) fn assign_checkpoint_jobs(&mut self) {
+        if self.ckpt_queue.jobs.is_empty() || self.cluster.alive_count() == 0 {
+            return; // keep the queue intact until workers exist
+        }
+        let jobs = self.ckpt_queue.take();
+        let mut todo = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            if !self.ckpt_satisfied(job) {
+                todo.push(TaskKey::Ckpt(job));
+            }
+        }
+        if todo.is_empty() {
+            return;
+        }
+        let outputs = self.compute_wave(&todo);
+        for (key, out) in todo.into_iter().zip(outputs) {
+            // A vanished payload (dead shuffle block, missing shuffle
+            // input) is dropped silently; the partition is replanned or
+            // moot.
+            let Some(out) = out else { continue };
+            if let (false, TaskKey::Ckpt(job)) = (self.admit(key, out), key) {
+                // Lost the worker between compute and admit: requeue.
+                self.ckpt_queue.push(job);
+            }
+        }
+    }
+
+    /// Commits a checkpoint write to the durable store. Partition sizes
+    /// are recorded, but no materialization hook fires: the write
+    /// produced no new partition.
+    pub(super) fn commit_checkpoint(&mut self, job: CkptJob, r: Running, now: SimTime) {
+        for (rdd, part, bytes) in r.touched {
+            self.ctx
+                .lineage_mut()
+                .record_partition_size(rdd, part, bytes);
+        }
+        let (block, fault) = match job {
+            CkptJob::RddPart(rdd, part) => {
+                let n = self.ctx.lineage().meta(rdd).num_partitions;
+                let fault = self.ckpt.put(rdd, part, n, r.data, r.vbytes, now);
+                (BlockKey::RddPart { rdd, part }, fault)
+            }
+            CkptJob::Shuffle(shuffle, map_part) => {
+                let fault = self
+                    .ckpt
+                    .put_shuffle(shuffle, map_part, r.data, r.vbytes, now);
+                (BlockKey::ShuffleMap { shuffle, map_part }, fault)
+            }
+        };
+        // A torn write "succeeded" from the client's view; the note
+        // records the planted corruption the restore-time integrity check
+        // will catch. A failed write left nothing durable, so neither the
+        // written event nor the checkpoint stats fire (keeping the trace
+        // aggregate consistent with `RunStats`).
+        self.note_write_fault(fault, ["ckpt_write_fail", "ckpt_torn"], block, now);
+        if fault == WriteFault::Fail {
+            return;
+        }
+        self.stats.checkpoint_time += r.duration;
+        self.stats.checkpoints_written += 1;
+        self.stats.checkpoint_bytes += r.vbytes;
+        self.stats.checkpoint_wire_bytes += r.wire;
+        self.trace.emit_with(now, || EventKind::CheckpointWritten {
+            block: block.to_string(),
+            vbytes: r.vbytes,
+            wire_bytes: r.wire,
+            millis: r.duration.as_millis(),
+        });
+        if let CkptJob::RddPart(rdd, part) = job {
+            self.hooks
+                .on_checkpoint_written(rdd, part, r.vbytes, r.duration, now);
+            if self.ckpt.is_fully_checkpointed(rdd) {
+                // Paper §4: checkpointing an RDD terminates its lineage;
+                // ancestors' checkpoints become garbage.
+                let deleted = self.ckpt.gc(self.ctx.lineage(), now);
+                if deleted > 0 {
+                    self.trace.emit_with(now, || EventKind::CheckpointGc {
+                        rdd: u64::from(rdd.0),
+                        blocks: deleted as u64,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Traces a store write fault planted on `block`; `kinds` names the
+    /// failed and the torn note.
+    pub(super) fn note_write_fault(
+        &self,
+        fault: WriteFault,
+        kinds: [&str; 2],
+        block: BlockKey,
+        now: SimTime,
+    ) {
+        let kind = match fault {
+            WriteFault::Fail => kinds[0],
+            WriteFault::Torn => kinds[1],
+            WriteFault::None => return,
+        };
+        self.trace.emit_with(now, || EventKind::FaultInjected {
+            kind: kind.to_string(),
+            target: block.to_string(),
+        });
+    }
+
+    /// The read-only view the policy hooks decide on, beside the hooks
+    /// themselves and the trace they narrate into.
+    fn policy(&mut self) -> (LineageView<'_>, &mut dyn CheckpointHooks, &mut TraceHandle) {
+        let view = LineageView {
+            lineage: self.ctx.lineage(),
+            checkpoints: &self.ckpt,
+            alive_workers: self.cluster.alive_count(),
+            cost: &self.config.cost,
+        };
+        (view, self.hooks.as_mut(), &mut self.trace)
+    }
+
+    /// Fires the materialization hook for `rdd` the first time it becomes
+    /// fully materialized.
+    pub(super) fn fire_materialized(&mut self, rdd: RddId, now: SimTime) {
+        if self.fired_materialized.contains(&rdd) || !self.ctx.lineage().is_fully_materialized(rdd)
+        {
+            return;
+        }
+        self.fired_materialized.insert(rdd);
+        let (view, hooks, trace) = self.policy();
+        let directives = hooks.on_rdd_materialized(&view, trace, rdd, now);
+        self.apply_directives(directives);
+    }
+
+    pub(super) fn poll_hooks(&mut self) {
+        let now = self.clock.now();
+        let (view, hooks, trace) = self.policy();
+        let directives = hooks.poll(&view, trace, now);
+        self.apply_directives(directives);
+    }
+
+    pub(super) fn apply_directives(&mut self, directives: Vec<CheckpointDirective>) {
+        for d in directives {
+            match d {
+                CheckpointDirective::Checkpoint(rdd) => {
+                    if !self.ctx.lineage().contains(rdd) {
+                        continue;
+                    }
+                    if !self.ckpt_queue.mark(rdd) {
+                        continue;
+                    }
+                    let n = self.ctx.lineage().meta(rdd).num_partitions;
+                    let mut enqueued = 0u64;
+                    for part in 0..n {
+                        if !self.ckpt.has(rdd, part)
+                            && self.ckpt_queue.push(CkptJob::RddPart(rdd, part))
+                        {
+                            enqueued += 1;
+                        }
+                    }
+                    if self.trace.is_enabled() {
+                        let now = self.clock.now();
+                        let (view, _, trace) = self.policy();
+                        let delta_ms = view.checkpoint_delta(rdd).as_millis();
+                        trace.emit(
+                            now,
+                            EventKind::CheckpointScheduled {
+                                rdd: u64::from(rdd.0),
+                                parts: enqueued,
+                                delta_ms,
+                            },
+                        );
+                    }
+                }
+                CheckpointDirective::CheckpointAllCached => {
+                    let snap = self.cluster.snapshot();
+                    for (_, key, _) in snap.blocks {
+                        let job = match key {
+                            BlockKey::RddPart { rdd, part } => {
+                                if self.ckpt.has(rdd, part) {
+                                    continue;
+                                }
+                                CkptJob::RddPart(rdd, part)
+                            }
+                            BlockKey::ShuffleMap { shuffle, map_part } => {
+                                if self.ckpt.has_shuffle(shuffle, map_part) {
+                                    continue;
+                                }
+                                CkptJob::Shuffle(shuffle, map_part)
+                            }
+                        };
+                        self.ckpt_queue.push(job);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drains the checkpoint queue to completion (used by explicit
+    /// `checkpoint_now`).
+    pub(super) fn drain_checkpoints(&mut self) -> Result<()> {
+        let mut iterations = 0u64;
+        while self.pending_checkpoints() > 0 {
+            iterations += 1;
+            if iterations > MAX_ITERATIONS {
+                return Err(EngineError::JobBudgetExhausted {
+                    phase: "drain-checkpoints",
+                    iterations,
+                });
+            }
+            self.take_interrupt()?;
+            self.assign_checkpoint_jobs();
+            let Some(tt) = self.running.iter().map(|r| r.finish).min() else {
+                // Nothing running and nothing assignable: need workers.
+                match self.injector.next_event_after(self.clock.now()) {
+                    Some(ti) => {
+                        self.stall_until(ti);
+                        continue;
+                    }
+                    None => return Err(EngineError::NoWorkers),
+                }
+            };
+            self.advance_and_commit(tt);
+        }
+        Ok(())
+    }
+}

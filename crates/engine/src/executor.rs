@@ -46,7 +46,7 @@ use crate::column::{
     ColumnCounters, OpKernel,
 };
 use crate::cost::CostModel;
-use crate::driver::{CkptJob, MissingShuffle, TaskKey};
+use crate::driver::{CkptJob, TaskKey};
 use crate::lineage::Lineage;
 use crate::rdd::{PartitionData, RddId, RddOp};
 use crate::shuffle::{
@@ -54,6 +54,12 @@ use crate::shuffle::{
     ShuffleKind,
 };
 use crate::value::Value;
+
+/// Internal materialization failure: a required shuffle input vanished
+/// between planning and execution (cannot normally happen; handled by
+/// replanning).
+#[derive(Debug)]
+pub(crate) struct MissingShuffle;
 
 /// Immutable snapshot of everything a wave's tasks may read.
 ///

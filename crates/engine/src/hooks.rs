@@ -8,7 +8,6 @@
 //! `τ = √(2·δ·MTTF)`; baselines implement no-op or whole-memory variants.
 
 use flint_simtime::{SimDuration, SimTime};
-use flint_store::StorageConfig;
 use flint_trace::EventSink;
 
 use crate::{CheckpointStore, CostModel, Lineage, RddId};
@@ -23,8 +22,6 @@ pub struct LineageView<'a> {
     pub alive_workers: usize,
     /// The cost model (for virtual sizing).
     pub cost: &'a CostModel,
-    /// The storage bandwidth model (for δ estimation).
-    pub storage: &'a StorageConfig,
 }
 
 impl LineageView<'_> {
@@ -36,7 +33,8 @@ impl LineageView<'_> {
     /// Estimated time δ to checkpoint `rdd` with the cluster's current
     /// write parallelism.
     pub(crate) fn checkpoint_delta(&self, rdd: RddId) -> SimDuration {
-        self.storage
+        self.checkpoints
+            .config()
             .write_time(self.rdd_vbytes(rdd), self.alive_workers.max(1) as u32)
     }
 
@@ -50,7 +48,8 @@ impl LineageView<'_> {
             .iter()
             .map(|r| self.rdd_vbytes(*r))
             .sum();
-        self.storage
+        self.checkpoints
+            .config()
             .write_time(bytes, self.alive_workers.max(1) as u32)
     }
 }
@@ -107,12 +106,6 @@ pub trait CheckpointHooks {
         _now: SimTime,
     ) {
     }
-
-    /// Called when a revocation warning arrives for a worker.
-    fn on_warning(&mut self, _ext_id: u64, _now: SimTime) {}
-
-    /// Called when a worker is revoked.
-    fn on_revocation(&mut self, _ext_id: u64, _now: SimTime) {}
 }
 
 /// The null policy: never checkpoints (the paper's "Recomputation"
@@ -126,6 +119,7 @@ impl CheckpointHooks for NoCheckpoint {}
 mod tests {
     use super::*;
     use crate::rdd::RddOp;
+    use flint_store::StorageConfig;
     use std::sync::Arc;
 
     #[test]
@@ -143,13 +137,11 @@ mod tests {
         lineage.record_partition_size(a, 1, 50 << 20);
         let ckpt = CheckpointStore::new(StorageConfig::default());
         let cost = CostModel::default();
-        let storage = StorageConfig::default();
         let view = LineageView {
             lineage: &lineage,
             checkpoints: &ckpt,
             alive_workers: 10,
             cost: &cost,
-            storage: &storage,
         };
         assert_eq!(view.rdd_vbytes(a), 100 << 20);
         let d10 = view.checkpoint_delta(a);
@@ -166,13 +158,11 @@ mod tests {
         let lineage = Lineage::new();
         let ckpt = CheckpointStore::new(StorageConfig::default());
         let cost = CostModel::default();
-        let storage = StorageConfig::default();
         let view = LineageView {
             lineage: &lineage,
             checkpoints: &ckpt,
             alive_workers: 1,
             cost: &cost,
-            storage: &storage,
         };
         let mut h = NoCheckpoint;
         let mut sink = flint_trace::TraceHandle::disabled();

@@ -48,6 +48,7 @@ mod chaos;
 mod checkpoint;
 mod cluster;
 mod column;
+mod config;
 mod context;
 mod cost;
 mod dataset;
@@ -64,10 +65,7 @@ mod shuffle;
 mod stats;
 mod value;
 
-pub use backend::{
-    Backend, BackendKind, InvocationBill, InvocationStart, ServerlessBackend, ServerlessConfig,
-    ShuffleTransport, TransientVmBackend,
-};
+pub use backend::{ServerlessBackend, ServerlessConfig};
 pub use block::{
     BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot, InsertOutcome, Records,
 };
@@ -80,10 +78,11 @@ pub use column::{
     AggField, AggKernel, Column, ColumnBatch, ColumnStats, KeyExpr, MapKernel, NumExpr,
     PayloadExpr, PredKernel, ScalarExpr,
 };
+pub use config::{DriverConfig, DriverConfigBuilder, RetryPolicy};
 pub use context::EngineContext;
 pub use cost::CostModel;
 pub use dataset::{Dataset, Datum};
-pub use driver::{Driver, DriverConfig, DriverConfigBuilder, RetryPolicy};
+pub use driver::Driver;
 pub use error::{EngineError, Result};
 pub use hooks::{CheckpointDirective, CheckpointHooks, LineageView, NoCheckpoint};
 pub use injector::{FailureInjector, NoFailures, ScriptedInjector, WorkerEvent};

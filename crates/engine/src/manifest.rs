@@ -14,14 +14,24 @@
 //! Serialization is a hand-rolled line format: a tagged header line
 //! followed by `key=value` lines,
 //! stable across versions behind the leading version tag.
+//!
+//! [`ResumeState`] is the driver's crash-resume state: the frontier, an
+//! armed suspension, and a pending verification. Only its methods
+//! write it.
 
 use std::fmt;
+
+use flint_simtime::SimTime;
+use flint_trace::{EventKind, TraceHandle};
+
+use crate::checkpoint::CheckpointStore;
+use crate::config::DriverConfig;
+use crate::error::EngineError;
+use crate::stats::RunStats;
 
 /// A persisted snapshot of run progress at a wave-commit boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunManifest {
-    /// Format version (currently 1).
-    pub(crate) version: u32,
     /// Session tag; the manifest lives at `manifest/<session>` in the
     /// durable store.
     pub(crate) session: String,
@@ -156,7 +166,6 @@ impl RunManifest {
             }
         }
         Ok(RunManifest {
-            version: 1,
             session: session.ok_or(ManifestError::BadField("session"))?,
             config_fp: config_fp.ok_or(ManifestError::BadField("config_fp"))?,
             frontier: frontier.ok_or(ManifestError::BadField("frontier"))?,
@@ -170,6 +179,157 @@ impl RunManifest {
     }
 }
 
+/// The crash-resume state of one driver.
+#[derive(Debug, Default)]
+pub(crate) struct ResumeState {
+    /// Committed-wave frontier: advances that committed a task.
+    waves_committed: u64,
+    /// Session tag of the manifest resumed from; `None` is `run`.
+    session: Option<String>,
+    /// A suspension is armed and fires at the next loop boundary.
+    pending_suspend: bool,
+    /// Manifest a resume replay must cross and verify against.
+    check: Option<RunManifest>,
+    /// A diverged replay's error, surfaced at the next loop boundary.
+    failed: Option<EngineError>,
+}
+
+impl ResumeState {
+    pub(crate) fn waves_committed(&self) -> u64 {
+        self.waves_committed
+    }
+
+    /// Arms a resume replay against `manifest` ([`crate::Driver::resume`]).
+    pub(crate) fn resume(
+        &mut self,
+        manifest: &RunManifest,
+        config: &DriverConfig,
+        now: SimTime,
+        trace: &TraceHandle,
+    ) -> crate::Result<()> {
+        let fp = config.fingerprint();
+        if manifest.config_fp != fp {
+            return Err(EngineError::ResumeDiverged {
+                field: "config_fp",
+                expected: manifest.config_fp,
+                actual: fp,
+            });
+        }
+        self.session = Some(manifest.session.clone());
+        if manifest.frontier > 0 {
+            self.check = Some(manifest.clone());
+        } else {
+            // Crashed before any wave committed: nothing to verify.
+            trace.emit_with(now, || EventKind::RunResumed {
+                manifest: manifest.store_key(),
+                frontier: 0,
+            });
+        }
+        Ok(())
+    }
+
+    /// Snapshots the run state: what a suspension persists, and what a
+    /// resume replay is checked against at its frontier.
+    fn build_manifest(
+        &self,
+        config: &DriverConfig,
+        now: SimTime,
+        stats: &RunStats,
+        ckpt: &CheckpointStore,
+    ) -> RunManifest {
+        let keys = ckpt.store().keys_with_prefix("").into_iter();
+        let blocks = keys.filter(|k| !k.starts_with("manifest/"));
+        RunManifest {
+            session: self.session.clone().unwrap_or_else(|| "run".to_string()),
+            config_fp: config.fingerprint(),
+            frontier: self.waves_committed,
+            now_ms: now.as_millis(),
+            tasks_run: stats.tasks_run,
+            revocations: stats.revocations,
+            checkpoints_written: stats.checkpoints_written,
+            blocks: blocks.map(str::to_string).collect(),
+        }
+    }
+
+    /// Counts one committed wave: arms the suspension at
+    /// `config.suspend_after_waves`, and verifies a resume replay the
+    /// moment its frontier reaches the manifest's (exact match or diverged).
+    pub(crate) fn wave_committed(
+        &mut self,
+        config: &DriverConfig,
+        now: SimTime,
+        stats: &RunStats,
+        ckpt: &CheckpointStore,
+        trace: &TraceHandle,
+    ) {
+        self.waves_committed += 1;
+        if config.suspend_after_waves == Some(self.waves_committed) {
+            self.pending_suspend = true;
+        }
+        match &self.check {
+            Some(m) if self.waves_committed >= m.frontier => {}
+            _ => return,
+        }
+        let m = self.check.take().expect("matched above");
+        let replay = self.build_manifest(config, now, stats, ckpt);
+        if let Some((field, expected, actual)) = m.diverges_from(&replay) {
+            self.failed = Some(EngineError::ResumeDiverged {
+                field,
+                expected,
+                actual,
+            });
+            return;
+        }
+        trace.emit_with(now, || EventKind::RunResumed {
+            manifest: m.store_key(),
+            frontier: m.frontier,
+        });
+    }
+
+    /// The interruption pending at a loop boundary, as an error: a failed
+    /// verification, or an armed suspension, which persists the manifest.
+    pub(crate) fn take_interrupt(
+        &mut self,
+        config: &DriverConfig,
+        now: SimTime,
+        stats: &RunStats,
+        ckpt: &mut CheckpointStore,
+        trace: &TraceHandle,
+    ) -> crate::Result<()> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        if !std::mem::take(&mut self.pending_suspend) {
+            return Ok(());
+        }
+        let m = self.build_manifest(config, now, stats, ckpt);
+        let key = m.store_key();
+        let frontier = m.frontier;
+        ckpt.put_manifest(&key, &m.encode(), now);
+        trace.emit_with(now, || EventKind::RunSuspended {
+            manifest: key.clone(),
+            frontier,
+        });
+        Err(EngineError::Suspended {
+            manifest: key,
+            frontier,
+        })
+    }
+
+    /// `Ok` unless a resume replay is still short of its manifest's
+    /// frontier ([`crate::Driver::resume_verified`]).
+    pub(crate) fn verified(&self) -> crate::Result<()> {
+        match &self.check {
+            Some(m) => Err(EngineError::ResumeDiverged {
+                field: "frontier",
+                expected: m.frontier,
+                actual: self.waves_committed,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +338,6 @@ mod tests {
 
     fn sample() -> RunManifest {
         RunManifest {
-            version: 1,
             session: "seed-42".into(),
             config_fp: 0xdead_beef_cafe_f00d,
             frontier: 12,
@@ -268,7 +427,6 @@ mod tests {
             vec("[a-z0-9/_-]{1,24}", 0..4),
         )
             .prop_map(|(session, n, blocks)| RunManifest {
-                version: 1,
                 session,
                 config_fp: n[0],
                 frontier: n[1],

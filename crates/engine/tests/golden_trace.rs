@@ -14,8 +14,7 @@ use flint_engine::{
     AggField, AggKernel, ChaosConfig, ChaosInjector, ChaosSchedule, CheckpointDirective,
     CheckpointHooks, Driver, DriverConfig, EventSink, FailureInjector, KeyExpr, LineageView,
     MapKernel, NoCheckpoint, NoFailures, NumExpr, PayloadExpr, PredKernel, RddId, RunStats,
-    ScalarExpr, ScriptedInjector, StoreFaultPolicy, TraceHandle, TransientVmBackend, Value,
-    WorkerEvent, WorkerSpec,
+    ScalarExpr, ScriptedInjector, StoreFaultPolicy, TraceHandle, Value, WorkerEvent, WorkerSpec,
 };
 use flint_simtime::SimTime;
 use flint_trace::{Event, MetricsAggregator};
@@ -231,19 +230,6 @@ fn run_iterative_with(
     injector: Box<dyn FailureInjector>,
     store_faults: Option<Box<dyn StoreFaultPolicy>>,
 ) -> (String, RunStats) {
-    run_iterative_configured(host_threads, injector, store_faults, |_| {})
-}
-
-/// The fully general form: an arbitrary injector, an optional store-fault
-/// policy, and a `configure` hook that runs on the driver before any
-/// workers join — the seam the backend-abstraction gate uses to install
-/// an explicit [`TransientVmBackend`] and prove it is a perfect no-op.
-fn run_iterative_configured(
-    host_threads: usize,
-    injector: Box<dyn FailureInjector>,
-    store_faults: Option<Box<dyn StoreFaultPolicy>>,
-    configure: impl FnOnce(&mut Driver),
-) -> (String, RunStats) {
     let cfg = DriverConfig::builder()
         .host_threads(host_threads)
         .size_scale(5e5)
@@ -256,7 +242,6 @@ fn run_iterative_configured(
     if let Some(policy) = store_faults {
         d.checkpoints_mut().set_fault_policy(policy);
     }
-    configure(&mut d);
     let trace = TraceHandle::disabled();
     let reader = trace.attach_memory(0);
     d.set_trace(trace);
@@ -441,55 +426,6 @@ fn unselected_hazard_model_leaves_golden_trace_untouched() {
             fnv1a(jsonl.as_bytes()),
             GOLDEN_ITERATIVE_TRACE_FNV,
             "host_threads={threads}: unselected hazard moved the pinned stream"
-        );
-        assert_eq!(jsonl, golden);
-    }
-}
-
-/// The backend seam must also be invisible when the default backend is
-/// installed *explicitly*: `set_backend(TransientVmBackend)` routes every
-/// admission and commit through the hook dispatch path, yet the iterative
-/// workload's stream stays byte-identical to the pinned pre-refactor
-/// capture at every `host_threads` setting. This is the guarantee that
-/// the `Backend` trait carve-out is a pure refactor for VM clusters.
-#[test]
-fn explicit_vm_backend_leaves_golden_trace_untouched() {
-    let scripted = || {
-        ScriptedInjector::new(vec![
-            (
-                SimTime::from_millis(120_000),
-                WorkerEvent::Remove { ext_id: 1 },
-            ),
-            (
-                SimTime::from_millis(260_000),
-                WorkerEvent::Add {
-                    ext_id: 50,
-                    spec: WorkerSpec::r3_large(),
-                },
-            ),
-        ])
-    };
-    let (golden, stats) = run_iterative_cached(1);
-    assert_eq!(
-        fnv1a(golden.as_bytes()),
-        GOLDEN_ITERATIVE_TRACE_FNV,
-        "default-backend stream moved before the explicit install was involved"
-    );
-    for threads in [1usize, 2, 8] {
-        let (jsonl, vm_stats) =
-            run_iterative_configured(threads, Box::new(scripted()), None, |d| {
-                d.set_backend(Box::new(TransientVmBackend));
-                assert_eq!(d.backend().compute_cost(), 0.0);
-                assert_eq!(d.backend().invocations(), 0);
-            });
-        assert_eq!(
-            vm_stats, stats,
-            "host_threads={threads}: explicit VM backend perturbed the stats"
-        );
-        assert_eq!(
-            fnv1a(jsonl.as_bytes()),
-            GOLDEN_ITERATIVE_TRACE_FNV,
-            "host_threads={threads}: explicit VM backend moved the pinned stream"
         );
         assert_eq!(jsonl, golden);
     }

@@ -82,7 +82,7 @@ fn run_serverless(
     d.set_trace(trace);
     let scfg = ServerlessConfig::default();
     let mem_gb = scfg.memory_gb;
-    d.set_backend(Box::new(ServerlessBackend::new(scfg, backend_seed)));
+    d.set_serverless(ServerlessBackend::new(scfg, backend_seed));
     for ext in 1..=8u64 {
         d.add_worker_with_ext(ext, WorkerSpec::serverless_slot(mem_gb));
     }
@@ -107,6 +107,7 @@ fn run_serverless(
             _ => {}
         }
     }
+    let backend = d.serverless().expect("installed above");
     ServerlessRun {
         jsonl: reader.to_jsonl(),
         output,
@@ -115,11 +116,11 @@ fn run_serverless(
         billed_events,
         started_events,
         externalized,
-        compute_cost: d.backend().compute_cost(),
-        backend_gb_seconds: d.backend().billed_gb_seconds(),
-        invocations: d.backend().invocations(),
-        invocations_billed: d.backend().invocations_billed(),
-        cold_starts: d.backend().cold_starts(),
+        compute_cost: backend.compute_cost(),
+        backend_gb_seconds: backend.billed_gb_seconds(),
+        invocations: backend.invocations(),
+        invocations_billed: backend.invocations_billed(),
+        cold_starts: backend.cold_starts(),
     }
 }
 

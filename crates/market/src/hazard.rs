@@ -47,28 +47,6 @@ pub trait HazardModel: Send + Sync + std::fmt::Debug {
 
     /// Draws one lifetime from the distribution.
     fn sample_lifetime(&self, rng: &mut StdRng) -> SimDuration;
-
-    /// The hard lifetime cap, if the distribution has one.
-    ///
-    /// `None` means lifetimes are unbounded (exponential).
-    fn lifetime_cap(&self) -> Option<SimDuration> {
-        None
-    }
-
-    /// Optimal checkpoint interval at instance age `age`: Daly's
-    /// `τ = √(2·δ·MTTF)` with the age-conditioned MTTF.
-    ///
-    /// Mirrors `flint_core::optimal_tau` exactly (same clamps, same
-    /// arithmetic); the conformance suite pins the two bit-for-bit for
-    /// the exponential model.
-    fn optimal_tau(&self, delta: SimDuration, age: SimDuration) -> SimDuration {
-        let mttf = self.mean_residual(age);
-        if mttf == SimDuration::MAX {
-            return SimDuration::MAX;
-        }
-        let secs = (2.0 * delta.as_secs_f64() * mttf.as_secs_f64()).sqrt();
-        SimDuration::from_secs_f64(secs).max(SimDuration::from_secs(1))
-    }
 }
 
 /// Memoryless exponential lifetimes — the paper's revocation model.
@@ -201,10 +179,6 @@ impl HazardModel for CappedLifetimeHazard {
             self.cap
         }
     }
-
-    fn lifetime_cap(&self) -> Option<SimDuration> {
-        Some(self.cap)
-    }
 }
 
 /// Serializable choice of hazard model, threaded through
@@ -336,9 +310,7 @@ mod tests {
         assert!(!spec.is_memoryless());
         let model = spec.build(SimDuration::from_hours(8));
         assert_eq!(model.name(), "capped-lifetime");
-        assert_eq!(model.lifetime_cap(), Some(SimDuration::from_hours(24)));
         let exp = HazardSpec::Exponential.build(SimDuration::from_hours(8));
         assert_eq!(exp.name(), "exponential");
-        assert_eq!(exp.lifetime_cap(), None);
     }
 }

@@ -191,7 +191,7 @@ pub struct MetricsAggregator {
     pub(crate) runs_resumed: u64,
 
     // ── backend lifecycle / serverless billing ─────────────────────
-    /// Backend kind announced at launch (`BackendSelected`), if any.
+    /// The execution backend announced at launch (`BackendSelected`), if any.
     pub backend: Option<String>,
     /// Function slots / workers announced at launch.
     pub backend_workers: u64,

@@ -670,19 +670,9 @@ fn cmd_run_degraded(
     let started = cluster.driver().now();
     match wl.run(cluster.driver_mut()) {
         Ok(summary) => {
-            // The driver verifies a replay when it crosses the manifest's
-            // frontier; a run that ends short of it verified nothing.
-            if let Some((_, frontier)) = resumed_from {
-                let reached = cluster.driver().waves_committed();
-                if reached < frontier {
-                    let e = EngineError::ResumeDiverged {
-                        field: "frontier",
-                        expected: frontier,
-                        actual: reached,
-                    };
-                    eprintln!("run: resume rejected: {e}");
-                    return ExitCode::from(EXIT_TYPED);
-                }
+            if let Err(e) = cluster.driver().resume_verified() {
+                eprintln!("run: resume rejected: {e}");
+                return ExitCode::from(EXIT_TYPED);
             }
             let runtime_secs = (cluster.driver().now() - started).as_secs_f64();
             let stats = cluster.driver().stats().clone();
@@ -1296,6 +1286,7 @@ fn cmd_chaos(f: &Flags) -> ExitCode {
                             }
                             let res = wl
                                 .run(&mut b)
+                                .and_then(|s| b.resume_verified().map(|()| s))
                                 .map(|s| (s, b.stats().clone(), b.now().since_epoch()))
                                 .map_err(|e| format!("{e}"));
                             tb.flush();

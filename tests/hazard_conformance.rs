@@ -1,9 +1,7 @@
 //! Statistical conformance of the hazard models: sampled lifetimes must
-//! match their closed-form survival functions, the exponential model
-//! must reproduce the Daly τ formula bit-for-bit, and both samplers must
+//! match their closed-form survival functions, and both samplers must
 //! stay draw-for-draw identical to the inline code they replaced.
 
-use flint::core::optimal_tau;
 use flint::market::{CappedLifetimeHazard, ExponentialHazard, HazardModel, HazardSpec};
 use flint::simtime::rng::stream;
 use flint::simtime::SimDuration;
@@ -72,34 +70,6 @@ fn capped_samples_match_closed_form_survival() {
     assert!(
         (mean - expect_mean).abs() < 0.25,
         "mean {mean:.3}h vs closed-form {expect_mean:.3}h"
-    );
-}
-
-/// The exponential hazard's τ must reproduce `flint_core::optimal_tau`
-/// bit-for-bit at every age (memorylessness makes age irrelevant),
-/// including the `MAX` (no-failures) fixed point.
-#[test]
-fn exponential_tau_is_bit_identical_to_daly() {
-    for mttf_h in [1u64, 3, 5, 10, 24, 100, 1000] {
-        let mttf = SimDuration::from_hours(mttf_h);
-        let hazard = ExponentialHazard::new(mttf);
-        for delta_s in [1u64, 30, 60, 120, 600] {
-            let delta = SimDuration::from_secs(delta_s);
-            let expect = optimal_tau(delta, mttf);
-            for age_h in [0u64, 1, 7, 50] {
-                let age = SimDuration::from_hours(age_h);
-                assert_eq!(
-                    hazard.optimal_tau(delta, age),
-                    expect,
-                    "mttf {mttf_h}h delta {delta_s}s age {age_h}h"
-                );
-            }
-        }
-    }
-    let never = ExponentialHazard::new(SimDuration::MAX);
-    assert_eq!(
-        never.optimal_tau(SimDuration::from_secs(60), SimDuration::ZERO),
-        SimDuration::MAX
     );
 }
 
@@ -175,7 +145,6 @@ fn spec_builds_the_right_models() {
     assert_eq!(exp.name(), "exponential");
     assert!(HazardSpec::Exponential.is_memoryless());
     assert_eq!(exp.mean_lifetime(), mttf);
-    assert_eq!(exp.lifetime_cap(), None);
 
     let spec = HazardSpec::CappedLifetime {
         early_prob: 0.4,
@@ -184,5 +153,4 @@ fn spec_builds_the_right_models() {
     let capped = spec.build(mttf);
     assert_eq!(capped.name(), "capped-lifetime");
     assert!(!spec.is_memoryless());
-    assert_eq!(capped.lifetime_cap(), Some(SimDuration::from_hours(12)));
 }
