@@ -9,7 +9,8 @@
 //! Vector 24+8·len, List 24+Σ) so virtual-byte accounting is identical
 //! in either representation.
 //!
-//! Kernels ([`MapKernel`], [`PredKernel`], [`AggKernel`]) are small
+//! Kernels ([`MapKernel`], [`PredKernel`], [`AggKernel`],
+//! [`FlatMapKernel`]) are small
 //! declarative expression trees with *two* evaluators: a per-record one
 //! (the row closures the engine context generates from them) and a
 //! batch one operating on columns. Because the row closure is derived
@@ -38,7 +39,7 @@ use crate::value::{
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnStats {
     /// Kernel-declared op materializations (one partition of a `*_kernel`
-    /// map, filter, map-partitions, or either side of a keyed
+    /// map, filter, map-partitions, flat-map, or either side of a keyed
     /// aggregation) that ran their batch arm.
     pub kernel_batches: u64,
     /// Kernel-declared op materializations that ran their row closure
@@ -896,6 +897,75 @@ impl MapKernel {
     }
 }
 
+/// A declarative element-to-many transformation whose batch evaluator
+/// builds its output columns straight from row input: the ops it serves
+/// read nested records (a cogroup's per-side lists) that have no
+/// columnar layout, so only the output can be a batch.
+#[derive(Debug, Clone)]
+pub enum FlatMapKernel {
+    /// PageRank's contributions. A cogroup record `(k, [[adj, ..], [x,
+    /// ..], ..])` emits `(d, x / max(|adj|, 1))` for each `d` in the list
+    /// `adj`, where `x` is widened to `f64` (`0.0` when side 1 is empty
+    /// or `x` is not a number). Any other shape emits nothing.
+    ShareOverFirstList,
+}
+
+/// The destinations and per-destination share of a
+/// [`FlatMapKernel::ShareOverFirstList`] record, or `None` for a record
+/// that emits nothing.
+fn share_over_first_list(v: &Value) -> Option<(&[Value], f64)> {
+    let [adj, rankside, ..] = v.val()?.as_list()? else {
+        return None;
+    };
+    let (adj, rankside) = (adj.as_list()?, rankside.as_list()?);
+    let dsts = adj.first()?.as_list()?;
+    let rank = rankside.first().and_then(Value::as_f64).unwrap_or(0.0);
+    Some((dsts, rank / dsts.len().max(1) as f64))
+}
+
+impl FlatMapKernel {
+    /// Per-record evaluation (the row-path reference semantics).
+    pub fn eval_value(&self, v: &Value) -> Vec<Value> {
+        match self {
+            FlatMapKernel::ShareOverFirstList => {
+                share_over_first_list(v).map_or_else(Vec::new, |(dsts, share)| {
+                    dsts.iter()
+                        .map(|d| Value::pair(d.clone(), Value::Float(share)))
+                        .collect()
+                })
+            }
+        }
+    }
+
+    /// The whole partition's output as one `Pair { key: Int, val:
+    /// Scalar(Float) }` batch, records in the order `eval_value` emits
+    /// them over `rows`; an empty partition is an empty batch. `None`
+    /// as soon as an emitted key is not an `Int` (the caller runs the
+    /// row closure instead).
+    pub fn eval_rows(&self, rows: &[Value]) -> Option<ColumnBatch> {
+        match self {
+            FlatMapKernel::ShareOverFirstList => {
+                let records = rows.iter().filter_map(share_over_first_list);
+                let n = records.clone().map(|(dsts, _)| dsts.len()).sum();
+                let (mut keys, mut shares) = (Vec::with_capacity(n), Vec::with_capacity(n));
+                for (dsts, share) in records {
+                    for d in dsts {
+                        let Value::Int(k) = d else {
+                            return None;
+                        };
+                        keys.push(*k);
+                        shares.push(share);
+                    }
+                }
+                Some(ColumnBatch::Pair {
+                    key: Column::Int(keys),
+                    val: Box::new(ColumnBatch::Scalar(Column::Float(shares))),
+                })
+            }
+        }
+    }
+}
+
 /// Which scalar type an aggregated list slot holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggField {
@@ -1470,6 +1540,8 @@ pub(crate) enum OpKernel {
     Filter(PredKernel),
     /// A `RddOp::MapPartitions` kernel with filter-map semantics.
     PartsFilterMap(MapKernel),
+    /// A `RddOp::FlatMap` kernel.
+    FlatMap(FlatMapKernel),
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::column::{AggKernel, MapKernel, OpKernel, PredKernel};
+use crate::column::{AggKernel, FlatMapKernel, MapKernel, OpKernel, PredKernel};
 use crate::lineage::Lineage;
 use crate::rdd::{RddId, RddOp, RddRef};
 use crate::shuffle::ShuffleKind;
@@ -184,6 +184,26 @@ impl EngineContext {
             n,
         );
         self.lineage.set_kernel(id, OpKernel::Filter(pred));
+        RddRef { id }
+    }
+
+    /// Element-to-many transformation declared as a [`FlatMapKernel`]:
+    /// the row closure is generated from the kernel, and the executor may
+    /// build the whole partition's output as one batch instead (see
+    /// [`EngineContext::map_kernel`] for the contract). The batch arm
+    /// reads rows, so it runs whatever form the parent arrived in.
+    pub fn flat_map_kernel(&mut self, r: RddRef, kernel: FlatMapKernel) -> RddRef {
+        let n = self.lineage.meta(r.id).num_partitions;
+        let k = kernel.clone();
+        let id = self.lineage.add_rdd(
+            "flat_map",
+            RddOp::FlatMap {
+                f: Arc::new(move |v| k.eval_value(v)),
+            },
+            vec![r.id],
+            n,
+        );
+        self.lineage.set_kernel(id, OpKernel::FlatMap(kernel));
         RddRef { id }
     }
 

@@ -292,6 +292,8 @@ impl Driver {
             };
             self.advance_and_commit(tt);
         }
-        Ok(())
+        // The last committed wave may have armed a suspension or flagged
+        // a resume divergence: fire it here, not at the next action.
+        self.take_interrupt()
     }
 }

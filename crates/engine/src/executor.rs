@@ -600,13 +600,14 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             RddOp::FlatMap { f } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
                 let rows = pd.rows(self.ctx.column);
-                let mut out: Vec<Value> = Vec::with_capacity(rows.len());
-                out.extend(rows.iter().flat_map(|v| f(v)));
-                (
-                    Records::Rows(Arc::new(out)),
-                    self.ctx.cost.compute_time(vb, factor),
-                    pdur,
-                )
+                let out = if let Some(b) = self.flat_map_batch(rdd, &rows) {
+                    b
+                } else {
+                    let mut out: Vec<Value> = Vec::with_capacity(rows.len());
+                    out.extend(rows.iter().flat_map(|v| f(v)));
+                    Records::Rows(Arc::new(out))
+                };
+                (out, self.ctx.cost.compute_time(vb, factor), pdur)
             }
             RddOp::MapPartitions { f, .. } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
@@ -733,9 +734,28 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         let out = pd.batch().and_then(|b| match kernel {
             OpKernel::Map(k) | OpKernel::PartsFilterMap(k) => k.eval_batch(b),
             OpKernel::Filter(k) => k.filter_batch(b).map(Arc::new),
+            // Registered only on `FlatMap` ops, which run `flat_map_batch`.
+            OpKernel::FlatMap(_) => None,
         });
         self.ctx.column.kernel_ran(out.is_some());
         out.map(Records::Col)
+    }
+
+    /// The batch arm of a kernel-declared `FlatMap`: the kernel builds
+    /// the partition's output batch straight from its input rows (a
+    /// cogroup reduce always emits rows), so no output row is made and
+    /// a kernel-declared shuffle downstream buckets the batch with no
+    /// encode. `None` → the op's own row closure.
+    fn flat_map_batch(&self, rdd: RddId, rows: &[Value]) -> Option<Records> {
+        if !self.ctx.columnar {
+            return None;
+        }
+        let Some(OpKernel::FlatMap(kernel)) = self.ctx.lineage.kernel(rdd) else {
+            return None;
+        };
+        let out = kernel.eval_rows(rows);
+        self.ctx.column.kernel_ran(out.is_some());
+        out.map(|b| Records::Col(Arc::new(b)))
     }
 
     /// Reduce side of `ShuffleAgg`: typed columnar aggregation when the
@@ -1032,22 +1052,25 @@ fn cogroup_radix(sides: &[Vec<Records>], column: &ColumnCounters) -> Option<Vec<
         }
     }
     radix_sort(&mut recs, |r| radix_key_i64(r.0));
+    let side_of = |r: &(i64, u32, u32)| chunks[r.1 as usize].0;
     let mut out = Vec::new();
-    let mut counts = vec![0usize; sides.len()];
     for run in recs.chunk_by(|a, b| a.0 == b.0) {
-        counts.fill(0);
-        for &(_, c, _) in run {
-            counts[chunks[c as usize].0] += 1;
-        }
-        let mut gs: Vec<Vec<Value>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
-        for &(_, c, i) in run {
-            let (side, chunk) = chunks[c as usize];
-            gs[side].push(match chunk {
+        // The sort is stable and `recs` was collected side-major, so each
+        // side's values are one contiguous sub-run, in side order.
+        let mut lists: Vec<Value> = Vec::with_capacity(sides.len());
+        for sub in run.chunk_by(|a, b| side_of(a) == side_of(b)) {
+            while lists.len() < side_of(&sub[0]) {
+                lists.push(Value::list(Vec::new()));
+            }
+            let mut vals = Vec::with_capacity(sub.len());
+            vals.extend(sub.iter().map(|&(_, c, i)| match chunks[c as usize].1 {
                 CoChunk::Rows(rows) => rows[i as usize].val().expect("a pair").clone(),
                 CoChunk::Col(val) => val.value_at(i as usize),
-            });
+            }));
+            lists.push(Value::list(vals));
         }
-        out.push(cogroup_pair(Value::Int(run[0].0), gs));
+        lists.resize_with(sides.len(), || Value::list(Vec::new()));
+        out.push(Value::pair(Value::Int(run[0].0), Value::list(lists)));
     }
     column.decoded(batch_rows);
     Some(out)

@@ -75,8 +75,8 @@ pub use checkpoint::{
 };
 pub use cluster::{Cluster, Worker, WorkerId, WorkerSpec};
 pub use column::{
-    AggField, AggKernel, Column, ColumnBatch, ColumnStats, KeyExpr, MapKernel, NumExpr,
-    PayloadExpr, PredKernel, ScalarExpr,
+    AggField, AggKernel, Column, ColumnBatch, ColumnStats, FlatMapKernel, KeyExpr, MapKernel,
+    NumExpr, PayloadExpr, PredKernel, ScalarExpr,
 };
 pub use config::{DriverConfig, DriverConfigBuilder, RetryPolicy};
 pub use context::EngineContext;

@@ -27,13 +27,14 @@
 use std::sync::Arc;
 
 use flint_engine::{
-    AggKernel, BucketedBlock, CheckpointStore, ColumnBatch, Driver, DriverConfig, KeyExpr,
-    MapKernel, NoCheckpoint, NoFailures, NumExpr, PayloadExpr, PredKernel, RddId, Records,
-    RunStats, ScalarExpr, ScriptedInjector, StoreFaultPolicy, TraceHandle, Value, WorkerEvent,
-    WorkerSpec, WriteFault,
+    AggKernel, BucketedBlock, CheckpointStore, ColumnBatch, ColumnStats, Driver, DriverConfig,
+    FlatMapKernel, KeyExpr, MapKernel, NoCheckpoint, NoFailures, NumExpr, PayloadExpr, PredKernel,
+    RddId, Records, RunStats, ScalarExpr, ScriptedInjector, StoreFaultPolicy, TraceHandle, Value,
+    WorkerEvent, WorkerSpec, WriteFault,
 };
 use flint_simtime::{SimDuration, SimTime};
 use flint_store::StorageConfig;
+use flint_trace::MemoryReader;
 use proptest::prelude::*;
 
 /// Records that have a columnar layout (scalars, fixed-schema lists,
@@ -198,8 +199,9 @@ fn poisoned(mut rows: Vec<Value>, poison: &Poison) -> Vec<Value> {
     rows
 }
 
-/// PageRank's shape: an opaque `flat_map` (rows out, whatever came in)
-/// ahead of a kernel-declared sum and a kernel-declared update of it.
+/// The shape PageRank had before `contribs` became a flat-map kernel: an
+/// opaque `flat_map` (rows out, whatever came in) ahead of a
+/// kernel-declared sum and a kernel-declared update of it.
 /// The closure drops key 11 — a partition can come out empty — and
 /// passes anything that is not a pair through.
 fn closure_agg(
@@ -286,17 +288,9 @@ fn arb_join_side() -> impl Strategy<Value = Vec<Value>> {
     )
 }
 
-/// `cogroup` and `join` of a `map_kernel`-keyed side (a batch under
-/// `columnar`) with a row-closure-keyed side (always rows), the worker on
-/// external id 1 revoked at `revoke_at` and replaced two minutes later:
-/// `((cogroup, join), stats, trace, finish time)`.
-fn keyed_join(
-    a: &[Value],
-    b: &[Value],
-    keys: JoinKeys,
-    columnar: bool,
-    revoke_at: SimTime,
-) -> ((Vec<Value>, Vec<Value>), RunStats, String, SimTime) {
+/// A traced four-worker driver whose worker on external id 1 is revoked
+/// at `revoke_at` and replaced two minutes later.
+fn revoked_driver(columnar: bool, revoke_at: SimTime) -> (Driver, MemoryReader) {
     let cfg = DriverConfig::builder()
         .host_threads(2)
         .size_scale(5e5)
@@ -323,7 +317,20 @@ fn keyed_join(
     let trace = TraceHandle::disabled();
     let reader = trace.attach_memory(0);
     d.set_trace(trace);
+    (d, reader)
+}
 
+/// `cogroup` and `join` of a `map_kernel`-keyed side (a batch under
+/// `columnar`) with a row-closure-keyed side (always rows) on a
+/// [`revoked_driver`]: `((cogroup, join), stats, trace, finish time)`.
+fn keyed_join(
+    a: &[Value],
+    b: &[Value],
+    keys: JoinKeys,
+    columnar: bool,
+    revoke_at: SimTime,
+) -> ((Vec<Value>, Vec<Value>), RunStats, String, SimTime) {
+    let (mut d, reader) = revoked_driver(columnar, revoke_at);
     let src_a = d.ctx().parallelize(a.to_vec(), 4);
     let key_field = match keys {
         JoinKeys::Int | JoinKeys::Mixed => 0,
@@ -359,6 +366,131 @@ fn keyed_join(
         reader.to_jsonl(),
         finished,
     )
+}
+
+/// Records shaped like a cogroup's output as PageRank's `contribs` reads
+/// it, and shapes it must emit nothing for: `(Int, [[adj, ..], [rank,
+/// ..]])` with `Int` or `Float` destinations, empty adjacency lists,
+/// an empty, `Int`-valued or missing rank side, a third side; pairs
+/// whose payload is not a list of lists; non-pair records.
+fn arb_cogroup_record() -> impl Strategy<Value = Value> {
+    // One destination in seven is a `Float`.
+    let dst = (0..7usize, -5..40i64).prop_map(|(pick, d)| match pick {
+        0 => Value::Float(d as f64 / 2.0),
+        _ => Value::Int(d),
+    });
+    let adj = proptest::collection::vec(dst, 0..6).prop_map(Value::list);
+    let rank = (0..3usize, -100..100i64).prop_map(|(pick, r)| match pick {
+        0 => Value::Float(r as f64 / 8.0),
+        1 => Value::Int(r),
+        _ => Value::from_str_("not a number"),
+    });
+    // A side is a list of 0–2 items, or (one time in five) not a list.
+    fn side(item: impl Strategy<Value = Value>) -> impl Strategy<Value = Value> {
+        (0..5usize, proptest::collection::vec(item, 0..3)).prop_map(|(pick, items)| match pick {
+            0 => Value::Int(0),
+            _ => Value::list(items),
+        })
+    }
+    let groups = (side(adj), side(rank), 0..4usize).prop_map(|(a, r, shape)| match shape {
+        0 => Value::list(vec![a]),
+        1 => Value::list(vec![a, r.clone(), r]),
+        _ => Value::list(vec![a, r]),
+    });
+    (0..11usize, -5..40i64, groups).prop_map(|(pick, k, groups)| match pick {
+        0 => Value::pair(Value::Int(k), Value::Float(1.0)),
+        1 => Value::Int(k),
+        2 => Value::Null,
+        _ => Value::pair(Value::Int(k), groups),
+    })
+}
+
+/// PageRank's `contribs` closure as it stood before it was declared as
+/// [`FlatMapKernel::ShareOverFirstList`], transcribed; a payload list
+/// with fewer than two sides, which it indexed past, emits nothing.
+fn contribs_closure(v: &Value) -> Vec<Value> {
+    let Some(groups) = v.val().and_then(Value::as_list) else {
+        return vec![];
+    };
+    if groups.len() < 2 {
+        return vec![];
+    }
+    let (Some(adj), Some(rankside)) = (groups[0].as_list(), groups[1].as_list()) else {
+        return vec![];
+    };
+    let Some(dsts) = adj.first().and_then(Value::as_list) else {
+        return vec![];
+    };
+    let rank = rankside.first().and_then(Value::as_f64).unwrap_or(0.0);
+    let share = rank / dsts.len().max(1) as f64;
+    dsts.iter()
+        .map(|d| Value::pair(d.clone(), Value::Float(share)))
+        .collect()
+}
+
+/// A PageRank-shaped job over `(src, [dst, ..])` adjacency rows on a
+/// [`revoked_driver`]: two iterations of cogroup → `flat_map_kernel` →
+/// `SumFloat` → rank update: `(ranks, stats, trace, finish time, column
+/// stats)`.
+fn pagerank_shaped(
+    links: &[Value],
+    columnar: bool,
+    revoke_at: SimTime,
+) -> (Vec<Value>, RunStats, String, SimTime, ColumnStats) {
+    let (mut d, reader) = revoked_driver(columnar, revoke_at);
+    let links = d.ctx().parallelize(links.to_vec(), 4);
+    d.ctx().persist(links);
+    let rank_update = |input: NumExpr| MapKernel::Pair {
+        key: KeyExpr::PairKey,
+        val: PayloadExpr::Scalar(ScalarExpr::Num(input)),
+    };
+    let mut ranks = d.ctx().map_kernel(links, rank_update(NumExpr::Lit(1.0)));
+    d.ctx().persist(ranks);
+    for _ in 0..2 {
+        let grouped = d.ctx().cogroup(links, ranks, 4);
+        let contribs = d
+            .ctx()
+            .flat_map_kernel(grouped, FlatMapKernel::ShareOverFirstList);
+        let summed = d
+            .ctx()
+            .reduce_by_key_kernel(contribs, 4, AggKernel::SumFloat);
+        let damped = NumExpr::Add(
+            Box::new(NumExpr::Lit(0.15)),
+            Box::new(NumExpr::Mul(
+                Box::new(NumExpr::Lit(0.85)),
+                Box::new(NumExpr::Input),
+            )),
+        );
+        ranks = d.ctx().map_kernel(summed, rank_update(damped));
+        d.ctx().persist(ranks);
+    }
+    let out = d.collect(ranks).unwrap();
+    let finished = d.now();
+    (
+        out,
+        d.stats().clone(),
+        reader.to_jsonl(),
+        finished,
+        d.column_stats(),
+    )
+}
+
+/// 48 vertices, each linked to two to four others by a fixed stride
+/// pattern (so no partition's adjacency lists share one length, and the
+/// sources stay rows, as PageRank's do); vertex `float_at` (if any) also
+/// links to `Float(7.0)`, which `Value`'s order equates with vertex 7.
+fn adjacency(float_at: Option<i64>) -> Vec<Value> {
+    (0..48i64)
+        .map(|v| {
+            let mut dsts: Vec<Value> = (1..=2 + v % 3)
+                .map(|j| Value::Int((v * 7 + j * 13) % 48))
+                .collect();
+            if float_at == Some(v) {
+                dsts.push(Value::Float(7.0));
+            }
+            Value::pair(Value::Int(v), Value::list(dsts))
+        })
+        .collect()
 }
 
 /// Writes meet the scripted faults in order (then succeed); reads fail
@@ -591,6 +723,32 @@ proptest! {
         prop_assert_eq!(&got, &want, "{:?} keys", keys);
     }
 
+    /// `FlatMapKernel::ShareOverFirstList` is PageRank's transcribed
+    /// closure record by record, and its batch arm is that closure over
+    /// the whole partition: when `eval_rows` returns a batch it decodes to
+    /// exactly the closure's records in order, with the same payload
+    /// bytes (an empty partition is an empty batch); it returns `None`
+    /// exactly when some emitted key is not an `Int`.
+    #[test]
+    fn flat_map_kernel_batch_is_its_closure(
+        rows in proptest::collection::vec(arb_cogroup_record(), 0..12),
+    ) {
+        let kernel = FlatMapKernel::ShareOverFirstList;
+        let want: Vec<Value> = rows.iter().flat_map(contribs_closure).collect();
+        let by_record: Vec<Value> = rows.iter().flat_map(|v| kernel.eval_value(v)).collect();
+        prop_assert_eq!(&by_record, &want);
+        let int_keys = want.iter().all(|v| matches!(v.key(), Some(Value::Int(_))));
+        let batch = kernel.eval_rows(&rows);
+        prop_assert_eq!(batch.is_some(), int_keys);
+        if let Some(batch) = batch {
+            prop_assert_eq!(
+                batch.payload_bytes(),
+                want.iter().map(Value::size_bytes).sum::<u64>()
+            );
+            prop_assert_eq!(batch.to_rows(), want);
+        }
+    }
+
     /// Same contract for the no-combiner group path and the typed sort.
     #[test]
     fn group_sort_columnar_equals_row_path(rows in arb_pairs()) {
@@ -632,4 +790,50 @@ fn workload_shapes_encode_to_columns() {
     // Heterogeneous sequences must decline, not mis-encode.
     assert!(ColumnBatch::from_rows(&[Value::Int(1), Value::from_str_("x")]).is_none());
     assert!(ColumnBatch::from_rows(&[]).is_none());
+}
+
+/// A PageRank job whose adjacency holds one `Float` destination, with a
+/// worker revoked halfway, returns the same ranks, `RunStats` and trace
+/// bytes as the `columnar = false` run. The `contribs` partition holding
+/// that vertex runs the row closure: on a fault-free run of the first
+/// `contribs` alone, one batch of its all-`Int` twin becomes one
+/// `row_fallbacks`.
+#[test]
+fn flat_map_kernel_falls_back_to_its_closure_end_to_end() {
+    let links = adjacency(Some(5));
+    let never = SimTime::from_hours_f64(1e6);
+    let (_, _, _, finished, _) = pagerank_shaped(&links, false, never);
+    let halfway = SimTime::from_millis(finished.as_millis() / 2);
+    let row = pagerank_shaped(&links, false, halfway);
+    let col = pagerank_shaped(&links, true, halfway);
+    assert_eq!(row.1.revocations, 1);
+    assert_eq!(row.4, ColumnStats::default());
+    assert_eq!(
+        (&col.0, &col.1, &col.2, col.3),
+        (&row.0, &row.1, &row.2, row.3)
+    );
+
+    let first_contribs = |links: Vec<Value>| {
+        let mut d = driver(true);
+        let links = d.ctx().parallelize(links, 4);
+        let ranks = d.ctx().map_kernel(
+            links,
+            MapKernel::Pair {
+                key: KeyExpr::PairKey,
+                val: PayloadExpr::Scalar(ScalarExpr::Num(NumExpr::Lit(1.0))),
+            },
+        );
+        let grouped = d.ctx().cogroup(links, ranks, 4);
+        let contribs = d
+            .ctx()
+            .flat_map_kernel(grouped, FlatMapKernel::ShareOverFirstList);
+        d.collect(contribs).unwrap();
+        d.column_stats()
+    };
+    let (float, int) = (first_contribs(links), first_contribs(adjacency(None)));
+    eprintln!("first contribs: {float:?} with a Float destination, {int:?} without");
+    assert_eq!(int.row_fallbacks, 4, "{int:?}");
+    assert_eq!(int.kernel_batches, 4, "{int:?}");
+    assert_eq!(float.row_fallbacks, int.row_fallbacks + 1, "{float:?}");
+    assert_eq!(float.kernel_batches + 1, int.kernel_batches, "{float:?}");
 }

@@ -529,3 +529,25 @@ fn revocations_spaced_past_the_flap_window_never_quarantine() {
         assert_eq!(joins.len(), 3, "{removes:?}");
     }
 }
+
+/// A suspension armed by the last wave a checkpoint drain commits fires
+/// from `checkpoint_now` itself, not at the next action: on one
+/// two-core worker, four partitions take two compute waves and four
+/// checkpoint-write waves, and the sixth is the drain's last.
+#[test]
+fn checkpoint_drain_fires_a_suspension_its_last_wave_armed() {
+    let config = DriverConfig {
+        suspend_after_waves: Some(6),
+        ..DriverConfig::default()
+    };
+    let mut d = Driver::new(config, Box::new(NoCheckpoint), Box::new(NoFailures));
+    d.add_worker(WorkerSpec::r3_large());
+    let src = d.ctx().parallelize((0..300).map(Value::from_i64), 4);
+    let mapped = d.ctx().map(src, |v| Value::Int(v.as_i64().unwrap() + 1));
+    match d.checkpoint_now(mapped) {
+        Err(EngineError::Suspended { frontier, .. }) => assert_eq!(frontier, 6),
+        other => panic!("expected Suspended from checkpoint_now, got {other:?}"),
+    }
+    assert_eq!(d.waves_committed(), 6);
+    assert!(d.checkpoints().is_fully_checkpointed(mapped.id()));
+}

@@ -1,7 +1,8 @@
 //! PageRank over a power-law web graph (the paper's graph workload).
 
 use flint_engine::{
-    AggKernel, Driver, KeyExpr, MapKernel, NumExpr, PayloadExpr, Result, ScalarExpr, Value,
+    AggKernel, Driver, FlatMapKernel, KeyExpr, MapKernel, NumExpr, PayloadExpr, Result, ScalarExpr,
+    Value,
 };
 
 use crate::graph::{power_law_graph, GraphConfig};
@@ -98,23 +99,11 @@ impl PageRank {
             // GraphX-style tight loop: cogroup links with ranks and emit
             // contributions directly, with no intermediate join RDD.
             let grouped = driver.ctx().cogroup(links, ranks, parts);
-            let contribs = driver.ctx().flat_map(grouped, |v| {
-                // v = (node, [[dsts...], [rank]])
-                let Some(groups) = v.val().and_then(Value::as_list) else {
-                    return vec![];
-                };
-                let (Some(adj), Some(rankside)) = (groups[0].as_list(), groups[1].as_list()) else {
-                    return vec![];
-                };
-                let Some(dsts) = adj.first().and_then(Value::as_list) else {
-                    return vec![];
-                };
-                let rank = rankside.first().and_then(Value::as_f64).unwrap_or(0.0);
-                let share = rank / dsts.len().max(1) as f64;
-                dsts.iter()
-                    .map(|d| Value::pair(d.clone(), Value::Float(share)))
-                    .collect()
-            });
+            // (node, [[dsts...], [rank]]) → (dst, rank / |dsts|) per dst,
+            // built as one Int/Float pair batch when columnar is on.
+            let contribs = driver
+                .ctx()
+                .flat_map_kernel(grouped, FlatMapKernel::ShareOverFirstList);
             let summed = driver
                 .ctx()
                 .reduce_by_key_kernel(contribs, parts, AggKernel::SumFloat);

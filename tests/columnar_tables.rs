@@ -409,11 +409,12 @@ fn checkpointed_pagerank(columnar: bool, revoke_at: Option<SimTime>) -> Pagerank
 /// The PageRank twin of `a_restored_table_stays_on_the_batch_path`: a
 /// `ranks` partition is cached, checkpointed, lost and restored as the
 /// batch the rank-update kernel made. Only the first `map_kernel` over
-/// `links` ever falls back, so checkpoint jobs and a revocation can add
-/// only its re-materializations to `row_fallbacks`, while the kernels
-/// they re-run keep `kernel_batches` growing; a shuffle block or `ranks`
-/// partition that came back as rows would add a fallback per reduce task
-/// downstream of it.
+/// `links` ever falls back (`contribs` builds its batch from the cogroup's
+/// rows, whatever form its inputs were restored in), so checkpoint jobs
+/// and a revocation can add only its re-materializations to
+/// `row_fallbacks`, while the kernels they re-run keep `kernel_batches`
+/// growing; a shuffle block or `ranks` partition that came back as rows
+/// would add a fallback per reduce task downstream of it.
 #[test]
 fn restored_ranks_stay_on_the_batch_path() {
     let parts = u64::from(PAGERANK.partitions);
@@ -452,12 +453,12 @@ fn restored_ranks_stay_on_the_batch_path() {
     assert_eq!(col.trace, row.trace);
 }
 
-/// PageRank declares three kernels per iteration and runs all of them:
-/// `contribs` leaves its opaque `flat_map` as rows, encodes once at the
-/// map side of the kernel-declared shuffle, and stays a batch through the
-/// reduce and the rank update. Only the first `map_kernel` over `links`
-/// falls back (nested adjacency lists have no columnar layout), once per
-/// partition. ALS declares no kernel, so its counters are form changes
+/// PageRank declares four kernels per iteration and runs all of them:
+/// `contribs` builds its `(Int, Float)` batch straight from the cogroup's
+/// rows, which the map side of the kernel-declared shuffle combines and
+/// buckets with no encode, and it stays a batch through the reduce and
+/// the rank update. Only the first `map_kernel` over `links` falls back
+/// (nested adjacency lists have no columnar layout), once per partition. ALS declares no kernel, so its counters are form changes
 /// only: its sources encode, and each half-step's join buckets them typed
 /// and reads every value out of a batch once, at the `CoGroup` reduce.
 #[test]
@@ -473,7 +474,7 @@ fn pagerank_and_als_counters_are_recorded() {
         eprintln!("{}: {used:?}", wl.name());
         if wl.name() == "pagerank" {
             assert_eq!(used.row_fallbacks, parts, "{used:?}");
-            assert_eq!(used.kernel_batches, 3 * parts * iters, "{used:?}");
+            assert_eq!(used.kernel_batches, 4 * parts * iters, "{used:?}");
         } else {
             // 1 GB of ALS is 400 ratings over 25 items. Both keyings of
             // the ratings and the initial item factors encode at their
