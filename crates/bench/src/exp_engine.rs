@@ -32,7 +32,7 @@ pub(crate) fn fig03_memory_pressure() -> Table {
             "baseline",
             "5 revoked",
             "increase",
-            "dropped cache (GB)",
+            "recompute (min)",
         ],
     )
     .with_note("Paper: ~30% at 2GB, ~250% at 4GB, out-of-memory (~700%) at 6GB.");

@@ -1164,4 +1164,21 @@ mod tests {
         );
         assert!(mttf > SimDuration::from_hours(1));
     }
+
+    /// `next_event_after(t) > t`, also when a cloud event sits exactly at
+    /// `t` and when one is already due but not yet collected.
+    #[test]
+    fn next_event_is_strictly_after() {
+        let (mut nm, _handle, start) = launch_nm(Box::new(BatchSelection), 4);
+        let due = nm.next_event_after(start).expect("instances are starting");
+        assert!(due > start);
+        for t in [
+            due - SimDuration::from_millis(1),
+            due,
+            due + SimDuration::from_secs(60),
+        ] {
+            let next = nm.next_event_after(t).expect("the event is still pending");
+            assert!(next > t, "next_event_after({t:?}) = {next:?}");
+        }
+    }
 }

@@ -472,6 +472,26 @@ mod tests {
         assert!(inj.fault_notes(SimTime::ZERO, horizon).is_empty());
     }
 
+    /// `next_event_after(t) > t` at every scheduled instant (where an
+    /// event sits exactly at `t`) and just before it, across delivery.
+    #[test]
+    fn injector_next_event_is_strictly_after() {
+        let mut cfg = ChaosConfig::new(5);
+        cfg.revocations = 6;
+        let schedule = ChaosSchedule::generate(&cfg);
+        let mut instants: Vec<SimTime> = schedule.worker_events.iter().map(|e| e.0).collect();
+        instants.sort();
+        instants.dedup();
+        let mut inj = ChaosInjector::from_schedule(schedule);
+        for (i, &at) in instants.iter().enumerate() {
+            let before = at - SimDuration::from_millis(1);
+            assert_eq!(inj.next_event_after(before), Some(at));
+            assert_eq!(inj.next_event_after(at), instants.get(i + 1).copied());
+            inj.events(before, at);
+            assert_eq!(inj.next_event_after(at), instants.get(i + 1).copied());
+        }
+    }
+
     #[test]
     fn driver_crash_and_market_collapse_draw_after_legacy_stream() {
         let legacy = ChaosSchedule::generate(&ChaosConfig::new(42));

@@ -29,9 +29,9 @@ use crate::shuffle::{RangePartitioner, ShuffleId};
 use crate::stats::{ActionRecord, RunStats};
 use crate::value::Value;
 
-/// Cap on scheduler loop iterations per action, idle wait or checkpoint
-/// drain, guarding against revocation livelock (MTTF far below task
-/// granularity).
+/// Cap on scheduler loop iterations per [`Driver::run_until`] call (one
+/// action's job, idle wait or checkpoint drain), guarding against
+/// revocation livelock (MTTF far below task granularity).
 const MAX_ITERATIONS: u64 = 5_000_000;
 
 /// Fixed per-task overhead (scheduling, deserialization).
@@ -59,6 +59,38 @@ pub(crate) enum CkptJob {
     RddPart(RddId, u32),
     /// Checkpoint a shuffle map output (systems-level baseline).
     Shuffle(ShuffleId, u32),
+}
+
+/// What a [`Driver::run_until`] call steps virtual time toward.
+#[derive(Debug, Clone, Copy)]
+enum Goal {
+    /// Every partition of the RDD is materialized (an action's job).
+    Materialize(RddId),
+    /// Virtual time has reached the instant and nothing is running (an
+    /// idle wait).
+    Until(SimTime),
+    /// No checkpoint write is queued or running (a checkpoint drain).
+    Drain,
+}
+
+impl Goal {
+    /// Whether a step toward this goal polls the policy hooks. A drain
+    /// does not: a timer policy firing mid-drain would enqueue writes
+    /// that `checkpoint_now` then waits for as well.
+    fn polls(self) -> bool {
+        !matches!(self, Goal::Drain)
+    }
+
+    /// The error a run toward this goal returns when it exceeds
+    /// [`MAX_ITERATIONS`].
+    fn budget_error(self, iterations: u64) -> EngineError {
+        let phase = match self {
+            Goal::Materialize(rdd) => return EngineError::RetryBudgetExhausted { rdd },
+            Goal::Until(_) => "idle",
+            Goal::Drain => "drain-checkpoints",
+        };
+        EngineError::JobBudgetExhausted { phase, iterations }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -377,60 +409,14 @@ impl Driver {
     pub fn checkpoint_now(&mut self, r: RddRef) -> Result<()> {
         self.run_action(r.id, "checkpoint")?;
         self.apply_directives(vec![CheckpointDirective::Checkpoint(r.id)]);
-        self.drain_checkpoints()?;
-        Ok(())
+        self.run_until(Goal::Drain)
     }
 
     /// Advances virtual time to `t`, draining checkpoint writes and
     /// processing failure events while "idle" (an interactive session
     /// between queries).
     pub fn idle_until(&mut self, t: SimTime) -> Result<()> {
-        let mut iterations = 0u64;
-        loop {
-            iterations += 1;
-            if iterations > MAX_ITERATIONS {
-                return Err(EngineError::JobBudgetExhausted {
-                    phase: "idle",
-                    iterations,
-                });
-            }
-            self.take_interrupt()?;
-            self.poll_hooks();
-            self.assign_checkpoint_jobs();
-            let now = self.clock.now();
-            if now >= t && self.running.is_empty() {
-                return Ok(());
-            }
-            let t_task = self.running.iter().map(|r| r.finish).min();
-            let t_inj = self.injector.next_event_after(now);
-            let mut next = t;
-            if let Some(tt) = t_task {
-                next = next.min(tt);
-            }
-            if let Some(ti) = t_inj {
-                next = next.min(ti);
-            }
-            if next <= now {
-                // Running tasks that finish exactly now, or we are done.
-                if t_task.map(|tt| tt <= now).unwrap_or(false) {
-                    self.advance_and_commit(now);
-                    continue;
-                }
-                if now >= t {
-                    // Only tasks beyond `t` remain: let them finish.
-                    if let Some(tt) = t_task {
-                        self.advance_and_commit(tt);
-                        continue;
-                    }
-                    return Ok(());
-                }
-                self.clock
-                    .advance_to(t.min(next.max(now + SimDuration::from_millis(1))));
-                self.pump_injector();
-                continue;
-            }
-            self.advance_and_commit(next);
-        }
+        self.run_until(Goal::Until(t))
     }
 
     // ------------------------------------------------------------------
@@ -449,7 +435,7 @@ impl Driver {
         self.trace
             .emit_with(started, || EventKind::ActionStarted { name: name.clone() });
         self.pump_injector();
-        self.run_job(target)?;
+        self.run_until(Goal::Materialize(target))?;
         let parts = self.gather(target)?;
         let finished = self.clock.now();
         self.trace
@@ -465,71 +451,85 @@ impl Driver {
         Ok(parts)
     }
 
-    fn run_job(&mut self, target: RddId) -> Result<()> {
+    /// The scheduler loop: steps virtual time until `goal` is reached.
+    ///
+    /// Each step takes a pending interrupt and polls the policy hooks
+    /// (see [`Goal::polls`]). Toward `Materialize` it then plans: a done
+    /// plan ends the run, else the ready tasks run as a compute wave.
+    /// Then the queued checkpoint writes run as a wave and the goal is
+    /// tested. A step ends at the next instant anything can happen — a
+    /// task finish, an injector event, or `Until`'s deadline — so a
+    /// revocation or a replacement is acted on at the instant it
+    /// arrives. With none of the three pending, nothing can ever run:
+    /// [`EngineError::NoWorkers`]. Waiting with nothing running is stall
+    /// time, except in an idle wait.
+    fn run_until(&mut self, goal: Goal) -> Result<()> {
         let mut iterations = 0u64;
         loop {
             iterations += 1;
             if iterations > MAX_ITERATIONS {
-                return Err(EngineError::RetryBudgetExhausted { rdd: target });
+                return Err(goal.budget_error(iterations));
             }
             self.take_interrupt()?;
-
-            self.poll_hooks();
-
-            let (ready, done) = self.planner.plan(
-                self.ctx.lineage(),
-                &mut self.cluster,
-                &mut self.ckpt,
-                self.clock.now(),
-                target,
-            );
-            if done {
-                return Ok(());
+            if goal.polls() {
+                self.poll_hooks();
             }
-            self.report_unreadable_shuffles(&ready);
-
-            // Materialize every ready task in parallel against the
-            // wave-start snapshot, then admit the results sequentially in
-            // fixed task-key order (the planner yields sorted keys), so
-            // scheduling and accounting are bit-identical for any
-            // `host_threads` setting. Checkpoint writes follow.
-            let pending: Vec<TaskKey> = ready
-                .into_iter()
-                .filter(|k| !self.in_flight.contains(k))
-                .collect();
-            let mut assigned_any = false;
-            if !pending.is_empty() && self.cluster.alive_count() > 0 {
-                self.trace
-                    .emit_with(self.clock.now(), || EventKind::WaveStarted {
-                        tasks: pending.len() as u64,
-                    });
-                let outputs = self.compute_wave(&pending);
-                for (key, out) in pending.into_iter().zip(outputs) {
-                    if let Some(out) = out {
-                        assigned_any |= self.admit(key, out);
-                    }
+            if let Goal::Materialize(target) = goal {
+                let (ready, done) = self.planner.plan(
+                    self.ctx.lineage(),
+                    &mut self.cluster,
+                    &mut self.ckpt,
+                    self.clock.now(),
+                    target,
+                );
+                if done {
+                    return Ok(());
+                }
+                self.report_unreadable_shuffles(&ready);
+                let pending: Vec<TaskKey> = ready
+                    .into_iter()
+                    .filter(|k| !self.in_flight.contains(k))
+                    .collect();
+                if !pending.is_empty() && self.cluster.alive_count() > 0 {
+                    self.trace
+                        .emit_with(self.clock.now(), || EventKind::WaveStarted {
+                            tasks: pending.len() as u64,
+                        });
+                    // A task no worker could host is planned again next step.
+                    self.run_wave(&pending);
                 }
             }
             self.assign_checkpoint_jobs();
 
             let now = self.clock.now();
+            let reached = match goal {
+                Goal::Materialize(_) => false,
+                Goal::Until(t) => now >= t && self.running.is_empty(),
+                Goal::Drain => self.pending_checkpoints() == 0,
+            };
+            if reached {
+                return Ok(());
+            }
             let t_task = self.running.iter().map(|r| r.finish).min();
             let t_inj = self.injector.next_event_after(now);
-
-            match (t_task, t_inj) {
-                (None, None) => {
-                    if !assigned_any {
-                        return Err(EngineError::NoWorkers);
-                    }
-                }
-                (None, Some(ti)) => self.stall_until(ti),
-                (Some(tt), Some(ti)) if ti < tt => {
-                    self.clock.advance_to(ti);
-                    self.pump_injector();
-                }
-                (Some(tt), _) => {
-                    self.advance_and_commit(tt);
-                }
+            debug_assert!(
+                t_inj.is_none_or(|ti| ti > now),
+                "next_event_after({now:?}) returned {t_inj:?}, not after it"
+            );
+            let horizon = match goal {
+                Goal::Until(t) if now < t => Some(t),
+                _ => None,
+            };
+            let Some(next) = [t_task, t_inj, horizon].into_iter().flatten().min() else {
+                return Err(EngineError::NoWorkers);
+            };
+            if t_task == Some(next) {
+                self.advance_and_commit(next);
+            } else if self.running.is_empty() && !matches!(goal, Goal::Until(_)) {
+                self.stall_until(next);
+            } else {
+                self.clock.advance_to(next);
+                self.pump_injector();
             }
         }
     }
@@ -666,15 +666,27 @@ impl Driver {
         }
     }
 
-    /// Materializes a wave of tasks in parallel: compute tasks, or the
-    /// serialization walks of checkpoint writes. Outputs come back in
-    /// input order; `None` marks a transient shuffle miss or a vanished
-    /// checkpoint payload.
-    fn compute_wave(&self, keys: &[TaskKey]) -> Vec<Option<TaskOutput>> {
+    /// Runs one wave: materializes `keys` in parallel against the
+    /// wave-start snapshot (compute tasks, or the serialization walks of
+    /// checkpoint writes), then admits the outputs sequentially in `keys`
+    /// order, so scheduling and accounting are bit-identical for any
+    /// `host_threads` setting. A key whose output is `None` (a transient
+    /// shuffle miss or a vanished checkpoint payload) is dropped; returns
+    /// the keys no worker could host.
+    fn run_wave(&mut self, keys: &[TaskKey]) -> Vec<TaskKey> {
         let ctx = self.wave_ctx();
-        flint_simtime::fan_out(self.config.host_threads, keys, |k| {
+        let outputs = flint_simtime::fan_out(self.config.host_threads, keys, |k| {
             executor::compute_task(&ctx, *k)
-        })
+        });
+        let mut unhosted = Vec::new();
+        for (&key, out) in keys.iter().zip(outputs) {
+            if let Some(out) = out {
+                if !self.admit(key, out) {
+                    unhosted.push(key);
+                }
+            }
+        }
+        unhosted
     }
 
     /// Applies a computed task's recorded side effects — stat deltas,

@@ -6,10 +6,9 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 use flint_simtime::SimTime;
 use flint_trace::{EventKind, TraceHandle};
 
-use super::{CkptJob, Driver, Running, TaskKey, MAX_ITERATIONS};
+use super::{CkptJob, Driver, Running, TaskKey};
 use crate::block::BlockKey;
 use crate::checkpoint::WriteFault;
-use crate::error::{EngineError, Result};
 use crate::hooks::{CheckpointDirective, CheckpointHooks, LineageView};
 use crate::rdd::RddId;
 
@@ -47,7 +46,7 @@ impl CkptQueue {
 
 impl Driver {
     /// Number of queued (not yet written) checkpoint partitions.
-    fn pending_checkpoints(&self) -> usize {
+    pub(super) fn pending_checkpoints(&self) -> usize {
         self.ckpt_queue.jobs.len()
             + self
                 .running
@@ -68,32 +67,24 @@ impl Driver {
         }
     }
 
-    /// Runs every queued checkpoint write as one wave: the serialization
-    /// walks and any payload materialization run on the wave executor's
-    /// host threads, and admission stays in queue order on the driver
-    /// thread, like any other task.
+    /// Runs every queued checkpoint write as one wave (see
+    /// [`Driver::run_wave`]); admission stays in queue order. A write no
+    /// worker could host is requeued; one whose payload vanished (dead
+    /// shuffle block, missing shuffle input) is dropped, as its partition
+    /// is replanned or moot.
     pub(super) fn assign_checkpoint_jobs(&mut self) {
         if self.ckpt_queue.jobs.is_empty() || self.cluster.alive_count() == 0 {
             return; // keep the queue intact until workers exist
         }
-        let jobs = self.ckpt_queue.take();
-        let mut todo = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            if !self.ckpt_satisfied(job) {
-                todo.push(TaskKey::Ckpt(job));
-            }
-        }
-        if todo.is_empty() {
-            return;
-        }
-        let outputs = self.compute_wave(&todo);
-        for (key, out) in todo.into_iter().zip(outputs) {
-            // A vanished payload (dead shuffle block, missing shuffle
-            // input) is dropped silently; the partition is replanned or
-            // moot.
-            let Some(out) = out else { continue };
-            if let (false, TaskKey::Ckpt(job)) = (self.admit(key, out), key) {
-                // Lost the worker between compute and admit: requeue.
+        let todo: Vec<TaskKey> = self
+            .ckpt_queue
+            .take()
+            .into_iter()
+            .filter(|&job| !self.ckpt_satisfied(job))
+            .map(TaskKey::Ckpt)
+            .collect();
+        for key in self.run_wave(&todo) {
+            if let TaskKey::Ckpt(job) = key {
                 self.ckpt_queue.push(job);
             }
         }
@@ -264,36 +255,5 @@ impl Driver {
                 }
             }
         }
-    }
-
-    /// Drains the checkpoint queue to completion (used by explicit
-    /// `checkpoint_now`).
-    pub(super) fn drain_checkpoints(&mut self) -> Result<()> {
-        let mut iterations = 0u64;
-        while self.pending_checkpoints() > 0 {
-            iterations += 1;
-            if iterations > MAX_ITERATIONS {
-                return Err(EngineError::JobBudgetExhausted {
-                    phase: "drain-checkpoints",
-                    iterations,
-                });
-            }
-            self.take_interrupt()?;
-            self.assign_checkpoint_jobs();
-            let Some(tt) = self.running.iter().map(|r| r.finish).min() else {
-                // Nothing running and nothing assignable: need workers.
-                match self.injector.next_event_after(self.clock.now()) {
-                    Some(ti) => {
-                        self.stall_until(ti);
-                        continue;
-                    }
-                    None => return Err(EngineError::NoWorkers),
-                }
-            };
-            self.advance_and_commit(tt);
-        }
-        // The last committed wave may have armed a suspension or flagged
-        // a resume divergence: fire it here, not at the next action.
-        self.take_interrupt()
     }
 }

@@ -8,7 +8,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use flint_simtime::{SimDuration, SimTime};
 use flint_trace::{EventKind, TraceHandle};
 
-use super::{Driver, Running, TaskKey};
+use super::{Driver, Goal, Running, TaskKey};
 use crate::block::{BlockKey, Records};
 use crate::checkpoint::ReadFault;
 use crate::cluster::WorkerId;
@@ -216,7 +216,7 @@ impl Driver {
     pub(super) fn gather(&mut self, target: RddId) -> Result<Vec<Records>> {
         for pass in 0..GATHER_PASSES {
             if pass > 0 {
-                self.run_job(target)?;
+                self.run_until(Goal::Materialize(target))?;
             }
             let n = self.ctx.lineage().meta(target).num_partitions;
             let mut parts = Vec::with_capacity(n as usize);

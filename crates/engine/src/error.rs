@@ -31,13 +31,13 @@ pub enum EngineError {
         /// Retries attempted before giving up.
         retries: u64,
     },
-    /// A driver-level scheduling loop (idle pumping, checkpoint
-    /// draining) exceeded its iteration budget with no single RDD to
-    /// blame — a job-level livelock rather than one failing lineage.
+    /// The scheduler loop exceeded its step budget in an idle wait or a
+    /// checkpoint drain, with no single RDD to blame — a job-level
+    /// livelock rather than one failing lineage.
     JobBudgetExhausted {
-        /// Which loop gave up: `"idle"` or `"drain-checkpoints"`.
+        /// Which wait gave up: `"idle"` or `"drain-checkpoints"`.
         phase: &'static str,
-        /// Iterations spent before giving up.
+        /// Scheduler steps spent before giving up.
         iterations: u64,
     },
     /// The run was suspended at a wave-commit boundary; a manifest was

@@ -84,9 +84,9 @@ pub trait CheckpointHooks {
         Vec::new()
     }
 
-    /// Called on every scheduler event-loop step; lets timer-based
-    /// policies (e.g. periodic whole-memory checkpoints) fire without a
-    /// materialization event.
+    /// Called on every scheduler event-loop step outside a checkpoint
+    /// drain; lets timer-based policies (e.g. periodic whole-memory
+    /// checkpoints) fire without a materialization event.
     fn poll(
         &mut self,
         _view: &LineageView<'_>,

@@ -168,6 +168,23 @@ mod tests {
         assert_eq!(inj.next_event_after(SimTime::ZERO), None);
     }
 
+    /// The driver's scheduler loop relies on `next_event_after(t) > t`:
+    /// an event sitting exactly at `t` is not "after" it, whether or not
+    /// it was delivered yet.
+    #[test]
+    fn scripted_next_event_is_strictly_after() {
+        let mut inj = ScriptedInjector::new(vec![
+            (t(10), WorkerEvent::Warn { ext_id: 1 }),
+            (t(10), WorkerEvent::Remove { ext_id: 1 }),
+            (t(30), WorkerEvent::Remove { ext_id: 2 }),
+        ]);
+        assert_eq!(inj.next_event_after(t(9)), Some(t(10)));
+        assert_eq!(inj.next_event_after(t(10)), Some(t(30)));
+        assert_eq!(inj.events(SimTime::ZERO, t(10)).len(), 2);
+        assert_eq!(inj.next_event_after(t(10)), Some(t(30)));
+        assert_eq!(inj.next_event_after(t(30)), None);
+    }
+
     #[test]
     fn no_failures_is_silent() {
         let mut inj = NoFailures;

@@ -4,9 +4,13 @@
 //! them. A worker revoked three times within ten minutes is quarantined.
 
 use flint_engine::{
-    Driver, DriverConfig, EngineError, EventKind, NoCheckpoint, NoFailures, RddRef,
-    ScriptedInjector, TraceHandle, Value, WorkerEvent, WorkerSpec,
+    CheckpointDirective, CheckpointHooks, Driver, DriverConfig, EngineError, EventKind, EventSink,
+    LineageView, NoCheckpoint, NoFailures, RddId, RddRef, ScriptedInjector, TraceHandle, Value,
+    WorkerEvent, WorkerSpec,
 };
+use std::cell::Cell;
+use std::rc::Rc;
+
 use flint_simtime::{SimDuration, SimTime};
 
 fn sum_pairs(d: &mut Driver, r: RddRef) -> Vec<(i64, i64)> {
@@ -550,4 +554,528 @@ fn checkpoint_drain_fires_a_suspension_its_last_wave_armed() {
     }
     assert_eq!(d.waves_committed(), 6);
     assert!(d.checkpoints().is_fully_checkpointed(mapped.id()));
+}
+
+/// Checkpoints the RDD in its cell when it first materializes.
+struct MarkOnMaterialize(Rc<Cell<Option<RddId>>>);
+
+impl CheckpointHooks for MarkOnMaterialize {
+    fn on_rdd_materialized(
+        &mut self,
+        _view: &LineageView<'_>,
+        _events: &mut dyn EventSink,
+        rdd: RddId,
+        _now: SimTime,
+    ) -> Vec<CheckpointDirective> {
+        if self.0.get() == Some(rdd) {
+            vec![CheckpointDirective::Checkpoint(rdd)]
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+/// Where a probe's checkpoint writes run: drained by `checkpoint_now`,
+/// or queued by a materialization hook and left running past an
+/// `idle_until` deadline 10 ms after the `count`.
+#[derive(Clone, Copy)]
+enum WriteWait {
+    Drain,
+    IdleTail,
+}
+
+/// What a probe saw: the instant the wait for the writes began (the
+/// `checkpoint_now` call, or the idle deadline), the instant the driver
+/// returned, and each write's start instant.
+struct WriteProbe {
+    begin: SimTime,
+    end: SimTime,
+    write_starts: Vec<SimTime>,
+}
+
+/// Two r3.large workers (ext 1, 2) and 8 partitions of 200 000 mapped
+/// ints: `count`, then the mapped RDD's checkpoint writes under `events`.
+fn write_probe(wait: WriteWait, events: Vec<(SimTime, WorkerEvent)>) -> WriteProbe {
+    let mark = Rc::new(Cell::new(None));
+    let hooks: Box<dyn CheckpointHooks> = match wait {
+        WriteWait::Drain => Box::new(NoCheckpoint),
+        WriteWait::IdleTail => Box::new(MarkOnMaterialize(mark.clone())),
+    };
+    let trace = TraceHandle::disabled();
+    let reader = trace.attach_memory(0);
+    let mut d = Driver::new(
+        DriverConfig::default(),
+        hooks,
+        Box::new(ScriptedInjector::new(events)),
+    );
+    d.set_trace(trace);
+    d.add_worker_with_ext(1, WorkerSpec::r3_large());
+    d.add_worker_with_ext(2, WorkerSpec::r3_large());
+    let src = d.ctx().parallelize((0..200_000).map(Value::from_i64), 8);
+    let mapped = d.ctx().map(src, |v| Value::Int(v.as_i64().unwrap() + 1));
+    mark.set(Some(mapped.id()));
+    assert_eq!(d.count(mapped).unwrap(), 200_000);
+    let begin = match wait {
+        WriteWait::Drain => {
+            let begin = d.now();
+            d.checkpoint_now(mapped).unwrap();
+            begin
+        }
+        WriteWait::IdleTail => {
+            let deadline = d.now() + SimDuration::from_millis(10);
+            d.idle_until(deadline).unwrap();
+            deadline
+        }
+    };
+    assert!(d.checkpoints().is_fully_checkpointed(mapped.id()));
+    let write_starts = reader
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::CheckpointWritten { millis, .. } => {
+                Some(e.t - SimDuration::from_millis(millis))
+            }
+            _ => None,
+        })
+        .collect();
+    WriteProbe {
+        begin,
+        end: d.now(),
+        write_starts,
+    }
+}
+
+fn ms(millis: u64) -> SimTime {
+    SimTime::from_millis(millis)
+}
+
+/// Runs `wait` clean, then again with ext 1 revoked and ext 3 added a
+/// third of the way into the clean wait, and returns the clean probe,
+/// the revocation instant and the revoked probe.
+fn revoke_a_third_in(wait: WriteWait) -> (WriteProbe, SimTime, WriteProbe) {
+    let clean = write_probe(wait, Vec::new());
+    assert!(
+        clean.end > clean.begin,
+        "the writes must outlast the wait's start"
+    );
+    let t = clean.begin + (clean.end - clean.begin) / 3;
+    let revoked = write_probe(
+        wait,
+        vec![
+            (t, WorkerEvent::Remove { ext_id: 1 }),
+            (
+                t,
+                WorkerEvent::Add {
+                    ext_id: 3,
+                    spec: WorkerSpec::r3_large(),
+                },
+            ),
+        ],
+    );
+    (clean, t, revoked)
+}
+
+/// A revocation during a `checkpoint_now` drain re-plans at once: the
+/// writes the revoked worker held are requeued and one starts on the
+/// replacement at the revocation instant, not at the next write's
+/// finish. The drain ends at t+344 ms; reacting only at the next
+/// write's finish would end it at t+353 ms (the clean drain ends at
+/// t+318 ms).
+#[test]
+fn checkpoint_drain_reassigns_a_revoked_write_at_once() {
+    let (clean, t, revoked) = revoke_a_third_in(WriteWait::Drain);
+    assert_eq!(
+        (clean.begin, clean.end, t),
+        (ms(199), ms(318), ms(238)),
+        "the clean drain moved"
+    );
+    assert_eq!(revoked.end, ms(344));
+    assert!(
+        revoked.write_starts.contains(&t),
+        "no write started at the revocation instant {t:?}: {:?}",
+        revoked.write_starts
+    );
+}
+
+/// The same for the writes an `idle_until` leaves running past its
+/// deadline: a revocation between the deadline and the last write's
+/// finish requeues the lost writes at once. The wait ends at t+329 ms;
+/// reacting only at the next write's finish would end it at t+340 ms
+/// (the clean tail ends at t+305 ms).
+#[test]
+fn idle_tail_reassigns_a_revoked_write_at_once() {
+    let (clean, t, revoked) = revoke_a_third_in(WriteWait::IdleTail);
+    assert_eq!(
+        (clean.begin, clean.end, t),
+        (ms(209), ms(305), ms(241)),
+        "the clean idle tail moved"
+    );
+    assert_eq!(revoked.end, ms(329));
+    assert!(
+        revoked.write_starts.contains(&t),
+        "no write started at the revocation instant {t:?}: {:?}",
+        revoked.write_starts
+    );
+}
+
+// ----------------------------------------------------------------------
+// Seeded action-script corpus: one pinned fingerprint per script
+// ----------------------------------------------------------------------
+
+/// One step of a corpus script.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Collect(usize),
+    Count(usize),
+    CheckpointNow(usize),
+    /// `idle_until(now + Δ)`, Δ in milliseconds.
+    Idle(u64),
+    /// A `count` of the persisted RDD.
+    ReadPersisted,
+}
+
+/// Which checkpoint hook a script installs.
+#[derive(Debug, Clone, Copy)]
+enum Hook {
+    None,
+    /// Checkpoint every non-empty RDD once, when it first materializes.
+    OnMaterialize,
+    /// Every `interval_ms`, checkpoint every cached block (a polled
+    /// policy, so every scheduler step that polls can fire it).
+    PollAllCached(u64),
+}
+
+/// A random action script: data shape, workers, hook, suspension,
+/// injector schedule and actions.
+#[derive(Debug, Clone)]
+struct Script {
+    rows: i64,
+    parts: u32,
+    reduce_parts: u32,
+    workers: u64,
+    hook: Hook,
+    suspend_after: Option<u64>,
+    events: Vec<(SimTime, WorkerEvent)>,
+    steps: Vec<Step>,
+}
+
+/// SplitMix64: a self-contained seeded generator for the corpus.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A draw in `lo..hi`.
+    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.next() % (hi - lo)
+    }
+}
+
+fn corpus_script(seed: u64) -> Script {
+    let mut g = Mix(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x5eed);
+    let workers = g.range(2, 4);
+    let hook = match g.range(0, 6) {
+        0 | 1 => Hook::None,
+        2..=4 => Hook::OnMaterialize,
+        _ => Hook::PollAllCached(g.range(10, 400)),
+    };
+    let suspend_after = (g.range(0, 4) == 0).then(|| g.range(1, 30));
+    // Revocations, warnings and joins at random instants in the first
+    // 1.5 virtual seconds, the span most scripts' actions cover.
+    let mut events = Vec::new();
+    let mut next_join = 10;
+    for _ in 0..g.range(1, 7) {
+        let t = SimTime::from_millis(g.range(1, 1_500));
+        let ev = match g.range(0, 4) {
+            0 | 1 => WorkerEvent::Remove {
+                ext_id: g.range(1, workers + 1),
+            },
+            2 => WorkerEvent::Warn {
+                ext_id: g.range(1, workers + 1),
+            },
+            _ => {
+                next_join += 1;
+                WorkerEvent::Add {
+                    ext_id: next_join,
+                    spec: WorkerSpec::r3_large(),
+                }
+            }
+        };
+        events.push((t, ev));
+        if let (WorkerEvent::Remove { .. }, true) = (ev, g.range(0, 2) == 0) {
+            // A replacement some milliseconds later.
+            next_join += 1;
+            events.push((
+                t + SimDuration::from_millis(g.range(0, 400)),
+                WorkerEvent::Add {
+                    ext_id: next_join,
+                    spec: WorkerSpec::r3_large(),
+                },
+            ));
+        }
+    }
+    let steps = (0..g.range(3, 8))
+        .map(|_| match g.range(0, 10) {
+            0 | 1 => Step::Collect(g.range(0, 3) as usize),
+            2 | 3 => Step::Count(g.range(0, 3) as usize),
+            4 | 5 => Step::CheckpointNow(g.range(0, 3) as usize),
+            6 | 7 => Step::Idle(g.range(0, 600)),
+            _ => Step::ReadPersisted,
+        })
+        .collect();
+    Script {
+        rows: g.range(2_000, 60_000) as i64,
+        parts: g.range(4, 11) as u32,
+        reduce_parts: g.range(2, 6) as u32,
+        workers,
+        hook,
+        suspend_after,
+        events,
+        steps,
+    }
+}
+
+/// The corpus's hooks, one type so a script picks one by value.
+struct CorpusHook {
+    hook: Hook,
+    last_poll: SimTime,
+}
+
+impl CheckpointHooks for CorpusHook {
+    fn on_rdd_materialized(
+        &mut self,
+        view: &LineageView<'_>,
+        _events: &mut dyn EventSink,
+        rdd: RddId,
+        _now: SimTime,
+    ) -> Vec<CheckpointDirective> {
+        match self.hook {
+            Hook::OnMaterialize if view.rdd_vbytes(rdd) > 0 => {
+                vec![CheckpointDirective::Checkpoint(rdd)]
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    fn poll(
+        &mut self,
+        _view: &LineageView<'_>,
+        _events: &mut dyn EventSink,
+        now: SimTime,
+    ) -> Vec<CheckpointDirective> {
+        match self.hook {
+            Hook::PollAllCached(ms) if now - self.last_poll >= SimDuration::from_millis(ms) => {
+                self.last_poll = now;
+                vec![CheckpointDirective::CheckpointAllCached]
+            }
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// FNV-1a, folded over several byte strings.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for part in parts {
+        for b in part.iter() {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Runs `s` and fingerprints its trace bytes, `RunStats`, every
+/// action's result (a typed error ends the script) and the final clock.
+fn run_script(s: &Script, host_threads: usize) -> u64 {
+    let config = DriverConfig {
+        host_threads,
+        suspend_after_waves: s.suspend_after,
+        ..DriverConfig::default()
+    };
+    let mut d = Driver::new(
+        config,
+        Box::new(CorpusHook {
+            hook: s.hook,
+            last_poll: SimTime::ZERO,
+        }),
+        Box::new(ScriptedInjector::new(s.events.clone())),
+    );
+    let trace = TraceHandle::disabled();
+    let reader = trace.attach_memory(0);
+    d.set_trace(trace);
+    for ext in 1..=s.workers {
+        d.add_worker_with_ext(ext, WorkerSpec::r3_large());
+    }
+    let src = d
+        .ctx()
+        .parallelize((0..s.rows).map(Value::from_i64), s.parts);
+    let mapped = d
+        .ctx()
+        .map(src, |v| Value::Int(v.as_i64().unwrap() * 3 + 1));
+    let persisted = d.ctx().map(src, |v| Value::Int(v.as_i64().unwrap() ^ 5));
+    let persisted = d.ctx().persist(persisted);
+    let keyed = d.ctx().map(mapped, |v| {
+        Value::pair(Value::Int(v.as_i64().unwrap() % 11), Value::Int(1))
+    });
+    let reduced = d.ctx().reduce_by_key(keyed, s.reduce_parts, |a, b| {
+        Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
+    });
+    let targets = [mapped, persisted, reduced];
+    let mut results = String::new();
+    for step in &s.steps {
+        let out = match *step {
+            Step::Collect(i) => d.collect(targets[i]).map(|v| format!("{v:?}")),
+            Step::Count(i) => d.count(targets[i]).map(|n| n.to_string()),
+            Step::CheckpointNow(i) => d.checkpoint_now(targets[i]).map(|()| "ckpt".into()),
+            Step::Idle(ms) => {
+                let t = d.now() + SimDuration::from_millis(ms);
+                d.idle_until(t).map(|()| "idle".into())
+            }
+            Step::ReadPersisted => d.count(persisted).map(|n| n.to_string()),
+        };
+        let failed = out.is_err();
+        results.push_str(&format!("{step:?} @ {:?} -> {out:?}\n", d.now()));
+        if failed {
+            break;
+        }
+    }
+    let stats = format!("{:?} / waves {}", d.stats(), d.waves_committed());
+    fnv1a(&[
+        reader.to_jsonl().as_bytes(),
+        stats.as_bytes(),
+        results.as_bytes(),
+    ])
+}
+
+/// The corpus's pinned fingerprints, one per script seed, equal at
+/// `host_threads` 1 and 2. Scripts 6 and 15 revoke a worker inside a
+/// `checkpoint_now` drain, so they also pin that a drain re-plans at
+/// the revocation instant.
+const CORPUS_PINS: [u64; 48] = [
+    0xe0b9c3eeea9555e5,
+    0x2fecc67145ca3610,
+    0xe81e798567ba9795,
+    0x2cc111fd14174bb5,
+    0x3cb1f961fdc53d73,
+    0xca5a693fc87997ea,
+    0x8a0255ee89f7839f,
+    0x36a4d3a975c582fa,
+    0xa2a3563b2637653c,
+    0xb848b792032ff178,
+    0x4bb25728c0853670,
+    0xa079e361bf4b7705,
+    0xc8bf15546accb89f,
+    0xc81b1eefae59a8fc,
+    0x820da3c53cb87800,
+    0x3f64744158ec3d13,
+    0xa761111af4292e67,
+    0x176caa1be7254965,
+    0x38156b9557cc7011,
+    0x16e0d4c4a2cf177c,
+    0xb8b43498b9c3eee6,
+    0xca4cd1dc195679be,
+    0x427928d1a6df3b3f,
+    0xe086db1cecdb906d,
+    0x026d99a221a9ed2a,
+    0x3354870c483cb5f5,
+    0xb71e5f48ad9bfb0c,
+    0xf8f9f48519d5f335,
+    0x7b1bfd8a38acd8c6,
+    0x2121103ac86758ba,
+    0x59da3becd81cf692,
+    0x52e7f173928d81c0,
+    0x69f50301a0118fd7,
+    0xfaa0b3f66b156ee1,
+    0x7183ca01a5bb0e38,
+    0x3d722031cbf206bf,
+    0x501df55197330583,
+    0x8c8a6abc4014836c,
+    0x4a27b91a1bcd1100,
+    0x7dcd6766d6e05538,
+    0xeff1df157fd656a8,
+    0xb58f856849e2638f,
+    0xcbde38ba41f13b2b,
+    0xaf7e65bd12d0af5d,
+    0xfdb22db294d15002,
+    0x716e4eb878863648,
+    0xa920c5329999e122,
+    0x8067623365e85ace,
+];
+
+/// Pins the scheduler loop's observable behaviour over 48 seeded action
+/// scripts: `collect`, `count`, `checkpoint_now`, `idle_until` and reads
+/// of a persisted RDD on 2–3 workers under scripted revocations,
+/// warnings and joins, some with a checkpoint hook and some suspended
+/// at a random wave. A mismatch names every script that moved.
+#[test]
+fn action_script_corpus_is_pinned() {
+    let mut moved = Vec::new();
+    for (seed, &pin) in CORPUS_PINS.iter().enumerate() {
+        let script = corpus_script(seed as u64);
+        let got = run_script(&script, 1);
+        let twin = run_script(&script, 2);
+        assert_eq!(got, twin, "script {seed} differs across host_threads");
+        if got != pin {
+            moved.push(format!("script {seed}: {got:#018x} (pinned {pin:#018x})"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "corpus scripts moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// Fires `CheckpointAllCached` once, at the first poll at or after its
+/// instant (a timer-based policy).
+struct PollOnceAt(SimTime, bool);
+
+impl CheckpointHooks for PollOnceAt {
+    fn poll(
+        &mut self,
+        _view: &LineageView<'_>,
+        _events: &mut dyn EventSink,
+        now: SimTime,
+    ) -> Vec<CheckpointDirective> {
+        if self.1 || now < self.0 {
+            return Vec::new();
+        }
+        self.1 = true;
+        vec![CheckpointDirective::CheckpointAllCached]
+    }
+}
+
+/// A `checkpoint_now` drain does not poll the policy hooks: a timer
+/// policy whose instant falls inside the drain fires at the first step
+/// after it, so the drain writes only the RDD it was asked for and ends
+/// when the hookless drain does (t+491 ms; a polling drain would also
+/// write the persisted RDD's eight cached partitions and end at
+/// t+597 ms).
+#[test]
+fn checkpoint_drain_does_not_poll_the_hooks() {
+    let drain = |hooks: Box<dyn CheckpointHooks>| {
+        let mut d = Driver::new(DriverConfig::default(), hooks, Box::new(NoFailures));
+        d.add_worker_with_ext(1, WorkerSpec::r3_large());
+        d.add_worker_with_ext(2, WorkerSpec::r3_large());
+        let src = d.ctx().parallelize((0..200_000).map(Value::from_i64), 8);
+        let persisted = d.ctx().map(src, |v| Value::Int(v.as_i64().unwrap() ^ 3));
+        let persisted = d.ctx().persist(persisted);
+        let mapped = d.ctx().map(src, |v| Value::Int(v.as_i64().unwrap() + 1));
+        d.count(persisted).unwrap();
+        d.checkpoint_now(mapped).unwrap();
+        let (end, written) = (d.now(), d.stats().checkpoints_written);
+        d.idle_until(ms(2_000)).unwrap();
+        (end, written, d.stats().checkpoints_written)
+    };
+    let (end, written, _) = drain(Box::new(NoCheckpoint));
+    assert_eq!((end, written), (ms(491), 8));
+    let timer = drain(Box::new(PollOnceAt(ms(400), false)));
+    assert_eq!(timer, (end, 8, 16), "the timer fires after the drain");
 }
