@@ -84,8 +84,6 @@ pub struct FlintCheckpointPolicy {
     shared: FtSharedHandle,
     last_ckpt: SimTime,
     last_shuffle_ckpt: SimTime,
-    /// Exponential-smoothing factor for δ updates.
-    alpha: f64,
     /// Checkpoint shuffle RDDs at the faster `τ / #map-partitions`
     /// interval (§3.1.1). Disabled only by the ablation benches.
     pub shuffle_fastpath: bool,
@@ -101,7 +99,6 @@ impl FlintCheckpointPolicy {
             shared,
             last_ckpt: SimTime::ZERO,
             last_shuffle_ckpt: SimTime::ZERO,
-            alpha: 0.5,
             shuffle_fastpath: true,
             adaptive_delta: true,
         }
@@ -118,10 +115,13 @@ impl FlintCheckpointPolicy {
         optimal_tau(s.delta, s.mttf)
     }
 
+    /// Exponential-smoothing factor for δ updates.
+    const ALPHA: f64 = 0.5;
+
     fn update_delta(&mut self, observed: SimDuration) {
         let mut s = lock(&self.shared);
         let blended =
-            s.delta.as_secs_f64() * (1.0 - self.alpha) + observed.as_secs_f64() * self.alpha;
+            s.delta.as_secs_f64() * (1.0 - Self::ALPHA) + observed.as_secs_f64() * Self::ALPHA;
         s.delta = SimDuration::from_secs_f64(blended.max(0.001));
         s.tau = optimal_tau(s.delta, s.mttf);
     }
@@ -207,18 +207,6 @@ impl CheckpointHooks for FlintCheckpointPolicy {
             }
         }
         wave
-    }
-
-    fn on_checkpoint_written(
-        &mut self,
-        _rdd: RddId,
-        _part: u32,
-        _vbytes: u64,
-        _wall: SimDuration,
-        _now: SimTime,
-    ) {
-        // Per-partition write times are folded into δ at marking time via
-        // `checkpoint_delta`; nothing further needed here.
     }
 }
 

@@ -108,16 +108,6 @@ pub(crate) struct StoreChanges {
     pub all: bool,
 }
 
-/// Returns the store key for `(rdd, part)`.
-///
-/// All partitions of an RDD share a key prefix (`rdd-7/`), mirroring the
-/// paper's "all partition checkpoints of a single RDD live in the same
-/// HDFS directory" layout (§4) and enabling prefix-wise garbage
-/// collection.
-pub fn checkpoint_key(rdd: RddId, part: u32) -> String {
-    format!("rdd-{:06}/part-{:05}", rdd.0, part)
-}
-
 /// The engine's view of durable checkpoints.
 ///
 /// Wraps a [`DurableStore`] with per-RDD partition bitmaps so "is this
@@ -143,9 +133,19 @@ pub struct CheckpointStore {
     changes: StoreChanges,
 }
 
-/// Returns the store key for a shuffle map output.
-fn shuffle_key(s: ShuffleId, map_part: u32) -> String {
-    format!("shuffle-{:06}/part-{:05}", s.0, map_part)
+/// Returns the store key for `key`.
+///
+/// All partitions of an RDD share a key prefix (`rdd-7/`), mirroring the
+/// paper's "all partition checkpoints of a single RDD live in the same
+/// HDFS directory" layout (§4) and enabling prefix-wise garbage
+/// collection; shuffle map outputs live under `shuffle-7/`.
+fn store_key(key: &BlockKey) -> String {
+    match *key {
+        BlockKey::RddPart { rdd, part } => format!("rdd-{:06}/part-{:05}", rdd.0, part),
+        BlockKey::ShuffleMap { shuffle, map_part } => {
+            format!("shuffle-{:06}/part-{:05}", shuffle.0, map_part)
+        }
+    }
 }
 
 /// Byte-exact size of one partition's serialized checkpoint payload: an
@@ -194,37 +194,18 @@ impl CheckpointStore {
     /// the (possibly degraded) store did with the write.
     pub(crate) fn put_shuffle(
         &mut self,
-        s: ShuffleId,
+        shuffle: ShuffleId,
         map_part: u32,
         data: impl Into<BlockData>,
         vbytes: u64,
         now: SimTime,
     ) -> WriteFault {
-        let key = shuffle_key(s, map_part);
-        let fault = self.faults.on_write(&key, now);
-        if fault == WriteFault::Fail {
-            return fault;
+        let key = BlockKey::ShuffleMap { shuffle, map_part };
+        let fault = self.land(key, data.into(), vbytes, now);
+        if fault != WriteFault::Fail {
+            self.shuffle_parts.insert((shuffle, map_part));
         }
-        self.store.put(&key, data.into(), vbytes, now);
-        self.shuffle_parts.insert((s, map_part));
-        self.landed(
-            BlockKey::ShuffleMap {
-                shuffle: s,
-                map_part,
-            },
-            fault,
-        );
         fault
-    }
-
-    /// Returns the checkpointed shuffle map output, if present.
-    pub(crate) fn get_shuffle(&self, s: ShuffleId, map_part: u32) -> Option<&BlockData> {
-        self.store.get(&shuffle_key(s, map_part))
-    }
-
-    /// Returns `true` if the shuffle map output is durably stored.
-    pub(crate) fn has_shuffle(&self, s: ShuffleId, map_part: u32) -> bool {
-        self.shuffle_parts.contains(&(s, map_part))
     }
 
     /// Returns the underlying durable store.
@@ -276,78 +257,76 @@ impl CheckpointStore {
         vbytes: u64,
         now: SimTime,
     ) -> WriteFault {
-        let key = checkpoint_key(rdd, part);
-        let fault = self.faults.on_write(&key, now);
-        if fault == WriteFault::Fail {
-            return fault;
+        let fault = self.land(BlockKey::RddPart { rdd, part }, data.into(), vbytes, now);
+        if fault != WriteFault::Fail {
+            let bits = self
+                .parts
+                .entry(rdd)
+                .or_insert_with(|| vec![false; num_partitions as usize]);
+            if let Some(b) = bits.get_mut(part as usize) {
+                *b = true;
+            }
         }
-        self.store.put(&key, data.into(), vbytes, now);
-        let bits = self
-            .parts
-            .entry(rdd)
-            .or_insert_with(|| vec![false; num_partitions as usize]);
-        if let Some(b) = bits.get_mut(part as usize) {
-            *b = true;
-        }
-        self.landed(BlockKey::RddPart { rdd, part }, fault);
         fault
     }
 
-    /// Records a write that landed: a torn one poisons `key`, a clean
-    /// one heals it, and either is a readability change.
-    fn landed(&mut self, key: BlockKey, fault: WriteFault) {
+    /// Lands one write of `key` unless the fault policy loses it: a
+    /// torn write poisons `key`, a clean one heals it, and either is a
+    /// readability change. Returns the policy's verdict.
+    fn land(&mut self, key: BlockKey, data: BlockData, vbytes: u64, now: SimTime) -> WriteFault {
+        let skey = store_key(&key);
+        let fault = self.faults.on_write(&skey, now);
+        if fault == WriteFault::Fail {
+            return fault;
+        }
+        self.store.put(&skey, data, vbytes, now);
         if fault == WriteFault::Torn {
             self.corrupt.insert(key);
         } else {
             self.corrupt.remove(&key);
         }
         self.changes.keys.insert(key);
+        fault
+    }
+
+    /// Returns the stored block of `key`, if present, in the form it was
+    /// captured.
+    pub(crate) fn block(&self, key: &BlockKey) -> Option<&BlockData> {
+        self.store.get(&store_key(key))
     }
 
     /// Returns the checkpointed records of `(rdd, part)`, if present, in
     /// the form they were stored (only shuffle map outputs are ever
     /// bucketed). Size and wire accounting cannot tell rows from a batch.
     pub fn get(&self, rdd: RddId, part: u32) -> Option<&Records> {
-        self.store.get(&checkpoint_key(rdd, part))?.part()
+        self.block(&BlockKey::RddPart { rdd, part })?.part()
     }
 
     /// Returns the stored virtual size of `(rdd, part)`, if present.
     pub fn size_of(&self, rdd: RddId, part: u32) -> Option<u64> {
-        self.store.size_of(&checkpoint_key(rdd, part))
+        self.store
+            .size_of(&store_key(&BlockKey::RddPart { rdd, part }))
     }
 
-    /// Returns `true` if `(rdd, part)` is durably stored.
-    pub fn has(&self, rdd: RddId, part: u32) -> bool {
-        self.parts
-            .get(&rdd)
-            .and_then(|b| b.get(part as usize).copied())
-            .unwrap_or(false)
+    /// Returns `true` if `key` is durably stored.
+    pub fn has(&self, key: &BlockKey) -> bool {
+        match *key {
+            BlockKey::RddPart { rdd, part } => self
+                .parts
+                .get(&rdd)
+                .and_then(|b| b.get(part as usize).copied())
+                .unwrap_or(false),
+            BlockKey::ShuffleMap { shuffle, map_part } => {
+                self.shuffle_parts.contains(&(shuffle, map_part))
+            }
+        }
     }
 
-    /// Why a *present* checkpoint of `(rdd, part)` can not be restored
-    /// at `now`, or `None` if a restore would succeed. Meaningless
-    /// when [`CheckpointStore::has`] is false. Pure — safe to call
-    /// from wave threads with the wave-snapshot `now`.
-    pub fn read_fault(&self, rdd: RddId, part: u32, now: SimTime) -> Option<ReadFault> {
-        self.block_read_fault(&BlockKey::RddPart { rdd, part }, now)
-    }
-
-    /// Why a *present* shuffle checkpoint can not be restored at `now`,
-    /// or `None` if a restore would succeed.
-    pub(crate) fn shuffle_read_fault(
-        &self,
-        s: ShuffleId,
-        map_part: u32,
-        now: SimTime,
-    ) -> Option<ReadFault> {
-        let key = BlockKey::ShuffleMap {
-            shuffle: s,
-            map_part,
-        };
-        self.block_read_fault(&key, now)
-    }
-
-    fn block_read_fault(&self, key: &BlockKey, now: SimTime) -> Option<ReadFault> {
+    /// Why a *present* checkpoint of `key` can not be restored at `now`,
+    /// or `None` if a restore would succeed. Meaningless when
+    /// [`CheckpointStore::has`] is false. Pure — safe to call from wave
+    /// threads with the wave-snapshot `now`.
+    pub fn read_fault(&self, key: &BlockKey, now: SimTime) -> Option<ReadFault> {
         if self.corrupt.contains(key) {
             Some(ReadFault::Corrupt)
         } else if self.faults.read_unavailable(now) {
@@ -357,17 +336,12 @@ impl CheckpointStore {
         }
     }
 
-    /// The planner/executor-shared readability predicate: the
-    /// partition is durably stored *and* restorable at `now`. Both
-    /// sides must agree on this (with the same wave-snapshot `now`) or
-    /// the planner schedules restores the executor then refuses.
-    pub fn readable(&self, rdd: RddId, part: u32, now: SimTime) -> bool {
-        self.has(rdd, part) && self.read_fault(rdd, part, now).is_none()
-    }
-
-    /// Shuffle-side readability predicate (see [`CheckpointStore::readable`]).
-    pub(crate) fn shuffle_readable(&self, s: ShuffleId, map_part: u32, now: SimTime) -> bool {
-        self.has_shuffle(s, map_part) && self.shuffle_read_fault(s, map_part, now).is_none()
+    /// The planner/executor-shared readability predicate: `key` is
+    /// durably stored *and* restorable at `now`. Both sides must agree
+    /// on this (with the same wave-snapshot `now`) or the planner
+    /// schedules restores the executor then refuses.
+    pub fn readable(&self, key: &BlockKey, now: SimTime) -> bool {
+        self.has(key) && self.read_fault(key, now).is_none()
     }
 
     /// Returns `true` if every partition of `rdd` is durably stored.
@@ -452,6 +426,20 @@ mod tests {
         Arc::new(vec![])
     }
 
+    fn rdd_part(rdd: u32, part: u32) -> BlockKey {
+        BlockKey::RddPart {
+            rdd: RddId(rdd),
+            part,
+        }
+    }
+
+    fn shuffle_map(shuffle: u32, map_part: u32) -> BlockKey {
+        BlockKey::ShuffleMap {
+            shuffle: ShuffleId(shuffle),
+            map_part,
+        }
+    }
+
     #[test]
     fn wire_size_is_framing_plus_payload() {
         assert_eq!(wire_size(&[]), 8);
@@ -462,7 +450,7 @@ mod tests {
 
     #[test]
     fn key_format_is_prefix_friendly() {
-        let k = checkpoint_key(RddId(7), 3);
+        let k = store_key(&rdd_part(7, 3));
         assert!(k.starts_with("rdd-000007/"));
         assert_eq!(k, "rdd-000007/part-00003");
     }
@@ -470,10 +458,10 @@ mod tests {
     #[test]
     fn put_get_has() {
         let mut cs = CheckpointStore::new(StorageConfig::default());
-        assert!(!cs.has(RddId(0), 0));
+        assert!(!cs.has(&rdd_part(0, 0)));
         cs.put(RddId(0), 0, 2, data(), 100, SimTime::ZERO);
-        assert!(cs.has(RddId(0), 0));
-        assert!(!cs.has(RddId(0), 1));
+        assert!(cs.has(&rdd_part(0, 0)));
+        assert!(!cs.has(&rdd_part(0, 1)));
         assert!(!cs.is_fully_checkpointed(RddId(0)));
         cs.put(RddId(0), 1, 2, data(), 100, SimTime::ZERO);
         assert!(cs.is_fully_checkpointed(RddId(0)));
@@ -502,9 +490,9 @@ mod tests {
         cs.put(c, 0, 1, data(), 10, SimTime::ZERO);
         let deleted = cs.gc(&l, SimTime::ZERO);
         assert_eq!(deleted, 2);
-        assert!(cs.has(c, 0));
-        assert!(!cs.has(a, 0));
-        assert!(!cs.has(b, 0));
+        assert!(cs.has(&rdd_part(c.0, 0)));
+        assert!(!cs.has(&rdd_part(a.0, 0)));
+        assert!(!cs.has(&rdd_part(b.0, 0)));
     }
 
     #[test]
@@ -528,17 +516,17 @@ mod tests {
         // b only partially checkpointed: a must be retained.
         cs.put(b, 0, 2, data(), 10, SimTime::ZERO);
         assert_eq!(cs.gc(&l, SimTime::ZERO), 0);
-        assert!(cs.has(a, 0));
+        assert!(cs.has(&rdd_part(a.0, 0)));
     }
 
     #[test]
     fn shuffle_checkpoints_round_trip() {
         let mut cs = CheckpointStore::new(StorageConfig::default());
-        assert!(!cs.has_shuffle(ShuffleId(2), 0));
+        assert!(!cs.has(&shuffle_map(2, 0)));
         cs.put_shuffle(ShuffleId(2), 0, data(), 64, SimTime::ZERO);
-        assert!(cs.has_shuffle(ShuffleId(2), 0));
-        assert!(cs.get_shuffle(ShuffleId(2), 0).is_some());
-        assert!(!cs.has_shuffle(ShuffleId(2), 1));
+        assert!(cs.has(&shuffle_map(2, 0)));
+        assert!(cs.block(&shuffle_map(2, 0)).is_some());
+        assert!(!cs.has(&shuffle_map(2, 1)));
     }
 
     #[test]
@@ -570,44 +558,44 @@ mod tests {
             cs.put(RddId(0), 0, 2, data(), 10, SimTime::ZERO),
             WriteFault::Torn
         );
-        assert!(cs.has(RddId(0), 0));
+        assert!(cs.has(&rdd_part(0, 0)));
         assert_eq!(
-            cs.read_fault(RddId(0), 0, SimTime::ZERO),
+            cs.read_fault(&rdd_part(0, 0), SimTime::ZERO),
             Some(ReadFault::Corrupt)
         );
-        assert!(!cs.readable(RddId(0), 0, SimTime::ZERO));
+        assert!(!cs.readable(&rdd_part(0, 0), SimTime::ZERO));
 
         // Fail: nothing landed.
         assert_eq!(
             cs.put(RddId(0), 1, 2, data(), 10, SimTime::ZERO),
             WriteFault::Fail
         );
-        assert!(!cs.has(RddId(0), 1));
+        assert!(!cs.has(&rdd_part(0, 1)));
 
         // Clean rewrite clears the torn flag.
         assert_eq!(
             cs.put(RddId(0), 0, 2, data(), 10, SimTime::ZERO),
             WriteFault::None
         );
-        assert!(cs.readable(RddId(0), 0, SimTime::ZERO));
+        assert!(cs.readable(&rdd_part(0, 0), SimTime::ZERO));
 
         // Transient outage window: unavailable inside, healthy after.
         let mid = SimTime::from_millis(1_500);
         assert_eq!(
-            cs.read_fault(RddId(0), 0, mid),
+            cs.read_fault(&rdd_part(0, 0), mid),
             Some(ReadFault::Unavailable)
         );
-        assert!(!cs.readable(RddId(0), 0, mid));
-        assert!(cs.readable(RddId(0), 0, SimTime::from_millis(2_000)));
+        assert!(!cs.readable(&rdd_part(0, 0), mid));
+        assert!(cs.readable(&rdd_part(0, 0), SimTime::from_millis(2_000)));
 
         // Shuffle writes go through the same policy (write 4: clean).
         assert_eq!(
             cs.put_shuffle(ShuffleId(1), 0, data(), 8, SimTime::ZERO),
             WriteFault::None
         );
-        assert!(cs.shuffle_readable(ShuffleId(1), 0, SimTime::ZERO));
+        assert!(cs.readable(&shuffle_map(1, 0), SimTime::ZERO));
         assert_eq!(
-            cs.shuffle_read_fault(ShuffleId(1), 0, mid),
+            cs.read_fault(&shuffle_map(1, 0), mid),
             Some(ReadFault::Unavailable)
         );
 
@@ -618,7 +606,7 @@ mod tests {
             WriteFault::Torn
         );
         cs.drop_rdd(RddId(3), SimTime::ZERO);
-        assert!(!cs.has(RddId(3), 0));
+        assert!(!cs.has(&rdd_part(3, 0)));
     }
 
     /// Every write lands with `fault`; reads fail inside `[1 s, 2 s)`.
@@ -663,10 +651,12 @@ mod tests {
         ]
     }
 
-    /// The string-keyed corruption bookkeeping the typed set replaced,
-    /// transcribed: keys as stored, GC by key prefix.
+    /// The string-keyed presence and corruption bookkeeping the typed
+    /// bitmaps and set replaced, transcribed: keys as stored, GC by key
+    /// prefix.
     #[derive(Default)]
     struct StringModel {
+        present: HashSet<String>,
         corrupt: HashSet<String>,
     }
 
@@ -675,17 +665,24 @@ mod tests {
             match fault {
                 WriteFault::Fail => {}
                 WriteFault::Torn => {
+                    self.present.insert(key.clone());
                     self.corrupt.insert(key);
                 }
                 WriteFault::None => {
                     self.corrupt.remove(&key);
+                    self.present.insert(key);
                 }
             }
         }
 
         fn drop_rdd(&mut self, rdd: RddId) {
             let prefix = format!("rdd-{:06}/", rdd.0);
+            self.present.retain(|k| !k.starts_with(&prefix));
             self.corrupt.retain(|k| !k.starts_with(&prefix));
+        }
+
+        fn readable(&self, key: &str, now: SimTime) -> bool {
+            self.present.contains(key) && self.fault(key, now).is_none()
         }
 
         fn fault(&self, key: &str, now: SimTime) -> Option<ReadFault> {
@@ -708,9 +705,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
-        /// Typed corrupt keys answer every read-fault query exactly as
-        /// the string keys did, through any sequence of clean, torn and
-        /// lost writes and RDD drops.
+        /// Typed keys answer every presence, read-fault and readability
+        /// query exactly as the string keys did, through any sequence of
+        /// clean, torn and lost writes and RDD drops: rdd 7 and shuffle
+        /// 7 never answer for each other.
         #[test]
         fn typed_corrupt_keys_match_string_keys(
             ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -725,13 +723,13 @@ mod tests {
                         let fault = faults[usize::from(fault)];
                         cs.set_fault_policy(Box::new(Fixed { fault }));
                         cs.put(RddId(rdd), part, 3, data(), 10, SimTime::ZERO);
-                        model.landed(checkpoint_key(RddId(rdd), part), fault);
+                        model.landed(store_key(&rdd_part(rdd, part)), fault);
                     }
                     Op::PutShuffle { shuffle, part, fault } => {
                         let fault = faults[usize::from(fault)];
                         cs.set_fault_policy(Box::new(Fixed { fault }));
                         cs.put_shuffle(ShuffleId(shuffle), part, data(), 10, SimTime::ZERO);
-                        model.landed(shuffle_key(ShuffleId(shuffle), part), fault);
+                        model.landed(store_key(&shuffle_map(shuffle, part)), fault);
                     }
                     Op::Drop { rdd } => {
                         cs.drop_rdd(RddId(rdd), SimTime::ZERO);
@@ -741,14 +739,12 @@ mod tests {
                 for now in [SimTime::ZERO, SimTime::from_millis(1_500)] {
                     for id in IDS {
                         for part in 0..3 {
-                            prop_assert_eq!(
-                                cs.read_fault(RddId(id), part, now),
-                                model.fault(&checkpoint_key(RddId(id), part), now)
-                            );
-                            prop_assert_eq!(
-                                cs.shuffle_read_fault(ShuffleId(id), part, now),
-                                model.fault(&shuffle_key(ShuffleId(id), part), now)
-                            );
+                            for key in [rdd_part(id, part), shuffle_map(id, part)] {
+                                let skey = store_key(&key);
+                                prop_assert_eq!(cs.has(&key), model.present.contains(&skey));
+                                prop_assert_eq!(cs.read_fault(&key, now), model.fault(&skey, now));
+                                prop_assert_eq!(cs.readable(&key, now), model.readable(&skey, now));
+                            }
                         }
                     }
                 }
@@ -762,7 +758,7 @@ mod tests {
         cs.put(RddId(1), 0, 2, data(), 10, SimTime::ZERO);
         cs.put(RddId(1), 1, 2, data(), 10, SimTime::ZERO);
         assert_eq!(cs.drop_rdd(RddId(1), SimTime::ZERO), 2);
-        assert!(!cs.has(RddId(1), 0));
+        assert!(!cs.has(&rdd_part(1, 0)));
         assert!(cs.checkpointed_rdds().is_empty());
     }
 }

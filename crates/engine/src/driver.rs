@@ -48,17 +48,9 @@ pub(crate) enum TaskKey {
     ShuffleMap { shuffle: ShuffleId, map_part: u32 },
     /// Materialize and cache partition `part` of the job target.
     Output { rdd: RddId, part: u32 },
-    /// Durably write a checkpoint.
-    Ckpt(CkptJob),
-}
-
-/// A pending checkpoint write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) enum CkptJob {
-    /// Checkpoint `(rdd, part)`.
-    RddPart(RddId, u32),
-    /// Checkpoint a shuffle map output (systems-level baseline).
-    Shuffle(ShuffleId, u32),
+    /// Durably write a checkpoint of a block: an RDD partition, or a
+    /// shuffle map output (systems-level baseline).
+    Ckpt(BlockKey),
 }
 
 /// What a [`Driver::run_until`] call steps virtual time toward.
@@ -744,7 +736,7 @@ impl Driver {
     /// node's sibling cores.
     fn admit(&mut self, key: TaskKey, out: TaskOutput) -> bool {
         let worker = match key {
-            TaskKey::Output { rdd, part } | TaskKey::Ckpt(CkptJob::RddPart(rdd, part)) => {
+            TaskKey::Output { rdd, part } | TaskKey::Ckpt(BlockKey::RddPart { rdd, part }) => {
                 self.place(rdd, part)
             }
             TaskKey::ShuffleMap { shuffle, map_part } => {
@@ -752,7 +744,7 @@ impl Driver {
             }
             // A shuffle snapshot is written by the worker holding the
             // map output block.
-            TaskKey::Ckpt(CkptJob::Shuffle(..)) => {
+            TaskKey::Ckpt(BlockKey::ShuffleMap { .. }) => {
                 out.source.filter(|&w| self.cluster.worker(w).is_alive())
             }
         };
@@ -849,7 +841,7 @@ impl Driver {
             });
         }
         let (kind, id, part, block) = match r.key {
-            TaskKey::Ckpt(job) => return self.commit_checkpoint(job, r, now),
+            TaskKey::Ckpt(block) => return self.commit_checkpoint(block, r, now),
             TaskKey::ShuffleMap { shuffle, map_part } => (
                 "shuffle",
                 u64::from(shuffle.0),

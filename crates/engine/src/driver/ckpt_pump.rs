@@ -6,34 +6,34 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 use flint_simtime::SimTime;
 use flint_trace::{EventKind, TraceHandle};
 
-use super::{CkptJob, Driver, Running, TaskKey};
+use super::{Driver, Running, TaskKey};
 use crate::block::BlockKey;
 use crate::checkpoint::WriteFault;
 use crate::hooks::{CheckpointDirective, CheckpointHooks, LineageView};
 use crate::rdd::RddId;
 
-/// Pending checkpoint writes: FIFO, each job at most once, plus the RDDs
-/// a `Checkpoint` directive has already marked.
+/// Pending checkpoint writes: FIFO, each block at most once, plus the
+/// RDDs a `Checkpoint` directive has already marked.
 #[derive(Debug, Default)]
 pub(super) struct CkptQueue {
-    jobs: VecDeque<CkptJob>,
-    queued: BTreeSet<CkptJob>,
+    jobs: VecDeque<BlockKey>,
+    queued: BTreeSet<BlockKey>,
     marked: HashSet<RddId>,
 }
 
 impl CkptQueue {
     /// Queues a checkpoint write unless it is already queued; returns
     /// whether it was added.
-    pub(super) fn push(&mut self, job: CkptJob) -> bool {
-        let added = self.queued.insert(job);
+    pub(super) fn push(&mut self, key: BlockKey) -> bool {
+        let added = self.queued.insert(key);
         if added {
-            self.jobs.push_back(job);
+            self.jobs.push_back(key);
         }
         added
     }
 
-    /// Empties the queue, returning its jobs in queue order.
-    fn take(&mut self) -> VecDeque<CkptJob> {
+    /// Empties the queue, returning its blocks in queue order.
+    fn take(&mut self) -> VecDeque<BlockKey> {
         self.queued.clear();
         std::mem::take(&mut self.jobs)
     }
@@ -55,16 +55,10 @@ impl Driver {
                 .count()
     }
 
-    /// True when a queued checkpoint job needs no work: it is already in
-    /// flight or its object is already durable.
-    fn ckpt_satisfied(&self, job: CkptJob) -> bool {
-        if self.in_flight.contains(&TaskKey::Ckpt(job)) {
-            return true;
-        }
-        match job {
-            CkptJob::RddPart(rdd, part) => self.ckpt.has(rdd, part),
-            CkptJob::Shuffle(s, mp) => self.ckpt.has_shuffle(s, mp),
-        }
+    /// True when a checkpoint write of `key` needs no work: it is
+    /// already in flight or the block is already durable.
+    fn ckpt_satisfied(&self, key: BlockKey) -> bool {
+        self.in_flight.contains(&TaskKey::Ckpt(key)) || self.ckpt.has(&key)
     }
 
     /// Runs every queued checkpoint write as one wave (see
@@ -80,12 +74,12 @@ impl Driver {
             .ckpt_queue
             .take()
             .into_iter()
-            .filter(|&job| !self.ckpt_satisfied(job))
+            .filter(|&key| !self.ckpt_satisfied(key))
             .map(TaskKey::Ckpt)
             .collect();
         for key in self.run_wave(&todo) {
-            if let TaskKey::Ckpt(job) = key {
-                self.ckpt_queue.push(job);
+            if let TaskKey::Ckpt(block) = key {
+                self.ckpt_queue.push(block);
             }
         }
     }
@@ -93,24 +87,20 @@ impl Driver {
     /// Commits a checkpoint write to the durable store. Partition sizes
     /// are recorded, but no materialization hook fires: the write
     /// produced no new partition.
-    pub(super) fn commit_checkpoint(&mut self, job: CkptJob, r: Running, now: SimTime) {
+    pub(super) fn commit_checkpoint(&mut self, block: BlockKey, r: Running, now: SimTime) {
         for (rdd, part, bytes) in r.touched {
             self.ctx
                 .lineage_mut()
                 .record_partition_size(rdd, part, bytes);
         }
-        let (block, fault) = match job {
-            CkptJob::RddPart(rdd, part) => {
+        let fault = match block {
+            BlockKey::RddPart { rdd, part } => {
                 let n = self.ctx.lineage().meta(rdd).num_partitions;
-                let fault = self.ckpt.put(rdd, part, n, r.data, r.vbytes, now);
-                (BlockKey::RddPart { rdd, part }, fault)
+                self.ckpt.put(rdd, part, n, r.data, r.vbytes, now)
             }
-            CkptJob::Shuffle(shuffle, map_part) => {
-                let fault = self
-                    .ckpt
-                    .put_shuffle(shuffle, map_part, r.data, r.vbytes, now);
-                (BlockKey::ShuffleMap { shuffle, map_part }, fault)
-            }
+            BlockKey::ShuffleMap { shuffle, map_part } => self
+                .ckpt
+                .put_shuffle(shuffle, map_part, r.data, r.vbytes, now),
         };
         // A torn write "succeeded" from the client's view; the note
         // records the planted corruption the restore-time integrity check
@@ -131,9 +121,7 @@ impl Driver {
             wire_bytes: r.wire,
             millis: r.duration.as_millis(),
         });
-        if let CkptJob::RddPart(rdd, part) = job {
-            self.hooks
-                .on_checkpoint_written(rdd, part, r.vbytes, r.duration, now);
+        if let BlockKey::RddPart { rdd, .. } = block {
             if self.ckpt.is_fully_checkpointed(rdd) {
                 // Paper §4: checkpointing an RDD terminates its lineage;
                 // ancestors' checkpoints become garbage.
@@ -213,9 +201,8 @@ impl Driver {
                     let n = self.ctx.lineage().meta(rdd).num_partitions;
                     let mut enqueued = 0u64;
                     for part in 0..n {
-                        if !self.ckpt.has(rdd, part)
-                            && self.ckpt_queue.push(CkptJob::RddPart(rdd, part))
-                        {
+                        let key = BlockKey::RddPart { rdd, part };
+                        if !self.ckpt.has(&key) && self.ckpt_queue.push(key) {
                             enqueued += 1;
                         }
                     }
@@ -234,23 +221,10 @@ impl Driver {
                     }
                 }
                 CheckpointDirective::CheckpointAllCached => {
-                    let snap = self.cluster.snapshot();
-                    for (_, key, _) in snap.blocks {
-                        let job = match key {
-                            BlockKey::RddPart { rdd, part } => {
-                                if self.ckpt.has(rdd, part) {
-                                    continue;
-                                }
-                                CkptJob::RddPart(rdd, part)
-                            }
-                            BlockKey::ShuffleMap { shuffle, map_part } => {
-                                if self.ckpt.has_shuffle(shuffle, map_part) {
-                                    continue;
-                                }
-                                CkptJob::Shuffle(shuffle, map_part)
-                            }
-                        };
-                        self.ckpt_queue.push(job);
+                    for (_, key, _) in self.cluster.snapshot().blocks {
+                        if !self.ckpt.has(&key) {
+                            self.ckpt_queue.push(key);
+                        }
                     }
                 }
             }

@@ -131,8 +131,8 @@ impl Driver {
         self.running = kept;
         for r in lost {
             self.in_flight.remove(&r.key);
-            if let TaskKey::Ckpt(job) = r.key {
-                self.ckpt_queue.push(job);
+            if let TaskKey::Ckpt(block) = r.key {
+                self.ckpt_queue.push(block);
             }
         }
     }
@@ -150,13 +150,14 @@ impl Driver {
             let TaskKey::ShuffleMap { shuffle, map_part } = *key else {
                 continue;
             };
-            if !self.ckpt.has_shuffle(shuffle, map_part) {
+            let block = BlockKey::ShuffleMap { shuffle, map_part };
+            if !self.ckpt.has(&block) {
                 continue;
             }
-            let Some(fault) = self.ckpt.shuffle_read_fault(shuffle, map_part, now) else {
+            let Some(fault) = self.ckpt.read_fault(&block, now) else {
                 continue;
             };
-            self.report_fallback(BlockKey::ShuffleMap { shuffle, map_part }, fault, now);
+            self.report_fallback(block, fault, now);
         }
     }
 
@@ -173,21 +174,21 @@ impl Driver {
         }
     }
 
-    /// Waits (in virtual time) until a *present* checkpoint of
-    /// `(rdd, part)` is restorable. Transient outages are retried with
-    /// capped exponential backoff; a corrupt object returns `Ok(false)`
+    /// Waits (in virtual time) until a *present* checkpoint of `block`
+    /// is restorable. Transient outages are retried with capped
+    /// exponential backoff; a corrupt object returns `Ok(false)`
     /// (with the detection/fallback event pair) so the caller falls
     /// back to cluster state or recomputation — corrupt bytes are never
     /// served. Exhausting the retry budget returns
     /// [`EngineError::StoreUnavailable`].
-    fn await_store_readable(&mut self, rdd: RddId, part: u32) -> Result<bool> {
+    fn await_store_readable(&mut self, block: BlockKey) -> Result<bool> {
         let mut attempt = 0u64;
         loop {
-            match self.ckpt.read_fault(rdd, part, self.clock.now()) {
+            match self.ckpt.read_fault(&block, self.clock.now()) {
                 None => return Ok(true),
                 Some(ReadFault::Corrupt) => {
                     let now = self.clock.now();
-                    self.report_fallback(BlockKey::RddPart { rdd, part }, ReadFault::Corrupt, now);
+                    self.report_fallback(block, ReadFault::Corrupt, now);
                     return Ok(false);
                 }
                 Some(ReadFault::Unavailable) => {
@@ -223,7 +224,11 @@ impl Driver {
             let mut total_vb = 0u64;
             let mut ok = true;
             for p in 0..n {
-                if self.ckpt.has(target, p) && self.await_store_readable(target, p)? {
+                let block = BlockKey::RddPart {
+                    rdd: target,
+                    part: p,
+                };
+                if self.ckpt.has(&block) && self.await_store_readable(block)? {
                     let d = self.ckpt.get(target, p).expect("bitmap agrees").clone();
                     total_vb += self.ckpt.size_of(target, p).unwrap_or(0);
                     self.stats.restores += 1;
@@ -231,18 +236,11 @@ impl Driver {
                     // time (the transfer is priced below), hence millis: 0.
                     self.trace
                         .emit_with(self.clock.now(), || EventKind::Restored {
-                            block: BlockKey::RddPart {
-                                rdd: target,
-                                part: p,
-                            }
-                            .to_string(),
+                            block: block.to_string(),
                             millis: 0,
                         });
                     parts.push(d);
-                } else if let Some((_, d, _, vb)) = self.cluster.fetch(&BlockKey::RddPart {
-                    rdd: target,
-                    part: p,
-                }) {
+                } else if let Some((_, d, _, vb)) = self.cluster.fetch(&block) {
                     total_vb += vb;
                     let records = d.part().expect("RDD partition blocks are never bucketed");
                     parts.push(records.clone());

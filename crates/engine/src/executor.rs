@@ -46,7 +46,7 @@ use crate::column::{
     ColumnCounters, OpKernel,
 };
 use crate::cost::CostModel;
-use crate::driver::{CkptJob, TaskKey};
+use crate::driver::TaskKey;
 use crate::lineage::Lineage;
 use crate::rdd::{PartitionData, RddId, RddOp};
 use crate::shuffle::{
@@ -173,7 +173,7 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
         TaskKey::ShuffleMap { shuffle, map_part } => {
             (ctx.lineage.shuffle(shuffle).parent, map_part)
         }
-        TaskKey::Ckpt(job) => return compute_ckpt(ctx, job),
+        TaskKey::Ckpt(block) => return compute_ckpt(ctx, block),
     };
     let mut b = TaskBuilder::new(ctx);
     let (data, mut vbytes, mut dur) = match b.materialize(rdd, part) {
@@ -295,9 +295,9 @@ fn columnar_map_output(
 /// runs the serialization walk on the wave thread. Returns `None` when
 /// the payload is gone (vanished shuffle block or missing shuffle input)
 /// and the job should be dropped silently, as the sequential path did.
-fn compute_ckpt(ctx: &WaveCtx<'_>, job: CkptJob) -> Option<TaskOutput> {
-    match job {
-        CkptJob::RddPart(rdd, part) => {
+fn compute_ckpt(ctx: &WaveCtx<'_>, key: BlockKey) -> Option<TaskOutput> {
+    match key {
+        BlockKey::RddPart { rdd, part } => {
             let mut b = TaskBuilder::new(ctx);
             // Only the durable write is charged: Flint's checkpoint tasks
             // capture partitions as they are produced (§4), so the
@@ -312,14 +312,10 @@ fn compute_ckpt(ctx: &WaveCtx<'_>, job: CkptJob) -> Option<TaskOutput> {
             let wire = data.wire_size();
             Some(b.finish(data.into(), vbytes, wire, SimDuration::ZERO, None))
         }
-        CkptJob::Shuffle(s, mp) => {
-            let bk = BlockKey::ShuffleMap {
-                shuffle: s,
-                map_part: mp,
-            };
-            let (wid, data, _, vbytes) = ctx.cluster.peek_fetch(&bk)?;
+        BlockKey::ShuffleMap { .. } => {
+            let (wid, data, _, vbytes) = ctx.cluster.peek_fetch(&key)?;
             let mut b = TaskBuilder::new(ctx);
-            b.effects.push(CacheEffect::Touch(wid, bk));
+            b.effects.push(CacheEffect::Touch(wid, key));
             let wire = data.wire_size();
             Some(b.finish(data, vbytes, wire, SimDuration::ZERO, Some(wid)))
         }
@@ -474,8 +470,8 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         //    first: a torn write or an outage window abandons the
         //    restore and falls through to lineage recomputation, so a
         //    degraded store can slow a wave down but never corrupt it.
-        if self.ctx.ckpt.has(rdd, part) {
-            match self.ctx.ckpt.read_fault(rdd, part, self.ctx.now) {
+        if self.ctx.ckpt.has(&bk) {
+            match self.ctx.ckpt.read_fault(&bk, self.ctx.now) {
                 None => {
                     let data = self
                         .ctx
@@ -933,8 +929,8 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         // A corrupt or outage-blocked shuffle checkpoint counts as
         // missing: the driver replans and recomputes the map task
         // rather than serving bad bytes.
-        if self.ctx.ckpt.shuffle_readable(shuffle, mp, self.ctx.now) {
-            if let Some(data) = self.ctx.ckpt.get_shuffle(shuffle, mp) {
+        if self.ctx.ckpt.readable(&bk, self.ctx.now) {
+            if let Some(data) = self.ctx.ckpt.block(&bk) {
                 return Ok((data.clone(), None, false, true));
             }
         }

@@ -95,17 +95,6 @@ pub trait CheckpointHooks {
     ) -> Vec<CheckpointDirective> {
         Vec::new()
     }
-
-    /// Called when a checkpoint write for `(rdd, part)` completes.
-    fn on_checkpoint_written(
-        &mut self,
-        _rdd: RddId,
-        _part: u32,
-        _vbytes: u64,
-        _wall: SimDuration,
-        _now: SimTime,
-    ) {
-    }
 }
 
 /// The null policy: never checkpoints (the paper's "Recomputation"

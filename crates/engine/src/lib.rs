@@ -70,9 +70,7 @@ pub use block::{
     BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot, InsertOutcome, Records,
 };
 pub use chaos::{ChaosConfig, ChaosInjector, ChaosSchedule, ChaosStoreFaults};
-pub use checkpoint::{
-    checkpoint_key, wire_size, CheckpointStore, ReadFault, StoreFaultPolicy, WriteFault,
-};
+pub use checkpoint::{wire_size, CheckpointStore, ReadFault, StoreFaultPolicy, WriteFault};
 pub use cluster::{Cluster, Worker, WorkerId, WorkerSpec};
 pub use column::{
     AggField, AggKernel, Column, ColumnBatch, ColumnStats, FlatMapKernel, KeyExpr, MapKernel,

@@ -77,15 +77,10 @@ struct World<'a> {
 }
 
 impl World<'_> {
-    fn part_available(&self, rdd: RddId, part: u32) -> bool {
-        self.ckpt.readable(rdd, part, self.now)
-            || self.cluster.holds(&BlockKey::RddPart { rdd, part })
-    }
-
-    fn shuffle_available(&self, shuffle: ShuffleId, map_part: u32) -> bool {
-        self.cluster
-            .holds(&BlockKey::ShuffleMap { shuffle, map_part })
-            || self.ckpt.shuffle_readable(shuffle, map_part, self.now)
+    /// Whether `key` can be read now: its durable checkpoint is
+    /// readable, or a live worker holds it.
+    fn available(&self, key: &BlockKey) -> bool {
+        self.ckpt.readable(key, self.now) || self.cluster.holds(key)
     }
 }
 
@@ -306,7 +301,7 @@ impl Planner {
                     return; // nothing in the plan read it
                 };
                 self.stats.availability_probes += 1;
-                let available = w.part_available(rdd, part);
+                let available = w.available(&key);
                 if st.available == available {
                     return;
                 }
@@ -327,7 +322,7 @@ impl Planner {
                 };
                 self.stats.availability_probes += 1;
                 let task = TaskKey::ShuffleMap { shuffle, map_part };
-                if w.shuffle_available(shuffle, map_part) {
+                if w.available(&key) {
                     if !set_remove(&mut st.missing, &map_part) {
                         return;
                     }
@@ -367,7 +362,7 @@ impl Planner {
     /// available: its `Output` task leaves or joins.
     fn refresh_root(&mut self, w: &World<'_>, target: RddId, part: u32) {
         self.stats.availability_probes += 1;
-        let available = w.part_available(target, part);
+        let available = w.available(&BlockKey::RddPart { rdd: target, part });
         let root = TaskKey::Output { rdd: target, part };
         if available && self.state.target_missing.remove(&part) {
             self.remove_node(root);
@@ -467,7 +462,12 @@ impl Planner {
             let map_parts = w.lineage.meta(parent).num_partitions;
             stats.availability_probes += u64::from(map_parts);
             let missing: Vec<u32> = (0..map_parts)
-                .filter(|mp| !w.shuffle_available(s, *mp))
+                .filter(|&map_part| {
+                    !w.available(&BlockKey::ShuffleMap {
+                        shuffle: s,
+                        map_part,
+                    })
+                })
                 .collect();
             work.extend(missing.iter().map(|mp| TaskKey::ShuffleMap {
                 shuffle: s,
@@ -524,7 +524,7 @@ impl Planner {
             let st = state.parts.entry((rdd, part)).or_insert_with(|| {
                 stats.availability_probes += 1;
                 PartState {
-                    available: w.part_available(rdd, part),
+                    available: w.available(&BlockKey::RddPart { rdd, part }),
                     readers: Vec::new(),
                 }
             });
@@ -591,7 +591,7 @@ mod tests {
         part: u32,
         acc: &mut BTreeSet<(ShuffleId, u32)>,
     ) {
-        if w.part_available(rdd, part) {
+        if w.available(&BlockKey::RddPart { rdd, part }) {
             return;
         }
         let meta = w.lineage.meta(rdd);
@@ -615,7 +615,10 @@ mod tests {
                     let parent = w.lineage.shuffle(s).parent;
                     let m = w.lineage.meta(parent).num_partitions;
                     for mp in 0..m {
-                        if !w.shuffle_available(s, mp) {
+                        if !w.available(&BlockKey::ShuffleMap {
+                            shuffle: s,
+                            map_part: mp,
+                        }) {
                             acc.insert((s, mp));
                         }
                     }
@@ -631,7 +634,9 @@ mod tests {
     /// shuffle-granular, carried plan must reproduce at every step.
     fn reference_plan(w: &World<'_>, target: RddId) -> (Vec<TaskKey>, bool) {
         let n = w.lineage.meta(target).num_partitions;
-        let missing: Vec<u32> = (0..n).filter(|p| !w.part_available(target, *p)).collect();
+        let missing: Vec<u32> = (0..n)
+            .filter(|&part| !w.available(&BlockKey::RddPart { rdd: target, part }))
+            .collect();
         if missing.is_empty() {
             return (Vec::new(), true);
         }

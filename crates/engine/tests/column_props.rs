@@ -27,10 +27,10 @@
 use std::sync::Arc;
 
 use flint_engine::{
-    AggKernel, BucketedBlock, CheckpointStore, ColumnBatch, ColumnStats, Driver, DriverConfig,
-    FlatMapKernel, KeyExpr, MapKernel, NoCheckpoint, NoFailures, NumExpr, PayloadExpr, PredKernel,
-    RddId, Records, RunStats, ScalarExpr, ScriptedInjector, StoreFaultPolicy, TraceHandle, Value,
-    WorkerEvent, WorkerSpec, WriteFault,
+    AggKernel, BlockKey, BucketedBlock, CheckpointStore, ColumnBatch, ColumnStats, Driver,
+    DriverConfig, FlatMapKernel, KeyExpr, MapKernel, NoCheckpoint, NoFailures, NumExpr,
+    PayloadExpr, PredKernel, RddId, Records, RunStats, ScalarExpr, ScriptedInjector,
+    StoreFaultPolicy, TraceHandle, Value, WorkerEvent, WorkerSpec, WriteFault,
 };
 use flint_simtime::{SimDuration, SimTime};
 use flint_store::StorageConfig;
@@ -561,12 +561,13 @@ proptest! {
         prop_assert_eq!(col.store().bytes_written(), flat.store().bytes_written());
         for (p, rows) in parts.iter().enumerate() {
             let p = p as u32;
-            prop_assert_eq!(col.has(rdd, p), flat.has(rdd, p));
+            let key = BlockKey::RddPart { rdd, part: p };
+            prop_assert_eq!(col.has(&key), flat.has(&key));
             prop_assert_eq!(col.size_of(rdd, p), flat.size_of(rdd, p));
             for ms in [0, 1_500, 2_000] {
                 let now = SimTime::from_millis(ms);
-                prop_assert_eq!(col.read_fault(rdd, p, now), flat.read_fault(rdd, p, now));
-                prop_assert_eq!(col.readable(rdd, p, now), flat.readable(rdd, p, now));
+                prop_assert_eq!(col.read_fault(&key, now), flat.read_fault(&key, now));
+                prop_assert_eq!(col.readable(&key, now), flat.readable(&key, now));
             }
             match (col.get(rdd, p), flat.get(rdd, p)) {
                 (Some(c), Some(f)) => {
