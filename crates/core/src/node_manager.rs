@@ -1,7 +1,7 @@
 //! The node manager: provisioning, monitoring, warning handling, and
 //! replacement of transient servers (paper §4, Fig. 5).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use flint_engine::{FailureInjector, WorkerEvent, WorkerSpec};
@@ -48,10 +48,11 @@ struct NmInner {
     storage: StorageConfig,
     n: u32,
     ft: FtSharedHandle,
-    /// Warned instances whose replacement was already requested; each
-    /// leaves the set at its revocation, so it holds only the instances
-    /// in flight.
-    replaced: HashSet<InstanceId>,
+    /// Per instance id, whether the instance was warned and its
+    /// replacement already requested; the flag clears at its revocation,
+    /// so only the instances in flight are set. Ids are dense, so the
+    /// flags are indexed by id, grown on demand.
+    replaced: Vec<bool>,
     /// Count of replacement rounds, for reporting.
     replacements: u64,
     /// Per-market circuit breakers (closed = absent). Empty unless the
@@ -393,7 +394,11 @@ impl NmInner {
                     }
                     InstanceEvent::Warning { .. } => {
                         out.push((t, WorkerEvent::Warn { ext_id }));
-                        if self.replaced.insert(id) {
+                        let at = id.0 as usize;
+                        if at >= self.replaced.len() {
+                            self.replaced.resize(at + 1, false);
+                        }
+                        if !std::mem::replace(&mut self.replaced[at], true) {
                             merge_replace(&mut to_replace, t, market);
                         }
                     }
@@ -403,7 +408,11 @@ impl NmInner {
                         // A warned instance was replaced at its warning;
                         // an unwarned one is replaced now. Either way its
                         // id is never delivered again.
-                        if !self.replaced.remove(&id) {
+                        let warned = self
+                            .replaced
+                            .get_mut(id.0 as usize)
+                            .is_some_and(|f| std::mem::replace(f, false));
+                        if !warned {
                             merge_replace(&mut to_replace, t, market);
                         }
                     }
@@ -561,7 +570,7 @@ impl NodeManager {
             storage,
             n,
             ft,
-            replaced: HashSet::new(),
+            replaced: Vec::new(),
             replacements: 0,
             breakers: HashMap::new(),
             revoke_times: HashMap::new(),
@@ -925,7 +934,8 @@ mod tests {
             .count();
         assert!(removes > 8, "the run must revoke more than the cluster");
         assert!(handle.revocations() > 0);
-        assert!(lock(&nm.0).replaced.len() <= 8);
+        let in_flight = lock(&nm.0).replaced.iter().filter(|f| **f).count();
+        assert!(in_flight <= 8);
     }
 
     #[test]

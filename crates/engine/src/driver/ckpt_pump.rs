@@ -202,7 +202,7 @@ impl Driver {
                     let mut enqueued = 0u64;
                     for part in 0..n {
                         let key = BlockKey::RddPart { rdd, part };
-                        if !self.ckpt.has(&key) && self.ckpt_queue.push(key) {
+                        if !self.ckpt_satisfied(key) && self.ckpt_queue.push(key) {
                             enqueued += 1;
                         }
                     }
@@ -222,12 +222,69 @@ impl Driver {
                 }
                 CheckpointDirective::CheckpointAllCached => {
                     for (_, key, _) in self.cluster.snapshot().blocks {
-                        if !self.ckpt.has(&key) {
+                        if !self.ckpt_satisfied(key) {
                             self.ckpt_queue.push(key);
                         }
                     }
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::Goal;
+    use crate::{DriverConfig, NoCheckpoint, NoFailures, Value, WorkerSpec};
+
+    /// Neither directive queues a block whose write is already in
+    /// flight: with two of a persisted RDD's four parts being written,
+    /// `CheckpointAllCached` and `Checkpoint(rdd)` each queue only the
+    /// other two, and `CheckpointScheduled` counts those two. The drain
+    /// then writes each part once.
+    #[test]
+    fn directives_skip_writes_in_flight() {
+        let mut d = Driver::new(
+            DriverConfig::default(),
+            Box::new(NoCheckpoint),
+            Box::new(NoFailures),
+        );
+        d.add_worker_with_ext(1, WorkerSpec::r3_large());
+        d.add_worker_with_ext(2, WorkerSpec::r3_large());
+        let src = d.ctx().parallelize((0..20_000).map(Value::from_i64), 4);
+        let mapped = d.ctx().map(src, |v| Value::Int(v.as_i64().unwrap() ^ 5));
+        let persisted = d.ctx().persist(mapped);
+        d.count(persisted).unwrap();
+        let rdd = persisted.id();
+        let trace = TraceHandle::disabled();
+        let reader = trace.attach_memory(0);
+        d.set_trace(trace);
+        let part = |part| BlockKey::RddPart { rdd, part };
+
+        d.ckpt_queue.push(part(0));
+        d.ckpt_queue.push(part(1));
+        d.assign_checkpoint_jobs();
+        assert!(d.ckpt_queue.jobs.is_empty());
+        assert_eq!(d.running.len(), 2, "parts 0 and 1 are in flight");
+
+        d.apply_directives(vec![CheckpointDirective::CheckpointAllCached]);
+        assert_eq!(d.ckpt_queue.take(), [part(2), part(3)]);
+
+        d.apply_directives(vec![CheckpointDirective::Checkpoint(rdd)]);
+        assert_eq!(Vec::from(d.ckpt_queue.jobs.clone()), [part(2), part(3)]);
+        let scheduled: Vec<u64> = reader
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::CheckpointScheduled { parts, .. } => Some(parts),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(scheduled, [2]);
+
+        d.run_until(Goal::Drain).unwrap();
+        assert!((0..4).all(|p| d.ckpt.has(&part(p))));
+        assert_eq!(d.stats().checkpoints_written, 4);
     }
 }

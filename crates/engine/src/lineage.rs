@@ -1,6 +1,6 @@
 //! The lineage graph: every RDD ever created and how to recreate it.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use crate::column::{AggKernel, ColumnBatch, OpKernel};
@@ -18,10 +18,17 @@ use crate::shuffle::{ShuffleId, ShuffleInfo, ShuffleKind};
 pub struct Lineage {
     metas: Vec<RddMeta>,
     shuffles: Vec<ShuffleInfo>,
-    children: HashMap<RddId, Vec<RddId>>,
+    /// Children per RDD, indexed by id.
+    children: Vec<Vec<RddId>>,
     persisted: HashSet<RddId>,
-    /// Known materialized size per (rdd, partition), in real bytes.
-    part_sizes: HashMap<RddId, Vec<Option<u64>>>,
+    /// Known materialized size per partition, indexed by RDD id.
+    part_sizes: Vec<Vec<Option<u64>>>,
+    /// Partitions with no recorded size yet, per RDD id. Sizes are only
+    /// ever set, so an RDD at zero stays fully materialized.
+    missing: Vec<u32>,
+    /// The execution frontier, kept as sizes are recorded (see
+    /// [`Lineage::execution_frontier`]).
+    frontier: BTreeSet<RddId>,
     /// Declarative batch kernels for ops built through the `*_kernel`
     /// context constructors. Registered at plan time, so the executor's
     /// row-or-columnar choice never depends on wave timing.
@@ -65,7 +72,7 @@ impl Lineage {
         }
         let id = RddId(self.metas.len() as u32);
         for p in &parents {
-            self.children.entry(*p).or_default().push(id);
+            self.children[p.0 as usize].push(id);
         }
         if matches!(op, RddOp::Parallelize { .. }) {
             self.source_batches
@@ -78,8 +85,9 @@ impl Lineage {
             parents,
             num_partitions,
         });
-        self.part_sizes
-            .insert(id, vec![None; num_partitions as usize]);
+        self.children.push(Vec::new());
+        self.part_sizes.push(vec![None; num_partitions as usize]);
+        self.missing.push(num_partitions);
         id
     }
 
@@ -191,7 +199,7 @@ impl Lineage {
 
     /// Returns the children of `id` (RDDs that list it as a parent).
     pub(crate) fn children(&self, id: RddId) -> &[RddId] {
-        self.children.get(&id).map(Vec::as_slice).unwrap_or(&[])
+        self.children.get(id.0 as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Returns the number of registered RDDs.
@@ -216,11 +224,30 @@ impl Lineage {
     }
 
     /// Records the materialized size of `(rdd, part)` in real bytes.
+    /// The first size of an RDD's last missing partition moves the
+    /// frontier: the RDD joins it unless a child is already fully
+    /// materialized, and its parents leave it.
     pub fn record_partition_size(&mut self, rdd: RddId, part: u32, bytes: u64) {
-        if let Some(sizes) = self.part_sizes.get_mut(&rdd) {
-            if let Some(slot) = sizes.get_mut(part as usize) {
-                *slot = Some(bytes);
-            }
+        let Some(slot) = self
+            .part_sizes
+            .get_mut(rdd.0 as usize)
+            .and_then(|sizes| sizes.get_mut(part as usize))
+        else {
+            return;
+        };
+        if slot.replace(bytes).is_some() {
+            return;
+        }
+        let missing = &mut self.missing[rdd.0 as usize];
+        *missing -= 1;
+        if *missing > 0 {
+            return;
+        }
+        if !self.has_materialized_child(rdd) {
+            self.frontier.insert(rdd);
+        }
+        for p in &self.metas[rdd.0 as usize].parents {
+            self.frontier.remove(p);
         }
     }
 
@@ -228,18 +255,14 @@ impl Lineage {
     /// partitions with recorded sizes).
     pub(crate) fn known_size(&self, rdd: RddId) -> u64 {
         self.part_sizes
-            .get(&rdd)
-            .map(|s| s.iter().flatten().sum())
-            .unwrap_or(0)
+            .get(rdd.0 as usize)
+            .map_or(0, |s| s.iter().flatten().sum())
     }
 
     /// Returns `true` if every partition of `rdd` has a recorded size,
     /// i.e. the RDD has been fully materialized at least once.
     pub(crate) fn is_fully_materialized(&self, rdd: RddId) -> bool {
-        self.part_sizes
-            .get(&rdd)
-            .map(|s| s.iter().all(Option::is_some))
-            .unwrap_or(false)
+        self.missing.get(rdd.0 as usize) == Some(&0)
     }
 
     /// Returns `true` if any child of `rdd` has been fully materialized.
@@ -255,11 +278,10 @@ impl Lineage {
     /// have been computed, and whose dependencies have not been fully
     /// generated", §3.1.1) — the set Policy 1 checkpoints. Unlike the
     /// static sink set, it advances stage by stage even when a program's
-    /// whole DAG is declared before any action runs.
+    /// whole DAG is declared before any action runs. Kept as sizes are
+    /// recorded, in id order: no scan of the lineage.
     pub fn execution_frontier(&self) -> Vec<RddId> {
-        self.ids()
-            .filter(|id| self.is_fully_materialized(*id) && !self.has_materialized_child(*id))
-            .collect()
+        self.frontier.iter().copied().collect()
     }
 
     /// Renders the graph in Graphviz DOT format: RDD nodes labelled with
@@ -417,5 +439,68 @@ mod tests {
         let s = l.add_shuffle(a, ShuffleKind::Hash { parts: 3 });
         assert_eq!(l.shuffle(s).parent, a);
         assert!(matches!(l.shuffle(s).kind, ShuffleKind::Hash { parts: 3 }));
+    }
+
+    /// The frontier before it was kept incrementally, transcribed: a
+    /// scan over every RDD of a separate size model.
+    fn scan_frontier(parents: &[Vec<RddId>], sizes: &[Vec<Option<u64>>]) -> Vec<RddId> {
+        let full = |i: usize| sizes[i].iter().all(Option::is_some);
+        (0..sizes.len())
+            .filter(|&i| {
+                full(i)
+                    && !(0..sizes.len()).any(|c| full(c) && parents[c].contains(&RddId(i as u32)))
+            })
+            .map(|i| RddId(i as u32))
+            .collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The kept frontier, full-materialization flags and known sizes
+        /// equal the transcribed scan after every op of a random build:
+        /// RDDs added between size records (a child of an already
+        /// materialized parent, repeated parents), sizes recorded twice,
+        /// and records naming an unknown RDD or partition.
+        #[test]
+        fn frontier_matches_transcribed_scan(
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..1_000, 0usize..1_000, 0u32..5, 0u64..1_000),
+                1..120,
+            ),
+        ) {
+            let mut l = Lineage::new();
+            let mut parents: Vec<Vec<RddId>> = Vec::new();
+            let mut sizes: Vec<Vec<Option<u64>>> = Vec::new();
+            for (kind, a, b, part, bytes) in ops {
+                if kind == 0 || sizes.is_empty() {
+                    let n = sizes.len();
+                    let ps: Vec<RddId> = match n {
+                        0 => vec![],
+                        _ => [a, b].iter().take(a % 3).map(|x| RddId((x % n) as u32)).collect(),
+                    };
+                    let parts = part + 1;
+                    let op = if ps.is_empty() { source_op(parts) } else { map_op() };
+                    l.add_rdd("r", op, ps.clone(), parts);
+                    parents.push(ps);
+                    sizes.push(vec![None; parts as usize]);
+                } else {
+                    // Now and then an id or partition past the end.
+                    let rdd = a % (sizes.len() + 1);
+                    l.record_partition_size(RddId(rdd as u32), part, bytes);
+                    if let Some(slot) = sizes.get_mut(rdd).and_then(|s| s.get_mut(part as usize)) {
+                        *slot = Some(bytes);
+                    }
+                }
+                prop_assert_eq!(l.execution_frontier(), scan_frontier(&parents, &sizes));
+                for (i, s) in sizes.iter().enumerate() {
+                    let id = RddId(i as u32);
+                    prop_assert_eq!(l.is_fully_materialized(id), s.iter().all(Option::is_some));
+                    prop_assert_eq!(l.known_size(id), s.iter().flatten().sum::<u64>());
+                }
+            }
+        }
     }
 }

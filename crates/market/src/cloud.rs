@@ -1,6 +1,6 @@
 //! The cloud front-end: requesting, revoking, and billing instances.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use flint_simtime::rng::stream;
 use flint_simtime::{EventQueue, SimDuration, SimTime};
@@ -119,12 +119,14 @@ pub struct CloudSim {
     acquisition_delay: SimDuration,
     seed: u64,
     trace: TraceHandle,
-    /// Ids of Pending|Running instances, in id order. Maintained at
-    /// state transitions so membership sweeps are O(active), never
-    /// O(all instances ever provisioned).
-    active: BTreeSet<InstanceId>,
-    /// Ids of Running instances, in id order.
-    running: BTreeSet<InstanceId>,
+    /// Ids of Pending|Running instances, in id order, plus ids that
+    /// ended since the last compaction. `request` issues the largest id,
+    /// so an insert is a push; an ended id stays until the dead entries
+    /// outnumber the live ones, and `active()` skips it. Membership
+    /// sweeps are O(active), never O(all instances ever provisioned).
+    active: Vec<InstanceId>,
+    /// How many ids in `active` are still Pending|Running.
+    live: usize,
     /// Active-instance count per market (entries removed at zero), so
     /// "which markets back the cluster" is O(markets in use).
     active_by_market: BTreeMap<MarketId, u32>,
@@ -135,6 +137,10 @@ pub struct CloudSim {
     /// of one market at one bid at one instant; price traces are
     /// immutable, so reusing the answer is exact.
     last_spot_revocation: Option<((MarketId, u64, SimTime), Option<SimTime>)>,
+    /// The last bill settled, keyed by `(market, ready_at, ended_at,
+    /// revoked)`: the bill is a function of those four, and a
+    /// replacement batch ends together, so its instances share one.
+    last_bill: Option<((MarketId, SimTime, SimTime, bool), f64)>,
 }
 
 impl CloudSim {
@@ -161,19 +167,25 @@ impl CloudSim {
             acquisition_delay: Self::DEFAULT_ACQUISITION_DELAY,
             seed,
             trace: TraceHandle::disabled(),
-            active: BTreeSet::new(),
-            running: BTreeSet::new(),
+            active: Vec::new(),
+            live: 0,
             active_by_market: BTreeMap::new(),
             revoked: 0,
             last_spot_revocation: None,
+            last_bill: None,
         }
     }
 
-    /// Drops `id` from the active-side indexes (on revocation or
-    /// termination).
-    fn deactivate(&mut self, id: InstanceId, market: MarketId) {
-        self.active.remove(&id);
-        self.running.remove(&id);
+    /// Drops an instance that just ended from the active-side indexes
+    /// (on revocation or termination). Its id leaves `active` at the
+    /// next compaction, which keeps the live ids in order.
+    fn deactivate(&mut self, market: MarketId) {
+        self.live -= 1;
+        if self.active.len() - self.live > self.live {
+            let instances = &self.instances;
+            self.active
+                .retain(|id| instances[id.0 as usize].is_active());
+        }
         if let Some(count) = self.active_by_market.get_mut(&market) {
             *count -= 1;
             if *count == 0 {
@@ -182,9 +194,26 @@ impl CloudSim {
         }
     }
 
-    /// Settles the final bill of an instance that just ended at `at`.
-    fn settle(&mut self, id: InstanceId, at: SimTime) {
-        let cost = self.instance_cost(id, at);
+    /// Settles the final bill of an instance that just ended. The bill
+    /// of the previous settlement is reused when its key matches: price
+    /// traces are immutable, so the reuse is exact.
+    fn settle(&mut self, id: InstanceId) {
+        let rec = &self.instances[id.0 as usize];
+        let ended_at = rec.ended_at.expect("a settled instance has ended");
+        let key = (
+            rec.market,
+            rec.ready_at,
+            ended_at,
+            rec.state == InstanceState::Revoked,
+        );
+        let cost = match self.last_bill {
+            Some((k, cost)) if k == key => cost,
+            _ => {
+                let cost = self.instance_cost(id, ended_at);
+                self.last_bill = Some((key, cost));
+                cost
+            }
+        };
         self.instances[id.0 as usize].final_cost = Some(cost);
     }
 
@@ -268,7 +297,8 @@ impl CloudSim {
             revocation_at,
             final_cost: None,
         });
-        self.active.insert(id);
+        self.active.push(id);
+        self.live += 1;
         *self.active_by_market.entry(market).or_insert(0) += 1;
         if self.trace.is_enabled() {
             self.trace.emit(
@@ -308,8 +338,8 @@ impl CloudSim {
             rec.ended_at = Some(now.max(rec.requested_at));
             (rec.ended_at.unwrap(), rec.market)
         };
-        self.deactivate(id, market);
-        self.settle(id, ended);
+        self.deactivate(market);
+        self.settle(id);
         if self.trace.is_enabled() {
             self.trace
                 .emit(ended, EventKind::InstanceTerminated { instance: id.0 });
@@ -356,17 +386,11 @@ impl CloudSim {
                 }
             };
             if delivered {
-                match ev {
-                    InstanceEvent::Ready { .. } => {
-                        self.running.insert(id);
-                    }
-                    InstanceEvent::Warning { .. } => {}
-                    InstanceEvent::Revoked { .. } => {
-                        let market = self.instances[id.0 as usize].market;
-                        self.deactivate(id, market);
-                        self.settle(id, at);
-                        self.revoked += 1;
-                    }
+                if let InstanceEvent::Revoked { .. } = ev {
+                    let market = self.instances[id.0 as usize].market;
+                    self.deactivate(market);
+                    self.settle(id);
+                    self.revoked += 1;
                 }
                 if self.trace.is_enabled() {
                     self.emit_lifecycle(at, ev);
@@ -440,26 +464,18 @@ impl CloudSim {
         &self.instances
     }
 
-    /// Ids of instances currently running, in id order — a maintained
-    /// index, not a scan; no allocation.
-    pub fn running(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.running.iter().copied()
-    }
-
-    /// Number of instances currently running.
-    pub fn running_count(&self) -> usize {
-        self.running.len()
-    }
-
     /// Ids of active (pending or running) instances, in id order — a
-    /// maintained index, not a scan.
+    /// maintained index, not a scan of every record; no allocation.
     pub fn active(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.active.iter().copied()
+        self.active
+            .iter()
+            .copied()
+            .filter(|id| self.instances[id.0 as usize].is_active())
     }
 
     /// Number of active (pending or running) instances.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.live
     }
 
     /// Markets currently backing at least one active instance, with
@@ -655,15 +671,74 @@ mod tests {
         let a = cloud.request(MarketId(0), 0.40, SimTime::ZERO);
         let b = cloud.request(MarketId(1), 0.40, SimTime::ZERO);
         let _ = cloud.events_until(hours(1.0));
-        assert_eq!(cloud.running().collect::<Vec<_>>(), vec![a, b]);
-        assert_eq!(cloud.running_count(), 2);
+        assert_eq!(cloud.active().collect::<Vec<_>>(), vec![a, b]);
         assert_eq!(cloud.active_count(), 2);
         let _ = cloud.events_until(hours(12.0));
-        assert_eq!(cloud.running().collect::<Vec<_>>(), vec![b]);
+        assert_eq!(cloud.active().collect::<Vec<_>>(), vec![b]);
+        assert_eq!(cloud.active_count(), 1);
         assert_eq!(cloud.revocation_count(), 1);
         assert_eq!(
             cloud.active_markets().collect::<Vec<_>>(),
             vec![(MarketId(1), 1)]
+        );
+        // Ids issued after a compaction keep the index in id order.
+        let c = cloud.request(MarketId(0), 3.0, hours(12.0));
+        cloud.terminate(b, hours(13.0));
+        assert_eq!(cloud.active().collect::<Vec<_>>(), vec![c]);
+        assert_eq!(cloud.active_count(), 1);
+    }
+
+    /// The bill each ended instance settles equals a fresh
+    /// `hourly_spot_cost` over its own record: a batch revoked together
+    /// (equal keys, one bill reused), a pending instance terminated at
+    /// the batch's instant (its key differs only in `revoked`), and a
+    /// pending terminate between two settlements of the batch's key.
+    #[test]
+    fn batch_bills_equal_fresh_costs() {
+        let mut cloud = fixture();
+        let spot = MarketId(0);
+        let mut ids: Vec<_> = (0..4)
+            .map(|_| cloud.request(spot, 0.40, SimTime::ZERO))
+            .collect();
+        cloud.terminate(ids[3], hours(10.0));
+        let _ = cloud.events_until(hours(10.0));
+        let pending = cloud.request(spot, 0.40, hours(10.0));
+        cloud.terminate(pending, hours(10.0));
+        ids.push(pending);
+        // Two more of the batch's key: revoked at the same 10 h spike.
+        ids.extend((0..2).map(|_| cloud.request(spot, 0.40, SimTime::ZERO)));
+        let _ = cloud.events_until(hours(24.0));
+        for &id in &ids {
+            let rec = cloud.instance(id);
+            let end = rec.ended_at.expect("every instance here has ended");
+            let fresh = if end <= rec.ready_at {
+                0.0
+            } else {
+                let trace = &cloud.catalog().market(rec.market).trace;
+                hourly_spot_cost(
+                    trace,
+                    rec.ready_at,
+                    end,
+                    rec.state == InstanceState::Revoked,
+                )
+            };
+            assert_eq!(
+                cloud.instance_cost(id, hours(48.0)).to_bits(),
+                fresh.to_bits(),
+                "{id:?} {:?}",
+                rec.state
+            );
+        }
+        let states: Vec<_> = ids.iter().map(|id| cloud.instance(*id).state).collect();
+        use InstanceState::{Revoked, Terminated};
+        assert_eq!(
+            states,
+            [Revoked, Revoked, Revoked, Terminated, Terminated, Revoked, Revoked]
+        );
+        // The terminated twin pays the partial hour the revoked ones are
+        // waived, so a bill keyed without `revoked` would be wrong.
+        assert!(
+            cloud.instance_cost(ids[3], hours(48.0)) > cloud.instance_cost(ids[0], hours(48.0))
         );
     }
 }

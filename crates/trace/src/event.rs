@@ -9,7 +9,6 @@
 //! of the codec here are hand-rolled and byte-deterministic.
 
 use flint_simtime::SimTime;
-use std::fmt::Write as _;
 
 /// One timestamped trace record.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,21 +25,21 @@ impl Event {
     /// events encode to identical bytes. `floats` is the encoder's ring
     /// of recent float tokens; it changes no byte written. Nothing is
     /// allocated beyond `out`'s own growth.
-    pub(crate) fn write_json(&self, out: &mut String, floats: &mut FloatTokens) {
-        out.push_str("{\"t\":");
+    pub(crate) fn write_json(&self, out: &mut impl JsonOut, floats: &mut FloatTokens) {
+        out.push_ascii(b"{\"t\":");
         push_u64(out, self.t.as_millis());
-        out.push_str(",\"ev\":\"");
+        out.push_ascii(b",\"ev\":\"");
         out.push_str(self.kind.name());
-        out.push('"');
+        out.push_ascii(b"\"");
         self.kind.write_fields(out, floats);
-        out.push('}');
+        out.push_ascii(b"}");
     }
 
-    /// `Event::write_json` into a fresh `String`.
+    /// `Event::write_json` into a fresh `String`, checked as UTF-8 once.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64);
-        self.write_json(&mut s, &mut FloatTokens::default());
-        s
+        let mut out = Vec::with_capacity(64);
+        self.write_json(&mut out, &mut FloatTokens::default());
+        String::from_utf8(out).expect("the encoder writes UTF-8")
     }
 
     /// Parses one JSONL line produced by [`Event::to_json`].
@@ -86,7 +85,7 @@ macro_rules! event_kinds {
                 $( stringify!($name), )*
             ];
 
-            fn write_fields(&self, out: &mut String, floats: &mut FloatTokens) {
+            fn write_fields(&self, out: &mut impl JsonOut, floats: &mut FloatTokens) {
                 match self {
                     $( EventKind::$name { $( $field, )* } => {
                         $( field_codec!(@encode $ty, out, floats, $field); )*
@@ -130,15 +129,15 @@ macro_rules! event_kinds {
 
 macro_rules! field_codec {
     (@encode u64, $out:expr, $floats:expr, $field:ident) => {{
-        $out.push_str(concat!(",\"", stringify!($field), "\":"));
+        $out.push_ascii(concat!(",\"", stringify!($field), "\":").as_bytes());
         push_u64($out, *$field);
     }};
     (@encode f64, $out:expr, $floats:expr, $field:ident) => {{
-        $out.push_str(concat!(",\"", stringify!($field), "\":"));
+        $out.push_ascii(concat!(",\"", stringify!($field), "\":").as_bytes());
         $floats.push_f64($out, *$field);
     }};
     (@encode String, $out:expr, $floats:expr, $field:ident) => {{
-        $out.push_str(concat!(",\"", stringify!($field), "\":"));
+        $out.push_ascii(concat!(",\"", stringify!($field), "\":").as_bytes());
         push_json_str($out, $field);
     }};
     (@field u64, $val:expr) => {
@@ -327,6 +326,66 @@ event_kinds! {
     RunResumed { manifest: String, frontier: u64 },
 }
 
+/// The buffer an encoder appends to. Everything the encoder writes is
+/// ASCII except a string field's own text, which arrives as `&str`, so
+/// appending needs no UTF-8 check: the encoder writes bytes, and only
+/// [`Event::to_json`] and [`crate::MemoryReader::to_jsonl`] check their
+/// finished buffer once. The tests also append to a `String`.
+pub(crate) trait JsonOut {
+    /// Appends bytes that are all ASCII.
+    fn push_ascii(&mut self, ascii: &[u8]);
+    /// Appends UTF-8 text.
+    fn push_str(&mut self, s: &str);
+    /// Appends `v` as its `Display` writes it.
+    fn push_display(&mut self, v: f64);
+    /// Everything appended so far, the bytes held before included.
+    fn bytes(&self) -> &[u8];
+}
+
+// `JsonlSink<W>` instantiates the encoder in its user's crate; the
+// `#[inline]`s let these one-line appends inline there.
+impl JsonOut for Vec<u8> {
+    #[inline]
+    fn push_ascii(&mut self, ascii: &[u8]) {
+        self.extend_from_slice(ascii);
+    }
+
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+
+    fn push_display(&mut self, v: f64) {
+        // Writing into a `Vec` cannot fail.
+        let _ = std::io::Write::write_fmt(self, format_args!("{v}"));
+    }
+
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+}
+
+#[cfg(test)]
+impl JsonOut for String {
+    fn push_ascii(&mut self, ascii: &[u8]) {
+        debug_assert!(ascii.is_ascii());
+        self.extend(ascii.iter().map(|&b| char::from(b)));
+    }
+
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+
+    fn push_display(&mut self, v: f64) {
+        let _ = std::fmt::Write::write_fmt(self, format_args!("{v}"));
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
 /// Two ASCII digits for each of `0..100`, for [`push_u64`].
 const DIGIT_PAIRS: [u8; 200] = {
     let mut pairs = [0u8; 200];
@@ -341,7 +400,7 @@ const DIGIT_PAIRS: [u8; 200] = {
 
 /// Appends `v` in decimal, the bytes `Display` writes, two digits per
 /// division from the right into a stack buffer (`u64::MAX` has 20).
-fn push_u64(out: &mut String, mut v: u64) {
+fn push_u64(out: &mut impl JsonOut, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     while v >= 100 {
@@ -358,7 +417,7 @@ fn push_u64(out: &mut String, mut v: u64) {
         at -= 1;
         buf[at] = b'0' + v as u8;
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+    out.push_ascii(&buf[at..]);
 }
 
 /// The last few float tokens an encoder wrote, keyed by bit pattern, so
@@ -386,26 +445,25 @@ impl FloatTokens {
     /// unambiguously a float on the wire. `Display` writes digits, `-`,
     /// `.`, `inf` or `NaN` (never an exponent), so a `.`, `e`, `i` or
     /// `N` in the appended text marks it as already unambiguous.
-    fn push_f64(&mut self, out: &mut String, v: f64) {
+    fn push_f64(&mut self, out: &mut impl JsonOut, v: f64) {
         let bits = v.to_bits();
         if let Some((_, len, token)) = self
             .slots
             .iter()
             .find(|(key, len, _)| *key == bits && *len > 0)
         {
-            let token = &token[..usize::from(*len)];
-            out.push_str(std::str::from_utf8(token).expect("a stored token is ASCII"));
+            out.push_ascii(&token[..usize::from(*len)]);
             return;
         }
-        let start = out.len();
-        let _ = write!(out, "{v}");
-        if !out.as_bytes()[start..]
+        let start = out.bytes().len();
+        out.push_display(v);
+        if !out.bytes()[start..]
             .iter()
             .any(|b| matches!(b, b'.' | b'e' | b'i' | b'N'))
         {
-            out.push_str(".0");
+            out.push_ascii(b".0");
         }
-        let written = &out.as_bytes()[start..];
+        let written = &out.bytes()[start..];
         if written.len() <= Self::TOKEN_BYTES {
             let (key, len, token) = &mut self.slots[self.next];
             *key = bits;
@@ -416,22 +474,40 @@ impl FloatTokens {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Appends `s` as a JSON string. Runs of bytes that need no escape are
+/// appended whole; the escaped bytes are all ASCII, so no cut splits a
+/// multi-byte character.
+fn push_json_str(out: &mut impl JsonOut, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push_ascii(b"\"");
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let control;
+        let escaped: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => {
+                control = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(b >> 4)],
+                    HEX[usize::from(b & 0xf)],
+                ];
+                &control
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        out.push_ascii(escaped);
+        clean = i + 1;
     }
-    out.push('"');
+    out.push_str(&s[clean..]);
+    out.push_ascii(b"\"");
 }
 
 /// Why a JSONL line failed to parse back into an [`Event`].
@@ -633,6 +709,7 @@ mod tests {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::fmt::Write as _;
 
     /// One field as [`EventKind::for_each_field`] hands it out.
     pub(super) enum Field<'a> {

@@ -194,28 +194,28 @@ impl MemoryReader {
     /// Renders the retained events as a JSONL document (one
     /// `Event::write_json` line each, `\n`-terminated).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         let mut floats = FloatTokens::default();
         for ev in lock(&self.buf).iter() {
             ev.write_json(&mut out, &mut floats);
-            out.push('\n');
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("the encoder writes UTF-8")
     }
 }
 
 /// Streams events as JSONL to any writer (file, stdout, `Vec<u8>`).
 ///
-/// Each event is encoded straight into an internal buffer
-/// (`Event::write_json`; no per-event `String`), and lines reach the
-/// writer in [`JsonlSink::BUFFER_BYTES`]-sized chunks, so a
-/// multi-gigabyte trace costs a bounded amount of memory and a syscall
+/// Each event is encoded straight into an internal byte buffer
+/// (`Event::write_json`; no per-event `String`, no UTF-8 check), and
+/// lines reach the writer in [`JsonlSink::BUFFER_BYTES`]-sized chunks,
+/// so a multi-gigabyte trace costs a bounded amount of memory and a syscall
 /// every few thousand events rather than two per event.
 /// [`EventSink::flush`] drains the buffer; `Drop` does too, so nothing is
 /// lost if a flush is missed.
 pub struct JsonlSink<W: Write + Send> {
     out: W,
-    buf: String,
+    buf: Vec<u8>,
     floats: FloatTokens,
 }
 
@@ -227,7 +227,7 @@ impl<W: Write + Send> JsonlSink<W> {
     pub fn new(out: W) -> Self {
         Self {
             out,
-            buf: String::with_capacity(Self::BUFFER_BYTES + 1024),
+            buf: Vec::with_capacity(Self::BUFFER_BYTES + 1024),
             floats: FloatTokens::default(),
         }
     }
@@ -237,7 +237,7 @@ impl<W: Write + Send> JsonlSink<W> {
             // Sinks have no error channel; a failed trace write must
             // not abort the simulated run. Undersized output is caught
             // by `trace validate`.
-            let _ = self.out.write_all(self.buf.as_bytes());
+            let _ = self.out.write_all(&self.buf);
             self.buf.clear();
         }
     }
@@ -246,7 +246,7 @@ impl<W: Write + Send> JsonlSink<W> {
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn emit(&mut self, event: &Event) {
         event.write_json(&mut self.buf, &mut self.floats);
-        self.buf.push('\n');
+        self.buf.push(b'\n');
         if self.buf.len() >= Self::BUFFER_BYTES {
             self.drain();
         }
