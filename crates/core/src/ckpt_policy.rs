@@ -329,6 +329,7 @@ mod tests {
                     "map",
                     RddOp::Map {
                         f: StdArc::new(|v: &flint_engine::Value| v.clone()),
+                        kernel: None,
                     },
                     vec![prev],
                     1,

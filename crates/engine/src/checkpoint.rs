@@ -480,6 +480,7 @@ mod tests {
         let a = l.add_rdd("a", src, vec![], 1);
         let map = || RddOp::Map {
             f: crate::rdd::identity(),
+            kernel: None,
         };
         let b = l.add_rdd("b", map(), vec![a], 1);
         let c = l.add_rdd("c", map(), vec![b], 1);
@@ -506,6 +507,7 @@ mod tests {
             "b",
             RddOp::Map {
                 f: crate::rdd::identity(),
+                kernel: None,
             },
             vec![a],
             2,

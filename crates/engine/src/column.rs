@@ -1530,20 +1530,6 @@ pub(crate) fn typed_sort_by_key(rows: &mut Vec<Value>, ascending: bool) -> bool 
     true
 }
 
-/// The per-op kernel registry entry: how an RDD's user function is
-/// expressed for the batch path.
-#[derive(Debug, Clone)]
-pub(crate) enum OpKernel {
-    /// A `RddOp::Map` kernel.
-    Map(MapKernel),
-    /// A `RddOp::Filter` kernel.
-    Filter(PredKernel),
-    /// A `RddOp::MapPartitions` kernel with filter-map semantics.
-    PartsFilterMap(MapKernel),
-    /// A `RddOp::FlatMap` kernel.
-    FlatMap(FlatMapKernel),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,9 +2,9 @@
 
 use std::sync::Arc;
 
-use crate::column::{AggKernel, FlatMapKernel, MapKernel, OpKernel, PredKernel};
+use crate::column::{AggKernel, FlatMapKernel, MapKernel, PredKernel};
 use crate::lineage::Lineage;
-use crate::rdd::{RddId, RddOp, RddRef};
+use crate::rdd::{AggFn, RddId, RddOp, RddRef};
 use crate::shuffle::ShuffleKind;
 use crate::Value;
 
@@ -56,9 +56,17 @@ impl EngineContext {
         &mut self.lineage
     }
 
-    fn add(&mut self, name: &str, op: RddOp, parents: Vec<RddId>, num_partitions: u32) -> RddRef {
+    /// Registers `op` over `parents`, named after its kind.
+    fn add(&mut self, op: RddOp, parents: Vec<RddId>, num_partitions: u32) -> RddRef {
+        let name = op.kind();
         let id = self.lineage.add_rdd(name, op, parents, num_partitions);
         RddRef { id }
+    }
+
+    /// Registers a narrow `op` over `r`, partitioned as `r` is.
+    fn narrow(&mut self, r: RddRef, op: RddOp) -> RddRef {
+        let n = self.num_partitions(r);
+        self.add(op, vec![r.id], n)
     }
 
     /// Creates a source RDD from an iterator, split into `parts`
@@ -81,14 +89,10 @@ impl EngineContext {
     pub fn parallelize_parts(&mut self, partitions: Vec<Vec<Value>>) -> RddRef {
         assert!(!partitions.is_empty(), "need at least one partition");
         let n = partitions.len() as u32;
-        self.add(
-            "parallelize",
-            RddOp::Parallelize {
-                data: Arc::new(partitions),
-            },
-            vec![],
-            n,
-        )
+        let op = RddOp::Parallelize {
+            data: Arc::new(partitions),
+        };
+        self.add(op, vec![], n)
     }
 
     /// Element-wise transformation.
@@ -97,8 +101,11 @@ impl EngineContext {
         r: RddRef,
         f: impl Fn(&Value) -> Value + Send + Sync + 'static,
     ) -> RddRef {
-        let n = self.lineage.meta(r.id).num_partitions;
-        self.add("map", RddOp::Map { f: Arc::new(f) }, vec![r.id], n)
+        let op = RddOp::Map {
+            f: Arc::new(f),
+            kernel: None,
+        };
+        self.narrow(r, op)
     }
 
     /// Keeps elements satisfying `p`.
@@ -107,8 +114,11 @@ impl EngineContext {
         r: RddRef,
         p: impl Fn(&Value) -> bool + Send + Sync + 'static,
     ) -> RddRef {
-        let n = self.lineage.meta(r.id).num_partitions;
-        self.add("filter", RddOp::Filter { p: Arc::new(p) }, vec![r.id], n)
+        let op = RddOp::Filter {
+            p: Arc::new(p),
+            kernel: None,
+        };
+        self.narrow(r, op)
     }
 
     /// Element-to-many transformation.
@@ -117,8 +127,11 @@ impl EngineContext {
         r: RddRef,
         f: impl Fn(&Value) -> Vec<Value> + Send + Sync + 'static,
     ) -> RddRef {
-        let n = self.lineage.meta(r.id).num_partitions;
-        self.add("flat_map", RddOp::FlatMap { f: Arc::new(f) }, vec![r.id], n)
+        let op = RddOp::FlatMap {
+            f: Arc::new(f),
+            kernel: None,
+        };
+        self.narrow(r, op)
     }
 
     /// Whole-partition transformation. `cost_factor` scales the charged
@@ -130,16 +143,12 @@ impl EngineContext {
         cost_factor: f64,
         f: impl Fn(u32, &[Value]) -> Vec<Value> + Send + Sync + 'static,
     ) -> RddRef {
-        let n = self.lineage.meta(r.id).num_partitions;
-        self.add(
-            "map_partitions",
-            RddOp::MapPartitions {
-                f: Arc::new(f),
-                cost_factor,
-            },
-            vec![r.id],
-            n,
-        )
+        let op = RddOp::MapPartitions {
+            f: Arc::new(f),
+            cost_factor,
+            kernel: None,
+        };
+        self.narrow(r, op)
     }
 
     /// Element-wise transformation declared as a [`MapKernel`]: the row
@@ -156,35 +165,23 @@ impl EngineContext {
             !matches!(kernel, MapKernel::NearestCenter { .. }),
             "NearestCenter skips records; use map_partitions_kernel"
         );
-        let n = self.lineage.meta(r.id).num_partitions;
         let k = kernel.clone();
-        let id = self.lineage.add_rdd(
-            "map",
-            RddOp::Map {
-                f: Arc::new(move |v| k.eval_value(v).unwrap_or_else(|| v.clone())),
-            },
-            vec![r.id],
-            n,
-        );
-        self.lineage.set_kernel(id, OpKernel::Map(kernel));
-        RddRef { id }
+        let op = RddOp::Map {
+            f: Arc::new(move |v| k.eval_value(v).unwrap_or_else(|| v.clone())),
+            kernel: Some(kernel),
+        };
+        self.narrow(r, op)
     }
 
     /// Filter declared as a [`PredKernel`], with a vectorized mask+gather
     /// batch path (see [`EngineContext::map_kernel`] for the contract).
     pub fn filter_kernel(&mut self, r: RddRef, pred: PredKernel) -> RddRef {
-        let n = self.lineage.meta(r.id).num_partitions;
         let p = pred.clone();
-        let id = self.lineage.add_rdd(
-            "filter",
-            RddOp::Filter {
-                p: Arc::new(move |v| p.eval_value(v)),
-            },
-            vec![r.id],
-            n,
-        );
-        self.lineage.set_kernel(id, OpKernel::Filter(pred));
-        RddRef { id }
+        let op = RddOp::Filter {
+            p: Arc::new(move |v| p.eval_value(v)),
+            kernel: Some(pred),
+        };
+        self.narrow(r, op)
     }
 
     /// Element-to-many transformation declared as a [`FlatMapKernel`]:
@@ -193,18 +190,12 @@ impl EngineContext {
     /// [`EngineContext::map_kernel`] for the contract). The batch arm
     /// reads rows, so it runs whatever form the parent arrived in.
     pub fn flat_map_kernel(&mut self, r: RddRef, kernel: FlatMapKernel) -> RddRef {
-        let n = self.lineage.meta(r.id).num_partitions;
         let k = kernel.clone();
-        let id = self.lineage.add_rdd(
-            "flat_map",
-            RddOp::FlatMap {
-                f: Arc::new(move |v| k.eval_value(v)),
-            },
-            vec![r.id],
-            n,
-        );
-        self.lineage.set_kernel(id, OpKernel::FlatMap(kernel));
-        RddRef { id }
+        let op = RddOp::FlatMap {
+            f: Arc::new(move |v| k.eval_value(v)),
+            kernel: Some(kernel),
+        };
+        self.narrow(r, op)
     }
 
     /// Whole-partition transformation declared as a [`MapKernel`] with
@@ -218,71 +209,57 @@ impl EngineContext {
         cost_factor: f64,
         kernel: MapKernel,
     ) -> RddRef {
-        let n = self.lineage.meta(r.id).num_partitions;
         let k = kernel.clone();
-        let id = self.lineage.add_rdd(
-            "map_partitions",
-            RddOp::MapPartitions {
-                f: Arc::new(move |_part, data| {
-                    let mut out = Vec::with_capacity(data.len());
-                    out.extend(data.iter().filter_map(|v| k.eval_value(v)));
-                    out
-                }),
-                cost_factor,
-            },
-            vec![r.id],
-            n,
-        );
-        self.lineage
-            .set_kernel(id, OpKernel::PartsFilterMap(kernel));
-        RddRef { id }
+        let op = RddOp::MapPartitions {
+            f: Arc::new(move |_part, data| {
+                let mut out = Vec::with_capacity(data.len());
+                out.extend(data.iter().filter_map(|v| k.eval_value(v)));
+                out
+            }),
+            cost_factor,
+            kernel: Some(kernel),
+        };
+        self.narrow(r, op)
     }
 
     /// Keyed aggregation declared as an [`AggKernel`]: the combine
     /// closure (map-side and reduce-side) is generated from the kernel,
-    /// the shuffle is marked batch-capable so map outputs may be
-    /// bucketed as columnar row groups, and the reducer may run the
-    /// typed accumulation path.
+    /// so map outputs may be bucketed as columnar row groups and the
+    /// reducer may run the typed accumulation path.
     pub fn reduce_by_key_kernel(&mut self, r: RddRef, parts: u32, kernel: AggKernel) -> RddRef {
         let k = kernel.clone();
-        let f: crate::rdd::AggFn = Arc::new(move |a, b| k.combine_values(a, b));
-        let shuffle = self.lineage.add_shuffle_with_combine(
-            r.id,
-            ShuffleKind::Hash {
-                parts: parts.max(1),
-            },
-            f.clone(),
-        );
-        self.lineage.set_agg_kernel(shuffle, kernel);
-        self.add(
-            "reduce_by_key",
-            RddOp::ShuffleAgg {
-                shuffle,
-                combine: f,
-            },
-            vec![r.id],
-            parts.max(1),
-        )
+        let f: AggFn = Arc::new(move |a, b| k.combine_values(a, b));
+        self.reduce(r, parts, f, Some(kernel))
+    }
+
+    /// A `reduce_by_key` over a hash shuffle that combines map-side with
+    /// `f`, generated from `agg` when one is declared.
+    fn reduce(&mut self, r: RddRef, parts: u32, f: AggFn, agg: Option<AggKernel>) -> RddRef {
+        let parts = parts.max(1);
+        let kind = ShuffleKind::Hash { parts };
+        let shuffle = self
+            .lineage
+            .add_combining_shuffle(r.id, kind, Some(f.clone()), agg);
+        let op = RddOp::ShuffleAgg {
+            shuffle,
+            combine: f,
+        };
+        self.add(op, vec![r.id], parts)
     }
 
     /// Concatenates two RDDs (partition lists are appended).
     pub fn union(&mut self, a: RddRef, b: RddRef) -> RddRef {
-        let n = self.lineage.meta(a.id).num_partitions + self.lineage.meta(b.id).num_partitions;
-        self.add("union", RddOp::Union, vec![a.id, b.id], n)
+        let n = self.num_partitions(a) + self.num_partitions(b);
+        self.add(RddOp::Union, vec![a.id, b.id], n)
     }
 
     /// Deterministic Bernoulli sample.
     pub fn sample(&mut self, r: RddRef, fraction: f64, seed: u64) -> RddRef {
-        let n = self.lineage.meta(r.id).num_partitions;
-        self.add(
-            "sample",
-            RddOp::Sample {
-                fraction: fraction.clamp(0.0, 1.0),
-                seed,
-            },
-            vec![r.id],
-            n,
-        )
+        let op = RddOp::Sample {
+            fraction: fraction.clamp(0.0, 1.0),
+            seed,
+        };
+        self.narrow(r, op)
     }
 
     /// Aggregates pair elements by key with an associative combiner.
@@ -296,62 +273,30 @@ impl EngineContext {
         parts: u32,
         f: impl Fn(&Value, &Value) -> Value + Send + Sync + 'static,
     ) -> RddRef {
-        let f: crate::rdd::AggFn = Arc::new(f);
-        let shuffle = self.lineage.add_shuffle_with_combine(
-            r.id,
-            ShuffleKind::Hash {
-                parts: parts.max(1),
-            },
-            f.clone(),
-        );
-        self.add(
-            "reduce_by_key",
-            RddOp::ShuffleAgg {
-                shuffle,
-                combine: f,
-            },
-            vec![r.id],
-            parts.max(1),
-        )
+        self.reduce(r, parts, Arc::new(f), None)
     }
 
     /// Groups pair elements by key into `(k, List(values))`.
     pub fn group_by_key(&mut self, r: RddRef, parts: u32) -> RddRef {
-        let shuffle = self.lineage.add_shuffle(
-            r.id,
-            ShuffleKind::Hash {
-                parts: parts.max(1),
-            },
-        );
-        // Grouping has no combine, so columnar map outputs can bucket
+        let parts = parts.max(1);
+        // Grouping has no combine, so columnar map outputs bucket
         // without decoding whenever the upstream produced a batch.
-        self.lineage.mark_batch_shuffle(shuffle);
-        self.add(
-            "group_by_key",
-            RddOp::ShuffleGroup { shuffle },
-            vec![r.id],
-            parts.max(1),
-        )
+        let shuffle = self.lineage.add_shuffle(r.id, ShuffleKind::Hash { parts });
+        self.add(RddOp::ShuffleGroup { shuffle }, vec![r.id], parts)
     }
 
     /// Groups two pair RDDs by key into
     /// `(k, List[List(values from a), List(values from b)])`.
     pub fn cogroup(&mut self, a: RddRef, b: RddRef, parts: u32) -> RddRef {
         let parts = parts.max(1);
-        let sa = self.lineage.add_shuffle(a.id, ShuffleKind::Hash { parts });
-        let sb = self.lineage.add_shuffle(b.id, ShuffleKind::Hash { parts });
         // Like grouping, a cogroup has no combine: batch map outputs
         // bucket typed and the reduce groups straight off the key column.
-        self.lineage.mark_batch_shuffle(sa);
-        self.lineage.mark_batch_shuffle(sb);
-        self.add(
-            "cogroup",
-            RddOp::CoGroup {
-                shuffles: vec![sa, sb],
-            },
-            vec![a.id, b.id],
-            parts,
-        )
+        let sa = self.lineage.add_shuffle(a.id, ShuffleKind::Hash { parts });
+        let sb = self.lineage.add_shuffle(b.id, ShuffleKind::Hash { parts });
+        let op = RddOp::CoGroup {
+            shuffles: vec![sa, sb],
+        };
+        self.add(op, vec![a.id, b.id], parts)
     }
 
     /// Inner-joins two pair RDDs: output `(k, List[va, vb])` for every
@@ -381,19 +326,11 @@ impl EngineContext {
 
     /// Globally sorts pair elements by key via range partitioning.
     pub fn sort_by_key(&mut self, r: RddRef, parts: u32, ascending: bool) -> RddRef {
-        let shuffle = self.lineage.add_shuffle(
-            r.id,
-            ShuffleKind::Range {
-                parts: parts.max(1),
-                ascending,
-            },
-        );
-        self.add(
-            "sort_by_key",
-            RddOp::SortByKey { shuffle, ascending },
-            vec![r.id],
-            parts.max(1),
-        )
+        let parts = parts.max(1);
+        let shuffle = self
+            .lineage
+            .add_shuffle(r.id, ShuffleKind::Range { parts, ascending });
+        self.add(RddOp::SortByKey { shuffle, ascending }, vec![r.id], parts)
     }
 
     /// Removes duplicate elements (via a shuffle).
@@ -422,11 +359,11 @@ impl EngineContext {
     /// Narrow N→M repartitioning (Spark's `coalesce` without a shuffle):
     /// contiguous runs of parent partitions are concatenated.
     pub fn coalesce(&mut self, r: RddRef, parts: u32) -> RddRef {
-        let n = self.lineage.meta(r.id).num_partitions;
+        let n = self.num_partitions(r);
         let parts = parts.clamp(1, n);
         let group = n.div_ceil(parts);
         let out = n.div_ceil(group);
-        self.add("coalesce", RddOp::Coalesce { group }, vec![r.id], out)
+        self.add(RddOp::Coalesce { group }, vec![r.id], out)
     }
 
     /// Transforms only the value side of pair elements, keeping keys.

@@ -24,13 +24,6 @@
 //!   independent of how the compute phase was scheduled, any
 //!   `host_threads` setting produces identical results, stats, and
 //!   virtual-time trajectories.
-//!
-//! Compared to the previous depth-first in-place materializer, tasks in
-//! the same wave read the wave-start snapshot rather than each other's
-//! incidental cache inserts. Results are unchanged (closures are pure and
-//! sampling is seed-keyed); only modeled durations can differ from the
-//! old sequential interleaving, and they remain identical across thread
-//! counts.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -43,7 +36,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::cluster::{Cluster, WorkerId};
 use crate::column::{
     radix_key_i64, radix_sort, typed_agg, typed_group, typed_sort_by_key, Column, ColumnBatch,
-    ColumnCounters, OpKernel,
+    ColumnCounters, FlatMapKernel, PredKernel,
 };
 use crate::cost::CostModel;
 use crate::driver::TaskKey;
@@ -51,7 +44,7 @@ use crate::lineage::Lineage;
 use crate::rdd::{PartitionData, RddId, RddOp};
 use crate::shuffle::{
     scan_flat_bucket, BucketedBlock, HashPartitioner, Partitioner, RangePartitioner, ShuffleId,
-    ShuffleKind,
+    ShuffleInfo, ShuffleKind,
 };
 use crate::value::Value;
 
@@ -181,17 +174,17 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
         Err(MissingShuffle) => return None,
     };
     // Hash-shuffle map outputs bucket once, here: one pass over the
-    // records replaces the per-reduce-task O(N) scans. Batch-marked
-    // shuffles combine and bucket typed (a kernel-declared combine encodes
-    // a row payload first); anything else takes the row path with
-    // identical observables. Range-shuffle map outputs stay rows — their
-    // partitioner is sampled from them by the reduce side, which scans.
+    // records replaces the per-reduce-task O(N) scans. A hash shuffle with
+    // no combine, or with a declared combine kernel, buckets typed (the
+    // kernel encodes a row payload first); anything else takes the row
+    // path with identical observables. Range-shuffle map outputs stay
+    // rows — their partitioner is sampled from them by the reduce side,
+    // which scans.
     let out: BlockData = match key {
         TaskKey::ShuffleMap { shuffle, .. } => {
             let info = ctx.lineage.shuffle(shuffle);
-            let combine = info.combine.clone();
-            if let Some(bb) = columnar_map_output(ctx, shuffle, &data, combine.is_some()) {
-                if combine.is_some() {
+            if let Some(bb) = columnar_map_output(ctx, info, &data) {
+                if info.combine.is_some() {
                     // Same pre-aggregation charge as the row path: input
                     // vbytes at factor 1.0, before the output resize.
                     dur += ctx.cost.compute_time(vbytes, 1.0);
@@ -202,7 +195,7 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
                 let mut rows = data.rows(ctx.column);
                 // Map-side combine (Spark `reduceByKey` pre-aggregation).
                 let mut combined_dirty = false;
-                if let Some(combine) = combine {
+                if let Some(combine) = &info.combine {
                     dur += ctx.cost.compute_time(vbytes, 1.0);
                     let mut agg: BTreeMap<Value, Value> = BTreeMap::new();
                     let mut non_pairs: Vec<Value> = Vec::new();
@@ -247,31 +240,27 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
     Some(b.finish(out, vbytes, 0, dur, None))
 }
 
-/// The fully-columnar map side of a batch-marked hash shuffle: typed
-/// map-side combine (when the shuffle declares one) followed by columnar
-/// hash bucketing. A kernel-declared combine whose input arrived as rows
-/// (an opaque closure upstream) encodes them once, here, so everything
-/// downstream of the shuffle stays a batch. Returns `None` — row
-/// fallback — when columnar execution is off, the shuffle is not batch
-/// capable, a grouping or cogroup shuffle's payload is rows, the rows do
-/// not encode, or the batch shape defeats the typed kernels; each is a
-/// pure function of the data. Range shuffles are never batch-marked.
+/// The fully-columnar map side of a hash shuffle: typed map-side combine
+/// (when the shuffle declares one) followed by columnar hash bucketing.
+/// A kernel-declared combine whose input arrived as rows (an opaque
+/// closure upstream) encodes them once, here, so everything downstream
+/// of the shuffle stays a batch. Returns `None` — row fallback — when
+/// columnar execution is off, the shuffle is a range shuffle, its
+/// combine is an opaque closure, a grouping or cogroup shuffle's payload
+/// is rows, the rows do not encode, or the batch shape defeats the typed
+/// kernels; each is a pure function of the lineage and the data.
 fn columnar_map_output(
     ctx: &WaveCtx<'_>,
-    shuffle: ShuffleId,
+    info: &ShuffleInfo,
     data: &Records,
-    has_combine: bool,
 ) -> Option<BucketedBlock> {
-    if !ctx.columnar || !ctx.lineage.is_batch_shuffle(shuffle) {
-        return None;
-    }
-    let ShuffleKind::Hash { parts } = ctx.lineage.shuffle(shuffle).kind else {
+    let (true, &ShuffleKind::Hash { parts }) = (ctx.columnar, &info.kind) else {
         return None;
     };
-    if !has_combine {
+    if info.combine.is_none() {
         return BucketedBlock::partition_columnar(data.batch()?, parts);
     }
-    let kernel = ctx.lineage.agg_kernel(shuffle)?;
+    let kernel = info.agg.as_ref()?;
     let encoded;
     let batch = match data {
         Records::Col(b) => Some(b.as_ref()),
@@ -512,18 +501,18 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             }
         }
 
-        // 3. Recompute from lineage.
+        // 3. Recompute from lineage. The op is borrowed from the wave's
+        //    lineage, not from `self`, so no kernel tree is cloned.
         let meta = self.ctx.lineage.meta(rdd);
-        let op = meta.op.clone();
-        let parents = meta.parents.clone();
+        let parents = &meta.parents;
         let was_before = self.was_computed_before(rdd, part);
-        let factor = op.cost_factor();
+        let factor = meta.op.cost_factor();
 
         // Arms yield `Records` so pass-through operators (`Union`, the
         // shared identity `Map`) hand the parent's payload onward in
         // whichever form it arrived, and vectorized kernels keep batches
         // columnar end to end.
-        let (data, own_dur, child_dur): (Records, SimDuration, SimDuration) = match op {
+        let (data, own_dur, child_dur): (Records, SimDuration, SimDuration) = match &meta.op {
             RddOp::Parallelize { data } => {
                 // Source partitions encode once into a per-partition
                 // columnar batch cached in the lineage; later reads share
@@ -564,14 +553,14 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 }
                 (Records::Rows(Arc::new(out)), SimDuration::ZERO, cdur)
             }
-            RddOp::Map { f } => {
+            RddOp::Map { f, kernel } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
                 // The identity transform shares the parent's records; the
                 // charged compute time depends only on the input size, so
                 // the short-circuit cannot move the clock.
-                let out = if crate::rdd::is_identity(&f) {
+                let out = if crate::rdd::is_identity(f) {
                     pd
-                } else if let Some(b) = self.kernel_batch(rdd, &pd) {
+                } else if let Some(b) = self.kernel_arm(kernel, |k| k.eval_batch(pd.batch()?)) {
                     b
                 } else {
                     let rows = pd.rows(self.ctx.column);
@@ -581,9 +570,10 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 };
                 (out, self.ctx.cost.compute_time(vb, factor), pdur)
             }
-            RddOp::Filter { p } => {
+            RddOp::Filter { p, kernel } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
-                let out = if let Some(b) = self.kernel_batch(rdd, &pd) {
+                let batch = |k: &PredKernel| k.filter_batch(pd.batch()?).map(Arc::new);
+                let out = if let Some(b) = self.kernel_arm(kernel, batch) {
                     b
                 } else {
                     let rows = pd.rows(self.ctx.column);
@@ -593,10 +583,14 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 };
                 (out, self.ctx.cost.compute_time(vb, factor), pdur)
             }
-            RddOp::FlatMap { f } => {
+            RddOp::FlatMap { f, kernel } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
                 let rows = pd.rows(self.ctx.column);
-                let out = if let Some(b) = self.flat_map_batch(rdd, &rows) {
+                // The batch arm reads rows (a cogroup reduce always emits
+                // them), so no output row is made and a kernel-declared
+                // shuffle downstream buckets the batch with no encode.
+                let batch = |k: &FlatMapKernel| k.eval_rows(&rows).map(Arc::new);
+                let out = if let Some(b) = self.kernel_arm(kernel, batch) {
                     b
                 } else {
                     let mut out: Vec<Value> = Vec::with_capacity(rows.len());
@@ -605,9 +599,9 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 };
                 (out, self.ctx.cost.compute_time(vb, factor), pdur)
             }
-            RddOp::MapPartitions { f, .. } => {
+            RddOp::MapPartitions { f, kernel, .. } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
-                let out = if let Some(b) = self.kernel_batch(rdd, &pd) {
+                let out = if let Some(b) = self.kernel_arm(kernel, |k| k.eval_batch(pd.batch()?)) {
                     b
                 } else {
                     Records::Rows(Arc::new(f(part, &pd.rows(self.ctx.column))))
@@ -617,7 +611,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             RddOp::Sample { fraction, seed } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
                 let rows = pd.rows(self.ctx.column);
-                let out = deterministic_sample(&rows, fraction, seed, rdd, part);
+                let out = deterministic_sample(&rows, *fraction, *seed, rdd, part);
                 (
                     Records::Rows(Arc::new(out)),
                     self.ctx.cost.compute_time(vb, factor),
@@ -625,13 +619,13 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 )
             }
             RddOp::ShuffleAgg { shuffle, combine } => {
-                let (chunks, bytes, fdur) = self.fetch_shuffle_bucket(shuffle, part)?;
+                let (chunks, bytes, fdur) = self.fetch_shuffle_bucket(*shuffle, part)?;
                 let vb = self.ctx.cost.vbytes(bytes + 16);
-                let out = self.reduce_agg(shuffle, &chunks, &combine);
+                let out = self.reduce_agg(*shuffle, &chunks, combine);
                 (out, self.ctx.cost.compute_time(vb, factor), fdur)
             }
             RddOp::ShuffleGroup { shuffle } => {
-                let (chunks, bytes, fdur) = self.fetch_shuffle_bucket(shuffle, part)?;
+                let (chunks, bytes, fdur) = self.fetch_shuffle_bucket(*shuffle, part)?;
                 let vb = self.ctx.cost.vbytes(bytes + 16);
                 let out = self.reduce_group(&chunks);
                 (out, self.ctx.cost.compute_time(vb, factor), fdur)
@@ -640,7 +634,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 let mut fdur = SimDuration::ZERO;
                 let mut total = 0u64;
                 let mut sides: Vec<Vec<Records>> = Vec::with_capacity(shuffles.len());
-                for s in &shuffles {
+                for s in shuffles {
                     let (chunks, bytes, d) = self.fetch_shuffle_bucket(*s, part)?;
                     fdur += d;
                     total += bytes + 16;
@@ -660,7 +654,8 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 )
             }
             RddOp::SortByKey { shuffle, ascending } => {
-                let (chunks, bytes, fdur) = self.fetch_shuffle_bucket(shuffle, part)?;
+                let ascending = *ascending;
+                let (chunks, bytes, fdur) = self.fetch_shuffle_bucket(*shuffle, part)?;
                 let vb = self.ctx.cost.vbytes(bytes + 16);
                 // Concatenate the buckets (decoded to rows) in the same
                 // map-partition-major order the flat fetch produced, then
@@ -717,45 +712,24 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         Ok((data, vb, own_dur + child_dur))
     }
 
-    /// The batch arm of a kernel-declared `Map`, `Filter` or
-    /// `MapPartitions`: runs when columnar execution is on, the RDD
-    /// registered a kernel at plan time (always the kind its op takes),
-    /// and the parent arrived as a batch the kernel's typed evaluator
-    /// accepts. `None` → the op's own row closure.
-    fn kernel_batch(&self, rdd: RddId, pd: &Records) -> Option<Records> {
-        if !self.ctx.columnar {
-            return None;
-        }
-        let kernel = self.ctx.lineage.kernel(rdd)?;
-        let out = pd.batch().and_then(|b| match kernel {
-            OpKernel::Map(k) | OpKernel::PartsFilterMap(k) => k.eval_batch(b),
-            OpKernel::Filter(k) => k.filter_batch(b).map(Arc::new),
-            // Registered only on `FlatMap` ops, which run `flat_map_batch`.
-            OpKernel::FlatMap(_) => None,
-        });
+    /// The batch arm of an op that carries a kernel: runs `batch` when
+    /// columnar execution is on and the op declared `kernel`, and counts
+    /// which arm the op took. `batch` yields `None` when the input does
+    /// not fit the kernel's typed evaluator; `None` → the op's own row
+    /// closure.
+    fn kernel_arm<K>(
+        &self,
+        kernel: &Option<K>,
+        batch: impl FnOnce(&K) -> Option<Arc<ColumnBatch>>,
+    ) -> Option<Records> {
+        let kernel = kernel.as_ref().filter(|_| self.ctx.columnar)?;
+        let out = batch(kernel);
         self.ctx.column.kernel_ran(out.is_some());
         out.map(Records::Col)
     }
 
-    /// The batch arm of a kernel-declared `FlatMap`: the kernel builds
-    /// the partition's output batch straight from its input rows (a
-    /// cogroup reduce always emits rows), so no output row is made and
-    /// a kernel-declared shuffle downstream buckets the batch with no
-    /// encode. `None` → the op's own row closure.
-    fn flat_map_batch(&self, rdd: RddId, rows: &[Value]) -> Option<Records> {
-        if !self.ctx.columnar {
-            return None;
-        }
-        let Some(OpKernel::FlatMap(kernel)) = self.ctx.lineage.kernel(rdd) else {
-            return None;
-        };
-        let out = kernel.eval_rows(rows);
-        self.ctx.column.kernel_ran(out.is_some());
-        out.map(|b| Records::Col(Arc::new(b)))
-    }
-
     /// Reduce side of `ShuffleAgg`: typed columnar aggregation when the
-    /// shuffle registered an agg kernel and every fetched bucket arrived
+    /// shuffle declares an agg kernel and every fetched bucket arrived
     /// as a key/payload batch, else the classic `BTreeMap` fold over
     /// decoded rows. Both produce the same sorted pair sequence and the
     /// same bytes.
@@ -766,7 +740,7 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         combine: &crate::rdd::AggFn,
     ) -> Records {
         if self.ctx.columnar {
-            if let Some(kernel) = self.ctx.lineage.agg_kernel(shuffle) {
+            if let Some(kernel) = &self.ctx.lineage.shuffle(shuffle).agg {
                 let typed = pair_chunks(chunks).and_then(|typed| typed_agg(kernel, &typed));
                 self.ctx.column.kernel_ran(typed.is_some());
                 if let Some(batch) = typed {
@@ -793,11 +767,14 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
 
     /// Reduce side of `ShuffleGroup`: typed grouping over homogeneous
     /// key columns when every bucket arrived as a key/payload batch,
-    /// else the classic `BTreeMap` path over decoded rows.
+    /// else the classic `BTreeMap` path over decoded rows. The typed arm
+    /// reads each payload value once (`value_at`), counted as a decode.
     fn reduce_group(&self, chunks: &[Records]) -> Records {
         if self.ctx.columnar {
             if let Some(typed) = pair_chunks(chunks) {
                 if let Some(rows) = typed_group(&typed) {
+                    let read = typed.iter().map(|(keys, _)| keys.len() as u64).sum();
+                    self.ctx.column.decoded(read);
                     return Records::Rows(Arc::new(rows));
                 }
             }
@@ -840,8 +817,9 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         shuffle: ShuffleId,
         part: u32,
     ) -> std::result::Result<(Vec<Records>, u64, SimDuration), MissingShuffle> {
-        let info = self.ctx.lineage.shuffle(shuffle).clone();
-        let m = self.ctx.lineage.meta(info.parent).num_partitions;
+        let lineage = self.ctx.lineage;
+        let info = lineage.shuffle(shuffle);
+        let m = lineage.meta(info.parent).num_partitions;
 
         // Resolve the partitioner (range bounds are sampled at the
         // barrier and cached for deterministic recomputation).

@@ -3,8 +3,8 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
-use crate::column::{AggKernel, ColumnBatch, OpKernel};
-use crate::rdd::{RddId, RddMeta, RddOp};
+use crate::column::{AggKernel, ColumnBatch};
+use crate::rdd::{AggFn, RddId, RddMeta, RddOp};
 use crate::shuffle::{ShuffleId, ShuffleInfo, ShuffleKind};
 
 /// The directed acyclic graph of RDDs and shuffle edges.
@@ -29,15 +29,6 @@ pub struct Lineage {
     /// The execution frontier, kept as sizes are recorded (see
     /// [`Lineage::execution_frontier`]).
     frontier: BTreeSet<RddId>,
-    /// Declarative batch kernels for ops built through the `*_kernel`
-    /// context constructors. Registered at plan time, so the executor's
-    /// row-or-columnar choice never depends on wave timing.
-    kernels: HashMap<RddId, OpKernel>,
-    /// Typed combine kernels for batch-capable keyed aggregations.
-    agg_kernels: HashMap<ShuffleId, AggKernel>,
-    /// Shuffles whose map outputs may be bucketed columnar (hash
-    /// shuffles built through `reduce_by_key_kernel`).
-    batch_shuffles: HashSet<ShuffleId>,
     /// Per-partition lazy columnar encodings of `Parallelize` sources:
     /// computed once on first materialization under the columnar path,
     /// shared by every later task (`None` inside the cell = the
@@ -93,30 +84,26 @@ impl Lineage {
 
     /// Registers a shuffle edge reading from `parent`.
     pub fn add_shuffle(&mut self, parent: RddId, kind: ShuffleKind) -> ShuffleId {
-        let id = ShuffleId(self.shuffles.len() as u32);
-        self.shuffles.push(ShuffleInfo {
-            id,
-            parent,
-            kind,
-            combine: None,
-        });
-        id
+        self.add_combining_shuffle(parent, kind, None, None)
     }
 
-    /// Registers a shuffle edge with a map-side combiner (used by keyed
-    /// aggregations, mirroring Spark's `reduceByKey`).
-    pub(crate) fn add_shuffle_with_combine(
+    /// Registers a shuffle edge with an optional map-side combiner (keyed
+    /// aggregations, mirroring Spark's `reduceByKey`) and the kernel the
+    /// combiner was generated from.
+    pub(crate) fn add_combining_shuffle(
         &mut self,
         parent: RddId,
         kind: ShuffleKind,
-        combine: crate::rdd::AggFn,
+        combine: Option<AggFn>,
+        agg: Option<AggKernel>,
     ) -> ShuffleId {
         let id = ShuffleId(self.shuffles.len() as u32);
         self.shuffles.push(ShuffleInfo {
             id,
             parent,
             kind,
-            combine: Some(combine),
+            combine,
+            agg,
         });
         id
     }
@@ -142,41 +129,6 @@ impl Lineage {
     /// Panics if `id` is unknown.
     pub fn shuffle(&self, id: ShuffleId) -> &ShuffleInfo {
         &self.shuffles[id.0 as usize]
-    }
-
-    /// Registers the batch kernel backing `id`'s row closure.
-    pub(crate) fn set_kernel(&mut self, id: RddId, kernel: OpKernel) {
-        self.kernels.insert(id, kernel);
-    }
-
-    /// The batch kernel of `id`, if it was built through a `*_kernel`
-    /// constructor.
-    pub(crate) fn kernel(&self, id: RddId) -> Option<&OpKernel> {
-        self.kernels.get(&id)
-    }
-
-    /// Registers the typed combine kernel of `shuffle` and marks its map
-    /// outputs batch-capable.
-    pub(crate) fn set_agg_kernel(&mut self, shuffle: ShuffleId, kernel: AggKernel) {
-        self.agg_kernels.insert(shuffle, kernel);
-        self.batch_shuffles.insert(shuffle);
-    }
-
-    /// The typed combine kernel of `shuffle`, if any.
-    pub(crate) fn agg_kernel(&self, shuffle: ShuffleId) -> Option<&AggKernel> {
-        self.agg_kernels.get(&shuffle)
-    }
-
-    /// Marks `shuffle`'s map outputs batch-capable without a combine
-    /// kernel (grouping shuffles: bucketing only needs hashable keys).
-    pub(crate) fn mark_batch_shuffle(&mut self, shuffle: ShuffleId) {
-        self.batch_shuffles.insert(shuffle);
-    }
-
-    /// `true` when `shuffle`'s map outputs may use columnar row-group
-    /// buckets (decided at plan time, when the shuffle was built).
-    pub(crate) fn is_batch_shuffle(&self, shuffle: ShuffleId) -> bool {
-        self.batch_shuffles.contains(&shuffle)
     }
 
     /// The lazily-encoded columnar form of a `Parallelize` partition:
@@ -353,6 +305,7 @@ mod tests {
     fn map_op() -> RddOp {
         RddOp::Map {
             f: Arc::new(|v| v.clone()),
+            kernel: None,
         }
     }
 

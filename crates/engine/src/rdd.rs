@@ -3,6 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::column::{FlatMapKernel, MapKernel, PredKernel};
 use crate::shuffle::ShuffleId;
 use crate::Value;
 
@@ -62,6 +63,10 @@ pub(crate) fn is_identity(f: &MapFn) -> bool {
 /// dependency split (§2.2): narrow operators compute partition `p` from
 /// partition `p` of the parent(s); shuffle operators consume *all* parent
 /// partitions through a [`ShuffleId`].
+///
+/// An op built through a `*_kernel` constructor of
+/// [`crate::EngineContext`] carries its kernel: the closure is generated
+/// from it, and the executor may run the kernel's batch form instead.
 #[derive(Clone)]
 pub enum RddOp {
     /// A durable source collection, pre-partitioned. Reading it charges
@@ -74,16 +79,22 @@ pub enum RddOp {
     Map {
         /// The transformation.
         f: MapFn,
+        /// The declared total kernel `f` was generated from, if any.
+        kernel: Option<MapKernel>,
     },
     /// Element-wise filter.
     Filter {
         /// The predicate.
         p: PredFn,
+        /// The declared kernel `p` was generated from, if any.
+        kernel: Option<PredKernel>,
     },
     /// Element-to-many map.
     FlatMap {
         /// The transformation.
         f: FlatMapFn,
+        /// The declared kernel `f` was generated from, if any.
+        kernel: Option<FlatMapKernel>,
     },
     /// Whole-partition transformation with an explicit compute-intensity
     /// multiplier (lets workloads model CPU-heavy kernels like KMeans
@@ -93,6 +104,8 @@ pub enum RddOp {
         f: PartsFn,
         /// Relative compute cost per byte versus a plain map.
         cost_factor: f64,
+        /// The declared filter-map kernel `f` was generated from, if any.
+        kernel: Option<MapKernel>,
     },
     /// Concatenation of the parents' partition lists.
     Union,
@@ -237,6 +250,7 @@ mod tests {
     fn op_kind_and_shuffle_classification() {
         let map = RddOp::Map {
             f: Arc::new(|v| v.clone()),
+            kernel: None,
         };
         assert_eq!(map.kind(), "map");
         assert!(!map.is_shuffle());
@@ -260,9 +274,11 @@ mod tests {
         let ops: Vec<RddOp> = vec![
             RddOp::Map {
                 f: Arc::new(|v| v.clone()),
+                kernel: None,
             },
             RddOp::Filter {
                 p: Arc::new(|_| true),
+                kernel: None,
             },
             RddOp::SortByKey {
                 shuffle: ShuffleId(0),

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::block::Records;
-use crate::column::ColumnBatch;
+use crate::column::{AggKernel, ColumnBatch};
 use crate::value::stable_hash;
 use crate::Value;
 
@@ -282,6 +282,10 @@ pub struct ShuffleInfo {
     /// block is stored, collapsing shuffle volume to ~one record per key
     /// per map partition.
     pub(crate) combine: Option<crate::rdd::AggFn>,
+    /// The declared kernel `combine` was generated from, if any. A hash
+    /// shuffle buckets map outputs as batches when it has no combine or
+    /// has this kernel ([`crate::EngineContext::reduce_by_key_kernel`]).
+    pub(crate) agg: Option<AggKernel>,
 }
 
 impl std::fmt::Debug for ShuffleInfo {
@@ -291,6 +295,7 @@ impl std::fmt::Debug for ShuffleInfo {
             .field("parent", &self.parent)
             .field("kind", &self.kind)
             .field("combine", &self.combine.is_some())
+            .field("agg", &self.agg)
             .finish()
     }
 }

@@ -27,9 +27,9 @@
 use std::sync::Arc;
 
 use flint_engine::{
-    AggKernel, BlockKey, BucketedBlock, CheckpointStore, ColumnBatch, ColumnStats, Driver,
-    DriverConfig, FlatMapKernel, KeyExpr, MapKernel, NoCheckpoint, NoFailures, NumExpr,
-    PayloadExpr, PredKernel, RddId, Records, RunStats, ScalarExpr, ScriptedInjector,
+    AggKernel, BlockData, BlockKey, BucketedBlock, CheckpointStore, ColumnBatch, ColumnStats,
+    Driver, DriverConfig, FlatMapKernel, KeyExpr, MapKernel, NoCheckpoint, NoFailures, NumExpr,
+    PayloadExpr, PredKernel, RddId, RddRef, Records, RunStats, ScalarExpr, ScriptedInjector,
     StoreFaultPolicy, TraceHandle, Value, WorkerEvent, WorkerSpec, WriteFault,
 };
 use flint_simtime::{SimDuration, SimTime};
@@ -837,4 +837,153 @@ fn flat_map_kernel_falls_back_to_its_closure_end_to_end() {
     assert_eq!(int.kernel_batches, 4, "{int:?}");
     assert_eq!(float.row_fallbacks, int.row_fallbacks + 1, "{float:?}");
     assert_eq!(float.kernel_batches + 1, int.kernel_batches, "{float:?}");
+}
+
+/// `n` `(Int, Float)` pairs over twelve keys.
+fn int_pairs(n: i64) -> Vec<Value> {
+    (0..n)
+        .map(|i| Value::pair(Value::Int(i % 12), Value::Float(i as f64 / 4.0)))
+        .collect()
+}
+
+/// The typed `group_by_key` reduce reads each payload value of its batch
+/// buckets once, and counts each read as a decode, as the `CoGroup`
+/// reduce does: 200 source pairs encode once and decode once, and the
+/// groups equal the row run's.
+#[test]
+fn group_reduce_counts_its_decodes() {
+    let run = |columnar: bool| {
+        let mut d = driver(columnar);
+        let src = d.ctx().parallelize(int_pairs(200), 4);
+        let grouped = d.ctx().group_by_key(src, 3);
+        (d.collect(grouped).unwrap(), d.column_stats())
+    };
+    let (row, col) = (run(false), run(true));
+    assert_eq!(col.0, row.0);
+    assert_eq!(
+        col.1,
+        ColumnStats {
+            kernel_batches: 0,
+            row_fallbacks: 0,
+            encodes: 200,
+            decodes: 200,
+        }
+    );
+}
+
+/// Which form each map block of `r`'s shuffles holds: `"rows"` for an
+/// unbucketed row block, `"row buckets"` or `"col buckets"` for a
+/// bucketed one (empty buckets say nothing).
+fn map_block_forms(d: &Driver, r: RddRef) -> Vec<&'static str> {
+    let lineage = d.lineage();
+    let mut forms = Vec::new();
+    for shuffle in lineage.meta(r.id()).op.input_shuffles() {
+        let maps = lineage.meta(lineage.shuffle(shuffle).parent).num_partitions;
+        for map_part in 0..maps {
+            let key = BlockKey::ShuffleMap { shuffle, map_part };
+            let (_, data, _, _) = d.cluster().peek_fetch(&key).expect("map block cached");
+            forms.push(match data {
+                BlockData::Part(Records::Rows(_)) => "rows",
+                BlockData::Part(Records::Col(_)) => "col",
+                BlockData::Bucketed(bb) => {
+                    let buckets: Vec<&Records> = (0..bb.num_buckets())
+                        .filter_map(|p| bb.bucket(p))
+                        .filter(|b| !b.is_empty())
+                        .collect();
+                    if buckets.iter().all(|b| matches!(b, Records::Col(_))) {
+                        "col buckets"
+                    } else {
+                        assert!(buckets.iter().all(|b| matches!(b, Records::Rows(_))));
+                        "row buckets"
+                    }
+                }
+            });
+        }
+    }
+    forms
+}
+
+/// A shuffle's map side buckets batches exactly when it is a hash
+/// shuffle with no combine or with a declared combine kernel. Over one
+/// encoded pair source, a closure `reduce_by_key` and a `sort_by_key`
+/// decode their map blocks to rows; `reduce_by_key_kernel`,
+/// `group_by_key` and `cogroup` keep every map block's buckets as
+/// batches. Each run's counters are pinned, and its results equal the
+/// row run's.
+#[test]
+fn map_side_form_follows_the_shuffle() {
+    type Build = fn(&mut Driver, RddRef, RddRef) -> RddRef;
+    let cases: [(&str, Build, &str, ColumnStats); 5] = [
+        (
+            "reduce_by_key",
+            |d, a, _| d.ctx().reduce_by_key(a, 2, |x, _| x.clone()),
+            "row buckets",
+            ColumnStats {
+                kernel_batches: 0,
+                row_fallbacks: 0,
+                encodes: 64,
+                decodes: 64,
+            },
+        ),
+        (
+            "sort_by_key",
+            |d, a, _| d.ctx().sort_by_key(a, 2, true),
+            "rows",
+            ColumnStats {
+                kernel_batches: 0,
+                row_fallbacks: 0,
+                encodes: 64,
+                decodes: 64,
+            },
+        ),
+        (
+            "reduce_by_key_kernel",
+            |d, a, _| d.ctx().reduce_by_key_kernel(a, 2, AggKernel::SumFloat),
+            "col buckets",
+            ColumnStats {
+                kernel_batches: 6,
+                row_fallbacks: 0,
+                encodes: 64,
+                decodes: 12,
+            },
+        ),
+        (
+            "group_by_key",
+            |d, a, _| d.ctx().group_by_key(a, 2),
+            "col buckets",
+            ColumnStats {
+                kernel_batches: 0,
+                row_fallbacks: 0,
+                encodes: 64,
+                decodes: 64,
+            },
+        ),
+        (
+            "cogroup",
+            |d, a, b| d.ctx().cogroup(a, b, 2),
+            "col buckets",
+            ColumnStats {
+                kernel_batches: 0,
+                row_fallbacks: 0,
+                encodes: 80,
+                decodes: 80,
+            },
+        ),
+    ];
+    for (name, build, form, stats) in cases {
+        let run = |columnar: bool| {
+            let mut d = driver(columnar);
+            let a = d.ctx().parallelize(int_pairs(64), 4);
+            let b = d.ctx().parallelize(int_pairs(16), 2);
+            let out = build(&mut d, a, b);
+            let rows = d.collect(out).unwrap();
+            (rows, map_block_forms(&d, out), d.column_stats())
+        };
+        let (row, col) = (run(false), run(true));
+        eprintln!("{name}: {:?} {:?}", col.1, col.2);
+        assert_eq!(col.0, row.0, "{name}");
+        assert!(!col.1.is_empty(), "{name}: no map block inspected");
+        assert!(col.1.iter().all(|f| *f == form), "{name}: {:?}", col.1);
+        assert_eq!(col.2, stats, "{name}");
+    }
 }
