@@ -4,6 +4,7 @@
 use flint_market::MarketId;
 use flint_simtime::SimDuration;
 
+use crate::selection::split_evenly;
 use crate::{MarketView, SelectionPolicy};
 
 /// EC2 SpotFleet-style selection with the "lowestPrice" strategy:
@@ -48,15 +49,7 @@ impl SelectionPolicy for SpotFleetSelection {
         if chosen.is_empty() {
             return vec![(view.catalog.on_demand_id(), view.n)];
         }
-        let m = chosen.len() as u32;
-        let base = view.n / m;
-        let rem = view.n % m;
-        chosen
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (*id, base + u32::from((i as u32) < rem)))
-            .filter(|(_, c)| *c > 0)
-            .collect()
+        split_evenly(chosen, view.n)
     }
 
     fn replacement(

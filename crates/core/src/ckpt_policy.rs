@@ -449,15 +449,9 @@ mod tests {
         let sh = fx
             .lineage
             .add_shuffle(src, flint_engine::ShuffleKind::Hash { parts: 8 });
-        let red = fx.lineage.add_rdd(
-            "reduce",
-            RddOp::ShuffleAgg {
-                shuffle: sh,
-                combine: StdArc::new(|a: &flint_engine::Value, _| a.clone()),
-            },
-            vec![src],
-            8,
-        );
+        let red = fx
+            .lineage
+            .add_rdd("reduce", RddOp::ShuffleGroup { shuffle: sh }, vec![src], 8);
         for p in 0..8 {
             fx.lineage.record_partition_size(red, p, 10 << 20);
         }
@@ -485,15 +479,9 @@ mod tests {
         let sh = fx
             .lineage
             .add_shuffle(src, flint_engine::ShuffleKind::Hash { parts: 1 });
-        let red = fx.lineage.add_rdd(
-            "reduce",
-            RddOp::ShuffleAgg {
-                shuffle: sh,
-                combine: StdArc::new(|a: &flint_engine::Value, _| a.clone()),
-            },
-            vec![src],
-            1,
-        );
+        let red = fx
+            .lineage
+            .add_rdd("reduce", RddOp::ShuffleGroup { shuffle: sh }, vec![src], 1);
         fx.lineage.record_partition_size(red, 0, 10 << 20);
         let mut p = PeriodicRddCheckpoint::new(SimDuration::from_mins(10));
         // Not due yet.

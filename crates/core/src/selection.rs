@@ -365,7 +365,7 @@ pub trait SelectionPolicy: Send {
 
 /// Splits `n` servers as evenly as possible over `markets` (first markets
 /// get the remainder).
-fn split_evenly(markets: &[MarketId], n: u32) -> Vec<(MarketId, u32)> {
+pub(crate) fn split_evenly(markets: &[MarketId], n: u32) -> Vec<(MarketId, u32)> {
     if markets.is_empty() || n == 0 {
         return Vec::new();
     }

@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use crate::column::{AggKernel, FlatMapKernel, MapKernel, PredKernel};
 use crate::lineage::Lineage;
-use crate::rdd::{AggFn, RddId, RddOp, RddRef};
-use crate::shuffle::ShuffleKind;
+use crate::rdd::{RddId, RddOp, RddRef};
+use crate::shuffle::{Combine, ShuffleKind};
 use crate::Value;
 
 /// Builds RDDs and records their lineage.
@@ -228,23 +228,19 @@ impl EngineContext {
     /// reducer may run the typed accumulation path.
     pub fn reduce_by_key_kernel(&mut self, r: RddRef, parts: u32, kernel: AggKernel) -> RddRef {
         let k = kernel.clone();
-        let f: AggFn = Arc::new(move |a, b| k.combine_values(a, b));
-        self.reduce(r, parts, f, Some(kernel))
+        let combine = Combine {
+            f: Arc::new(move |a, b| k.combine_values(a, b)),
+            kernel: Some(kernel),
+        };
+        self.reduce(r, parts, combine)
     }
 
-    /// A `reduce_by_key` over a hash shuffle that combines map-side with
-    /// `f`, generated from `agg` when one is declared.
-    fn reduce(&mut self, r: RddRef, parts: u32, f: AggFn, agg: Option<AggKernel>) -> RddRef {
+    /// A `reduce_by_key` over a hash shuffle that folds pairs by key with
+    /// `combine`, map-side and reduce-side.
+    fn reduce(&mut self, r: RddRef, parts: u32, combine: Combine) -> RddRef {
         let parts = parts.max(1);
-        let kind = ShuffleKind::Hash { parts };
-        let shuffle = self
-            .lineage
-            .add_combining_shuffle(r.id, kind, Some(f.clone()), agg);
-        let op = RddOp::ShuffleAgg {
-            shuffle,
-            combine: f,
-        };
-        self.add(op, vec![r.id], parts)
+        let shuffle = self.lineage.add_combining_shuffle(r.id, parts, combine);
+        self.add(RddOp::ShuffleAgg { shuffle }, vec![r.id], parts)
     }
 
     /// Concatenates two RDDs (partition lists are appended).
@@ -273,7 +269,11 @@ impl EngineContext {
         parts: u32,
         f: impl Fn(&Value, &Value) -> Value + Send + Sync + 'static,
     ) -> RddRef {
-        self.reduce(r, parts, Arc::new(f), None)
+        let combine = Combine {
+            f: Arc::new(f),
+            kernel: None,
+        };
+        self.reduce(r, parts, combine)
     }
 
     /// Groups pair elements by key into `(k, List(values))`.
@@ -330,7 +330,7 @@ impl EngineContext {
         let shuffle = self
             .lineage
             .add_shuffle(r.id, ShuffleKind::Range { parts, ascending });
-        self.add(RddOp::SortByKey { shuffle, ascending }, vec![r.id], parts)
+        self.add(RddOp::SortByKey { shuffle }, vec![r.id], parts)
     }
 
     /// Removes duplicate elements (via a shuffle).

@@ -41,7 +41,7 @@ use crate::column::{
 use crate::cost::CostModel;
 use crate::driver::TaskKey;
 use crate::lineage::Lineage;
-use crate::rdd::{PartitionData, RddId, RddOp};
+use crate::rdd::{AggFn, PartitionData, RddId, RddOp};
 use crate::shuffle::{
     scan_flat_bucket, BucketedBlock, HashPartitioner, Partitioner, RangePartitioner, ShuffleId,
     ShuffleInfo, ShuffleKind,
@@ -179,42 +179,22 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
     // kernel encodes a row payload first); anything else takes the row
     // path with identical observables. Range-shuffle map outputs stay
     // rows — their partitioner is sampled from them by the reduce side,
-    // which scans.
+    // which scans — and never combine.
     let out: BlockData = match key {
         TaskKey::ShuffleMap { shuffle, .. } => {
             let info = ctx.lineage.shuffle(shuffle);
+            if info.combine.is_some() {
+                // Map-side pre-aggregation: input vbytes at factor 1.0,
+                // before the output resize, whichever form runs it.
+                dur += ctx.cost.compute_time(vbytes, 1.0);
+            }
             if let Some(bb) = columnar_map_output(ctx, info, &data) {
-                if info.combine.is_some() {
-                    // Same pre-aggregation charge as the row path: input
-                    // vbytes at factor 1.0, before the output resize.
-                    dur += ctx.cost.compute_time(vbytes, 1.0);
-                }
                 vbytes = ctx.cost.vbytes(bb.payload_bytes() + 16);
                 Arc::new(bb).into()
             } else {
                 let mut rows = data.rows(ctx.column);
-                // Map-side combine (Spark `reduceByKey` pre-aggregation).
-                let mut combined_dirty = false;
                 if let Some(combine) = &info.combine {
-                    dur += ctx.cost.compute_time(vbytes, 1.0);
-                    let mut agg: BTreeMap<Value, Value> = BTreeMap::new();
-                    let mut non_pairs: Vec<Value> = Vec::new();
-                    for v in rows.iter() {
-                        match v {
-                            Value::Pair(p) => match agg.get_mut(p.key()) {
-                                Some(acc) => *acc = combine(acc, p.val()),
-                                None => {
-                                    agg.insert(p.key().clone(), p.val().clone());
-                                }
-                            },
-                            other => non_pairs.push(other.clone()),
-                        }
-                    }
-                    let mut combined: Vec<Value> = Vec::with_capacity(agg.len() + non_pairs.len());
-                    combined.extend(agg.into_iter().map(|(k, v)| Value::pair(k, v)));
-                    combined.extend(non_pairs);
-                    rows = Arc::new(combined);
-                    combined_dirty = true;
+                    rows = Arc::new(fold_by_key(rows.iter(), &combine.f, true));
                 }
                 match info.kind {
                     ShuffleKind::Hash { parts } => {
@@ -225,13 +205,7 @@ pub(crate) fn compute_task(ctx: &WaveCtx<'_>, key: TaskKey) -> Option<TaskOutput
                         vbytes = ctx.cost.vbytes(bb.payload_bytes() + 16);
                         Arc::new(bb).into()
                     }
-                    ShuffleKind::Range { .. } => {
-                        let rows = Records::Rows(rows);
-                        if combined_dirty {
-                            vbytes = ctx.cost.vbytes(rows.real_bytes());
-                        }
-                        rows.into()
-                    }
+                    ShuffleKind::Range { .. } => Records::Rows(rows).into(),
                 }
             }
         }
@@ -257,10 +231,10 @@ fn columnar_map_output(
     let (true, &ShuffleKind::Hash { parts }) = (ctx.columnar, &info.kind) else {
         return None;
     };
-    if info.combine.is_none() {
+    let Some(combine) = &info.combine else {
         return BucketedBlock::partition_columnar(data.batch()?, parts);
-    }
-    let kernel = info.agg.as_ref()?;
+    };
+    let kernel = combine.kernel.as_ref()?;
     let encoded;
     let batch = match data {
         Records::Col(b) => Some(b.as_ref()),
@@ -618,10 +592,10 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     pdur,
                 )
             }
-            RddOp::ShuffleAgg { shuffle, combine } => {
+            RddOp::ShuffleAgg { shuffle } => {
                 let (chunks, bytes, fdur) = self.fetch_shuffle_bucket(*shuffle, part)?;
                 let vb = self.ctx.cost.vbytes(bytes + 16);
-                let out = self.reduce_agg(*shuffle, &chunks, combine);
+                let out = self.reduce_agg(*shuffle, &chunks);
                 (out, self.ctx.cost.compute_time(vb, factor), fdur)
             }
             RddOp::ShuffleGroup { shuffle } => {
@@ -653,8 +627,11 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                     fdur,
                 )
             }
-            RddOp::SortByKey { shuffle, ascending } => {
-                let ascending = *ascending;
+            RddOp::SortByKey { shuffle } => {
+                let ShuffleKind::Range { ascending, .. } = self.ctx.lineage.shuffle(*shuffle).kind
+                else {
+                    unreachable!("sort_by_key reads a range shuffle")
+                };
                 let (chunks, bytes, fdur) = self.fetch_shuffle_bucket(*shuffle, part)?;
                 let vb = self.ctx.cost.vbytes(bytes + 16);
                 // Concatenate the buckets (decoded to rows) in the same
@@ -729,40 +706,23 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
     }
 
     /// Reduce side of `ShuffleAgg`: typed columnar aggregation when the
-    /// shuffle declares an agg kernel and every fetched bucket arrived
-    /// as a key/payload batch, else the classic `BTreeMap` fold over
-    /// decoded rows. Both produce the same sorted pair sequence and the
-    /// same bytes.
-    fn reduce_agg(
-        &self,
-        shuffle: ShuffleId,
-        chunks: &[Records],
-        combine: &crate::rdd::AggFn,
-    ) -> Records {
-        if self.ctx.columnar {
-            if let Some(kernel) = &self.ctx.lineage.shuffle(shuffle).agg {
-                let typed = pair_chunks(chunks).and_then(|typed| typed_agg(kernel, &typed));
-                self.ctx.column.kernel_ran(typed.is_some());
-                if let Some(batch) = typed {
-                    return Records::Col(Arc::new(batch));
-                }
+    /// shuffle's combine declares a kernel and every fetched bucket
+    /// arrived as a key/payload batch, else [`fold_by_key`] over decoded
+    /// rows. Both produce the same sorted pair sequence and the same
+    /// bytes.
+    fn reduce_agg(&self, shuffle: ShuffleId, chunks: &[Records]) -> Records {
+        let combine = self.ctx.lineage.shuffle(shuffle).combine.as_ref();
+        let combine = combine.expect("reduce_by_key reads a combining shuffle");
+        if let Some(kernel) = combine.kernel.as_ref().filter(|_| self.ctx.columnar) {
+            let typed = pair_chunks(chunks).and_then(|typed| typed_agg(kernel, &typed));
+            self.ctx.column.kernel_ran(typed.is_some());
+            if let Some(batch) = typed {
+                return Records::Col(Arc::new(batch));
             }
         }
         let rows: Vec<PartitionData> = chunks.iter().map(|c| c.rows(self.ctx.column)).collect();
-        let mut agg: BTreeMap<Value, Value> = BTreeMap::new();
-        for v in rows.iter().flat_map(|c| c.iter()) {
-            if let Value::Pair(p) = v {
-                match agg.get_mut(p.key()) {
-                    Some(acc) => *acc = combine(acc, p.val()),
-                    None => {
-                        agg.insert(p.key().clone(), p.val().clone());
-                    }
-                }
-            }
-        }
-        let mut out: Vec<Value> = Vec::with_capacity(agg.len());
-        out.extend(agg.into_iter().map(|(k, v)| Value::pair(k, v)));
-        Records::Rows(Arc::new(out))
+        let records = rows.iter().flat_map(|c| c.iter());
+        Records::Rows(Arc::new(fold_by_key(records, &combine.f, false)))
     }
 
     /// Reduce side of `ShuffleGroup`: typed grouping over homogeneous
@@ -939,6 +899,35 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         }
         Ok(RangePartitioner::from_sample(sample, parts, ascending))
     }
+}
+
+/// Folds the pairs of `rows` by key with `f`, in arrival order, and
+/// returns them in key order. The map side of a combining shuffle keeps
+/// the non-pair records after them, in arrival order (`keep_non_pairs`);
+/// the reduce side drops them.
+fn fold_by_key<'a>(
+    rows: impl IntoIterator<Item = &'a Value>,
+    f: &AggFn,
+    keep_non_pairs: bool,
+) -> Vec<Value> {
+    let mut agg: BTreeMap<Value, Value> = BTreeMap::new();
+    let mut non_pairs: Vec<Value> = Vec::new();
+    for v in rows {
+        match v {
+            Value::Pair(p) => match agg.get_mut(p.key()) {
+                Some(acc) => *acc = f(acc, p.val()),
+                None => {
+                    agg.insert(p.key().clone(), p.val().clone());
+                }
+            },
+            other if keep_non_pairs => non_pairs.push(other.clone()),
+            _ => {}
+        }
+    }
+    let mut out: Vec<Value> = Vec::with_capacity(agg.len() + non_pairs.len());
+    out.extend(agg.into_iter().map(|(k, v)| Value::pair(k, v)));
+    out.extend(non_pairs);
+    out
 }
 
 /// `CoGroup`'s reduce: one `(k, [side 0 values, side 1 values, …])` pair

@@ -3,9 +3,9 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
-use crate::column::{AggKernel, ColumnBatch};
-use crate::rdd::{AggFn, RddId, RddMeta, RddOp};
-use crate::shuffle::{ShuffleId, ShuffleInfo, ShuffleKind};
+use crate::column::ColumnBatch;
+use crate::rdd::{RddId, RddMeta, RddOp};
+use crate::shuffle::{Combine, ShuffleId, ShuffleInfo, ShuffleKind};
 
 /// The directed acyclic graph of RDDs and shuffle edges.
 ///
@@ -84,27 +84,27 @@ impl Lineage {
 
     /// Registers a shuffle edge reading from `parent`.
     pub fn add_shuffle(&mut self, parent: RddId, kind: ShuffleKind) -> ShuffleId {
-        self.add_combining_shuffle(parent, kind, None, None)
+        let id = ShuffleId(self.shuffles.len() as u32);
+        self.shuffles.push(ShuffleInfo {
+            parent,
+            kind,
+            combine: None,
+        });
+        id
     }
 
-    /// Registers a shuffle edge with an optional map-side combiner (keyed
-    /// aggregations, mirroring Spark's `reduceByKey`) and the kernel the
-    /// combiner was generated from.
+    /// Registers a hash shuffle into `parts` partitions that folds pairs
+    /// by key with `combine` (keyed aggregations, mirroring Spark's
+    /// `reduceByKey`). Only a hash shuffle combines: a range shuffle's map
+    /// outputs stay the rows its partitioner is sampled from.
     pub(crate) fn add_combining_shuffle(
         &mut self,
         parent: RddId,
-        kind: ShuffleKind,
-        combine: Option<AggFn>,
-        agg: Option<AggKernel>,
+        parts: u32,
+        combine: Combine,
     ) -> ShuffleId {
-        let id = ShuffleId(self.shuffles.len() as u32);
-        self.shuffles.push(ShuffleInfo {
-            id,
-            parent,
-            kind,
-            combine,
-            agg,
-        });
+        let id = self.add_shuffle(parent, ShuffleKind::Hash { parts });
+        self.shuffles[id.0 as usize].combine = Some(combine);
         id
     }
 

@@ -200,7 +200,7 @@ fn walk_cone(
                     stack.push((meta.parents[0], part));
                 } else {
                     for s in inputs {
-                        set_insert(deps, s);
+                        set_insert(deps, *s);
                     }
                 }
             }
@@ -611,7 +611,7 @@ mod tests {
                 }
             }
             op if op.is_shuffle() => {
-                for s in op.input_shuffles() {
+                for &s in op.input_shuffles() {
                     let parent = w.lineage.shuffle(s).parent;
                     let m = w.lineage.meta(parent).num_partitions;
                     for mp in 0..m {
@@ -753,7 +753,7 @@ mod tests {
             let l = self.ctx.lineage();
             let mut shuffles: Vec<ShuffleId> = l
                 .ids()
-                .flat_map(|r| l.meta(r).op.input_shuffles())
+                .flat_map(|r| l.meta(r).op.input_shuffles().iter().copied())
                 .collect();
             shuffles.sort();
             shuffles

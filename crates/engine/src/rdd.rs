@@ -124,12 +124,10 @@ pub enum RddOp {
         seed: u64,
     },
     /// Keyed aggregation (`reduce_by_key`): pairs with equal keys are
-    /// combined with `combine`.
+    /// combined with the shuffle's [`crate::ShuffleInfo`] combine.
     ShuffleAgg {
         /// The shuffle this operator reads.
         shuffle: ShuffleId,
-        /// Associative combiner.
-        combine: AggFn,
     },
     /// Keyed grouping (`group_by_key`): output pairs `(k, List(values))`.
     ShuffleGroup {
@@ -142,12 +140,11 @@ pub enum RddOp {
         /// One shuffle per parent, in parent order.
         shuffles: Vec<ShuffleId>,
     },
-    /// Global sort by key via range partitioning.
+    /// Global sort by key via range partitioning; the direction is the
+    /// shuffle's [`crate::ShuffleKind::Range`] `ascending`.
     SortByKey {
         /// The shuffle this operator reads.
         shuffle: ShuffleId,
-        /// Sort direction.
-        ascending: bool,
     },
 }
 
@@ -171,13 +168,13 @@ impl RddOp {
     }
 
     /// Returns the shuffles this operator reads (empty for narrow ops).
-    pub fn input_shuffles(&self) -> Vec<ShuffleId> {
+    pub fn input_shuffles(&self) -> &[ShuffleId] {
         match self {
-            RddOp::ShuffleAgg { shuffle, .. }
+            RddOp::ShuffleAgg { shuffle }
             | RddOp::ShuffleGroup { shuffle }
-            | RddOp::SortByKey { shuffle, .. } => vec![*shuffle],
-            RddOp::CoGroup { shuffles } => shuffles.clone(),
-            _ => Vec::new(),
+            | RddOp::SortByKey { shuffle } => std::slice::from_ref(shuffle),
+            RddOp::CoGroup { shuffles } => shuffles,
+            _ => &[],
         }
     }
 
@@ -258,10 +255,9 @@ mod tests {
 
         let agg = RddOp::ShuffleAgg {
             shuffle: ShuffleId(3),
-            combine: Arc::new(|a, _| a.clone()),
         };
         assert!(agg.is_shuffle());
-        assert_eq!(agg.input_shuffles(), vec![ShuffleId(3)]);
+        assert_eq!(agg.input_shuffles(), [ShuffleId(3)]);
 
         let cg = RddOp::CoGroup {
             shuffles: vec![ShuffleId(1), ShuffleId(2)],
@@ -282,7 +278,6 @@ mod tests {
             },
             RddOp::SortByKey {
                 shuffle: ShuffleId(0),
-                ascending: true,
             },
         ];
         for op in ops {

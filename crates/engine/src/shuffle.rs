@@ -268,36 +268,41 @@ pub enum ShuffleKind {
     },
 }
 
-/// Static description of a shuffle edge.
+/// A keyed aggregation's combine: the associative closure that both the
+/// map side (Spark's `reduceByKey` pre-aggregation) and the reduce side
+/// fold pairs with, and the declared kernel it was generated from, if any.
 #[derive(Clone)]
+pub(crate) struct Combine {
+    /// The combining closure.
+    pub(crate) f: crate::rdd::AggFn,
+    /// The kernel `f` was generated from
+    /// ([`crate::EngineContext::reduce_by_key_kernel`]). A hash shuffle
+    /// buckets map outputs as batches when it has no combine or has this
+    /// kernel.
+    pub(crate) kernel: Option<AggKernel>,
+}
+
+impl std::fmt::Debug for Combine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Combine")
+            .field("kernel", &self.kernel)
+            .finish()
+    }
+}
+
+/// Static description of a shuffle edge: the one owner of what the
+/// shuffle does to its records (partitioning, sort direction, combine).
+#[derive(Clone, Debug)]
 pub struct ShuffleInfo {
-    /// The shuffle id.
-    pub(crate) id: ShuffleId,
     /// The map-side (parent) RDD.
     pub parent: crate::RddId,
     /// Partitioning scheme.
     pub(crate) kind: ShuffleKind,
-    /// Map-side combiner (Spark's `reduceByKey` pre-aggregation): pairs
-    /// with equal keys within one map output are combined before the
-    /// block is stored, collapsing shuffle volume to ~one record per key
-    /// per map partition.
-    pub(crate) combine: Option<crate::rdd::AggFn>,
-    /// The declared kernel `combine` was generated from, if any. A hash
-    /// shuffle buckets map outputs as batches when it has no combine or
-    /// has this kernel ([`crate::EngineContext::reduce_by_key_kernel`]).
-    pub(crate) agg: Option<AggKernel>,
-}
-
-impl std::fmt::Debug for ShuffleInfo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShuffleInfo")
-            .field("id", &self.id)
-            .field("parent", &self.parent)
-            .field("kind", &self.kind)
-            .field("combine", &self.combine.is_some())
-            .field("agg", &self.agg)
-            .finish()
-    }
+    /// The keyed combine of a `reduce_by_key` shuffle: pairs with equal
+    /// keys within one map output are folded before the block is stored,
+    /// collapsing shuffle volume to ~one record per key per map
+    /// partition, and the reducer folds the partials with the same value.
+    pub(crate) combine: Option<Combine>,
 }
 
 #[cfg(test)]

@@ -877,7 +877,7 @@ fn group_reduce_counts_its_decodes() {
 fn map_block_forms(d: &Driver, r: RddRef) -> Vec<&'static str> {
     let lineage = d.lineage();
     let mut forms = Vec::new();
-    for shuffle in lineage.meta(r.id()).op.input_shuffles() {
+    for &shuffle in lineage.meta(r.id()).op.input_shuffles() {
         let maps = lineage.meta(lineage.shuffle(shuffle).parent).num_partitions;
         for map_part in 0..maps {
             let key = BlockKey::ShuffleMap { shuffle, map_part };

@@ -1,10 +1,12 @@
 //! Edge-case integration tests of the engine: empty data, degenerate
 //! partitioning, recovery interleavings, and cross-job reuse.
 
+use std::collections::BTreeMap;
+
 use flint_engine::{
-    AggKernel, CheckpointDirective, CheckpointHooks, ColumnStats, Driver, DriverConfig, Event,
-    EventKind, EventSink, LineageView, NoCheckpoint, NoFailures, RunStats, ScriptedInjector,
-    TraceHandle, Value, WorkerEvent, WorkerSpec,
+    AggKernel, BlockData, BlockKey, CheckpointDirective, CheckpointHooks, ColumnStats, Driver,
+    DriverConfig, Event, EventKind, EventSink, LineageView, NoCheckpoint, NoFailures, RunStats,
+    ScriptedInjector, TraceHandle, Value, WorkerEvent, WorkerSpec,
 };
 use flint_simtime::{SimDuration, SimTime};
 use flint_trace::MemoryReader;
@@ -365,5 +367,110 @@ fn one_empty_map_partition_does_not_switch_the_typed_reduce_off() {
             ColumnStats::default()
         };
         assert_eq!(other.3, want, "host_threads={host_threads}");
+    }
+}
+
+/// String concatenation: not commutative, so a fold's result spells the
+/// order it ran in.
+fn concat(a: &Value, b: &Value) -> Value {
+    Value::from_str_(&format!("{}{}", a.as_str().unwrap(), b.as_str().unwrap()))
+}
+
+/// Transcribed reference of a keyed fold: pairs fold by key with
+/// [`concat`] in arrival order and come out in key order; with
+/// `keep_non_pairs` (the map side) the other records follow them, in
+/// arrival order, else (the reduce side) they are dropped.
+fn reference_fold<'a>(
+    rows: impl IntoIterator<Item = &'a Value>,
+    keep_non_pairs: bool,
+) -> Vec<Value> {
+    let mut acc: BTreeMap<Value, Value> = BTreeMap::new();
+    let mut rest = Vec::new();
+    for v in rows {
+        match (v.key(), v.val()) {
+            (Some(k), Some(x)) => {
+                acc.entry(k.clone())
+                    .and_modify(|a| *a = concat(a, x))
+                    .or_insert_with(|| x.clone());
+            }
+            _ if keep_non_pairs => rest.push(v.clone()),
+            _ => {}
+        }
+    }
+    acc.into_iter()
+        .map(|(k, v)| Value::pair(k, v))
+        .chain(rest)
+        .collect()
+}
+
+/// A `reduce_by_key` folds twice with its one combine: each map task
+/// folds its partition in arrival order and keeps the non-pair records
+/// after the folded pairs; each reduce task folds the partials in
+/// map-partition order and drops the non-pairs. Three map partitions of
+/// `(Int, one-letter Str)` pairs over four keys, with non-pair `Int`s and
+/// `Str`s among them, go through a concatenating combine; the result and
+/// every map block equal the transcribed reference, with columnar
+/// execution on and off and one or four host threads, and the stats and
+/// clock agree across the four runs.
+#[test]
+fn reduce_by_key_folds_in_arrival_order_and_drops_non_pairs() {
+    let parts: Vec<Vec<Value>> = (0..3i64)
+        .map(|m| {
+            (0..12)
+                .map(|i| {
+                    let n = m * 12 + i;
+                    let letter = char::from(b'a' + n as u8 % 26).to_string();
+                    match i % 5 {
+                        4 if m == 1 => Value::from_str_(&letter.to_uppercase()),
+                        4 => Value::Int(100 + n),
+                        _ => Value::pair(Value::Int(n % 4), Value::from_str_(&letter)),
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let partials: Vec<Vec<Value>> = parts.iter().map(|p| reference_fold(p, true)).collect();
+    let want = reference_fold(partials.iter().flatten(), false);
+    assert_eq!(want.len(), 4);
+    let mut first: Option<String> = None;
+    for (host_threads, columnar) in [(1, false), (1, true), (4, false), (4, true)] {
+        let at = format!("host_threads={host_threads} columnar={columnar}");
+        let cfg = DriverConfig::builder()
+            .host_threads(host_threads)
+            .columnar(columnar)
+            .build();
+        let mut d = Driver::new(cfg, Box::new(NoCheckpoint), Box::new(NoFailures));
+        for _ in 0..2 {
+            d.add_worker(WorkerSpec::r3_large());
+        }
+        let src = d.ctx().parallelize_parts(parts.clone());
+        let reduced = d.ctx().reduce_by_key(src, 2, concat);
+        let mut got = d.collect(reduced).unwrap();
+        got.sort_by(|a, b| a.key().cmp(&b.key()));
+        assert_eq!(got, want, "{at}");
+        // Each map block holds its partition's partial: every record of
+        // it in exactly one bucket, each bucket in the partial's order.
+        let shuffle = d.lineage().meta(reduced.id()).op.input_shuffles()[0];
+        for (map_part, partial) in (0u32..).zip(&partials) {
+            let key = BlockKey::ShuffleMap { shuffle, map_part };
+            let Some((_, BlockData::Bucketed(bb), _, _)) = d.cluster().peek_fetch(&key) else {
+                panic!("{at}: map block {map_part} is not a cached bucketed block");
+            };
+            let mut held = 0;
+            for p in 0..bb.num_buckets() {
+                let bucket = bb.bucket(p).map(|b| b.to_rows().to_vec());
+                let bucket = bucket.unwrap_or_default();
+                let in_order: Vec<Value> = partial
+                    .iter()
+                    .filter(|v| bucket.contains(v))
+                    .cloned()
+                    .collect();
+                assert_eq!(bucket, in_order, "{at}: map block {map_part} bucket {p}");
+                held += bucket.len();
+            }
+            assert_eq!(held, partial.len(), "{at}: map block {map_part}");
+        }
+        let fp = format!("{:?} @ {:?}", d.stats(), d.now());
+        assert_eq!(first.get_or_insert_with(|| fp.clone()), &fp, "{at}");
     }
 }

@@ -14,20 +14,9 @@ use std::collections::BinaryHeap;
 use flint_simtime::rng::stream;
 use flint_simtime::{SimDuration, SimTime};
 use rand::Rng;
-use rand_distr_shim::sample_exp;
 
+use crate::hazard::sample_exp;
 use crate::PriceTrace;
-
-/// Minimal exponential sampling without pulling in `rand_distr`.
-mod rand_distr_shim {
-    use rand::Rng;
-
-    /// Samples Exp(mean) via inverse transform.
-    pub(crate) fn sample_exp<R: Rng>(rng: &mut R, mean: f64) -> f64 {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        -mean * u.ln()
-    }
-}
 
 /// Statistical profile of a spot market's price process.
 ///

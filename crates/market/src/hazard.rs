@@ -100,10 +100,8 @@ impl HazardModel for ExponentialHazard {
     }
 
     fn sample_lifetime(&self, rng: &mut StdRng) -> SimDuration {
-        // Inverse-CDF draw; `u` excludes 0 so `ln` stays finite. This
-        // is draw-for-draw the sampler the bench kill schedule used.
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        SimDuration::from_hours_f64(-self.mttf_hours * u.ln())
+        // Draw-for-draw the sampler the bench kill schedule used.
+        SimDuration::from_hours_f64(sample_exp(rng, self.mttf_hours))
     }
 }
 
@@ -219,6 +217,15 @@ impl HazardSpec {
     pub fn is_memoryless(self) -> bool {
         matches!(self, HazardSpec::Exponential)
     }
+}
+
+/// Samples Exp(mean) by inverse transform: one `gen_range` draw per
+/// sample, with `u` excluding 0 so `ln` stays finite. The one exponential
+/// draw of the crate: spike and jitter gaps in the price generator and
+/// [`ExponentialHazard`] lifetimes.
+pub(crate) fn sample_exp<R: Rng>(rng: &mut R, mean: f64) -> f64 {
+    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+    -mean * u.ln()
 }
 
 #[cfg(test)]
