@@ -128,11 +128,16 @@ pub(crate) fn ablation_adaptive_vs_periodic() -> Table {
     table
 }
 
-/// Isolates the shuffle fast-path (τ / #map-partitions): PageRank with
-/// five mid-run revocations, with and without it.
+/// Isolates the two parts of Policy 1 that protect a short job: the
+/// shuffle fast-path (τ / #map-partitions) and adaptive δ
+/// re-estimation. PageRank with five mid-run revocations, under Flint,
+/// without the fast-path, and with δ frozen at the conservative initial
+/// guess (2 minutes), so that τ and the fast-path interval overshoot the
+/// job. PageRank's real frontier writes in seconds, which adaptation
+/// discovers.
 pub(crate) fn ablation_shuffle_fastpath() -> Table {
     let mut table = Table::new(
-        "Ablation: shuffle fast-path checkpointing (PageRank, 5 revocations)",
+        "Ablation: shuffle fast-path and adaptive δ (PageRank, 5 revocations, MTTF = 20h)",
         &[
             "configuration",
             "runtime",
@@ -140,18 +145,35 @@ pub(crate) fn ablation_shuffle_fastpath() -> Table {
             "checkpoints",
         ],
     )
-    .with_note("Without the fast-path, τ exceeds the job length and shuffles go unprotected.");
+    .with_note(
+        "Without the fast-path, τ exceeds the job length and shuffles go unprotected; \
+         frozen δ keeps τ at the conservative initial guess, and its few checkpoints \
+         protect nothing.",
+    );
     let wl = PageRank::paper_scale();
     let base = baseline_runtime(&wl, 10);
     let mid = SimTime::ZERO + base / 2;
-    for (name, fastpath) in [("with fast-path", true), ("without fast-path", false)] {
+    for (name, hooks) in [
+        (
+            "Flint",
+            HookSpec::Flint {
+                mttf_hours: 20.0,
+                shuffle_fastpath: true,
+            },
+        ),
+        (
+            "no fast-path",
+            HookSpec::Flint {
+                mttf_hours: 20.0,
+                shuffle_fastpath: false,
+            },
+        ),
+        ("frozen δ", HookSpec::FlintFrozenDelta { mttf_hours: 20.0 }),
+    ] {
         let run = run_workload(
             &wl,
             &RunOpts {
-                hooks: HookSpec::Flint {
-                    mttf_hours: 20.0,
-                    shuffle_fastpath: fastpath,
-                },
+                hooks,
                 kill_batches: vec![(mid, 5)],
                 ..RunOpts::default()
             },
@@ -310,55 +332,6 @@ pub(crate) fn ext_streaming_latency() -> Table {
             format!("{median:.1}s"),
             format!("{worst:.1}s"),
             format!("{checksum:#018x}"),
-        ]);
-    }
-    table
-}
-
-/// Isolates adaptive δ re-estimation: with it frozen at the conservative
-/// initial guess (2 minutes), τ — and the shuffle fast-path interval —
-/// overshoot a short job entirely, leaving it unprotected. PageRank's
-/// real frontier writes in seconds, which adaptation discovers.
-pub(crate) fn ablation_adaptive_delta() -> Table {
-    let mut table = Table::new(
-        "Ablation: adaptive δ re-estimation (PageRank, 5 revocations, MTTF = 20h)",
-        &[
-            "configuration",
-            "runtime",
-            "increase over baseline",
-            "checkpoints",
-        ],
-    )
-    .with_note(
-        "Frozen δ keeps τ at the conservative initial guess; for a short job the \
-         fast-path interval then exceeds the runtime and nothing is protected.",
-    );
-    let wl = PageRank::paper_scale();
-    let base = crate::setups::baseline_runtime(&wl, 10);
-    let strike = SimTime::ZERO + base / 2;
-    for (name, hooks) in [
-        (
-            "adaptive δ (Flint)",
-            HookSpec::Flint {
-                mttf_hours: 20.0,
-                shuffle_fastpath: true,
-            },
-        ),
-        ("frozen δ", HookSpec::FlintFrozenDelta { mttf_hours: 20.0 }),
-    ] {
-        let run = run_workload(
-            &wl,
-            &RunOpts {
-                hooks,
-                kill_batches: vec![(strike, 5)],
-                ..RunOpts::default()
-            },
-        );
-        table.push_row(vec![
-            name.to_string(),
-            fmt_secs(run.runtime),
-            fmt_pct(pct_increase(run.runtime, base)),
-            run.stats.checkpoints_written.to_string(),
         ]);
     }
     table
@@ -734,6 +707,11 @@ mod tests {
         assert!(
             with <= without + 1.0,
             "fast-path should not hurt: {with}s vs {without}s"
+        );
+        let frozen = t.cell_f64(2, 1);
+        assert!(
+            with <= frozen + 1.0,
+            "adaptive δ should not hurt: {with}s vs {frozen}s"
         );
         // The fast-path actually checkpoints something in a short job.
         assert!(t.cell_f64(0, 3) > 0.0);

@@ -52,7 +52,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("ablation_shuffle_fastpath", ablations::ablation_shuffle_fastpath),
     ("ablation_market_count", ablations::ablation_market_count),
     ("ablation_bid_stratification", ablations::ablation_bid_stratification),
-    ("ablation_adaptive_delta", ablations::ablation_adaptive_delta),
     ("ext_streaming", ablations::ext_streaming_latency),
     ("ablation_portfolio", ablations::ablation_portfolio),
     ("ablation_backend", ablations::ablation_backend),

@@ -336,7 +336,7 @@ impl FlintCluster {
             .driver
             .checkpoints_mut()
             .store_mut()
-            .storage_cost(&self.ebs, now);
+            .storage_cost(self.ebs.price_per_gb_month, now);
         match &self.backing {
             Backing::Vm { nm } => CostReport {
                 policy: nm.policy_name().to_string(),

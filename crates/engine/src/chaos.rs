@@ -14,8 +14,16 @@
 //! Every decision is drawn from `flint_simtime::rng` sub-streams of the
 //! campaign seed — never the wall clock — so the same seed replays the
 //! same faults at the same virtual instants on every host.
+//!
+//! [`run_against_twin`] runs a job under a schedule's driver crash and
+//! judges the result against its fault-free twin: the one crash →
+//! resume → check lifecycle behind `flint chaos` and the recovery
+//! campaigns.
 
-use flint_market::HazardSpec;
+use std::any::Any;
+use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
+
 use flint_simtime::rng::stream;
 use flint_simtime::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -24,6 +32,7 @@ use rand::Rng;
 use crate::checkpoint::{StoreFaultPolicy, WriteFault};
 use crate::cluster::WorkerSpec;
 use crate::injector::{FailureInjector, ScriptedInjector, WorkerEvent};
+use crate::{Driver, EngineError, Result, RunManifest};
 
 /// Lead time of a revocation warning when one is issued (EC2: 120 s).
 const WARNING_LEAD: SimDuration = SimDuration::from_secs(120);
@@ -35,9 +44,6 @@ const FLAP_GAP: SimDuration = SimDuration::from_secs(15);
 const REPLACEMENT_DELAY: SimDuration = SimDuration::from_secs(120);
 /// Lateness multiplier for delayed replacements.
 const DELAY_FACTOR: f64 = 8.0;
-/// MTTF parameter for an exponential `lifetime_hazard` (capped hazards
-/// carry their own parameters).
-const LIFETIME_MTTF: SimDuration = SimDuration::from_hours(1);
 /// How long a market collapse leaves the cluster empty before the
 /// recovery cohort arrives.
 const COLLAPSE_LEN: SimDuration = SimDuration::from_mins(10);
@@ -77,12 +83,6 @@ pub struct ChaosConfig {
     pub outages: u32,
     /// Length of each outage window.
     pub outage_len: SimDuration,
-    /// When set, revocation *times* are no longer uniform over the
-    /// horizon: successive gaps are lifetimes sampled from this hazard
-    /// model (wrapped into the horizon), so chaos timing and the
-    /// selection layer share one preemption distribution. `None` (the
-    /// default) keeps the legacy uniform draws byte-identical.
-    pub lifetime_hazard: Option<HazardSpec>,
     /// Probability the campaign kills the driver mid-run: the schedule
     /// draws a wave number and the harness suspends the driver at that
     /// wave-commit boundary (via `DriverConfig::suspend_after_waves`),
@@ -118,7 +118,6 @@ impl ChaosConfig {
             failed_write_prob: 0.1,
             outages: 2,
             outage_len: SimDuration::from_mins(5),
-            lifetime_hazard: None,
             driver_crash_prob: 0.0,
             driver_crash_wave_max: 8,
             market_collapse_prob: 0.0,
@@ -159,22 +158,9 @@ impl ChaosSchedule {
         // no longer hosts is deliberate chaos (the driver must shrug).
         let mut pool: Vec<u64> = (1..=u64::from(cfg.n_workers.max(1))).collect();
         let mut next_replacement_ext: u64 = 9_000_000;
-        let hazard = cfg.lifetime_hazard.map(|spec| spec.build(LIFETIME_MTTF));
-        let mut hazard_clock = SimDuration::ZERO;
 
         for _ in 0..cfg.revocations {
-            let t = match &hazard {
-                // Legacy path: uniform over the horizon, byte-identical
-                // to pre-hazard schedules.
-                None => SimTime::from_millis(rng.gen_range(1..horizon_ms)),
-                // Hazard path: the next revocation lands one sampled
-                // lifetime after the previous one, wrapped into
-                // `(0, horizon)` so every event stays on-schedule.
-                Some(h) => {
-                    hazard_clock += h.sample_lifetime(&mut rng);
-                    SimTime::from_millis((hazard_clock.as_millis() % horizon_ms).max(1))
-                }
-            };
+            let t = SimTime::from_millis(rng.gen_range(1..horizon_ms));
             let victim = pool[rng.gen_range(0..pool.len())];
             let mass = cfg.mass_revoke_prob > 0.0 && rng.gen_bool(cfg.mass_revoke_prob);
             let victims: Vec<u64> = if mass {
@@ -387,6 +373,99 @@ impl StoreFaultPolicy for ChaosStoreFaults {
     }
 }
 
+/// A chaos run's typed failure: fail-stop, never wrong data.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChaosError {
+    /// A session returned a typed engine error. That includes a manifest
+    /// the resumed session rejects and a replay that ends short of the
+    /// manifest's frontier.
+    Engine(EngineError),
+    /// The run could not reach a second session: a session could not be
+    /// built, or the crashed one left no decodable manifest.
+    Harness(String),
+}
+
+impl From<EngineError> for ChaosError {
+    fn from(e: EngineError) -> Self {
+        ChaosError::Engine(e)
+    }
+}
+
+impl fmt::Display for ChaosError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ChaosError::Engine(e) => e.fmt(f),
+            ChaosError::Harness(msg) => f.write_str(msg),
+        }
+    }
+}
+
+/// How a chaos run ended against its fault-free twin.
+pub enum ChaosVerdict<T> {
+    /// The job's answer equals the twin's.
+    Identical {
+        /// The crash wave, when the answer came from the resumed session.
+        resumed_from: Option<u64>,
+        /// The session that finished the job, for its stats and runtime.
+        driver: Box<Driver>,
+    },
+    /// The run failed with a typed error.
+    Typed(ChaosError),
+    /// The job finished with an answer that differs from the twin's.
+    WrongData(T),
+    /// The run panicked; this is the panic's payload.
+    Panicked(Box<dyn Any + Send>),
+}
+
+/// Runs `job` under `schedule`'s driver crash and judges its answer
+/// against `twin`, the fault-free run's.
+///
+/// Session A is `build(schedule.driver_crash_wave)`. If it suspends,
+/// its manifest is read from A's durable store and A is dropped, which
+/// releases anything it holds (a per-session trace file), before
+/// session B is `build(None)`. B arms [`Driver::resume`], replays `job`
+/// and then checks [`Driver::resume_verified`], so a replay that ends
+/// short of the frontier is a typed failure, not an answer. A panic in
+/// either session is caught.
+pub fn run_against_twin<T: PartialEq>(
+    schedule: &ChaosSchedule,
+    mut build: impl FnMut(Option<u64>) -> std::result::Result<Driver, String>,
+    mut job: impl FnMut(&mut Driver) -> Result<T>,
+    twin: &T,
+) -> ChaosVerdict<T> {
+    let crash_wave = schedule.driver_crash_wave;
+    let run = panic::catch_unwind(AssertUnwindSafe(
+        || -> std::result::Result<(T, Driver, Option<u64>), ChaosError> {
+            let mut a = build(crash_wave).map_err(ChaosError::Harness)?;
+            let key = match job(&mut a) {
+                Ok(out) => return Ok((out, a, None)),
+                Err(EngineError::Suspended { manifest, .. }) => manifest,
+                Err(e) => return Err(e.into()),
+            };
+            let text = a.checkpoints().get_manifest(&key).map(str::to_string);
+            drop(a);
+            let text = text
+                .ok_or_else(|| ChaosError::Harness("suspended but no manifest persisted".into()))?;
+            let manifest = RunManifest::decode(&text)
+                .map_err(|e| ChaosError::Harness(format!("manifest decode: {e}")))?;
+            let mut b = build(None).map_err(ChaosError::Harness)?;
+            b.resume(&manifest)?;
+            let out = job(&mut b)?;
+            b.resume_verified()?;
+            Ok((out, b, crash_wave))
+        },
+    ));
+    match run {
+        Err(payload) => ChaosVerdict::Panicked(payload),
+        Ok(Err(e)) => ChaosVerdict::Typed(e),
+        Ok(Ok((out, driver, resumed_from))) if out == *twin => ChaosVerdict::Identical {
+            resumed_from,
+            driver: Box::new(driver),
+        },
+        Ok(Ok((out, ..))) => ChaosVerdict::WrongData(out),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,6 +615,87 @@ mod tests {
             .filter(|(t, e)| *t == ct + COLLAPSE_LEN && matches!(e, WorkerEvent::Add { .. }))
             .count();
         assert_eq!(cohort, cfg.n_workers as usize);
+    }
+
+    /// A resumed replay that ends one action short of its manifest's
+    /// frontier verified nothing: the verdict is a typed
+    /// `ResumeDiverged` on `frontier`, although the short job returns
+    /// the twin's answer. The full replay of the same crash is identical.
+    #[test]
+    fn twin_verdict_rejects_a_replay_short_of_the_frontier() {
+        use crate::{DriverConfig, NoCheckpoint, NoFailures, Value};
+
+        // A count, then a shuffle whose waves hold the crash. The answer
+        // is the first count, so a replay that skips the shuffle returns
+        // the twin's answer.
+        fn job(d: &mut Driver, actions: usize) -> Result<u64> {
+            let src = d.ctx().parallelize((0..64).map(Value::from_i64), 4);
+            let first = d.count(src)?;
+            if actions > 1 {
+                let pairs = d.ctx().map(src, |v| {
+                    Value::pair(Value::Int(v.as_i64().unwrap() % 3), v.clone())
+                });
+                let sums = d.ctx().reduce_by_key(pairs, 2, |a, b| {
+                    Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
+                });
+                d.count(sums)?;
+            }
+            Ok(first)
+        }
+        let build = |suspend: Option<u64>| {
+            let cfg = DriverConfig {
+                suspend_after_waves: suspend,
+                ..DriverConfig::default()
+            };
+            let mut d = Driver::new(cfg, Box::new(NoCheckpoint), Box::new(NoFailures));
+            for ext in 1..=2 {
+                d.add_worker_with_ext(ext, WorkerSpec::r3_large());
+            }
+            Ok::<_, String>(d)
+        };
+        let mut probe = build(None).unwrap();
+        let twin = job(&mut probe, 1).unwrap();
+        let first_waves = probe.waves_committed();
+        let mut probe = build(None).unwrap();
+        job(&mut probe, 2).unwrap();
+        assert!(
+            probe.waves_committed() > first_waves + 1,
+            "the second action must span at least two waves"
+        );
+        let schedule = ChaosSchedule {
+            worker_events: Vec::new(),
+            notes: Vec::new(),
+            outages: Vec::new(),
+            driver_crash_wave: Some(first_waves + 1),
+        };
+
+        let full = run_against_twin(&schedule, build, |d| job(d, 2), &twin);
+        assert!(matches!(
+            full,
+            ChaosVerdict::Identical {
+                resumed_from: Some(w),
+                ..
+            } if w == first_waves + 1
+        ));
+
+        let mut calls = 0;
+        let short = run_against_twin(
+            &schedule,
+            build,
+            |d| {
+                calls += 1;
+                job(d, if calls == 1 { 2 } else { 1 })
+            },
+            &twin,
+        );
+        assert_eq!(calls, 2, "session B must replay the job");
+        match short {
+            ChaosVerdict::Typed(ChaosError::Engine(EngineError::ResumeDiverged {
+                field, ..
+            })) => assert_eq!(field, "frontier"),
+            ChaosVerdict::Identical { .. } => panic!("a short replay passed as identical"),
+            _ => panic!("expected ResumeDiverged on frontier"),
+        }
     }
 
     #[test]

@@ -104,6 +104,25 @@ pub struct NoCheckpoint;
 
 impl CheckpointHooks for NoCheckpoint {}
 
+/// The eager policy: checkpoints every RDD the moment it materializes.
+/// Chaos campaigns use it to push the most traffic through a degraded
+/// store, so torn writes, lost writes and outage-window reads all get
+/// exercised.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct CheckpointEveryRdd;
+
+impl CheckpointHooks for CheckpointEveryRdd {
+    fn on_rdd_materialized(
+        &mut self,
+        _view: &LineageView<'_>,
+        _events: &mut dyn EventSink,
+        rdd: RddId,
+        _now: SimTime,
+    ) -> Vec<CheckpointDirective> {
+        vec![CheckpointDirective::Checkpoint(rdd)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

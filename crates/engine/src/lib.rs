@@ -69,7 +69,10 @@ pub use backend::{ServerlessBackend, ServerlessConfig};
 pub use block::{
     BlockData, BlockKey, BlockLocation, BlockManager, BlockStoreSnapshot, InsertOutcome, Records,
 };
-pub use chaos::{ChaosConfig, ChaosInjector, ChaosSchedule, ChaosStoreFaults};
+pub use chaos::{
+    run_against_twin, ChaosConfig, ChaosError, ChaosInjector, ChaosSchedule, ChaosStoreFaults,
+    ChaosVerdict,
+};
 pub use checkpoint::{wire_size, CheckpointStore, ReadFault, StoreFaultPolicy, WriteFault};
 pub use cluster::{Cluster, Worker, WorkerId, WorkerSpec};
 pub use column::{
@@ -82,7 +85,9 @@ pub use cost::CostModel;
 pub use dataset::{Dataset, Datum};
 pub use driver::Driver;
 pub use error::{EngineError, Result};
-pub use hooks::{CheckpointDirective, CheckpointHooks, LineageView, NoCheckpoint};
+pub use hooks::{
+    CheckpointDirective, CheckpointEveryRdd, CheckpointHooks, LineageView, NoCheckpoint,
+};
 pub use injector::{FailureInjector, NoFailures, ScriptedInjector, WorkerEvent};
 pub use lineage::Lineage;
 pub use manifest::{ManifestError, RunManifest};

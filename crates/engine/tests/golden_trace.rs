@@ -364,73 +364,6 @@ fn chaos_disabled_leaves_golden_trace_untouched() {
     }
 }
 
-/// The hazard-model plumbing must also be a perfect no-op when nothing
-/// selects it: a zero-rate chaos config that *names* a non-exponential
-/// [`flint_market::HazardSpec`] (so the hazard branch is wired, built,
-/// and reachable) still produces the byte-identical golden stream and
-/// the pinned FNV hash at every `host_threads` setting.
-#[test]
-fn unselected_hazard_model_leaves_golden_trace_untouched() {
-    let zero_hazard_cfg = || {
-        let mut ccfg = ChaosConfig::new(99);
-        ccfg.revocations = 0;
-        ccfg.flap_prob = 0.0;
-        ccfg.mass_revoke_prob = 0.0;
-        ccfg.torn_write_prob = 0.0;
-        ccfg.failed_write_prob = 0.0;
-        ccfg.outages = 0;
-        ccfg.lifetime_hazard = Some(flint_market::HazardSpec::CappedLifetime {
-            early_prob: 0.5,
-            cap_hours: 24.0,
-        });
-        ccfg
-    };
-    let schedule = ChaosSchedule::generate(&zero_hazard_cfg());
-    assert!(schedule.worker_events.is_empty(), "zero rates → no events");
-    assert!(schedule.notes.is_empty());
-    assert!(schedule.outages.is_empty());
-
-    let (golden, stats) = run_iterative_cached(1);
-    assert_eq!(
-        fnv1a(golden.as_bytes()),
-        GOLDEN_ITERATIVE_TRACE_FNV,
-        "default-policy stream moved before hazard wiring was even involved"
-    );
-    for threads in [1usize, 2, 8] {
-        let ccfg = zero_hazard_cfg();
-        let schedule = ChaosSchedule::generate(&ccfg);
-        let store_faults = schedule.store_faults(&ccfg);
-        // The hazard-parameterized chaos schedule is empty, so the run
-        // keeps the golden workload's scripted revocation while the
-        // zero-rate store-fault policy rides along installed.
-        let injector = ScriptedInjector::new(vec![
-            (
-                SimTime::from_millis(120_000),
-                WorkerEvent::Remove { ext_id: 1 },
-            ),
-            (
-                SimTime::from_millis(260_000),
-                WorkerEvent::Add {
-                    ext_id: 50,
-                    spec: WorkerSpec::r3_large(),
-                },
-            ),
-        ]);
-        let (jsonl, hazard_stats) =
-            run_iterative_with(threads, Box::new(injector), Some(Box::new(store_faults)));
-        assert_eq!(
-            hazard_stats, stats,
-            "host_threads={threads}: unselected hazard perturbed the stats"
-        );
-        assert_eq!(
-            fnv1a(jsonl.as_bytes()),
-            GOLDEN_ITERATIVE_TRACE_FNV,
-            "host_threads={threads}: unselected hazard moved the pinned stream"
-        );
-        assert_eq!(jsonl, golden);
-    }
-}
-
 /// A TPC-H Q1-shaped scan + wide aggregation declared entirely through
 /// batch kernels: lineitem-like rows, a shipdate filter, a projection
 /// keyed by `(returnflag, linestatus)`, a combiner shuffle, and a range

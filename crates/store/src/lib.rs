@@ -35,7 +35,6 @@
 
 use std::collections::BTreeMap;
 
-use flint_market::EbsCostModel;
 use flint_simtime::{SimDuration, SimTime};
 
 /// Aggregate write bandwidth per writer node, MiB/s. The paper's
@@ -243,16 +242,17 @@ impl<T> DurableStore<T> {
         self.bytes_written
     }
 
-    /// Computes the EBS bill for holding the store's contents up to
-    /// `until`, from the exact byte-hour integral.
+    /// Computes the EBS bill, at `price_per_gb_month` dollars per
+    /// GB-month, for holding the store's contents up to `until`, from the
+    /// exact byte-hour integral.
     ///
     /// The replicated footprint is what occupies the volumes, so the
     /// integral is multiplied by the replication factor.
-    pub fn storage_cost(&mut self, ebs: &EbsCostModel, until: SimTime) -> f64 {
+    pub fn storage_cost(&mut self, price_per_gb_month: f64, until: SimTime) -> f64 {
         self.integrate_to(until);
         let gb_ms = self.byte_ms_integral / 1e9 * self.cfg.replication.max(1) as f64;
         let gb_hours = gb_ms / 3_600_000.0;
-        ebs.price_per_gb_month * gb_hours / (24.0 * 30.0)
+        price_per_gb_month * gb_hours / (24.0 * 30.0)
     }
 }
 
@@ -368,13 +368,10 @@ mod tests {
             replication: 1,
             ..StorageConfig::default()
         });
-        let ebs = EbsCostModel {
-            price_per_gb_month: 0.10,
-        };
         // 1 GB held for 30 days = $0.10.
         s.put("k", (), 1_000_000_000, SimTime::ZERO);
         let until = SimTime::ZERO + SimDuration::from_days(30);
-        let cost = s.storage_cost(&ebs, until);
+        let cost = s.storage_cost(0.10, until);
         assert!((cost - 0.10).abs() < 1e-6, "cost {cost}");
     }
 
@@ -384,34 +381,28 @@ mod tests {
             replication: 1,
             ..StorageConfig::default()
         };
-        let ebs = EbsCostModel {
-            price_per_gb_month: 0.10,
-        };
         let gb = 1_000_000_000;
         let month = SimDuration::from_days(30);
 
         let mut kept: DurableStore<()> = DurableStore::new(cfg);
         kept.put("k", (), gb, SimTime::ZERO);
-        let kept_cost = kept.storage_cost(&ebs, SimTime::ZERO + month);
+        let kept_cost = kept.storage_cost(0.10, SimTime::ZERO + month);
 
         let mut gced: DurableStore<()> = DurableStore::new(cfg);
         gced.put("k", (), gb, SimTime::ZERO);
         gced.delete_prefix("k", SimTime::ZERO + SimDuration::from_days(15));
-        let gced_cost = gced.storage_cost(&ebs, SimTime::ZERO + month);
+        let gced_cost = gced.storage_cost(0.10, SimTime::ZERO + month);
 
         assert!((gced_cost - kept_cost / 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn replication_amplifies_storage_cost() {
-        let ebs = EbsCostModel {
-            price_per_gb_month: 0.10,
-        };
         let gb = 1_000_000_000;
         let month = SimDuration::from_days(30);
         let mut r3: DurableStore<()> = DurableStore::new(StorageConfig::default());
         r3.put("k", (), gb, SimTime::ZERO);
-        let c = r3.storage_cost(&ebs, SimTime::ZERO + month);
+        let c = r3.storage_cost(0.10, SimTime::ZERO + month);
         assert!(
             (c - 0.30).abs() < 1e-6,
             "3-way replication triples cost, got {c}"

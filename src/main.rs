@@ -16,8 +16,9 @@ use flint::core::{
     BackendSpec, FlintCheckpointPolicy, FlintCluster, FlintConfig, Mode, STATS_WINDOW,
 };
 use flint::engine::{
-    ChaosConfig, ChaosInjector, ChaosSchedule, Driver, DriverConfig, EngineError, NoCheckpoint,
-    RunManifest, ScriptedInjector, ServerlessConfig, WorkerEvent, WorkerSpec,
+    run_against_twin, ChaosConfig, ChaosInjector, ChaosSchedule, ChaosVerdict, CheckpointEveryRdd,
+    Driver, DriverConfig, EngineError, NoCheckpoint, RunManifest, ScriptedInjector,
+    ServerlessConfig, WorkerEvent, WorkerSpec,
 };
 use flint::market::{correlated_groups, correlation_matrix, MarketCatalog};
 use flint::model::{run_mc, run_mc_campaign, CampaignConfig, CkptMode, McConfig, PolicyKind};
@@ -29,7 +30,7 @@ use Kind::{Choice, Count, List, Path, Positive, Prob, Risk, Switch, Within, U64}
 
 /// Exit codes beyond plain success/failure, so callers can tell the
 /// degradation outcomes apart: `3` = the run completed correctly but
-/// through a degradation path (crash-resume replay, on-demand backstop),
+/// through a crash-resume replay,
 /// `4` = a typed engine error (fail-stop, never wrong data), `5` = a
 /// panic or invariant violation. `1` stays for usage and I/O errors.
 const EXIT_DEGRADED: u8 = 3;
@@ -118,9 +119,8 @@ fn help() -> String {
 USAGE:
 {commands}
 EXIT CODES:
-  0 success   1 usage/I-O error   3 degraded-but-complete (resumed or
-  backstopped)   4 typed engine error (fail-stop)   5 panic / invariant
-  violation
+  0 success   1 usage/I-O error   3 degraded-but-complete (resumed)
+  4 typed engine error (fail-stop)   5 panic / invariant violation
 "
     )
 }
@@ -1064,24 +1064,6 @@ fn correlated_ext_groups(seed: u64, workers: u32) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Chaos-mode checkpoint policy: checkpoint every RDD the moment it
-/// materializes. Real deployments use the adaptive τ policy; chaos
-/// campaigns want maximum traffic through the degraded store so torn
-/// writes, lost writes, and outage-window reads all get exercised.
-struct CkptEveryRdd;
-
-impl flint::engine::CheckpointHooks for CkptEveryRdd {
-    fn on_rdd_materialized(
-        &mut self,
-        _view: &flint::engine::LineageView<'_>,
-        _events: &mut dyn flint::engine::EventSink,
-        rdd: flint::engine::RddId,
-        _now: SimTime,
-    ) -> Vec<flint::engine::CheckpointDirective> {
-        vec![flint::engine::CheckpointDirective::Checkpoint(rdd)]
-    }
-}
-
 fn cmd_chaos(f: &Flags) -> ExitCode {
     let seed: u64 = f.get("seed");
     let runs: u64 = f.get("runs");
@@ -1136,19 +1118,13 @@ fn cmd_chaos(f: &Flags) -> ExitCode {
         expect.records
     );
 
-    /// How one chaos run ended, for the survival tally. `Degraded` is
-    /// byte-identical survival that went through the crash-resume path.
-    enum RunClass {
-        Survived,
-        Degraded,
-        Typed,
-        Violation,
-    }
-
     // Each run is self-contained (own seed, own workload instance, own
     // trace file), so runs fan out across `--jobs` scoped threads and
     // their verdicts are committed back in run order — output and
     // per-run trace files are byte-identical to a sequential campaign.
+    // Each verdict comes with the exit code it ranks as (0 byte-identical,
+    // `EXIT_DEGRADED` byte-identical through a resume, `EXIT_TYPED`,
+    // `EXIT_PANIC`); the campaign exits with the worst.
     let run_ids: Vec<u64> = (0..runs).collect();
     let outcomes = fan_out(f.get("jobs"), &run_ids, |&r| {
         let run_seed = seed.wrapping_add(r);
@@ -1189,7 +1165,6 @@ fn cmd_chaos(f: &Flags) -> ExitCode {
         }
 
         let schedule = ChaosSchedule::generate(&ccfg);
-        let crash_wave = schedule.driver_crash_wave;
         let collapsed = schedule
             .notes
             .iter()
@@ -1201,179 +1176,97 @@ fn cmd_chaos(f: &Flags) -> ExitCode {
         // Sinks attach per session: a crashed session's partial trace is
         // discarded and the file re-created for the resumed session, so
         // the file always holds one complete, monotonic event stream.
-        let open_sink = |tr: &TraceHandle| -> Result<(), String> {
+        let build = |suspend: Option<u64>| -> Result<Driver, String> {
+            let tr = TraceHandle::disabled();
             if let Some(path) = &trace_path {
-                match std::fs::File::create(path) {
-                    Ok(f) => {
-                        tr.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(f))));
-                        Ok(())
-                    }
-                    Err(e) => Err(format!("could not create {path}: {e}")),
-                }
-            } else {
-                Ok(())
+                let file = std::fs::File::create(path)
+                    .map_err(|e| format!("could not create {path}: {e}"))?;
+                tr.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(file))));
             }
+            let mut cfg = driver_cfg.clone();
+            cfg.suspend_after_waves = suspend;
+            let hooks: Box<dyn flint::engine::CheckpointHooks> = match ckpt_kind.as_str() {
+                "eager" => Box::new(CheckpointEveryRdd),
+                "adaptive" => Box::new(FlintCheckpointPolicy::with_mttf(mttf)),
+                _ => Box::new(NoCheckpoint),
+            };
+            let mut d = Driver::new(
+                cfg,
+                hooks,
+                Box::new(ChaosInjector::from_schedule(schedule.clone())),
+            );
+            d.set_trace(tr);
+            d.checkpoints_mut()
+                .set_fault_policy(Box::new(schedule.store_faults(&ccfg)));
+            for ext in 1..=u64::from(workers) {
+                d.add_worker_with_ext(ext, WorkerSpec::r3_large());
+            }
+            Ok(d)
         };
         let wl = make_wl();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let build = |suspend: Option<u64>, tr: &TraceHandle| {
-                let mut cfg = driver_cfg.clone();
-                cfg.suspend_after_waves = suspend;
-                let hooks: Box<dyn flint::engine::CheckpointHooks> = match ckpt_kind.as_str() {
-                    "eager" => Box::new(CkptEveryRdd),
-                    "adaptive" => Box::new(FlintCheckpointPolicy::with_mttf(mttf)),
-                    _ => Box::new(NoCheckpoint),
-                };
-                let mut d = Driver::new(
-                    cfg,
-                    hooks,
-                    Box::new(ChaosInjector::from_schedule(schedule.clone())),
+        let (code, verdict) = match run_against_twin(&schedule, build, |d| wl.run(d), &expect) {
+            ChaosVerdict::Identical {
+                resumed_from,
+                driver,
+            } => {
+                let mut tags = String::new();
+                if let Some(w) = resumed_from {
+                    tags.push_str(&format!(", resumed from wave {w}"));
+                }
+                if collapsed {
+                    tags.push_str(", market collapse");
+                }
+                let runtime = driver.now().since_epoch();
+                let verdict = format!(
+                    "survived byte-identical ({:+.1}% runtime, {} restores, \
+                     {} revocations{tags})",
+                    (runtime.as_secs_f64() / baseline.as_secs_f64() - 1.0) * 100.0,
+                    driver.stats().restores,
+                    driver.stats().revocations
                 );
-                d.set_trace(tr.clone());
-                d.checkpoints_mut()
-                    .set_fault_policy(Box::new(schedule.store_faults(&ccfg)));
-                for ext in 1..=u64::from(workers) {
-                    d.add_worker_with_ext(ext, WorkerSpec::r3_large());
-                }
-                d
-            };
-            // Returns (result, resumed-from wave): result carries the
-            // summary plus stats/runtime of whichever session completed.
-            let tr = TraceHandle::disabled();
-            if let Err(e) = open_sink(&tr) {
-                return (Err(e), None);
+                let code = if resumed_from.is_some() {
+                    EXIT_DEGRADED
+                } else {
+                    0
+                };
+                (code, verdict)
             }
-            match crash_wave {
-                None => {
-                    let mut d = build(None, &tr);
-                    let res = wl
-                        .run(&mut d)
-                        .map(|s| (s, d.stats().clone(), d.now().since_epoch()))
-                        .map_err(|e| format!("{e}"));
-                    tr.flush();
-                    (res, None)
-                }
-                Some(w) => {
-                    // Session A runs doomed: killed at wave boundary w
-                    // (unless the job finishes first).
-                    let mut a = build(Some(w), &tr);
-                    match wl.run(&mut a) {
-                        Ok(s) => {
-                            let res = Ok((s, a.stats().clone(), a.now().since_epoch()));
-                            tr.flush();
-                            (res, None)
-                        }
-                        Err(EngineError::Suspended { manifest, .. }) => {
-                            let text = a.checkpoints().get_manifest(&manifest).map(str::to_string);
-                            // Release A's file handle before truncating
-                            // the path for the resumed session.
-                            drop(a);
-                            drop(tr);
-                            let Some(text) = text else {
-                                return (Err("suspended but no manifest persisted".into()), None);
-                            };
-                            let m = match RunManifest::decode(&text) {
-                                Ok(m) => m,
-                                Err(e) => return (Err(format!("manifest decode: {e}")), None),
-                            };
-                            let tb = TraceHandle::disabled();
-                            if let Err(e) = open_sink(&tb) {
-                                return (Err(e), None);
-                            }
-                            let mut b = build(None, &tb);
-                            if let Err(e) = b.resume(&m) {
-                                return (Err(format!("{e}")), None);
-                            }
-                            let res = wl
-                                .run(&mut b)
-                                .and_then(|s| b.resume_verified().map(|()| s))
-                                .map(|s| (s, b.stats().clone(), b.now().since_epoch()))
-                                .map_err(|e| format!("{e}"));
-                            tb.flush();
-                            (res, Some(w))
-                        }
-                        Err(e) => {
-                            tr.flush();
-                            (Err(format!("{e}")), None)
-                        }
-                    }
-                }
+            ChaosVerdict::Typed(e) => (EXIT_TYPED, format!("typed error: {e}")),
+            ChaosVerdict::WrongData(s) => (
+                EXIT_PANIC,
+                format!(
+                    "WRONG DATA (checksum {:#018x} != {:#018x}) — invariant violated",
+                    s.checksum, expect.checksum
+                ),
+            ),
+            ChaosVerdict::Panicked(payload) if payload.is::<ClosedStdout>() => {
+                std::panic::resume_unwind(payload)
             }
-        }));
-
-        let (class, verdict) = match outcome {
-            Err(payload) if payload.is::<ClosedStdout>() => std::panic::resume_unwind(payload),
-            Err(_) => (
-                RunClass::Violation,
+            ChaosVerdict::Panicked(_) => (
+                EXIT_PANIC,
                 format!("PANIC (seed {run_seed}) — invariant violated"),
             ),
-            Ok((Ok((s, stats, runtime)), resumed)) => {
-                if s.checksum == expect.checksum && s.records == expect.records {
-                    let mut tags = String::new();
-                    if let Some(w) = resumed {
-                        tags.push_str(&format!(", resumed from wave {w}"));
-                    }
-                    if collapsed {
-                        tags.push_str(", market collapse");
-                    }
-                    let verdict = format!(
-                        "survived byte-identical ({:+.1}% runtime, {} restores, \
-                         {} revocations{tags})",
-                        (runtime.as_secs_f64() / baseline.as_secs_f64() - 1.0) * 100.0,
-                        stats.restores,
-                        stats.revocations
-                    );
-                    if resumed.is_some() {
-                        (RunClass::Degraded, verdict)
-                    } else {
-                        (RunClass::Survived, verdict)
-                    }
-                } else {
-                    (
-                        RunClass::Violation,
-                        format!(
-                            "WRONG DATA (checksum {:#018x} != {:#018x}) — invariant violated",
-                            s.checksum, expect.checksum
-                        ),
-                    )
-                }
-            }
-            Ok((Err(e), _)) => (RunClass::Typed, format!("typed error: {e}")),
         };
-        (class, verdict, trace_path)
+        (code, verdict, trace_path)
     });
 
-    let mut survived = 0u64;
-    let mut degraded = 0u64;
-    let mut typed = 0u64;
-    let mut violations = 0u64;
-    for (r, (class, verdict, trace_path)) in outcomes.into_iter().enumerate() {
-        match class {
-            RunClass::Survived => survived += 1,
-            RunClass::Degraded => degraded += 1,
-            RunClass::Typed => typed += 1,
-            RunClass::Violation => violations += 1,
-        }
+    for (r, (_, verdict, trace_path)) in outcomes.iter().enumerate() {
         let run_seed = seed.wrapping_add(r as u64);
         outln!("run {r:>3} seed {run_seed:<8}: {verdict}");
-        if let Some(path) = &trace_path {
+        if let Some(path) = trace_path {
             outln!("              trace written to {path}");
         }
     }
+    let count = |code: u8| outcomes.iter().filter(|o| o.0 == code).count();
+    let degraded = count(EXIT_DEGRADED);
     outln!(
         "survival      : {}/{runs} byte-identical ({degraded} via resume), \
-         {typed} typed error(s), {violations} violation(s)",
-        survived + degraded
+         {} typed error(s), {} violation(s)",
+        count(0) + degraded,
+        count(EXIT_TYPED),
+        count(EXIT_PANIC)
     );
-    if violations > 0 {
-        ExitCode::from(EXIT_PANIC)
-    } else if typed > 0 {
-        ExitCode::from(EXIT_TYPED)
-    } else if degraded > 0 {
-        ExitCode::from(EXIT_DEGRADED)
-    } else {
-        ExitCode::SUCCESS
-    }
+    ExitCode::from(outcomes.iter().map(|o| o.0).max().unwrap_or(0))
 }
 
 fn cmd_trace_prices(f: &Flags) -> ExitCode {

@@ -8,28 +8,12 @@
 //! silently continued.
 
 use flint::engine::{
-    CheckpointDirective, CheckpointHooks, Driver, DriverConfig, EngineError, EventSink,
-    LineageView, RddId, RunManifest, ScriptedInjector, Value, WorkerEvent, WorkerSpec,
+    CheckpointEveryRdd, Driver, DriverConfig, EngineError, RunManifest, ScriptedInjector, Value,
+    WorkerEvent, WorkerSpec,
 };
 use flint::simtime::SimTime;
 use flint::trace::TraceHandle;
 use proptest::prelude::*;
-
-/// Checkpoint every RDD as it materializes, so manifests carry a
-/// non-trivial block catalog and resume verifies checkpoint counters.
-struct EagerCkpt;
-
-impl CheckpointHooks for EagerCkpt {
-    fn on_rdd_materialized(
-        &mut self,
-        _view: &LineageView<'_>,
-        _events: &mut dyn EventSink,
-        rdd: RddId,
-        _now: SimTime,
-    ) -> Vec<CheckpointDirective> {
-        vec![CheckpointDirective::Checkpoint(rdd)]
-    }
-}
 
 /// A deterministic multi-stage job (map → reduce_by_key → sort) with a
 /// mid-job revocation and replacement, so waves span recomputation too.
@@ -72,7 +56,9 @@ fn launch(host_threads: usize, suspend_after: Option<u64>) -> TracedRun {
             },
         ),
     ]);
-    let mut driver = Driver::new(cfg, Box::new(EagerCkpt), Box::new(injector));
+    // Eager checkpoints, so manifests carry a non-trivial block catalog
+    // and resume verifies checkpoint counters.
+    let mut driver = Driver::new(cfg, Box::new(CheckpointEveryRdd), Box::new(injector));
     let trace = TraceHandle::disabled();
     let reader = trace.attach_memory(0);
     driver.set_trace(trace);
@@ -234,7 +220,7 @@ fn diverging_resume_is_rejected_with_typed_errors() {
     other_cfg.store_retry.budget += 1;
     let mut b = Driver::new(
         other_cfg,
-        Box::new(EagerCkpt),
+        Box::new(CheckpointEveryRdd),
         Box::new(ScriptedInjector::new(Vec::new())),
     );
     match b.resume(&manifest) {
