@@ -7,8 +7,7 @@ use flint_simtime::{SimDuration, SimTime};
 use flint_workloads::PageRank;
 
 use crate::setups::{
-    baseline_runtime, fmt_pct, fmt_secs, on_host_cores, pct_increase, run_workload, HookSpec,
-    RunOpts,
+    baseline_runtime, fmt_pct, fmt_secs, pct_increase, run_workload, HookSpec, RunOpts,
 };
 use crate::Table;
 
@@ -484,164 +483,9 @@ pub(crate) fn ablation_backend() -> Table {
     table
 }
 
-/// Graceful-degradation ablation: per-market circuit breakers plus the
-/// on-demand backstop, off versus on, as spot volatility climbs from a
-/// calm regime to full collapse.
-///
-/// The guarded cluster trips breakers on repeated revocations, routes
-/// replacements away from open markets, and tops the cluster back up
-/// with fixed-price on-demand servers whenever capacity falls below the
-/// floor. The claim under test is the degradation contract: guards may
-/// only trade cost for stability — completion stays at 100% on both
-/// sides (correctness is never degraded), while the guarded side shifts
-/// revocation churn into on-demand spend as the regime worsens.
-pub(crate) fn ablation_backstop() -> Table {
-    use flint_core::{FlintCluster, FlintConfig, SelectionConfig};
-    use flint_workloads::{Workload, WorkloadConfig};
-
-    let mut table = Table::new(
-        "Ablation: circuit breakers + on-demand backstop, calm -> collapse regimes",
-        &[
-            "regime",
-            "guard",
-            "completed",
-            "mean cost ($)",
-            "mean makespan (s)",
-            "revocations",
-            "breaker trips",
-            "runs on od backstop",
-        ],
-    )
-    .with_note(
-        "PageRank (4 GB, 32 iterations) on 8 workers, 4 seeded trace draws per \
-         cell; regimes set the spot markets' MTTF. guard=on arms per-market \
-         circuit breakers (1 strike / 1 h window, 2 h cooldown, price-above-od \
-         trips) and the on-demand backstop at a 75% capacity floor. The \
-         degradation contract: guards trade cost for stability, never \
-         correctness — completion stays full on both sides while the guarded \
-         cluster routes replacements away from open markets and ends runs \
-         holding fixed-price on-demand capacity instead of churning.",
-    );
-
-    const RUNS: u64 = 4;
-    let regimes = [
-        ("calm 24h", 24.0),
-        ("volatile 0.5h", 0.5),
-        ("collapse 0.25h", 0.25),
-    ];
-    // One run per (regime, guard, draw); a cell is RUNS consecutive runs.
-    let runs: Vec<(f64, bool, u64)> = regimes
-        .iter()
-        .flat_map(|&(_, mttf_h)| {
-            [false, true]
-                .into_iter()
-                .flat_map(move |guard| (0..RUNS).map(move |i| (mttf_h, guard, i)))
-        })
-        .collect();
-    // Per run: (cost, makespan) if it completed, revocations, breaker
-    // trips, and whether it ended on the backstop.
-    let results = on_host_cores(&runs, |&(mttf_h, guard, i)| {
-        let wl = PageRank::new(WorkloadConfig {
-            dataset_gb: 4.0,
-            partitions: 16,
-            iterations: 32,
-            seed: 7 + i,
-        });
-        let cat = catalog_with_mttf(90 + i, SimDuration::from_days(30), mttf_h);
-        let od_id = cat.on_demand_id();
-        let mut selection = SelectionConfig::default();
-        if guard {
-            selection.breaker_revocation_threshold = 1;
-            selection.breaker_window = SimDuration::from_hours(1);
-            selection.breaker_cooldown = SimDuration::from_hours(2);
-            selection.breaker_price_factor = 1.0;
-            selection.capacity_floor = 0.75;
-            selection.backstop = true;
-        }
-        let config = FlintConfig::builder()
-            .n_workers(8)
-            .seed(90 + i)
-            .start(SimTime::ZERO + SimDuration::from_days(7 + i * 5))
-            .selection(selection)
-            .build();
-        let mut cluster = FlintCluster::launch(cat, config);
-        let mut cost_model = *cluster.driver().cost_model();
-        cost_model.size_scale = wl.recommended_size_scale();
-        cluster.driver_mut().set_cost_model(cost_model);
-        let started = cluster.driver().now();
-        let res = wl.run(cluster.driver_mut());
-        let makespan = (cluster.driver().now() - started).as_secs_f64();
-        let nm = cluster.node_manager();
-        let (revocations, trips) = (nm.revocations(), nm.breaker_trips());
-        // A run "ends on the backstop" when fixed-price on-demand
-        // capacity is still in the active set at completion — either
-        // the strict backstop tier or breaker-routed od replacement.
-        let on_backstop = nm.backstop_workers() > 0 || nm.active_markets().contains(&od_id);
-        let report = cluster.shutdown();
-        let done = res.is_ok().then(|| (report.total(), makespan));
-        (done, revocations, trips, on_backstop)
-    });
-
-    // Folded in run order, so the float sums are the serial loop's.
-    let mut cells = results.chunks(RUNS as usize);
-    for (regime, _) in regimes {
-        for guard in [false, true] {
-            let cell = cells.next().expect("one cell per regime and guard");
-            let (mut completed, mut cost_sum, mut rt_sum) = (0u64, 0.0f64, 0.0f64);
-            let (mut revocations, mut trips, mut od_runs) = (0u64, 0u64, 0u64);
-            for (done, revs, run_trips, on_backstop) in cell {
-                revocations += revs;
-                trips += run_trips;
-                od_runs += u64::from(*on_backstop);
-                if let Some((cost, makespan)) = done {
-                    completed += 1;
-                    cost_sum += cost;
-                    rt_sum += makespan;
-                }
-            }
-            let denom = completed.max(1) as f64;
-            table.push_row(vec![
-                regime.to_string(),
-                if guard { "on" } else { "off" }.to_string(),
-                format!("{completed}/{RUNS}"),
-                format!("{:.4}", cost_sum / denom),
-                format!("{:.1}", rt_sum / denom),
-                revocations.to_string(),
-                trips.to_string(),
-                format!("{od_runs}/{RUNS}"),
-            ]);
-        }
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "24 long simulated runs; minutes in debug — run with --release"
-    )]
-    fn backstop_guards_trade_cost_for_stability_never_correctness() {
-        let t = ablation_backstop();
-        println!("{t}");
-        // Rows alternate off/on per regime. Completion must be full
-        // everywhere — the degradation contract.
-        for row in &t.rows {
-            assert_eq!(row[2], "4/4", "completion degraded: {row:?}");
-        }
-        // Guards are free in the calm regime (identical rows)…
-        assert_eq!(t.rows[0][3], t.rows[1][3], "calm cost must not change");
-        // …and in the collapse regime they trip breakers and pay for
-        // stability in dollars, not in correctness.
-        let off = t.cell_f64(4, 3);
-        let on = t.cell_f64(5, 3);
-        assert!(on >= off, "guards may only degrade in cost: {on} vs {off}");
-        let trips: u64 = t.rows[5][6].parse().unwrap();
-        assert!(trips > 0, "collapse regime must trip breakers:\n{t}");
-    }
 
     #[test]
     fn stratification_is_mostly_ineffective() {

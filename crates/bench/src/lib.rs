@@ -55,7 +55,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("ext_streaming", ablations::ext_streaming_latency),
     ("ablation_portfolio", ablations::ablation_portfolio),
     ("ablation_backend", ablations::ablation_backend),
-    ("ablation_backstop", ablations::ablation_backstop),
 ];
 
 /// The experiment called `name` in [`EXPERIMENTS`], or an error that

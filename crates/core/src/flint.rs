@@ -53,8 +53,6 @@ pub struct FlintConfig {
     pub n_workers: u32,
     /// Batch or interactive policy pair.
     pub(crate) mode: Mode,
-    /// Market-selection configuration.
-    pub(crate) selection: SelectionConfig,
     /// Engine configuration (cost model, storage bandwidth).
     pub driver: DriverConfig,
     /// Seed for the cloud simulator (preemptible lifetimes).
@@ -72,8 +70,8 @@ pub struct FlintConfig {
     pub trace: TraceHandle,
     /// Execution backend. The default transient-VM spec preserves the
     /// pre-abstraction behavior exactly; under
-    /// [`BackendSpec::Serverless`] the `mode`, `selection` and
-    /// `risk_aversion` fields are meaningless and ignored.
+    /// [`BackendSpec::Serverless`] the `mode` and `risk_aversion`
+    /// fields are meaningless and ignored.
     pub(crate) backend: BackendSpec,
 }
 
@@ -82,7 +80,6 @@ impl Default for FlintConfig {
         FlintConfig {
             n_workers: 10,
             mode: Mode::Batch,
-            selection: SelectionConfig::default(),
             driver: DriverConfig::default(),
             seed: 0,
             risk_aversion: 1.0,
@@ -132,12 +129,6 @@ impl FlintConfigBuilder {
     /// Batch or interactive policy pair.
     pub fn mode(mut self, mode: Mode) -> Self {
         self.cfg.mode = mode;
-        self
-    }
-
-    /// Market-selection configuration.
-    pub fn selection(mut self, selection: SelectionConfig) -> Self {
-        self.cfg.selection = selection;
         self
     }
 
@@ -269,7 +260,7 @@ impl FlintCluster {
             cloud,
             policy,
             BidPolicy::OnDemandPrice,
-            config.selection,
+            SelectionConfig::default(),
             JobProfile::default(),
             config.driver.storage,
             config.n_workers,

@@ -1,13 +1,10 @@
 //! The node manager: provisioning, monitoring, warning handling, and
 //! replacement of transient servers (paper §4, Fig. 5).
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use flint_engine::{FailureInjector, WorkerEvent, WorkerSpec};
-use flint_market::{
-    CloudSim, HazardModel, InstanceEvent, InstanceId, Market, MarketId, MarketKind,
-};
+use flint_market::{CloudSim, HazardModel, InstanceEvent, InstanceId, Market, MarketId};
 use flint_simtime::{lock, SimDuration, SimTime};
 use flint_store::StorageConfig;
 
@@ -27,18 +24,6 @@ pub(crate) fn worker_spec(market: &Market) -> WorkerSpec {
     }
 }
 
-/// Per-market circuit-breaker state. Closed breakers are simply absent
-/// from the map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    /// Tripped: the market is excluded from selection until `until`,
-    /// when it transitions to half-open.
-    Open { until: SimTime },
-    /// Probing: the market is selectable again; surviving until `until`
-    /// closes the breaker, a revocation before then re-opens it.
-    HalfOpen { until: SimTime },
-}
-
 struct NmInner {
     cloud: CloudSim,
     policy: Box<dyn SelectionPolicy>,
@@ -55,16 +40,6 @@ struct NmInner {
     replaced: Vec<bool>,
     /// Count of replacement rounds, for reporting.
     replacements: u64,
-    /// Per-market circuit breakers (closed = absent). Empty unless the
-    /// breaker knobs in [`SelectionConfig`] are enabled.
-    breakers: HashMap<MarketId, BreakerState>,
-    /// Recent revocation times per market, pruned to
-    /// `cfg.breaker_window`; feeds the revocation-rate trip condition.
-    revoke_times: HashMap<MarketId, Vec<SimTime>>,
-    /// Times a breaker tripped (closed/half-open → open), for reporting.
-    breaker_trips: u64,
-    /// On-demand workers provisioned by the capacity-floor backstop.
-    backstop_workers: u64,
     /// When the age-dependent hazard was last re-fitted (unused under
     /// the memoryless default).
     last_hazard_refit: SimTime,
@@ -76,7 +51,6 @@ struct NmInner {
 const HAZARD_REFIT_INTERVAL: SimDuration = SimDuration::from_mins(5);
 
 impl NmInner {
-    #[allow(clippy::too_many_arguments)]
     fn view<'a>(
         cloud: &'a CloudSim,
         cfg: &'a SelectionConfig,
@@ -85,7 +59,6 @@ impl NmInner {
         bid: BidPolicy,
         n: u32,
         now: SimTime,
-        cooled: &'a [MarketId],
     ) -> MarketView<'a> {
         MarketView {
             catalog: cloud.catalog(),
@@ -95,162 +68,8 @@ impl NmInner {
             job,
             storage,
             n,
-            cooled,
+            cooled: &[],
         }
-    }
-
-    /// Markets excluded from selection: those whose circuit breaker is
-    /// open. Half-open breakers are deliberately *not* excluded — the
-    /// next allocation into that market is the probe.
-    fn cooled_markets(&self) -> Vec<MarketId> {
-        let mut ms: Vec<MarketId> = self
-            .breakers
-            .iter()
-            .filter(|(_, st)| matches!(st, BreakerState::Open { .. }))
-            .map(|(m, _)| *m)
-            .collect();
-        ms.sort();
-        ms
-    }
-
-    /// Whether any breaker trip condition is configured.
-    fn breakers_enabled(&self) -> bool {
-        self.cfg.breaker_revocation_threshold > 0 || self.cfg.breaker_price_factor > 0.0
-    }
-
-    /// Advances breaker state machines to `now`: expired open breakers
-    /// enter half-open (the probe period), and half-open breakers that
-    /// survived their probation close. Transitions are emitted at their
-    /// scheduled expiry times, not at `now` — the state change happened
-    /// then; this tick merely observes it.
-    fn tick_breakers(&mut self, now: SimTime) {
-        if self.breakers.is_empty() {
-            return;
-        }
-        // Sorted order: HashMap iteration must never reach the trace.
-        let mut ids: Vec<MarketId> = self.breakers.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            // A long-idle breaker may cascade open → half-open → closed
-            // within one tick.
-            loop {
-                match self.breakers[&id] {
-                    BreakerState::Open { until } if until <= now => {
-                        let probe_until = until + self.cfg.breaker_cooldown;
-                        self.breakers
-                            .insert(id, BreakerState::HalfOpen { until: probe_until });
-                        self.cloud.trace().emit_with(until, || {
-                            flint_engine::EventKind::BreakerHalfOpen {
-                                market: u64::from(id.0),
-                            }
-                        });
-                    }
-                    BreakerState::HalfOpen { until } if until <= now => {
-                        self.breakers.remove(&id);
-                        self.cloud.trace().emit_with(until, || {
-                            flint_engine::EventKind::BreakerClosed {
-                                market: u64::from(id.0),
-                            }
-                        });
-                        break;
-                    }
-                    _ => break,
-                }
-            }
-        }
-    }
-
-    /// Trips `market`'s breaker open at `t` for `reason`.
-    fn trip_breaker(&mut self, market: MarketId, t: SimTime, reason: &'static str) {
-        let until = t + self.cfg.breaker_cooldown;
-        self.breakers.insert(market, BreakerState::Open { until });
-        self.breaker_trips += 1;
-        self.cloud
-            .trace()
-            .emit_with(t, || flint_engine::EventKind::BreakerOpened {
-                market: u64::from(market.0),
-                reason: reason.to_string(),
-                until_ms: until.as_millis(),
-            });
-    }
-
-    /// Feeds one provider revocation into the breaker machinery: prunes
-    /// the sliding revocation window, fails a half-open probe, or trips
-    /// a closed breaker on revocation rate or price-above-on-demand.
-    /// No-op (no state, no draws, no events) unless breakers are
-    /// enabled, so default configurations are byte-identical.
-    fn note_revocation(&mut self, market: MarketId, t: SimTime) {
-        if !self.breakers_enabled() {
-            return;
-        }
-        self.tick_breakers(t);
-        let window_start = t.saturating_sub(self.cfg.breaker_window);
-        let times = self.revoke_times.entry(market).or_default();
-        times.push(t);
-        times.retain(|rt| *rt >= window_start);
-        let in_window = times.len() as u32;
-        match self.breakers.get(&market) {
-            Some(BreakerState::Open { until }) => {
-                // Stragglers provisioned before the trip keep the
-                // breaker open but do not re-emit.
-                let extended = t + self.cfg.breaker_cooldown;
-                if extended > *until {
-                    self.breakers
-                        .insert(market, BreakerState::Open { until: extended });
-                }
-            }
-            Some(BreakerState::HalfOpen { .. }) => {
-                self.trip_breaker(market, t, "probe_failed");
-            }
-            None => {
-                let threshold = self.cfg.breaker_revocation_threshold;
-                if threshold > 0 && in_window >= threshold {
-                    self.trip_breaker(market, t, "revocation_rate");
-                } else if self.cfg.breaker_price_factor > 0.0 {
-                    let cat = self.cloud.catalog();
-                    let m = cat.market(market);
-                    let od_rate = cat.market(cat.on_demand_id()).on_demand_price;
-                    if matches!(m.kind, MarketKind::Spot)
-                        && m.trace.price_at(t) > self.cfg.breaker_price_factor * od_rate
-                    {
-                        self.trip_breaker(market, t, "price_above_on_demand");
-                    }
-                }
-            }
-        }
-    }
-
-    /// The on-demand backstop: when active capacity (pending included)
-    /// falls below `capacity_floor · n`, buy the deficit from the
-    /// catalog's on-demand pool at the fixed catalog price. Runs after
-    /// each replacement batch; a no-op unless `cfg.backstop` is set.
-    fn backstop_check(&mut self, t: SimTime) {
-        if !self.cfg.backstop || self.cfg.capacity_floor <= 0.0 {
-            return;
-        }
-        let floor = (self.cfg.capacity_floor * f64::from(self.n)).ceil() as usize;
-        let active = self.cloud.active_count();
-        if active >= floor {
-            return;
-        }
-        let deficit = (self.n as usize).saturating_sub(active) as u32;
-        if deficit == 0 {
-            return;
-        }
-        let od = self.cloud.catalog().on_demand_id();
-        let price = self.cloud.catalog().market(od).on_demand_price;
-        self.cloud
-            .trace()
-            .emit_with(t, || flint_engine::EventKind::BackstopProvisioned {
-                market: u64::from(od.0),
-                workers: u64::from(deficit),
-                price,
-            });
-        self.backstop_workers += u64::from(deficit);
-        for _ in 0..deficit {
-            self.cloud.request(od, price, t);
-        }
-        self.refresh_cluster_mttf(t);
     }
 
     fn request_allocation(&mut self, alloc: &[(MarketId, u32)], now: SimTime) {
@@ -355,7 +174,6 @@ impl NmInner {
 
     fn provision_initial(&mut self, now: SimTime) {
         let alloc = {
-            let cooled = self.cooled_markets();
             let view = Self::view(
                 &self.cloud,
                 &self.cfg,
@@ -364,7 +182,6 @@ impl NmInner {
                 self.bid,
                 self.n,
                 now,
-                &cooled,
             );
             self.policy.initial(&view)
         };
@@ -404,7 +221,6 @@ impl NmInner {
                     }
                     InstanceEvent::Revoked { .. } => {
                         out.push((t, WorkerEvent::Remove { ext_id }));
-                        self.note_revocation(market, t);
                         // A warned instance was replaced at its warning;
                         // an unwarned one is replaced now. Either way its
                         // id is never delivered again.
@@ -418,10 +234,7 @@ impl NmInner {
                     }
                 }
             }
-            let batch_end = to_replace.iter().map(|(t, _, _)| *t).max();
             for (t, failed, count) in to_replace {
-                self.tick_breakers(t);
-                let cooled = self.cooled_markets();
                 let alloc = {
                     let view = Self::view(
                         &self.cloud,
@@ -431,7 +244,6 @@ impl NmInner {
                         self.bid,
                         self.n,
                         t,
-                        &cooled,
                     );
                     self.policy.replacement(&view, failed, count)
                 };
@@ -444,32 +256,7 @@ impl NmInner {
                         lost: u64::from(count),
                         requested: alloc.iter().map(|(_, c)| u64::from(*c)).sum(),
                     });
-                // When every transient market is excluded and the policy
-                // fell back to the fixed-price pool, the replacement *is*
-                // the on-demand backstop — record it as such.
-                if self.cfg.backstop && !alloc.is_empty() {
-                    let cat = self.cloud.catalog();
-                    let od = cat.on_demand_id();
-                    let all_od = alloc.iter().all(|(m, _)| *m == od);
-                    let all_spot_excluded =
-                        cat.spot_markets().iter().all(|m| cooled.contains(&m.id));
-                    if all_od && all_spot_excluded {
-                        let workers: u64 = alloc.iter().map(|(_, c)| u64::from(*c)).sum();
-                        let price = cat.market(od).on_demand_price;
-                        self.backstop_workers += workers;
-                        self.cloud.trace().emit_with(t, || {
-                            flint_engine::EventKind::BackstopProvisioned {
-                                market: u64::from(od.0),
-                                workers,
-                                price,
-                            }
-                        });
-                    }
-                }
                 self.request_allocation(&alloc, t);
-            }
-            if let Some(bt) = batch_end {
-                self.backstop_check(bt);
             }
             // Replacement requests may schedule Ready events ≤ `to`;
             // loop to pick them up.
@@ -572,10 +359,6 @@ impl NodeManager {
             ft,
             replaced: Vec::new(),
             replacements: 0,
-            breakers: HashMap::new(),
-            revoke_times: HashMap::new(),
-            breaker_trips: 0,
-            backstop_workers: 0,
             last_hazard_refit: start,
         };
         inner.provision_initial(start);
@@ -629,16 +412,16 @@ impl NodeManagerHandle {
         lock(&self.0).replacements
     }
 
-    /// Times a market circuit breaker tripped open (0 unless the
-    /// breaker knobs in [`SelectionConfig`] are enabled).
+    /// Always 0: the node manager has no circuit breakers. Kept
+    /// because the benchmark reads it.
     pub fn breaker_trips(&self) -> u64 {
-        lock(&self.0).breaker_trips
+        0
     }
 
-    /// On-demand workers provisioned by the backstop tier (capacity
-    /// floor or all-markets-open fallback).
+    /// Always 0: the node manager has no on-demand backstop. Kept
+    /// because the benchmark reads it.
     pub fn backstop_workers(&self) -> u64 {
-        lock(&self.0).backstop_workers
+        0
     }
 
     /// The selection policy's name.
@@ -683,6 +466,7 @@ mod tests {
     use flint_market::{CappedLifetimeHazard, HazardSpec, MarketCatalog};
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     /// The refit before it was folded in place, transcribed: a map of
     /// market MTTFs, two components per instance, and the harmonic sum.
@@ -936,165 +720,6 @@ mod tests {
         assert!(handle.revocations() > 0);
         let in_flight = lock(&nm.0).replaced.iter().filter(|f| **f).count();
         assert!(in_flight <= 8);
-    }
-
-    #[test]
-    fn breakers_trip_and_cluster_size_is_maintained() {
-        // Hair-trigger breaker: one revocation in the window opens the
-        // market. Replacements must still keep the cluster at n, only
-        // redirected away from open markets (or to on-demand).
-        let catalog = MarketCatalog::synthetic_ec2(13, SimDuration::from_days(60));
-        let cloud = CloudSim::with_seed(catalog, 13);
-        let start = SimTime::ZERO + SimDuration::from_days(14);
-        let ft = new_shared(SimDuration::MAX);
-        let cfg = SelectionConfig {
-            breaker_revocation_threshold: 1,
-            breaker_window: SimDuration::from_hours(2),
-            breaker_cooldown: SimDuration::from_hours(6),
-            backstop: true,
-            capacity_floor: 0.5,
-            ..SelectionConfig::default()
-        };
-        let (mut nm, handle) = NodeManager::launch(
-            cloud,
-            Box::new(BatchSelection),
-            BidPolicy::OnDemandPrice,
-            cfg,
-            JobProfile::default(),
-            StorageConfig::default(),
-            8,
-            ft,
-            start,
-        );
-        let evs = nm.events(start, start + SimDuration::from_days(20));
-        let adds = evs
-            .iter()
-            .filter(|(_, e)| matches!(e, WorkerEvent::Add { .. }))
-            .count();
-        let removes = evs
-            .iter()
-            .filter(|(_, e)| matches!(e, WorkerEvent::Remove { .. }))
-            .count();
-        assert!(
-            adds >= removes + 8,
-            "cluster never shrinks below target: adds {adds}, removes {removes}"
-        );
-        if removes > 0 {
-            assert!(
-                handle.breaker_trips() > 0,
-                "a revocation must trip a breaker"
-            );
-        }
-    }
-
-    #[test]
-    fn breaker_state_machine_walks_open_half_open_closed() {
-        // Drive the state machine directly: trip at t0, tick past the
-        // cooldown (→ half-open), tick past probation (→ closed), and
-        // check a half-open revocation re-opens instead.
-        let catalog = MarketCatalog::synthetic_ec2(13, SimDuration::from_days(60));
-        let cloud = CloudSim::with_seed(catalog, 13);
-        let start = SimTime::ZERO + SimDuration::from_days(14);
-        let ft = new_shared(SimDuration::MAX);
-        let cfg = SelectionConfig {
-            breaker_revocation_threshold: 2,
-            breaker_window: SimDuration::from_hours(1),
-            breaker_cooldown: SimDuration::from_mins(30),
-            ..SelectionConfig::default()
-        };
-        let (nm, _handle) = NodeManager::launch(
-            cloud,
-            Box::new(BatchSelection),
-            BidPolicy::OnDemandPrice,
-            cfg,
-            JobProfile::default(),
-            StorageConfig::default(),
-            2,
-            ft,
-            start,
-        );
-        let mut inner = lock(&nm.0);
-        let m = MarketId(0);
-        // Two revocations inside the window trip the breaker...
-        inner.note_revocation(m, start);
-        assert_eq!(inner.breaker_trips, 0, "one strike is not enough");
-        inner.note_revocation(m, start + SimDuration::from_mins(10));
-        assert_eq!(inner.breaker_trips, 1);
-        assert_eq!(inner.cooled_markets(), vec![m]);
-        // ...the cooldown expires into half-open (selectable again)...
-        let probe_t = start + SimDuration::from_mins(50);
-        inner.tick_breakers(probe_t);
-        assert!(
-            matches!(inner.breakers[&m], BreakerState::HalfOpen { .. }),
-            "cooldown elapsed: breaker should be probing"
-        );
-        assert!(inner.cooled_markets().is_empty());
-        // ...a revocation during the probe re-opens...
-        inner.note_revocation(m, probe_t);
-        assert_eq!(inner.breaker_trips, 2, "failed probe re-trips");
-        assert!(matches!(inner.breakers[&m], BreakerState::Open { .. }));
-        // ...and a quiet probe closes the breaker for good.
-        inner.tick_breakers(probe_t + SimDuration::from_hours(2));
-        assert!(inner.breakers.is_empty(), "survived probation: closed");
-    }
-
-    #[test]
-    fn backstop_fills_capacity_deficit_from_on_demand() {
-        // Force a deficit: a policy whose replacements never provision.
-        #[derive(Debug)]
-        struct NoReplacement;
-        impl SelectionPolicy for NoReplacement {
-            fn name(&self) -> &'static str {
-                "no-replacement"
-            }
-            fn initial(&mut self, view: &MarketView<'_>) -> Vec<(MarketId, u32)> {
-                vec![(view.catalog.spot_markets()[0].id, view.n)]
-            }
-            fn replacement(
-                &mut self,
-                _view: &MarketView<'_>,
-                _failed: MarketId,
-                _count: u32,
-            ) -> Vec<(MarketId, u32)> {
-                Vec::new()
-            }
-        }
-        let catalog = MarketCatalog::synthetic_ec2(13, SimDuration::from_days(60));
-        let cloud = CloudSim::with_seed(catalog, 13);
-        let start = SimTime::ZERO + SimDuration::from_days(14);
-        let ft = new_shared(SimDuration::MAX);
-        let cfg = SelectionConfig {
-            backstop: true,
-            capacity_floor: 0.75,
-            ..SelectionConfig::default()
-        };
-        let (mut nm, handle) = NodeManager::launch(
-            cloud,
-            Box::new(NoReplacement),
-            BidPolicy::OnDemandPrice,
-            cfg,
-            JobProfile::default(),
-            StorageConfig::default(),
-            8,
-            ft,
-            start,
-        );
-        let evs = nm.events(start, start + SimDuration::from_days(20));
-        let removes = evs
-            .iter()
-            .filter(|(_, e)| matches!(e, WorkerEvent::Remove { .. }))
-            .count();
-        if removes >= 3 {
-            // Enough attrition to cross the 75 % floor: the backstop
-            // must have stepped in, and every backstop worker is
-            // on-demand (never revocable).
-            assert!(
-                handle.backstop_workers() > 0,
-                "floor crossed but backstop never fired"
-            );
-            let od = handle.with_cloud(|c| c.catalog().on_demand_id());
-            assert!(handle.active_markets().contains(&od));
-        }
     }
 
     #[test]

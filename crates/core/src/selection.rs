@@ -146,35 +146,6 @@ const RD: SimDuration = SimDuration::from_secs(120);
 pub struct SelectionConfig {
     /// Cap on `|L|` (pruning the >1000-market search space).
     pub max_markets: usize,
-    /// Revocations within [`Self::breaker_window`] that trip a market's
-    /// circuit breaker from closed to open. `0` (the default) disables
-    /// breakers entirely, preserving pre-breaker behavior byte-for-byte.
-    /// A breaker counts failures in a sliding window, excludes the
-    /// market while open, probes it with a half-open round after the
-    /// cooldown, and re-opens on a failed probe.
-    pub breaker_revocation_threshold: u32,
-    /// Sliding window over which [`Self::breaker_revocation_threshold`]
-    /// counts revocations.
-    pub breaker_window: SimDuration,
-    /// How long an open breaker excludes its market before entering
-    /// half-open, and how long a half-open probe must survive before
-    /// the breaker closes again.
-    pub breaker_cooldown: SimDuration,
-    /// Trip a market's breaker when the spot price at a revocation
-    /// exceeds this multiple of the on-demand rate (the paper's "why
-    /// bid above on-demand" boundary). `0.0` (the default) disables the
-    /// price trigger.
-    pub breaker_price_factor: f64,
-    /// Fraction of the target cluster size `n` below which the
-    /// on-demand backstop provisions fixed-price workers (requires
-    /// [`Self::backstop`]). `0.0` (the default) never triggers.
-    pub capacity_floor: f64,
-    /// Enables the on-demand backstop tier: when capacity falls below
-    /// [`Self::capacity_floor`]`·n`, the node manager buys the deficit
-    /// from the catalog's on-demand pool at the fixed catalog price, so
-    /// a market-wide collapse degrades the job in cost, not
-    /// correctness. Off by default.
-    pub backstop: bool,
     /// The instance-lifetime hazard model the node manager assumes.
     /// The default ([`HazardSpec::Exponential`]) keeps the legacy
     /// memoryless pipeline — market-stats MTTF, age-blind τ —
@@ -187,12 +158,6 @@ impl Default for SelectionConfig {
     fn default() -> Self {
         SelectionConfig {
             max_markets: 6,
-            breaker_revocation_threshold: 0,
-            breaker_window: SimDuration::from_hours(1),
-            breaker_cooldown: SimDuration::from_mins(30),
-            breaker_price_factor: 0.0,
-            capacity_floor: 0.0,
-            backstop: false,
             hazard: HazardSpec::Exponential,
         }
     }
@@ -236,8 +201,9 @@ pub struct MarketView<'a> {
     pub storage: StorageConfig,
     /// Cluster size being provisioned.
     pub n: u32,
-    /// Markets whose circuit breaker is open at `now`: excluded from
-    /// [`MarketView::candidates`] so no policy re-enters them.
+    /// Markets excluded from [`MarketView::candidates`]. The node
+    /// manager always passes `&[]`; the field is kept because the
+    /// benchmark builds views with it.
     pub cooled: &'a [MarketId],
 }
 

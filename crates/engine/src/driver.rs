@@ -704,8 +704,8 @@ impl Driver {
             // same bounds from the same snapshot.
             self.range_cache.entry(*s).or_insert_with(|| rp.clone());
         }
-        for cp in &out.computed {
-            self.computed_once.insert(*cp);
+        for &(rdd, part, _) in &out.touched {
+            self.computed_once.insert((rdd, part));
         }
         for e in &out.effects {
             match e {

@@ -136,8 +136,6 @@ pub(crate) struct TaskOutput {
     pub effects: Vec<CacheEffect>,
     /// Partition sizes computed along the chain (ancestors first).
     pub touched: Vec<(RddId, u32, u64)>,
-    /// Partitions newly computed (for `computed_once` bookkeeping).
-    pub computed: Vec<(RddId, u32)>,
     /// Range partitioners resolved during this task.
     pub resolved: Vec<(ShuffleId, RangePartitioner)>,
     /// For shuffle checkpoint jobs: the worker holding the map block.
@@ -310,7 +308,6 @@ struct TaskBuilder<'c, 'a> {
     net: Vec<NetFetch>,
     effects: Vec<CacheEffect>,
     touched: Vec<(RddId, u32, u64)>,
-    computed: Vec<(RddId, u32)>,
     resolved: Vec<(ShuffleId, RangePartitioner)>,
     restores: u64,
     restore_time: SimDuration,
@@ -334,7 +331,6 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             net: Vec::new(),
             effects: Vec::new(),
             touched: Vec::new(),
-            computed: Vec::new(),
             resolved: Vec::new(),
             restores: 0,
             restore_time: SimDuration::ZERO,
@@ -361,7 +357,6 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
             net: self.net,
             effects: self.effects,
             touched: self.touched,
-            computed: self.computed,
             resolved: self.resolved,
             source,
             restores: self.restores,
@@ -372,7 +367,8 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
     }
 
     fn was_computed_before(&self, rdd: RddId, part: u32) -> bool {
-        self.ctx.computed_once.contains(&(rdd, part)) || self.computed.contains(&(rdd, part))
+        self.ctx.computed_once.contains(&(rdd, part))
+            || self.touched.iter().any(|&(r, p, _)| (r, p) == (rdd, part))
     }
 
     /// Computes `(rdd, part)`, returning the data, its virtual size
@@ -681,7 +677,6 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         // commits, so materialization hooks observe RDDs in completion
         // order (ancestors before descendants within one task chain).
         self.touched.push((rdd, part, real));
-        self.computed.push((rdd, part));
         if self.ctx.lineage.is_persisted(rdd) {
             self.effects.push(CacheEffect::Insert(bk, data.clone(), vb));
             self.local.insert(bk, (data.clone(), vb));

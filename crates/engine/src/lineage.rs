@@ -70,7 +70,6 @@ impl Lineage {
                 .insert(id, (0..num_partitions).map(|_| OnceLock::new()).collect());
         }
         self.metas.push(RddMeta {
-            id,
             name: name.into(),
             op,
             parents,

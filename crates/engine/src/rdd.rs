@@ -212,11 +212,10 @@ impl fmt::Debug for RddOp {
     }
 }
 
-/// Metadata of one RDD in the lineage graph.
+/// Metadata of one RDD in the lineage graph; its id is its index in
+/// the lineage.
 #[derive(Clone)]
 pub struct RddMeta {
-    /// The RDD's id.
-    pub(crate) id: RddId,
     /// Human-readable name (defaults to the operator kind).
     pub(crate) name: String,
     /// The producing operator.
@@ -230,7 +229,6 @@ pub struct RddMeta {
 impl fmt::Debug for RddMeta {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RddMeta")
-            .field("id", &self.id)
             .field("name", &self.name)
             .field("op", &self.op)
             .field("parents", &self.parents)

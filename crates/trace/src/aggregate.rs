@@ -174,21 +174,17 @@ pub struct MetricsAggregator {
     /// Cluster-MTTF re-fits under an age-dependent hazard model.
     pub(crate) hazard_refits: u64,
 
-    // ── degradation: breakers, backstop, resumable runs ────────────
-    /// Circuit breakers tripped open (`BreakerOpened`).
-    pub breakers_opened: u64,
-    /// Breakers that entered half-open probing (`BreakerHalfOpen`).
-    pub(crate) breakers_half_open: u64,
-    /// Breakers that closed again (`BreakerClosed`).
-    pub(crate) breakers_closed: u64,
-    /// On-demand backstop provisioning rounds (`BackstopProvisioned`).
-    pub(crate) backstop_rounds: u64,
-    /// Σ `BackstopProvisioned.workers` — on-demand workers provisioned.
-    pub backstop_workers: u64,
+    // ── resumable runs ─────────────────────────────────────────────
     /// Runs suspended with a persisted manifest (`RunSuspended`).
     pub(crate) runs_suspended: u64,
     /// Runs resumed from a persisted manifest (`RunResumed`).
     pub(crate) runs_resumed: u64,
+    /// Always 0: no event kind feeds it (the node manager has no
+    /// circuit breakers). Kept because the benchmark reads it.
+    pub breakers_opened: u64,
+    /// Always 0: no event kind feeds it (the node manager has no
+    /// on-demand backstop). Kept because the benchmark reads it.
+    pub backstop_workers: u64,
 
     // ── backend lifecycle / serverless billing ─────────────────────
     /// The execution backend announced at launch (`BackendSelected`), if any.
@@ -340,13 +336,6 @@ impl MetricsAggregator {
                 self.shuffles_externalized += 1;
                 self.shuffle_external_vbytes += vbytes;
             }
-            EventKind::BreakerOpened { .. } => self.breakers_opened += 1,
-            EventKind::BreakerHalfOpen { .. } => self.breakers_half_open += 1,
-            EventKind::BreakerClosed { .. } => self.breakers_closed += 1,
-            EventKind::BackstopProvisioned { workers, .. } => {
-                self.backstop_rounds += 1;
-                self.backstop_workers += workers;
-            }
             EventKind::RunSuspended { .. } => self.runs_suspended += 1,
             EventKind::RunResumed { .. } => self.runs_resumed += 1,
         }
@@ -496,24 +485,8 @@ impl fmt::Display for MetricsAggregator {
             row(f, "backoffs scheduled", self.backoffs_scheduled)?;
             row(f, "workers quarantined", self.workers_quarantined)?;
         }
-        if self.breakers_opened > 0 || self.backstop_rounds > 0 || self.runs_resumed > 0 {
+        if self.runs_resumed > 0 {
             writeln!(f, "degradation:")?;
-            row(
-                f,
-                "breakers open/half/closed",
-                format!(
-                    "{}/{}/{}",
-                    self.breakers_opened, self.breakers_half_open, self.breakers_closed
-                ),
-            )?;
-            row(
-                f,
-                "backstop rounds",
-                format!(
-                    "{} ({} on-demand workers)",
-                    self.backstop_rounds, self.backstop_workers
-                ),
-            )?;
             row(
                 f,
                 "suspends / resumes",
@@ -664,24 +637,6 @@ mod tests {
     fn fold_reproduces_degradation_counters() {
         let events = vec![
             at(
-                0,
-                EventKind::BreakerOpened {
-                    market: 3,
-                    reason: "revocation_rate".into(),
-                    until_ms: 600_000,
-                },
-            ),
-            at(600_000, EventKind::BreakerHalfOpen { market: 3 }),
-            at(900_000, EventKind::BreakerClosed { market: 3 }),
-            at(
-                10,
-                EventKind::BackstopProvisioned {
-                    market: 0,
-                    workers: 4,
-                    price: 0.532,
-                },
-            ),
-            at(
                 20,
                 EventKind::RunSuspended {
                     manifest: "m".into(),
@@ -697,17 +652,11 @@ mod tests {
             ),
         ];
         let agg = MetricsAggregator::from_events(&events);
-        assert_eq!(agg.breakers_opened, 1);
-        assert_eq!(agg.breakers_half_open, 1);
-        assert_eq!(agg.breakers_closed, 1);
-        assert_eq!(agg.backstop_rounds, 1);
-        assert_eq!(agg.backstop_workers, 4);
         assert_eq!(agg.runs_suspended, 1);
         assert_eq!(agg.runs_resumed, 1);
         let text = agg.to_string();
         assert!(text.contains("degradation:"));
-        assert!(text.contains("breakers open/half/closed"));
-        assert!(text.contains("backstop rounds"));
+        assert!(text.contains("suspends / resumes"));
     }
 
     #[test]

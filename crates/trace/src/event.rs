@@ -304,21 +304,7 @@ event_kinds! {
     /// `instances` counts the active instances it was fitted over.
     HazardRefit { model: String, mttf_ms: u64, instances: u64 },
 
-    // ── degradation: circuit breakers, backstop, resumable runs ────
-    /// A market's circuit breaker tripped open and the market left the
-    /// candidate set. `reason` is `"revocation_rate"` or
-    /// `"price_sustained"`; the breaker stays open until `until_ms`.
-    BreakerOpened { market: u64, reason: String, until_ms: u64 },
-    /// An open breaker finished its cooldown and entered half-open:
-    /// the market may receive a single probe allocation.
-    BreakerHalfOpen { market: u64 },
-    /// A half-open probe survived (or the breaker was reset) and the
-    /// market rejoined the candidate set.
-    BreakerClosed { market: u64 },
-    /// The on-demand backstop provisioned fixed-price workers because
-    /// every transient market was open or capacity fell below the
-    /// floor. `price` is the catalog on-demand rate paid per worker.
-    BackstopProvisioned { market: u64, workers: u64, price: f64 },
+    // ── resumable runs ─────────────────────────────────────────────
     /// The driver persisted a run manifest and suspended at a
     /// wave-commit boundary; `frontier` counts committed waves.
     RunSuspended { manifest: String, frontier: u64 },
@@ -1069,18 +1055,6 @@ mod tests {
                 model: "capped-lifetime".into(),
                 mttf_ms: 43_200_000,
                 instances: 10,
-            },
-            EventKind::BreakerOpened {
-                market: 4,
-                reason: "revocation_rate".into(),
-                until_ms: 7_500_000,
-            },
-            EventKind::BreakerHalfOpen { market: 4 },
-            EventKind::BreakerClosed { market: 4 },
-            EventKind::BackstopProvisioned {
-                market: 0,
-                workers: 3,
-                price: 0.532,
             },
             EventKind::RunSuspended {
                 manifest: "manifest-w12".into(),

@@ -1176,11 +1176,14 @@ fn cmd_chaos(f: &Flags) -> ExitCode {
         // Sinks attach per session: a crashed session's partial trace is
         // discarded and the file re-created for the resumed session, so
         // the file always holds one complete, monotonic event stream.
+        // `written` says whether the last session's file was created.
+        let written = std::cell::Cell::new(false);
         let build = |suspend: Option<u64>| -> Result<Driver, String> {
             let tr = TraceHandle::disabled();
             if let Some(path) = &trace_path {
-                let file = std::fs::File::create(path)
-                    .map_err(|e| format!("could not create {path}: {e}"))?;
+                let file = std::fs::File::create(path);
+                written.set(file.is_ok());
+                let file = file.map_err(|e| format!("could not create {path}: {e}"))?;
                 tr.add_sink(Box::new(JsonlSink::new(std::io::BufWriter::new(file))));
             }
             let mut cfg = driver_cfg.clone();
@@ -1247,7 +1250,7 @@ fn cmd_chaos(f: &Flags) -> ExitCode {
                 format!("PANIC (seed {run_seed}) — invariant violated"),
             ),
         };
-        (code, verdict, trace_path)
+        (code, verdict, trace_path.filter(|_| written.get()))
     });
 
     for (r, (_, verdict, trace_path)) in outcomes.iter().enumerate() {

@@ -523,3 +523,28 @@ fn resume_short_of_the_manifest_frontier_is_a_typed_error() {
     }
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
+
+/// A `flint chaos` run whose `--trace` file cannot be created is a
+/// typed error (exit 4), and it names no trace file as written: the
+/// campaign used to print `trace written to PATH` under such a run.
+#[test]
+fn uncreatable_chaos_trace_is_not_reported_written() {
+    let dir = std::env::temp_dir().join(format!("flint-cli-no-such-dir-{}", std::process::id()));
+    let trace = dir.join("T").to_str().expect("UTF-8 path").to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_flint"))
+        .args(["chaos", "--seed", "1", "--runs", "2", "--trace", &trace])
+        .output()
+        .expect("spawn flint");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(4), "{stdout}{stderr}");
+    assert_eq!(
+        stdout.matches("typed error: could not create").count(),
+        2,
+        "{stdout}"
+    );
+    assert!(!stdout.contains("trace written to"), "{stdout}");
+    assert!(!dir.exists(), "nothing may create {}", dir.display());
+}

@@ -5,7 +5,7 @@
 //! failure-free run or fails with a typed error. Never a panic, never
 //! wrong data.
 
-use flint::core::{FlintCheckpointPolicy, FlintCluster, FlintConfig, Mode, SelectionConfig};
+use flint::core::{FlintCheckpointPolicy, FlintCluster, FlintConfig, Mode};
 use flint::engine::{
     run_against_twin, ChaosConfig, ChaosError, ChaosInjector, ChaosSchedule, ChaosVerdict,
     CheckpointEveryRdd, Driver, DriverConfig, EngineError, NoCheckpoint, ScriptedInjector, Value,
@@ -415,9 +415,7 @@ proptest! {
 
     /// Billing stays consistent under market-driven churn: after
     /// shutdown, the sum of `InstanceBilled` trace events equals the
-    /// `CostReport`'s compute cost, with a hair-trigger circuit breaker
-    /// (one revocation opens a market for an hour) so replacement rounds
-    /// route around failed markets.
+    /// `CostReport`'s compute cost, replacement rounds included.
     #[test]
     fn billed_events_match_cost_report_under_churn(seed in 0u64..500) {
         let catalog = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(30));
@@ -426,12 +424,6 @@ proptest! {
         let config = FlintConfig::builder()
             .n_workers(4)
             .mode(Mode::Interactive)
-            .selection(SelectionConfig {
-                breaker_revocation_threshold: 1,
-                breaker_window: SimDuration::from_hours(1),
-                breaker_cooldown: SimDuration::from_hours(1),
-                ..SelectionConfig::default()
-            })
             .seed(seed)
             .trace(trace)
             .build();
@@ -467,12 +459,6 @@ proptest! {
             .n_workers(4)
             .mode(Mode::Portfolio)
             .risk_aversion(1.5)
-            .selection(SelectionConfig {
-                breaker_revocation_threshold: 1,
-                breaker_window: SimDuration::from_hours(1),
-                breaker_cooldown: SimDuration::from_hours(1),
-                ..SelectionConfig::default()
-            })
             .seed(seed)
             .trace(trace)
             .build();
