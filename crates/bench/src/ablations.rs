@@ -408,7 +408,7 @@ pub(crate) fn ablation_portfolio() -> Table {
 /// directly: serverless wins small bursts, VMs win sustained work.
 pub(crate) fn ablation_backend() -> Table {
     use flint_core::{BackendSpec, FlintCluster, FlintConfig};
-    use flint_engine::ServerlessConfig;
+    use flint_engine::{DriverConfig, ServerlessConfig};
     use flint_market::MarketCatalog;
     use flint_workloads::{Tpch, Workload, WorkloadConfig};
 
@@ -445,11 +445,13 @@ pub(crate) fn ablation_backend() -> Table {
             .n_workers(workers)
             .seed(11)
             .backend(backend)
+            .driver(
+                DriverConfig::builder()
+                    .size_scale(wl.recommended_size_scale())
+                    .build(),
+            )
             .build();
         let mut cluster = FlintCluster::launch(catalog, config);
-        let mut cost_model = *cluster.driver().cost_model();
-        cost_model.size_scale = wl.recommended_size_scale();
-        cluster.driver_mut().set_cost_model(cost_model);
         let started = cluster.driver().now();
         wl.run(cluster.driver_mut())
             .unwrap_or_else(|e| panic!("tpch burst failed on {}: {e}", wl.name()));

@@ -62,9 +62,6 @@ pub struct FlintConfig {
     /// above `flint_core::RISK_POLICY2` recover the interactive
     /// (Policy 2) split.
     pub(crate) risk_aversion: f64,
-    /// Session start within the price traces; defaults to two weeks in so
-    /// the backward-looking window has history.
-    pub(crate) start: SimTime,
     /// Shared event-trace handle. Disabled (no sinks) by default; attach
     /// a sink before launch to capture the run's full event stream.
     pub trace: TraceHandle,
@@ -83,7 +80,6 @@ impl Default for FlintConfig {
             driver: DriverConfig::default(),
             seed: 0,
             risk_aversion: 1.0,
-            start: SimTime::ZERO + SimDuration::from_days(14),
             trace: TraceHandle::disabled(),
             backend: BackendSpec::TransientVm,
         }
@@ -92,7 +88,7 @@ impl Default for FlintConfig {
 
 impl FlintConfig {
     /// Starts a builder preloaded with the paper's defaults (`N = 10`,
-    /// batch mode, the §5.5 cost model, start two weeks into the traces).
+    /// batch mode, the §5.5 cost model).
     pub fn builder() -> FlintConfigBuilder {
         FlintConfigBuilder::default()
     }
@@ -150,12 +146,6 @@ impl FlintConfigBuilder {
         self
     }
 
-    /// Session start within the price traces.
-    pub fn start(mut self, start: SimTime) -> Self {
-        self.cfg.start = start;
-        self
-    }
-
     /// Attaches a trace handle; engine, market, and policy events are
     /// all emitted on it.
     pub fn trace(mut self, trace: TraceHandle) -> Self {
@@ -201,6 +191,10 @@ enum Backing {
 }
 
 impl FlintCluster {
+    /// Session start within the price traces: two weeks in, so the
+    /// backward-looking window has history.
+    const START: SimTime = SimTime::from_millis(SimDuration::from_days(14).as_millis());
+
     /// Launches Flint on the configured backend: the mode's default
     /// policy pair on transient VMs, or a serverless session (the
     /// catalog is unused there — functions are not bid for).
@@ -223,7 +217,7 @@ impl FlintCluster {
         );
         driver.set_trace(config.trace.clone());
         driver.set_serverless(ServerlessBackend::new(spec.clone(), config.seed));
-        driver.warp_to(config.start);
+        driver.warp_to(Self::START);
         for i in 1..=u64::from(config.n_workers) {
             driver.add_worker_with_ext(i, WorkerSpec::serverless_slot(spec.memory_gb));
         }
@@ -265,12 +259,12 @@ impl FlintCluster {
             config.driver.storage,
             config.n_workers,
             ft.clone(),
-            config.start,
+            Self::START,
         );
         let hooks = Box::new(FlintCheckpointPolicy::new(ft.clone()));
         let mut driver = Driver::new(config.driver.clone(), hooks, Box::new(nm_injector));
         driver.set_trace(config.trace.clone());
-        driver.warp_to(config.start);
+        driver.warp_to(Self::START);
         config.trace.emit(
             driver.now(),
             EventKind::BackendSelected {
@@ -333,7 +327,7 @@ impl FlintCluster {
                 policy: nm.policy_name().to_string(),
                 compute_cost: nm.compute_cost(now),
                 storage_cost,
-                start: self.config.start,
+                start: Self::START,
                 end: now,
                 n_workers: self.config.n_workers,
                 on_demand_price: nm.on_demand_price(),
@@ -354,7 +348,7 @@ impl FlintCluster {
                     // exactly.
                     compute_cost: backend.compute_cost(),
                     storage_cost,
-                    start: self.config.start,
+                    start: Self::START,
                     end: now,
                     n_workers: self.config.n_workers,
                     on_demand_price: *on_demand_equiv,

@@ -21,7 +21,6 @@
 //! checks are pure functions of the data, so the chosen path never
 //! depends on `host_threads` or wave timing.
 
-use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -256,17 +255,20 @@ pub enum ColumnBatch {
     },
 }
 
-/// Incremental typed encoder behind [`ColumnBatch::from_rows`].
-enum Builder {
-    Scalar(Column),
-    Rows(Vec<Column>),
-    Pair { key: Column, val: Box<Builder> },
-}
+impl ColumnBatch {
+    /// Encodes a record sequence into typed columns, or `None` when the
+    /// records are heterogeneous or use types without a columnar layout
+    /// (the deterministic row-path fallback). Empty partitions stay on
+    /// the row path — there is nothing to vectorize.
+    pub fn from_rows(rows: &[Value]) -> Option<ColumnBatch> {
+        let first = rows.first()?;
+        let mut batch = ColumnBatch::shaped_like(first, rows.len())?;
+        rows.iter().all(|v| batch.push(v)).then_some(batch)
+    }
 
-impl Builder {
-    /// An empty builder shaped like `v`, or `None` when `v` has no
-    /// columnar layout.
-    fn for_value(v: &Value, cap: usize) -> Option<Builder> {
+    /// An empty batch shaped like the record `v`, or `None` when `v` has
+    /// no columnar layout.
+    fn shaped_like(v: &Value, cap: usize) -> Option<ColumnBatch> {
         match v {
             Value::List(items) => {
                 if items.is_empty() {
@@ -281,72 +283,41 @@ impl Builder {
                         _ => Column::for_value(it, cap),
                     })
                     .collect::<Option<Vec<_>>>()?;
-                Some(Builder::Rows(cols))
+                Some(ColumnBatch::Rows(cols))
             }
             Value::Pair(p) => {
-                // A `(Str, Str)` key encodes as a StrPair *scalar*
-                // column only when it is the key of an outer pair; a
-                // bare `(Str, Str)` record is also fine as Scalar.
                 let key = Column::for_value(p.key(), cap)?;
-                let val = Builder::for_value(p.val(), cap).map(Box::new);
-                match val {
-                    Some(val) => Some(Builder::Pair { key, val }),
-                    // Pair of two strings with no deeper structure can
-                    // still encode as a scalar StrPair column.
-                    None => Column::for_value(v, cap).map(Builder::Scalar),
+                match ColumnBatch::shaped_like(p.val(), cap) {
+                    Some(val) => Some(ColumnBatch::Pair {
+                        key,
+                        val: Box::new(val),
+                    }),
+                    // Pair of two strings with no deeper structure
+                    // encodes as a scalar StrPair column.
+                    None => Column::for_value(v, cap).map(ColumnBatch::Scalar),
                 }
             }
-            _ => Column::for_value(v, cap).map(Builder::Scalar),
+            _ => Column::for_value(v, cap).map(ColumnBatch::Scalar),
         }
     }
 
+    /// Appends the record `v` if it has the batch's shape; `false` on a
+    /// mismatch.
     fn push(&mut self, v: &Value) -> bool {
         match (self, v) {
-            (Builder::Scalar(c), v) => c.push_from(v),
-            (Builder::Rows(cols), Value::List(items)) => {
-                if items.len() != cols.len() {
-                    return false;
-                }
-                for (c, it) in cols.iter_mut().zip(items.iter()) {
-                    if !c.push_from(it) {
-                        return false;
-                    }
-                }
-                true
+            (ColumnBatch::Scalar(c), v) => c.push_from(v),
+            (ColumnBatch::Rows(cols), Value::List(items)) => {
+                items.len() == cols.len()
+                    && cols
+                        .iter_mut()
+                        .zip(items.iter())
+                        .all(|(c, it)| c.push_from(it))
             }
-            (Builder::Pair { key, val }, Value::Pair(p)) => {
+            (ColumnBatch::Pair { key, val }, Value::Pair(p)) => {
                 key.push_from(p.key()) && val.push(p.val())
             }
             _ => false,
         }
-    }
-
-    fn finish(self) -> ColumnBatch {
-        match self {
-            Builder::Scalar(c) => ColumnBatch::Scalar(c),
-            Builder::Rows(cols) => ColumnBatch::Rows(cols),
-            Builder::Pair { key, val } => ColumnBatch::Pair {
-                key,
-                val: Box::new(val.finish()),
-            },
-        }
-    }
-}
-
-impl ColumnBatch {
-    /// Encodes a record sequence into typed columns, or `None` when the
-    /// records are heterogeneous or use types without a columnar layout
-    /// (the deterministic row-path fallback). Empty partitions stay on
-    /// the row path — there is nothing to vectorize.
-    pub fn from_rows(rows: &[Value]) -> Option<ColumnBatch> {
-        let first = rows.first()?;
-        let mut b = Builder::for_value(first, rows.len())?;
-        for v in rows {
-            if !b.push(v) {
-                return None;
-            }
-        }
-        Some(b.finish())
     }
 
     /// Number of records.
@@ -1177,25 +1148,6 @@ impl AggKernel {
     }
 }
 
-/// An `f64` ordered by IEEE total order — the typed twin of
-/// `Value::Float`'s `Ord`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct TotalF64(pub f64);
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// The order-preserving `u64` image of an `i64` key: the sign bit
 /// flipped, so unsigned order on images is signed order on keys.
 pub(crate) fn radix_key_i64(k: i64) -> u64 {
@@ -1367,82 +1319,6 @@ pub(crate) fn typed_agg(
     })
 }
 
-/// Typed-key grouping for `group_by_key`'s reduce side: collects pair
-/// payloads under a typed `BTreeMap`, visiting chunks and rows in order
-/// (so per-key value order matches the row path's scan), and emits row
-/// records `(k, List(values))` sorted by key — the same walk a
-/// `BTreeMap<Value, Vec<Value>>` would produce for homogeneous keys.
-///
-/// `None` when the chunks disagree on key type or the key has no typed
-/// order; the caller decodes and takes the record path. Callers must
-/// pass only `ColumnBatch::Pair` key/payload splits (pair records are
-/// the only ones the row path groups).
-pub(crate) fn typed_group(chunks: &[(&Column, &ColumnBatch)]) -> Option<Vec<Value>> {
-    fn run<K: Ord + Clone>(
-        chunks: &[(&Column, &ColumnBatch)],
-        key_at: impl Fn(&Column, usize) -> K,
-        key_val: impl Fn(K) -> Value,
-    ) -> Vec<Value> {
-        let mut groups: BTreeMap<K, Vec<Value>> = BTreeMap::new();
-        for (keys, vals) in chunks {
-            for i in 0..keys.len() {
-                groups
-                    .entry(key_at(keys, i))
-                    .or_default()
-                    .push(vals.value_at(i));
-            }
-        }
-        groups
-            .into_iter()
-            .map(|(k, vs)| Value::pair(key_val(k), Value::list(vs)))
-            .collect()
-    }
-
-    let first_key = chunks.first()?.0;
-    for (keys, vals) in chunks {
-        if keys.len() != vals.len()
-            || std::mem::discriminant(*keys) != std::mem::discriminant(first_key)
-        {
-            return None;
-        }
-    }
-    Some(match first_key {
-        Column::Int(_) => run(
-            chunks,
-            |c, i| match c {
-                Column::Int(v) => v[i],
-                _ => unreachable!("homogeneous key type checked"),
-            },
-            Value::Int,
-        ),
-        Column::Float(_) => run(
-            chunks,
-            |c, i| match c {
-                Column::Float(v) => TotalF64(v[i]),
-                _ => unreachable!("homogeneous key type checked"),
-            },
-            |k| Value::Float(k.0),
-        ),
-        Column::Str(_) => run(
-            chunks,
-            |c, i| match c {
-                Column::Str(v) => Arc::clone(&v[i]),
-                _ => unreachable!("homogeneous key type checked"),
-            },
-            Value::Str,
-        ),
-        Column::StrPair(_) => run(
-            chunks,
-            |c, i| match c {
-                Column::StrPair(v) => (Arc::clone(&v[i].0), Arc::clone(&v[i].1)),
-                _ => unreachable!("homogeneous key type checked"),
-            },
-            |(k, v)| Value::pair(Value::Str(k), Value::Str(v)),
-        ),
-        Column::Vector(_) => return None,
-    })
-}
-
 /// Stable typed-key index sort for `sort_by_key`'s reduce side.
 ///
 /// When every routing key (`v.key().unwrap_or(v)`) is the same scalar
@@ -1534,6 +1410,26 @@ pub(crate) fn typed_sort_by_key(rows: &mut Vec<Value>, ascending: bool) -> bool 
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Ordering;
+
+    /// An `f64` ordered by IEEE total order — the typed twin of
+    /// `Value::Float`'s `Ord`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct TotalF64(f64);
+
+    impl Eq for TotalF64 {}
+
+    impl PartialOrd for TotalF64 {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for TotalF64 {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.0.total_cmp(&other.0)
+        }
+    }
 
     fn lineitem(i: i64) -> Value {
         Value::list(vec![

@@ -356,16 +356,6 @@ impl EngineContext {
         })
     }
 
-    /// Narrow N→M repartitioning (Spark's `coalesce` without a shuffle):
-    /// contiguous runs of parent partitions are concatenated.
-    pub fn coalesce(&mut self, r: RddRef, parts: u32) -> RddRef {
-        let n = self.num_partitions(r);
-        let parts = parts.clamp(1, n);
-        let group = n.div_ceil(parts);
-        let out = n.div_ceil(group);
-        self.add(RddOp::Coalesce { group }, vec![r.id], out)
-    }
-
     /// Transforms only the value side of pair elements, keeping keys.
     pub fn map_values(
         &mut self,

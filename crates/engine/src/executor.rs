@@ -35,8 +35,8 @@ use crate::block::{BlockData, BlockKey, BlockLocation, Records};
 use crate::checkpoint::CheckpointStore;
 use crate::cluster::{Cluster, WorkerId};
 use crate::column::{
-    radix_key_i64, radix_sort, typed_agg, typed_group, typed_sort_by_key, Column, ColumnBatch,
-    ColumnCounters, FlatMapKernel, PredKernel,
+    radix_key_i64, radix_sort, typed_agg, typed_sort_by_key, Column, ColumnBatch, ColumnCounters,
+    FlatMapKernel, PredKernel,
 };
 use crate::cost::CostModel;
 use crate::driver::TaskKey;
@@ -505,24 +505,6 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
                 let (pd, _, pdur) = self.materialize(p, pp)?;
                 (pd, SimDuration::ZERO, pdur)
             }
-            RddOp::Coalesce { group } => {
-                let parent = parents[0];
-                let n = self.ctx.lineage.meta(parent).num_partitions;
-                let lo = part * group;
-                let hi = (lo + group).min(n);
-                let mut inputs: Vec<PartitionData> = Vec::with_capacity((hi - lo) as usize);
-                let mut cdur = SimDuration::ZERO;
-                for pp in lo..hi {
-                    let (pd, _, pdur) = self.materialize(parent, pp)?;
-                    cdur += pdur;
-                    inputs.push(pd.rows(self.ctx.column));
-                }
-                let mut out = Vec::with_capacity(inputs.iter().map(|d| d.len()).sum());
-                for pd in &inputs {
-                    out.extend(pd.iter().cloned());
-                }
-                (Records::Rows(Arc::new(out)), SimDuration::ZERO, cdur)
-            }
             RddOp::Map { f, kernel } => {
                 let (pd, vb, pdur) = self.materialize(parents[0], part)?;
                 // The identity transform shares the parent's records; the
@@ -720,20 +702,10 @@ impl<'c, 'a> TaskBuilder<'c, 'a> {
         Records::Rows(Arc::new(fold_by_key(records, &combine.f, false)))
     }
 
-    /// Reduce side of `ShuffleGroup`: typed grouping over homogeneous
-    /// key columns when every bucket arrived as a key/payload batch,
-    /// else the classic `BTreeMap` path over decoded rows. The typed arm
-    /// reads each payload value once (`value_at`), counted as a decode.
+    /// Reduce side of `ShuffleGroup`: groups the decoded rows of every
+    /// bucket by key in a `BTreeMap`, so a batch bucket counts one
+    /// decode per record.
     fn reduce_group(&self, chunks: &[Records]) -> Records {
-        if self.ctx.columnar {
-            if let Some(typed) = pair_chunks(chunks) {
-                if let Some(rows) = typed_group(&typed) {
-                    let read = typed.iter().map(|(keys, _)| keys.len() as u64).sum();
-                    self.ctx.column.decoded(read);
-                    return Records::Rows(Arc::new(rows));
-                }
-            }
-        }
         let rows: Vec<PartitionData> = chunks.iter().map(|c| c.rows(self.ctx.column)).collect();
         let mut groups: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
         for v in rows.iter().flat_map(|c| c.iter()) {

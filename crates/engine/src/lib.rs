@@ -51,7 +51,6 @@ mod column;
 mod config;
 mod context;
 mod cost;
-mod dataset;
 mod driver;
 mod error;
 mod executor;
@@ -82,7 +81,6 @@ pub use column::{
 pub use config::{DriverConfig, DriverConfigBuilder, RetryPolicy};
 pub use context::EngineContext;
 pub use cost::CostModel;
-pub use dataset::{Dataset, Datum};
 pub use driver::Driver;
 pub use error::{EngineError, Result};
 pub use hooks::{

@@ -163,48 +163,39 @@ fn cone_root(lineage: &Lineage, t: TaskKey) -> (RddId, u32) {
     }
 }
 
-/// Walks the narrow cone of `t` down to available partitions, source
-/// data or shuffle boundaries. Leaves in `deps` the shuffles it ends at
-/// and in `reads` every `(rdd, part)` whose availability it consulted,
-/// both ascending; `available` is asked once per read.
+/// Walks the narrow cone of `t` down to an available partition, source
+/// data or a shuffle boundary. Every narrow op reads exactly one parent
+/// partition, so the cone is a chain. Leaves in `deps` the shuffles it
+/// ends at and in `reads` every `(rdd, part)` whose availability it
+/// consulted, both ascending; `available` is asked once per read.
 fn walk_cone(
     lineage: &Lineage,
     t: TaskKey,
-    stack: &mut Vec<(RddId, u32)>,
     deps: &mut Vec<ShuffleId>,
     reads: &mut Vec<(RddId, u32)>,
     mut available: impl FnMut((RddId, u32)) -> bool,
 ) {
     deps.clear();
     reads.clear();
-    stack.clear();
-    stack.push(cone_root(lineage, t));
-    while let Some((rdd, part)) = stack.pop() {
-        if !set_insert(reads, (rdd, part)) || available((rdd, part)) {
-            continue;
+    let mut cur = Some(cone_root(lineage, t));
+    while let Some((rdd, part)) = cur.take() {
+        set_insert(reads, (rdd, part));
+        if available((rdd, part)) {
+            break;
         }
         let meta = lineage.meta(rdd);
-        match &meta.op {
-            RddOp::Parallelize { .. } => {}
-            RddOp::Union => stack.push(lineage.union_source(rdd, part)),
-            RddOp::Coalesce { group } => {
-                let parent = meta.parents[0];
-                let n = lineage.meta(parent).num_partitions;
-                let lo = part * group;
-                stack.extend((lo..(lo + group).min(n)).map(|pp| (parent, pp)));
-            }
+        cur = match &meta.op {
+            RddOp::Parallelize { .. } => None,
+            RddOp::Union => Some(lineage.union_source(rdd, part)),
             op => {
                 let inputs = op.input_shuffles();
-                if inputs.is_empty() {
-                    // Narrow single-parent ops are partition-aligned.
-                    stack.push((meta.parents[0], part));
-                } else {
-                    for s in inputs {
-                        set_insert(deps, *s);
-                    }
+                for s in inputs {
+                    set_insert(deps, *s);
                 }
+                // Narrow single-parent ops are partition-aligned.
+                inputs.is_empty().then(|| (meta.parents[0], part))
             }
-        }
+        };
     }
 }
 
@@ -215,8 +206,6 @@ pub(crate) struct Planner {
     planned_at: SimTime,
     state: PlanState,
     stats: PlanStats,
-    /// A cone walk's stack, reused from pass to pass.
-    stack: Vec<(RddId, u32)>,
 }
 
 impl Planner {
@@ -513,14 +502,9 @@ impl Planner {
     /// reader. Returns the shuffles it ends at and what it read.
     fn derive(&mut self, w: &World<'_>, t: TaskKey) -> (Vec<ShuffleId>, Vec<(RddId, u32)>) {
         self.stats.nodes_visited += 1;
-        let Planner {
-            state,
-            stats,
-            stack,
-            ..
-        } = self;
+        let Planner { state, stats, .. } = self;
         let (mut deps, mut reads) = (Vec::new(), Vec::new());
-        walk_cone(w.lineage, t, stack, &mut deps, &mut reads, |(rdd, part)| {
+        walk_cone(w.lineage, t, &mut deps, &mut reads, |(rdd, part)| {
             let st = state.parts.entry((rdd, part)).or_insert_with(|| {
                 stats.availability_probes += 1;
                 PartState {
@@ -555,9 +539,6 @@ pub(crate) fn preferred_worker(
         match &meta.op {
             RddOp::Union => {
                 cur = lineage.union_source(cur.0, cur.1);
-            }
-            RddOp::Coalesce { group } => {
-                cur = (meta.parents[0], cur.1 * group);
             }
             op if op.is_shuffle() || matches!(op, RddOp::Parallelize { .. }) => {
                 return None;
@@ -600,15 +581,6 @@ mod tests {
             RddOp::Union => {
                 let (p, pp) = w.lineage.union_source(rdd, part);
                 reference_missing_deps(w, p, pp, acc);
-            }
-            RddOp::Coalesce { group } => {
-                let parent = meta.parents[0];
-                let n = w.lineage.meta(parent).num_partitions;
-                let lo = part * group;
-                let hi = (lo + group).min(n);
-                for pp in lo..hi {
-                    reference_missing_deps(w, parent, pp, acc);
-                }
             }
             op if op.is_shuffle() => {
                 for &s in op.input_shuffles() {
@@ -724,7 +696,6 @@ mod tests {
                     Shape::Sort(p) => ctx.sort_by_key(cur, p, true),
                     Shape::Join(p) => ctx.join(cur, earlier, p),
                     Shape::Union => ctx.union(cur, earlier),
-                    Shape::Coalesce(p) => ctx.coalesce(cur, p),
                 };
                 stages.push(next);
             }
@@ -801,7 +772,6 @@ mod tests {
         Sort(u32),
         Join(u32),
         Union,
-        Coalesce(u32),
     }
 
     fn shape_strategy() -> impl Strategy<Value = Shape> {
@@ -811,7 +781,6 @@ mod tests {
             (1u32..4).prop_map(Shape::Sort),
             (1u32..5).prop_map(Shape::Join),
             Just(Shape::Union),
-            (1u32..4).prop_map(Shape::Coalesce),
         ]
     }
 

@@ -109,13 +109,6 @@ pub enum RddOp {
     },
     /// Concatenation of the parents' partition lists.
     Union,
-    /// Narrow N→M repartitioning: output partition `p` concatenates a
-    /// contiguous run of parent partitions (Spark's `coalesce` without
-    /// shuffle).
-    Coalesce {
-        /// Parent partitions per output partition (ceiling division).
-        group: u32,
-    },
     /// Deterministic Bernoulli sample of the parent.
     Sample {
         /// Keep probability in `[0, 1]`.
@@ -158,7 +151,6 @@ impl RddOp {
             RddOp::FlatMap { .. } => "flat_map",
             RddOp::MapPartitions { .. } => "map_partitions",
             RddOp::Union => "union",
-            RddOp::Coalesce { .. } => "coalesce",
             RddOp::Sample { .. } => "sample",
             RddOp::ShuffleAgg { .. } => "reduce_by_key",
             RddOp::ShuffleGroup { .. } => "group_by_key",
@@ -196,7 +188,6 @@ impl RddOp {
             RddOp::FlatMap { .. } => 1.3,
             RddOp::MapPartitions { cost_factor, .. } => *cost_factor,
             RddOp::Union => 0.1,
-            RddOp::Coalesce { .. } => 0.1,
             RddOp::Sample { .. } => 0.4,
             RddOp::ShuffleAgg { .. } => 1.6,
             RddOp::ShuffleGroup { .. } => 1.4,

@@ -170,14 +170,6 @@ impl Value {
         }
     }
 
-    /// Returns the boolean payload, if this is a `Bool`.
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the vector payload, if this is a `Vector`.
     pub fn as_vector(&self) -> Option<&[f64]> {
         match self {
@@ -480,7 +472,7 @@ mod tests {
         assert_eq!(Value::from_f64(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::from_i64(7).as_f64(), Some(7.0));
         assert_eq!(Value::from_str_("x").as_str(), Some("x"));
-        assert_eq!(Value::from_bool(true).as_bool(), Some(true));
+        assert_eq!(Value::from_bool(true), Value::Bool(true));
         assert_eq!(Value::vector(vec![1.0]).as_vector(), Some(&[1.0][..]));
         let p = Value::pair(Value::from_i64(1), Value::from_i64(2));
         assert_eq!(p.into_pair(), Some((Value::Int(1), Value::Int(2))));

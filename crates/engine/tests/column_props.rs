@@ -846,10 +846,9 @@ fn int_pairs(n: i64) -> Vec<Value> {
         .collect()
 }
 
-/// The typed `group_by_key` reduce reads each payload value of its batch
-/// buckets once, and counts each read as a decode, as the `CoGroup`
-/// reduce does: 200 source pairs encode once and decode once, and the
-/// groups equal the row run's.
+/// The `group_by_key` reduce decodes its batch buckets once, counting
+/// one decode per value, as the `CoGroup` reduce does: 200 source pairs
+/// encode once and decode once, and the groups equal the row run's.
 #[test]
 fn group_reduce_counts_its_decodes() {
     let run = |columnar: bool| {

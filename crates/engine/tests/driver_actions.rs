@@ -349,49 +349,6 @@ fn recompute_time_tracked_after_loss() {
 }
 
 #[test]
-fn coalesce_preserves_data_with_fewer_partitions() {
-    let mut d = Driver::local(3);
-    let src = d.ctx().parallelize((0..100).map(Value::from_i64), 8);
-    let co = d.ctx().coalesce(src, 3);
-    assert_eq!(d.ctx().num_partitions(co), 3);
-    let mut vals: Vec<i64> = d
-        .collect(co)
-        .unwrap()
-        .iter()
-        .map(|v| v.as_i64().unwrap())
-        .collect();
-    vals.sort_unstable();
-    assert_eq!(vals, (0..100).collect::<Vec<_>>());
-    // Coalescing to more partitions than exist clamps.
-    let same = d.ctx().coalesce(src, 100);
-    assert_eq!(d.ctx().num_partitions(same), 8);
-    assert_eq!(d.count(same).unwrap(), 100);
-}
-
-#[test]
-fn coalesce_survives_revocation() {
-    let mut d = Driver::new(
-        DriverConfig::default(),
-        Box::new(NoCheckpoint),
-        Box::new(ScriptedInjector::new(vec![(
-            SimTime::from_millis(40),
-            WorkerEvent::Remove { ext_id: 1 },
-        )])),
-    );
-    for ext in 1..=3u64 {
-        d.add_worker_with_ext(ext, WorkerSpec::r3_large());
-    }
-    let src = d.ctx().parallelize((0..60).map(Value::from_i64), 6);
-    let co = d.ctx().coalesce(src, 2);
-    let total = d
-        .reduce(co, |a, b| {
-            Value::Int(a.as_i64().unwrap() + b.as_i64().unwrap())
-        })
-        .unwrap();
-    assert_eq!(total.as_i64(), Some((0..60).sum::<i64>()));
-}
-
-#[test]
 fn pair_projection_helpers() {
     let mut d = Driver::local(2);
     let pairs = d.ctx().parallelize(

@@ -1,15 +1,26 @@
-//! A streaming metrics pipeline on transient servers, written against
-//! the *typed* dataset API — micro-batches of sensor readings folded
-//! into running per-sensor statistics, surviving a mid-stream
-//! revocation.
+//! A streaming metrics pipeline on transient servers — micro-batches of
+//! sensor readings folded into running per-sensor statistics, surviving
+//! a mid-stream revocation.
 //!
 //! ```sh
 //! cargo run --release --example streaming_metrics
 //! ```
 
 use flint::core::FlintCheckpointPolicy;
-use flint::engine::{Dataset, Driver, DriverConfig, ScriptedInjector, WorkerEvent, WorkerSpec};
+use flint::engine::{Driver, DriverConfig, ScriptedInjector, Value, WorkerEvent, WorkerSpec};
 use flint::simtime::{SimDuration, SimTime};
+
+/// Adds two `[count, sum]` statistics element-wise.
+fn add_stats(a: &Value, b: &Value) -> Value {
+    let (a, b) = (a.as_list().expect("stats"), b.as_list().expect("stats"));
+    let sum = |x: &Value, y: &Value| x.as_f64().expect("stat") + y.as_f64().expect("stat");
+    Value::list(
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| Value::Float(sum(x, y)))
+            .collect(),
+    )
+}
 
 fn main() {
     // Four workers; two are revoked between the 4th and 5th batch.
@@ -36,8 +47,8 @@ fn main() {
         driver.add_worker_with_ext(ext, WorkerSpec::r3_large());
     }
 
-    // Running (count, sum) per sensor, folded batch by batch.
-    let mut state: Option<Dataset<(i64, Vec<f64>)>> = None;
+    // Running `(sensor, [count, sum])` pairs, folded batch by batch.
+    let mut state = None;
     println!("{:<8} {:>10} {:>12}", "batch", "latency", "sensors");
     for batch in 0..8u32 {
         let arrive = driver.now() + SimDuration::from_secs(30);
@@ -45,26 +56,27 @@ fn main() {
         let started = driver.now();
 
         // Synthetic readings: 64 sensors, deterministic per batch.
-        let readings = Dataset::from_iter(
-            driver.ctx(),
+        let readings = driver.ctx().parallelize(
             (0..2000).map(move |i| {
                 let sensor = i64::from((i * 7 + batch) % 64);
                 let value = f64::from((i * 13 + batch * 5) % 100);
-                (sensor, vec![1.0, value])
+                Value::pair(
+                    Value::Int(sensor),
+                    Value::list(vec![Value::Float(1.0), Value::Float(value)]),
+                )
             }),
             8,
         );
-        let batch_stats =
-            readings.reduce_by_key(driver.ctx(), 8, |a, b| vec![a[0] + b[0], a[1] + b[1]]);
+        let batch_stats = driver.ctx().reduce_by_key(readings, 8, add_stats);
         let merged = match state {
             None => batch_stats,
             Some(prev) => {
-                prev.union(driver.ctx(), batch_stats)
-                    .reduce_by_key(driver.ctx(), 8, |a, b| vec![a[0] + b[0], a[1] + b[1]])
+                let both = driver.ctx().union(prev, batch_stats);
+                driver.ctx().reduce_by_key(both, 8, add_stats)
             }
-        }
-        .persist(driver.ctx());
-        let sensors = merged.count(&mut driver).expect("batch action");
+        };
+        driver.ctx().persist(merged);
+        let sensors = driver.count(merged).expect("batch action");
 
         println!(
             "{:<8} {:>10} {:>12}",
@@ -76,10 +88,24 @@ fn main() {
     }
 
     // Final dashboard: top sensors by mean reading.
-    let finals = state.unwrap().map(driver.ctx(), |(sensor, cs)| {
-        (sensor, (cs[1] / cs[0] * 1000.0).round() / 1000.0)
+    let finals = driver.ctx().map(state.expect("eight batches"), |kv| {
+        let cs = kv.val().and_then(Value::as_list).expect("stats");
+        let (count, sum) = (cs[0].as_f64().expect("count"), cs[1].as_f64().expect("sum"));
+        let mean = (sum / count * 1000.0).round() / 1000.0;
+        Value::pair(kv.key().expect("sensor").clone(), Value::Float(mean))
     });
-    let mut rows = finals.collect(&mut driver).expect("collect");
+    let mut rows: Vec<(i64, f64)> = driver
+        .collect(finals)
+        .expect("collect")
+        .iter()
+        .map(|kv| {
+            let (sensor, mean) = (
+                kv.key().and_then(Value::as_i64),
+                kv.val().and_then(Value::as_f64),
+            );
+            (sensor.expect("sensor"), mean.expect("mean"))
+        })
+        .collect();
     rows.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("\ntop sensors by mean reading:");
     for (sensor, mean) in rows.iter().take(5) {

@@ -12,9 +12,7 @@
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use flint::core::{
-    BackendSpec, FlintCheckpointPolicy, FlintCluster, FlintConfig, Mode, STATS_WINDOW,
-};
+use flint::core::{BackendSpec, FlintCheckpointPolicy, FlintConfig, Mode, STATS_WINDOW};
 use flint::engine::{
     run_against_twin, ChaosConfig, ChaosInjector, ChaosSchedule, ChaosVerdict, CheckpointEveryRdd,
     Driver, DriverConfig, EngineError, NoCheckpoint, RunManifest, ScriptedInjector,
@@ -22,7 +20,7 @@ use flint::engine::{
 };
 use flint::market::{correlated_groups, correlation_matrix, MarketCatalog};
 use flint::model::{run_mc, run_mc_campaign, CampaignConfig, CkptMode, McConfig, PolicyKind};
-use flint::runner::run_on_flint;
+use flint::runner::{finish_run, launch_for, RunReport};
 use flint::simtime::{fan_out, SimDuration, SimTime};
 use flint::trace::{Event, EventKind, JsonlSink, MetricsAggregator, TraceHandle};
 use flint::workloads::{Als, KMeans, PageRank, Tpch, Workload, WorkloadConfig};
@@ -553,7 +551,6 @@ fn cmd_run(f: &Flags) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let seed = f.get("seed");
-    let suspend_after = f.opt("suspend-after");
     let mode = match f.get::<String>("policy").as_str() {
         "batch" => Mode::Batch,
         "interactive" => Mode::Interactive,
@@ -578,70 +575,12 @@ fn cmd_run(f: &Flags) -> ExitCode {
         .trace(trace)
         .backend(backend)
         .build();
-    config.driver.suspend_after_waves = suspend_after;
+    config.driver.suspend_after_waves = f.opt("suspend-after");
+    let mut cluster = launch_for(catalog, config, wl.as_ref());
 
-    if suspend_after.is_some() || f.given("resume") {
-        return cmd_run_degraded(catalog, config, wl.as_ref(), f);
-    }
-    let run = match run_on_flint(catalog, config, wl.as_ref()) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            return ExitCode::from(EXIT_TYPED);
-        }
-    };
-    print_run_report(&run, f);
-    ExitCode::SUCCESS
-}
-
-/// The shared tail of every `flint run` variant: the human-readable
-/// summary of a completed run.
-fn print_run_report(run: &flint::runner::RunReport, f: &Flags) {
-    outln!("workload     : {}", run.summary.name);
-    outln!("records      : {}", run.summary.records);
-    outln!("checksum     : {:#018x}", run.summary.checksum);
-    outln!("runtime      : {:.1}s", run.runtime_secs);
-    outln!("tasks        : {}", run.stats.tasks_run);
-    outln!(
-        "checkpoints  : {} ({} GB)",
-        run.stats.checkpoints_written,
-        run.stats.checkpoint_bytes / 1_000_000_000
-    );
-    outln!("restores     : {}", run.stats.restores);
-    outln!("revocations  : {}", run.stats.revocations);
-    outln!("backend      : {}", run.backend());
-    outln!("policy       : {}", run.cost.policy);
-    if run.cost.invocations > 0 {
-        outln!("invocations  : {}", run.cost.invocations);
-        outln!("gb-seconds   : {:.2}", run.cost.invocation_gb_seconds);
-        // Per-invocation pricing bills in micro-dollars; two decimals
-        // would round a typical run to $0.00.
-        outln!("compute cost : ${:.6}", run.cost.compute_cost);
-    } else {
-        outln!("compute cost : ${:.2}", run.cost.compute_cost);
-    }
-    outln!("storage cost : ${:.2}", run.cost.storage_cost);
-    if let Some(path) = f.opt::<String>("trace") {
-        outln!("trace        : written to {path}");
-    }
-}
-
-/// The crash-resume arm of `flint run`: drives the cluster directly so
-/// the driver can be suspended at a wave boundary (writing its manifest
-/// to a file) or resumed from one. A resumed run that completes exits
-/// with [`EXIT_DEGRADED`] — correct but through the degradation path.
-fn cmd_run_degraded(
-    catalog: MarketCatalog,
-    config: FlintConfig,
-    wl: &dyn Workload,
-    f: &Flags,
-) -> ExitCode {
-    let trace = config.trace.clone();
-    let mut cluster = FlintCluster::launch(catalog, config);
-    let mut cost_model = *cluster.driver().cost_model();
-    cost_model.size_scale = wl.recommended_size_scale();
-    cluster.driver_mut().set_cost_model(cost_model);
-
+    // Resume: replay from a manifest a suspended run wrote. A resumed run
+    // that completes exits with `EXIT_DEGRADED`: correct, but through the
+    // degradation path.
     let mut resumed_from = None;
     if let Some(path) = f.opt::<String>("resume") {
         let text = match std::fs::read_to_string(&path) {
@@ -668,56 +607,75 @@ fn cmd_run_degraded(
     }
 
     let started = cluster.driver().now();
-    match wl.run(cluster.driver_mut()) {
-        Ok(summary) => {
-            if let Err(e) = cluster.driver().resume_verified() {
-                eprintln!("run: resume rejected: {e}");
-                return ExitCode::from(EXIT_TYPED);
-            }
-            let runtime_secs = (cluster.driver().now() - started).as_secs_f64();
-            let stats = cluster.driver().stats().clone();
-            let cost = cluster.shutdown();
-            trace.flush();
-            let run = flint::runner::RunReport {
-                summary,
-                runtime_secs,
-                stats,
-                cost,
-                trace: None,
-            };
-            print_run_report(&run, f);
-            match resumed_from {
-                Some((path, frontier)) => {
-                    outln!("resumed      : replayed from wave {frontier} ({path})");
-                    ExitCode::from(EXIT_DEGRADED)
-                }
-                None => ExitCode::SUCCESS,
-            }
-        }
+    let summary = match wl.run(cluster.driver_mut()) {
+        Ok(summary) => summary,
+        // Suspend: `--suspend-after` stopped the run at a wave boundary;
+        // write the manifest it persisted to a file.
         Err(EngineError::Suspended { manifest, frontier }) => {
-            let Some(text) = cluster
-                .driver()
-                .checkpoints()
-                .get_manifest(&manifest)
-                .map(str::to_string)
-            else {
+            let Some(text) = cluster.driver().checkpoints().get_manifest(&manifest) else {
                 eprintln!("run: suspended but no manifest was persisted");
                 return ExitCode::from(EXIT_TYPED);
             };
             let out: String = f.get("manifest");
-            if let Err(e) = std::fs::write(&out, &text) {
+            if let Err(e) = std::fs::write(&out, text) {
                 eprintln!("run: could not write {out}: {e}");
                 return ExitCode::FAILURE;
             }
-            trace.flush();
+            cluster.driver().trace().flush();
             outln!("suspended    : at wave {frontier}; manifest written to {out}");
             outln!("resume with  : flint run … --resume {out} (same flags)");
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         Err(e) => {
             eprintln!("run failed: {e}");
-            ExitCode::from(EXIT_TYPED)
+            return ExitCode::from(EXIT_TYPED);
         }
+    };
+    let run = match finish_run(cluster, summary, started) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("run: resume rejected: {e}");
+            return ExitCode::from(EXIT_TYPED);
+        }
+    };
+    print_run_report(&run, f);
+    match resumed_from {
+        Some((path, frontier)) => {
+            outln!("resumed      : replayed from wave {frontier} ({path})");
+            ExitCode::from(EXIT_DEGRADED)
+        }
+        None => ExitCode::SUCCESS,
+    }
+}
+
+/// The human-readable summary of a completed `flint run`.
+fn print_run_report(run: &RunReport, f: &Flags) {
+    outln!("workload     : {}", run.summary.name);
+    outln!("records      : {}", run.summary.records);
+    outln!("checksum     : {:#018x}", run.summary.checksum);
+    outln!("runtime      : {:.1}s", run.runtime_secs);
+    outln!("tasks        : {}", run.stats.tasks_run);
+    outln!(
+        "checkpoints  : {} ({} GB)",
+        run.stats.checkpoints_written,
+        run.stats.checkpoint_bytes / 1_000_000_000
+    );
+    outln!("restores     : {}", run.stats.restores);
+    outln!("revocations  : {}", run.stats.revocations);
+    outln!("backend      : {}", run.backend());
+    outln!("policy       : {}", run.cost.policy);
+    if run.cost.invocations > 0 {
+        outln!("invocations  : {}", run.cost.invocations);
+        outln!("gb-seconds   : {:.2}", run.cost.invocation_gb_seconds);
+        // Per-invocation pricing bills in micro-dollars; two decimals
+        // would round a typical run to $0.00.
+        outln!("compute cost : ${:.6}", run.cost.compute_cost);
+    } else {
+        outln!("compute cost : ${:.2}", run.cost.compute_cost);
+    }
+    outln!("storage cost : ${:.2}", run.cost.storage_cost);
+    if let Some(path) = f.opt::<String>("trace") {
+        outln!("trace        : written to {path}");
     }
 }
 

@@ -5,6 +5,7 @@
 use flint_core::{CostReport, FlintCluster, FlintConfig};
 use flint_engine::{Result, TraceHandle};
 use flint_market::MarketCatalog;
+use flint_simtime::SimTime;
 use flint_workloads::{Workload, WorkloadSummary};
 
 /// Everything a Flint-managed workload run produces.
@@ -63,16 +64,39 @@ pub fn run_on_flint(
     config: FlintConfig,
     workload: &dyn Workload,
 ) -> Result<RunReport> {
-    let trace = config.trace.clone();
-    let mut cluster = FlintCluster::launch(catalog, config);
-    let mut cost_model = *cluster.driver().cost_model();
-    cost_model.size_scale = workload.recommended_size_scale();
-    cluster.driver_mut().set_cost_model(cost_model);
-
+    let mut cluster = launch_for(catalog, config, workload);
     let started = cluster.driver().now();
     let summary = workload.run(cluster.driver_mut())?;
+    finish_run(cluster, summary, started)
+}
+
+/// Launches a Flint cluster for `config` with the engine's cost model
+/// sized to `workload`'s recommended scale: the first step of
+/// [`run_on_flint`].
+pub fn launch_for(
+    catalog: MarketCatalog,
+    mut config: FlintConfig,
+    workload: &dyn Workload,
+) -> FlintCluster {
+    config.driver.cost.size_scale = workload.recommended_size_scale();
+    FlintCluster::launch(catalog, config)
+}
+
+/// The last step of [`run_on_flint`]: closes a workload run that began
+/// at `started` and produced `summary`. Checks that a resumed replay
+/// reached its manifest's frontier ([`Driver::resume_verified`], the only
+/// error), shuts the cluster down and flushes its trace.
+///
+/// [`Driver::resume_verified`]: flint_engine::Driver::resume_verified
+pub fn finish_run(
+    cluster: FlintCluster,
+    summary: WorkloadSummary,
+    started: SimTime,
+) -> Result<RunReport> {
+    cluster.driver().resume_verified()?;
     let runtime_secs = (cluster.driver().now() - started).as_secs_f64();
     let stats = cluster.driver().stats().clone();
+    let trace = cluster.driver().trace().clone();
     let cost = cluster.shutdown();
     trace.flush();
     Ok(RunReport {

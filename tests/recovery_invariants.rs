@@ -12,6 +12,7 @@ use flint::engine::{
     WorkerEvent, WorkerSpec,
 };
 use flint::market::MarketCatalog;
+use flint::model::catalog_with_mttf;
 use flint::simtime::{SimDuration, SimTime};
 use flint::trace::{EventKind, TraceHandle};
 use proptest::prelude::*;
@@ -36,6 +37,21 @@ fn run_job(driver: &mut Driver, seed: i64) -> Result<Vec<Value>, EngineError> {
     let mut out = driver.collect(sorted)?;
     out.sort();
     Ok(out)
+}
+
+/// Launches a 4-worker cluster on markets with a one-hour MTTF, runs
+/// [`run_job`], then idles six virtual hours: long enough that every
+/// seed's markets revoke and the node manager runs replacement rounds.
+fn run_with_churn(config: FlintConfig, seed: u64) -> FlintCluster {
+    let catalog = catalog_with_mttf(seed, SimDuration::from_days(30), 1.0);
+    let mut cluster = FlintCluster::launch(catalog, config);
+    let out = run_job(cluster.driver_mut(), 9).unwrap();
+    assert!(!out.is_empty());
+    let idle = cluster.driver().now() + SimDuration::from_hours(6);
+    cluster.driver_mut().idle_until(idle).unwrap();
+    let rounds = cluster.node_manager().replacements();
+    assert!(rounds > 0, "seed {seed} ran no replacement round");
+    cluster
 }
 
 /// A revocation schedule: (milliseconds, workers to kill, replace?).
@@ -418,7 +434,6 @@ proptest! {
     /// `CostReport`'s compute cost, replacement rounds included.
     #[test]
     fn billed_events_match_cost_report_under_churn(seed in 0u64..500) {
-        let catalog = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(30));
         let trace = TraceHandle::disabled();
         let reader = trace.attach_memory(0);
         let config = FlintConfig::builder()
@@ -427,9 +442,7 @@ proptest! {
             .seed(seed)
             .trace(trace)
             .build();
-        let mut cluster = FlintCluster::launch(catalog, config);
-        let out = run_job(cluster.driver_mut(), 9).unwrap();
-        prop_assert!(!out.is_empty());
+        let cluster = run_with_churn(config, seed);
         let report = cluster.shutdown();
         let billed: f64 = reader
             .events()
@@ -452,7 +465,6 @@ proptest! {
     /// leave Σ `InstanceBilled` equal to the cost report.
     #[test]
     fn portfolio_billed_events_match_cost_report(seed in 0u64..500) {
-        let catalog = MarketCatalog::synthetic_ec2(seed, SimDuration::from_days(30));
         let trace = TraceHandle::disabled();
         let reader = trace.attach_memory(0);
         let config = FlintConfig::builder()
@@ -462,9 +474,7 @@ proptest! {
             .seed(seed)
             .trace(trace)
             .build();
-        let mut cluster = FlintCluster::launch(catalog, config);
-        let out = run_job(cluster.driver_mut(), 9).unwrap();
-        prop_assert!(!out.is_empty());
+        let cluster = run_with_churn(config, seed);
         let report = cluster.shutdown();
         let mut billed = 0.0;
         let mut weights = 0u32;
